@@ -48,16 +48,18 @@
 #                 CLAMPI_BENCH_SMOKE=1, writing results/BENCH_smoke.json
 #                 and the tracked perf summary BENCH_perf.json; every
 #                 harvested "san_diags" value must be 0
-#   perf-gate     ENFORCING: diffs BENCH_perf.json against the committed
-#                 ci/perf_baseline.json; >2x drift on a virtual-clock key
-#                 FAILS the build (the simulator's clocks are
-#                 deterministic, so drift means a real change in modelled
-#                 cost). Keys matching PERF_WARN_ONLY_RE (wall-clock
-#                 benches, noisy by nature) warn only. Keys present on
-#                 only one side are flagged in both directions, a stale
+#   perf-gate     ENFORCING: `run_all --gate` (crates/bench/src/gate.rs)
+#                 compares BENCH_perf.json with the committed
+#                 ci/perf_baseline.json. Virtual-clock keys are
+#                 deterministic, so they must be EQUAL to the baseline -
+#                 any difference FAILS the build (refresh the baseline if
+#                 the change is intended). Wall-clock keys (fig_contention,
+#                 the wall_* keys) warn only, on >2x drift. Keys present on
+#                 only one side are flagged in both directions, and a stale
 #                 BENCH_perf.json (older than the bench binaries) is
-#                 refused, and the gate self-tests against
-#                 ci/fixtures/perf/ before judging anything.
+#                 refused. The gate's own planted-regression /
+#                 allowlisted-drift self-test over ci/fixtures/perf/ is a
+#                 unit test of the bench crate (the test stage runs it).
 #
 # This repo builds on machines with no network and no cargo registry
 # cache, so any external crate in a dependency section is a build break
@@ -255,118 +257,24 @@ stage_bench_smoke() {
     echo "san_diags all zero in BENCH_perf.json"
 }
 
-# Prints "name.key value" for every entry of each line's "perf" object.
-extract_perf() {
-    awk '
-        {
-            if (match($0, /"name":"[^"]*"/))
-                name = substr($0, RSTART + 8, RLENGTH - 9)
-            if (match($0, /"perf":\{[^}]*\}/)) {
-                body = substr($0, RSTART + 8, RLENGTH - 9)
-                n = split(body, kv, ",")
-                for (i = 1; i <= n; i++) {
-                    split(kv[i], p, ":")
-                    key = p[1]; gsub(/"/, "", key)
-                    if (key != "") print name "." key, p[2]
-                }
-            }
-        }
-    ' "$1"
-}
-
-# Keys whose >2x drift only warns instead of failing the gate. The
-# fig_contention numbers and fig_dht's wall_ms are wall clock (real
-# threads on whatever machine CI happens to run on), so they are
-# legitimately noisy; everything else in BENCH_perf.json is a
-# deterministic virtual-clock total and is enforced.
-PERF_WARN_ONLY_RE='^fig_contention\.|^fig_dht\.wall_|^fig_policy\.wall_|^fig_tx\.wall_'
-
-# Diffs two perf JSONL files key by key. Enforced keys that drift >2x
-# make the function return nonzero; allowlisted keys and keys present on
-# only one side warn. Both directions are checked: a baseline-only key
-# means a bench was dropped, a current-only key means the committed
-# baseline is out of date.
-perf_gate_check() {
-    local baseline=$1 current=$2
-    local rc=0 key base cur ratio
-    while read -r key base; do
-        cur=$(extract_perf "$current" | awk -v k="$key" '$1 == k { print $2 }')
-        if [ -z "$cur" ]; then
-            echo "WARN: $key present in baseline but missing from $current"
-            continue
-        fi
-        if awk -v c="$cur" -v b="$base" \
-            'BEGIN { exit !(b > 0 && (c > 2.0 * b || c * 2.0 < b)) }'; then
-            if [[ "$key" =~ $PERF_WARN_ONLY_RE ]]; then
-                echo "WARN: $key drifted >2x (allowlisted, wall-clock): baseline $base, current $cur"
-            else
-                echo "FAIL: $key drifted >2x: baseline $base, current $cur" >&2
-                rc=1
-            fi
-        else
-            # Print the drift ratio on passing keys too: a key creeping
-            # from 1.0x to 1.9x across PRs is invisible if only failures
-            # get numbers.
-            ratio=$(awk -v c="$cur" -v b="$base" \
-                'BEGIN { if (b > 0) printf "%.2fx", c / b; else printf "n/a" }')
-            echo "ok: $key baseline $base, current $cur ($ratio)"
-        fi
-    done < <(extract_perf "$baseline")
-    while read -r key cur; do
-        base=$(extract_perf "$baseline" | awk -v k="$key" '$1 == k { print $2 }')
-        if [ -z "$base" ]; then
-            echo "WARN: $key present in $current but missing from baseline" \
-                "(refresh ci/perf_baseline.json)"
-        fi
-    done < <(extract_perf "$current")
-    return "$rc"
-}
-
 stage_perf_gate() {
-    # Enforcing: a >2x drift on a virtual-clock perf key fails the build.
-    # Those keys are deterministic, so drift means the cost model or the
-    # cache policy genuinely changed — if that change is intentional,
-    # refresh the baseline with
+    # Enforcing: the virtual-clock perf keys are deterministic, so any
+    # difference from the baseline means the cost model, the cache policy
+    # or the accounting genuinely changed - if that is intended, refresh
+    # the baseline with
     #   ./ci.sh bench-smoke && cp BENCH_perf.json ci/perf_baseline.json
     local baseline=ci/perf_baseline.json current=BENCH_perf.json
-    # Self-test first: a gate that waves a planted 3x regression through
-    # proves nothing, and one that fails on allowlisted wall-clock noise
-    # would train people to ignore it.
-    echo "-- perf-gate self-test (ci/fixtures/perf)"
-    if perf_gate_check ci/fixtures/perf/baseline.json \
-        ci/fixtures/perf/current_regressed.json > /dev/null; then
-        echo "FAIL: self-test: planted enforced regression was not caught" >&2
-        return 1
-    fi
-    if ! perf_gate_check ci/fixtures/perf/baseline.json \
-        ci/fixtures/perf/current_ok.json > /dev/null; then
-        echo "FAIL: self-test: allowlisted drift must not fail the gate" >&2
-        return 1
-    fi
-    echo "self-test ok (planted regression caught, allowlisted drift tolerated)"
-    if [ ! -s "$baseline" ]; then
-        echo "no committed baseline ($baseline) - perf-gate SKIPPED" >&2
-        return 77
-    fi
-    if [ ! -s "$current" ]; then
-        echo "no $current (run ./ci.sh bench-smoke first) - perf-gate SKIPPED" >&2
-        return 77
-    fi
     # A summary older than the bench runner measured a *previous* build;
     # judging this build by it could hide a real regression (or invent a
     # phantom one). Refuse it rather than guess.
-    if [ target/release/run_all -nt "$current" ]; then
-        echo "FAIL: $current is older than target/release/run_all, so it" >&2
-        echo "      measures a previous build. Re-generate it with:" >&2
+    if [ ! -s "$current" ] || [ target/release/run_all -nt "$current" ]; then
+        echo "FAIL: $current is missing or older than target/release/run_all," >&2
+        echo "      so it measures a previous build. Re-generate it with:" >&2
         echo "          ./ci.sh bench-smoke" >&2
         return 1
     fi
-    if perf_gate_check "$baseline" "$current"; then
-        echo "perf-gate: all enforced keys within 2x of baseline"
-    else
-        echo "perf-gate: enforced drift detected (refresh ci/perf_baseline.json if intended)" >&2
-        return 1
-    fi
+    cargo run -q --offline --release -p clampi-bench --bin run_all -- \
+        --gate "$baseline" "$current"
 }
 
 # -------------------------------------------------------------- runner --
@@ -375,7 +283,9 @@ declare -A RESULT DURATION
 # Fixture stages for the runner self-test, reachable only when
 # CI_ALLOW_FAKE_STAGES=1 so `./ci.sh fake-fail` can't be run by accident.
 stage_fake_pass() { echo "fake-pass stage ran"; }
-stage_fake_fail() { echo "fake-fail stage ran"; return 1; }
+# fake-fail fails in the *middle*: a runner that loses `set -e` inside its
+# stages would run on to the final `true` and report PASS.
+stage_fake_fail() { echo "fake-fail stage ran"; false; true; }
 
 runner_self_test() {
     # A fail-fast runner that doesn't actually stop (or a --keep-going
@@ -409,7 +319,13 @@ run_stage() {
     echo
     echo "===== stage: $s ====="
     start=$SECONDS
-    (set -euo pipefail; "$fn") || rc=$?
+    # Not `(...) || rc=$?`: bash ignores `set -e` inside any command of an
+    # `||` list, so a stage would run on past its failing commands and
+    # report only its last one's status.
+    set +e
+    (set -euo pipefail; "$fn")
+    rc=$?
+    set -e
     DURATION[$s]=$((SECONDS - start))
     case $rc in
         0)  RESULT[$s]=PASS ;;

@@ -53,7 +53,7 @@
 //! All remote traffic inherits the window's [`clampi::RetryPolicy`]:
 //! transient faults retry with backoff; a dead owner degrades reads to
 //! [`DhtLookup::Degraded`] (CLaMPI zero-fills and classifies the get as
-//! `Failed`) instead of panicking, and lookups against live owners are
+//! `Faulted`) instead of panicking, and lookups against live owners are
 //! unaffected.
 
 mod loc;
@@ -282,16 +282,12 @@ impl Dht {
     fn read_bucket(&mut self, p: &mut Process, target: usize, slot: usize) -> Result<Bucket, ()> {
         self.stats.bucket_gets += 1;
         let disp = slot * BUCKET_BYTES;
-        let faulted = self.win.faulted_gets();
-        let class = self.win.get(p, &mut self.buf, target, disp, &self.dtype, 1);
-        match class {
+        match self.win.get(p, &mut self.buf, target, disp, &self.dtype, 1) {
             Some(AccessType::Hit) => {}
-            // `Failed` is ambiguous: the engine's could-not-cache
-            // classification delivers real bytes, a fault zero-fills.
-            // Only the fault counter tells them apart.
-            Some(AccessType::Failed) if self.win.faulted_gets() > faulted => return Err(()),
-            // Everything else issued wire traffic (miss fetches, the
-            // disabled-mode pass-through); flush before reading `buf`.
+            Some(AccessType::Faulted) => return Err(()),
+            // Everything else issued wire traffic (miss fetches — cached
+            // or not — and the disabled-mode pass-through); flush before
+            // reading `buf`.
             _ => self.win.flush(p, target),
         }
         Ok(Bucket::decode(&self.buf))

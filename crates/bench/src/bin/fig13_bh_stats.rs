@@ -53,7 +53,7 @@ fn main() {
         ] {
             let bh = BhConfig::with_backend(Backend::Clampi(cfg));
             let out = run_collect(SimConfig::bench(), nranks, |p| force_phase(p, &bodies, &bh));
-            let mut totals = [0u64; 5];
+            let mut totals = [0u64; AccessType::ALL.len()];
             let mut all = 0u64;
             for (_, r) in &out {
                 if let Some(s) = r.clampi_stats {

@@ -53,7 +53,7 @@ fn main() {
             },
         )));
         let out = run_collect(SimConfig::bench(), nranks, |p| lcc_phase(p, &graph, &cfg));
-        let mut totals = [0u64; 5];
+        let mut totals = [0u64; AccessType::ALL.len()];
         let mut all = 0u64;
         let mut adjustments = 0u64;
         let mut t = 0.0f64;

@@ -67,7 +67,7 @@ fn main() {
         ] {
             let lcc = LccConfig::with_backend(Backend::Clampi(cfg));
             let out = run_collect(SimConfig::bench(), p, |pr| lcc_phase(pr, &graph, &lcc));
-            let mut totals = [0u64; 5];
+            let mut totals = [0u64; AccessType::ALL.len()];
             let mut all = 0u64;
             for (_, r) in &out {
                 if let Some(s) = r.clampi_stats {

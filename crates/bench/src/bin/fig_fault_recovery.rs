@@ -159,6 +159,7 @@ fn main() {
         if smoke_mode() { " [smoke]" } else { "" }
     ));
     meta("graceful degradation expected: no panic, smooth slowdown, bounded failed gets");
+    meta("failed = gets that were not served from or installed in the cache: engine could-not-cache (stats.failed) + fault zero-filled (stats.faulted)");
     row(&[
         "fault_rate",
         "hit_rate",
@@ -185,7 +186,7 @@ fn main() {
             hit_rate: stats.hit_ratio(),
             retries: stats.retries,
             timeouts: stats.timeouts,
-            failed: stats.failed,
+            failed: stats.failed + stats.faulted,
             degraded_gets: stats.degraded_gets,
             invalidations_on_failure: stats.invalidations_on_failure,
             elapsed_ns: elapsed,
@@ -222,7 +223,7 @@ fn main() {
         hit_rate: stats.hit_ratio(),
         retries: stats.retries,
         timeouts: stats.timeouts,
-        failed: stats.failed,
+        failed: stats.failed + stats.faulted,
         degraded_gets: stats.degraded_gets,
         invalidations_on_failure: stats.invalidations_on_failure,
         elapsed_ns: elapsed,

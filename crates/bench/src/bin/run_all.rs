@@ -9,8 +9,12 @@
 //!   "san_diags":...,"perf":{...}}`), with `perf` harvested from
 //!   `# PERF <key> <value>` lines in the binary's stdout and `san_diags`
 //!   from its `# SAN diags <n>` RMASAN summary (0 when the binary prints
-//!   none). CI's perf-gate stage diffs the perf keys against the
-//!   committed baseline; bench-smoke asserts every `san_diags` is 0.
+//!   none). bench-smoke asserts every `san_diags` is 0;
+//! - `--gate <baseline> <current>` — run nothing: compare two such
+//!   summaries with [`clampi_bench::gate`] (enforced keys must be equal,
+//!   wall-clock keys warn), print one line per key, and exit nonzero if
+//!   an enforced key changed. CI's perf-gate stage is this invocation
+//!   against the committed `ci/perf_baseline.json`.
 //!
 //! All other flags are forwarded to every binary (e.g. `--paper`,
 //! `--seed 7`).
@@ -101,6 +105,26 @@ fn main() {
             "--json" => {
                 let v = argv.next().expect("--json needs a path");
                 json_path = Some(PathBuf::from(v));
+            }
+            "--gate" => {
+                let mut read = |what: &str| {
+                    let path = argv
+                        .next()
+                        .unwrap_or_else(|| panic!("--gate needs a {what} path"));
+                    std::fs::read_to_string(&path)
+                        .unwrap_or_else(|e| panic!("perf-gate: cannot read {what} {path}: {e}"))
+                };
+                let report = clampi_bench::gate::check(&read("baseline"), &read("current"));
+                report.lines.iter().for_each(|l| println!("{l}"));
+                if report.failures > 0 {
+                    eprintln!(
+                        "perf-gate: {} enforced key(s) changed (refresh ci/perf_baseline.json if intended)",
+                        report.failures
+                    );
+                    std::process::exit(1);
+                }
+                println!("perf-gate: all enforced keys equal to baseline");
+                return;
             }
             _ => forwarded.push(a),
         }

@@ -17,6 +17,7 @@
 
 pub mod access;
 pub mod cli;
+pub mod gate;
 pub mod micro;
 pub mod summary;
 pub mod timer;

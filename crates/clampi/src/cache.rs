@@ -963,8 +963,10 @@ impl ShardCore {
     /// Promotes every PENDING entry to CACHED (the per-shard half of the
     /// epoch-closure hook; cost charging stays with the caller).
     pub(crate) fn promote_pending(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        for id in pending {
+        // Taken and handed back cleared, so the next epoch's pushes reuse
+        // the allocation.
+        let mut pending = std::mem::take(&mut self.pending);
+        for id in pending.drain(..) {
             // An entry may have been evicted while pending? No: pending
             // entries are excluded from eviction, so it must still exist.
             let e = self.entry_mut(id);
@@ -972,6 +974,7 @@ impl ShardCore {
             e.state = EntryState::Cached;
             self.cached_count += 1;
         }
+        self.pending = pending;
     }
 
     /// Removes `key`'s resident entry if present, releasing its storage.

@@ -14,7 +14,7 @@
 //! 2. **Persistent target failures** ([`RmaError::TargetFailed`]) degrade
 //!    gracefully: the caching layer drops every cached entry for that
 //!    target (its data can no longer be validated) and serves all later
-//!    accesses to it locally as `Failed` — zero-filled payload, no network
+//!    accesses to it locally as `Faulted` — zero-filled payload, no network
 //!    traffic, no error. This is the weak-caching philosophy applied to
 //!    fault handling: a dead target makes gets *degraded*, never makes the
 //!    application crash inside the caching layer.

@@ -98,7 +98,7 @@ pub struct SnapReq {
 }
 
 /// Per-request interval state during validation (scratch, not API).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ReqBound {
     /// Stamp of the bytes currently in the destination slice.
     pub(crate) stamp: SnapStamp,
@@ -106,6 +106,17 @@ pub(crate) struct ReqBound {
     /// overlapping this request after `stamp.version` (`u64::MAX` when no
     /// such write is visible in the ring).
     pub(crate) hi: u64,
+}
+
+impl Default for ReqBound {
+    /// The neutral interval `[0, ∞)` — what a zero-length request, which
+    /// reads nothing, contributes to the intersection.
+    fn default() -> Self {
+        ReqBound {
+            stamp: SnapStamp::default(),
+            hi: u64::MAX,
+        }
+    }
 }
 
 /// Outcome summary of a successful [`crate::CachedWindow::multi_get`].

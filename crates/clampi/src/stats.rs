@@ -12,6 +12,9 @@
 //!   enough space;
 //! - **failed** — a miss that could not be cached (the get itself still
 //!   succeeds: weak caching).
+//!
+//! The recovery layer adds a sixth outcome outside the paper's taxonomy:
+//! **faulted** — the payload was lost to a fault and zero-filled.
 
 use crate::eviction::{VictimScheme, POLICY_COUNT};
 
@@ -26,16 +29,13 @@ pub enum AccessType {
     Conflicting,
     /// Cached after a storage eviction freed enough space.
     Capacity,
-    /// Not cached: no resources even after one eviction attempt.
-    ///
-    /// **Overloaded under fault injection.** The recovery layer *also*
-    /// classifies degraded and abandoned gets as `Failed`, and those
-    /// deliver a zero-filled payload — whereas the engine's
-    /// could-not-cache `Failed` still delivers the fetched bytes (weak
-    /// caching). The classification alone cannot tell the two apart:
-    /// snapshot `CachedWindow::faulted_gets()` around the operation —
-    /// it moves exactly when the payload was zero-filled by a fault.
+    /// Not cached: no resources even after one eviction attempt. The
+    /// fetched payload is still delivered (weak caching).
     Failed,
+    /// Payload zero-filled by a fault: the target is degraded (marked
+    /// persistently failed) or the fetch was abandoned by the recovery
+    /// layer. Never produced by the caching engine itself.
+    Faulted,
 }
 
 impl AccessType {
@@ -47,143 +47,178 @@ impl AccessType {
             AccessType::Conflicting => "conflicting",
             AccessType::Capacity => "capacity",
             AccessType::Failed => "failed",
+            AccessType::Faulted => "faulted",
         }
     }
 
     /// All access types in reporting order.
-    pub const ALL: [AccessType; 5] = [
+    pub const ALL: [AccessType; 6] = [
         AccessType::Hit,
         AccessType::Direct,
         AccessType::Conflicting,
         AccessType::Capacity,
         AccessType::Failed,
+        AccessType::Faulted,
     ];
 }
 
-/// Aggregated counters for one caching layer `C_w`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CacheStats {
+/// The counter table: generates [`CacheStats`] and everything that must
+/// visit every counter, so adding one is a one-line change here. Scalar
+/// counters first, then `;` and the one per-policy array.
+macro_rules! counter_table {
+    (
+        $($(#[$doc:meta])* $name:ident: u64,)* ;
+        $(#[$adoc:meta])* $arr:ident: [u64; $n:expr],
+    ) => {
+        /// Aggregated counters for one caching layer `C_w`.
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        pub struct CacheStats {
+            $($(#[$doc])* pub $name: u64,)*
+            $(#[$adoc])* pub $arr: [u64; $n],
+        }
+
+        impl CacheStats {
+            /// Every counter as `(field name, value)` in declaration
+            /// order; the array field yields one pair per element.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+                let array = self.$arr.iter().map(|&v| (stringify!($arr), v));
+                [$((stringify!($name), self.$name),)*].into_iter().chain(array)
+            }
+
+            /// Applies `f(mine, theirs)` to every counter, in `fields` order.
+            fn zip_with(&mut self, other: &CacheStats, mut f: impl FnMut(&mut u64, u64)) {
+                $(f(&mut self.$name, other.$name);)*
+                for (a, b) in self.$arr.iter_mut().zip(other.$arr) {
+                    f(a, b);
+                }
+            }
+        }
+    };
+}
+
+counter_table! {
     /// Total `get_c` operations processed.
-    pub total_gets: u64,
+    total_gets: u64,
     /// Full hits (includes hits on PENDING entries).
-    pub hits: u64,
+    hits: u64,
     /// Partial hits: key matched but the request exceeded the cached size;
     /// these are *also* counted in direct/conflicting/capacity/failed
     /// according to how the extension allocation went.
-    pub partial_hits: u64,
+    partial_hits: u64,
     /// Misses cached without eviction.
-    pub direct: u64,
+    direct: u64,
     /// Misses that evicted along the Cuckoo insertion path.
-    pub conflicting: u64,
+    conflicting: u64,
     /// Misses that evicted for space and then fit.
-    pub capacity: u64,
-    /// Misses that could not be cached.
-    pub failed: u64,
+    capacity: u64,
+    /// Misses that could not be cached (payload still delivered).
+    failed: u64,
+    /// Gets whose payload was zero-filled by a fault
+    /// (`degraded_gets + abandoned_gets`).
+    faulted: u64,
     /// Storage (capacity) eviction procedures executed.
-    pub evictions: u64,
+    evictions: u64,
     /// Index slots visited across all capacity evictions (`v_i` summed).
-    pub visited_slots: u64,
+    visited_slots: u64,
     /// Non-empty slots among the visited ones (numerator of the paper's
     /// sparsity signal `q`).
-    pub visited_nonempty: u64,
+    visited_nonempty: u64,
     /// Cache invalidations (epoch closures in transparent mode, explicit
     /// invalidates, and adaptive adjustments).
-    pub invalidations: u64,
+    invalidations: u64,
     /// Adaptive parameter adjustments performed.
-    pub adjustments: u64,
+    adjustments: u64,
     /// Payload bytes served from cache.
-    pub bytes_from_cache: u64,
+    bytes_from_cache: u64,
     /// Payload bytes fetched over the network by `get_c` calls.
-    pub bytes_from_network: u64,
+    bytes_from_network: u64,
     /// Transient-fault retries issued by the recovery layer (one per
     /// reissued network operation, not per get).
-    pub retries: u64,
+    retries: u64,
     /// Operations abandoned because their cumulative virtual-time budget
     /// ([`crate::RetryPolicy::op_timeout_ns`]) ran out while retrying.
-    pub timeouts: u64,
+    timeouts: u64,
     /// Gets served in degraded mode (target already marked failed: no
-    /// network traffic, zero-filled payload, classified `Failed`).
-    pub degraded_gets: u64,
+    /// network traffic, zero-filled payload, classified `Faulted`).
+    degraded_gets: u64,
     /// Gets whose fetch was abandoned by the recovery layer (rank death
-    /// or retries exhausted): zero-filled payload, classified `Failed`.
-    /// Together with `degraded_gets` this disambiguates a fault-failed
-    /// get from the engine's `Failed` *caching* classification, where
-    /// the payload was fetched fine but could not be cached.
-    pub abandoned_gets: u64,
+    /// or retries exhausted): zero-filled payload, classified `Faulted`.
+    abandoned_gets: u64,
     /// Cache entries dropped because their target rank was marked failed.
-    pub invalidations_on_failure: u64,
+    invalidations_on_failure: u64,
     /// Misses whose wire transfer was merged into an already-outstanding
     /// nonblocking get to the same target (adjacent/overlapping byte
     /// range, within `CacheParams::max_coalesce_bytes`): no new issue
     /// overhead and only the incremental bytes on the wire.
-    pub coalesced_misses: u64,
+    coalesced_misses: u64,
     /// Gets issued through the nonblocking batched path
     /// ([`crate::CachedWindow::get_nb`] and friends).
-    pub batched_gets: u64,
+    batched_gets: u64,
     /// Wire nanoseconds of nonblocking miss transfers that were hidden
     /// behind CPU work instead of being blocked on at the epoch closure
     /// (posted wire time minus time actually spent blocked, saturating).
     /// Approximate: rounded to whole ns and attributed per closure.
-    pub overlapped_wire_ns: u64,
+    overlapped_wire_ns: u64,
     /// Cache entries dropped by a coherence pass because a remote put
     /// made (or may have made) them stale — each one a stale hit that can
     /// no longer happen.
-    pub stale_hits_prevented: u64,
+    stale_hits_prevented: u64,
     /// Put-notification records consumed by `EagerInvalidate` drains.
-    pub notifications_drained: u64,
+    notifications_drained: u64,
     /// Notification-ring overflows observed (each falls back to a full
     /// per-target invalidation).
-    pub notification_overflows: u64,
+    notification_overflows: u64,
     /// Remote version fetches issued by `EpochValidate` passes.
-    pub version_fetches: u64,
+    version_fetches: u64,
     /// Optimistic (seqlock) hit-path reads discarded because the shard's
     /// sequence counter changed mid-copy; each one retried or fell back to
     /// the locked path ([`crate::ShardedCache`]).
-    pub opt_retries: u64,
+    opt_retries: u64,
     /// Hit-path reads served under the shard read lock instead of the
     /// optimistic path (fallback after repeated validation failures or a
     /// mid-mutation probe).
-    pub locked_reads: u64,
+    locked_reads: u64,
     /// Live victim-policy switches applied (adaptive [`SwitchPolicy`]
     /// adjustments plus explicit `set_victim_scheme` calls that changed
     /// the policy).
     ///
     /// [`SwitchPolicy`]: crate::AdjustRule::SwitchPolicy
-    pub policy_switches: u64,
+    policy_switches: u64,
     /// Victims evicted by the live [`VictimScheme::Lease`] policy whose
     /// lease had already expired under the get-sequence clock (the
     /// remainder were reclaimed early, before expiry).
     ///
     /// [`VictimScheme::Lease`]: crate::VictimScheme::Lease
-    pub lease_expiries: u64,
+    lease_expiries: u64,
     /// Gets replayed through the policy lab's shadow caches (one per
     /// get, regardless of how many shadows run).
-    pub shadow_gets: u64,
+    shadow_gets: u64,
     /// Shadow-cache slot inspections across all policies — the lab's
     /// overhead unit, priced by
     /// [`CacheCostModel::shadow_visit_ns`](crate::CacheCostModel::shadow_visit_ns)
     /// but never charged to the live virtual clock.
-    pub shadow_slot_visits: u64,
-    /// Per-policy shadow hits, indexed by
-    /// [`VictimScheme::index`](crate::VictimScheme::index) (the order of
-    /// [`VictimScheme::ALL`](crate::VictimScheme::ALL)).
-    pub shadow_hits: [u64; POLICY_COUNT],
+    shadow_slot_visits: u64,
     /// Requests read through the snapshot subsystem
     /// ([`crate::CachedWindow::multi_get`]) — one per request in a batch,
     /// successful or not.
-    pub snapshot_gets: u64,
+    snapshot_gets: u64,
     /// Snapshot requests refetched during validation because their
     /// validity interval excluded the candidate timestamp (beyond the
     /// initial gather; each refetch is an uncached network read).
-    pub snapshot_refetches: u64,
+    snapshot_refetches: u64,
     /// Snapshot validation attempts aborted (notification-ring overflow,
     /// refetch rounds exhausted, or a mid-batch fault) and retried — or
     /// given up on — as a whole batch.
-    pub snapshot_aborts: u64,
+    snapshot_aborts: u64,
     /// Total staleness of successful snapshots in virtual nanoseconds:
     /// for each batch, the drain-time commit clock minus the chosen
     /// timestamp (0 = the batch was provably the newest state).
-    pub snapshot_staleness_ns: u64,
+    snapshot_staleness_ns: u64,
+    ;
+    /// Per-policy shadow hits, indexed by
+    /// [`VictimScheme::index`](crate::VictimScheme::index) (the order of
+    /// [`VictimScheme::ALL`](crate::VictimScheme::ALL)).
+    shadow_hits: [u64; POLICY_COUNT],
 }
 
 impl CacheStats {
@@ -196,6 +231,7 @@ impl CacheStats {
             AccessType::Conflicting => self.conflicting += 1,
             AccessType::Capacity => self.capacity += 1,
             AccessType::Failed => self.failed += 1,
+            AccessType::Faulted => self.faulted += 1,
         }
     }
 
@@ -207,6 +243,7 @@ impl CacheStats {
             AccessType::Conflicting => self.conflicting,
             AccessType::Capacity => self.capacity,
             AccessType::Failed => self.failed,
+            AccessType::Faulted => self.faulted,
         }
     }
 
@@ -249,91 +286,16 @@ impl CacheStats {
 
     /// Difference of counters (self - earlier), for interval-based signals.
     pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            total_gets: self.total_gets - earlier.total_gets,
-            hits: self.hits - earlier.hits,
-            partial_hits: self.partial_hits - earlier.partial_hits,
-            direct: self.direct - earlier.direct,
-            conflicting: self.conflicting - earlier.conflicting,
-            capacity: self.capacity - earlier.capacity,
-            failed: self.failed - earlier.failed,
-            evictions: self.evictions - earlier.evictions,
-            visited_slots: self.visited_slots - earlier.visited_slots,
-            visited_nonempty: self.visited_nonempty - earlier.visited_nonempty,
-            invalidations: self.invalidations - earlier.invalidations,
-            adjustments: self.adjustments - earlier.adjustments,
-            bytes_from_cache: self.bytes_from_cache - earlier.bytes_from_cache,
-            bytes_from_network: self.bytes_from_network - earlier.bytes_from_network,
-            retries: self.retries - earlier.retries,
-            timeouts: self.timeouts - earlier.timeouts,
-            degraded_gets: self.degraded_gets - earlier.degraded_gets,
-            abandoned_gets: self.abandoned_gets - earlier.abandoned_gets,
-            invalidations_on_failure: self.invalidations_on_failure
-                - earlier.invalidations_on_failure,
-            coalesced_misses: self.coalesced_misses - earlier.coalesced_misses,
-            batched_gets: self.batched_gets - earlier.batched_gets,
-            overlapped_wire_ns: self.overlapped_wire_ns - earlier.overlapped_wire_ns,
-            stale_hits_prevented: self.stale_hits_prevented - earlier.stale_hits_prevented,
-            notifications_drained: self.notifications_drained - earlier.notifications_drained,
-            notification_overflows: self.notification_overflows - earlier.notification_overflows,
-            version_fetches: self.version_fetches - earlier.version_fetches,
-            opt_retries: self.opt_retries - earlier.opt_retries,
-            locked_reads: self.locked_reads - earlier.locked_reads,
-            policy_switches: self.policy_switches - earlier.policy_switches,
-            lease_expiries: self.lease_expiries - earlier.lease_expiries,
-            shadow_gets: self.shadow_gets - earlier.shadow_gets,
-            shadow_slot_visits: self.shadow_slot_visits - earlier.shadow_slot_visits,
-            shadow_hits: std::array::from_fn(|i| self.shadow_hits[i] - earlier.shadow_hits[i]),
-            snapshot_gets: self.snapshot_gets - earlier.snapshot_gets,
-            snapshot_refetches: self.snapshot_refetches - earlier.snapshot_refetches,
-            snapshot_aborts: self.snapshot_aborts - earlier.snapshot_aborts,
-            snapshot_staleness_ns: self.snapshot_staleness_ns - earlier.snapshot_staleness_ns,
-        }
+        let mut d = *self;
+        d.zip_with(earlier, |a, b| *a -= b);
+        d
     }
 
     /// Fieldwise sum of counters (self += other). Used to merge the
     /// recovery layer's fault counters — kept outside the cache engine so
     /// they exist even in [`crate::Mode::Disabled`] — into one report.
     pub fn merge(&mut self, other: &CacheStats) {
-        self.total_gets += other.total_gets;
-        self.hits += other.hits;
-        self.partial_hits += other.partial_hits;
-        self.direct += other.direct;
-        self.conflicting += other.conflicting;
-        self.capacity += other.capacity;
-        self.failed += other.failed;
-        self.evictions += other.evictions;
-        self.visited_slots += other.visited_slots;
-        self.visited_nonempty += other.visited_nonempty;
-        self.invalidations += other.invalidations;
-        self.adjustments += other.adjustments;
-        self.bytes_from_cache += other.bytes_from_cache;
-        self.bytes_from_network += other.bytes_from_network;
-        self.retries += other.retries;
-        self.timeouts += other.timeouts;
-        self.degraded_gets += other.degraded_gets;
-        self.abandoned_gets += other.abandoned_gets;
-        self.invalidations_on_failure += other.invalidations_on_failure;
-        self.coalesced_misses += other.coalesced_misses;
-        self.batched_gets += other.batched_gets;
-        self.overlapped_wire_ns += other.overlapped_wire_ns;
-        self.stale_hits_prevented += other.stale_hits_prevented;
-        self.notifications_drained += other.notifications_drained;
-        self.notification_overflows += other.notification_overflows;
-        self.version_fetches += other.version_fetches;
-        self.opt_retries += other.opt_retries;
-        self.locked_reads += other.locked_reads;
-        self.policy_switches += other.policy_switches;
-        self.lease_expiries += other.lease_expiries;
-        self.shadow_gets += other.shadow_gets;
-        self.shadow_slot_visits += other.shadow_slot_visits;
-        for (a, b) in self.shadow_hits.iter_mut().zip(other.shadow_hits.iter()) {
-            *a += *b;
-        }
-        self.snapshot_gets += other.snapshot_gets;
-        self.snapshot_refetches += other.snapshot_refetches;
-        self.snapshot_aborts += other.snapshot_aborts;
-        self.snapshot_staleness_ns += other.snapshot_staleness_ns;
+        self.zip_with(other, |a, b| *a += b);
     }
 }
 
@@ -355,7 +317,7 @@ mod tests {
         for t in AccessType::ALL {
             s.record(t);
         }
-        assert_eq!(s.total_gets, 5);
+        assert_eq!(s.total_gets, 6);
         for t in AccessType::ALL {
             assert_eq!(s.count(t), 1, "{t:?}");
         }
@@ -395,117 +357,28 @@ mod tests {
         assert_eq!(d.direct, 1);
     }
 
-    #[test]
-    fn delta_and_merge_cover_batching_counters() {
-        let a = CacheStats {
-            coalesced_misses: 7,
-            batched_gets: 20,
-            overlapped_wire_ns: 5_000,
-            stale_hits_prevented: 9,
-            notifications_drained: 30,
-            notification_overflows: 3,
-            version_fetches: 12,
-            opt_retries: 6,
-            locked_reads: 8,
-            policy_switches: 4,
-            lease_expiries: 40,
-            shadow_gets: 100,
-            shadow_slot_visits: 900,
-            shadow_hits: [50, 60, 20, 55, 70],
-            ..CacheStats::default()
-        };
-        let earlier = CacheStats {
-            coalesced_misses: 2,
-            batched_gets: 5,
-            overlapped_wire_ns: 1_000,
-            stale_hits_prevented: 4,
-            notifications_drained: 10,
-            notification_overflows: 1,
-            version_fetches: 2,
-            opt_retries: 1,
-            locked_reads: 3,
-            policy_switches: 1,
-            lease_expiries: 15,
-            shadow_gets: 30,
-            shadow_slot_visits: 200,
-            shadow_hits: [10, 20, 5, 15, 30],
-            ..CacheStats::default()
-        };
-        let d = a.delta_since(&earlier);
-        assert_eq!(d.coalesced_misses, 5);
-        assert_eq!(d.batched_gets, 15);
-        assert_eq!(d.overlapped_wire_ns, 4_000);
-        assert_eq!(d.stale_hits_prevented, 5);
-        assert_eq!(d.notifications_drained, 20);
-        assert_eq!(d.notification_overflows, 2);
-        assert_eq!(d.version_fetches, 10);
-        assert_eq!(d.opt_retries, 5);
-        assert_eq!(d.locked_reads, 5);
-        assert_eq!(d.policy_switches, 3);
-        assert_eq!(d.lease_expiries, 25);
-        assert_eq!(d.shadow_gets, 70);
-        assert_eq!(d.shadow_slot_visits, 700);
-        assert_eq!(d.shadow_hits, [40, 40, 15, 40, 40]);
-        let mut m = earlier;
-        m.merge(&d);
-        assert_eq!(m, a);
-    }
-
-    /// A stats value with *every* counter set to a distinct nonzero value.
-    /// Deliberately an exhaustive struct literal — no `..Default()` — so
-    /// adding a `CacheStats` field without wiring it here (and checking it
-    /// through `merge`/`delta_since` below) is a compile error, not a
-    /// silently dropped counter. PRs 4–8 each had to hand-verify this.
+    /// A stats value with *every* counter cell set to a distinct nonzero
+    /// value, numbered from `seed + 1` in [`CacheStats::fields`] order.
     fn filled(seed: u64) -> CacheStats {
+        let mut s = CacheStats::default();
         let mut n = seed;
-        let mut next = || {
+        s.zip_with(&CacheStats::default(), |cell, _| {
             n += 1;
-            n
-        };
-        CacheStats {
-            total_gets: next(),
-            hits: next(),
-            partial_hits: next(),
-            direct: next(),
-            conflicting: next(),
-            capacity: next(),
-            failed: next(),
-            evictions: next(),
-            visited_slots: next(),
-            visited_nonempty: next(),
-            invalidations: next(),
-            adjustments: next(),
-            bytes_from_cache: next(),
-            bytes_from_network: next(),
-            retries: next(),
-            timeouts: next(),
-            degraded_gets: next(),
-            abandoned_gets: next(),
-            invalidations_on_failure: next(),
-            coalesced_misses: next(),
-            batched_gets: next(),
-            overlapped_wire_ns: next(),
-            stale_hits_prevented: next(),
-            notifications_drained: next(),
-            notification_overflows: next(),
-            version_fetches: next(),
-            opt_retries: next(),
-            locked_reads: next(),
-            policy_switches: next(),
-            lease_expiries: next(),
-            shadow_gets: next(),
-            shadow_slot_visits: next(),
-            shadow_hits: std::array::from_fn(|_| next()),
-            snapshot_gets: next(),
-            snapshot_refetches: next(),
-            snapshot_aborts: next(),
-            snapshot_staleness_ns: next(),
-        }
+            *cell = n;
+        });
+        s
     }
 
     #[test]
     fn merge_and_delta_round_trip_every_field() {
         let a = filled(100);
+        // `fields` reads back every cell `filled` numbered, in the same
+        // order: one pair per scalar, then one per element of the array.
+        let cells = (std::mem::size_of::<CacheStats>() / std::mem::size_of::<u64>()) as u64;
+        assert!(a.fields().map(|(_, v)| v).eq(101..=100 + cells));
+        assert_eq!(a.fields().next(), Some(("total_gets", 101)));
+        let shadow = a.fields().filter(|(n, _)| *n == "shadow_hits");
+        assert_eq!(shadow.count(), POLICY_COUNT);
         // merge adds every field: folding `a` into zero must reproduce it
         // exactly (a `+=` line missing from `merge` leaves a zero behind).
         let mut z = CacheStats::default();

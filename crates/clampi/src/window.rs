@@ -19,7 +19,7 @@
 //! `fence`) additionally runs the cache's epoch hook and, when enabled,
 //! the adaptive controller.
 
-use clampi_datatype::{Block, Datatype, FlatLayout};
+use clampi_datatype::{Datatype, FlatLayout};
 use clampi_rma::{LockKind, Process, RmaError, StagedGet, Window};
 
 use crate::adaptive::{AdaptiveController, AdaptiveParams};
@@ -30,7 +30,7 @@ use crate::recovery::{with_retry, RetryPolicy};
 use crate::snapshot::{
     choose_timestamp, ReqBound, SnapReq, SnapStamp, SnapshotCtx, SnapshotError, SnapshotInfo,
 };
-use crate::stats::CacheStats;
+use crate::stats::{AccessType, CacheStats};
 
 /// Operational mode of a caching-enabled window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -116,6 +116,49 @@ struct NbSpan {
     hi: u64,
 }
 
+/// How a get's wire time is accounted. Chosen by *which public method was
+/// called* ([`CachedWindow::get`] vs [`CachedWindow::get_nb`]), never
+/// configured: what the cache does is the same either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Completion {
+    /// The inner window charges the issue overhead and posts the
+    /// transfer itself (`Window::try_get_flat`).
+    Blocking,
+    /// The fetch is staged uncharged (`Window::try_get_staged`) and booked
+    /// into the outstanding-miss table, where adjacent misses coalesce.
+    Batched,
+}
+
+/// What one get did: its classification *and* where `dst`'s bytes came
+/// from — everything the snapshot layer and the public wrappers need,
+/// without reading counters before and after the call.
+#[derive(Debug, Clone, Copy)]
+enum GetOutcome {
+    /// Served entirely from a resident entry (a hit; nothing fetched).
+    Resident,
+    /// A cached head (empty when the resident layout was incompatible)
+    /// plus a fetched remainder: no single stamp describes the bytes.
+    Partial(AccessType),
+    /// Every byte was fetched by this call, and `SnapStamp` is exact for
+    /// them. The class is `None` when the cache was bypassed (disabled
+    /// mode, zero-size get).
+    Fetched(Option<AccessType>, SnapStamp),
+    /// Zero-filled by the fault path (degraded target, abandoned fetch).
+    Faulted,
+}
+
+impl GetOutcome {
+    /// The public classification (`None` = the request bypassed the cache).
+    fn class(self) -> Option<AccessType> {
+        match self {
+            GetOutcome::Resident => Some(AccessType::Hit),
+            GetOutcome::Partial(class) => Some(class),
+            GetOutcome::Fetched(class, _) => class,
+            GetOutcome::Faulted => Some(AccessType::Faulted),
+        }
+    }
+}
+
 /// A caching-enabled RMA window.
 #[derive(Debug)]
 pub struct CachedWindow {
@@ -148,30 +191,14 @@ pub struct CachedWindow {
     coherence: CoherenceTracker,
 }
 
-/// A one-block contiguous layout (empty for `len == 0`, matching what
-/// `Datatype::flatten_n` produces for zero-size types).
-fn contig(len: usize) -> FlatLayout {
-    if len == 0 {
-        FlatLayout::new(Vec::new())
-    } else {
-        FlatLayout::new(vec![Block { offset: 0, len }])
-    }
-}
-
-/// The last get's exact snapshot stamp: every get entry point funnels
-/// through `Window::try_get_staged`, which samples version and commit
-/// timestamp inside the target's region read lock — so the stamp
-/// describes the bytes just copied, exactly, at zero virtual-time cost.
-fn exact_stamp(win: &Window) -> SnapStamp {
-    let s = win.last_get_stamp();
-    SnapStamp::exact(s.version, s.ts)
-}
-
-/// Request `i`'s slice of a `multi_get` destination buffer (requests are
-/// laid out back to back, in order).
-fn req_slice<'a>(dst: &'a mut [u8], reqs: &[SnapReq], i: usize) -> &'a mut [u8] {
-    let start: usize = reqs[..i].iter().map(|r| r.len).sum();
-    &mut dst[start..start + reqs[i].len]
+/// The layout a typed request must be flattened to: `None` for contiguous
+/// types, which the pipeline serves as "`dst.len()` contiguous bytes"
+/// through the per-window scratch layout instead of flattening (and
+/// heap-allocating) per call. A `dst` of the wrong length takes the
+/// flattened path, whose copies reject it.
+fn flat_of(dtype: &Datatype, count: usize, dst: &[u8]) -> Option<FlatLayout> {
+    let contiguous = dtype.is_contiguous() && dst.len() == dtype.size() * count;
+    (!contiguous).then(|| dtype.flatten_n(count))
 }
 
 /// Why one snapshot validation attempt was abandoned (internal; the
@@ -222,7 +249,7 @@ impl CachedWindow {
             fault_stats: CacheStats::default(),
             nb_spans: Vec::new(),
             nb_posted_wire,
-            scratch_layout: contig(0),
+            scratch_layout: FlatLayout::contiguous(0),
             scratch_buf: Vec::new(),
             coherence,
         }
@@ -256,8 +283,20 @@ impl CachedWindow {
             &self.retry,
             target,
         );
-        let cost = cache.take_cost();
-        p.clock_mut().charge_cpu(cost);
+        self.charge_engine(p);
+    }
+
+    /// The caching engine on the caching-enabled path.
+    fn engine(&mut self) -> &mut RmaCache {
+        self.cache.as_mut().expect("caching-enabled path") // xlint: allow(no-unwrap) callers checked `cache.is_some()`
+    }
+
+    /// Charges the engine's accumulated management cost to the rank's
+    /// virtual clock (no-op when caching is disabled).
+    fn charge_engine(&mut self, p: &mut Process) {
+        if let Some(cache) = self.cache.as_mut() {
+            p.clock_mut().charge_cpu(cache.take_cost());
+        }
     }
 
     /// Forces a coherence pass over every target — the explicit handle for
@@ -272,11 +311,7 @@ impl CachedWindow {
     /// tracking); with caching disabled it is a no-op.
     pub fn validate(&mut self, p: &mut Process) {
         match self.coherence_mode() {
-            CoherenceMode::None => {
-                if self.cache.is_some() {
-                    self.invalidate(p);
-                }
-            }
+            CoherenceMode::None => self.invalidate(p),
             _ => self.coherence_pass(p, None),
         }
     }
@@ -300,7 +335,7 @@ impl CachedWindow {
 
     /// Cache statistics (zeroed if caching is disabled), merged with the
     /// recovery layer's fault counters (`retries`, `timeouts`,
-    /// `degraded_gets`, `invalidations_on_failure`, plus one `Failed`
+    /// `degraded_gets`, `invalidations_on_failure`, plus one `Faulted`
     /// classification per degraded or abandoned get).
     pub fn stats(&self) -> CacheStats {
         let mut s = self.cache.as_ref().map(|c| *c.stats()).unwrap_or_default();
@@ -319,15 +354,6 @@ impl CachedWindow {
         self.degraded[target]
     }
 
-    /// Number of gets so far whose payload was zero-filled because of a
-    /// fault (degraded target or abandoned fetch). A caller that sees
-    /// [`crate::AccessType::Failed`] can snapshot this around the get to
-    /// tell a fault apart from the engine's `Failed` *caching*
-    /// classification, where the payload arrived fine.
-    pub fn faulted_gets(&self) -> u64 {
-        self.fault_stats.degraded_gets + self.fault_stats.abandoned_gets
-    }
-
     /// The targets currently marked persistently failed.
     pub fn degraded_targets(&self) -> Vec<usize> {
         (0..self.degraded.len())
@@ -335,41 +361,39 @@ impl CachedWindow {
             .collect()
     }
 
-    /// Marks `target` persistently failed: drops every cached entry keyed
-    /// to it (counted in `invalidations_on_failure`) and routes later
-    /// accesses through the degraded path.
-    fn mark_degraded(&mut self, p: &mut Process, target: usize) {
-        if self.degraded[target] {
+    /// Books an abandoned operation's error: a persistent failure marks
+    /// `target` degraded — drops every cached entry keyed to it (counted
+    /// in `invalidations_on_failure`) and routes later accesses through
+    /// the degraded path. Transient errors degrade nothing.
+    fn degrade_if_dead(&mut self, p: &mut Process, target: usize, err: &RmaError) {
+        if !matches!(err, RmaError::TargetFailed { .. }) || self.degraded[target] {
             return;
         }
         self.degraded[target] = true;
         if let Some(cache) = self.cache.as_mut() {
             let dropped = cache.invalidate_range(target as u32, 0, u64::MAX);
             self.fault_stats.invalidations_on_failure += dropped as u64;
-            let cost = cache.take_cost();
-            p.clock_mut().charge_cpu(cost);
+            self.charge_engine(p);
         }
     }
 
     /// Concludes a get whose fetch was abandoned: degrades the target on
     /// persistent failure, delivers a deterministic zero-filled payload,
-    /// and classifies the access `Failed` (weak caching: the application
-    /// continues; the classification is observable via
-    /// [`CachedWindow::stats`] and the returned [`crate::AccessType`]).
+    /// and classifies the access `Faulted` (the application continues;
+    /// the classification is observable via [`CachedWindow::stats`] and
+    /// the returned [`AccessType`]).
     fn fail_get(
         &mut self,
         p: &mut Process,
         dst: &mut [u8],
         target: usize,
         err: RmaError,
-    ) -> crate::AccessType {
-        if matches!(err, RmaError::TargetFailed { .. }) {
-            self.mark_degraded(p, target);
-        }
+    ) -> GetOutcome {
+        self.degrade_if_dead(p, target, &err);
         dst.fill(0);
         self.fault_stats.abandoned_gets += 1;
-        self.fault_stats.record(crate::AccessType::Failed);
-        crate::AccessType::Failed
+        self.fault_stats.record(AccessType::Faulted);
+        GetOutcome::Faulted
     }
 
     /// The caching engine, if enabled (figure binaries read occupancy,
@@ -407,10 +431,18 @@ impl CachedWindow {
     ///
     /// Returns the access classification, or `None` when the request
     /// bypassed the cache (disabled mode or zero-size gets). A
-    /// [`crate::AccessType::Hit`] means no remote operation was issued — the
+    /// [`AccessType::Hit`] means no remote operation was issued — the
     /// caller may skip the flush it would otherwise need before consuming
     /// `dst` (this is exactly where the paper's hit-latency win comes
     /// from).
+    ///
+    /// Under fault injection this is the recovery entry point: transient
+    /// faults are retried per the window's [`RetryPolicy`]; abandoned and
+    /// degraded gets return [`AccessType::Faulted`] with `dst` zero-filled
+    /// instead of panicking (graceful degradation). [`AccessType::Failed`]
+    /// keeps the paper's meaning: fetched fine, could not be cached. With
+    /// faults disabled the behaviour — including virtual-time charging —
+    /// is bit-identical to the pre-fault code path.
     pub fn get(
         &mut self,
         p: &mut Process,
@@ -419,31 +451,13 @@ impl CachedWindow {
         disp: usize,
         dtype: &Datatype,
         count: usize,
-    ) -> Option<crate::AccessType> {
-        if dtype.is_contiguous() {
-            // Contiguous fast path: reuse the per-window one-block layout
-            // instead of flattening (and heap-allocating) per call.
-            let len = dtype.size() * count;
-            if self.scratch_layout.total_size() != len {
-                self.scratch_layout = contig(len);
-            }
-            let layout = std::mem::replace(&mut self.scratch_layout, contig(0));
-            let r = self.get_flat(p, dst, target, disp, &layout);
-            self.scratch_layout = layout;
-            return r;
-        }
-        let layout = dtype.flatten_n(count);
-        self.get_flat(p, dst, target, disp, &layout)
+    ) -> Option<AccessType> {
+        let flat = flat_of(dtype, count, dst);
+        self.get_core(p, dst, target, disp, flat.as_ref(), Completion::Blocking)
+            .class()
     }
 
     /// [`CachedWindow::get`] with a pre-flattened layout.
-    ///
-    /// Under fault injection this is the recovery entry point: transient
-    /// faults are retried per the window's [`RetryPolicy`]; abandoned and
-    /// degraded gets return [`crate::AccessType::Failed`] with `dst`
-    /// zero-filled instead of panicking (graceful degradation). With
-    /// faults disabled the behaviour — including virtual-time charging —
-    /// is bit-identical to the pre-fault code path.
     pub fn get_flat(
         &mut self,
         p: &mut Process,
@@ -451,99 +465,18 @@ impl CachedWindow {
         target: usize,
         disp: usize,
         layout: &FlatLayout,
-    ) -> Option<crate::AccessType> {
-        if self.degraded[target] {
-            // Target already marked dead: serve locally, touch nothing.
-            dst.fill(0);
-            self.fault_stats.degraded_gets += 1;
-            self.fault_stats.record(crate::AccessType::Failed);
-            return Some(crate::AccessType::Failed);
-        }
-        let size = layout.total_size();
-        if self.cache.is_none() || size == 0 {
-            // Pass-through (disabled mode or zero-size get), still
-            // fault-aware: `None` keeps the bypass contract, `Failed`
-            // reports an abandoned get.
-            let fetched = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
-                self.win.try_get_flat(p, dst, target, disp, layout)
-            });
-            return match fetched {
-                Ok(()) => None,
-                Err(e) => Some(self.fail_get(p, dst, target, e)),
-            };
-        }
-        let key = GetKey {
-            target: target as u32,
-            disp: disp as u64,
-        };
-        let sig = LayoutSig::from_layout(layout);
-        // Version stamp for coherence: peeked *before* the payload bytes
-        // are read, so the entry can only look older than it is (a get
-        // response piggybacks the region version at zero model cost).
-        let ver = self.win.version(target);
-        // Borrow scope: the engine classification runs with the cache
-        // borrowed; abandoned fetches are handled after it is released
-        // (an abandoned miss/partial simply never calls `finish_*` — the
-        // engine allocates entries only in those calls, so no cleanup is
-        // needed).
-        let outcome: Result<crate::AccessType, RmaError> = {
-            let cache = self.cache.as_mut().expect("checked above"); // xlint: allow(no-unwrap) caching-enabled path: cache checked at entry
-            let outcome = match cache.process_lookup(key, &sig, dst) {
-                Lookup::Hit => Ok(crate::AccessType::Hit),
-                Lookup::PartialHit { cached_len } => {
-                    let fetched = if cached_len > 0 {
-                        // Contiguous partial hit: fetch only the missing
-                        // tail (through the reusable scratch layout — no
-                        // per-call allocation).
-                        if self.scratch_layout.total_size() != size - cached_len {
-                            self.scratch_layout = contig(size - cached_len);
-                        }
-                        with_retry(p, &self.retry, &mut self.fault_stats, |p| {
-                            self.win.try_get_flat(
-                                p,
-                                &mut dst[cached_len..],
-                                target,
-                                disp + cached_len,
-                                &self.scratch_layout,
-                            )
-                        })
-                    } else {
-                        with_retry(p, &self.retry, &mut self.fault_stats, |p| {
-                            self.win.try_get_flat(p, dst, target, disp, layout)
-                        })
-                    };
-                    fetched.map(|()| {
-                        // The fetch's exact stamp (sampled under the
-                        // region read lock, free in virtual time) rides
-                        // into the entry for the snapshot layer.
-                        cache.stage_stamp(exact_stamp(&self.win));
-                        cache.finish_partial(key, sig, dst, ver)
-                    })
-                }
-                Lookup::Miss => with_retry(p, &self.retry, &mut self.fault_stats, |p| {
-                    self.win.try_get_flat(p, dst, target, disp, layout)
-                })
-                .map(|()| {
-                    cache.stage_stamp(exact_stamp(&self.win));
-                    cache.finish_miss(key, sig, dst, ver)
-                }),
-            };
-            let cost = cache.take_cost();
-            p.clock_mut().charge_cpu(cost);
-            outcome
-        };
-        Some(match outcome {
-            Ok(class) => class,
-            Err(e) => self.fail_get(p, dst, target, e),
-        })
+    ) -> Option<AccessType> {
+        self.get_core(p, dst, target, disp, Some(layout), Completion::Blocking)
+            .class()
     }
 
     /// Nonblocking batched get (`get_nb`): the entry point of the
     /// outstanding-miss table.
     ///
-    /// Classification, destination bytes, and cache-state transitions are
-    /// bit-identical to [`CachedWindow::get`] (property-tested, including
-    /// under fault injection) — only the virtual-time accounting differs:
+    /// The same pipeline as [`CachedWindow::get`] — classification,
+    /// destination bytes, and cache-state transitions are bit-identical
+    /// (property-tested, including under fault injection) — only the
+    /// virtual-time accounting of the fetch differs:
     ///
     /// - a **hit** costs what it always did (no wire involved);
     /// - a **miss** stages its fetch eagerly and posts its wire time as an
@@ -570,19 +503,10 @@ impl CachedWindow {
         disp: usize,
         dtype: &Datatype,
         count: usize,
-    ) -> Option<crate::AccessType> {
-        if dtype.is_contiguous() {
-            let len = dtype.size() * count;
-            if self.scratch_layout.total_size() != len {
-                self.scratch_layout = contig(len);
-            }
-            let layout = std::mem::replace(&mut self.scratch_layout, contig(0));
-            let r = self.get_nb_flat(p, dst, target, disp, &layout);
-            self.scratch_layout = layout;
-            return r;
-        }
-        let layout = dtype.flatten_n(count);
-        self.get_nb_flat(p, dst, target, disp, &layout)
+    ) -> Option<AccessType> {
+        let flat = flat_of(dtype, count, dst);
+        self.get_core(p, dst, target, disp, flat.as_ref(), Completion::Batched)
+            .class()
     }
 
     /// [`CachedWindow::get_nb`] with a pre-flattened layout.
@@ -593,107 +517,140 @@ impl CachedWindow {
         target: usize,
         disp: usize,
         layout: &FlatLayout,
-    ) -> Option<crate::AccessType> {
-        self.fault_stats.batched_gets += 1;
+    ) -> Option<AccessType> {
+        self.get_core(p, dst, target, disp, Some(layout), Completion::Batched)
+            .class()
+    }
+
+    /// The one get pipeline, in fixed stages: degraded-check → bypass →
+    /// classify → plan (fetch nothing / the tail / everything) → fetch →
+    /// install → charge. `layout == None` means "`dst.len()` contiguous
+    /// bytes". `completion` selects only how the fetch stage books its
+    /// wire time; every engine call and every virtual-clock charge happens
+    /// in the same order either way.
+    fn get_core(
+        &mut self,
+        p: &mut Process,
+        dst: &mut [u8],
+        target: usize,
+        disp: usize,
+        layout: Option<&FlatLayout>,
+        completion: Completion,
+    ) -> GetOutcome {
+        if completion == Completion::Batched {
+            self.fault_stats.batched_gets += 1;
+        }
         if self.degraded[target] {
+            // Target already marked dead: serve locally, touch nothing.
             dst.fill(0);
             self.fault_stats.degraded_gets += 1;
-            self.fault_stats.record(crate::AccessType::Failed);
-            return Some(crate::AccessType::Failed);
+            self.fault_stats.record(AccessType::Faulted);
+            return GetOutcome::Faulted;
         }
-        let size = layout.total_size();
+        let size = layout.map_or(dst.len(), FlatLayout::total_size);
         if self.cache.is_none() || size == 0 {
-            // Pass-through: a plain nonblocking get on the inner window
-            // (its request queue drains at the next completion event).
-            let fetched = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
-                self.win
-                    .try_iget_flat(p, dst, target, disp, layout)
-                    .map(|_| ())
-            });
-            return match fetched {
-                Ok(()) => None,
-                Err(e) => Some(self.fail_get(p, dst, target, e)),
+            // Pass-through (disabled mode or zero-size get): a plain get
+            // on the inner window, still fault-aware.
+            return match self.fetch(p, dst, target, disp, layout, Completion::Blocking) {
+                Ok(stamp) => GetOutcome::Fetched(None, stamp),
+                Err(e) => self.fail_get(p, dst, target, e),
             };
         }
         let key = GetKey {
             target: target as u32,
             disp: disp as u64,
         };
-        let sig = LayoutSig::from_layout(layout);
-        let mergeable = matches!(sig, LayoutSig::Contig(_));
-        // Same pre-read version peek as the blocking path (keeps the two
-        // paths' cache states bit-identical).
+        let sig = layout.map_or(LayoutSig::Contig(size), LayoutSig::from_layout);
+        // Version stamp for coherence: peeked *before* the payload bytes
+        // are read, so the entry can only look older than it is (a get
+        // response piggybacks the region version at zero model cost).
         let ver = self.win.version(target);
-        // Phase 1: classify. Identical engine calls to the blocking path,
-        // so classifications and cache state cannot diverge. The engine's
-        // CPU cost is left accumulated and charged *after* the match, like
-        // the blocking path does — charging it before the wire post would
-        // delay every posted completion by the lookup cost and make the
-        // nonblocking path slower than blocking.
-        let looked_up = {
-            let cache = self.cache.as_mut().expect("checked above"); // xlint: allow(no-unwrap) caching-enabled path: cache checked at entry
-            cache.process_lookup(key, &sig, dst)
-        };
-        let outcome: Result<crate::AccessType, RmaError> = match looked_up {
-            Lookup::Hit => Ok(crate::AccessType::Hit),
-            Lookup::Miss => with_retry(p, &self.retry, &mut self.fault_stats, |p| {
-                self.win.try_get_staged(p, dst, target, disp, layout)
-            })
-            .map(|staged| {
-                self.account_nb_fetch(
-                    p,
-                    target,
-                    disp as u64,
-                    (disp + size) as u64,
-                    staged,
-                    mergeable,
-                );
-                let stamp = exact_stamp(&self.win);
-                let cache = self.cache.as_mut().expect("checked above"); // xlint: allow(no-unwrap) caching-enabled path: cache checked at entry
-                cache.stage_stamp(stamp);
-                cache.finish_miss(key, sig, dst, ver)
-            }),
-            Lookup::PartialHit { cached_len } => {
-                let staged = if cached_len > 0 {
-                    if self.scratch_layout.total_size() != size - cached_len {
-                        self.scratch_layout = contig(size - cached_len);
-                    }
-                    with_retry(p, &self.retry, &mut self.fault_stats, |p| {
-                        self.win.try_get_staged(
-                            p,
-                            &mut dst[cached_len..],
-                            target,
-                            disp + cached_len,
-                            &self.scratch_layout,
-                        )
-                    })
-                } else {
-                    with_retry(p, &self.retry, &mut self.fault_stats, |p| {
-                        self.win.try_get_staged(p, dst, target, disp, layout)
-                    })
-                };
-                staged.map(|st| {
-                    self.account_nb_fetch(
-                        p,
-                        target,
-                        (disp + cached_len) as u64,
-                        (disp + size) as u64,
-                        st,
-                        mergeable,
-                    );
-                    let stamp = exact_stamp(&self.win);
-                    let cache = self.cache.as_mut().expect("checked above"); // xlint: allow(no-unwrap) caching-enabled path: cache checked at entry
-                    cache.stage_stamp(stamp);
-                    cache.finish_partial(key, sig, dst, ver)
-                })
+        // Classify. A hit is done: no fetch, nothing to install.
+        let looked_up = self.engine().process_lookup(key, &sig, dst);
+        // Plan: a miss fetches everything, a contiguous partial hit only
+        // the missing tail `[disp + cached_len, disp + size)`, and an
+        // incompatible resident layout (`cached_len == 0`) everything.
+        let from = match looked_up {
+            Lookup::Hit => {
+                self.charge_engine(p);
+                return GetOutcome::Resident;
             }
+            Lookup::Miss => 0,
+            Lookup::PartialHit { cached_len } => cached_len,
         };
-        let cost = self.cache.as_mut().expect("checked above").take_cost(); // xlint: allow(no-unwrap) caching-enabled path: cache checked at entry
-        p.clock_mut().charge_cpu(cost);
-        Some(match outcome {
-            Ok(class) => class,
-            Err(e) => self.fail_get(p, dst, target, e),
-        })
+        let tail = if from == 0 { layout } else { None };
+        let fetched = self.fetch(p, &mut dst[from..], target, disp + from, tail, completion);
+        // Install. An abandoned fetch simply never calls `finish_*` — the
+        // engine allocates entries only in those calls, so no cleanup is
+        // needed. The fetch's exact stamp rides into the entry for the
+        // snapshot layer.
+        let outcome = fetched.map(|stamp| {
+            let cache = self.engine();
+            cache.stage_stamp(stamp);
+            match looked_up {
+                Lookup::Miss => {
+                    GetOutcome::Fetched(Some(cache.finish_miss(key, sig, dst, ver)), stamp)
+                }
+                _ => GetOutcome::Partial(cache.finish_partial(key, sig, dst, ver)),
+            }
+        });
+        // The engine's CPU cost is charged *after* the fetch on both
+        // completions: charging it before a batched wire post would delay
+        // every posted completion by the lookup cost.
+        self.charge_engine(p);
+        outcome.unwrap_or_else(|e| self.fail_get(p, dst, target, e))
+    }
+
+    /// Runs `f` with a borrowed contiguous scratch layout of `len` bytes,
+    /// reusing the per-window allocation while `len` repeats (the replace
+    /// dance keeps `self` fully usable inside `f`; the empty layout left in
+    /// its place is allocation-free).
+    fn with_contig<R>(&mut self, len: usize, f: impl FnOnce(&mut Self, &FlatLayout) -> R) -> R {
+        if self.scratch_layout.total_size() != len {
+            self.scratch_layout = FlatLayout::contiguous(len);
+        }
+        let layout = std::mem::replace(&mut self.scratch_layout, FlatLayout::contiguous(0));
+        let r = f(self, &layout);
+        self.scratch_layout = layout;
+        r
+    }
+
+    /// The fetch stage: reads `layout` at `disp` of `target` into `dst`
+    /// (`None` = `dst.len()` contiguous bytes) under the retry policy and
+    /// returns the bytes' exact stamp. Shared by the get pipeline and the
+    /// snapshot layer's direct reads.
+    fn fetch(
+        &mut self,
+        p: &mut Process,
+        dst: &mut [u8],
+        target: usize,
+        disp: usize,
+        layout: Option<&FlatLayout>,
+        completion: Completion,
+    ) -> Result<SnapStamp, RmaError> {
+        let Some(layout) = layout else {
+            return self.with_contig(dst.len(), |w, contig| {
+                w.fetch(p, dst, target, disp, Some(contig), completion)
+            });
+        };
+        match completion {
+            Completion::Blocking => with_retry(p, &self.retry, &mut self.fault_stats, |p| {
+                self.win.try_get_flat(p, dst, target, disp, layout)
+            })?,
+            Completion::Batched => {
+                let staged = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
+                    self.win.try_get_staged(p, dst, target, disp, layout)
+                })?;
+                let hi = disp + layout.total_size();
+                self.account_nb_fetch(p, target, disp as u64, hi as u64, staged, layout.is_dense());
+            }
+        }
+        // Every get entry point funnels through `Window::try_get_staged`,
+        // which samples version and commit timestamp inside the target's
+        // region read lock — so the stamp describes the bytes just copied,
+        // exactly, at zero virtual-time cost.
+        let s = self.win.last_get_stamp();
+        Ok(SnapStamp::exact(s.version, s.ts))
     }
 
     /// Accounts the virtual-time cost of one staged nonblocking miss fetch
@@ -727,15 +684,11 @@ impl CachedWindow {
                 if mhi - mlo > max_coalesce {
                     continue;
                 }
-                let old_wire = p
-                    .netmodel()
-                    .transfer_cost(my_rank, target, (s.hi - s.lo) as usize, 1)
-                    .wire_ns;
-                let new_wire = p
-                    .netmodel()
-                    .transfer_cost(my_rank, target, (mhi - mlo) as usize, 1)
-                    .wire_ns;
-                let inc = (new_wire - old_wire).max(0.0) * staged.spike;
+                let wire = |len: u64| {
+                    let cost = p.netmodel().transfer_cost(my_rank, target, len as usize, 1);
+                    cost.wire_ns
+                };
+                let inc = (wire(mhi - mlo) - wire(s.hi - s.lo)).max(0.0) * staged.spike;
                 if inc > 0.0 {
                     p.clock_mut().post_network(target, inc);
                     self.nb_posted_wire[target] += inc;
@@ -774,7 +727,7 @@ impl CachedWindow {
         disp: usize,
         target_dtype: &Datatype,
         target_count: usize,
-    ) -> Option<crate::AccessType> {
+    ) -> Option<AccessType> {
         let origin = origin_dtype.flatten_n(origin_count);
         let tlayout = target_dtype.flatten_n(target_count);
         assert_eq!(
@@ -840,15 +793,14 @@ impl CachedWindow {
             if let Some(cache) = self.cache.as_mut() {
                 let span = dtype.flatten_n(count).span();
                 cache.invalidate_range(target as u32, disp as u64, (disp + span) as u64);
-                let cost = cache.take_cost();
-                p.clock_mut().charge_cpu(cost);
+                self.charge_engine(p);
             }
         }
         let sent = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
             self.win.try_put(p, src, target, disp, dtype, count)
         });
-        if let Err(RmaError::TargetFailed { .. }) = sent {
-            self.mark_degraded(p, target);
+        if let Err(e) = sent {
+            self.degrade_if_dead(p, target, &e);
         }
     }
 
@@ -1004,46 +956,30 @@ impl CachedWindow {
             if self.degraded[target] {
                 return Err(SnapAbort::Fault(target));
             }
-            if direct || self.cache.is_none() {
-                let stamp = self
-                    .snap_fetch(p, slice, target, r.disp)
-                    .map_err(|e| self.snap_fault(p, target, e))?;
-                ctx.bounds[i] = ReqBound {
-                    stamp,
-                    hi: u64::MAX,
-                };
-                continue;
-            }
-            let partial0 = self.cache.as_ref().map_or(0, |c| c.stats().partial_hits);
-            let faulted0 = self.faulted_gets();
-            let class = self.get_nb_flat_contig(p, slice, target, r.disp);
-            if self.faulted_gets() > faulted0 {
-                // The slice was zero-filled by the fault path — never
-                // snapshot material (cf. AccessType::Failed vs
-                // faulted_gets disambiguation).
-                return Err(SnapAbort::Fault(target));
-            }
-            let partial = self.cache.as_ref().map_or(0, |c| c.stats().partial_hits) > partial0;
-            let stamp = if partial {
-                // Partial hit: `slice` mixes a cached head with a fresh
-                // tail — no single stamp describes it. Refetch.
-                SnapStamp::default()
-            } else if class == Some(crate::AccessType::Hit) {
-                // Served from a resident entry: use its stamp (inexact
-                // ones — entries from stamp-blind insert paths — refetch).
-                let key = GetKey {
-                    target: r.target,
-                    disp: r.disp as u64,
-                };
-                self.cache
-                    .as_ref()
-                    .and_then(|c| c.snap_stamp(&key))
-                    .unwrap_or_default()
+            let stamp = if direct || self.cache.is_none() {
+                // Direct (cache-bypassing) read through the batched fetch
+                // stage; its stamp is exact.
+                self.fetch(p, slice, target, r.disp, None, Completion::Batched)
+                    .map_err(|e| self.snap_fault(p, target, e))?
             } else {
-                // Fetched over the network this call (miss — cached or
-                // not — or pass-through): the window's last-get stamp is
-                // exact for these bytes.
-                exact_stamp(&self.win)
+                match self.get_core(p, slice, target, r.disp, None, Completion::Batched) {
+                    // Zero-filled by the fault path — never snapshot
+                    // material.
+                    GetOutcome::Faulted => return Err(SnapAbort::Fault(target)),
+                    // `slice` mixes a cached head with a fresh tail — no
+                    // single stamp describes it. Refetch.
+                    GetOutcome::Partial(_) => SnapStamp::default(),
+                    // Served from a resident entry: use its stamp (inexact
+                    // ones — from stamp-blind insert paths — refetch).
+                    GetOutcome::Resident => {
+                        let key = GetKey {
+                            target: r.target,
+                            disp: r.disp as u64,
+                        };
+                        self.engine().snap_stamp(&key).unwrap_or_default()
+                    }
+                    GetOutcome::Fetched(_, stamp) => stamp,
+                }
             };
             if stamp.exact {
                 ctx.bounds[i] = ReqBound {
@@ -1059,7 +995,7 @@ impl CachedWindow {
         // invalidate the entries being validated) and no coherence pass.
         for k in 0..ctx.targets.len() {
             let t = ctx.targets[k] as usize;
-            self.snap_flush(p, t);
+            self.complete_with(p, Some(t), |w, p| w.flush(p, t));
         }
 
         // --- Validate: bound every interval from the notification rings,
@@ -1070,9 +1006,12 @@ impl CachedWindow {
                 let todo = std::mem::take(&mut ctx.refetch);
                 for &i in &todo {
                     let r = reqs[i];
+                    // Requests are laid out back to back, in order.
+                    let start: usize = reqs[..i].iter().map(|r| r.len).sum();
+                    let (slice, t) = (&mut dst[start..start + r.len], r.target as usize);
                     let stamp = self
-                        .snap_fetch(p, req_slice(dst, reqs, i), r.target as usize, r.disp)
-                        .map_err(|e| self.snap_fault(p, r.target as usize, e))?;
+                        .fetch(p, slice, t, r.disp, None, Completion::Batched)
+                        .map_err(|e| self.snap_fault(p, t, e))?;
                     ctx.bounds[i] = ReqBound {
                         stamp,
                         hi: u64::MAX,
@@ -1082,7 +1021,7 @@ impl CachedWindow {
                 for k in 0..ctx.targets.len() {
                     let t = ctx.targets[k];
                     if todo.iter().any(|&i| reqs[i].target == t) {
-                        self.snap_flush(p, t as usize);
+                        self.complete_with(p, Some(t as usize), |w, p| w.flush(p, t as usize));
                     }
                 }
                 ctx.refetch = todo;
@@ -1148,7 +1087,7 @@ impl CachedWindow {
                 }
                 Err(lo) => {
                     rounds += 1;
-                    if rounds >= self.snap_max_rounds(ctx) {
+                    if rounds >= ctx.max_rounds.max(1) {
                         return Err(SnapAbort::Rounds);
                     }
                     for (i, r) in reqs.iter().enumerate() {
@@ -1165,72 +1104,12 @@ impl CachedWindow {
         }
     }
 
-    fn snap_max_rounds(&self, ctx: &SnapshotCtx) -> usize {
-        ctx.max_rounds.max(1)
-    }
-
-    /// One direct (cache-bypassing) snapshot fetch through the
-    /// nonblocking/coalescing accounting, returning the bytes' exact
-    /// stamp.
-    fn snap_fetch(
-        &mut self,
-        p: &mut Process,
-        dst: &mut [u8],
-        target: usize,
-        disp: usize,
-    ) -> Result<SnapStamp, RmaError> {
-        let len = dst.len();
-        if self.scratch_layout.total_size() != len {
-            self.scratch_layout = contig(len);
-        }
-        let layout = std::mem::replace(&mut self.scratch_layout, contig(0));
-        let staged = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
-            self.win.try_get_staged(p, dst, target, disp, &layout)
-        });
-        self.scratch_layout = layout;
-        staged.map(|st| {
-            self.account_nb_fetch(p, target, disp as u64, (disp + len) as u64, st, true);
-            exact_stamp(&self.win)
-        })
-    }
-
-    /// [`CachedWindow::get_nb_flat`] over a contiguous `dst.len()`-byte
-    /// span, reusing the per-window scratch layout.
-    fn get_nb_flat_contig(
-        &mut self,
-        p: &mut Process,
-        dst: &mut [u8],
-        target: usize,
-        disp: usize,
-    ) -> Option<crate::AccessType> {
-        let len = dst.len();
-        if self.scratch_layout.total_size() != len {
-            self.scratch_layout = contig(len);
-        }
-        let layout = std::mem::replace(&mut self.scratch_layout, contig(0));
-        let r = self.get_nb_flat(p, dst, target, disp, &layout);
-        self.scratch_layout = layout;
-        r
-    }
-
-    /// Completion barrier for the snapshot's own fetches: the wire/overlap
-    /// accounting of [`CachedWindow::flush`] without the epoch hook or a
-    /// coherence pass (both would mutate the cache mid-snapshot).
-    fn snap_flush(&mut self, p: &mut Process, target: usize) {
-        let posted = self.nb_take_posted(Some(target));
-        let blocked0 = p.clock().total_blocked();
-        self.win.flush(p, target);
-        self.nb_credit_overlap(posted, p.clock().total_blocked() - blocked0);
-    }
-
     /// Books a snapshot-fetch fault: persistent target failures degrade
     /// the target (dropping its cached entries) exactly like
     /// [`CachedWindow::get`]'s fault path — but no zero-fill, the batch
     /// aborts instead.
     fn snap_fault(&mut self, p: &mut Process, target: usize, e: RmaError) -> SnapAbort {
-        if matches!(e, RmaError::TargetFailed { .. }) {
-            self.mark_degraded(p, target);
-        }
+        self.degrade_if_dead(p, target, &e);
         SnapAbort::Fault(target)
     }
 
@@ -1265,8 +1144,7 @@ impl CachedWindow {
                 }
             }
         }
-        let cost = cache.take_cost();
-        p.clock_mut().charge_cpu(cost);
+        self.charge_engine(p);
     }
 
     /// Explicit cache invalidation (`CLAMPI_Invalidate`), for the
@@ -1274,16 +1152,27 @@ impl CachedWindow {
     pub fn invalidate(&mut self, p: &mut Process) {
         if let Some(cache) = self.cache.as_mut() {
             cache.invalidate();
-            let cost = cache.take_cost();
-            p.clock_mut().charge_cpu(cost);
+            self.charge_engine(p);
         }
     }
 
-    /// Drains the nonblocking-miss wire accounting ahead of a completion
-    /// event towards `target` (`None` = all targets): clears the affected
-    /// spans and returns their posted wire ns.
-    fn nb_take_posted(&mut self, target: Option<usize>) -> f64 {
-        match target {
+    /// Runs one completion event of the inner window towards `target`
+    /// (`None` = all targets) with the nonblocking-miss wire accounting
+    /// around it: drains the affected spans and their posted wire ns,
+    /// then credits `overlapped_wire_ns` with the part of that wire time
+    /// the initiator did not have to block for (hidden behind CPU work).
+    /// The blocked delta also covers waits for blocking-path transfers
+    /// completed by the same event, so the credit is a (slightly
+    /// conservative) approximation. No epoch hook, no coherence pass —
+    /// the snapshot layer completes its own fetches through this alone,
+    /// because both would mutate the cache mid-snapshot.
+    fn complete_with(
+        &mut self,
+        p: &mut Process,
+        target: Option<usize>,
+        event: impl FnOnce(&mut Window, &mut Process),
+    ) {
+        let posted: f64 = match target {
             Some(t) => {
                 self.nb_spans.retain(|s| s.target != t);
                 std::mem::take(&mut self.nb_posted_wire[t])
@@ -1292,17 +1181,12 @@ impl CachedWindow {
                 self.nb_spans.clear();
                 self.nb_posted_wire.iter_mut().map(std::mem::take).sum()
             }
-        }
-    }
-
-    /// Credits `overlapped_wire_ns`: of the `posted` nonblocking wire ns
-    /// drained by a completion event, the part the initiator did not have
-    /// to block for was hidden behind CPU work. `blocked_delta` also
-    /// covers waits for blocking-path transfers completed by the same
-    /// event, so the credit is a (slightly conservative) approximation.
-    fn nb_credit_overlap(&mut self, posted: f64, blocked_delta: f64) {
+        };
+        let blocked0 = p.clock().total_blocked();
+        event(&mut self.win, p);
         if posted > 0.0 {
-            self.fault_stats.overlapped_wire_ns += (posted - blocked_delta).max(0.0) as u64;
+            let blocked = p.clock().total_blocked() - blocked0;
+            self.fault_stats.overlapped_wire_ns += (posted - blocked).max(0.0) as u64;
         }
     }
 
@@ -1310,10 +1194,7 @@ impl CachedWindow {
     /// `target` — a flush is where the target's newly-visible remote
     /// writes must stop being served from cache).
     pub fn flush(&mut self, p: &mut Process, target: usize) {
-        let posted = self.nb_take_posted(Some(target));
-        let blocked0 = p.clock().total_blocked();
-        self.win.flush(p, target);
-        self.nb_credit_overlap(posted, p.clock().total_blocked() - blocked0);
+        self.complete_with(p, Some(target), |w, p| w.flush(p, target));
         self.on_epoch_close(p);
         self.coherence_pass(p, Some(target));
     }
@@ -1321,10 +1202,7 @@ impl CachedWindow {
     /// MPI_Win_flush_all + cache epoch hook + coherence pass over every
     /// target.
     pub fn flush_all(&mut self, p: &mut Process) {
-        let posted = self.nb_take_posted(None);
-        let blocked0 = p.clock().total_blocked();
-        self.win.flush_all(p);
-        self.nb_credit_overlap(posted, p.clock().total_blocked() - blocked0);
+        self.complete_with(p, None, |w, p| w.flush_all(p));
         self.on_epoch_close(p);
         self.coherence_pass(p, None);
     }
@@ -1338,10 +1216,7 @@ impl CachedWindow {
 
     /// MPI_Win_unlock + cache epoch hook.
     pub fn unlock(&mut self, p: &mut Process, target: usize) {
-        let posted = self.nb_take_posted(Some(target));
-        let blocked0 = p.clock().total_blocked();
-        self.win.unlock(p, target);
-        self.nb_credit_overlap(posted, p.clock().total_blocked() - blocked0);
+        self.complete_with(p, Some(target), |w, p| w.unlock(p, target));
         self.on_epoch_close(p);
     }
 
@@ -1353,10 +1228,7 @@ impl CachedWindow {
 
     /// MPI_Win_unlock_all + cache epoch hook.
     pub fn unlock_all(&mut self, p: &mut Process) {
-        let posted = self.nb_take_posted(None);
-        let blocked0 = p.clock().total_blocked();
-        self.win.unlock_all(p);
-        self.nb_credit_overlap(posted, p.clock().total_blocked() - blocked0);
+        self.complete_with(p, None, |w, p| w.unlock_all(p));
         self.on_epoch_close(p);
     }
 
@@ -1364,10 +1236,7 @@ impl CachedWindow {
     /// closes the old epoch and opens a new one, so the pass runs after
     /// the hook).
     pub fn fence(&mut self, p: &mut Process) {
-        let posted = self.nb_take_posted(None);
-        let blocked0 = p.clock().total_blocked();
-        self.win.fence(p);
-        self.nb_credit_overlap(posted, p.clock().total_blocked() - blocked0);
+        self.complete_with(p, None, |w, p| w.fence(p));
         self.on_epoch_close(p);
         self.coherence_pass(p, None);
     }
@@ -1389,19 +1258,13 @@ impl CachedWindow {
     /// MPI_Win_complete + cache epoch hook (the PSCW epoch closure the
     /// paper's epoch model keys on).
     pub fn complete(&mut self, p: &mut Process) {
-        let posted = self.nb_take_posted(None);
-        let blocked0 = p.clock().total_blocked();
-        self.win.complete(p);
-        self.nb_credit_overlap(posted, p.clock().total_blocked() - blocked0);
+        self.complete_with(p, None, |w, p| w.complete(p));
         self.on_epoch_close(p);
     }
 
     /// MPI_Win_wait + cache epoch hook.
     pub fn wait(&mut self, p: &mut Process, accessors: &[usize]) {
-        let posted = self.nb_take_posted(None);
-        let blocked0 = p.clock().total_blocked();
-        self.win.wait(p, accessors);
-        self.nb_credit_overlap(posted, p.clock().total_blocked() - blocked0);
+        self.complete_with(p, None, |w, p| w.wait(p, accessors));
         self.on_epoch_close(p);
     }
 }

@@ -1,0 +1,258 @@
+//! One table of every outcome the get pipeline can produce, each driven
+//! through all three public entry points — `get`, `get_nb` and a
+//! one-request `multi_get` — asserting the class, the delivered bytes and
+//! the stats partition. The entry points share one pipeline, so the same
+//! row must hold for each; what legitimately differs (`batched_gets`, and
+//! `multi_get` reporting a fault as an error instead of zeros) is spelled
+//! out where it is checked.
+//!
+//! Observations are collected inside the simulation and asserted after
+//! the join: a panicking rank would strand its peer at a barrier.
+
+use clampi::{
+    AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, Mode, RetryPolicy, SnapReq,
+    SnapshotCtx, SnapshotError,
+};
+use clampi_datatype::Datatype;
+use clampi_rma::{run_collect, FaultConfig, SimConfig};
+
+const WIN: usize = 4096;
+
+/// Ground truth for byte `d` of rank 1's region (never zero, so a
+/// zero-filled payload cannot pass for data).
+fn truth(d: usize) -> u8 {
+    (d % 251) as u8 + 1
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Via {
+    Get,
+    GetNb,
+    MultiGet,
+}
+
+/// One row of the table: how to reach the outcome, and what it looks like.
+struct Case {
+    name: &'static str,
+    mode: Mode,
+    params: CacheParams,
+    faults: Option<FaultConfig>,
+    retry: RetryPolicy,
+    /// Gets issued and flushed before the probe: `(disp, dtype)`.
+    setup: Vec<(usize, Datatype)>,
+    /// The probed request: `(disp, len)`, contiguous.
+    probe: (usize, usize),
+    class: Option<AccessType>,
+    /// Whether the payload is the fault path's zeros (else ground truth).
+    zeroed: bool,
+    /// Probe deltas of `(partial_hits, bytes_from_cache,
+    /// bytes_from_network, degraded_gets, abandoned_gets)`.
+    counters: (u64, u64, u64, u64, u64),
+}
+
+impl Case {
+    fn new(name: &'static str, probe: (usize, usize), class: Option<AccessType>) -> Self {
+        Case {
+            name,
+            mode: Mode::AlwaysCache,
+            params: CacheParams::default(),
+            faults: None,
+            retry: RetryPolicy::default(),
+            setup: Vec::new(),
+            probe,
+            class,
+            zeroed: false,
+            counters: (0, 0, 0, 0, 0),
+        }
+    }
+}
+
+fn table() -> Vec<Case> {
+    let dead_owner = FaultConfig::default().with_rank_failure(1, 0.0);
+    vec![
+        Case {
+            setup: vec![(0, Datatype::bytes(64))],
+            counters: (0, 64, 0, 0, 0),
+            ..Case::new("hit", (0, 64), Some(AccessType::Hit))
+        },
+        Case {
+            setup: vec![(0, Datatype::bytes(32))],
+            counters: (1, 32, 32, 0, 0),
+            ..Case::new("contiguous partial hit", (0, 64), Some(AccessType::Direct))
+        },
+        Case {
+            // A strided resident layout serves no prefix of a contiguous
+            // request under the same key: `cached_len == 0`.
+            setup: vec![(0, Datatype::vector(2, 16, 32, Datatype::bytes(1)))],
+            counters: (1, 0, 64, 0, 0),
+            ..Case::new(
+                "incompatible-layout partial",
+                (0, 64),
+                Some(AccessType::Direct),
+            )
+        },
+        Case {
+            counters: (0, 0, 64, 0, 0),
+            ..Case::new("direct miss", (128, 64), Some(AccessType::Direct))
+        },
+        Case {
+            // 2048 B of storage full of 64 B entries, eviction budget 1:
+            // a 512 B miss is fetched fine but cannot be cached.
+            params: CacheParams {
+                index_entries: 256,
+                storage_bytes: 2048,
+                max_evictions_per_miss: 1,
+                ..CacheParams::default()
+            },
+            setup: (0..32).map(|i| (i * 64, Datatype::bytes(64))).collect(),
+            counters: (0, 0, 512, 0, 0),
+            ..Case::new("engine failed", (2048, 512), Some(AccessType::Failed))
+        },
+        Case {
+            // The setup get is abandoned on the dead owner and marks it
+            // degraded; the probe is then served locally.
+            faults: Some(dead_owner),
+            setup: vec![(256, Datatype::bytes(64))],
+            zeroed: true,
+            counters: (0, 0, 0, 1, 0),
+            ..Case::new("degraded target", (0, 64), Some(AccessType::Faulted))
+        },
+        Case {
+            faults: Some(FaultConfig::transient(1.0, 7)),
+            retry: RetryPolicy::none(),
+            zeroed: true,
+            counters: (0, 0, 0, 0, 1),
+            ..Case::new("abandoned fetch", (0, 64), Some(AccessType::Faulted))
+        },
+        Case {
+            mode: Mode::Disabled,
+            ..Case::new("disabled-mode bypass", (0, 64), None)
+        },
+        Case::new("zero-size get", (64, 0), None),
+    ]
+}
+
+struct Obs {
+    class: Option<AccessType>,
+    snapshot: Option<Result<u64, SnapshotError>>,
+    bytes: Vec<u8>,
+    before: CacheStats,
+    after: CacheStats,
+}
+
+fn drive(case: &Case, via: Via) -> Obs {
+    let mut sim = SimConfig::default();
+    if let Some(f) = &case.faults {
+        sim = sim.with_faults(f.clone());
+    }
+    let out = run_collect(sim, 2, |p| {
+        let cfg = ClampiConfig::fixed(case.mode, case.params.clone()).with_retry(case.retry);
+        let mut win = CachedWindow::create(p, WIN, cfg);
+        if p.rank() == 1 {
+            for (d, b) in win.local_mut().iter_mut().enumerate() {
+                *b = truth(d);
+            }
+        }
+        p.barrier();
+        let mut obs = None;
+        if p.rank() == 0 {
+            win.lock_all(p);
+            for (disp, dtype) in &case.setup {
+                let mut buf = vec![0u8; dtype.size()];
+                win.get(p, &mut buf, 1, *disp, dtype, 1);
+            }
+            win.flush_all(p);
+            let (disp, len) = case.probe;
+            let mut bytes = vec![0xAAu8; len]; // poisoned: every outcome must overwrite
+            let before = win.stats();
+            let (mut class, mut snapshot) = (None, None);
+            match via {
+                Via::Get => class = win.get(p, &mut bytes, 1, disp, &Datatype::bytes(len), 1),
+                Via::GetNb => class = win.get_nb(p, &mut bytes, 1, disp, &Datatype::bytes(len), 1),
+                Via::MultiGet => {
+                    let req = SnapReq {
+                        target: 1,
+                        disp,
+                        len,
+                    };
+                    let r = win.multi_get(p, &mut SnapshotCtx::new(), &[req], &mut bytes);
+                    snapshot = Some(r.map(|info| info.refetched));
+                }
+            }
+            win.flush_all(p);
+            let after = win.stats();
+            win.unlock_all(p);
+            obs = Some(Obs {
+                class,
+                snapshot,
+                bytes,
+                before,
+                after,
+            });
+        }
+        p.barrier();
+        obs
+    });
+    out.into_iter()
+        .next()
+        .and_then(|(_, obs)| obs)
+        .expect("rank 0 observes")
+}
+
+#[test]
+fn every_outcome_through_every_entry_point() {
+    for case in table() {
+        let (disp, len) = case.probe;
+        let want_bytes: Vec<u8> = (disp..disp + len)
+            .map(|d| if case.zeroed { 0 } else { truth(d) })
+            .collect();
+        for via in [Via::Get, Via::GetNb, Via::MultiGet] {
+            let at = format!("{} via {via:?}", case.name);
+            let obs = drive(&case, via);
+            let d = obs.after.delta_since(&obs.before);
+            // The classes partition total_gets, whatever happened.
+            let classified: u64 = AccessType::ALL.iter().map(|t| obs.after.count(*t)).sum();
+            assert_eq!(classified, obs.after.total_gets, "{at}: partition");
+            assert_eq!(
+                obs.after.faulted,
+                obs.after.degraded_gets + obs.after.abandoned_gets,
+                "{at}: faulted = degraded + abandoned"
+            );
+
+            if via == Via::MultiGet {
+                assert_eq!(d.snapshot_gets, 1, "{at}");
+                // A snapshot never fabricates zeros: a fault is an error.
+                if case.zeroed {
+                    let err = Err(SnapshotError::TargetFaulted { target: 1 });
+                    assert_eq!(obs.snapshot, Some(err), "{at}");
+                    continue;
+                }
+                // A cached head + fetched tail has no single stamp, so
+                // both partial outcomes cost exactly one refetch.
+                assert_eq!(obs.snapshot, Some(Ok(case.counters.0)), "{at}: refetches");
+                assert_eq!(obs.bytes, want_bytes, "{at}: bytes");
+                continue;
+            }
+
+            assert_eq!(obs.class, case.class, "{at}: class");
+            assert_eq!(obs.bytes, want_bytes, "{at}: bytes");
+            // Exactly the returned class moved (none on a bypass).
+            for t in AccessType::ALL {
+                assert_eq!(d.count(t), (Some(t) == case.class) as u64, "{at}: {t:?}");
+            }
+            assert_eq!(
+                (
+                    d.partial_hits,
+                    d.bytes_from_cache,
+                    d.bytes_from_network,
+                    d.degraded_gets,
+                    d.abandoned_gets
+                ),
+                case.counters,
+                "{at}: counters"
+            );
+            // The only stats difference between the two completions.
+            assert_eq!(d.batched_gets, (via == Via::GetNb) as u64, "{at}: batched");
+        }
+    }
+}

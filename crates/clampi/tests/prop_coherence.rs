@@ -392,8 +392,8 @@ fn rank_failure_degrades_pending_notifications_to_full_invalidation() {
          (got {} invalidations)",
         stats.invalidations_on_failure
     );
-    // Post-failure reads: all failed, all zero-filled — never a stale
+    // Post-failure reads: all faulted, all zero-filled — never a stale
     // cached version (pattern bytes are never zero).
-    assert_eq!(classes, vec![Some(AccessType::Failed); RECORDS]);
+    assert_eq!(classes, vec![Some(AccessType::Faulted); RECORDS]);
     assert!(zeroed.iter().all(|&z| z), "degraded reads must be zeros");
 }

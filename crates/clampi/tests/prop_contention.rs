@@ -160,8 +160,13 @@ fn prop_windowed_engine_keeps_stats_partition() {
                             win.get_nb(p, &mut dst, 1, r * rec_len, &dt, 1);
                         }
                         8 => {
+                            // A put gets an epoch of its own: MPI-3 forbids
+                            // it to share one with an access to the same
+                            // bytes (RMASAN flags that under CLAMPI_SAN=1).
                             let src = vec![rng.gen_range(0..=255u32) as u8; rec_len];
+                            win.flush_all(p);
                             win.put(p, &src, 1, r * rec_len, &dt, 1);
+                            win.flush_all(p);
                         }
                         _ => win.flush_all(p),
                     }

@@ -9,7 +9,7 @@
 //! 2. a faulty simulation is *deterministic end-to-end*: same config,
 //!    same workload → bit-identical virtual time and identical merged
 //!    `CacheStats`;
-//! 3. recovery preserves data: every get not classified `Failed` delivers
+//! 3. recovery preserves data: every get not classified `Faulted` delivers
 //!    exactly the bytes a fault-free run would (zero-filled otherwise);
 //! 4. degradation is graceful: under rank failures the run completes
 //!    without panic and the merged counters stay internally consistent.
@@ -59,7 +59,7 @@ fn run_faulty(
             for (i, &slot) in ops.iter().enumerate() {
                 let disp = slot * GET;
                 let class = win.get(p, &mut buf, 1, disp, &Datatype::bytes(GET), 1);
-                let expect_zero = class == Some(AccessType::Failed);
+                let expect_zero = class == Some(AccessType::Faulted);
                 ok.push(buf.iter().enumerate().all(|(j, &b)| {
                     if expect_zero {
                         b == 0
@@ -138,7 +138,7 @@ fn prop_faulty_sim_is_deterministic() {
 
 #[test]
 fn prop_recovery_preserves_data() {
-    check("non-Failed gets deliver fault-free bytes", 16, |g| {
+    check("non-Faulted gets deliver fault-free bytes", 16, |g| {
         let faults = FaultConfig::transient(g.range(0.0..0.12), g.u64());
         let ops = gen_ops(g);
         // Generous retries: abandonment needs rate^66, i.e. never for
@@ -151,7 +151,7 @@ fn prop_recovery_preserves_data() {
         let (classes, ok, stats, _) = run_faulty(Some(faults), retry, &ops, 8);
         assert!(ok.iter().all(|&b| b), "every payload matches ground truth");
         assert!(
-            classes.iter().all(|c| c != &Some(AccessType::Failed)),
+            classes.iter().all(|c| c != &Some(AccessType::Faulted)),
             "generous retries must recover every transient"
         );
         assert_eq!(stats.total_gets, ops.len() as u64);
@@ -188,16 +188,16 @@ fn prop_degradation_is_graceful_and_consistent() {
         assert!(ok.iter().all(|&b| b), "payloads are truth or zeros");
         assert_eq!(
             stats.total_gets,
-            stats.hits + stats.direct + stats.conflicting + stats.capacity + stats.failed,
+            AccessType::ALL.iter().map(|t| stats.count(*t)).sum::<u64>(),
             "classification partitions total_gets"
         );
-        assert!(stats.degraded_gets <= stats.failed);
-        // Once the target died, every later get must be Failed (no
+        assert!(stats.degraded_gets <= stats.faulted);
+        // Once the target died, every later get must be Faulted (no
         // resurrections).
-        if let Some(first) = classes.iter().position(|c| c == &Some(AccessType::Failed)) {
+        if let Some(first) = classes.iter().position(|c| c == &Some(AccessType::Faulted)) {
             let later_hit = classes[first..]
                 .iter()
-                .any(|c| c != &Some(AccessType::Failed));
+                .any(|c| c != &Some(AccessType::Faulted));
             if stats.degraded_gets > 0 && stats.timeouts == 0 {
                 assert!(!later_hit, "degraded target must stay degraded");
             }

@@ -379,11 +379,14 @@ mod config_defaults {
     #[test]
     fn backend_labels_are_stable() {
         use clampi::{AccessType, VictimScheme};
-        for (t, want) in
-            AccessType::ALL
-                .iter()
-                .zip(["hit", "direct", "conflicting", "capacity", "failed"])
-        {
+        for (t, want) in AccessType::ALL.iter().zip([
+            "hit",
+            "direct",
+            "conflicting",
+            "capacity",
+            "failed",
+            "faulted",
+        ]) {
             assert_eq!(t.label(), want);
         }
         for (s, want) in
@@ -393,104 +396,5 @@ mod config_defaults {
         {
             assert_eq!(s.label(), want);
         }
-    }
-}
-
-mod failed_disambiguation {
-    //! `AccessType::Failed` is overloaded: the caching engine reports it
-    //! for a miss it could not cache (payload still correct — weak
-    //! caching), and the recovery layer reports it for a degraded or
-    //! abandoned get (payload zero-filled). These directed tests pin the
-    //! documented disambiguation: `CachedWindow::faulted_gets()` moves
-    //! exactly when the zero-fill happened.
-
-    use clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, Mode};
-    use clampi_datatype::Datatype;
-    use clampi_rma::{run_collect, FaultConfig, SimConfig};
-
-    #[test]
-    fn engine_failed_delivers_bytes_and_faulted_gets_stays_zero() {
-        let out = run_collect(SimConfig::default(), 2, |p| {
-            // 2048 B of storage, eviction budget 1: a 512 B miss cannot
-            // be cached once 32 small entries fill the store.
-            let cfg = ClampiConfig::fixed(
-                Mode::AlwaysCache,
-                CacheParams {
-                    index_entries: 256,
-                    storage_bytes: 2048,
-                    max_evictions_per_miss: 1,
-                    ..CacheParams::default()
-                },
-            );
-            let mut win = CachedWindow::create(p, 4096, cfg);
-            if p.rank() == 1 {
-                win.local_mut().fill(7);
-            }
-            p.barrier();
-            let mut obs = None;
-            if p.rank() == 0 {
-                win.lock_all(p);
-                let dt = Datatype::bytes(64);
-                let mut small = [0u8; 64];
-                for i in 0..32 {
-                    win.get(p, &mut small, 1, i * 64, &dt, 1);
-                }
-                win.flush(p, 1);
-                let mut big = [0u8; 512];
-                let class = win.get(p, &mut big, 1, 2048, &Datatype::bytes(512), 1);
-                win.flush(p, 1);
-                obs = Some((class, big.to_vec(), win.faulted_gets()));
-                win.unlock_all(p);
-            }
-            p.barrier();
-            obs
-        });
-        let (class, bytes, faulted) = out[0].1.clone().expect("rank 0 observes");
-        assert_eq!(
-            class,
-            Some(AccessType::Failed),
-            "weak caching gives up on the oversized miss"
-        );
-        assert!(
-            bytes.iter().all(|&b| b == 7),
-            "the engine's Failed still delivers the fetched payload"
-        );
-        assert_eq!(faulted, 0, "no fault happened: faulted_gets must not move");
-    }
-
-    #[test]
-    fn fault_failed_zero_fills_and_bumps_faulted_gets() {
-        let faults = FaultConfig::default().with_rank_failure(1, 0.0);
-        let out = run_collect(SimConfig::default().with_faults(faults), 2, |p| {
-            let cfg = ClampiConfig::fixed(Mode::AlwaysCache, CacheParams::default());
-            let mut win = CachedWindow::create(p, 4096, cfg);
-            if p.rank() == 1 {
-                win.local_mut().fill(7);
-            }
-            p.barrier();
-            let mut obs = None;
-            if p.rank() == 0 {
-                win.lock_all(p);
-                let mut buf = [7u8; 64]; // pre-poisoned: zero-fill must overwrite
-                let f0 = win.faulted_gets();
-                let class = win.get(p, &mut buf, 1, 0, &Datatype::bytes(64), 1);
-                win.flush(p, 1);
-                obs = Some((class, buf.to_vec(), win.faulted_gets() - f0));
-                win.unlock_all(p);
-            }
-            p.barrier();
-            obs
-        });
-        let (class, bytes, faulted) = out[0].1.clone().expect("rank 0 observes");
-        assert_eq!(
-            class,
-            Some(AccessType::Failed),
-            "fault path classifies Failed"
-        );
-        assert!(
-            bytes.iter().all(|&b| b == 0),
-            "the fault's Failed zero-fills the payload"
-        );
-        assert!(faulted >= 1, "faulted_gets disambiguates the fault");
     }
 }

@@ -65,6 +65,17 @@ impl FlatLayout {
         }
     }
 
+    /// One dense block of `len` bytes at offset 0 — what flattening a
+    /// contiguous type yields. Empty, and allocation-free, for `len == 0`.
+    pub fn contiguous(len: usize) -> Self {
+        let blocks = if len == 0 {
+            Vec::new()
+        } else {
+            vec![Block { offset: 0, len }]
+        };
+        FlatLayout { blocks, total: len }
+    }
+
     /// The coalesced, offset-sorted blocks.
     pub fn blocks(&self) -> &[Block] {
         &self.blocks

@@ -373,16 +373,6 @@ fn le8(b: &[u8]) -> [u8; 8] {
     a
 }
 
-/// A one-block contiguous layout of `len` bytes (empty for `len == 0`,
-/// matching what flattening a zero-size type produces).
-fn contig_layout(len: usize) -> FlatLayout {
-    if len == 0 {
-        FlatLayout::new(Vec::new())
-    } else {
-        FlatLayout::new(vec![clampi_datatype::Block { offset: 0, len }])
-    }
-}
-
 impl Window {
     pub(crate) fn new(shared: Arc<WinShared>, my_rank: usize, san_enabled: bool) -> Self {
         let ntargets = shared.sizes.len();
@@ -393,7 +383,7 @@ impl Window {
             accesses: Vec::new(),
             pscw_targets: Vec::new(),
             nb_queue: vec![Vec::new(); ntargets],
-            scratch_layout: contig_layout(0),
+            scratch_layout: FlatLayout::contiguous(0),
             last_get_stamp: GetStamp::default(),
             san: san_enabled.then(|| Box::new(WinSanLocal::new(ntargets))),
         }
@@ -685,16 +675,16 @@ impl Window {
 
     /// Runs `f` with a borrowed contiguous scratch layout of `len` bytes,
     /// reusing the per-window allocation (the replace dance keeps `self`
-    /// fully usable inside `f`; `contig_layout(0)` is allocation-free).
+    /// fully usable inside `f`; the empty layout is allocation-free).
     fn with_contig_layout<R>(
         &mut self,
         len: usize,
         f: impl FnOnce(&mut Self, &FlatLayout) -> R,
     ) -> R {
         if self.scratch_layout.total_size() != len {
-            self.scratch_layout = contig_layout(len);
+            self.scratch_layout = FlatLayout::contiguous(len);
         }
-        let layout = std::mem::replace(&mut self.scratch_layout, contig_layout(0));
+        let layout = std::mem::replace(&mut self.scratch_layout, FlatLayout::contiguous(0));
         let r = f(self, &layout);
         self.scratch_layout = layout;
         r
@@ -1099,12 +1089,15 @@ impl Window {
         // locks and ticket counters real happens-before edges. Atomics are
         // deliberately exempt from the epoch gate — the simulator models
         // them as standalone synchronous ops usable outside lock epochs.
-        if let (Some(shared), Some(ctx)) = (self.shared.san.as_ref(), p.san.as_mut()) {
-            shared.atomic_sync(ctx, target, true);
-        }
-        self.san_log_access(p, target, disp, disp + 8, AccessKind::Atomic);
+        // The clock exchange runs inside the region write lock, as one
+        // step with the memory operation: a rank that observes another's
+        // store (a released lock word) has then also joined its clock.
         let prev = {
             let mut region = sync::write(&self.shared.regions[target]);
+            if let (Some(shared), Some(ctx)) = (self.shared.san.as_ref(), p.san.as_mut()) {
+                shared.atomic_sync(ctx, target, true);
+            }
+            self.san_log_access(p, target, disp, disp + 8, AccessKind::Atomic);
             let cur = u64::from_le_bytes(le8(&region[disp..disp + 8]));
             let new = op(cur, operand);
             region[disp..disp + 8].copy_from_slice(&new.to_le_bytes());
@@ -1141,13 +1134,14 @@ impl Window {
             disp + 8 <= self.shared.sizes[target],
             "compare_and_swap out of bounds at target {target}"
         );
-        // Two-way synchronization point, exactly like fetch_and_op.
-        if let (Some(shared), Some(ctx)) = (self.shared.san.as_ref(), p.san.as_mut()) {
-            shared.atomic_sync(ctx, target, true);
-        }
-        self.san_log_access(p, target, disp, disp + 8, AccessKind::Atomic);
+        // Two-way synchronization point, exactly like fetch_and_op (clock
+        // exchange and memory operation as one step under the region lock).
         let prev = {
             let mut region = sync::write(&self.shared.regions[target]);
+            if let (Some(shared), Some(ctx)) = (self.shared.san.as_ref(), p.san.as_mut()) {
+                shared.atomic_sync(ctx, target, true);
+            }
+            self.san_log_access(p, target, disp, disp + 8, AccessKind::Atomic);
             let cur = u64::from_le_bytes(le8(&region[disp..disp + 8]));
             if cur == expected {
                 region[disp..disp + 8].copy_from_slice(&desired.to_le_bytes());
