@@ -40,7 +40,7 @@
 #                 sanitizer armed; the suite's transient-fault and
 #                 rank-death cases put a fault plan under CLAMPI_SAN=1 in
 #                 the same pass
-#   prop-matrix   the eleven property suites under 3 fixed CLAMPI_PROP_SEED
+#   prop-matrix   the twelve property suites under 3 fixed CLAMPI_PROP_SEED
 #                 values (single-case replay determinism)
 #   bench-smoke   microcosts + fig_fault_recovery + the perf-summary
 #                 sextet (fig08_overlap, fig_coherence, fig_contention,
@@ -211,6 +211,7 @@ stage_prop_matrix() {
         "clampi:prop_index"
         "clampi:prop_nb_equivalence"
         "clampi:prop_coherence"
+        "clampi:prop_extents"
         "clampi:prop_contention"
         "clampi:prop_policy"
         "clampi:prop_snapshot"

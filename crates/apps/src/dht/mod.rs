@@ -195,7 +195,23 @@ pub struct Dht {
     buf: [u8; BUCKET_BYTES],
     /// Reused snapshot context for [`Dht::multi_get`] batches.
     snap_ctx: SnapshotCtx,
+    /// Reused working set of [`Dht::multi_get`] batches.
+    batch: BatchScratch,
     stats: DhtStats,
+}
+
+/// What one [`Dht::multi_get`] batch works on, kept between batches so
+/// that a call allocates only the results it returns. The first three are
+/// parallel, one element per batched key.
+#[derive(Default)]
+struct BatchScratch {
+    /// `(target, slot, came from the location cache)`.
+    cand: Vec<(usize, usize, bool)>,
+    /// Position of the key in the caller's `keys`.
+    req_of: Vec<usize>,
+    reqs: Vec<SnapReq>,
+    /// The batch's bucket records, [`BUCKET_BYTES`] each.
+    dst: Vec<u8>,
 }
 
 /// A decoded bucket record.
@@ -259,6 +275,7 @@ impl Dht {
             dtype: Datatype::bytes(BUCKET_BYTES),
             buf: [0u8; BUCKET_BYTES],
             snap_ctx: SnapshotCtx::new(),
+            batch: BatchScratch::default(),
             stats: DhtStats::default(),
         }
     }
@@ -364,12 +381,31 @@ impl Dht {
     /// reflect the table at the batch's snapshot timestamp. Fallback
     /// keys are individually correct but read later state.
     pub fn multi_get(&mut self, p: &mut Process, keys: &[u64]) -> Vec<DhtLookup> {
+        // Moved out for the call (the fallback lookups borrow `self`) and
+        // handed back afterwards, capacity intact.
+        let mut batch = std::mem::take(&mut self.batch);
+        let out = self.multi_get_in(p, keys, &mut batch);
+        self.batch = batch;
+        out
+    }
+
+    fn multi_get_in(
+        &mut self,
+        p: &mut Process,
+        keys: &[u64],
+        batch: &mut BatchScratch,
+    ) -> Vec<DhtLookup> {
         self.stats.multi_gets += 1;
         let mut out = vec![DhtLookup::NotFound; keys.len()];
-        // (target, slot, came from the location cache) per batched key.
-        let mut cand: Vec<(usize, usize, bool)> = Vec::with_capacity(keys.len());
-        let mut req_of: Vec<usize> = Vec::with_capacity(keys.len());
-        let mut reqs: Vec<SnapReq> = Vec::with_capacity(keys.len());
+        let BatchScratch {
+            cand,
+            req_of,
+            reqs,
+            dst,
+        } = batch;
+        cand.clear();
+        req_of.clear();
+        reqs.clear();
         for (i, &k) in keys.iter().enumerate() {
             let (owner, home, _) = self.place(k);
             let (t, s, from_loc) = match self.loc.as_ref().and_then(|l| l.get(k)) {
@@ -396,10 +432,9 @@ impl Dht {
             return out;
         }
         self.stats.bucket_gets += reqs.len() as u64;
-        let mut dst = vec![0u8; reqs.len() * BUCKET_BYTES];
-        // Disjoint-field borrows: the window and its context.
-        let Dht { win, snap_ctx, .. } = self;
-        match win.multi_get(p, snap_ctx, &reqs, &mut dst) {
+        dst.clear();
+        dst.resize(reqs.len() * BUCKET_BYTES, 0);
+        match self.win.multi_get(p, &mut self.snap_ctx, reqs, dst) {
             Ok(_) => {
                 for (bi, &i) in req_of.iter().enumerate() {
                     let k = keys[i];
@@ -437,7 +472,7 @@ impl Dht {
             Err(_) => {
                 // A target faulted mid-batch (it is now marked
                 // degraded): settle every batched key individually.
-                for &i in &req_of {
+                for &i in req_of.iter() {
                     self.stats.multi_get_fallbacks += 1;
                     out[i] = self.lookup(p, keys[i]);
                 }

@@ -34,6 +34,7 @@
 //! accesses their better comm/comp overlap in Fig. 8.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use clampi_datatype::FlatLayout;
@@ -119,7 +120,69 @@ struct Entry {
     snap: SnapStamp,
 }
 
+impl Entry {
+    /// Whether the cached bytes `[disp, disp + size)` overlap `[lo, hi)`.
+    /// `hi == u64::MAX` means "no upper bound" (a full-target drop).
+    fn overlaps(&self, lo: u64, hi: u64) -> bool {
+        let e_lo = self.key.disp;
+        let e_hi = e_lo.saturating_add(self.size as u64);
+        (e_lo < hi || hi == u64::MAX) && lo < e_hi
+    }
+}
+
 const NO_DESC: DescId = DescId::MAX;
+
+/// The ordered extent directory of one shard: every resident entry keyed
+/// by `(target, disp)`, plus the largest entry size seen since it was
+/// built. An entry overlapping bytes `[lo, hi)` of a target starts in
+/// `(lo - max_size, hi)`, so a ranged invalidation seeks there and
+/// examines only the entries that can overlap instead of scanning `|I_w|`
+/// index slots. `max_size` only grows (a stale high-water mark widens the
+/// seek window, never narrows it) and resets when the shard is emptied.
+#[derive(Debug, Default)]
+struct ExtentDir {
+    by_start: BTreeMap<(u32, u64), EntryId>,
+    max_size: usize,
+}
+
+impl ExtentDir {
+    fn insert(&mut self, key: GetKey, size: usize, id: EntryId) {
+        let prev = self.by_start.insert((key.target, key.disp), id);
+        debug_assert!(prev.is_none(), "duplicate extent {key:?}");
+        self.max_size = self.max_size.max(size);
+    }
+
+    fn remove(&mut self, key: GetKey, id: EntryId) {
+        let prev = self.by_start.remove(&(key.target, key.disp));
+        debug_assert_eq!(prev, Some(id), "extent directory out of sync at {key:?}");
+    }
+
+    /// The entries of `target` that can overlap bytes `[lo, hi)`, in
+    /// ascending displacement order. `hi == u64::MAX` is "every key from
+    /// the seek point on" and is never used in arithmetic.
+    fn candidates(
+        &self,
+        target: u32,
+        lo: u64,
+        hi: u64,
+    ) -> impl Iterator<Item = (GetKey, EntryId)> + '_ {
+        let start = lo.saturating_sub(self.max_size.saturating_sub(1) as u64);
+        let end = if hi == u64::MAX {
+            Bound::Included((target, hi))
+        } else {
+            Bound::Excluded((target, hi))
+        };
+        // `BTreeMap::range` panics on an inverted range; an inverted or
+        // empty byte range may still reach back into an entry that spans
+        // it, but never past its own upper end.
+        let range =
+            (start <= hi).then(|| self.by_start.range((Bound::Included((target, start)), end)));
+        range
+            .into_iter()
+            .flatten()
+            .map(|(&(target, disp), &id)| (GetKey { target, disp }, id))
+    }
+}
 
 /// Result of the lookup phase of a `get_c`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,6 +318,14 @@ impl EngineCtx {
         self.uncharged_ns += ns;
     }
 
+    /// Whether any resident entry counted by this context is keyed to
+    /// `target`.
+    fn has_entries_for(&self, target: u32) -> bool {
+        self.target_counts
+            .get(target as usize)
+            .is_some_and(|&c| c > 0)
+    }
+
     fn defer(&mut self, ns: f64) {
         self.deferred_ns += ns;
     }
@@ -305,6 +376,13 @@ pub(crate) struct ShardCore {
     /// [`VictimScheme::ExactLru`]. `last` values are unique: each get
     /// touches at most one entry.
     recency: BTreeMap<u64, EntryId>,
+    /// The ordered extent directory, `None` until the first ranged or
+    /// stale invalidation builds it (shards that never invalidate by
+    /// range pay neither its upkeep nor its memory). Once built it is
+    /// kept in step where entries are born and die (`alloc_entry`,
+    /// `drop_entry`; the size mark also where `finish_partial` extends).
+    /// Never read by [`ShardCore::racy_probe`].
+    extents: Option<ExtentDir>,
     /// When set, the entry slab was preallocated and must never grow past
     /// its capacity (the concurrent front hands out raw views of it to
     /// optimistic readers, so a reallocating push would be a use-after-free
@@ -347,6 +425,7 @@ impl ShardCore {
             lease,
             lease_seed,
             recency: BTreeMap::new(),
+            extents: None,
             pin_slab,
         }
     }
@@ -399,7 +478,8 @@ impl ShardCore {
             cx.target_counts.resize(t + 1, 0);
         }
         cx.target_counts[t] += 1;
-        if let Some(id) = self.spare.pop() {
+        let (key, size) = (e.key, e.size);
+        let id = if let Some(id) = self.spare.pop() {
             self.entries[id as usize] = Some(e);
             id
         } else {
@@ -409,7 +489,11 @@ impl ShardCore {
             );
             self.entries.push(Some(e));
             (self.entries.len() - 1) as EntryId
+        };
+        if let Some(dir) = self.extents.as_mut() {
+            dir.insert(key, size, id);
         }
+        id
     }
 
     fn lru_enabled(&self) -> bool {
@@ -477,6 +561,9 @@ impl ShardCore {
         }
         // xlint: allow(no-unwrap) invariant: callers drop an id at most once
         let e = self.entries[id as usize].take().expect("double entry drop");
+        if let Some(dir) = self.extents.as_mut() {
+            dir.remove(e.key, id);
+        }
         cx.target_counts[e.key.target as usize] -= 1;
         match e.state {
             EntryState::Cached => self.cached_count -= 1,
@@ -722,6 +809,9 @@ impl ShardCore {
                             exact: false,
                         },
                     };
+                }
+                if let Some(dir) = self.extents.as_mut() {
+                    dir.max_size = dir.max_size.max(size);
                 }
                 self.cached_count -= 1;
                 self.pending.push(id);
@@ -991,6 +1081,72 @@ impl ShardCore {
         }
     }
 
+    /// Builds the extent directory on first use: one pass over the index.
+    fn ensure_extents(&mut self, p: &CacheParams, cx: &mut EngineCtx) {
+        if self.extents.is_some() {
+            return;
+        }
+        cx.charge(p.costs.evict_visit_ns * self.index.capacity() as f64);
+        let mut max_size = 0;
+        // Collected, not inserted one by one: the map is bulk-built from
+        // the sorted keys, which packs its nodes full.
+        let by_start = self
+            .index
+            .iter()
+            .map(|(_, key, id)| {
+                max_size = max_size.max(self.entry(id).size);
+                ((key.target, key.disp), id)
+            })
+            .collect();
+        self.extents = Some(ExtentDir { by_start, max_size });
+    }
+
+    /// The one ranged invalidation: drops every entry of `target` that a
+    /// probe of `probes` (`(lo, hi, version)`, half-open bytes) reaches
+    /// through the extent directory and `doomed` condemns; returns how
+    /// many were dropped. Costs one directory seek per probe plus one
+    /// visit per entry examined — `O(probes · log n + examined)`,
+    /// whatever `|I_w|` is. Victims are evicted in ascending index-slot
+    /// order, as a scan of the index would find them: the storage free
+    /// order (hence later placement) and the slab ids depend on it, and
+    /// `tests/prop_extents.rs` holds it to a full-scan oracle.
+    fn invalidate_extents(
+        &mut self,
+        p: &CacheParams,
+        cx: &mut EngineCtx,
+        target: u32,
+        probes: &[(u64, u64, u64)],
+        doomed: impl Fn(&Entry, u64, u64, u64) -> bool,
+    ) -> usize {
+        if probes.is_empty() || !cx.has_entries_for(target) {
+            return 0;
+        }
+        self.ensure_extents(p, cx);
+        let Some(dir) = self.extents.as_ref() else {
+            return 0;
+        };
+        let mut victims = Vec::new();
+        let mut examined = probes.len();
+        for &(lo, hi, version) in probes {
+            for (key, id) in dir.candidates(target, lo, hi) {
+                examined += 1;
+                if doomed(self.entry(id), lo, hi, version) {
+                    // xlint: allow(no-unwrap) invariant: between operations the directory holds exactly the indexed keys
+                    let (slot, _) = self.index.position(&key).expect("extent not indexed");
+                    victims.push((slot, id));
+                }
+            }
+        }
+        cx.charge(p.costs.evict_visit_ns * examined as f64);
+        // Overlapping probes reach an entry more than once.
+        victims.sort_unstable();
+        victims.dedup();
+        for &(slot, id) in &victims {
+            self.evict_resident(p, cx, slot, id);
+        }
+        victims.len()
+    }
+
     /// Shard-local half of [`RmaCache::invalidate_range`].
     pub(crate) fn invalidate_range(
         &mut self,
@@ -1000,27 +1156,9 @@ impl ShardCore {
         lo: u64,
         hi: u64,
     ) -> usize {
-        let cap = self.index.capacity();
-        cx.charge(p.costs.evict_visit_ns * cap as f64);
-        let mut victims = Vec::new();
-        for slot in 0..cap {
-            if let Some((key, id)) = self.index.slot(slot) {
-                if key.target != target {
-                    continue;
-                }
-                let e = self.entry(id);
-                let e_lo = key.disp;
-                let e_hi = key.disp + e.size as u64;
-                if e_lo < hi && lo < e_hi {
-                    victims.push((slot, id));
-                }
-            }
-        }
-        let dropped = victims.len();
-        for (slot, id) in victims {
-            self.evict_resident(p, cx, slot, id);
-        }
-        dropped
+        self.invalidate_extents(p, cx, target, &[(lo, hi, 0)], |e, lo, hi, _| {
+            e.overlaps(lo, hi)
+        })
     }
 
     /// Shard-local half of [`RmaCache::invalidate_target_stale`].
@@ -1031,21 +1169,9 @@ impl ShardCore {
         target: u32,
         version: u64,
     ) -> usize {
-        let cap = self.index.capacity();
-        cx.charge(p.costs.evict_visit_ns * cap as f64);
-        let mut victims = Vec::new();
-        for slot in 0..cap {
-            if let Some((key, id)) = self.index.slot(slot) {
-                if key.target == target && self.entry(id).version != version {
-                    victims.push((slot, id));
-                }
-            }
-        }
-        let dropped = victims.len();
-        for (slot, id) in victims {
-            self.evict_resident(p, cx, slot, id);
-        }
-        dropped
+        self.invalidate_extents(p, cx, target, &[(0, u64::MAX, version)], |e, _, _, v| {
+            e.version != v
+        })
     }
 
     /// Shard-local half of [`RmaCache::invalidate_overlapping_stale`].
@@ -1056,30 +1182,9 @@ impl ShardCore {
         target: u32,
         ranges: &[(u64, u64, u64)],
     ) -> usize {
-        let cap = self.index.capacity();
-        cx.charge(p.costs.evict_visit_ns * cap as f64);
-        let mut victims = Vec::new();
-        for slot in 0..cap {
-            if let Some((key, id)) = self.index.slot(slot) {
-                if key.target != target {
-                    continue;
-                }
-                let e = self.entry(id);
-                let e_lo = key.disp;
-                let e_hi = key.disp + e.size as u64;
-                let stale = ranges
-                    .iter()
-                    .any(|&(lo, hi, v)| e_lo < hi && lo < e_hi && e.version < v);
-                if stale {
-                    victims.push((slot, id));
-                }
-            }
-        }
-        let dropped = victims.len();
-        for (slot, id) in victims {
-            self.evict_resident(p, cx, slot, id);
-        }
-        dropped
+        self.invalidate_extents(p, cx, target, ranges, |e, lo, hi, v| {
+            e.overlaps(lo, hi) && e.version < v
+        })
     }
 
     /// Drops every resident entry, resetting index, storage and slab. The
@@ -1093,7 +1198,16 @@ impl ShardCore {
         self.spare.clear();
         self.pending.clear();
         self.recency.clear();
+        self.clear_extents();
         self.cached_count = 0;
+    }
+
+    /// Empties the extent directory (the shard has no residents left). It
+    /// stays built: an empty directory is in step with an empty shard.
+    fn clear_extents(&mut self) {
+        if let Some(dir) = self.extents.as_mut() {
+            *dir = ExtentDir::default();
+        }
     }
 
     /// Replaces the index (reseeded from `seed_base`) and storage for an
@@ -1111,7 +1225,71 @@ impl ShardCore {
         self.spare.clear();
         self.pending.clear();
         self.recency.clear();
+        self.clear_extents();
         self.cached_count = 0;
+    }
+
+    /// Verifies that this shard's structures describe one resident set
+    /// (see [`RmaCache::check_invariants`]) and adds its entries to
+    /// `per_target`. Only meaningful between operations.
+    #[cfg(any(test, debug_assertions))]
+    fn check_invariants(&self, per_target: &mut Vec<u32>) {
+        self.storage.check_invariants();
+        let live = self.entries.iter().flatten().count();
+        assert_eq!(self.index.len(), live, "index and entry slab disagree");
+        assert_eq!(
+            live + self.spare.len(),
+            self.entries.len(),
+            "slab slots neither live nor spare"
+        );
+        for &id in &self.spare {
+            assert!(self.entries[id as usize].is_none(), "spare id {id} is live");
+        }
+        let (mut cached, mut pending) = (0, 0);
+        for (slot, key, id) in self.index.iter() {
+            let e = self.entries[id as usize]
+                .as_ref()
+                .unwrap_or_else(|| panic!("slot {slot} points at dead entry {id}"));
+            assert_eq!(e.key, key, "slot {slot} and entry {id} disagree on the key");
+            assert_eq!(self.index.position(&key), Some((slot, id)), "{key:?}");
+            assert_eq!(
+                e.size,
+                e.sig.size(),
+                "{key:?}: size out of step with layout"
+            );
+            assert_ne!(e.desc, NO_DESC, "{key:?}: resident without storage");
+            assert_eq!(e.off, self.storage.offset(e.desc), "{key:?}: stale offset");
+            // Panics if the region is shorter than the entry.
+            let _ = self.storage.read(e.desc, e.size);
+            match e.state {
+                EntryState::Cached => cached += 1,
+                EntryState::Pending => {
+                    pending += 1;
+                    assert!(self.pending.contains(&id), "{key:?}: unscheduled PENDING");
+                }
+            }
+            if self.lru_enabled() {
+                assert_eq!(self.recency.get(&e.last), Some(&id), "{key:?}: recency");
+            }
+            if let Some(dir) = &self.extents {
+                let at = dir.by_start.get(&(key.target, key.disp));
+                assert_eq!(at, Some(&id), "{key:?}: missing from the extent directory");
+                assert!(e.size <= dir.max_size, "{key:?}: larger than the size mark");
+            }
+            let t = key.target as usize;
+            if t >= per_target.len() {
+                per_target.resize(t + 1, 0);
+            }
+            per_target[t] += 1;
+        }
+        assert_eq!(self.cached_count, cached, "cached_count");
+        assert_eq!(self.pending.len(), pending, "pending list");
+        if self.lru_enabled() {
+            assert_eq!(self.recency.len(), live, "recency index size");
+        }
+        if let Some(dir) = &self.extents {
+            assert_eq!(dir.by_start.len(), live, "extent directory size");
+        }
     }
 
     /// Bounds-checked, panic-free probe for the concurrent hit path. Safe
@@ -1193,6 +1371,26 @@ pub struct ResizeEvent {
     pub index_entries: usize,
     /// New `|S_w|`.
     pub storage_bytes: usize,
+}
+
+/// One resident entry as [`RmaCache::residents`] reports it.
+#[doc(hidden)]
+#[cfg(any(test, debug_assertions))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resident {
+    /// Shard holding the entry.
+    pub shard: usize,
+    /// Its index slot within that shard.
+    pub slot: usize,
+    /// Its slab id. Ids are recycled last-dropped-first, so two engines
+    /// agree on them only if they dropped their entries in the same order.
+    pub id: EntryId,
+    /// The get that created it.
+    pub key: GetKey,
+    /// Cached bytes from `key.disp` on.
+    pub size: usize,
+    /// Target write version observed when it was filled.
+    pub version: u64,
 }
 
 impl RmaCache {
@@ -1307,10 +1505,7 @@ impl RmaCache {
     /// `target`. O(1): lets a coherence pass skip targets with nothing
     /// cached without scanning the index.
     pub fn has_entries_for(&self, target: u32) -> bool {
-        self.cx
-            .target_counts
-            .get(target as usize)
-            .is_some_and(|&c| c > 0)
+        self.cx.has_entries_for(target)
     }
 
     /// Phase 1 of a `get_c`: classify against the index, serving full hits
@@ -1407,8 +1602,13 @@ impl RmaCache {
     /// the *write-through invalidation* extension of
     /// [`crate::ClampiConfig::invalidate_on_put`], which keeps a
     /// long-lived always-cache window coherent with the issuing rank's own
-    /// puts. The scan is linear in `|I_w|` (puts are assumed rare on
-    /// cached windows).
+    /// puts. `hi == u64::MAX` means "to the end of the target" — with
+    /// `lo == 0`, the full-target drop of a rank failure or ring overflow.
+    ///
+    /// The first ranged invalidation builds each shard's ordered extent
+    /// directory (one pass over `|I_w|`); from then on a call costs one
+    /// directory seek plus the entries that can overlap the range,
+    /// independent of how many entries are cached.
     pub fn invalidate_range(&mut self, target: u32, lo: u64, hi: u64) -> usize {
         let Self {
             params, shards, cx, ..
@@ -1423,11 +1623,9 @@ impl RmaCache {
     /// differs from `version` (the target's current write version, fetched
     /// by an `EpochValidate` coherence pass); returns how many were
     /// dropped. Entries already stamped with the current version are
-    /// provably fresh and survive.
+    /// provably fresh and survive. Walks the target's stretch of the
+    /// extent directory: linear in the entries cached *for that target*.
     pub fn invalidate_target_stale(&mut self, target: u32, version: u64) -> usize {
-        if !self.has_entries_for(target) {
-            return 0;
-        }
         let Self {
             params, shards, cx, ..
         } = self;
@@ -1440,17 +1638,16 @@ impl RmaCache {
     /// Drops every resident entry keyed to `target` that overlaps one of
     /// the put `ranges` (`(lo, hi, version)`, half-open bytes) *and* was
     /// filled before that put (`entry.version < version`); returns how
-    /// many were dropped. This is the surgical `EagerInvalidate` path: a
-    /// single index scan checks each resident entry against every drained
-    /// notification record.
+    /// many were dropped. This is the surgical `EagerInvalidate` path:
+    /// each drained notification record seeks the extent directory and
+    /// examines only the entries that can overlap it —
+    /// `O(records · log n)` for a pass, independent of `|I_w|`. Victims go
+    /// in ascending index-slot order whatever order the records arrive in.
     pub fn invalidate_overlapping_stale(
         &mut self,
         target: u32,
         ranges: &[(u64, u64, u64)],
     ) -> usize {
-        if ranges.is_empty() || !self.has_entries_for(target) {
-            return 0;
-        }
         let Self {
             params, shards, cx, ..
         } = self;
@@ -1509,6 +1706,67 @@ impl RmaCache {
     /// Number of entries in the CACHED state.
     pub fn cached_entries(&self) -> usize {
         self.shards.iter().map(|s| s.cached_count).sum()
+    }
+
+    /// Panics unless the engine's structures describe one and the same
+    /// resident set: per shard, index ↔ entry slab ↔ spare list ↔ storage
+    /// descriptors ↔ `pending` ↔ `cached_count` ↔ recency index (ExactLru)
+    /// ↔ extent directory (once built: the index's key set, every entry
+    /// within the size mark); across shards, the per-target counts. Call
+    /// between operations — the property suites do, after every step.
+    #[cfg(any(test, debug_assertions))]
+    pub fn check_invariants(&self) {
+        let mut per_target = Vec::new();
+        for sh in &self.shards {
+            sh.check_invariants(&mut per_target);
+        }
+        let counted = |t: usize| self.cx.target_counts.get(t).copied().unwrap_or(0);
+        for t in 0..per_target.len().max(self.cx.target_counts.len()) {
+            let resident = per_target.get(t).copied().unwrap_or(0);
+            assert_eq!(counted(t), resident, "target_counts[{t}]");
+        }
+    }
+
+    /// Every resident entry in shard-then-slot order — what one full scan
+    /// of the index sees. With [`RmaCache::evict_slot`], all the full-scan
+    /// oracle of `tests/prop_extents.rs` needs to replay the index-scan
+    /// invalidations the extent directory replaced.
+    #[doc(hidden)]
+    #[cfg(any(test, debug_assertions))]
+    pub fn residents(&self) -> Vec<Resident> {
+        let mut out = Vec::new();
+        for (shard, sh) in self.shards.iter().enumerate() {
+            for (slot, key, id) in sh.index.iter() {
+                let e = sh.entry(id);
+                out.push(Resident {
+                    shard,
+                    slot,
+                    id,
+                    key,
+                    size: e.size,
+                    version: e.version,
+                });
+            }
+        }
+        out
+    }
+
+    /// Evicts whatever occupies `slot` of `shard`, exactly as an
+    /// invalidation evicts a victim; `false` if the slot is empty.
+    #[doc(hidden)]
+    #[cfg(any(test, debug_assertions))]
+    pub fn evict_slot(&mut self, shard: usize, slot: usize) -> bool {
+        let Self {
+            params, shards, cx, ..
+        } = self;
+        let sh = &mut shards[shard];
+        match sh.index.slot(slot) {
+            Some((_, id)) => {
+                sh.evict_resident(params, cx, slot, id);
+                true
+            }
+            None => false,
+        }
     }
 
     /// An order-independent-of-nothing, content-sensitive fingerprint of

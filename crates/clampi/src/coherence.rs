@@ -24,6 +24,11 @@
 //! | `EpochValidate` | one 8-byte version fetch per cached target | whole target on any version change |
 //! | `EagerInvalidate` | CPU-only notification drain | only entries overlapping a drained put record |
 //!
+//! Neither mode scans the index: victims are found through the engine's
+//! ordered extent directory (see
+//! [`RmaCache::invalidate_overlapping_stale`]), one seek per drained
+//! record, so a pass does not slow down with the number of cached entries.
+//!
 //! Passes run at access-epoch *openings* (`lock`, `lock_all`, `start`) and
 //! after every `flush`/`flush_all`/`fence` — the points where MPI's epoch
 //! rules make remotely-written data newly visible. Targets already marked
@@ -69,8 +74,8 @@ pub(crate) struct CoherenceTracker {
     cursors: Vec<u64>,
     /// Drained records land here (reused across passes).
     scratch: Vec<PutRecord>,
-    /// Records rewritten as `(lo, hi, version)` byte ranges for the index
-    /// overlap probe (reused across passes).
+    /// Records rewritten as `(lo, hi, version)` byte ranges, one extent
+    /// directory probe each (reused across passes).
     ranges: Vec<(u64, u64, u64)>,
 }
 
@@ -106,9 +111,9 @@ impl CoherenceTracker {
         if self.cursors.len() < n {
             self.cursors.resize(n, 0);
         }
-        let targets: Vec<usize> = match target {
-            Some(t) => vec![t],
-            None => (0..n).collect(),
+        let targets = match target {
+            Some(t) => t..t + 1,
+            None => 0..n,
         };
         for t in targets {
             if degraded[t] {
@@ -194,7 +199,7 @@ impl CoherenceTracker {
                     self.ranges.extend(
                         self.scratch
                             .iter()
-                            .map(|r| (r.disp, r.disp + r.len, r.version)),
+                            .map(|r| (r.disp, r.disp.saturating_add(r.len), r.version)),
                     );
                     let dropped = cache.invalidate_overlapping_stale(t as u32, &self.ranges);
                     fault_stats.stale_hits_prevented += dropped as u64;

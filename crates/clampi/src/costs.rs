@@ -21,6 +21,13 @@ pub struct CacheCostModel {
     pub insert_step_ns: f64,
     /// Per index slot visited by the victim-selection scan (includes the
     /// score computation for non-empty slots).
+    ///
+    /// The ranged invalidations (`invalidate_range`,
+    /// `invalidate_target_stale`, `invalidate_overlapping_stale`) charge
+    /// the same constant for the work they do in the ordered extent
+    /// directory: once per probe (the seek) and once per entry examined —
+    /// plus, the first time a shard invalidates by range, once per index
+    /// slot for the pass that builds its directory.
     pub evict_visit_ns: f64,
     /// One best-fit allocation or free in the storage AVL tree.
     pub alloc_ns: f64,

@@ -191,6 +191,15 @@ impl CuckooIndex {
     /// non-matching ones on their one-byte fingerprint before the full
     /// key compare.
     pub fn lookup(&self, key: &GetKey) -> Option<EntryId> {
+        self.position(key).map(|(_, id)| id)
+    }
+
+    /// [`CuckooIndex::lookup`] that also reports *where* the key lives:
+    /// `(slot, entry)`. The ranged invalidations find their victims in
+    /// the ordered extent directory and come here for the slot, so they
+    /// can evict in ascending slot order without scanning the table.
+    #[inline]
+    pub fn position(&self, key: &GetKey) -> Option<(usize, EntryId)> {
         let x = key.mix();
         let fp = fingerprint(x);
         for h in &self.hashers {
@@ -200,7 +209,7 @@ impl CuckooIndex {
             }
             if let Some(s) = &self.slots[i] {
                 if s.key == *key {
-                    return Some(s.entry);
+                    return Some((i, s.entry));
                 }
             }
         }
@@ -450,7 +459,9 @@ mod tests {
         ix.insert(key(5, 40), 11);
         let (pos, k, e) = ix.iter().next().unwrap();
         assert_eq!((k, e), (key(5, 40), 11));
+        assert_eq!(ix.position(&key(5, 40)), Some((pos, 11)));
         assert_eq!(ix.remove_slot(pos), Some((key(5, 40), 11)));
+        assert_eq!(ix.position(&key(5, 40)), None);
         assert!(ix.is_empty());
         assert_eq!(ix.remove_slot(pos), None);
     }

@@ -18,7 +18,8 @@
 //!   hit-path fallback take the shard's `RwLock`. Writers additionally
 //!   bump the sequence counter to odd for the duration of the mutation.
 //!   Eviction and slab management stay on this path on purpose: they
-//!   rewire descriptor lists and the recency index, which cannot be made
+//!   rewire descriptor lists, the recency index and the extent directory
+//!   (built by a shard's first `invalidate_range`), which cannot be made
 //!   torn-read-safe cheaply — and misses already pay a network round trip,
 //!   so a lock there is noise.
 //!

@@ -792,7 +792,8 @@ impl CachedWindow {
         if self.invalidate_on_put {
             if let Some(cache) = self.cache.as_mut() {
                 let span = dtype.flatten_n(count).span();
-                cache.invalidate_range(target as u32, disp as u64, (disp + span) as u64);
+                let lo = disp as u64;
+                cache.invalidate_range(target as u32, lo, lo.saturating_add(span as u64));
                 self.charge_engine(p);
             }
         }

@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, Mode};
+use clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, CoherenceMode, Mode};
 use clampi_datatype::Datatype;
 use clampi_rma::{run_collect, Process, SimConfig};
 
@@ -58,19 +58,24 @@ const WIN: usize = 4096;
 const GET: usize = 64;
 const SLOTS: usize = WIN / GET;
 
-/// Runs `body` on rank 0 of a two-rank always-cache window, inside one
-/// `lock_all` epoch, and checks what it returns: `(heap allocations in its
-/// measured phase, measured gets that had the expected class)`. The
-/// allocation assertion runs only under `debug_assertions` (see the
-/// module docs); nothing is asserted inside the simulation, where a panic
-/// would strand the peer rank at a barrier.
+/// Runs `body` on rank 0 of a two-rank always-cache window of the given
+/// coherence mode, inside one `lock_all` epoch, and checks what it
+/// returns: `(heap allocations in its measured phase, measured gets that
+/// had the expected class)`. The allocation assertion runs only under
+/// `debug_assertions` (see the module docs); nothing is asserted inside
+/// the simulation, where a panic would strand the peer rank at a barrier.
 fn assert_alloc_free(
     what: &str,
+    coherence: CoherenceMode,
     expect_gets: usize,
     body: impl Fn(&mut Process, &mut CachedWindow) -> (u64, u64) + Sync,
 ) {
     let out = run_collect(SimConfig::default(), 2, |p| {
-        let cfg = ClampiConfig::fixed(Mode::AlwaysCache, CacheParams::default());
+        let params = CacheParams {
+            coherence,
+            ..CacheParams::default()
+        };
+        let cfg = ClampiConfig::fixed(Mode::AlwaysCache, params);
         let mut win = CachedWindow::create(p, WIN, cfg);
         p.barrier();
         let mut measured = (0u64, 0u64);
@@ -126,7 +131,7 @@ fn sweep(
 
 #[test]
 fn hit_path_does_not_allocate() {
-    assert_alloc_free("the hit path", SLOTS, |p, win| {
+    assert_alloc_free("the hit path", CoherenceMode::None, SLOTS, |p, win| {
         // Warmup: populate every slot (misses allocate cache entries) and
         // fault the scratch layout into existence. Every further get is a
         // hit and must stay off the heap, through both wrappers.
@@ -137,7 +142,8 @@ fn hit_path_does_not_allocate() {
 
 #[test]
 fn partial_hit_tail_fetch_does_not_allocate() {
-    assert_alloc_free("the partial-hit tail fetch", SLOTS / 2, |p, win| {
+    let what = "the partial-hit tail fetch";
+    assert_alloc_free(what, CoherenceMode::None, SLOTS / 2, |p, win| {
         // Cache the first half of every slot: each full-slot get then
         // finds its head cached and fetches only the tail, classified
         // `Direct` (the extension fits). The first half of the slots is
@@ -147,5 +153,33 @@ fn partial_hit_tail_fetch_does_not_allocate() {
         sweep(p, win, 0..SLOTS, GET / 2, AccessType::Direct);
         sweep(p, win, 0..SLOTS / 2, GET, AccessType::Direct);
         sweep(p, win, SLOTS / 2..SLOTS, GET, AccessType::Direct)
+    });
+}
+
+#[test]
+fn coherent_miss_and_flush_do_not_allocate() {
+    let what = "a miss + flush with nothing new in the ring";
+    assert_alloc_free(what, CoherenceMode::EagerInvalidate, SLOTS / 2, |p, win| {
+        // Every flush of a coherent window runs a coherence pass over its
+        // target. Nobody writes, so each pass finds the ring empty and must
+        // cost no allocation — nor may the miss before it, once the first
+        // sweep has grown the engine's slab and per-epoch vectors (the
+        // invalidation empties them but keeps their capacity) and the first
+        // half of the second has done the same for the pass's own scratch.
+        let miss_then_flush = |p: &mut Process, win: &mut CachedWindow, slots| {
+            let (dtype, mut buf) = (Datatype::bytes(GET), [0u8; GET]);
+            let before = allocs_on_this_thread();
+            let mut direct = 0;
+            for slot in slots {
+                let class = win.get(p, &mut buf, 1, slot * GET, &dtype, 1);
+                direct += (class == Some(AccessType::Direct)) as u64;
+                win.flush(p, 1);
+            }
+            (allocs_on_this_thread() - before, direct)
+        };
+        miss_then_flush(p, win, 0..SLOTS);
+        win.invalidate(p);
+        miss_then_flush(p, win, 0..SLOTS / 2);
+        miss_then_flush(p, win, SLOTS / 2..SLOTS)
     });
 }

@@ -177,6 +177,12 @@ fn run_schedule(s: &Schedule, coherence: Option<CoherenceMode>) -> Run {
         }
         win.unlock_all(p);
         p.barrier();
+        // Past the last barrier, where a panic strands no peer: the
+        // engine's structures must still describe one resident set.
+        #[cfg(debug_assertions)]
+        if let Some(cache) = win.cache() {
+            cache.check_invariants();
+        }
         (bytes, fingerprints, win.stats())
     });
     let (bytes, fingerprints, stats) = out[0].1.clone();
@@ -366,6 +372,10 @@ fn rank_failure_degrades_pending_notifications_to_full_invalidation() {
             }
             win.unlock_all(p);
             p.barrier();
+            #[cfg(debug_assertions)]
+            if let Some(cache) = win.cache() {
+                cache.check_invariants();
+            }
             (captured, classes, zeroed, win.stats())
         });
         let (captured, classes, zeroed, stats) = out[0].1.clone();
