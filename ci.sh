@@ -60,6 +60,13 @@
 #                 refused. The gate's own planted-regression /
 #                 allowlisted-drift self-test over ci/fixtures/perf/ is a
 #                 unit test of the bench crate (the test stage runs it).
+#   benchmark-smoke  the standalone benchmark suite (benchmark/, the one
+#                 BENCHMARK.json declares): its own tests, then
+#                 `benchmark/run.sh --smoke` - every workload untraced and
+#                 traced with tiny op counts, every returned byte checked.
+#                 The suite links the library's public API from outside
+#                 the workspace, so drift against what it uses fails here
+#                 instead of at the benchmark driver.
 #
 # This repo builds on machines with no network and no cargo registry
 # cache, so any external crate in a dependency section is a build break
@@ -67,7 +74,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(hermeticity xlint fmt clippy build test mc-test san-test dht-test prop-matrix bench-smoke perf-gate)
+ALL_STAGES=(hermeticity xlint fmt clippy build test mc-test san-test dht-test prop-matrix bench-smoke perf-gate benchmark-smoke)
 PROP_SEEDS=(1 42 20170527)
 
 stage_hermeticity() {
@@ -278,6 +285,13 @@ stage_perf_gate() {
         --gate "$baseline" "$current"
 }
 
+stage_benchmark_smoke() {
+    # Its own workspace and target directory (benchmark/target); results
+    # and traces go to benchmark/out/. All three are gitignored.
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+    bash benchmark/run.sh --smoke
+}
+
 # -------------------------------------------------------------- runner --
 declare -A RESULT DURATION
 
@@ -384,14 +398,14 @@ main() {
 
     echo
     echo "===== summary ====="
-    printf '%-14s %-6s %s\n' STAGE RESULT TIME
+    printf '%-16s %-6s %s\n' STAGE RESULT TIME
     local failed=0 total=0
     for s in "${ran[@]}"; do
-        printf '%-14s %-6s %ss\n' "$s" "${RESULT[$s]}" "${DURATION[$s]}"
+        printf '%-16s %-6s %ss\n' "$s" "${RESULT[$s]}" "${DURATION[$s]}"
         total=$((total + DURATION[$s]))
         [ "${RESULT[$s]}" = FAIL ] && failed=1
     done
-    printf '%-14s %-6s %ss\n' total "" "$total"
+    printf '%-16s %-6s %ss\n' total "" "$total"
     if [ ${#ran[@]} -lt ${#stages[@]} ]; then
         echo "(${#ran[@]}/${#stages[@]} stages ran - fail-fast)"
     fi

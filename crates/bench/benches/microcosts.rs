@@ -13,9 +13,10 @@ use std::hint::black_box;
 use clampi::cache::{CacheParams, LayoutSig, Lookup, RmaCache};
 use clampi::index::{CuckooIndex, GetKey, InsertOutcome};
 use clampi::storage::{FreeTree, Storage};
-use clampi::{AccessType, CacheCostModel};
+use clampi::{AccessType, CacheCostModel, CachedWindow, ClampiConfig, Mode};
 use clampi_bench::timer::Bench;
 use clampi_datatype::Datatype;
+use clampi_rma::{run_collect, SimConfig};
 
 fn key(d: u64) -> GetKey {
     GetKey { target: 1, disp: d }
@@ -141,6 +142,66 @@ fn bench_cache_paths() {
     }
 }
 
+/// The layers a get crosses above the engine, in wall-clock time: a warm
+/// `CachedWindow::get` hit (contiguous, and through a repeated strided
+/// type), and one displacement step of a Cuckoo insertion walk.
+fn bench_hot_path() {
+    const KEYS: usize = 512;
+    const SLOT: usize = 512;
+    let b = Bench::new("hot_path");
+    run_collect(SimConfig::bench(), 2, |p| {
+        let params = CacheParams {
+            index_entries: 4096,
+            storage_bytes: 1 << 20,
+            ..CacheParams::default()
+        };
+        let cfg = ClampiConfig::fixed(Mode::AlwaysCache, params);
+        let mut win = CachedWindow::create(p, KEYS * SLOT, cfg);
+        p.barrier();
+        if p.rank() == 0 {
+            win.lock_all(p);
+            // 256 B of payload either way; the strided type spans 448 B.
+            let contig = Datatype::bytes(256);
+            let strided = Datatype::vector(4, 1, 2, Datatype::bytes(64));
+            let mut dst = [0u8; 256];
+            for (name, dtype) in [
+                ("window_hit_contig_256", &contig),
+                ("window_hit_strided_256", &strided),
+            ] {
+                win.invalidate(p);
+                for k in 0..KEYS {
+                    win.get(p, &mut dst, 1, k * SLOT, dtype, 1);
+                }
+                win.flush_all(p);
+                let mut k = 0;
+                b.run(name, || {
+                    k = (k + 1) % KEYS;
+                    let class = win.get(p, &mut dst, 1, k * SLOT, dtype, 1);
+                    debug_assert_eq!(class, Some(AccessType::Hit));
+                    black_box(dst[0]);
+                });
+            }
+            win.unlock_all(p);
+        }
+        p.barrier();
+    });
+
+    // A full table with a walk budget of one step: every insert probes its
+    // four (occupied) candidates, displaces one and reports the displaced
+    // pair homeless - exactly one walk step, and the table stays full.
+    let cap = 16384;
+    let mut ix = CuckooIndex::new(cap, 1, 7);
+    let mut d = 0u64;
+    while ix.len() < cap {
+        d += 1;
+        ix.insert(key(d * 64), d as u32);
+    }
+    b.run("cuckoo_insert_step", || {
+        d += 1;
+        black_box(ix.insert(key(d * 64), d as u32));
+    });
+}
+
 fn bench_datatype() {
     let b = Bench::new("datatype");
     let strided = Datatype::vector(64, 1, 4, Datatype::double());
@@ -189,6 +250,7 @@ fn main() {
     bench_avl();
     bench_storage();
     bench_cache_paths();
+    bench_hot_path();
     bench_datatype();
     bench_trace_replay();
 }

@@ -65,7 +65,7 @@ impl LayoutSig {
         if layout.is_dense() {
             LayoutSig::Contig(layout.total_size())
         } else {
-            LayoutSig::Blocks(Arc::new(layout.clone()))
+            layout.clone().into()
         }
     }
 
@@ -74,6 +74,27 @@ impl LayoutSig {
         match self {
             LayoutSig::Contig(s) => *s,
             LayoutSig::Blocks(l) => l.total_size(),
+        }
+    }
+
+    /// The flattened layout of a non-contiguous signature (`None`: one
+    /// contiguous block of [`LayoutSig::size`] bytes).
+    pub(crate) fn blocks(&self) -> Option<&FlatLayout> {
+        match self {
+            LayoutSig::Contig(_) => None,
+            LayoutSig::Blocks(l) => Some(l),
+        }
+    }
+}
+
+/// [`LayoutSig::from_layout`] for a layout the caller gives up: shared, not
+/// copied.
+impl From<FlatLayout> for LayoutSig {
+    fn from(layout: FlatLayout) -> Self {
+        if layout.is_dense() {
+            LayoutSig::Contig(layout.total_size())
+        } else {
+            LayoutSig::Blocks(Arc::new(layout))
         }
     }
 }
@@ -602,30 +623,35 @@ impl ShardCore {
         };
         debug_assert_eq!(self.entry(id).key, key, "index returned a foreign entry");
         let seq = cx.seq;
-        let (full, cached_len) = {
-            let e = self.entry(id);
-            match (&e.sig, sig) {
-                (LayoutSig::Contig(have), LayoutSig::Contig(want)) => {
-                    if want <= have {
-                        (true, *want)
-                    } else if e.state == EntryState::Cached {
-                        (false, *have)
-                    } else {
-                        // Partial hit on a PENDING entry: nothing servable
-                        // yet (its fill is deferred to the epoch close).
-                        (false, 0)
-                    }
+        let e = self.entry(id);
+        let (state, off, old_last) = (e.state, e.off, e.last);
+        let (full, cached_len) = match (&e.sig, sig) {
+            (LayoutSig::Contig(have), LayoutSig::Contig(want)) => {
+                if want <= have {
+                    (true, *want)
+                } else if state == EntryState::Cached {
+                    (false, *have)
+                } else {
+                    // Partial hit on a PENDING entry: nothing servable
+                    // yet (its fill is deferred to the epoch close).
+                    (false, 0)
                 }
-                (LayoutSig::Blocks(have), LayoutSig::Blocks(want)) if have == want => (true, size),
-                _ => (false, 0),
             }
+            // `Arc<T: Eq>` compares pointers first, so a signature that
+            // shares the entry's layout (the window's memo) matches in O(1).
+            (LayoutSig::Blocks(have), LayoutSig::Blocks(want)) if have == want => (true, size),
+            _ => (false, 0),
         };
+        // The served bytes come straight from the entry's cached region
+        // offset: no dependent load through the descriptor slab. `off` is
+        // set wherever `desc` is (`check_invariants` compares them).
+        let cached = self
+            .storage
+            .bytes_at(off, cached_len)
+            .expect("region inside the buffer"); // xlint: allow(no-unwrap) invariant: see above
 
         if full {
-            let state = self.entry(id).state;
-            let desc = self.entry(id).desc;
-            let old_last = self.entry(id).last;
-            dst.copy_from_slice(self.storage.read(desc, size));
+            dst.copy_from_slice(cached);
             self.entry_mut(id).last = seq;
             self.touch_recency(p, cx, id, old_last, seq);
             self.renew_lease(p, cx, id, &key);
@@ -641,13 +667,11 @@ impl ShardCore {
             Lookup::Hit
         } else {
             if cached_len > 0 {
-                let desc = self.entry(id).desc;
-                dst[..cached_len].copy_from_slice(self.storage.read(desc, cached_len));
+                dst[..cached_len].copy_from_slice(cached);
                 let copy = p.costs.memcpy_cost(cached_len);
                 cx.charge(copy);
                 cx.stats.bytes_from_cache += cached_len as u64;
             }
-            let old_last = self.entry(id).last;
             self.entry_mut(id).last = seq;
             self.touch_recency(p, cx, id, old_last, seq);
             self.renew_lease(p, cx, id, &key);
@@ -848,15 +872,16 @@ impl ShardCore {
                     cx.charge(p.costs.insert_step_ns * (steps + 1) as f64);
                     return (true, conflicted);
                 }
-                InsertOutcome::Cycle { homeless, path } => {
+                InsertOutcome::Cycle { homeless } => {
                     conflicted = true;
+                    let path = self.index.last_path();
                     cx.charge(p.costs.insert_step_ns * path.len() as f64);
                     if attempt + 1 == MAX_RETRIES {
                         return self.resolve_homeless(p, cx, homeless, id, conflicted);
                     }
                     // Victim: lowest score among CACHED entries on the path.
                     let mut best: Option<(usize, EntryId, f64)> = None;
-                    for &slot in &path {
+                    for &slot in path {
                         if let Some((_k, eid)) = self.index.slot(slot) {
                             if eid == id {
                                 continue;
@@ -1496,8 +1521,12 @@ impl RmaCache {
         std::mem::take(&mut self.cx.uncharged_ns)
     }
 
-    /// The shard responsible for `key` (`stripe mod shards`).
+    /// The shard responsible for `key` (`stripe mod shards`; the one shard
+    /// of the default engine without hashing).
     fn shard_idx(&self, key: &GetKey) -> usize {
+        if self.shards.len() == 1 {
+            return 0;
+        }
         (key.stripe() % self.shards.len() as u64) as usize
     }
 

@@ -54,6 +54,46 @@ impl GetKey {
     }
 }
 
+/// `x mod m` for 32-bit `x` and `1 <= m <= u32::MAX` without a division
+/// (Lemire, Kaser & Kurz, "Faster remainder by direct computation"): with
+/// `magic = ceil(2^64 / m)`, the low 64 bits of `magic · x` are the
+/// fractional part of `x / m` scaled by `2^64`, and multiplying them by `m`
+/// leaves the remainder in the high word. Exact on that whole domain —
+/// property-tested against `%` in `tests/prop_index.rs` — so slot positions
+/// are the ones a hardware remainder yields.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct FastMod32 {
+    m: u64,
+    magic: u64,
+}
+
+impl FastMod32 {
+    /// The reducer for modulus `m`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= m <= u32::MAX`.
+    pub fn new(m: usize) -> Self {
+        assert!(
+            (1..=u32::MAX as usize).contains(&m),
+            "modulus {m} outside 1..=u32::MAX"
+        );
+        FastMod32 {
+            m: m as u64,
+            // `m == 1` wraps to 0, and `0 · x · 1 >> 64 == 0 == x mod 1`.
+            magic: (u64::MAX / m as u64).wrapping_add(1),
+        }
+    }
+
+    /// `x mod m`.
+    #[inline]
+    pub fn reduce(&self, x: u32) -> usize {
+        let low = self.magic.wrapping_mul(x as u64);
+        ((low as u128 * self.m as u128) >> 64) as usize
+    }
+}
+
 /// One multiply-add universal hash function `h(x) = ((a·x + b) >> 32) mod m`.
 #[derive(Debug, Clone, Copy)]
 struct UniversalHasher {
@@ -69,9 +109,9 @@ impl UniversalHasher {
         }
     }
 
-    fn hash(&self, x: u64, m: usize) -> usize {
-        debug_assert!(m > 0);
-        ((self.a.wrapping_mul(x).wrapping_add(self.b)) >> 32) as usize % m
+    #[inline]
+    fn hash(&self, x: u64, m: FastMod32) -> usize {
+        m.reduce((self.a.wrapping_mul(x).wrapping_add(self.b) >> 32) as u32)
     }
 }
 
@@ -103,15 +143,13 @@ pub enum InsertOutcome {
     },
     /// The random walk hit the iteration threshold. `homeless` is the
     /// key/entry pair left without a slot (not necessarily the one the
-    /// caller tried to insert — displacements are kept). `path` lists the
-    /// slot indices visited by the walk; the caller should evict one of the
-    /// entries living there (a *conflicting* access) and re-insert the
-    /// homeless pair.
+    /// caller tried to insert — displacements are kept).
+    /// [`CuckooIndex::last_path`] lists the slot indices the walk visited;
+    /// the caller should evict one of the entries living there (a
+    /// *conflicting* access) and re-insert the homeless pair.
     Cycle {
         /// The displaced pair currently without a slot.
         homeless: (GetKey, EntryId),
-        /// Slot indices visited by the walk, in order.
-        path: Vec<usize>,
     },
 }
 
@@ -141,9 +179,15 @@ pub struct CuckooIndex {
     /// is bit-identical to the un-fingerprinted scheme (property-tested).
     fps: Vec<u8>,
     hashers: [UniversalHasher; NUM_HASHES],
+    /// Reduces a 32-bit hash value to a slot (`mod slots.len()`).
+    modulus: FastMod32,
     len: usize,
     max_iters: usize,
     rng: SmallRng,
+    /// Slots displaced by the most recent [`CuckooIndex::insert`] walk, in
+    /// order. Owned here so a displacing insert reuses one buffer instead
+    /// of allocating a path per call.
+    path: Vec<usize>,
 }
 
 impl CuckooIndex {
@@ -152,9 +196,14 @@ impl CuckooIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
+    /// Panics if `capacity == 0` or `capacity > u32::MAX`: hash values are
+    /// 32 bits wide, so slots past `2^32` could never be reached.
     pub fn new(capacity: usize, max_iters: usize, seed: u64) -> Self {
         assert!(capacity > 0, "index capacity must be positive");
+        assert!(
+            capacity <= u32::MAX as usize,
+            "index capacity {capacity} exceeds the 32-bit hash range"
+        );
         let mut rng = SmallRng::seed_from_u64(seed);
         let hashers = [
             UniversalHasher::new(&mut rng),
@@ -166,9 +215,11 @@ impl CuckooIndex {
             slots: vec![None; capacity],
             fps: vec![0; capacity],
             hashers,
+            modulus: FastMod32::new(capacity),
             len: 0,
             max_iters,
             rng,
+            path: Vec::new(),
         }
     }
 
@@ -203,7 +254,7 @@ impl CuckooIndex {
         let x = key.mix();
         let fp = fingerprint(x);
         for h in &self.hashers {
-            let i = h.hash(x, self.slots.len());
+            let i = h.hash(x, self.modulus);
             if self.fps[i] != fp {
                 continue;
             }
@@ -223,7 +274,7 @@ impl CuckooIndex {
     pub fn lookup_full_compare(&self, key: &GetKey) -> Option<EntryId> {
         let x = key.mix();
         for h in &self.hashers {
-            let i = h.hash(x, self.slots.len());
+            let i = h.hash(x, self.modulus);
             if let Some(s) = &self.slots[i] {
                 if s.key == *key {
                     return Some(s.entry);
@@ -244,9 +295,9 @@ impl CuckooIndex {
     /// The caller must ensure `key` is not already present (lookup first).
     pub fn insert(&mut self, key: GetKey, entry: EntryId) -> InsertOutcome {
         debug_assert!(self.lookup(&key).is_none(), "duplicate insert of {key:?}");
-        let m = self.slots.len();
+        let m = self.modulus;
         let mut cur = Slot { key, entry };
-        let mut path = Vec::new();
+        self.path.clear();
         for step in 0..self.max_iters {
             let x = cur.key.mix();
             // Try all p candidate positions for an empty slot first.
@@ -262,7 +313,7 @@ impl CuckooIndex {
             // All occupied: displace a random candidate.
             let choice = self.rng.gen_range(0..NUM_HASHES);
             let i = self.hashers[choice].hash(x, m);
-            path.push(i);
+            self.path.push(i);
             // xlint: allow(no-unwrap) invariant: the all-occupied branch was just checked
             let displaced = self.slots[i].replace(cur).expect("slot checked occupied");
             self.fps[i] = fingerprint(x);
@@ -270,8 +321,15 @@ impl CuckooIndex {
         }
         InsertOutcome::Cycle {
             homeless: (cur.key, cur.entry),
-            path,
         }
+    }
+
+    /// The slot indices the most recent [`CuckooIndex::insert`] displaced,
+    /// in walk order (empty when it found a free slot straight away). After
+    /// an [`InsertOutcome::Cycle`] this is the insertion path to evict
+    /// from.
+    pub fn last_path(&self) -> &[usize] {
+        &self.path
     }
 
     /// Removes `key`; returns its entry id if present.
@@ -279,7 +337,7 @@ impl CuckooIndex {
         let x = key.mix();
         let fp = fingerprint(x);
         for h in &self.hashers {
-            let i = h.hash(x, self.slots.len());
+            let i = h.hash(x, self.modulus);
             if self.fps[i] != fp {
                 continue;
             }
@@ -407,12 +465,9 @@ mod tests {
         let mut ix = CuckooIndex::new(4, 8, 1);
         let mut homeless = None;
         for d in 0..64u64 {
-            if let InsertOutcome::Cycle {
-                homeless: h, path, ..
-            } = ix.insert(key(9, d), d as EntryId)
-            {
-                assert!(!path.is_empty());
-                for &slot in &path {
+            if let InsertOutcome::Cycle { homeless: h } = ix.insert(key(9, d), d as EntryId) {
+                assert_eq!(ix.last_path().len(), 8, "one slot per walk step");
+                for &slot in ix.last_path() {
                     assert!(slot < ix.capacity());
                 }
                 homeless = Some(h);
@@ -497,5 +552,13 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_rejected() {
         let _ = CuckooIndex::new(0, 8, 0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "32-bit hash range")]
+    fn capacity_beyond_the_hash_range_rejected() {
+        // The assertion fires before any slot is allocated.
+        let _ = CuckooIndex::new(u32::MAX as usize + 1, 8, 0);
     }
 }

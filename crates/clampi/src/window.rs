@@ -184,6 +184,8 @@ pub struct CachedWindow {
     /// Cached contiguous layout for internal tail/record fetches, so the
     /// hot path does not rebuild a one-block `FlatLayout` per call.
     scratch_layout: FlatLayout,
+    /// The typed wrappers' one-entry flatten memo (see [`LayoutMemo`]).
+    memo: Option<LayoutMemo>,
     /// Reusable packed-payload buffer for [`CachedWindow::get_typed`].
     scratch_buf: Vec<u8>,
     /// Per-target coherence state (drain cursors, scratch) for
@@ -191,14 +193,17 @@ pub struct CachedWindow {
     coherence: CoherenceTracker,
 }
 
-/// The layout a typed request must be flattened to: `None` for contiguous
-/// types, which the pipeline serves as "`dst.len()` contiguous bytes"
-/// through the per-window scratch layout instead of flattening (and
-/// heap-allocating) per call. A `dst` of the wrong length takes the
-/// flattened path, whose copies reject it.
-fn flat_of(dtype: &Datatype, count: usize, dst: &[u8]) -> Option<FlatLayout> {
-    let contiguous = dtype.is_contiguous() && dst.len() == dtype.size() * count;
-    (!contiguous).then(|| dtype.flatten_n(count))
+/// The last non-contiguous `(dtype, count)` a typed get flattened on this
+/// window, with its signature. One entry, replaced on every mismatch: a
+/// get repeating the previous non-contiguous type costs one `Datatype`
+/// comparison instead of a flatten, and its signature shares the
+/// `Arc<FlatLayout>` of the entries it created, so the engine's layout
+/// comparison is a pointer check. Contiguous gets never consult it.
+#[derive(Debug)]
+struct LayoutMemo {
+    dtype: Datatype,
+    count: usize,
+    sig: LayoutSig,
 }
 
 /// Why one snapshot validation attempt was abandoned (internal; the
@@ -250,6 +255,7 @@ impl CachedWindow {
             nb_spans: Vec::new(),
             nb_posted_wire,
             scratch_layout: FlatLayout::contiguous(0),
+            memo: None,
             scratch_buf: Vec::new(),
             coherence,
         }
@@ -452,8 +458,7 @@ impl CachedWindow {
         dtype: &Datatype,
         count: usize,
     ) -> Option<AccessType> {
-        let flat = flat_of(dtype, count, dst);
-        self.get_core(p, dst, target, disp, flat.as_ref(), Completion::Blocking)
+        self.get_dtype(p, dst, target, disp, dtype, count, Completion::Blocking)
             .class()
     }
 
@@ -466,7 +471,8 @@ impl CachedWindow {
         disp: usize,
         layout: &FlatLayout,
     ) -> Option<AccessType> {
-        self.get_core(p, dst, target, disp, Some(layout), Completion::Blocking)
+        let sig = LayoutSig::from_layout(layout);
+        self.get_core(p, dst, target, disp, &sig, Completion::Blocking)
             .class()
     }
 
@@ -504,8 +510,7 @@ impl CachedWindow {
         dtype: &Datatype,
         count: usize,
     ) -> Option<AccessType> {
-        let flat = flat_of(dtype, count, dst);
-        self.get_core(p, dst, target, disp, flat.as_ref(), Completion::Batched)
+        self.get_dtype(p, dst, target, disp, dtype, count, Completion::Batched)
             .class()
     }
 
@@ -518,25 +523,66 @@ impl CachedWindow {
         disp: usize,
         layout: &FlatLayout,
     ) -> Option<AccessType> {
-        self.get_core(p, dst, target, disp, Some(layout), Completion::Batched)
+        let sig = LayoutSig::from_layout(layout);
+        self.get_core(p, dst, target, disp, &sig, Completion::Batched)
             .class()
+    }
+
+    /// The typed front of the pipeline: turns `(dtype, count)` into the
+    /// signature [`CachedWindow::get_core`] runs on. A contiguous type is
+    /// "`dst.len()` contiguous bytes" and is never flattened; any other is
+    /// flattened once and memoised ([`LayoutMemo`]). A `dst` of the wrong
+    /// length takes the flattened path, which rejects it.
+    #[allow(clippy::too_many_arguments)]
+    fn get_dtype(
+        &mut self,
+        p: &mut Process,
+        dst: &mut [u8],
+        target: usize,
+        disp: usize,
+        dtype: &Datatype,
+        count: usize,
+        completion: Completion,
+    ) -> GetOutcome {
+        if dtype.is_contiguous() && dst.len() == dtype.size() * count {
+            let sig = LayoutSig::Contig(dst.len());
+            return self.get_core(p, dst, target, disp, &sig, completion);
+        }
+        // Taken out for the call (it leaves `self` fully usable inside
+        // `get_core`) and put back after it.
+        let memo = match self.memo.take() {
+            Some(m) if m.count == count && m.dtype == *dtype => m,
+            _ => LayoutMemo {
+                dtype: dtype.clone(),
+                count,
+                sig: dtype.flatten_n(count).into(),
+            },
+        };
+        let outcome = self.get_core(p, dst, target, disp, &memo.sig, completion);
+        self.memo = Some(memo);
+        outcome
     }
 
     /// The one get pipeline, in fixed stages: degraded-check → bypass →
     /// classify → plan (fetch nothing / the tail / everything) → fetch →
-    /// install → charge. `layout == None` means "`dst.len()` contiguous
-    /// bytes". `completion` selects only how the fetch stage books its
-    /// wire time; every engine call and every virtual-clock charge happens
-    /// in the same order either way.
+    /// install → charge. `completion` selects only how the fetch stage
+    /// books its wire time; every engine call and every virtual-clock
+    /// charge happens in the same order either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst.len()` is not the payload size of `sig`.
     fn get_core(
         &mut self,
         p: &mut Process,
         dst: &mut [u8],
         target: usize,
         disp: usize,
-        layout: Option<&FlatLayout>,
+        sig: &LayoutSig,
         completion: Completion,
     ) -> GetOutcome {
+        let size = sig.size();
+        assert_eq!(dst.len(), size, "get: dst length != payload size");
         if completion == Completion::Batched {
             self.fault_stats.batched_gets += 1;
         }
@@ -547,7 +593,8 @@ impl CachedWindow {
             self.fault_stats.record(AccessType::Faulted);
             return GetOutcome::Faulted;
         }
-        let size = layout.map_or(dst.len(), FlatLayout::total_size);
+        // What the fetch stage reads: `None` = `dst.len()` contiguous bytes.
+        let layout = sig.blocks();
         if self.cache.is_none() || size == 0 {
             // Pass-through (disabled mode or zero-size get): a plain get
             // on the inner window, still fault-aware.
@@ -560,13 +607,8 @@ impl CachedWindow {
             target: target as u32,
             disp: disp as u64,
         };
-        let sig = layout.map_or(LayoutSig::Contig(size), LayoutSig::from_layout);
-        // Version stamp for coherence: peeked *before* the payload bytes
-        // are read, so the entry can only look older than it is (a get
-        // response piggybacks the region version at zero model cost).
-        let ver = self.win.version(target);
         // Classify. A hit is done: no fetch, nothing to install.
-        let looked_up = self.engine().process_lookup(key, &sig, dst);
+        let looked_up = self.engine().process_lookup(key, sig, dst);
         // Plan: a miss fetches everything, a contiguous partial hit only
         // the missing tail `[disp + cached_len, disp + size)`, and an
         // incompatible resident layout (`cached_len == 0`) everything.
@@ -578,6 +620,11 @@ impl CachedWindow {
             Lookup::Miss => 0,
             Lookup::PartialHit { cached_len } => cached_len,
         };
+        // Version stamp for coherence: peeked *before* the payload bytes
+        // are read, so the entry can only look older than it is (a get
+        // response piggybacks the region version at zero model cost).
+        // Only an install uses it, so a hit never takes the ring's lock.
+        let ver = self.win.version(target);
         let tail = if from == 0 { layout } else { None };
         let fetched = self.fetch(p, &mut dst[from..], target, disp + from, tail, completion);
         // Install. An abandoned fetch simply never calls `finish_*` — the
@@ -589,9 +636,10 @@ impl CachedWindow {
             cache.stage_stamp(stamp);
             match looked_up {
                 Lookup::Miss => {
-                    GetOutcome::Fetched(Some(cache.finish_miss(key, sig, dst, ver)), stamp)
+                    let class = cache.finish_miss(key, sig.clone(), dst, ver);
+                    GetOutcome::Fetched(Some(class), stamp)
                 }
-                _ => GetOutcome::Partial(cache.finish_partial(key, sig, dst, ver)),
+                _ => GetOutcome::Partial(cache.finish_partial(key, sig.clone(), dst, ver)),
             }
         });
         // The engine's CPU cost is charged *after* the fetch on both
@@ -602,12 +650,12 @@ impl CachedWindow {
     }
 
     /// Runs `f` with a borrowed contiguous scratch layout of `len` bytes,
-    /// reusing the per-window allocation while `len` repeats (the replace
-    /// dance keeps `self` fully usable inside `f`; the empty layout left in
-    /// its place is allocation-free).
+    /// resized in place so the per-window allocation serves every length
+    /// (the replace dance keeps `self` fully usable inside `f`; the empty
+    /// layout left in its place is allocation-free).
     fn with_contig<R>(&mut self, len: usize, f: impl FnOnce(&mut Self, &FlatLayout) -> R) -> R {
         if self.scratch_layout.total_size() != len {
-            self.scratch_layout = FlatLayout::contiguous(len);
+            self.scratch_layout.set_contiguous(len);
         }
         let layout = std::mem::replace(&mut self.scratch_layout, FlatLayout::contiguous(0));
         let r = f(self, &layout);
@@ -963,7 +1011,8 @@ impl CachedWindow {
                 self.fetch(p, slice, target, r.disp, None, Completion::Batched)
                     .map_err(|e| self.snap_fault(p, target, e))?
             } else {
-                match self.get_core(p, slice, target, r.disp, None, Completion::Batched) {
+                let sig = LayoutSig::Contig(r.len);
+                match self.get_core(p, slice, target, r.disp, &sig, Completion::Batched) {
                     // Zero-filled by the fault path — never snapshot
                     // material.
                     GetOutcome::Faulted => return Err(SnapAbort::Fault(target)),

@@ -4,8 +4,11 @@
 //! one-block layout and the typed staging buffer) instead of allocating
 //! per call. This test pins that down with a counting global allocator:
 //! after warmup, a *hit* served through the public wrappers must perform
-//! zero heap allocations on the calling thread, and so must the tail fetch
-//! of a contiguous *partial hit* (it resizes the same scratch layout).
+//! zero heap allocations on the calling thread — contiguous, or through a
+//! repeated strided type (the wrappers' flatten memo) — and so must the
+//! tail fetch of a contiguous *partial hit*, misses of varying length
+//! (both resize the same scratch layout in place) and misses that end in
+//! a Cuckoo cycle (the index lends out one insertion-path buffer).
 //!
 //! The counter is thread-local, so the other rank's thread (and the test
 //! harness) cannot perturb the measurement. The assertions are compiled
@@ -58,24 +61,20 @@ const WIN: usize = 4096;
 const GET: usize = 64;
 const SLOTS: usize = WIN / GET;
 
-/// Runs `body` on rank 0 of a two-rank always-cache window of the given
-/// coherence mode, inside one `lock_all` epoch, and checks what it
+/// Runs `body` on rank 0 of a two-rank always-cache window with the given
+/// cache parameters, inside one `lock_all` epoch, and checks what it
 /// returns: `(heap allocations in its measured phase, measured gets that
 /// had the expected class)`. The allocation assertion runs only under
 /// `debug_assertions` (see the module docs); nothing is asserted inside
 /// the simulation, where a panic would strand the peer rank at a barrier.
 fn assert_alloc_free(
     what: &str,
-    coherence: CoherenceMode,
+    params: CacheParams,
     expect_gets: usize,
     body: impl Fn(&mut Process, &mut CachedWindow) -> (u64, u64) + Sync,
 ) {
     let out = run_collect(SimConfig::default(), 2, |p| {
-        let params = CacheParams {
-            coherence,
-            ..CacheParams::default()
-        };
-        let cfg = ClampiConfig::fixed(Mode::AlwaysCache, params);
+        let cfg = ClampiConfig::fixed(Mode::AlwaysCache, params.clone());
         let mut win = CachedWindow::create(p, WIN, cfg);
         p.barrier();
         let mut measured = (0u64, 0u64);
@@ -103,24 +102,28 @@ fn assert_alloc_free(
     }
 }
 
-/// Issues a `len`-byte get at every slot of `slots`, alternating the
-/// blocking and the nonblocking wrapper, then closes the epoch. Returns
-/// `(heap allocations before the flush, gets classified `expect`)`.
+/// Issues a get at every slot of `slots` — slot `s` through
+/// `dtypes[s % dtypes.len()]` (built by the caller: a derived type's
+/// constructor allocates) — alternating the blocking and the nonblocking
+/// wrapper, then closes the epoch. Returns `(heap allocations before the
+/// flush, gets classified `expect`)`.
 fn sweep(
     p: &mut Process,
     win: &mut CachedWindow,
     slots: std::ops::Range<usize>,
-    len: usize,
+    dtypes: &[Datatype],
     expect: AccessType,
 ) -> (u64, u64) {
-    let (dtype, mut buf) = (Datatype::bytes(len), [0u8; GET]);
+    let mut buf = [0u8; GET];
     let before = allocs_on_this_thread();
     let mut expected = 0;
     for slot in slots {
+        let dtype = &dtypes[slot % dtypes.len()];
+        let dst = &mut buf[..dtype.size()];
         let class = if slot % 2 == 0 {
-            win.get(p, &mut buf[..len], 1, slot * GET, &dtype, 1)
+            win.get(p, dst, 1, slot * GET, dtype, 1)
         } else {
-            win.get_nb(p, &mut buf[..len], 1, slot * GET, &dtype, 1)
+            win.get_nb(p, dst, 1, slot * GET, dtype, 1)
         };
         expected += (class == Some(expect)) as u64;
     }
@@ -129,57 +132,121 @@ fn sweep(
     (allocs, expected)
 }
 
+/// Issues a `GET`-byte blocking get at every slot of `slots`, each followed
+/// by a flush of its target (one get per epoch). Returns `(heap
+/// allocations of the gets and the flushes, gets classified `expect`)`.
+fn get_then_flush(
+    p: &mut Process,
+    win: &mut CachedWindow,
+    slots: std::ops::Range<usize>,
+    expect: AccessType,
+) -> (u64, u64) {
+    let (dtype, mut buf) = (Datatype::bytes(GET), [0u8; GET]);
+    let before = allocs_on_this_thread();
+    let mut expected = 0;
+    for slot in slots {
+        let class = win.get(p, &mut buf, 1, slot * GET, &dtype, 1);
+        expected += (class == Some(expect)) as u64;
+        win.flush(p, 1);
+    }
+    (allocs_on_this_thread() - before, expected)
+}
+
 #[test]
 fn hit_path_does_not_allocate() {
-    assert_alloc_free("the hit path", CoherenceMode::None, SLOTS, |p, win| {
+    assert_alloc_free("the hit path", CacheParams::default(), SLOTS, |p, win| {
         // Warmup: populate every slot (misses allocate cache entries) and
         // fault the scratch layout into existence. Every further get is a
         // hit and must stay off the heap, through both wrappers.
-        sweep(p, win, 0..SLOTS, GET, AccessType::Direct);
-        sweep(p, win, 0..SLOTS, GET, AccessType::Hit)
+        let dtype = [Datatype::bytes(GET)];
+        sweep(p, win, 0..SLOTS, &dtype, AccessType::Direct);
+        sweep(p, win, 0..SLOTS, &dtype, AccessType::Hit)
+    });
+}
+
+#[test]
+fn strided_hit_does_not_allocate() {
+    let what = "a hit through a repeated strided type";
+    assert_alloc_free(what, CacheParams::default(), SLOTS, |p, win| {
+        // 32 B of payload over a 56 B span. The first get flattens the
+        // type into the window's memo; every later one - the hits too -
+        // reuses that layout instead of flattening and copying it again.
+        let dtype = [Datatype::vector(4, 1, 2, Datatype::bytes(8))];
+        sweep(p, win, 0..SLOTS, &dtype, AccessType::Direct);
+        sweep(p, win, 0..SLOTS, &dtype, AccessType::Hit)
+    });
+}
+
+#[test]
+fn variable_length_misses_do_not_allocate() {
+    let what = "misses of varying length";
+    assert_alloc_free(what, CacheParams::default(), SLOTS / 2, |p, win| {
+        // Consecutive misses of seven different lengths: each fetch
+        // resizes the scratch layout in place. The first sweep grows the
+        // engine's slab and per-epoch vectors, the first half of the
+        // second (after an invalidation that keeps their capacity) the
+        // rest; the second half is measured.
+        let dtypes: Vec<Datatype> = (1..=7).map(|i| Datatype::bytes(8 * i)).collect();
+        sweep(p, win, 0..SLOTS, &dtypes, AccessType::Direct);
+        win.invalidate(p);
+        sweep(p, win, 0..SLOTS / 2, &dtypes, AccessType::Direct);
+        sweep(p, win, SLOTS / 2..SLOTS, &dtypes, AccessType::Direct)
+    });
+}
+
+#[test]
+fn conflicting_miss_does_not_allocate() {
+    // Sixteen index slots for 64 keys: once the table is full, most misses
+    // walk the iteration budget into a cycle and evict from the path.
+    let params = CacheParams {
+        index_entries: 16,
+        max_insert_iters: 8,
+        ..CacheParams::default()
+    };
+    assert_alloc_free("a miss that ends in a Cuckoo cycle", params, 1, |p, win| {
+        // One get per epoch, so every resident entry is CACHED (evictable)
+        // when the next miss arrives. The first pass is warmup; the second
+        // must stay off the heap whatever class each of its misses gets.
+        get_then_flush(p, win, 0..SLOTS, AccessType::Conflicting);
+        let (allocs, conflicting) = get_then_flush(p, win, 0..SLOTS, AccessType::Conflicting);
+        (allocs, (conflicting > 0) as u64)
     });
 }
 
 #[test]
 fn partial_hit_tail_fetch_does_not_allocate() {
     let what = "the partial-hit tail fetch";
-    assert_alloc_free(what, CoherenceMode::None, SLOTS / 2, |p, win| {
+    assert_alloc_free(what, CacheParams::default(), SLOTS / 2, |p, win| {
         // Cache the first half of every slot: each full-slot get then
         // finds its head cached and fetches only the tail, classified
         // `Direct` (the extension fits). The first half of the slots is
         // warmup — it grows the per-epoch vectors of the engine and the
         // window to their steady state; the second, equally long half is
         // measured.
-        sweep(p, win, 0..SLOTS, GET / 2, AccessType::Direct);
-        sweep(p, win, 0..SLOTS / 2, GET, AccessType::Direct);
-        sweep(p, win, SLOTS / 2..SLOTS, GET, AccessType::Direct)
+        let (half, full) = ([Datatype::bytes(GET / 2)], [Datatype::bytes(GET)]);
+        sweep(p, win, 0..SLOTS, &half, AccessType::Direct);
+        sweep(p, win, 0..SLOTS / 2, &full, AccessType::Direct);
+        sweep(p, win, SLOTS / 2..SLOTS, &full, AccessType::Direct)
     });
 }
 
 #[test]
 fn coherent_miss_and_flush_do_not_allocate() {
     let what = "a miss + flush with nothing new in the ring";
-    assert_alloc_free(what, CoherenceMode::EagerInvalidate, SLOTS / 2, |p, win| {
+    let params = CacheParams {
+        coherence: CoherenceMode::EagerInvalidate,
+        ..CacheParams::default()
+    };
+    assert_alloc_free(what, params, SLOTS / 2, |p, win| {
         // Every flush of a coherent window runs a coherence pass over its
         // target. Nobody writes, so each pass finds the ring empty and must
         // cost no allocation — nor may the miss before it, once the first
         // sweep has grown the engine's slab and per-epoch vectors (the
         // invalidation empties them but keeps their capacity) and the first
         // half of the second has done the same for the pass's own scratch.
-        let miss_then_flush = |p: &mut Process, win: &mut CachedWindow, slots| {
-            let (dtype, mut buf) = (Datatype::bytes(GET), [0u8; GET]);
-            let before = allocs_on_this_thread();
-            let mut direct = 0;
-            for slot in slots {
-                let class = win.get(p, &mut buf, 1, slot * GET, &dtype, 1);
-                direct += (class == Some(AccessType::Direct)) as u64;
-                win.flush(p, 1);
-            }
-            (allocs_on_this_thread() - before, direct)
-        };
-        miss_then_flush(p, win, 0..SLOTS);
+        get_then_flush(p, win, 0..SLOTS, AccessType::Direct);
         win.invalidate(p);
-        miss_then_flush(p, win, 0..SLOTS / 2);
-        miss_then_flush(p, win, SLOTS / 2..SLOTS)
+        get_then_flush(p, win, 0..SLOTS / 2, AccessType::Direct);
+        get_then_flush(p, win, SLOTS / 2..SLOTS, AccessType::Direct)
     });
 }

@@ -6,6 +6,12 @@
 //! `multi_get` reporting a fault as an error instead of zeros) is spelled
 //! out where it is checked.
 //!
+//! A second table drives the typed wrappers' flatten memo: scripts of
+//! non-contiguous `(dtype, count)` gets that hit, miss and thrash the memo,
+//! each compared step by step — class, bytes, every counter — against the
+//! same script issued through `get_flat`/`get_nb_flat` with a layout
+//! flattened afresh for every call, which never touches the memo.
+//!
 //! Observations are collected inside the simulation and asserted after
 //! the join: a panicking rank would strand its peer at a barrier.
 
@@ -13,8 +19,8 @@ use clampi::{
     AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, Mode, RetryPolicy, SnapReq,
     SnapshotCtx, SnapshotError,
 };
-use clampi_datatype::Datatype;
-use clampi_rma::{run_collect, FaultConfig, SimConfig};
+use clampi_datatype::{pack, Datatype};
+use clampi_rma::{run_collect, FaultConfig, Process, SimConfig};
 
 const WIN: usize = 4096;
 
@@ -140,56 +146,28 @@ struct Obs {
     after: CacheStats,
 }
 
-fn drive(case: &Case, via: Via) -> Obs {
-    let mut sim = SimConfig::default();
-    if let Some(f) = &case.faults {
-        sim = sim.with_faults(f.clone());
-    }
+/// Runs `body` on rank 0 of a two-rank simulation, inside one `lock_all`
+/// epoch on a window whose rank-1 side holds [`truth`], and returns what
+/// it observed.
+fn on_rank0<T: Send>(
+    sim: SimConfig,
+    cfg: &ClampiConfig,
+    body: impl Fn(&mut Process, &mut CachedWindow) -> T + Sync,
+) -> T {
     let out = run_collect(sim, 2, |p| {
-        let cfg = ClampiConfig::fixed(case.mode, case.params.clone()).with_retry(case.retry);
-        let mut win = CachedWindow::create(p, WIN, cfg);
+        let mut win = CachedWindow::create(p, WIN, cfg.clone());
         if p.rank() == 1 {
             for (d, b) in win.local_mut().iter_mut().enumerate() {
                 *b = truth(d);
             }
         }
         p.barrier();
-        let mut obs = None;
-        if p.rank() == 0 {
+        let obs = (p.rank() == 0).then(|| {
             win.lock_all(p);
-            for (disp, dtype) in &case.setup {
-                let mut buf = vec![0u8; dtype.size()];
-                win.get(p, &mut buf, 1, *disp, dtype, 1);
-            }
-            win.flush_all(p);
-            let (disp, len) = case.probe;
-            let mut bytes = vec![0xAAu8; len]; // poisoned: every outcome must overwrite
-            let before = win.stats();
-            let (mut class, mut snapshot) = (None, None);
-            match via {
-                Via::Get => class = win.get(p, &mut bytes, 1, disp, &Datatype::bytes(len), 1),
-                Via::GetNb => class = win.get_nb(p, &mut bytes, 1, disp, &Datatype::bytes(len), 1),
-                Via::MultiGet => {
-                    let req = SnapReq {
-                        target: 1,
-                        disp,
-                        len,
-                    };
-                    let r = win.multi_get(p, &mut SnapshotCtx::new(), &[req], &mut bytes);
-                    snapshot = Some(r.map(|info| info.refetched));
-                }
-            }
-            win.flush_all(p);
-            let after = win.stats();
+            let obs = body(p, &mut win);
             win.unlock_all(p);
-            obs = Some(Obs {
-                class,
-                snapshot,
-                bytes,
-                before,
-                after,
-            });
-        }
+            obs
+        });
         p.barrier();
         obs
     });
@@ -197,6 +175,46 @@ fn drive(case: &Case, via: Via) -> Obs {
         .next()
         .and_then(|(_, obs)| obs)
         .expect("rank 0 observes")
+}
+
+fn drive(case: &Case, via: Via) -> Obs {
+    let mut sim = SimConfig::default();
+    if let Some(f) = &case.faults {
+        sim = sim.with_faults(f.clone());
+    }
+    let cfg = ClampiConfig::fixed(case.mode, case.params.clone()).with_retry(case.retry);
+    on_rank0(sim, &cfg, |p, win| {
+        for (disp, dtype) in &case.setup {
+            let mut buf = vec![0u8; dtype.size()];
+            win.get(p, &mut buf, 1, *disp, dtype, 1);
+        }
+        win.flush_all(p);
+        let (disp, len) = case.probe;
+        let mut bytes = vec![0xAAu8; len]; // poisoned: every outcome must overwrite
+        let before = win.stats();
+        let (mut class, mut snapshot) = (None, None);
+        match via {
+            Via::Get => class = win.get(p, &mut bytes, 1, disp, &Datatype::bytes(len), 1),
+            Via::GetNb => class = win.get_nb(p, &mut bytes, 1, disp, &Datatype::bytes(len), 1),
+            Via::MultiGet => {
+                let req = SnapReq {
+                    target: 1,
+                    disp,
+                    len,
+                };
+                let r = win.multi_get(p, &mut SnapshotCtx::new(), &[req], &mut bytes);
+                snapshot = Some(r.map(|info| info.refetched));
+            }
+        }
+        win.flush_all(p);
+        Obs {
+            class,
+            snapshot,
+            bytes,
+            before,
+            after: win.stats(),
+        }
+    })
 }
 
 #[test]
@@ -253,6 +271,131 @@ fn every_outcome_through_every_entry_point() {
             );
             // The only stats difference between the two completions.
             assert_eq!(d.batched_gets, (via == Via::GetNb) as u64, "{at}: batched");
+        }
+    }
+}
+
+/// One step of a memo script: a typed get, and the class it must have.
+struct Step {
+    disp: usize,
+    dtype: Datatype,
+    count: usize,
+    class: AccessType,
+}
+
+/// The memo table: every way a typed get can meet the one-entry memo. Each
+/// step is followed by a flush, so the next one finds its entry CACHED.
+fn memo_script() -> Vec<Step> {
+    use AccessType::{Direct, Hit};
+    // Two strided types of 32 payload bytes (spans 48 and 56), and a
+    // non-contiguous type (extent 48 > size 32) whose one block flattens
+    // dense, i.e. to a `Contig` signature.
+    let a = || Datatype::vector(2, 16, 32, Datatype::bytes(1));
+    let b = || Datatype::vector(4, 8, 16, Datatype::bytes(1));
+    let dense = || Datatype::vector(1, 1, 1, Datatype::resized(48, Datatype::bytes(32)));
+    let step = |disp, dtype, count, class| Step {
+        disp,
+        dtype,
+        count,
+        class,
+    };
+    vec![
+        // Two types alternating at one displacement: the resident layout
+        // is incompatible each time and is replaced; a repeat then hits
+        // through the memo, on the very layout the entry holds.
+        step(0, a(), 1, Direct),
+        step(0, b(), 1, Direct),
+        step(0, a(), 1, Direct),
+        step(0, a(), 1, Hit),
+        // Alternating at different displacements: every get replaces the
+        // memo, and the hits compare a fresh layout with the entry's older
+        // copy of it.
+        step(512, a(), 1, Direct),
+        step(1024, b(), 1, Direct),
+        step(512, a(), 1, Hit),
+        step(1024, b(), 1, Hit),
+        // One type with two counts: the count is part of the memo's key.
+        step(2048, a(), 1, Direct),
+        step(2304, a(), 2, Direct),
+        step(2048, a(), 1, Hit),
+        step(2304, a(), 2, Hit),
+        step(2048, a(), 2, Direct),
+        // Memoised as `Contig(32)`: the same entry then serves a plain
+        // contiguous get, and is the head of a longer one.
+        step(3072, dense(), 1, Direct),
+        step(3072, dense(), 1, Hit),
+        step(3072, Datatype::bytes(32), 1, Hit),
+        step(3072, Datatype::bytes(64), 1, Direct),
+    ]
+}
+
+/// What one step of a script left behind.
+#[derive(Debug, PartialEq)]
+struct StepObs {
+    class: Option<AccessType>,
+    bytes: Vec<u8>,
+    stats: Vec<(&'static str, u64)>,
+    /// `RmaCache::check_invariants` held (checked in debug builds).
+    sound: bool,
+}
+
+/// Runs the memo script through `via` — the typed wrapper, or with
+/// `oracle` its `_flat` twin on a freshly flattened layout.
+fn drive_script(via: Via, oracle: bool) -> Vec<StepObs> {
+    let script = memo_script();
+    let cfg = ClampiConfig::fixed(Mode::AlwaysCache, CacheParams::default());
+    on_rank0(SimConfig::default(), &cfg, |p, win| {
+        let mut obs = Vec::new();
+        for s in &script {
+            let (disp, dtype, count) = (s.disp, &s.dtype, s.count);
+            let mut bytes = vec![0xAAu8; dtype.size() * count];
+            let class = match (via, oracle) {
+                (Via::Get, false) => win.get(p, &mut bytes, 1, disp, dtype, count),
+                (Via::GetNb, false) => win.get_nb(p, &mut bytes, 1, disp, dtype, count),
+                (Via::Get, true) => win.get_flat(p, &mut bytes, 1, disp, &dtype.flatten_n(count)),
+                (Via::GetNb, true) => {
+                    win.get_nb_flat(p, &mut bytes, 1, disp, &dtype.flatten_n(count))
+                }
+                (Via::MultiGet, _) => unreachable!("multi_get takes no datatype"),
+            };
+            win.flush_all(p);
+            #[cfg(debug_assertions)]
+            let sound = {
+                let cache = win.cache().expect("caching is enabled");
+                let check = std::panic::AssertUnwindSafe(|| cache.check_invariants());
+                std::panic::catch_unwind(check).is_ok()
+            };
+            #[cfg(not(debug_assertions))]
+            let sound = true;
+            obs.push(StepObs {
+                class,
+                bytes,
+                stats: win.stats().fields().collect(),
+                sound,
+            });
+        }
+        obs
+    })
+}
+
+#[test]
+fn typed_gets_match_the_memo_free_oracle() {
+    let script = memo_script();
+    let window: Vec<u8> = (0..WIN).map(truth).collect();
+    for via in [Via::Get, Via::GetNb] {
+        let typed = drive_script(via, false);
+        let oracle = drive_script(via, true);
+        assert_eq!(typed.len(), script.len());
+        for (i, (step, (got, want))) in script.iter().zip(typed.iter().zip(&oracle)).enumerate() {
+            let at = format!("step {i} ({:?} x{}) via {via:?}", step.dtype, step.count);
+            assert_eq!(got.class, Some(step.class), "{at}: class");
+            let layout = step.dtype.flatten_n(step.count);
+            let mut want_bytes = vec![0u8; layout.total_size()];
+            pack(&window[step.disp..], &layout, &mut want_bytes);
+            assert_eq!(got.bytes, want_bytes, "{at}: bytes");
+            assert!(got.sound && want.sound, "{at}: engine invariants");
+            // Class, bytes and every counter, as without the memo.
+            assert_eq!(got, want, "{at}: differs from the memo-free oracle");
         }
     }
 }

@@ -14,8 +14,13 @@
 //! 2. the table agrees with a naive model replaying the same ops, so
 //!    the filter cannot hide residents or resurrect removed keys;
 //! 3. `remove` through the filter takes exactly the model's keys out.
+//!
+//! A second subject is the division-free slot reduction: `FastMod32` must
+//! equal the hardware remainder on its whole domain (32-bit hash values,
+//! moduli up to `u32::MAX`), which is what makes every slot position the
+//! one the `%` form computed.
 
-use clampi::index::{CuckooIndex, EntryId, GetKey, InsertOutcome};
+use clampi::index::{CuckooIndex, EntryId, FastMod32, GetKey, InsertOutcome};
 use clampi_prng::prop::{check, Gen};
 
 fn gen_key(g: &mut Gen) -> GetKey {
@@ -53,7 +58,11 @@ fn prop_fingerprint_filter_is_behavior_preserving() {
                     next_id += 1;
                     match ix.insert(key, id) {
                         InsertOutcome::Placed { .. } => model.push((key, id)),
-                        InsertOutcome::Cycle { homeless, .. } => {
+                        InsertOutcome::Cycle { homeless } => {
+                            // The borrowed path is this walk's: one slot
+                            // per step of the iteration budget.
+                            assert_eq!(ix.last_path().len(), 32);
+                            assert!(ix.last_path().iter().all(|&slot| slot < cap));
                             // The walk keeps every displacement except the
                             // homeless pair; mirror that in the model.
                             model.push((key, id));
@@ -137,5 +146,41 @@ fn prop_filter_never_false_negatives_at_high_load() {
             assert_eq!(ix.lookup(&k), Some(e));
             assert_eq!(ix.lookup_full_compare(&k), Some(e));
         }
+    });
+}
+
+/// `FastMod32::reduce` against `%` for one modulus: the edge values and
+/// `sample`.
+fn assert_reduces_like_remainder(m: usize, sample: &[u32]) {
+    let fm = FastMod32::new(m);
+    let edges = [0, 1, (m - 1) as u32, m as u32, u32::MAX];
+    for &x in edges.iter().chain(sample) {
+        assert_eq!(fm.reduce(x), x as usize % m, "{x} mod {m}");
+    }
+}
+
+#[test]
+fn fastmod_equals_remainder() {
+    // Every small capacity, over one fixed sample of hash values...
+    let mut g = Gen::from_seed(0x5107);
+    let sample: Vec<u32> = (0..256).map(|_| g.u64() as u32).collect();
+    for m in 1..=4096 {
+        assert_reduces_like_remainder(m, &sample);
+    }
+    // ...and random capacities over the whole domain, each with its own
+    // sample (multiples of the modulus and their neighbours included).
+    check("fastmod == % up to u32::MAX", 256, |g| {
+        let m = match g.range(0..4u32) {
+            0 => g.range(1..=u32::MAX as u64),
+            1 => u32::MAX as u64 - g.range(0..1024u64),
+            2 => 1u64 << g.range(0..32u32),
+            _ => g.range(1..1u64 << 20),
+        } as usize;
+        let mut sample: Vec<u32> = (0..64).map(|_| g.u64() as u32).collect();
+        for _ in 0..16 {
+            let multiple = (g.range(0..=u32::MAX as u64 / m as u64) * m as u64) as u32;
+            sample.extend([multiple.wrapping_sub(1), multiple, multiple.wrapping_add(1)]);
+        }
+        assert_reduces_like_remainder(m, &sample);
     });
 }

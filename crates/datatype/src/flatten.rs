@@ -76,6 +76,16 @@ impl FlatLayout {
         FlatLayout { blocks, total: len }
     }
 
+    /// Turns this layout into [`FlatLayout::contiguous`]`(len)` in place,
+    /// keeping the block list's allocation.
+    pub fn set_contiguous(&mut self, len: usize) {
+        self.blocks.clear();
+        if len > 0 {
+            self.blocks.push(Block { offset: 0, len });
+        }
+        self.total = len;
+    }
+
     /// The coalesced, offset-sorted blocks.
     pub fn blocks(&self) -> &[Block] {
         &self.blocks
@@ -149,6 +159,15 @@ mod tests {
         assert_eq!(l.span(), 0);
         assert_eq!(l.total_size(), 0);
         assert!(l.is_dense());
+    }
+
+    #[test]
+    fn set_contiguous_equals_contiguous() {
+        let mut l = FlatLayout::new(vec![blk(0, 4), blk(8, 4)]);
+        for len in [16, 0, 3] {
+            l.set_contiguous(len);
+            assert_eq!(l, FlatLayout::contiguous(len));
+        }
     }
 
     #[test]
