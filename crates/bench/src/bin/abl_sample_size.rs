@@ -5,8 +5,13 @@
 //! hit ratio); large samples make every capacity miss expensive (the scan
 //! is charged per visited slot). The paper uses M = 16; this sweep shows
 //! the trade-off curve on the saturated micro-benchmark.
+//!
+//! The last row is the far corner of the curve: `Temporal` with
+//! `M = |I_w|` scans every slot and evicts the globally least-recent
+//! entry — exact LRU, with no recency structure to keep up on hits. It is
+//! what the paper's sampled `R_T` approximates, priced by the same scan.
 
-use clampi::{CacheParams, ClampiConfig, Mode};
+use clampi::{CacheParams, ClampiConfig, Mode, VictimScheme};
 use clampi_apps::Backend;
 use clampi_bench::cli::{meta, row, Args};
 use clampi_bench::micro::{run_micro, MicroRunConfig};
@@ -37,13 +42,24 @@ fn main() {
         ..MicroParams::default()
     };
 
-    for m in [1usize, 4, 16, 64, 256] {
+    const INDEX: usize = 2048;
+    use VictimScheme::{Full, Temporal};
+    let sweep = [
+        (Full, 1),
+        (Full, 4),
+        (Full, 16),
+        (Full, 64),
+        (Full, 256),
+        (Temporal, INDEX),
+    ];
+    for (scheme, m) in sweep {
         let r = run_micro(&MicroRunConfig {
             backend: Backend::Clampi(ClampiConfig::fixed(
                 Mode::AlwaysCache,
                 CacheParams {
-                    index_entries: 2048,
+                    index_entries: INDEX,
                     storage_bytes: storage,
+                    victim_scheme: scheme,
                     sample_size: m,
                     ..CacheParams::default()
                 },
@@ -58,7 +74,10 @@ fn main() {
             r.free_trace.iter().map(|&(_, f)| f as f64).sum::<f64>() / r.free_trace.len() as f64
         };
         row(&[
-            m.to_string(),
+            match scheme {
+                Full => m.to_string(),
+                other => format!("{m}/{}", other.label()),
+            },
             format!("{:.3}", r.completion_ns / 1e6),
             format!("{:.4}", r.stats.hit_ratio()),
             format!("{:.1}", avg_free / 1024.0),

@@ -44,7 +44,7 @@ fn main() {
     };
 
     for &iw in &table_sizes {
-        for scheme in VictimScheme::SAMPLED {
+        for scheme in VictimScheme::ALL {
             let r = run_micro(&MicroRunConfig {
                 backend: Backend::Clampi(ClampiConfig::fixed(
                     Mode::AlwaysCache,

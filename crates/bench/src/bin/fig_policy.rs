@@ -28,7 +28,7 @@
 //!
 //! Each stream runs once per static [`VictimScheme`] (lab off) and once
 //! *adaptive*: live policy starts at the paper default (`Full`), the
-//! policy lab shadows all five candidates, and the controller may switch
+//! policy lab shadows all three candidates, and the controller may switch
 //! online ([`AdjustRule::SwitchPolicy`]); resize rules are neutralized so
 //! the comparison isolates policy choice. Non-smoke, the run **asserts**:
 //!
@@ -41,14 +41,19 @@
 //!    [`CacheCostModel::shadow_visit_ns`]) stays under 10 % of the
 //!    virtual end-to-end get cost.
 //!
-//! `--policies full,lru,...` restricts the static sweep (names parsed by
-//! `VictimScheme::from_str`; assertions need the full set and are skipped
-//! otherwise). Emits `# PERF` keys (`fig_policy.wall_*` is warn-only in
-//! CI); honours `CLAMPI_BENCH_SMOKE=1`.
+//! After the sweep one `# KEEP <scheme> best_on=<streams|none>` line per
+//! swept scheme names the streams where it has the best static hit ratio
+//! (ties count): a scheme that reads `none` wins nowhere and owes the
+//! next reader a reason to exist.
+//!
+//! `--policies full,temporal,...` restricts the static sweep (names parsed
+//! by `VictimScheme::from_str`; assertions need the full set and are
+//! skipped otherwise). Emits `# PERF` keys (`fig_policy.wall_*` is
+//! warn-only in CI); honours `CLAMPI_BENCH_SMOKE=1`.
 
 use clampi::{
-    AdaptiveController, AdaptiveParams, CacheCostModel, CacheParams, CacheStats, LayoutSig, Lookup,
-    RmaCache, VictimScheme,
+    AdaptiveController, AdaptiveParams, AdjustRule, CacheCostModel, CacheParams, CacheStats,
+    LayoutSig, Lookup, RmaCache, VictimScheme,
 };
 use clampi_bench::cli::{meta, row, Args};
 use clampi_bench::smoke_mode;
@@ -328,9 +333,8 @@ fn replay(stream: &Stream, geo: &Geometry, policy: VictimScheme, adaptive: bool)
     };
     let mut cache = RmaCache::new(params);
     let mut ctrl = adaptive.then(|| {
-        let mut c = AdaptiveController::new(AdaptiveParams {
+        AdaptiveController::new(AdaptiveParams {
             interval: geo.interval,
-            policy_switching: true,
             // Resize rules neutralized: the sweep isolates policy choice
             // (statics do not resize either).
             conflict_threshold: 2.0,
@@ -338,9 +342,7 @@ fn replay(stream: &Stream, geo: &Geometry, policy: VictimScheme, adaptive: bool)
             sparsity_threshold: 0.0,
             stable_threshold: 2.0,
             ..AdaptiveParams::default()
-        });
-        c.note_policy(policy);
-        c
+        })
     });
     let payload = vec![0u8; STRIDE as usize];
     let mut dst = vec![0u8; STRIDE as usize];
@@ -370,16 +372,17 @@ fn replay(stream: &Stream, geo: &Geometry, policy: VictimScheme, adaptive: bool)
             if let Some(ctrl) = ctrl.as_mut() {
                 let p = cache.params();
                 let free = cache.free_bytes() as f64 / p.storage_bytes as f64;
-                if let Some(adj) =
-                    ctrl.maybe_adjust(cache.stats(), p.index_entries, p.storage_bytes, free)
-                {
-                    match adj.policy {
-                        Some(next) => {
-                            cache.set_victim_scheme(next);
-                            ctrl.note_policy(next);
-                        }
-                        None => unreachable!("resize rules are neutralized"),
-                    }
+                if let Some(adj) = ctrl.maybe_adjust(
+                    cache.stats(),
+                    p.victim_scheme,
+                    p.index_entries,
+                    p.storage_bytes,
+                    free,
+                ) {
+                    match adj.rule {
+                        AdjustRule::SwitchPolicy(next) => cache.set_victim_scheme(next),
+                        rule => unreachable!("resize rules are neutralized: {rule:?}"),
+                    };
                 }
             }
         }
@@ -450,8 +453,10 @@ fn main() {
 
     let mut beats_full_somewhere = false;
     let mut worst_overhead_pct = 0.0f64;
+    // Per swept scheme: the streams where its static hit ratio is the best.
+    let mut best_on: Vec<Vec<&str>> = vec![Vec::new(); statics.len()];
     for stream in &streams {
-        let mut best_static = f64::MIN;
+        let mut static_hits = Vec::with_capacity(statics.len());
         let mut full_hit = None;
         for &scheme in &statics {
             let o = replay(stream, &geo, scheme, false);
@@ -469,9 +474,15 @@ fn main() {
                 scheme.label(),
                 o.hit_ratio
             ));
-            best_static = best_static.max(o.hit_ratio);
+            static_hits.push(o.hit_ratio);
             if scheme == VictimScheme::Full {
                 full_hit = Some(o.hit_ratio);
+            }
+        }
+        let best_static = static_hits.iter().copied().fold(f64::MIN, f64::max);
+        for (wins, &hit) in best_on.iter_mut().zip(&static_hits) {
+            if hit == best_static {
+                wins.push(stream.name);
             }
         }
 
@@ -494,10 +505,9 @@ fn main() {
             .map(|&v| format!("{}={:.4}", v.label(), a.stats.shadow_hit_ratio(v)))
             .collect();
         meta(&format!(
-            "{}: switches {}  lease_expiries {}  shadow[{}]  lab_overhead {:.2}%",
+            "{}: switches {}  shadow[{}]  lab_overhead {:.2}%",
             stream.name,
             a.stats.policy_switches,
-            a.stats.lease_expiries,
             shadows.join(" "),
             overhead_pct
         ));
@@ -542,6 +552,14 @@ fn main() {
         );
     }
 
+    for (scheme, wins) in statics.iter().zip(&best_on) {
+        let wins = if wins.is_empty() {
+            "none".to_string()
+        } else {
+            wins.join(",")
+        };
+        meta(&format!("KEEP {} best_on={wins}", scheme.label()));
+    }
     meta(&format!("PERF lab_overhead_pct {worst_overhead_pct:.3}"));
     meta(&format!(
         "PERF wall_ms {:.1}",

@@ -46,7 +46,6 @@ const BINARIES: &[&str] = &[
     "fig18_lcc_weak_stats",
     "abl_weak_caching",
     "abl_sample_size",
-    "abl_exact_lru",
     "trace_tune",
 ];
 

@@ -14,18 +14,28 @@
 //! most one rule per check and the wrapper counts it as an *adjustment*
 //! (the numbers annotated on the paper's Figs. 9, 12, 15, 17).
 //!
-//! With [`AdaptiveParams::policy_switching`] enabled the controller also
-//! watches the policy lab's shadow hit ratios ([`crate::vcache`]) and can
-//! emit a [`AdjustRule::SwitchPolicy`] decision: swap the live eviction
-//! policy for a shadow policy that beat it. Unlike resizes, a switch does
-//! **not** invalidate the cache — residents stay, only the victim-scoring
-//! rule changes — so it is checked *before* the resize rules. Hysteresis:
-//! the same winner must beat the live policy's shadow ratio by
-//! [`AdaptiveParams::switch_margin`] in two consecutive intervals before
-//! the switch fires, so a single noisy interval cannot flip the policy.
+//! When the policy lab is on ([`crate::CacheParams::policy_lab`]) the
+//! interval statistics carry shadow hit ratios ([`crate::vcache`]), and
+//! the controller also emits [`AdjustRule::SwitchPolicy`] decisions: swap
+//! the live eviction policy for a shadow policy that beat it. Lab on is
+//! the whole condition — there is no separate switching knob, and without
+//! shadow statistics the rule can never fire. The controller does not
+//! remember which scheme is live: the caller passes
+//! [`crate::CacheParams::victim_scheme`], the one place it is stored.
+//! Unlike resizes, a switch does **not** invalidate the cache — residents
+//! stay, only the victim-scoring rule changes — so it is checked *before*
+//! the resize rules. Hysteresis: the same winner must beat the live
+//! policy's shadow ratio by [`SWITCH_MARGIN`] in two consecutive
+//! intervals before the switch fires, so a single noisy interval cannot
+//! flip the policy.
 
 use crate::eviction::VictimScheme;
 use crate::stats::CacheStats;
+
+/// A shadow policy must beat the live policy's shadow hit ratio by this
+/// margin (absolute) to become a switch candidate; it absorbs the error of
+/// the shadows' positional surrogate ([`crate::vcache`]).
+pub const SWITCH_MARGIN: f64 = 0.02;
 
 /// Thresholds, factors and bounds of the adaptive strategy.
 #[derive(Debug, Clone)]
@@ -54,15 +64,6 @@ pub struct AdaptiveParams {
     pub index_bounds: (usize, usize),
     /// Bounds on `|S_w|` (bytes).
     pub storage_bounds: (usize, usize),
-    /// Allow [`AdjustRule::SwitchPolicy`] decisions driven by the policy
-    /// lab's shadow hit ratios. Off by default: requires
-    /// [`crate::CacheParams::policy_lab`] to produce shadow statistics,
-    /// and keeping it off preserves the controller's historical (paper
-    /// Fig. 9) decision sequence bit-for-bit.
-    pub policy_switching: bool,
-    /// A shadow policy must beat the live policy's shadow hit ratio by
-    /// this margin (absolute) to become a switch candidate.
-    pub switch_margin: f64,
 }
 
 impl Default for AdaptiveParams {
@@ -80,13 +81,12 @@ impl Default for AdaptiveParams {
             memory_decrease_factor: 2.0,
             index_bounds: (64, 1 << 26),
             storage_bounds: (64 << 10, 4 << 30),
-            policy_switching: false,
-            switch_margin: 0.02,
         }
     }
 }
 
-/// A resize decision: the new `(|I_w|, |S_w|)` to apply.
+/// A decision: the `(|I_w|, |S_w|)` to run with (unchanged by a
+/// [`AdjustRule::SwitchPolicy`]) and the rule that fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Adjustment {
     /// New index slot count.
@@ -95,9 +95,6 @@ pub struct Adjustment {
     pub storage_bytes: usize,
     /// Which rule fired (for logging/figures).
     pub rule: AdjustRule,
-    /// For [`AdjustRule::SwitchPolicy`]: the policy to switch to.
-    /// `None` for every resize rule.
-    pub policy: Option<VictimScheme>,
 }
 
 /// The rule that triggered an adjustment.
@@ -111,9 +108,9 @@ pub enum AdjustRule {
     GrowStorage,
     /// Stable working set with surplus space: storage shrunk.
     ShrinkStorage,
-    /// A shadow policy sustained a better hit ratio: live policy swapped
-    /// (no invalidation — residents survive a switch).
-    SwitchPolicy,
+    /// This shadow policy sustained a better hit ratio: make it the live
+    /// one (no invalidation — residents survive a switch).
+    SwitchPolicy(VictimScheme),
 }
 
 /// The interval-based controller.
@@ -136,10 +133,6 @@ pub struct AdaptiveController {
     // controller mistakes a still-warming cache for an over-provisioned
     // one and shrinks below the working set).
     prev_free: Option<f64>,
-    // The eviction policy currently live in the cache. Kept in sync via
-    // [`AdaptiveController::note_policy`]; the switch rule compares shadow
-    // ratios against this policy's shadow.
-    live_policy: VictimScheme,
     // Switch hysteresis: the shadow winner of the previous interval. A
     // switch fires only when the same policy wins two intervals running.
     pending_winner: Option<VictimScheme>,
@@ -157,7 +150,6 @@ impl AdaptiveController {
             last_storage: None,
             storage_shrink_forbidden: false,
             prev_free: None,
-            live_policy: VictimScheme::Full,
             pending_winner: None,
         }
     }
@@ -167,28 +159,15 @@ impl AdaptiveController {
         &self.params
     }
 
-    /// Tells the controller which eviction policy is live (call at
-    /// construction and after applying a [`AdjustRule::SwitchPolicy`]
-    /// decision). Resets any half-accumulated switch hysteresis.
-    pub fn note_policy(&mut self, live: VictimScheme) {
-        if live != self.live_policy {
-            self.live_policy = live;
-            self.pending_winner = None;
-        }
-    }
-
-    /// The policy the controller believes is live.
-    pub fn live_policy(&self) -> VictimScheme {
-        self.live_policy
-    }
-
-    /// Checks the interval statistics; returns a resize decision if a rule
-    /// fires. `free_fraction` is the current free share of the storage
-    /// buffer. Call at epoch closures; cheap no-op until `interval` gets
-    /// have accumulated.
+    /// Checks the interval statistics; returns a decision if a rule
+    /// fires. `live` is the cache's current
+    /// [`crate::CacheParams::victim_scheme`], `free_fraction` the current
+    /// free share of the storage buffer. Call at epoch closures; cheap
+    /// no-op until `interval` gets have accumulated.
     pub fn maybe_adjust(
         &mut self,
         stats: &CacheStats,
+        live: VictimScheme,
         index_entries: usize,
         storage_bytes: usize,
         free_fraction: f64,
@@ -208,14 +187,15 @@ impl AdaptiveController {
 
         // Policy switch first: it is cheaper than any resize (no
         // invalidation), so when shadows say a different policy would hit
-        // more, switching beats growing.
-        if self.params.policy_switching && delta.shadow_gets > 0 {
+        // more, switching beats growing. Shadow statistics exist exactly
+        // when the lab is on.
+        if delta.shadow_gets > 0 {
             let ratio = |v: VictimScheme| delta.shadow_hit_ratio(v);
-            let live_ratio = ratio(self.live_policy);
+            let live_ratio = ratio(live);
             // Ties favor the incumbent: a challenger must be strictly
             // better than both the live policy and every earlier scheme
             // before it can even be considered.
-            let mut winner = self.live_policy;
+            let mut winner = live;
             let mut best = live_ratio;
             for v in VictimScheme::ALL {
                 let r = ratio(v);
@@ -224,17 +204,15 @@ impl AdaptiveController {
                     winner = v;
                 }
             }
-            if winner != self.live_policy && best > live_ratio + self.params.switch_margin {
+            if winner != live && best > live_ratio + SWITCH_MARGIN {
                 if self.pending_winner == Some(winner) {
                     // Second consecutive win: switch.
                     self.pending_winner = None;
-                    self.live_policy = winner;
                     self.cooldown = true;
                     return Some(Adjustment {
                         index_entries,
                         storage_bytes,
-                        rule: AdjustRule::SwitchPolicy,
-                        policy: Some(winner),
+                        rule: AdjustRule::SwitchPolicy(winner),
                     });
                 }
                 self.pending_winner = Some(winner);
@@ -341,7 +319,6 @@ impl AdaptiveController {
             index_entries,
             storage_bytes,
             rule,
-            policy: None,
         }
     }
 
@@ -360,7 +337,6 @@ impl AdaptiveController {
             index_entries,
             storage_bytes,
             rule,
-            policy: None,
         }
     }
 }
@@ -369,6 +345,10 @@ impl AdaptiveController {
 mod tests {
     use super::*;
     use crate::stats::AccessType;
+
+    /// The live scheme every resize-rule test runs under (it only matters
+    /// to the switch rule).
+    const FULL: VictimScheme = VictimScheme::Full;
 
     fn controller(interval: u64) -> AdaptiveController {
         AdaptiveController::new(AdaptiveParams {
@@ -407,14 +387,14 @@ mod tests {
     fn quiet_until_interval_reached() {
         let mut c = controller(100);
         let s = stats_with(10, 10, 30, 0, 0);
-        assert!(c.maybe_adjust(&s, 1024, 1 << 20, 0.1).is_none());
+        assert!(c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.1).is_none());
     }
 
     #[test]
     fn high_conflicts_grow_index() {
         let mut c = controller(100);
         let s = stats_with(50, 20, 30, 0, 0);
-        let adj = c.maybe_adjust(&s, 1024, 1 << 20, 0.1).unwrap();
+        let adj = c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.1).unwrap();
         assert_eq!(adj.rule, AdjustRule::GrowIndex);
         assert_eq!(adj.index_entries, 2048);
         assert_eq!(adj.storage_bytes, 1 << 20);
@@ -424,7 +404,7 @@ mod tests {
     fn capacity_pressure_grows_storage() {
         let mut c = controller(100);
         let s = stats_with(50, 20, 0, 20, 10);
-        let adj = c.maybe_adjust(&s, 1024, 1 << 20, 0.0).unwrap();
+        let adj = c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.0).unwrap();
         assert_eq!(adj.rule, AdjustRule::GrowStorage);
         assert_eq!(adj.storage_bytes, 2 << 20);
     }
@@ -435,12 +415,12 @@ mod tests {
         // First check establishes the free-fraction baseline (warm-up
         // guard); the second check, with stable free space, shrinks.
         let s1 = stats_with(95, 5, 0, 0, 0);
-        assert!(c.maybe_adjust(&s1, 1024, 4 << 20, 0.9).is_none());
+        assert!(c.maybe_adjust(&s1, FULL, 1024, 4 << 20, 0.9).is_none());
         let mut s2 = s1;
         for _ in 0..100 {
             s2.record(AccessType::Hit);
         }
-        let adj = c.maybe_adjust(&s2, 1024, 4 << 20, 0.9).unwrap();
+        let adj = c.maybe_adjust(&s2, FULL, 1024, 4 << 20, 0.9).unwrap();
         assert_eq!(adj.rule, AdjustRule::ShrinkStorage);
         assert_eq!(adj.storage_bytes, 2 << 20);
     }
@@ -450,12 +430,12 @@ mod tests {
         let mut c = controller(100);
         // Free fraction dropping by >2% per interval = still warming.
         let mut s = stats_with(95, 5, 0, 0, 0);
-        assert!(c.maybe_adjust(&s, 1024, 4 << 20, 0.9).is_none());
+        assert!(c.maybe_adjust(&s, FULL, 1024, 4 << 20, 0.9).is_none());
         for _ in 0..100 {
             s.record(AccessType::Hit);
         }
         assert!(
-            c.maybe_adjust(&s, 1024, 4 << 20, 0.8).is_none(),
+            c.maybe_adjust(&s, FULL, 1024, 4 << 20, 0.8).is_none(),
             "free fell 0.9 -> 0.8: still filling, no shrink"
         );
     }
@@ -464,7 +444,7 @@ mod tests {
     fn stable_but_full_is_left_alone() {
         let mut c = controller(100);
         let s = stats_with(95, 5, 0, 0, 0);
-        assert!(c.maybe_adjust(&s, 1024, 4 << 20, 0.2).is_none());
+        assert!(c.maybe_adjust(&s, FULL, 1024, 4 << 20, 0.2).is_none());
     }
 
     #[test]
@@ -475,7 +455,7 @@ mod tests {
         s.visited_slots = 1000;
         s.visited_nonempty = 50; // q = 0.05 < 0.2
                                  // capacity ratio = 10/100 = 0.10, not > threshold; sparsity fires.
-        let adj = c.maybe_adjust(&s, 4096, 1 << 20, 0.0).unwrap();
+        let adj = c.maybe_adjust(&s, FULL, 4096, 1 << 20, 0.0).unwrap();
         assert_eq!(adj.rule, AdjustRule::ShrinkIndex);
         assert_eq!(adj.index_entries, 2048);
     }
@@ -485,14 +465,14 @@ mod tests {
         let mut c = controller(100);
         // First interval: heavy conflicts -> grow.
         let s1 = stats_with(0, 70, 30, 0, 0);
-        assert!(c.maybe_adjust(&s1, 1024, 1 << 20, 0.0).is_some());
+        assert!(c.maybe_adjust(&s1, FULL, 1024, 1 << 20, 0.0).is_some());
         // Second interval: all hits; cumulative stats still contain the old
         // conflicts but the delta does not -> no adjustment.
         let mut s2 = s1;
         for _ in 0..100 {
             s2.record(AccessType::Hit);
         }
-        assert!(c.maybe_adjust(&s2, 2048, 1 << 20, 0.0).is_none());
+        assert!(c.maybe_adjust(&s2, FULL, 2048, 1 << 20, 0.0).is_none());
     }
 
     #[test]
@@ -504,7 +484,7 @@ mod tests {
         });
         let s = stats_with(0, 5, 5, 0, 0);
         // Already at the max: growing is a no-op, falls through to nothing.
-        assert!(c.maybe_adjust(&s, 1024, 1 << 20, 0.0).is_none());
+        assert!(c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.0).is_none());
     }
 
     #[test]
@@ -512,7 +492,7 @@ mod tests {
         let mut c = controller(10);
         // Both conflict and capacity pressure: only the first rule fires.
         let s = stats_with(0, 0, 5, 5, 0);
-        let adj = c.maybe_adjust(&s, 1024, 1 << 20, 0.0).unwrap();
+        let adj = c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.0).unwrap();
         assert_eq!(adj.rule, AdjustRule::GrowIndex);
         assert_eq!(adj.storage_bytes, 1 << 20, "storage untouched this check");
     }
@@ -531,7 +511,7 @@ mod tests {
         s.evictions = 10;
         s.visited_slots = 1000;
         s.visited_nonempty = 50; // q = 0.05: sparsity shrink fires
-        let adj = c.maybe_adjust(&s, 4096, 1 << 20, 0.0).unwrap();
+        let adj = c.maybe_adjust(&s, FULL, 4096, 1 << 20, 0.0).unwrap();
         assert_eq!(adj.rule, AdjustRule::ShrinkIndex);
         assert!(
             adj.index_entries >= 1,
@@ -550,12 +530,12 @@ mod tests {
         });
         // First check sets the free-fraction baseline; second shrinks.
         let s1 = stats_with(95, 5, 0, 0, 0);
-        assert!(c.maybe_adjust(&s1, 1024, 4 << 20, 0.9).is_none());
+        assert!(c.maybe_adjust(&s1, FULL, 1024, 4 << 20, 0.9).is_none());
         let mut s2 = s1;
         for _ in 0..100 {
             s2.record(AccessType::Hit);
         }
-        let adj = c.maybe_adjust(&s2, 1024, 4 << 20, 0.9).unwrap();
+        let adj = c.maybe_adjust(&s2, FULL, 1024, 4 << 20, 0.9).unwrap();
         assert_eq!(adj.rule, AdjustRule::ShrinkStorage);
         assert!(
             adj.storage_bytes >= 1,
@@ -578,64 +558,57 @@ mod tests {
 
     #[test]
     fn policy_switch_needs_two_consecutive_wins() {
-        let mut c = AdaptiveController::new(AdaptiveParams {
-            interval: 100,
-            policy_switching: true,
-            ..AdaptiveParams::default()
-        });
-        c.note_policy(VictimScheme::Full);
-        // ALL order: [Full, Temporal, Positional, ExactLru, Lease].
-        // Lease's shadow dominates Full's by far more than the margin.
+        let mut c = controller(100);
+        // ALL order: [Full, Temporal, Positional]. Positional's shadow
+        // dominates Full's by far more than the margin.
         let mut s = CacheStats::default();
-        add_shadow_interval(&mut s, 100, [50, 40, 40, 40, 90]);
+        add_shadow_interval(&mut s, 100, [50, 40, 90]);
         assert!(
-            c.maybe_adjust(&s, 1024, 1 << 20, 0.5).is_none(),
+            c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.5).is_none(),
             "first winning interval only arms the hysteresis"
         );
-        add_shadow_interval(&mut s, 100, [50, 40, 40, 40, 90]);
-        let adj = c.maybe_adjust(&s, 1024, 1 << 20, 0.5).unwrap();
-        assert_eq!(adj.rule, AdjustRule::SwitchPolicy);
-        assert_eq!(adj.policy, Some(VictimScheme::Lease));
+        add_shadow_interval(&mut s, 100, [50, 40, 90]);
+        let adj = c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.5).unwrap();
+        assert_eq!(adj.rule, AdjustRule::SwitchPolicy(VictimScheme::Positional));
         assert_eq!(adj.index_entries, 1024, "switch never resizes");
         assert_eq!(adj.storage_bytes, 1 << 20);
-        assert_eq!(c.live_policy(), VictimScheme::Lease);
     }
 
+    /// The lab is off by default, so the intervals carry no shadow
+    /// statistics, and that alone keeps the switch rule silent.
     #[test]
     fn policy_switching_is_off_by_default() {
         let mut c = controller(100);
         let mut s = CacheStats::default();
-        for _ in 0..2 {
-            add_shadow_interval(&mut s, 100, [10, 0, 0, 0, 95]);
-            assert!(c.maybe_adjust(&s, 1024, 1 << 20, 0.5).is_none());
+        for _ in 0..3 {
+            for _ in 0..100 {
+                s.record(AccessType::Hit);
+            }
+            assert!(c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.5).is_none());
         }
     }
 
     #[test]
     fn wins_within_margin_or_interrupted_never_switch() {
-        let mut c = AdaptiveController::new(AdaptiveParams {
-            interval: 100,
-            policy_switching: true,
-            switch_margin: 0.10,
-            ..AdaptiveParams::default()
-        });
-        // Within the margin: 0.58 vs 0.50 < 0.10 -> not even armed.
+        let mut c = controller(100);
+        // Within the margin: 0.51 vs 0.50 < 0.02 -> not even armed (were
+        // it armed, the next interval's clear win would fire).
         let mut s = CacheStats::default();
-        add_shadow_interval(&mut s, 100, [50, 40, 40, 40, 58]);
-        assert!(c.maybe_adjust(&s, 1024, 1 << 20, 0.5).is_none());
+        add_shadow_interval(&mut s, 100, [50, 40, 51]);
+        assert!(c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.5).is_none());
         // Clear win arms...
-        add_shadow_interval(&mut s, 100, [50, 40, 40, 40, 90]);
-        assert!(c.maybe_adjust(&s, 1024, 1 << 20, 0.5).is_none());
+        add_shadow_interval(&mut s, 100, [50, 40, 90]);
+        assert!(c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.5).is_none());
         // ...but a different winner next interval disarms: no switch.
-        add_shadow_interval(&mut s, 100, [50, 90, 40, 40, 41]);
+        add_shadow_interval(&mut s, 100, [50, 90, 41]);
         assert!(
-            c.maybe_adjust(&s, 1024, 1 << 20, 0.5).is_none(),
+            c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.5).is_none(),
             "winner changed between intervals: hysteresis must reset"
         );
         // And the new winner still needs its own second win.
-        add_shadow_interval(&mut s, 100, [50, 90, 40, 40, 41]);
-        let adj = c.maybe_adjust(&s, 1024, 1 << 20, 0.5).unwrap();
-        assert_eq!(adj.policy, Some(VictimScheme::Temporal));
+        add_shadow_interval(&mut s, 100, [50, 90, 41]);
+        let adj = c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.5).unwrap();
+        assert_eq!(adj.rule, AdjustRule::SwitchPolicy(VictimScheme::Temporal));
     }
 
     #[test]
@@ -651,7 +624,7 @@ mod tests {
             // controller must hold steady rather than jump to 0 or max.
             let s = stats_with(50, 20, 30, 0, 0);
             assert!(
-                c.maybe_adjust(&s, 1024, 1 << 20, 0.1).is_none(),
+                c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.1).is_none(),
                 "factor {factor} produced an adjustment"
             );
         }
@@ -712,7 +685,7 @@ mod prop_tests {
                 stats.evictions += capacity;
                 stats.visited_slots += capacity * 16;
                 stats.visited_nonempty += capacity * 4;
-                if let Some(adj) = c.maybe_adjust(&stats, iw, sw, free) {
+                if let Some(adj) = c.maybe_adjust(&stats, VictimScheme::Full, iw, sw, free) {
                     adjustments += 1;
                     match adj.rule {
                         AdjustRule::GrowIndex => grows_i += 1,

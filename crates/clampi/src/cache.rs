@@ -43,7 +43,6 @@ use clampi_prng::SmallRng;
 use crate::costs::CacheCostModel;
 use crate::eviction::{positional_score, score, temporal_score, VictimScheme};
 use crate::index::{CuckooIndex, EntryId, GetKey, InsertOutcome};
-use crate::lease::LeaseTable;
 use crate::snapshot::SnapStamp;
 use crate::stats::{AccessType, CacheStats};
 use crate::storage::{DescId, Storage};
@@ -125,13 +124,6 @@ struct Entry {
     /// (0 when the caller does not track versions). The coherence layer
     /// compares it against put-notification records to drop stale data.
     version: u64,
-    /// Absolute lease expiry (a get sequence number) under
-    /// [`VictimScheme::Lease`]; 0 means "no lease assigned" and reads as
-    /// already expired, so entries inherited by a mid-run switch into the
-    /// lease policy are reclaimed first unless a hit renews them. Never
-    /// read by [`ShardCore::racy_probe`], so concurrent readers are
-    /// unaffected.
-    lease: u64,
     /// Snapshot stamp of the payload bytes (see [`crate::snapshot`]):
     /// staged by the wrapper via [`RmaCache::stage_stamp`] when it read
     /// the bytes under the region read lock, else an inexact default that
@@ -229,7 +221,10 @@ pub struct CacheParams {
     pub index_entries: usize,
     /// Storage bytes `|S_w|`.
     pub storage_bytes: usize,
-    /// Victim-selection scheme (Sec. III-D1); `Full` in the paper's default.
+    /// Victim-selection scheme (Sec. III-D1); `Full` in the paper's
+    /// default. This field is the one place the *live* scheme is stored:
+    /// every eviction reads it, and a switch
+    /// ([`RmaCache::set_victim_scheme`]) is an assignment to it.
     pub victim_scheme: VictimScheme,
     /// Victim sample size `M` (16 in the paper's experiments).
     pub sample_size: usize,
@@ -267,7 +262,9 @@ pub struct CacheParams {
     /// and accumulating per-policy shadow hit ratios in
     /// [`CacheStats`]. Observation-only — no virtual-clock cost, no
     /// effect on the live cache — so lab-on runs are bit-identical to
-    /// lab-off runs unless a controller acts on the shadow ratios.
+    /// lab-off runs unless a controller acts on the shadow ratios, which
+    /// an adaptive window's does: the lab being on is what enables
+    /// [`crate::AdjustRule::SwitchPolicy`].
     /// Deterministic-engine ([`RmaCache`]) only: the concurrent front's
     /// lock-free hit path cannot update shadows without taking writes.
     pub policy_lab: bool,
@@ -368,7 +365,7 @@ pub(crate) enum ProbeResult {
 }
 
 /// One cache shard: an independent Cuckoo index, entry slab, storage arena
-/// and the per-shard eviction state (recency index, victim-sampling RNG).
+/// and victim-sampling RNG.
 /// All methods borrow the shared [`CacheParams`] and an [`EngineCtx`] so a
 /// single context can span shards (deterministic engine) or be per-shard
 /// (concurrent front).
@@ -381,22 +378,6 @@ pub(crate) struct ShardCore {
     pub(crate) cached_count: usize,
     pending: Vec<EntryId>,
     rng: SmallRng,
-    /// The shard's *live* victim policy. Starts as
-    /// [`CacheParams::victim_scheme`] and changes only through
-    /// [`ShardCore::set_policy`] — per shard, so the concurrent front can
-    /// apply a switch under each shard's existing write lock.
-    policy: VictimScheme,
-    /// The lease predictor ([`crate::lease`]), allocated when the live
-    /// policy is (or becomes) [`VictimScheme::Lease`] and kept across
-    /// invalidations/switches: learned reuse distances describe the
-    /// stream, not the resident set.
-    lease: Option<LeaseTable>,
-    /// Seed for a lazily created lease table (stripe-decorellated).
-    lease_seed: u64,
-    /// Recency index (`last` -> entry), maintained only for
-    /// [`VictimScheme::ExactLru`]. `last` values are unique: each get
-    /// touches at most one entry.
-    recency: BTreeMap<u64, EntryId>,
     /// The ordered extent directory, `None` until the first ranged or
     /// stale invalidation builds it (shards that never invalidate by
     /// range pay neither its upkeep nor its memory). Once built it is
@@ -431,9 +412,6 @@ impl ShardCore {
         } else {
             Vec::new()
         };
-        let lease_seed = shard_seed(params.seed ^ 0x1EA5_E000, stripe);
-        let lease = (params.victim_scheme == VictimScheme::Lease)
-            .then(|| LeaseTable::new(index_cap, lease_seed));
         ShardCore {
             index,
             storage,
@@ -442,45 +420,9 @@ impl ShardCore {
             cached_count: 0,
             pending: Vec::new(),
             rng,
-            policy: params.victim_scheme,
-            lease,
-            lease_seed,
-            recency: BTreeMap::new(),
             extents: None,
             pin_slab,
         }
-    }
-
-    /// The shard's live victim policy.
-    pub(crate) fn policy(&self) -> VictimScheme {
-        self.policy
-    }
-
-    /// Switches the live victim policy, rebuilding the policy-private
-    /// eviction state: the recency index is reconstructed from the
-    /// resident entries when switching *into* ExactLru (and dropped
-    /// otherwise), and a lease table is created on first switch into
-    /// Lease. Resident entries keep their metadata — inherited entries
-    /// have no lease (0 = expired) and are reclaimed first unless a hit
-    /// renews them. Returns whether the policy actually changed.
-    pub(crate) fn set_policy(&mut self, new: VictimScheme) -> bool {
-        if new == self.policy {
-            return false;
-        }
-        self.recency.clear();
-        if new == VictimScheme::ExactLru {
-            for (i, slot) in self.entries.iter().enumerate() {
-                if let Some(e) = slot {
-                    let prev = self.recency.insert(e.last, i as EntryId);
-                    debug_assert!(prev.is_none(), "recency key collision at {}", e.last);
-                }
-            }
-        }
-        if new == VictimScheme::Lease && self.lease.is_none() {
-            self.lease = Some(LeaseTable::new(self.index.capacity(), self.lease_seed));
-        }
-        self.policy = new;
-        true
     }
 
     fn entry(&self, id: EntryId) -> &Entry {
@@ -517,69 +459,7 @@ impl ShardCore {
         id
     }
 
-    fn lru_enabled(&self) -> bool {
-        self.policy == VictimScheme::ExactLru
-    }
-
-    /// Moves `id` from recency position `old` to `new` (ExactLru only).
-    fn touch_recency(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        id: EntryId,
-        old: u64,
-        new: u64,
-    ) {
-        if self.lru_enabled() && old != new {
-            self.recency.remove(&old);
-            let prev = self.recency.insert(new, id);
-            debug_assert!(prev.is_none(), "recency key collision at {new}");
-            // The recency update is real work on every hit: the price of
-            // exact LRU the paper's sampled scheme avoids.
-            cx.charge(p.costs.insert_step_ns);
-        }
-    }
-
-    /// Used fraction of this shard's storage arena — the lease table's
-    /// feedback signal for steering the short/long mix.
-    fn storage_pressure(&self) -> f64 {
-        let cap = self.storage.capacity();
-        if cap == 0 {
-            0.0
-        } else {
-            1.0 - self.storage.free_bytes() as f64 / cap as f64
-        }
-    }
-
-    /// Under the lease policy: records this access in the reuse predictor
-    /// and assigns a fresh lease, returning the absolute expiry. Charged
-    /// like a recency update — lease maintenance is real per-access work,
-    /// the price ExactLru pays for its recency index.
-    fn assign_lease(&mut self, p: &CacheParams, cx: &mut EngineCtx, key: &GetKey) -> u64 {
-        let pressure = self.storage_pressure();
-        match self.lease.as_mut() {
-            Some(t) => {
-                cx.charge(p.costs.insert_step_ns);
-                t.observe_and_assign(key.stripe(), cx.seq, pressure)
-            }
-            None => 0,
-        }
-    }
-
-    /// Renews `id`'s lease on a hit (lease policy only).
-    fn renew_lease(&mut self, p: &CacheParams, cx: &mut EngineCtx, id: EntryId, key: &GetKey) {
-        if self.policy != VictimScheme::Lease {
-            return;
-        }
-        let expiry = self.assign_lease(p, cx, key);
-        self.entry_mut(id).lease = expiry;
-    }
-
     fn drop_entry(&mut self, _p: &CacheParams, cx: &mut EngineCtx, id: EntryId) {
-        if self.lru_enabled() {
-            let last = self.entry(id).last;
-            self.recency.remove(&last);
-        }
         // xlint: allow(no-unwrap) invariant: callers drop an id at most once
         let e = self.entries[id as usize].take().expect("double entry drop");
         if let Some(dir) = self.extents.as_mut() {
@@ -624,7 +504,7 @@ impl ShardCore {
         debug_assert_eq!(self.entry(id).key, key, "index returned a foreign entry");
         let seq = cx.seq;
         let e = self.entry(id);
-        let (state, off, old_last) = (e.state, e.off, e.last);
+        let (state, off) = (e.state, e.off);
         let (full, cached_len) = match (&e.sig, sig) {
             (LayoutSig::Contig(have), LayoutSig::Contig(want)) => {
                 if want <= have {
@@ -653,8 +533,6 @@ impl ShardCore {
         if full {
             dst.copy_from_slice(cached);
             self.entry_mut(id).last = seq;
-            self.touch_recency(p, cx, id, old_last, seq);
-            self.renew_lease(p, cx, id, &key);
             let copy = p.costs.memcpy_cost(size);
             match state {
                 // CACHED: the copy happens right now.
@@ -673,8 +551,6 @@ impl ShardCore {
                 cx.stats.bytes_from_cache += cached_len as u64;
             }
             self.entry_mut(id).last = seq;
-            self.touch_recency(p, cx, id, old_last, seq);
-            self.renew_lease(p, cx, id, &key);
             cx.stats.partial_hits += 1;
             cx.last_partial_prefix = cached_len;
             Lookup::PartialHit { cached_len }
@@ -694,14 +570,6 @@ impl ShardCore {
         let size = sig.size();
         debug_assert_eq!(data.len(), size);
         cx.stats.bytes_from_network += size as u64;
-        // Lease policy: the miss is an access too — record it in the
-        // reuse predictor (distances across evictions are exactly what
-        // the histogram needs) and lease the new entry up front.
-        let lease = if self.policy == VictimScheme::Lease {
-            self.assign_lease(p, cx, &key)
-        } else {
-            0
-        };
         let snap = cx.staged_stamp.take().unwrap_or(SnapStamp {
             version,
             ts: 0,
@@ -718,7 +586,6 @@ impl ShardCore {
                 off: 0,
                 last: cx.seq,
                 version,
-                lease,
                 snap,
             },
         );
@@ -741,11 +608,6 @@ impl ShardCore {
                     e.off = off;
                 }
                 self.pending.push(id);
-                if self.lru_enabled() {
-                    let last = self.entry(id).last;
-                    let prev = self.recency.insert(last, id);
-                    debug_assert!(prev.is_none(), "recency key collision at {last}");
-                }
                 let copy = p.costs.memcpy_cost(size);
                 cx.defer(copy);
                 if conflicted {
@@ -939,28 +801,17 @@ impl ShardCore {
         }
     }
 
-    fn entry_score(&self, _p: &CacheParams, cx: &EngineCtx, id: EntryId) -> f64 {
+    fn entry_score(&self, p: &CacheParams, cx: &EngineCtx, id: EntryId) -> f64 {
         let e = self.entry(id);
-        if self.policy == VictimScheme::Lease {
-            // Remaining lease under the get-sequence clock: expired
-            // entries go negative and are reclaimed most-expired-first;
-            // unexpired ones fall back to least-lease-left. Used on both
-            // the capacity and the conflicting (Cuckoo path) victim
-            // scans, so one comparison rule governs all lease evictions.
-            return e.lease as f64 - cx.seq as f64;
-        }
         let r_t = temporal_score(e.last, cx.seq);
         let r_p = positional_score(cx.ags, self.storage.adjacent_free(e.desc));
-        score(self.policy, r_p, r_t)
+        score(p.victim_scheme, r_p, r_t)
     }
 
     /// Removes a resident entry found at `slot` and releases its storage.
     fn evict_resident(&mut self, p: &CacheParams, cx: &mut EngineCtx, slot: usize, id: EntryId) {
         let removed = self.index.remove_slot(slot);
         debug_assert!(matches!(removed, Some((_, e)) if e == id));
-        if self.policy == VictimScheme::Lease && self.entry(id).lease <= cx.seq {
-            cx.stats.lease_expiries += 1;
-        }
         self.free_entry_storage(p, cx, id);
         self.drop_entry(p, cx, id);
     }
@@ -1002,9 +853,6 @@ impl ShardCore {
         cx: &mut EngineCtx,
         exclude: Option<EntryId>,
     ) -> bool {
-        if self.lru_enabled() {
-            return self.run_exact_lru_eviction(p, cx, exclude);
-        }
         let cap = self.index.capacity();
         let start = self.rng.gen_range(0..cap);
         let m = p.sample_size.max(1);
@@ -1035,40 +883,6 @@ impl ShardCore {
         match best {
             Some((slot, victim, _)) => {
                 self.evict_resident(p, cx, slot, victim);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Exact-LRU capacity eviction: walk the recency index oldest-first
-    /// and evict the first CACHED (non-excluded) entry.
-    fn run_exact_lru_eviction(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        exclude: Option<EntryId>,
-    ) -> bool {
-        let mut victim = None;
-        let mut visited = 0u64;
-        for (_, &id) in self.recency.iter() {
-            visited += 1;
-            if Some(id) != exclude && self.entry(id).state == EntryState::Cached {
-                victim = Some(id);
-                break;
-            }
-        }
-        cx.stats.evictions += 1;
-        cx.stats.visited_slots += visited;
-        cx.stats.visited_nonempty += visited;
-        cx.charge(p.costs.evict_visit_ns * visited as f64);
-        match victim {
-            Some(id) => {
-                let key = self.entry(id).key;
-                let removed = self.index.remove(&key);
-                debug_assert_eq!(removed, Some(id));
-                self.free_entry_storage(p, cx, id);
-                self.drop_entry(p, cx, id);
                 true
             }
             None => false,
@@ -1212,17 +1026,13 @@ impl ShardCore {
         })
     }
 
-    /// Drops every resident entry, resetting index, storage and slab. The
-    /// recency index is cleared too: after the slab resets, stale recency
-    /// ids would alias re-issued entry ids and corrupt ExactLru victim
-    /// order.
+    /// Drops every resident entry, resetting index, storage and slab.
     pub(crate) fn clear_all(&mut self) {
         self.index.clear();
         self.storage.clear();
         self.entries.clear();
         self.spare.clear();
         self.pending.clear();
-        self.recency.clear();
         self.clear_extents();
         self.cached_count = 0;
     }
@@ -1249,7 +1059,6 @@ impl ShardCore {
         self.entries.clear();
         self.spare.clear();
         self.pending.clear();
-        self.recency.clear();
         self.clear_extents();
         self.cached_count = 0;
     }
@@ -1293,9 +1102,6 @@ impl ShardCore {
                     assert!(self.pending.contains(&id), "{key:?}: unscheduled PENDING");
                 }
             }
-            if self.lru_enabled() {
-                assert_eq!(self.recency.get(&e.last), Some(&id), "{key:?}: recency");
-            }
             if let Some(dir) = &self.extents {
                 let at = dir.by_start.get(&(key.target, key.disp));
                 assert_eq!(at, Some(&id), "{key:?}: missing from the extent directory");
@@ -1309,9 +1115,6 @@ impl ShardCore {
         }
         assert_eq!(self.cached_count, cached, "cached_count");
         assert_eq!(self.pending.len(), pending, "pending list");
-        if self.lru_enabled() {
-            assert_eq!(self.recency.len(), live, "recency index size");
-        }
         if let Some(dir) = &self.extents {
             assert_eq!(dir.by_start.len(), live, "extent directory size");
         }
@@ -1446,20 +1249,13 @@ impl RmaCache {
         self.params.victim_scheme
     }
 
-    /// Switches the live eviction policy without dropping residents.
-    ///
-    /// Per-shard bookkeeping is rebuilt as needed (ExactLru's recency
-    /// index is reconstructed from resident `last` stamps; a switch into
-    /// Lease lazily builds the reuse predictor). Entries inherited by a
-    /// switch into Lease carry `lease == 0` (already expired), so they are
-    /// reclaimed first unless the stream renews them — a deliberately
-    /// conservative handoff. Returns `true` if the policy actually
-    /// changed; no-op switches cost nothing and are not counted.
+    /// Switches the live eviction policy without dropping residents: no
+    /// scheme owns private state, so the switch is an assignment to
+    /// [`CacheParams::victim_scheme`] and the next eviction scores with
+    /// the new rule. Returns `true` if the policy actually changed; no-op
+    /// switches cost nothing and are not counted.
     pub fn set_victim_scheme(&mut self, new: VictimScheme) -> bool {
-        let mut changed = false;
-        for sh in &mut self.shards {
-            changed |= sh.set_policy(new);
-        }
+        let changed = new != self.params.victim_scheme;
         if changed {
             self.params.victim_scheme = new;
             self.cx.stats.policy_switches += 1;
@@ -1739,10 +1535,10 @@ impl RmaCache {
 
     /// Panics unless the engine's structures describe one and the same
     /// resident set: per shard, index ↔ entry slab ↔ spare list ↔ storage
-    /// descriptors ↔ `pending` ↔ `cached_count` ↔ recency index (ExactLru)
-    /// ↔ extent directory (once built: the index's key set, every entry
-    /// within the size mark); across shards, the per-target counts. Call
-    /// between operations — the property suites do, after every step.
+    /// descriptors ↔ `pending` ↔ `cached_count` ↔ extent directory (once
+    /// built: the index's key set, every entry within the size mark);
+    /// across shards, the per-target counts. Call between operations —
+    /// the property suites do, after every step.
     #[cfg(any(test, debug_assertions))]
     pub fn check_invariants(&self) {
         let mut per_target = Vec::new();

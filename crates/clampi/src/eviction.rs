@@ -12,8 +12,13 @@
 //! - the **full** score `R(x) = R_P(x) · R_T(x)`.
 //!
 //! The eviction procedure selects the *lowest* score among a sample of
-//! entries. The paper's Figs. 10–11 ablate the three schemes; the
-//! [`VictimScheme`] enum selects which one is active.
+//! `M` index slots ([`crate::CacheParams::sample_size`]), so no get pays
+//! per-access bookkeeping for the victim order. The paper's Figs. 10–11
+//! ablate the three schemes; the [`VictimScheme`] enum selects which one
+//! is active. Exact LRU is not a fourth scheme but a corner of the
+//! second: `Temporal` with `M ≥ |I_w|` scans every slot and evicts the
+//! globally least-recent entry (the `abl_sample_size` ablation's last
+//! row).
 
 /// Which score drives victim selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -25,22 +30,11 @@ pub enum VictimScheme {
     Temporal,
     /// Fragmentation-only: `R = R_P`.
     Positional,
-    /// Exact least-recently-used eviction via a recency index — an
-    /// ablation baseline beyond the paper (the paper approximates LRU
-    /// with the sampled `R_T`): perfect victim recency at the price of a
-    /// recency-structure update on every hit.
-    ExactLru,
-    /// Lease-based eviction ([`crate::lease`]): every entry carries a
-    /// lease (a predicted reuse distance in get-sequence units, learned
-    /// online from a per-key-stripe reuse histogram); victims are picked
-    /// most-expired-first under the virtual clock, falling back to the
-    /// entry whose lease has the least time left.
-    Lease,
 }
 
 /// Number of candidate victim schemes ([`VictimScheme::ALL`]); sizes the
 /// per-policy shadow-hit counters in [`crate::CacheStats`].
-pub const POLICY_COUNT: usize = 5;
+pub const POLICY_COUNT: usize = 3;
 
 impl VictimScheme {
     /// Stable label used by the figure binaries. Round-trips through
@@ -50,8 +44,6 @@ impl VictimScheme {
             VictimScheme::Full => "full",
             VictimScheme::Temporal => "temporal",
             VictimScheme::Positional => "positional",
-            VictimScheme::ExactLru => "exact-lru",
-            VictimScheme::Lease => "lease",
         }
     }
 
@@ -62,22 +54,11 @@ impl VictimScheme {
             VictimScheme::Full => 0,
             VictimScheme::Temporal => 1,
             VictimScheme::Positional => 2,
-            VictimScheme::ExactLru => 3,
-            VictimScheme::Lease => 4,
         }
     }
 
-    /// All schemes in reporting order.
+    /// All schemes in reporting order (the paper's Figs. 10-11).
     pub const ALL: [VictimScheme; POLICY_COUNT] = [
-        VictimScheme::Full,
-        VictimScheme::Temporal,
-        VictimScheme::Positional,
-        VictimScheme::ExactLru,
-        VictimScheme::Lease,
-    ];
-
-    /// The three sampled schemes of the paper's Figs. 10-11.
-    pub const SAMPLED: [VictimScheme; 3] = [
         VictimScheme::Full,
         VictimScheme::Temporal,
         VictimScheme::Positional,
@@ -131,10 +112,7 @@ pub fn positional_score(ags: f64, adjacent_free: usize) -> f64 {
 pub fn score(scheme: VictimScheme, r_p: f64, r_t: f64) -> f64 {
     match scheme {
         VictimScheme::Full => r_p * r_t,
-        // ExactLru uses its recency index and Lease its expiry clock for
-        // capacity evictions; on the (scored) conflicting path both fall
-        // back to pure recency.
-        VictimScheme::Temporal | VictimScheme::ExactLru | VictimScheme::Lease => r_t,
+        VictimScheme::Temporal => r_t,
         VictimScheme::Positional => r_p,
     }
 }

@@ -22,7 +22,9 @@
 //!   uncached get by more than a small constant;
 //! - **Fragmentation-aware eviction** (Sec. III-D1): victims minimize
 //!   `R = R_P · R_T`, the product of a positional (adjacent-free-space)
-//!   and a temporal (LRU-like) score;
+//!   and a temporal (LRU-like) score, over a sample of `M` index slots;
+//!   [`VictimScheme`] selects `R`, `R_T` or `R_P` — the paper's three,
+//!   and the only ones (exact LRU is `R_T` at `M = |I_w|`);
 //! - **Epoch consistency** (Sec. II): entries requested in the current
 //!   epoch are `PENDING` and their cache fills happen at the epoch
 //!   closure; the *transparent* mode invalidates at every epoch closure,
@@ -71,7 +73,6 @@ pub mod coherence;
 pub mod costs;
 pub mod eviction;
 pub mod index;
-pub mod lease;
 pub mod recovery;
 pub mod seqlock;
 pub mod shard;
@@ -90,7 +91,6 @@ pub use coherence::CoherenceMode;
 pub use costs::CacheCostModel;
 pub use eviction::{VictimScheme, POLICY_COUNT};
 pub use index::{CuckooIndex, EntryId, GetKey};
-pub use lease::LeaseTable;
 pub use recovery::RetryPolicy;
 pub use shard::ShardedCache;
 pub use snapshot::{SnapReq, SnapStamp, SnapshotCtx, SnapshotError, SnapshotInfo};

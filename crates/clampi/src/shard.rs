@@ -18,8 +18,8 @@
 //!   hit-path fallback take the shard's `RwLock`. Writers additionally
 //!   bump the sequence counter to odd for the duration of the mutation.
 //!   Eviction and slab management stay on this path on purpose: they
-//!   rewire descriptor lists, the recency index and the extent directory
-//!   (built by a shard's first `invalidate_range`), which cannot be made
+//!   rewire descriptor lists and the extent directory (built by a
+//!   shard's first `invalidate_range`), which cannot be made
 //!   torn-read-safe cheaply — and misses already pay a network round trip,
 //!   so a lock there is noise.
 //!
@@ -50,7 +50,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use crate::cache::{CacheParams, EngineCtx, LayoutSig, ProbeResult, ShardCore};
-use crate::eviction::VictimScheme;
 use crate::index::GetKey;
 use crate::seqlock::SeqLock;
 use crate::stats::{AccessType, CacheStats};
@@ -247,8 +246,8 @@ impl ShardedCache {
         Self::with_write(sh, |state| {
             // There is no process_lookup on this path, so advance the
             // shard's logical clock here: each insert is an access event.
-            // Distinct `last` stamps are what temporal victim scoring and
-            // the ExactLru recency index (keyed by `last`) rely on.
+            // Distinct `last` stamps are what temporal victim scoring
+            // relies on.
             state.cx.seq += 1;
             // The Cuckoo index forbids duplicate keys: drop any resident
             // entry first (concurrent refresh instead of partial-extend).
@@ -331,36 +330,6 @@ impl ShardedCache {
             .iter()
             .map(|sh| sh.write_locks.load(Ordering::Relaxed))
             .sum()
-    }
-
-    /// Switches the eviction policy on every shard, each under its own
-    /// write lock (the seqlock writer protocol), so concurrent optimistic
-    /// readers never observe a torn policy: the policy only steers victim
-    /// selection inside writers, and writers are serialized per shard.
-    /// Returns `true` if the policy actually changed. The hit path is
-    /// untouched — gets still take zero write locks.
-    pub fn set_victim_scheme(&self, new: VictimScheme) -> bool {
-        let mut changed = false;
-        for sh in self.shards.iter() {
-            changed |= Self::with_write(sh, |state| {
-                let flipped = state.core.set_policy(new);
-                if flipped {
-                    state.cx.stats.policy_switches += 1;
-                }
-                flipped
-            });
-        }
-        changed
-    }
-
-    /// The live eviction policy (read from shard 0; all shards switch
-    /// together under [`ShardedCache::set_victim_scheme`]).
-    pub fn victim_scheme(&self) -> VictimScheme {
-        let sh = &self.shards[0];
-        let _g = sh.lock.read().unwrap_or_else(|e| e.into_inner());
-        // SAFETY: read lock held — stable shared view.
-        let state = unsafe { &*sh.state.get() };
-        state.core.policy()
     }
 
     /// Optimistic reads discarded by a failed sequence validation.
@@ -467,52 +436,6 @@ mod tests {
         c.insert(key(0, 0), &[7u8; 32]);
         let mut big = [0u8; 64];
         assert!(!c.get(key(0, 0), &mut big));
-    }
-
-    #[test]
-    fn policy_switches_never_tear_reads_and_keep_gets_lock_free() {
-        let c = Arc::new(cache(4));
-        for i in 0..64u64 {
-            c.insert(key(1, i * 64), &[i as u8; 64]);
-        }
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let readers: Vec<_> = (0..3)
-            .map(|_| {
-                let c = Arc::clone(&c);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut dst = [0u8; 64];
-                    while !stop.load(Ordering::Relaxed) {
-                        for i in 0..64u64 {
-                            if c.get(key(1, i * 64), &mut dst) {
-                                assert_eq!(dst, [i as u8; 64], "torn read during switch");
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        // Cycle through every policy while readers hammer the shards.
-        for round in 0..50 {
-            let next = VictimScheme::ALL[round % VictimScheme::ALL.len()];
-            c.set_victim_scheme(next);
-        }
-        stop.store(true, Ordering::Relaxed);
-        for h in readers {
-            // xlint: allow(no-unwrap) test: propagate worker panics
-            h.join().unwrap();
-        }
-        // 50 rounds over a 5-cycle starting from the default Full: the
-        // first set (to Full) is a no-op, every other round flips.
-        assert_eq!(c.victim_scheme(), VictimScheme::ALL[49 % 5]);
-        assert!(c.stats().policy_switches > 0);
-        // After switching settles, the hit path is still write-lock free.
-        let before = c.write_lock_acquisitions();
-        let mut dst = [0u8; 64];
-        for _ in 0..500 {
-            c.get(key(1, 0), &mut dst);
-        }
-        assert_eq!(c.write_lock_acquisitions(), before);
     }
 
     #[test]

@@ -184,12 +184,6 @@ counter_table! {
     ///
     /// [`SwitchPolicy`]: crate::AdjustRule::SwitchPolicy
     policy_switches: u64,
-    /// Victims evicted by the live [`VictimScheme::Lease`] policy whose
-    /// lease had already expired under the get-sequence clock (the
-    /// remainder were reclaimed early, before expiry).
-    ///
-    /// [`VictimScheme::Lease`]: crate::VictimScheme::Lease
-    lease_expiries: u64,
     /// Gets replayed through the policy lab's shadow caches (one per
     /// get, regardless of how many shadows run).
     shadow_gets: u64,
@@ -398,14 +392,12 @@ mod tests {
     fn shadow_hit_ratio_is_per_policy() {
         let s = CacheStats {
             shadow_gets: 100,
-            shadow_hits: [50, 25, 0, 10, 75],
+            shadow_hits: [50, 25, 0],
             ..CacheStats::default()
         };
         assert_eq!(s.shadow_hit_ratio(VictimScheme::Full), 0.5);
         assert_eq!(s.shadow_hit_ratio(VictimScheme::Temporal), 0.25);
         assert_eq!(s.shadow_hit_ratio(VictimScheme::Positional), 0.0);
-        assert_eq!(s.shadow_hit_ratio(VictimScheme::ExactLru), 0.1);
-        assert_eq!(s.shadow_hit_ratio(VictimScheme::Lease), 0.75);
         assert_eq!(
             CacheStats::default().shadow_hit_ratio(VictimScheme::Full),
             0.0

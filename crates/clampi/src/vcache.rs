@@ -2,10 +2,9 @@
 //!
 //! A [`ShadowCache`] replays the engine's get stream against one
 //! candidate [`VictimScheme`] without storing any payload: each entry is
-//! a tag, a size, a recency stamp and (for the lease policy) a lease —
-//! ~32 bytes instead of the payload bytes, so running one shadow per
-//! candidate policy costs a fixed few hundred kilobytes, not a second
-//! cache.
+//! a tag, a size and a recency stamp — 24 bytes instead of the payload
+//! bytes, so running one shadow per candidate policy costs a fixed few
+//! hundred kilobytes, not a second cache.
 //!
 //! **Why tag-only shadows are sound.** A hit is determined entirely by
 //! *which keys are resident*, and residency is determined by the miss
@@ -26,28 +25,23 @@
 //! temporal factor with only a mild placement perturbation. The
 //! approximation shifts absolute hit ratios; the lab only consumes
 //! *relative* rankings between policies, and the controller's switch
-//! hysteresis margin ([`crate::AdaptiveParams::switch_margin`])
-//! absorbs the residual error.
+//! hysteresis margin ([`crate::adaptive::SWITCH_MARGIN`]) absorbs the
+//! residual error.
 //!
 //! **Shape.** The shadow is a [`WAYS`]-way set-associative tag table
 //! with a byte budget, mirroring the live cache's two constraints
 //! (index slots and storage bytes). Lookups scan one set — O(1).
-//! Misses insert after freeing bytes via policy-chosen victims: a
-//! bounded random sample for the scored schemes, the true LRU tail
-//! (an intrusive list, O(1)) for [`VictimScheme::ExactLru`], and
-//! most-expired-first for [`VictimScheme::Lease`], whose shadow embeds
-//! a private [`LeaseTable`]. Every slot inspection is counted so the
-//! lab's overhead can be priced on the virtual clock
+//! Misses insert after freeing bytes via policy-chosen victims: the
+//! lowest score in a bounded random sample, for every scheme — no shadow
+//! keeps state beyond its tag table. Every slot inspection is counted so
+//! the lab's overhead can be priced on the virtual clock
 //! ([`crate::CacheCostModel::shadow_visit_ns`]) — the engine itself
 //! never charges for shadow work, which is what keeps lab-on runs
 //! bit-identical to lab-off runs.
 //!
 //! [`VictimScheme`]: crate::VictimScheme
-//! [`VictimScheme::ExactLru`]: crate::VictimScheme::ExactLru
-//! [`VictimScheme::Lease`]: crate::VictimScheme::Lease
 
 use crate::eviction::{temporal_score, VictimScheme};
-use crate::lease::LeaseTable;
 use crate::stats::CacheStats;
 use clampi_prng::{SmallRng, SplitMix64};
 
@@ -65,23 +59,18 @@ pub const WAYS: usize = 4;
 /// caching the access (the analogue of weak caching's bounded effort).
 const MAX_EVICT: usize = 4;
 
-/// Slot index sentinel for the intrusive LRU list.
-const NIL: u32 = u32::MAX;
-
 #[derive(Debug, Clone, Copy)]
 struct ShadowEntry {
     tag: u64,
     last: u64,
-    lease: u64,
     /// Entry size in bytes; 0 marks an empty slot (real gets are never
     /// zero-sized).
-    size: u32,
+    size: usize,
 }
 
 const EMPTY: ShadowEntry = ShadowEntry {
     tag: 0,
     last: 0,
-    lease: 0,
     size: 0,
 };
 
@@ -95,12 +84,6 @@ pub struct ShadowCache {
     capacity_bytes: usize,
     sample: usize,
     rng: SmallRng,
-    lease_tab: Option<LeaseTable>,
-    /// Intrusive LRU list over slot indices (ExactLru only).
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    head: u32,
-    tail: u32,
     gets: u64,
     hits: u64,
     visits: u64,
@@ -117,12 +100,9 @@ impl ShadowCache {
         seed: u64,
     ) -> Self {
         let sets = (index_entries / WAYS).next_power_of_two().clamp(4, 1 << 20);
-        let n = sets * WAYS;
-        let lease_tab = (policy == VictimScheme::Lease)
-            .then(|| LeaseTable::new(index_entries.max(WAYS), seed ^ 0x5AAD));
         ShadowCache {
             policy,
-            slots: vec![EMPTY; n],
+            slots: vec![EMPTY; sets * WAYS],
             set_mask: sets - 1,
             used_bytes: 0,
             capacity_bytes: storage_bytes.max(1),
@@ -130,11 +110,6 @@ impl ShadowCache {
             // to rank policies, and the smaller scan halves lab overhead.
             sample: sample_size.clamp(1, 8),
             rng: SmallRng::seed_from_u64(seed ^ 0x5CAC_0DE5),
-            lease_tab,
-            prev: vec![NIL; n],
-            next: vec![NIL; n],
-            head: NIL,
-            tail: NIL,
             gets: 0,
             hits: 0,
             visits: 0,
@@ -156,40 +131,11 @@ impl ShadowCache {
         self.visits
     }
 
-    fn lru_unlink(&mut self, slot: u32) {
-        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
-        if p == NIL {
-            self.head = n;
-        } else {
-            self.next[p as usize] = n;
-        }
-        if n == NIL {
-            self.tail = p;
-        } else {
-            self.prev[n as usize] = p;
-        }
-        self.prev[slot as usize] = NIL;
-        self.next[slot as usize] = NIL;
-    }
-
-    fn lru_push_front(&mut self, slot: u32) {
-        self.prev[slot as usize] = NIL;
-        self.next[slot as usize] = self.head;
-        if self.head != NIL {
-            self.prev[self.head as usize] = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
-    }
-
     /// Victim score under the shadow's approximations (lower = evicted
     /// first). See the module docs for the positional surrogate.
     fn score(&self, e: &ShadowEntry, now: u64, _ags: f64) -> f64 {
         match self.policy {
-            VictimScheme::Lease => e.lease as f64 - now as f64,
-            VictimScheme::Temporal | VictimScheme::ExactLru => temporal_score(e.last, now),
+            VictimScheme::Temporal => temporal_score(e.last, now),
             VictimScheme::Positional => positional_surrogate(e.tag),
             // In the live arena `R_P` is ~1 for almost every entry
             // (packed storage has no adjacent free space) and only dips
@@ -205,25 +151,13 @@ impl ShadowCache {
 
     fn clear_slot(&mut self, slot: usize) {
         debug_assert!(self.slots[slot].size > 0, "evicting an empty shadow slot");
-        self.used_bytes -= self.slots[slot].size as usize;
+        self.used_bytes -= self.slots[slot].size;
         self.slots[slot] = EMPTY;
-        if self.policy == VictimScheme::ExactLru {
-            self.lru_unlink(slot as u32);
-        }
     }
 
     /// Evicts one entry for capacity; returns false when nothing
     /// evictable was found within the bounded scan.
     fn evict_for_capacity(&mut self, now: u64, ags: f64) -> bool {
-        if self.policy == VictimScheme::ExactLru {
-            let tail = self.tail;
-            if tail == NIL {
-                return false;
-            }
-            self.visits += 1;
-            self.clear_slot(tail as usize);
-            return true;
-        }
         // Sampled scan from a random start, like the live engine: keep
         // scanning past the minimum sample until a candidate appears,
         // but bound the walk so one eviction stays O(1).
@@ -269,25 +203,11 @@ impl ShadowCache {
             if e.size > 0 && e.tag == tag {
                 self.hits += 1;
                 self.slots[slot].last = now;
-                if size != e.size as usize {
-                    // Served size changed (e.g. a partial hit extension):
+                if size > e.size {
+                    // Served size grew (e.g. a partial hit extension):
                     // track the larger footprint.
-                    let new = (e.size as usize).max(size);
-                    self.used_bytes = self.used_bytes - e.size as usize + new;
-                    self.slots[slot].size = new as u32;
-                }
-                match self.policy {
-                    VictimScheme::ExactLru => {
-                        self.lru_unlink(slot as u32);
-                        self.lru_push_front(slot as u32);
-                    }
-                    VictimScheme::Lease => {
-                        let pressure = self.used_bytes as f64 / self.capacity_bytes as f64;
-                        if let Some(t) = self.lease_tab.as_mut() {
-                            self.slots[slot].lease = t.observe_and_assign(tag, now, pressure);
-                        }
-                    }
-                    _ => {}
+                    self.used_bytes += size - e.size;
+                    self.slots[slot].size = size;
                 }
                 return true;
             }
@@ -332,25 +252,12 @@ impl ShadowCache {
                 best
             }
         };
-        let lease = if self.policy == VictimScheme::Lease {
-            let pressure = self.used_bytes as f64 / self.capacity_bytes as f64;
-            self.lease_tab
-                .as_mut()
-                .map(|t| t.observe_and_assign(tag, now, pressure))
-                .unwrap_or(0)
-        } else {
-            0
-        };
         self.slots[slot] = ShadowEntry {
             tag,
             last: now,
-            lease,
-            size: size as u32,
+            size,
         };
         self.used_bytes += size;
-        if self.policy == VictimScheme::ExactLru {
-            self.lru_push_front(slot as u32);
-        }
         false
     }
 }
@@ -459,46 +366,20 @@ mod tests {
         assert_eq!(sh.used_bytes, 0);
     }
 
+    /// `storage_bounds` lets `|S_w|` pass 4 GiB, so a shadow entry's size
+    /// must not be a `u32`: `1 << 32` would read back as 0, the empty-slot
+    /// mark.
+    #[cfg(target_pointer_width = "64")]
     #[test]
-    fn exact_lru_shadow_evicts_strictly_oldest() {
-        // Capacity for exactly 4 entries; all map to distinct sets so
-        // conflict eviction never interferes.
-        let mut sh = ShadowCache::new(VictimScheme::ExactLru, 64, 4 * 64, 8, 1);
-        let keys: Vec<u64> = (0..5).collect();
-        let mut now = 0;
-        for &k in &keys[..4] {
-            now += 1;
-            sh.observe(k, 64, now, 64.0);
-        }
-        // Touch key 0 so key 1 becomes the LRU victim.
-        now += 1;
-        sh.observe(0, 64, now, 64.0);
-        now += 1;
-        sh.observe(keys[4], 64, now, 64.0); // evicts key 1
-        now += 1;
-        assert!(sh.observe(0, 64, now, 64.0), "recently touched stays");
-        now += 1;
-        assert!(!sh.observe(1, 64, now, 64.0), "LRU victim was evicted");
-    }
-
-    #[test]
-    fn lease_shadow_keeps_hot_keys_over_scanned_tail() {
-        // A hot key reused every other get against a one-shot scan.
-        let mut sh = ShadowCache::new(VictimScheme::Lease, 128, 16 << 10, 8, 1);
-        let mut now = 0u64;
-        for i in 0..2000u64 {
-            now += 1;
-            sh.observe(0x1107_1107, 128, now, 128.0);
-            now += 1;
-            sh.observe(SplitMix64::new(i).next_u64() | 1, 128, now, 128.0);
-        }
-        let (gets, hits) = sh.counts();
-        // The hot key accounts for half the gets and should almost
-        // always hit once the lease predictor warms up.
-        assert!(
-            hits * 10 >= gets * 4,
-            "lease shadow hit {hits}/{gets}: hot key not retained"
-        );
+    fn sizes_past_u32_are_tracked_exactly() {
+        const BIG: usize = 1 << 32;
+        let mut sh = ShadowCache::new(VictimScheme::Temporal, 64, 3 * BIG, 8, 1);
+        assert!(!sh.observe(7, BIG, 1, BIG as f64));
+        assert!(sh.observe(7, BIG, 2, BIG as f64), "resident after its miss");
+        assert_eq!(sh.used_bytes, BIG);
+        // A partial-hit extension by one byte is tracked to the byte.
+        assert!(sh.observe(7, BIG + 1, 3, BIG as f64));
+        assert_eq!(sh.used_bytes, BIG + 1);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use clampi_datatype::{Datatype, FlatLayout};
 use clampi_rma::{LockKind, Process, RmaError, StagedGet, Window};
 
-use crate::adaptive::{AdaptiveController, AdaptiveParams};
+use crate::adaptive::{AdaptiveController, AdaptiveParams, AdjustRule};
 use crate::cache::{CacheParams, LayoutSig, Lookup, RmaCache};
 use crate::coherence::{CoherenceMode, CoherenceTracker};
 use crate::index::GetKey;
@@ -233,11 +233,7 @@ impl CachedWindow {
     pub fn wrap(win: Window, cfg: ClampiConfig) -> Self {
         let cache = (cfg.mode != Mode::Disabled).then(|| RmaCache::new(cfg.params.clone()));
         let controller = match (&cache, cfg.adaptive) {
-            (Some(c), Some(ap)) => {
-                let mut ctrl = AdaptiveController::new(ap);
-                ctrl.note_policy(c.victim_scheme());
-                Some(ctrl)
-            }
+            (Some(_), Some(ap)) => Some(AdaptiveController::new(ap)),
             _ => None,
         };
         let degraded = vec![false; win.ntargets()];
@@ -1180,17 +1176,22 @@ impl CachedWindow {
             };
             if let Some(adj) = ctrl.maybe_adjust(
                 cache.stats(),
+                params.victim_scheme,
                 params.index_entries,
                 params.storage_bytes,
                 free_fraction,
             ) {
-                match adj.policy {
+                match adj.rule {
                     // A switch keeps residents; only the scoring rule flips.
-                    Some(policy) => {
+                    AdjustRule::SwitchPolicy(policy) => {
                         cache.set_victim_scheme(policy);
-                        ctrl.note_policy(policy);
                     }
-                    None => cache.resize(adj.index_entries, adj.storage_bytes),
+                    AdjustRule::GrowIndex
+                    | AdjustRule::ShrinkIndex
+                    | AdjustRule::GrowStorage
+                    | AdjustRule::ShrinkStorage => {
+                        cache.resize(adj.index_entries, adj.storage_bytes)
+                    }
                 }
             }
         }

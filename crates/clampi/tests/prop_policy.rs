@@ -9,9 +9,10 @@
 //! Properties:
 //!
 //! 1. **the lab is observation-only**: with
-//!    [`clampi::CacheParams::policy_lab`] on (and policy switching off),
-//!    a run is *bit-identical* to the same run with the lab off — every
-//!    byte read, every cache fingerprint, the final virtual time, and
+//!    [`clampi::CacheParams::policy_lab`] on (and no adaptive controller
+//!    to act on it), a run is *bit-identical* to the same run with the
+//!    lab off — every byte read, every cache fingerprint, the final
+//!    virtual time, and
 //!    every statistic outside the shadow counters — across all live
 //!    victim schemes, all coherence modes, and under transient fault
 //!    injection. Virtual-time equality is the sharp edge: had the lab
@@ -21,8 +22,8 @@
 //!    (one shadow replay per lookup, never more, never fewer), and each
 //!    policy's `shadow_hits` never exceeds `shadow_gets`;
 //! 3. (directed) at the window level, the adaptive controller detects a
-//!    pathological live policy (ExactLru under a cyclic scan wider than
-//!    the cache) through the shadow ratios and switches away from it.
+//!    badly chosen live policy (recency-blind `Positional` under a Zipf
+//!    stream) through the shadow ratios and switches away from it.
 
 use clampi::{
     AccessType, AdaptiveParams, CacheParams, CacheStats, CachedWindow, ClampiConfig, CoherenceMode,
@@ -244,27 +245,26 @@ fn prop_policy_lab_is_observation_only_under_faults() {
     });
 }
 
-/// Directed: live ExactLru under a cyclic scan wider than the cache is
-/// the textbook pathology — LRU always evicts exactly the entry that is
-/// needed next, pinning the hit ratio at zero, while the sampled
-/// schemes' randomized victims keep a core resident. The shadow caches
-/// expose the gap and the controller must switch away from ExactLru.
+/// Directed: live `Positional` under a Zipf stream is recency-blind — it
+/// evicts the hot head as readily as the cold tail — while both recency
+/// shadows keep the head resident. The shadow gap (about 0.1) is far
+/// above the controller's margin, so it must switch to a recency scheme.
 #[test]
-fn adaptive_controller_switches_away_from_pathological_lru() {
-    const KEYS: usize = 400;
+fn adaptive_controller_switches_away_from_positional_under_zipf() {
+    const KEYS: usize = 2048;
     const REC: usize = 64;
+    const GETS: usize = 8192;
     let out = run_collect(SimConfig::default(), 2, |p| {
         let rank = p.rank();
         let params = CacheParams {
             index_entries: 256,
-            storage_bytes: 64 << 10,
-            victim_scheme: VictimScheme::ExactLru,
+            storage_bytes: 16 << 10,
+            victim_scheme: VictimScheme::Positional,
             policy_lab: true,
             ..CacheParams::default()
         };
         let adaptive = AdaptiveParams {
             interval: 512,
-            policy_switching: true,
             // Neutralize every resize rule: this test isolates switching.
             conflict_threshold: 2.0,
             capacity_threshold: 2.0,
@@ -282,14 +282,24 @@ fn adaptive_controller_switches_away_from_pathological_lru() {
         p.barrier();
         win.lock_all(p);
         if rank == 0 {
+            // Zipf(1) by inverse CDF over the harmonic weights.
+            let cdf: Vec<f64> = (1..=KEYS)
+                .scan(0.0, |acc, k| {
+                    *acc += 1.0 / k as f64;
+                    Some(*acc)
+                })
+                .collect();
+            let mut rng = SmallRng::seed_from_u64(0x21F);
             let dtype = Datatype::bytes(REC);
             let mut buf = vec![0u8; REC];
-            for _round in 0..12 {
-                for k in 0..KEYS {
-                    win.get(p, &mut buf, 1, k * REC, &dtype, 1);
+            for i in 0..GETS {
+                let u = rng.gen_f64() * cdf[KEYS - 1];
+                let k = cdf.partition_point(|&c| c < u).min(KEYS - 1);
+                win.get(p, &mut buf, 1, k * REC, &dtype, 1);
+                if (i + 1) % 64 == 0 {
+                    // Epoch closure: runs the adaptive controller.
+                    win.flush(p, 1);
                 }
-                // Epoch closure: runs the adaptive controller.
-                win.flush(p, 1);
             }
         }
         win.unlock_all(p);
@@ -306,9 +316,10 @@ fn adaptive_controller_switches_away_from_pathological_lru() {
     let live = scheme.expect("cache enabled");
     assert_ne!(
         live,
-        VictimScheme::ExactLru,
-        "controller must have left the pathological policy"
+        VictimScheme::Positional,
+        "controller must have left the recency-blind policy for a recency scheme"
     );
     // The lab itself kept observing throughout.
-    assert_eq!(stats.shadow_gets, 12 * KEYS as u64);
+    assert_eq!(stats.total_gets, GETS as u64);
+    assert_eq!(stats.shadow_gets, stats.total_gets);
 }
