@@ -68,6 +68,11 @@
 #                 the workspace, so drift against what it uses fails here
 #                 instead of at the benchmark driver.
 #
+# Every `cargo test` of the test, mc-test, san-test, dht-test and
+# prop-matrix stages runs under `timeout` (TEST_TIMEOUT_S below): a rank
+# that panics inside a simulation strands its peers at a barrier, and a
+# hung suite must come back FAIL instead of sitting there forever.
+#
 # This repo builds on machines with no network and no cargo registry
 # cache, so any external crate in a dependency section is a build break
 # by definition — the hermeticity stage is the contract for that.
@@ -76,6 +81,22 @@ cd "$(dirname "$0")"
 
 ALL_STAGES=(hermeticity xlint fmt clippy build test mc-test san-test dht-test prop-matrix bench-smoke perf-gate benchmark-smoke)
 PROP_SEEDS=(1 42 20170527)
+# Seconds one `cargo test` invocation may take, build included. The slowest
+# (the whole workspace) takes 5-13 s warm on the reference host, plus the
+# compile when cold; a hang takes forever.
+TEST_TIMEOUT_S=900
+
+# limited <seconds> <command...>: the command under coreutils `timeout`
+# (TERM at the limit, KILL 10 s later, both to the whole process group).
+limited() {
+    local limit=$1 rc=0
+    shift
+    timeout --kill-after=10 "$limit" "$@" || rc=$?
+    if [ "$rc" -eq 124 ]; then
+        echo "FAIL (timed out after ${limit}s): $*" >&2
+    fi
+    return "$rc"
+}
 
 stage_hermeticity() {
     # The gate lives in crates/xlint (dependency-free by construction).
@@ -129,7 +150,7 @@ stage_build() {
 }
 
 stage_test() {
-    cargo test -q --offline --workspace
+    limited "$TEST_TIMEOUT_S" cargo test -q --offline --workspace
 }
 
 stage_mc_test() {
@@ -148,15 +169,15 @@ stage_mc_test() {
     [ "${CLAMPI_MC_FULL:-0}" = 1 ] && bounds=full
     echo "-- mc mutant fixtures (checker self-validation, gating)"
     RUSTFLAGS="--cfg clampi_mc" CARGO_TARGET_DIR=target/mc \
-        cargo test -q --offline -p clampi-mc --test mutants
+        limited "$TEST_TIMEOUT_S" cargo test -q --offline -p clampi-mc --test mutants
     echo "-- mc litmus + unit suites"
     RUSTFLAGS="--cfg clampi_mc" CARGO_TARGET_DIR=target/mc \
-        cargo test -q --offline -p clampi-mc
+        limited "$TEST_TIMEOUT_S" cargo test -q --offline -p clampi-mc
     echo "-- shipped protocols under the checker ($bounds bounds)"
     RUSTFLAGS="--cfg clampi_mc" CARGO_TARGET_DIR=target/mc \
-        cargo test -q --offline -p clampi --lib mc_
+        limited "$TEST_TIMEOUT_S" cargo test -q --offline -p clampi --lib mc_
     RUSTFLAGS="--cfg clampi_mc" CARGO_TARGET_DIR=target/mc \
-        cargo test -q --offline -p clampi-rma --lib mc_
+        limited "$TEST_TIMEOUT_S" cargo test -q --offline -p clampi-rma --lib mc_
     echo "mc-test ok: mutants caught, shipped seqlock/snapshot/commit-clock clean ($bounds bounds)"
 }
 
@@ -167,7 +188,7 @@ stage_san_test() {
     # misuse introduced by a test or by library code fails here. The
     # checker is observation-only (prop_checker_is_observation_only pins
     # bit-identical results), so this is purely a semantic re-check.
-    CLAMPI_SAN=1 cargo test -q --offline --workspace
+    CLAMPI_SAN=1 limited "$TEST_TIMEOUT_S" cargo test -q --offline --workspace
     echo "-- fig_fault_recovery (smoke) under CLAMPI_SAN=1"
     local out
     out=$(CLAMPI_SAN=1 CLAMPI_BENCH_SMOKE=1 cargo run -q --offline --release \
@@ -200,7 +221,8 @@ stage_dht_test() {
     # mode, and its transient-fault and rank-death cases run a fault
     # plan under the same CLAMPI_SAN=1 pass — any RMA misuse in the DHT
     # layer (e.g. reading a window the owner is mutating) fails here.
-    CLAMPI_SAN=1 cargo test -q --offline -p clampi-apps --test prop_dht
+    CLAMPI_SAN=1 limited "$TEST_TIMEOUT_S" \
+        cargo test -q --offline -p clampi-apps --test prop_dht
     echo "prop_dht clean under the sanitizer (all coherence modes + fault plans)"
 }
 
@@ -228,8 +250,8 @@ stage_prop_matrix() {
         for suite in "${suites[@]}"; do
             local pkg=${suite%%:*} name=${suite##*:}
             echo "-- CLAMPI_PROP_SEED=$seed $pkg/$name"
-            CLAMPI_PROP_SEED=$seed cargo test -q --offline -p "$pkg" --test "$name" \
-                > /dev/null
+            CLAMPI_PROP_SEED=$seed limited "$TEST_TIMEOUT_S" \
+                cargo test -q --offline -p "$pkg" --test "$name" > /dev/null
         done
     done
     echo "${#suites[@]} suites x ${#PROP_SEEDS[@]} seeds replayed"
@@ -301,13 +323,15 @@ stage_fake_pass() { echo "fake-pass stage ran"; }
 # fake-fail fails in the *middle*: a runner that loses `set -e` inside its
 # stages would run on to the final `true` and report PASS.
 stage_fake_fail() { echo "fake-fail stage ran"; false; true; }
+# fake-hang never finishes on its own: only the timeout wrapper ends it.
+stage_fake_hang() { limited 1 sleep 600; }
 
 runner_self_test() {
     # A fail-fast runner that doesn't actually stop (or a --keep-going
     # that doesn't actually keep going) silently changes what a green or
     # red CI run means, so the runner checks itself against the fake
     # stages before doing real work.
-    echo "-- runner self-test (fail-fast / --keep-going)"
+    echo "-- runner self-test (fail-fast / --keep-going / timeout)"
     local out
     if out=$(CI_ALLOW_FAKE_STAGES=1 "$0" fake-fail fake-pass 2>&1); then
         echo "FAIL: self-test: runner exited 0 despite a failing stage" >&2
@@ -325,7 +349,15 @@ runner_self_test() {
         echo "FAIL: self-test: --keep-going skipped the remaining stage" >&2
         return 1
     fi
-    echo "runner self-test ok (fail-fast stops, --keep-going finishes)"
+    if out=$(CI_ALLOW_FAKE_STAGES=1 "$0" fake-hang 2>&1); then
+        echo "FAIL: self-test: runner exited 0 despite a hung stage" >&2
+        return 1
+    fi
+    if ! grep -q "FAIL (timed out after 1s)" <<<"$out"; then
+        echo "FAIL: self-test: the hung stage was not reported as timed out" >&2
+        return 1
+    fi
+    echo "runner self-test ok (fail-fast stops, --keep-going finishes, a hang times out)"
 }
 
 run_stage() {
@@ -375,7 +407,7 @@ main() {
                 [ "$s" = "$k" ] && known=1
             done
             if [ "${CI_ALLOW_FAKE_STAGES:-0}" = 1 ]; then
-                case $s in fake-pass | fake-fail) known=1 ;; esac
+                case $s in fake-pass | fake-fail | fake-hang) known=1 ;; esac
             fi
             if [ "$known" -ne 1 ]; then
                 echo "unknown stage '$s' (try: ./ci.sh --list)" >&2

@@ -15,16 +15,6 @@
 //!    which promotes `PENDING` entries to `CACHED` — the moment the paper
 //!    performs the deferred cache-fill copies.
 //!
-//! **Sharding.** The engine state is split into [`ShardCore`]s, one per
-//! hash stripe of the [`GetKey`] ([`GetKey::stripe`] `mod` shard count).
-//! Each shard owns an independent Cuckoo index, entry slab and storage
-//! arena, so shards never contend on each other's state. `RmaCache` keeps
-//! the paper-facing single-threaded API (with [`CacheParams::shards`]` = 1`
-//! it is bit-identical to the unsharded engine: shard 0 inherits the
-//! engine's seeds and full capacity); the concurrent front
-//! ([`crate::ShardedCache`]) wraps one `ShardCore` per stripe behind a
-//! seqlock so hits take zero write-locks.
-//!
 //! **Timing.** The simulator moves bytes eagerly (data is always available
 //! in wall-clock terms), but every management action accumulates model CPU
 //! time which the wrapper drains via [`RmaCache::take_cost`] and charges to
@@ -129,7 +119,7 @@ struct Entry {
     /// the bytes under the region read lock, else an inexact default that
     /// forces `multi_get` to refetch. Separate from `version`, which stays
     /// the conservative pre-read peek the coherence layer was built on.
-    /// Never read by [`ShardCore::racy_probe`].
+    /// Never read by [`RmaCache::racy_probe`].
     snap: SnapStamp,
 }
 
@@ -145,13 +135,13 @@ impl Entry {
 
 const NO_DESC: DescId = DescId::MAX;
 
-/// The ordered extent directory of one shard: every resident entry keyed
+/// The ordered extent directory: every resident entry keyed
 /// by `(target, disp)`, plus the largest entry size seen since it was
 /// built. An entry overlapping bytes `[lo, hi)` of a target starts in
 /// `(lo - max_size, hi)`, so a ranged invalidation seeks there and
 /// examines only the entries that can overlap instead of scanning `|I_w|`
 /// index slots. `max_size` only grows (a stale high-water mark widens the
-/// seek window, never narrows it) and resets when the shard is emptied.
+/// seek window, never narrows it) and resets when the engine is emptied.
 #[derive(Debug, Default)]
 struct ExtentDir {
     by_start: BTreeMap<(u32, u64), EntryId>,
@@ -250,12 +240,10 @@ pub struct CacheParams {
     /// (see [`crate::coherence::CoherenceMode`]). `None` by default —
     /// bit-identical to the pre-coherence behaviour.
     pub coherence: crate::coherence::CoherenceMode,
-    /// Number of independent cache shards (hash stripes of the
-    /// [`GetKey`]). `index_entries` and `storage_bytes` are divided evenly
-    /// across shards. `1` (the default) is bit-identical to the unsharded
-    /// engine; larger values matter for the concurrent front
-    /// ([`crate::ShardedCache`]), where each shard has its own lock and
-    /// sequence counter.
+    /// Number of stripes of the concurrent front. Read by
+    /// [`crate::ShardedCache::new`] only, which divides `index_entries`
+    /// and `storage_bytes` evenly across that many engines; [`RmaCache`]
+    /// is one `C_w` and ignores it.
     pub shards: usize,
     /// Run the policy lab ([`crate::vcache::PolicyLab`]): one tag-only
     /// shadow cache per candidate [`VictimScheme`], replaying every get
@@ -265,7 +253,7 @@ pub struct CacheParams {
     /// lab-off runs unless a controller acts on the shadow ratios, which
     /// an adaptive window's does: the lab being on is what enables
     /// [`crate::AdjustRule::SwitchPolicy`].
-    /// Deterministic-engine ([`RmaCache`]) only: the concurrent front's
+    /// The concurrent front builds its engines with the lab off: its
     /// lock-free hit path cannot update shadows without taking writes.
     pub policy_lab: bool,
 }
@@ -289,140 +277,257 @@ impl Default for CacheParams {
     }
 }
 
-/// Derives shard `stripe`'s seed from a base seed. Stripe 0 keeps the base
-/// unchanged so a 1-shard cache reproduces the unsharded seed streams
-/// bit-for-bit; the odd multiplier decorrelates the other stripes.
-fn shard_seed(base: u64, stripe: usize) -> u64 {
-    base.wrapping_add((stripe as u64).wrapping_mul(0xA24B_AED4_963E_E407))
-}
-
-/// Cross-shard engine state: statistics, the get sequence counter, the
-/// running average get size and the two cost accumulators. Kept outside
-/// [`ShardCore`] so the single-threaded engine preserves the exact global
-/// counter/charge ordering of the unsharded implementation (the concurrent
-/// front instead gives every shard its own context and merges at read
-/// time).
-#[derive(Debug, Default)]
-pub(crate) struct EngineCtx {
-    pub(crate) stats: CacheStats,
-    pub(crate) seq: u64,
-    pub(crate) ags: f64,
-    pub(crate) uncharged_ns: f64,
-    pub(crate) deferred_ns: f64,
-    /// Prefix length served from cache by the most recent PartialHit
-    /// lookup (consumed by `finish_partial` for byte accounting).
-    pub(crate) last_partial_prefix: usize,
-    /// Snapshot stamp staged by [`RmaCache::stage_stamp`] for the payload
-    /// about to be handed to `finish_miss`/`finish_partial`; consumed (or
-    /// discarded, on a failed insert) by that call. `None` — the default
-    /// for every caller that does not track stamps — yields inexact
-    /// entries, which the snapshot layer simply refetches.
-    pub(crate) staged_stamp: Option<SnapStamp>,
-    /// Resident entries per target rank (grown on demand), so coherence
-    /// passes can skip targets with nothing cached in O(1).
-    pub(crate) target_counts: Vec<u32>,
-    /// The policy lab's shadow caches ([`CacheParams::policy_lab`]);
-    /// `None` when the lab is off (the default, and always for the
-    /// concurrent front's per-shard contexts).
-    pub(crate) lab: Option<PolicyLab>,
-}
-
-impl EngineCtx {
-    pub(crate) fn new() -> Self {
-        EngineCtx::default()
-    }
-
-    fn charge(&mut self, ns: f64) {
-        self.uncharged_ns += ns;
-    }
-
-    /// Whether any resident entry counted by this context is keyed to
-    /// `target`.
-    fn has_entries_for(&self, target: u32) -> bool {
-        self.target_counts
-            .get(target as usize)
-            .is_some_and(|&c| c > 0)
-    }
-
-    fn defer(&mut self, ns: f64) {
-        self.deferred_ns += ns;
-    }
-}
-
-/// Outcome of a bounds-checked, panic-free cache probe. `Retry` means the
-/// observed state was not servable as a clean hit or miss (torn or
-/// transient under a concurrent writer); the seqlock reader falls back to
-/// the locked path, the locked reader treats it as a miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ProbeResult {
-    /// `dst` was filled from the cache (valid only if the shard's sequence
-    /// counter validates afterwards).
-    Hit,
-    /// No servable entry for the key at the requested length.
-    Miss,
-    /// Inconclusive: state looked mid-mutation or not directly servable.
-    Retry,
-}
-
-/// One cache shard: an independent Cuckoo index, entry slab, storage arena
-/// and victim-sampling RNG.
-/// All methods borrow the shared [`CacheParams`] and an [`EngineCtx`] so a
-/// single context can span shards (deterministic engine) or be per-shard
-/// (concurrent front).
+/// The caching layer state machine for one window.
+///
+/// # Examples
+///
+/// Driving the engine directly (without a simulator window) — one miss,
+/// one epoch close, one hit:
+///
+/// ```
+/// use clampi::cache::{CacheParams, LayoutSig, Lookup, RmaCache};
+/// use clampi::index::GetKey;
+///
+/// let mut cache = RmaCache::new(CacheParams::default());
+/// let key = GetKey { target: 3, disp: 4096 };
+/// let sig = LayoutSig::Contig(64);
+/// let payload = [7u8; 64];
+///
+/// let mut dst = [0u8; 64];
+/// assert_eq!(cache.process_lookup(key, &sig, &mut dst), Lookup::Miss);
+/// cache.finish_miss(key, sig.clone(), &payload, 0); // caller fetched `payload`
+/// cache.epoch_close();                           // PENDING -> CACHED
+///
+/// assert_eq!(cache.process_lookup(key, &sig, &mut dst), Lookup::Hit);
+/// assert_eq!(dst, payload);
+/// assert_eq!(cache.stats().hits, 1);
+/// ```
 #[derive(Debug)]
-pub(crate) struct ShardCore {
-    pub(crate) index: CuckooIndex,
-    pub(crate) storage: Storage,
+pub struct RmaCache {
+    params: CacheParams,
+    index: CuckooIndex,
+    storage: Storage,
     entries: Vec<Option<Entry>>,
     spare: Vec<EntryId>,
-    pub(crate) cached_count: usize,
+    cached_count: usize,
     pending: Vec<EntryId>,
+    /// Victim-sampling RNG.
     rng: SmallRng,
     /// The ordered extent directory, `None` until the first ranged or
-    /// stale invalidation builds it (shards that never invalidate by
+    /// stale invalidation builds it (engines that never invalidate by
     /// range pay neither its upkeep nor its memory). Once built it is
     /// kept in step where entries are born and die (`alloc_entry`,
     /// `drop_entry`; the size mark also where `finish_partial` extends).
-    /// Never read by [`ShardCore::racy_probe`].
+    /// Never read by [`RmaCache::racy_probe`].
     extents: Option<ExtentDir>,
     /// When set, the entry slab was preallocated and must never grow past
     /// its capacity (the concurrent front hands out raw views of it to
     /// optimistic readers, so a reallocating push would be a use-after-free
     /// for them, not just a logic bug).
     pin_slab: bool,
+    stats: CacheStats,
+    /// The get sequence counter (index into the paper's `C_w.G`).
+    seq: u64,
+    /// The running average get size `C_w.ags`.
+    ags: f64,
+    /// Management CPU time not yet drained by [`RmaCache::take_cost`].
+    uncharged_ns: f64,
+    /// Copy time the paper pays at the epoch closure; `epoch_close` moves
+    /// it into `uncharged_ns`.
+    deferred_ns: f64,
+    /// Prefix length served from cache by the most recent PartialHit
+    /// lookup (consumed by `finish_partial` for byte accounting).
+    last_partial_prefix: usize,
+    /// Snapshot stamp staged by [`RmaCache::stage_stamp`] for the payload
+    /// about to be handed to `finish_miss`/`finish_partial`; consumed (or
+    /// discarded, on a failed insert) by that call. `None` — the default
+    /// for every caller that does not track stamps — yields inexact
+    /// entries, which the snapshot layer simply refetches.
+    staged_stamp: Option<SnapStamp>,
+    /// Resident entries per target rank (grown on demand), so coherence
+    /// passes can skip targets with nothing cached in O(1).
+    target_counts: Vec<u32>,
+    /// The policy lab's shadow caches ([`CacheParams::policy_lab`]);
+    /// `None` when the lab is off (the default).
+    lab: Option<PolicyLab>,
+    rebuilds: u64,
+    resize_log: Vec<ResizeEvent>,
 }
 
-impl ShardCore {
-    /// A fresh shard for hash stripe `stripe` of a `params.shards`-way
-    /// cache. With `pin_slab` the entry slab is preallocated to its
-    /// worst-case population (index capacity + the transient insert + one
-    /// spare) so it never reallocates; required by the concurrent front.
-    pub(crate) fn new(params: &CacheParams, stripe: usize, pin_slab: bool) -> Self {
-        let n = params.shards.max(1);
-        let index_cap = (params.index_entries / n).max(1);
+/// One adaptive resize, recorded for figure annotations and debugging.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResizeEvent {
+    /// Get sequence number at which the resize happened.
+    pub at_seq: u64,
+    /// New `|I_w|`.
+    pub index_entries: usize,
+    /// New `|S_w|`.
+    pub storage_bytes: usize,
+}
+
+/// One resident entry as [`RmaCache::residents`] reports it.
+#[doc(hidden)]
+#[cfg(any(test, debug_assertions))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resident {
+    /// Its index slot.
+    pub slot: usize,
+    /// Its slab id. Ids are recycled last-dropped-first, so two engines
+    /// agree on them only if they dropped their entries in the same order.
+    pub id: EntryId,
+    /// The get that created it.
+    pub key: GetKey,
+    /// Cached bytes from `key.disp` on.
+    pub size: usize,
+    /// Target write version observed when it was filled.
+    pub version: u64,
+}
+
+fn new_lab(params: &CacheParams) -> Option<PolicyLab> {
+    params.policy_lab.then(|| {
+        PolicyLab::new(
+            params.index_entries,
+            params.storage_bytes,
+            params.sample_size,
+            params.seed,
+        )
+    })
+}
+
+impl RmaCache {
+    /// A fresh cache with the given parameters ([`CacheParams::shards`] is
+    /// not one of them: the engine is one `C_w`).
+    pub fn new(params: CacheParams) -> Self {
+        let seed = params.seed;
+        Self::build(params, seed, seed ^ 0x5EED, false)
+    }
+
+    fn build(params: CacheParams, index_seed: u64, sampler_seed: u64, pin_slab: bool) -> Self {
         let index = CuckooIndex::new(
-            index_cap,
+            params.index_entries.max(1),
             params.max_insert_iters,
-            shard_seed(params.seed, stripe),
+            index_seed,
         );
-        let storage = Storage::new(params.storage_bytes / n);
-        let rng = SmallRng::seed_from_u64(shard_seed(params.seed ^ 0x5EED, stripe));
         let entries = if pin_slab {
-            Vec::with_capacity(index_cap + 2)
+            Vec::with_capacity(index.capacity() + 2)
         } else {
             Vec::new()
         };
-        ShardCore {
+        RmaCache {
             index,
-            storage,
+            storage: Storage::new(params.storage_bytes),
             entries,
             spare: Vec::new(),
             cached_count: 0,
             pending: Vec::new(),
-            rng,
+            rng: SmallRng::seed_from_u64(sampler_seed),
             extents: None,
             pin_slab,
+            stats: CacheStats::default(),
+            seq: 0,
+            ags: 0.0,
+            uncharged_ns: 0.0,
+            deferred_ns: 0.0,
+            last_partial_prefix: 0,
+            staged_stamp: None,
+            target_counts: Vec::new(),
+            lab: new_lab(&params),
+            rebuilds: 0,
+            resize_log: Vec::new(),
+            params,
         }
+    }
+
+    /// The live eviction policy.
+    pub fn victim_scheme(&self) -> VictimScheme {
+        self.params.victim_scheme
+    }
+
+    /// Switches the live eviction policy without dropping residents: no
+    /// scheme owns private state, so the switch is an assignment to
+    /// [`CacheParams::victim_scheme`] and the next eviction scores with
+    /// the new rule. Returns `true` if the policy actually changed; no-op
+    /// switches cost nothing and are not counted.
+    pub fn set_victim_scheme(&mut self, new: VictimScheme) -> bool {
+        let changed = new != self.params.victim_scheme;
+        if changed {
+            self.params.victim_scheme = new;
+            self.stats.policy_switches += 1;
+            self.stats.adjustments += 1;
+            self.charge(self.params.costs.epoch_hook_ns);
+        }
+        changed
+    }
+
+    /// Current parameters.
+    pub fn params(&self) -> &CacheParams {
+        &self.params
+    }
+
+    /// Statistics so far.
+    pub fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
+
+    /// The get sequence counter (index into the paper's `C_w.G`).
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// The running average get size `C_w.ags`.
+    pub fn avg_get_size(&self) -> f64 {
+        self.ags
+    }
+
+    /// Occupied fraction of the storage buffer (Fig. 10's y-axis).
+    pub fn occupancy(&self) -> f64 {
+        match self.storage.capacity() {
+            0 => 0.0,
+            capacity => self.storage.occupied_bytes() as f64 / capacity as f64,
+        }
+    }
+
+    /// Free bytes in the storage buffer.
+    pub fn free_bytes(&self) -> usize {
+        self.storage.free_bytes()
+    }
+
+    /// Number of resident (pending + cached) entries.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Whether no entry is resident.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// Number of entries in the CACHED state.
+    pub fn cached_entries(&self) -> usize {
+        self.cached_count
+    }
+
+    /// Drains the accumulated management CPU time (nanoseconds) so the
+    /// wrapper can charge it to the rank's virtual clock.
+    pub fn take_cost(&mut self) -> f64 {
+        std::mem::take(&mut self.uncharged_ns)
+    }
+
+    fn charge(&mut self, ns: f64) {
+        self.uncharged_ns += ns;
+    }
+
+    fn defer(&mut self, ns: f64) {
+        self.deferred_ns += ns;
+    }
+
+    /// Whether any resident (pending or cached) entry is keyed to
+    /// `target`. O(1): lets a coherence pass skip targets with nothing
+    /// cached without scanning the index.
+    pub fn has_entries_for(&self, target: u32) -> bool {
+        self.target_counts
+            .get(target as usize)
+            .is_some_and(|&c| c > 0)
     }
 
     fn entry(&self, id: EntryId) -> &Entry {
@@ -435,12 +540,12 @@ impl ShardCore {
         self.entries[id as usize].as_mut().expect("stale entry id")
     }
 
-    fn alloc_entry(&mut self, cx: &mut EngineCtx, e: Entry) -> EntryId {
+    fn alloc_entry(&mut self, e: Entry) -> EntryId {
         let t = e.key.target as usize;
-        if t >= cx.target_counts.len() {
-            cx.target_counts.resize(t + 1, 0);
+        if t >= self.target_counts.len() {
+            self.target_counts.resize(t + 1, 0);
         }
-        cx.target_counts[t] += 1;
+        self.target_counts[t] += 1;
         let (key, size) = (e.key, e.size);
         let id = if let Some(id) = self.spare.pop() {
             self.entries[id as usize] = Some(e);
@@ -459,13 +564,13 @@ impl ShardCore {
         id
     }
 
-    fn drop_entry(&mut self, _p: &CacheParams, cx: &mut EngineCtx, id: EntryId) {
+    fn drop_entry(&mut self, id: EntryId) {
         // xlint: allow(no-unwrap) invariant: callers drop an id at most once
         let e = self.entries[id as usize].take().expect("double entry drop");
         if let Some(dir) = self.extents.as_mut() {
             dir.remove(e.key, id);
         }
-        cx.target_counts[e.key.target as usize] -= 1;
+        self.target_counts[e.key.target as usize] -= 1;
         match e.state {
             EntryState::Cached => self.cached_count -= 1,
             // A PENDING entry can be dropped when a Cuckoo displacement
@@ -475,35 +580,31 @@ impl ShardCore {
         self.spare.push(id);
     }
 
-    /// Phase 1 of a `get_c`, shard-local (see [`RmaCache::process_lookup`]).
-    pub(crate) fn process_lookup(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        key: GetKey,
-        sig: &LayoutSig,
-        dst: &mut [u8],
-    ) -> Lookup {
+    /// Phase 1 of a `get_c`: classify against the index, serving full hits
+    /// (and the head of contiguous partial hits) into `dst`.
+    ///
+    /// `dst.len()` must equal `sig.size()`.
+    pub fn process_lookup(&mut self, key: GetKey, sig: &LayoutSig, dst: &mut [u8]) -> Lookup {
         let size = sig.size();
         debug_assert_eq!(dst.len(), size);
-        cx.seq += 1;
+        self.seq += 1;
+        let seq = self.seq;
         // Cumulative mean of processed get sizes (the paper's ags).
-        cx.ags += (size as f64 - cx.ags) / cx.seq as f64;
-        cx.charge(p.costs.lookup_ns);
+        self.ags += (size as f64 - self.ags) / seq as f64;
+        self.charge(self.params.costs.lookup_ns);
         // Policy lab: replay this get through the shadow caches.
         // Observation-only — shadow counters move, nothing else does, and
         // no virtual-clock cost is charged (overhead is priced separately
         // from `shadow_slot_visits` by the benches).
-        if let Some(lab) = cx.lab.as_mut() {
-            lab.observe(key.stripe(), size, cx.seq, cx.ags, &mut cx.stats);
+        if let Some(lab) = self.lab.as_mut() {
+            lab.observe(key.stripe(), size, seq, &mut self.stats);
         }
 
         let Some(id) = self.index.lookup(&key) else {
             return Lookup::Miss;
         };
-        debug_assert_eq!(self.entry(id).key, key, "index returned a foreign entry");
-        let seq = cx.seq;
         let e = self.entry(id);
+        debug_assert_eq!(e.key, key, "index returned a foreign entry");
         let (state, off) = (e.state, e.off);
         let (full, cached_len) = match (&e.sig, sig) {
             (LayoutSig::Contig(have), LayoutSig::Contig(want)) => {
@@ -533,35 +634,54 @@ impl ShardCore {
         if full {
             dst.copy_from_slice(cached);
             self.entry_mut(id).last = seq;
-            let copy = p.costs.memcpy_cost(size);
+            let copy = self.params.costs.memcpy_cost(size);
             match state {
                 // CACHED: the copy happens right now.
-                EntryState::Cached => cx.charge(copy),
+                EntryState::Cached => self.charge(copy),
                 // PENDING: the paper copies at the epoch closure.
-                EntryState::Pending => cx.defer(copy),
+                EntryState::Pending => self.defer(copy),
             }
-            cx.stats.record(AccessType::Hit);
-            cx.stats.bytes_from_cache += size as u64;
+            self.stats.record(AccessType::Hit);
+            self.stats.bytes_from_cache += size as u64;
             Lookup::Hit
         } else {
             if cached_len > 0 {
                 dst[..cached_len].copy_from_slice(cached);
-                let copy = p.costs.memcpy_cost(cached_len);
-                cx.charge(copy);
-                cx.stats.bytes_from_cache += cached_len as u64;
+                self.charge(self.params.costs.memcpy_cost(cached_len));
+                self.stats.bytes_from_cache += cached_len as u64;
             }
             self.entry_mut(id).last = seq;
-            cx.stats.partial_hits += 1;
-            cx.last_partial_prefix = cached_len;
+            self.stats.partial_hits += 1;
+            self.last_partial_prefix = cached_len;
             Lookup::PartialHit { cached_len }
         }
     }
 
-    /// Phase 2 after a miss, shard-local (see [`RmaCache::finish_miss`]).
-    pub(crate) fn finish_miss(
+    /// Stages the snapshot stamp for the payload about to be handed to
+    /// the next [`RmaCache::finish_miss`] / [`RmaCache::finish_partial`]
+    /// call, which consumes it (or discards it on failure). Callers that
+    /// never stage get inexact entries, which the snapshot layer refetches
+    /// — so stamp-blind paths (traces, the concurrent front's insert)
+    /// stay correct without changes.
+    pub fn stage_stamp(&mut self, stamp: SnapStamp) {
+        self.staged_stamp = Some(stamp);
+    }
+
+    /// Read-only probe of the snapshot stamp of the resident entry for
+    /// `key` (`None` when nothing is resident). Free in virtual time,
+    /// like the index peek it is.
+    pub fn snap_stamp(&self, key: &GetKey) -> Option<SnapStamp> {
+        self.index.lookup(key).map(|id| self.entry(id).snap)
+    }
+
+    /// Phase 2 after a [`Lookup::Miss`]: `data` is the fetched payload;
+    /// attempt to cache it. Returns the access classification.
+    ///
+    /// `version` is the target-region write version observed *before* the
+    /// payload bytes were read (pass 0 when versions are not tracked); the
+    /// coherence layer uses it to decide staleness later.
+    pub fn finish_miss(
         &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
         key: GetKey,
         sig: LayoutSig,
         data: &[u8],
@@ -569,35 +689,32 @@ impl ShardCore {
     ) -> AccessType {
         let size = sig.size();
         debug_assert_eq!(data.len(), size);
-        cx.stats.bytes_from_network += size as u64;
-        let snap = cx.staged_stamp.take().unwrap_or(SnapStamp {
+        self.stats.bytes_from_network += size as u64;
+        let snap = self.staged_stamp.take().unwrap_or(SnapStamp {
             version,
             ts: 0,
             exact: false,
         });
-        let id = self.alloc_entry(
-            cx,
-            Entry {
-                key,
-                sig,
-                size,
-                state: EntryState::Pending,
-                desc: NO_DESC,
-                off: 0,
-                last: cx.seq,
-                version,
-                snap,
-            },
-        );
+        let id = self.alloc_entry(Entry {
+            key,
+            sig,
+            size,
+            state: EntryState::Pending,
+            desc: NO_DESC,
+            off: 0,
+            last: self.seq,
+            version,
+            snap,
+        });
 
-        let (inserted, conflicted) = self.insert_with_path_eviction(p, cx, key, id);
+        let (inserted, conflicted) = self.insert_with_path_eviction(key, id);
         if !inserted {
-            self.drop_entry(p, cx, id);
-            cx.stats.record(AccessType::Failed);
+            self.drop_entry(id);
+            self.stats.record(AccessType::Failed);
             return AccessType::Failed;
         }
 
-        let (desc, evicted_for_space) = self.alloc_with_eviction(p, cx, size, id, None);
+        let (desc, evicted_for_space) = self.alloc_with_eviction(size, id, None);
         let class = match desc {
             Some(d) => {
                 self.storage.write(d, data);
@@ -608,8 +725,7 @@ impl ShardCore {
                     e.off = off;
                 }
                 self.pending.push(id);
-                let copy = p.costs.memcpy_cost(size);
-                cx.defer(copy);
+                self.defer(self.params.costs.memcpy_cost(size));
                 if conflicted {
                     AccessType::Conflicting
                 } else if evicted_for_space {
@@ -621,20 +737,26 @@ impl ShardCore {
             None => {
                 // Weak caching: give up, the get itself already succeeded.
                 self.index.remove(&key);
-                self.drop_entry(p, cx, id);
+                self.drop_entry(id);
                 AccessType::Failed
             }
         };
-        cx.stats.record(class);
+        self.stats.record(class);
         class
     }
 
-    /// Phase 2 after a partial hit, shard-local (see
-    /// [`RmaCache::finish_partial`]).
-    pub(crate) fn finish_partial(
+    /// Phase 2 after a [`Lookup::PartialHit`]: `data` is the *full* payload
+    /// (head served from cache, tail fetched by the wrapper). Attempts to
+    /// extend (re-allocate) the existing entry; on failure the old, shorter
+    /// entry stays valid (Sec. III-B: "extended only if `S_w` contains
+    /// enough space").
+    ///
+    /// `version` is the write version observed before the tail fetch; the
+    /// extended entry is stamped with the *older* of its existing version
+    /// and `version` (the head bytes may predate the tail bytes, so the
+    /// conservative choice is the minimum).
+    pub fn finish_partial(
         &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
         key: GetKey,
         sig: LayoutSig,
         data: &[u8],
@@ -645,30 +767,31 @@ impl ShardCore {
         let Some(id) = self.index.lookup(&key) else {
             // The entry vanished (should not happen between phases). The
             // staged stamp, if any, rides along into the miss path.
-            return self.finish_miss(p, cx, key, sig, data, version);
+            return self.finish_miss(key, sig, data, version);
         };
         // Taken unconditionally so a failed extension cannot leak this
         // call's stamp into a later, unrelated finish.
-        let staged = cx.staged_stamp.take();
+        let staged = self.staged_stamp.take();
         // The wrapper fetched everything beyond the served prefix (which is
         // zero for incompatible layouts).
-        cx.stats.bytes_from_network += (size as u64).saturating_sub(cx.last_partial_prefix as u64);
-        cx.last_partial_prefix = 0;
+        self.stats.bytes_from_network +=
+            (size as u64).saturating_sub(self.last_partial_prefix as u64);
+        self.last_partial_prefix = 0;
 
         if self.entry(id).state == EntryState::Pending {
             // Cannot touch a pending entry's storage; leave it as-is.
-            cx.stats.record(AccessType::Failed);
+            self.stats.record(AccessType::Failed);
             return AccessType::Failed;
         }
 
         // Allocate the larger region first so failure leaves the old entry
         // intact; exclude the entry itself from victim selection.
-        let (desc, evicted_for_space) = self.alloc_with_eviction(p, cx, size, id, Some(id));
+        let (desc, evicted_for_space) = self.alloc_with_eviction(size, id, Some(id));
         let class = match desc {
             Some(d) => {
                 let old = self.entry(id).desc;
                 self.storage.free(old);
-                cx.charge(p.costs.alloc_ns);
+                self.charge(self.params.costs.alloc_ns);
                 self.storage.write(d, data);
                 let off = self.storage.offset(d);
                 {
@@ -701,8 +824,7 @@ impl ShardCore {
                 }
                 self.cached_count -= 1;
                 self.pending.push(id);
-                let copy = p.costs.memcpy_cost(size);
-                cx.defer(copy);
+                self.defer(self.params.costs.memcpy_cost(size));
                 if evicted_for_space {
                     AccessType::Capacity
                 } else {
@@ -711,48 +833,41 @@ impl ShardCore {
             }
             None => AccessType::Failed,
         };
-        cx.stats.record(class);
+        self.stats.record(class);
         class
     }
 
     /// Cuckoo insertion with the paper's conflicting-access handling: a
     /// cycle evicts the lowest-score CACHED entry on the insertion path and
     /// retries. Returns `(inserted, conflicted)`.
-    fn insert_with_path_eviction(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        key: GetKey,
-        id: EntryId,
-    ) -> (bool, bool) {
+    fn insert_with_path_eviction(&mut self, key: GetKey, id: EntryId) -> (bool, bool) {
         const MAX_RETRIES: usize = 4;
         let mut conflicted = false;
         let mut cur = (key, id);
         for attempt in 0..MAX_RETRIES {
             match self.index.insert(cur.0, cur.1) {
                 InsertOutcome::Placed { steps } => {
-                    cx.charge(p.costs.insert_step_ns * (steps + 1) as f64);
+                    self.charge(self.params.costs.insert_step_ns * (steps + 1) as f64);
                     return (true, conflicted);
                 }
                 InsertOutcome::Cycle { homeless } => {
                     conflicted = true;
-                    let path = self.index.last_path();
-                    cx.charge(p.costs.insert_step_ns * path.len() as f64);
+                    let steps = self.index.last_path().len();
+                    self.charge(self.params.costs.insert_step_ns * steps as f64);
                     if attempt + 1 == MAX_RETRIES {
-                        return self.resolve_homeless(p, cx, homeless, id, conflicted);
+                        return self.resolve_homeless(homeless, id, conflicted);
                     }
                     // Victim: lowest score among CACHED entries on the path.
                     let mut best: Option<(usize, EntryId, f64)> = None;
-                    for &slot in path {
+                    for &slot in self.index.last_path() {
                         if let Some((_k, eid)) = self.index.slot(slot) {
                             if eid == id {
                                 continue;
                             }
-                            let e = self.entry(eid);
-                            if e.state != EntryState::Cached {
+                            if self.entry(eid).state != EntryState::Cached {
                                 continue;
                             }
-                            let s = self.entry_score(p, cx, eid);
+                            let s = self.entry_score(eid);
                             if best.is_none_or(|(_, _, bs)| s < bs) {
                                 best = Some((slot, eid, s));
                             }
@@ -760,11 +875,11 @@ impl ShardCore {
                     }
                     match best {
                         Some((slot, victim, _)) => {
-                            self.evict_resident(p, cx, slot, victim);
+                            self.evict_resident(slot, victim);
                             cur = homeless;
                         }
                         None => {
-                            return self.resolve_homeless(p, cx, homeless, id, conflicted);
+                            return self.resolve_homeless(homeless, id, conflicted);
                         }
                     }
                 }
@@ -775,8 +890,6 @@ impl ShardCore {
 
     fn resolve_homeless(
         &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
         homeless: (GetKey, EntryId),
         new_id: EntryId,
         conflicted: bool,
@@ -787,33 +900,33 @@ impl ShardCore {
         } else {
             // The new key is placed; the displaced resident is dropped
             // (it lost its slot and path eviction found no better victim).
-            self.free_entry_storage(p, cx, homeless.1);
-            self.drop_entry(p, cx, homeless.1);
+            self.free_entry_storage(homeless.1);
+            self.drop_entry(homeless.1);
             (true, conflicted)
         }
     }
 
-    fn free_entry_storage(&mut self, p: &CacheParams, cx: &mut EngineCtx, id: EntryId) {
+    fn free_entry_storage(&mut self, id: EntryId) {
         let desc = self.entry(id).desc;
         if desc != NO_DESC {
             self.storage.free(desc);
-            cx.charge(p.costs.alloc_ns);
+            self.charge(self.params.costs.alloc_ns);
         }
     }
 
-    fn entry_score(&self, p: &CacheParams, cx: &EngineCtx, id: EntryId) -> f64 {
+    fn entry_score(&self, id: EntryId) -> f64 {
         let e = self.entry(id);
-        let r_t = temporal_score(e.last, cx.seq);
-        let r_p = positional_score(cx.ags, self.storage.adjacent_free(e.desc));
-        score(p.victim_scheme, r_p, r_t)
+        let r_t = temporal_score(e.last, self.seq);
+        let r_p = positional_score(self.ags, self.storage.adjacent_free(e.desc));
+        score(self.params.victim_scheme, r_p, r_t)
     }
 
     /// Removes a resident entry found at `slot` and releases its storage.
-    fn evict_resident(&mut self, p: &CacheParams, cx: &mut EngineCtx, slot: usize, id: EntryId) {
+    fn evict_resident(&mut self, slot: usize, id: EntryId) {
         let removed = self.index.remove_slot(slot);
         debug_assert!(matches!(removed, Some((_, e)) if e == id));
-        self.free_entry_storage(p, cx, id);
-        self.drop_entry(p, cx, id);
+        self.free_entry_storage(id);
+        self.drop_entry(id);
     }
 
     /// Best-fit allocation with up to `max_evictions_per_miss`
@@ -821,22 +934,20 @@ impl ShardCore {
     /// caching).
     fn alloc_with_eviction(
         &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
         size: usize,
         id: EntryId,
         exclude: Option<EntryId>,
     ) -> (Option<DescId>, bool) {
-        cx.charge(p.costs.alloc_ns);
+        self.charge(self.params.costs.alloc_ns);
         if let Some(d) = self.storage.alloc(size, id) {
             return (Some(d), false);
         }
-        let budget = p.max_evictions_per_miss.max(1);
+        let budget = self.params.max_evictions_per_miss.max(1);
         for _ in 0..budget {
-            if !self.run_capacity_eviction(p, cx, exclude) {
+            if !self.run_capacity_eviction(exclude) {
                 return (None, true);
             }
-            cx.charge(p.costs.alloc_ns);
+            self.charge(self.params.costs.alloc_ns);
             if let Some(d) = self.storage.alloc(size, id) {
                 return (Some(d), true);
             }
@@ -847,15 +958,10 @@ impl ShardCore {
     /// The sampled victim selection of Sec. III-D: scan at least `M`
     /// consecutive index slots from a random start (continuing until a
     /// candidate appears), evict the lowest-score CACHED entry.
-    fn run_capacity_eviction(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        exclude: Option<EntryId>,
-    ) -> bool {
+    fn run_capacity_eviction(&mut self, exclude: Option<EntryId>) -> bool {
         let cap = self.index.capacity();
         let start = self.rng.gen_range(0..cap);
-        let m = p.sample_size.max(1);
+        let m = self.params.sample_size.max(1);
         let mut visited = 0usize;
         let mut nonempty = 0u64;
         let mut best: Option<(usize, EntryId, f64)> = None;
@@ -866,7 +972,7 @@ impl ShardCore {
                 nonempty += 1;
                 let evictable = Some(eid) != exclude && self.entry(eid).state == EntryState::Cached;
                 if evictable {
-                    let s = self.entry_score(p, cx, eid);
+                    let s = self.entry_score(eid);
                     if best.is_none_or(|(_, _, bs)| s < bs) {
                         best = Some((pos, eid, s));
                     }
@@ -876,21 +982,31 @@ impl ShardCore {
                 break;
             }
         }
-        cx.stats.evictions += 1;
-        cx.stats.visited_slots += visited as u64;
-        cx.stats.visited_nonempty += nonempty;
-        cx.charge(p.costs.evict_visit_ns * visited as f64);
+        self.stats.evictions += 1;
+        self.stats.visited_slots += visited as u64;
+        self.stats.visited_nonempty += nonempty;
+        self.charge(self.params.costs.evict_visit_ns * visited as f64);
         match best {
             Some((slot, victim, _)) => {
-                self.evict_resident(p, cx, slot, victim);
+                self.evict_resident(slot, victim);
                 true
             }
             None => false,
         }
     }
 
-    /// Promotes every PENDING entry to CACHED (the per-shard half of the
-    /// epoch-closure hook; cost charging stays with the caller).
+    /// Epoch-closure hook: promotes PENDING entries to CACHED and charges
+    /// the deferred copy costs (the paper's "data has to be explicitly
+    /// copied into the cache memory at the epoch closure time").
+    pub fn epoch_close(&mut self) {
+        self.charge(self.params.costs.epoch_hook_ns);
+        let deferred = std::mem::take(&mut self.deferred_ns);
+        self.charge(deferred);
+        self.promote_pending();
+    }
+
+    /// Promotes every PENDING entry to CACHED (the state half of
+    /// [`RmaCache::epoch_close`], which also charges for it).
     pub(crate) fn promote_pending(&mut self) {
         // Taken and handed back cleared, so the next epoch's pushes reuse
         // the allocation.
@@ -906,26 +1022,12 @@ impl ShardCore {
         self.pending = pending;
     }
 
-    /// Removes `key`'s resident entry if present, releasing its storage.
-    /// The concurrent front uses this to refresh an entry in place (its
-    /// Cuckoo index forbids duplicate keys).
-    pub(crate) fn remove_key(&mut self, p: &CacheParams, cx: &mut EngineCtx, key: &GetKey) -> bool {
-        match self.index.remove(key) {
-            Some(id) => {
-                self.free_entry_storage(p, cx, id);
-                self.drop_entry(p, cx, id);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Builds the extent directory on first use: one pass over the index.
-    fn ensure_extents(&mut self, p: &CacheParams, cx: &mut EngineCtx) {
+    fn ensure_extents(&mut self) {
         if self.extents.is_some() {
             return;
         }
-        cx.charge(p.costs.evict_visit_ns * self.index.capacity() as f64);
+        self.charge(self.params.costs.evict_visit_ns * self.index.capacity() as f64);
         let mut max_size = 0;
         // Collected, not inserted one by one: the map is bulk-built from
         // the sorted keys, which packs its nodes full.
@@ -951,16 +1053,14 @@ impl ShardCore {
     /// `tests/prop_extents.rs` holds it to a full-scan oracle.
     fn invalidate_extents(
         &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
         target: u32,
         probes: &[(u64, u64, u64)],
         doomed: impl Fn(&Entry, u64, u64, u64) -> bool,
     ) -> usize {
-        if probes.is_empty() || !cx.has_entries_for(target) {
+        if probes.is_empty() || !self.has_entries_for(target) {
             return 0;
         }
-        self.ensure_extents(p, cx);
+        self.ensure_extents();
         let Some(dir) = self.extents.as_ref() else {
             return 0;
         };
@@ -976,98 +1076,126 @@ impl ShardCore {
                 }
             }
         }
-        cx.charge(p.costs.evict_visit_ns * examined as f64);
+        self.charge(self.params.costs.evict_visit_ns * examined as f64);
         // Overlapping probes reach an entry more than once.
         victims.sort_unstable();
         victims.dedup();
         for &(slot, id) in &victims {
-            self.evict_resident(p, cx, slot, id);
+            self.evict_resident(slot, id);
         }
         victims.len()
     }
 
-    /// Shard-local half of [`RmaCache::invalidate_range`].
-    pub(crate) fn invalidate_range(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        target: u32,
-        lo: u64,
-        hi: u64,
-    ) -> usize {
-        self.invalidate_extents(p, cx, target, &[(lo, hi, 0)], |e, lo, hi, _| {
-            e.overlaps(lo, hi)
-        })
+    /// Drops every resident entry whose cached bytes overlap
+    /// `[lo, hi)` in `target`'s window; returns how many were dropped.
+    ///
+    /// This is not part of the paper's design — MPI's epoch rules make
+    /// reads of concurrently written data illegal anyway — but it is what
+    /// the coherence and recovery layers are built on. `hi == u64::MAX`
+    /// means "to the end of the target" — with `lo == 0`, the full-target
+    /// drop of a rank failure or ring overflow.
+    ///
+    /// The first ranged invalidation builds the ordered extent directory
+    /// (one pass over `|I_w|`); from then on a call costs one directory
+    /// seek plus the entries that can overlap the range, independent of
+    /// how many entries are cached.
+    pub fn invalidate_range(&mut self, target: u32, lo: u64, hi: u64) -> usize {
+        self.invalidate_extents(target, &[(lo, hi, 0)], |e, lo, hi, _| e.overlaps(lo, hi))
     }
 
-    /// Shard-local half of [`RmaCache::invalidate_target_stale`].
-    pub(crate) fn invalidate_target_stale(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        target: u32,
-        version: u64,
-    ) -> usize {
-        self.invalidate_extents(p, cx, target, &[(0, u64::MAX, version)], |e, _, _, v| {
+    /// Drops every resident entry keyed to `target` whose stored version
+    /// differs from `version` (the target's current write version, fetched
+    /// by an `EpochValidate` coherence pass); returns how many were
+    /// dropped. Entries already stamped with the current version are
+    /// provably fresh and survive. Walks the target's stretch of the
+    /// extent directory: linear in the entries cached *for that target*.
+    pub fn invalidate_target_stale(&mut self, target: u32, version: u64) -> usize {
+        self.invalidate_extents(target, &[(0, u64::MAX, version)], |e, _, _, v| {
             e.version != v
         })
     }
 
-    /// Shard-local half of [`RmaCache::invalidate_overlapping_stale`].
-    pub(crate) fn invalidate_overlapping_stale(
+    /// Drops every resident entry keyed to `target` that overlaps one of
+    /// the put `ranges` (`(lo, hi, version)`, half-open bytes) *and* was
+    /// filled before that put (`entry.version < version`); returns how
+    /// many were dropped. This is the surgical `EagerInvalidate` path:
+    /// each drained notification record seeks the extent directory and
+    /// examines only the entries that can overlap it —
+    /// `O(records · log n)` for a pass, independent of `|I_w|`. Victims go
+    /// in ascending index-slot order whatever order the records arrive in.
+    pub fn invalidate_overlapping_stale(
         &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
         target: u32,
         ranges: &[(u64, u64, u64)],
     ) -> usize {
-        self.invalidate_extents(p, cx, target, ranges, |e, lo, hi, v| {
+        self.invalidate_extents(target, ranges, |e, lo, hi, v| {
             e.overlaps(lo, hi) && e.version < v
         })
     }
 
-    /// Drops every resident entry, resetting index, storage and slab.
-    pub(crate) fn clear_all(&mut self) {
-        self.index.clear();
-        self.storage.clear();
+    /// Forgets every resident once the index and storage are empty (or
+    /// new): slab, promotions, extent directory, per-target counts and
+    /// the deferred copies that would have filled them.
+    fn forget_residents(&mut self) {
         self.entries.clear();
         self.spare.clear();
         self.pending.clear();
-        self.clear_extents();
-        self.cached_count = 0;
-    }
-
-    /// Empties the extent directory (the shard has no residents left). It
-    /// stays built: an empty directory is in step with an empty shard.
-    fn clear_extents(&mut self) {
+        // The directory stays built: an empty one is in step with an
+        // empty engine.
         if let Some(dir) = self.extents.as_mut() {
             *dir = ExtentDir::default();
         }
-    }
-
-    /// Replaces the index (reseeded from `seed_base`) and storage for an
-    /// adaptive resize, clearing all residents. Keeps the victim-sampling
-    /// RNG stream, exactly like the unsharded engine's resize did.
-    fn rebuild(&mut self, params: &CacheParams, stripe: usize, seed_base: u64) {
-        let n = params.shards.max(1);
-        self.index = CuckooIndex::new(
-            (params.index_entries / n).max(1),
-            params.max_insert_iters,
-            shard_seed(seed_base, stripe),
-        );
-        self.storage = Storage::new(params.storage_bytes / n);
-        self.entries.clear();
-        self.spare.clear();
-        self.pending.clear();
-        self.clear_extents();
         self.cached_count = 0;
+        self.deferred_ns = 0.0;
+        self.target_counts.clear();
+        self.stats.invalidations += 1;
     }
 
-    /// Verifies that this shard's structures describe one resident set
-    /// (see [`RmaCache::check_invariants`]) and adds its entries to
-    /// `per_target`. Only meaningful between operations.
+    /// Drops every cached entry (transparent-mode epoch invalidation,
+    /// `CLAMPI_Invalidate`, or an adaptive adjustment).
+    pub fn invalidate(&mut self) {
+        self.index.clear();
+        self.storage.clear();
+        self.forget_residents();
+    }
+
+    /// The adaptive resize history.
+    pub fn resize_log(&self) -> &[ResizeEvent] {
+        &self.resize_log
+    }
+
+    /// Replaces `|I_w|` / `|S_w|` and invalidates (adaptive adjustment).
+    /// The index is reseeded; the victim-sampling RNG keeps its stream.
+    pub fn resize(&mut self, index_entries: usize, storage_bytes: usize) {
+        self.rebuilds += 1;
+        self.resize_log.push(ResizeEvent {
+            at_seq: self.seq,
+            index_entries,
+            storage_bytes,
+        });
+        self.params.index_entries = index_entries.max(1);
+        self.params.storage_bytes = storage_bytes;
+        self.index = CuckooIndex::new(
+            self.params.index_entries,
+            self.params.max_insert_iters,
+            self.params.seed.wrapping_add(self.rebuilds),
+        );
+        self.storage = Storage::new(storage_bytes);
+        self.forget_residents();
+        self.stats.adjustments += 1;
+        // The shadow caches model the live geometry; a resize rebuilds
+        // them empty at the new sizes, mirroring the live invalidation.
+        self.lab = new_lab(&self.params);
+    }
+
+    /// Panics unless the engine's structures describe one and the same
+    /// resident set: index ↔ entry slab ↔ spare list ↔ storage
+    /// descriptors ↔ `pending` ↔ `cached_count` ↔ per-target counts ↔
+    /// extent directory (once built: the index's key set, every entry
+    /// within the size mark). Call between operations — the property
+    /// suites do, after every step.
     #[cfg(any(test, debug_assertions))]
-    fn check_invariants(&self, per_target: &mut Vec<u32>) {
+    pub fn check_invariants(&self) {
         self.storage.check_invariants();
         let live = self.entries.iter().flatten().count();
         assert_eq!(self.index.len(), live, "index and entry slab disagree");
@@ -1080,6 +1208,7 @@ impl ShardCore {
             assert!(self.entries[id as usize].is_none(), "spare id {id} is live");
         }
         let (mut cached, mut pending) = (0, 0);
+        let mut per_target: Vec<u32> = Vec::new();
         for (slot, key, id) in self.index.iter() {
             let e = self.entries[id as usize]
                 .as_ref()
@@ -1118,6 +1247,144 @@ impl ShardCore {
         if let Some(dir) = &self.extents {
             assert_eq!(dir.by_start.len(), live, "extent directory size");
         }
+        let count = |counts: &[u32], t: usize| counts.get(t).copied().unwrap_or(0);
+        for t in 0..per_target.len().max(self.target_counts.len()) {
+            assert_eq!(
+                count(&self.target_counts, t),
+                count(&per_target, t),
+                "target_counts[{t}]"
+            );
+        }
+    }
+
+    /// Every resident entry in slot order — what one full scan of the
+    /// index sees. With [`RmaCache::evict_slot`], all the full-scan
+    /// oracle of `tests/prop_extents.rs` needs to replay the index-scan
+    /// invalidations the extent directory replaced.
+    #[doc(hidden)]
+    #[cfg(any(test, debug_assertions))]
+    pub fn residents(&self) -> Vec<Resident> {
+        self.index
+            .iter()
+            .map(|(slot, key, id)| {
+                let e = self.entry(id);
+                Resident {
+                    slot,
+                    id,
+                    key,
+                    size: e.size,
+                    version: e.version,
+                }
+            })
+            .collect()
+    }
+
+    /// Evicts whatever occupies `slot`, exactly as an invalidation evicts
+    /// a victim; `false` if the slot is empty.
+    #[doc(hidden)]
+    #[cfg(any(test, debug_assertions))]
+    pub fn evict_slot(&mut self, slot: usize) -> bool {
+        match self.index.slot(slot) {
+            Some((_, id)) => {
+                self.evict_resident(slot, id);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// An order-independent-of-nothing, content-sensitive fingerprint of
+    /// the resident cache state: every occupied index slot contributes its
+    /// position, key, entry state, size, and stored payload bytes to an
+    /// FNV-1a hash. Two caches that went through the same sequence of
+    /// state transitions fingerprint identically; any divergence in
+    /// placement, classification, or bytes shows up. Used by the
+    /// nonblocking-vs-blocking equivalence property test.
+    pub fn content_fingerprint(&self) -> u64 {
+        struct Fnv(u64);
+        impl Fnv {
+            fn byte(&mut self, b: u8) {
+                self.0 ^= b as u64;
+                self.0 = self.0.wrapping_mul(0x100000001b3);
+            }
+            fn word(&mut self, w: u64) {
+                for b in w.to_le_bytes() {
+                    self.byte(b);
+                }
+            }
+        }
+        let mut h = Fnv(0xcbf29ce484222325);
+        for (slot, key, id) in self.index.iter() {
+            let e = self.entry(id);
+            h.word(slot as u64);
+            h.word(key.target as u64);
+            h.word(key.disp);
+            h.word(match e.state {
+                EntryState::Pending => 1,
+                EntryState::Cached => 2,
+            });
+            h.word(e.size as u64);
+            if e.desc != NO_DESC {
+                for &b in self.storage.read(e.desc, e.size) {
+                    h.byte(b);
+                }
+            }
+        }
+        h.0
+    }
+}
+
+/// Outcome of a bounds-checked, panic-free cache probe. `Retry` means the
+/// observed state was not servable as a clean hit or miss (torn or
+/// transient under a concurrent writer); the seqlock reader falls back to
+/// the locked path, the locked reader treats it as a miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ProbeResult {
+    /// `dst` was filled from the cache (valid only if the stripe's sequence
+    /// counter validates afterwards).
+    Hit,
+    /// No servable entry for the key at the requested length.
+    Miss,
+    /// Inconclusive: state looked mid-mutation or not directly servable.
+    Retry,
+}
+
+// The front-only surface: everything `ShardedCache` reaches a stripe's
+// engine through that no other caller needs — this block's `with_seeds`,
+// `tick`, `remove_key` and `racy_probe`, its `ProbeResult` above, and the
+// `pub(crate)` on `promote_pending`. The rest of what the front calls
+// (`finish_miss`, `invalidate_range`, `len`, `stats`) is the public engine
+// API. These six are what ROADMAP's front exit (b) deletes, with `shard.rs`
+// and `seqlock.rs`.
+impl RmaCache {
+    /// A fresh engine whose Cuckoo hashers and victim sampler are seeded
+    /// explicitly (`params.seed` is not consulted until a resize) and
+    /// whose entry slab is preallocated to its worst-case population
+    /// (index capacity + the transient insert + one spare), so it never
+    /// reallocates under an optimistic reader.
+    pub(crate) fn with_seeds(params: CacheParams, index_seed: u64, sampler_seed: u64) -> Self {
+        Self::build(params, index_seed, sampler_seed, true)
+    }
+
+    /// Advances the get sequence counter without a lookup: the front's
+    /// insert is an access event of its own, and distinct `last` stamps
+    /// are what temporal victim scoring relies on.
+    pub(crate) fn tick(&mut self) {
+        self.seq += 1;
+    }
+
+    /// Removes `key`'s resident entry if present, releasing its storage.
+    /// The front refreshes an entry in place with this (the Cuckoo index
+    /// forbids duplicate keys).
+    pub(crate) fn remove_key(&mut self, key: &GetKey) -> bool {
+        match self.index.remove(key) {
+            Some(id) => {
+                self.free_entry_storage(id);
+                self.drop_entry(id);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Bounds-checked, panic-free probe for the concurrent hit path. Safe
@@ -1127,7 +1394,7 @@ impl ShardCore {
     /// descriptor list, whose links a writer may be rewiring), and any
     /// state that looks mid-mutation yields [`ProbeResult::Retry`]. A torn
     /// read can still produce a wrong `Hit`/`Miss` — the caller MUST
-    /// validate the shard's sequence counter afterwards and discard the
+    /// validate the stripe's sequence counter afterwards and discard the
     /// result on mismatch.
     pub(crate) fn racy_probe(&self, key: &GetKey, dst: &mut [u8]) -> ProbeResult {
         let Some(id) = self.index.lookup(key) else {
@@ -1153,493 +1420,6 @@ impl ShardCore {
             }
             None => ProbeResult::Retry,
         }
-    }
-}
-
-/// The caching layer state machine for one window.
-///
-/// # Examples
-///
-/// Driving the engine directly (without a simulator window) — one miss,
-/// one epoch close, one hit:
-///
-/// ```
-/// use clampi::cache::{CacheParams, LayoutSig, Lookup, RmaCache};
-/// use clampi::index::GetKey;
-///
-/// let mut cache = RmaCache::new(CacheParams::default());
-/// let key = GetKey { target: 3, disp: 4096 };
-/// let sig = LayoutSig::Contig(64);
-/// let payload = [7u8; 64];
-///
-/// let mut dst = [0u8; 64];
-/// assert_eq!(cache.process_lookup(key, &sig, &mut dst), Lookup::Miss);
-/// cache.finish_miss(key, sig.clone(), &payload, 0); // caller fetched `payload`
-/// cache.epoch_close();                           // PENDING -> CACHED
-///
-/// assert_eq!(cache.process_lookup(key, &sig, &mut dst), Lookup::Hit);
-/// assert_eq!(dst, payload);
-/// assert_eq!(cache.stats().hits, 1);
-/// ```
-#[derive(Debug)]
-pub struct RmaCache {
-    params: CacheParams,
-    shards: Vec<ShardCore>,
-    cx: EngineCtx,
-    rebuilds: u64,
-    resize_log: Vec<ResizeEvent>,
-}
-
-/// One adaptive resize, recorded for figure annotations and debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResizeEvent {
-    /// Get sequence number at which the resize happened.
-    pub at_seq: u64,
-    /// New `|I_w|`.
-    pub index_entries: usize,
-    /// New `|S_w|`.
-    pub storage_bytes: usize,
-}
-
-/// One resident entry as [`RmaCache::residents`] reports it.
-#[doc(hidden)]
-#[cfg(any(test, debug_assertions))]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Resident {
-    /// Shard holding the entry.
-    pub shard: usize,
-    /// Its index slot within that shard.
-    pub slot: usize,
-    /// Its slab id. Ids are recycled last-dropped-first, so two engines
-    /// agree on them only if they dropped their entries in the same order.
-    pub id: EntryId,
-    /// The get that created it.
-    pub key: GetKey,
-    /// Cached bytes from `key.disp` on.
-    pub size: usize,
-    /// Target write version observed when it was filled.
-    pub version: u64,
-}
-
-impl RmaCache {
-    /// A fresh cache with the given parameters.
-    pub fn new(params: CacheParams) -> Self {
-        let n = params.shards.max(1);
-        let shards = (0..n).map(|s| ShardCore::new(&params, s, false)).collect();
-        let mut cx = EngineCtx::new();
-        if params.policy_lab {
-            cx.lab = Some(PolicyLab::new(
-                params.index_entries,
-                params.storage_bytes,
-                params.sample_size,
-                params.seed,
-            ));
-        }
-        RmaCache {
-            shards,
-            cx,
-            rebuilds: 0,
-            resize_log: Vec::new(),
-            params,
-        }
-    }
-
-    /// The live eviction policy.
-    pub fn victim_scheme(&self) -> VictimScheme {
-        self.params.victim_scheme
-    }
-
-    /// Switches the live eviction policy without dropping residents: no
-    /// scheme owns private state, so the switch is an assignment to
-    /// [`CacheParams::victim_scheme`] and the next eviction scores with
-    /// the new rule. Returns `true` if the policy actually changed; no-op
-    /// switches cost nothing and are not counted.
-    pub fn set_victim_scheme(&mut self, new: VictimScheme) -> bool {
-        let changed = new != self.params.victim_scheme;
-        if changed {
-            self.params.victim_scheme = new;
-            self.cx.stats.policy_switches += 1;
-            self.cx.stats.adjustments += 1;
-            self.cx.charge(self.params.costs.epoch_hook_ns);
-        }
-        changed
-    }
-
-    /// Current parameters.
-    pub fn params(&self) -> &CacheParams {
-        &self.params
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &CacheStats {
-        &self.cx.stats
-    }
-
-    /// The get sequence counter (index into the paper's `C_w.G`).
-    pub fn seq(&self) -> u64 {
-        self.cx.seq
-    }
-
-    /// The running average get size `C_w.ags`.
-    pub fn avg_get_size(&self) -> f64 {
-        self.cx.ags
-    }
-
-    /// Occupied fraction of the storage buffer (Fig. 10's y-axis).
-    pub fn occupancy(&self) -> f64 {
-        let capacity: usize = self.shards.iter().map(|s| s.storage.capacity()).sum();
-        if capacity == 0 {
-            0.0
-        } else {
-            let occupied: usize = self.shards.iter().map(|s| s.storage.occupied_bytes()).sum();
-            occupied as f64 / capacity as f64
-        }
-    }
-
-    /// Free bytes in the storage buffer.
-    pub fn free_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.storage.free_bytes()).sum()
-    }
-
-    /// Number of resident (pending + cached) entries.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.index.len()).sum()
-    }
-
-    /// Whether no entry is resident.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.index.is_empty())
-    }
-
-    /// Drains the accumulated management CPU time (nanoseconds) so the
-    /// wrapper can charge it to the rank's virtual clock.
-    pub fn take_cost(&mut self) -> f64 {
-        std::mem::take(&mut self.cx.uncharged_ns)
-    }
-
-    /// The shard responsible for `key` (`stripe mod shards`; the one shard
-    /// of the default engine without hashing).
-    fn shard_idx(&self, key: &GetKey) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        (key.stripe() % self.shards.len() as u64) as usize
-    }
-
-    /// Whether any resident (pending or cached) entry is keyed to
-    /// `target`. O(1): lets a coherence pass skip targets with nothing
-    /// cached without scanning the index.
-    pub fn has_entries_for(&self, target: u32) -> bool {
-        self.cx.has_entries_for(target)
-    }
-
-    /// Phase 1 of a `get_c`: classify against the index, serving full hits
-    /// (and the head of contiguous partial hits) into `dst`.
-    ///
-    /// `dst.len()` must equal `sig.size()`.
-    pub fn process_lookup(&mut self, key: GetKey, sig: &LayoutSig, dst: &mut [u8]) -> Lookup {
-        let i = self.shard_idx(&key);
-        let Self {
-            params, shards, cx, ..
-        } = self;
-        shards[i].process_lookup(params, cx, key, sig, dst)
-    }
-
-    /// Stages the snapshot stamp for the payload about to be handed to
-    /// the next [`RmaCache::finish_miss`] / [`RmaCache::finish_partial`]
-    /// call, which consumes it (or discards it on failure). Callers that
-    /// never stage get inexact entries, which the snapshot layer refetches
-    /// — so stamp-blind paths (traces, the concurrent front's insert)
-    /// stay correct without changes.
-    pub fn stage_stamp(&mut self, stamp: SnapStamp) {
-        self.cx.staged_stamp = Some(stamp);
-    }
-
-    /// Read-only probe of the snapshot stamp of the resident entry for
-    /// `key` (`None` when nothing is resident). Free in virtual time,
-    /// like the index peek it is.
-    pub fn snap_stamp(&self, key: &GetKey) -> Option<SnapStamp> {
-        let sh = &self.shards[self.shard_idx(key)];
-        sh.index.lookup(key).map(|id| sh.entry(id).snap)
-    }
-
-    /// Phase 2 after a [`Lookup::Miss`]: `data` is the fetched payload;
-    /// attempt to cache it. Returns the access classification.
-    ///
-    /// `version` is the target-region write version observed *before* the
-    /// payload bytes were read (pass 0 when versions are not tracked); the
-    /// coherence layer uses it to decide staleness later.
-    pub fn finish_miss(
-        &mut self,
-        key: GetKey,
-        sig: LayoutSig,
-        data: &[u8],
-        version: u64,
-    ) -> AccessType {
-        let i = self.shard_idx(&key);
-        let Self {
-            params, shards, cx, ..
-        } = self;
-        shards[i].finish_miss(params, cx, key, sig, data, version)
-    }
-
-    /// Phase 2 after a [`Lookup::PartialHit`]: `data` is the *full* payload
-    /// (head served from cache, tail fetched by the wrapper). Attempts to
-    /// extend (re-allocate) the existing entry; on failure the old, shorter
-    /// entry stays valid (Sec. III-B: "extended only if `S_w` contains
-    /// enough space").
-    ///
-    /// `version` is the write version observed before the tail fetch; the
-    /// extended entry is stamped with the *older* of its existing version
-    /// and `version` (the head bytes may predate the tail bytes, so the
-    /// conservative choice is the minimum).
-    pub fn finish_partial(
-        &mut self,
-        key: GetKey,
-        sig: LayoutSig,
-        data: &[u8],
-        version: u64,
-    ) -> AccessType {
-        let i = self.shard_idx(&key);
-        let Self {
-            params, shards, cx, ..
-        } = self;
-        shards[i].finish_partial(params, cx, key, sig, data, version)
-    }
-
-    /// Epoch-closure hook: promotes PENDING entries to CACHED and charges
-    /// the deferred copy costs (the paper's "data has to be explicitly
-    /// copied into the cache memory at the epoch closure time").
-    pub fn epoch_close(&mut self) {
-        self.cx.charge(self.params.costs.epoch_hook_ns);
-        let deferred = std::mem::take(&mut self.cx.deferred_ns);
-        self.cx.charge(deferred);
-        for sh in &mut self.shards {
-            sh.promote_pending();
-        }
-    }
-
-    /// Drops every resident entry whose cached bytes overlap
-    /// `[lo, hi)` in `target`'s window; returns how many were dropped.
-    ///
-    /// This is not part of the paper's design — MPI's epoch rules make
-    /// reads of concurrently written data illegal anyway — but it enables
-    /// the *write-through invalidation* extension of
-    /// [`crate::ClampiConfig::invalidate_on_put`], which keeps a
-    /// long-lived always-cache window coherent with the issuing rank's own
-    /// puts. `hi == u64::MAX` means "to the end of the target" — with
-    /// `lo == 0`, the full-target drop of a rank failure or ring overflow.
-    ///
-    /// The first ranged invalidation builds each shard's ordered extent
-    /// directory (one pass over `|I_w|`); from then on a call costs one
-    /// directory seek plus the entries that can overlap the range,
-    /// independent of how many entries are cached.
-    pub fn invalidate_range(&mut self, target: u32, lo: u64, hi: u64) -> usize {
-        let Self {
-            params, shards, cx, ..
-        } = self;
-        shards
-            .iter_mut()
-            .map(|sh| sh.invalidate_range(params, cx, target, lo, hi))
-            .sum()
-    }
-
-    /// Drops every resident entry keyed to `target` whose stored version
-    /// differs from `version` (the target's current write version, fetched
-    /// by an `EpochValidate` coherence pass); returns how many were
-    /// dropped. Entries already stamped with the current version are
-    /// provably fresh and survive. Walks the target's stretch of the
-    /// extent directory: linear in the entries cached *for that target*.
-    pub fn invalidate_target_stale(&mut self, target: u32, version: u64) -> usize {
-        let Self {
-            params, shards, cx, ..
-        } = self;
-        shards
-            .iter_mut()
-            .map(|sh| sh.invalidate_target_stale(params, cx, target, version))
-            .sum()
-    }
-
-    /// Drops every resident entry keyed to `target` that overlaps one of
-    /// the put `ranges` (`(lo, hi, version)`, half-open bytes) *and* was
-    /// filled before that put (`entry.version < version`); returns how
-    /// many were dropped. This is the surgical `EagerInvalidate` path:
-    /// each drained notification record seeks the extent directory and
-    /// examines only the entries that can overlap it —
-    /// `O(records · log n)` for a pass, independent of `|I_w|`. Victims go
-    /// in ascending index-slot order whatever order the records arrive in.
-    pub fn invalidate_overlapping_stale(
-        &mut self,
-        target: u32,
-        ranges: &[(u64, u64, u64)],
-    ) -> usize {
-        let Self {
-            params, shards, cx, ..
-        } = self;
-        shards
-            .iter_mut()
-            .map(|sh| sh.invalidate_overlapping_stale(params, cx, target, ranges))
-            .sum()
-    }
-
-    /// Drops every cached entry (transparent-mode epoch invalidation,
-    /// `CLAMPI_Invalidate`, or an adaptive adjustment).
-    pub fn invalidate(&mut self) {
-        for sh in &mut self.shards {
-            sh.clear_all();
-        }
-        self.cx.deferred_ns = 0.0;
-        self.cx.target_counts.clear();
-        self.cx.stats.invalidations += 1;
-    }
-
-    /// The adaptive resize history.
-    pub fn resize_log(&self) -> &[ResizeEvent] {
-        &self.resize_log
-    }
-
-    /// Replaces `|I_w|` / `|S_w|` and invalidates (adaptive adjustment).
-    pub fn resize(&mut self, index_entries: usize, storage_bytes: usize) {
-        self.rebuilds += 1;
-        self.resize_log.push(ResizeEvent {
-            at_seq: self.cx.seq,
-            index_entries,
-            storage_bytes,
-        });
-        self.params.index_entries = index_entries.max(1);
-        self.params.storage_bytes = storage_bytes;
-        let seed_base = self.params.seed.wrapping_add(self.rebuilds);
-        for (i, sh) in self.shards.iter_mut().enumerate() {
-            sh.rebuild(&self.params, i, seed_base);
-        }
-        self.cx.deferred_ns = 0.0;
-        self.cx.target_counts.clear();
-        self.cx.stats.invalidations += 1;
-        self.cx.stats.adjustments += 1;
-        // The shadow caches model the live geometry; a resize rebuilds
-        // them empty at the new sizes, mirroring the live invalidation.
-        if self.cx.lab.is_some() {
-            self.cx.lab = Some(PolicyLab::new(
-                self.params.index_entries,
-                self.params.storage_bytes,
-                self.params.sample_size,
-                self.params.seed,
-            ));
-        }
-    }
-
-    /// Number of entries in the CACHED state.
-    pub fn cached_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.cached_count).sum()
-    }
-
-    /// Panics unless the engine's structures describe one and the same
-    /// resident set: per shard, index ↔ entry slab ↔ spare list ↔ storage
-    /// descriptors ↔ `pending` ↔ `cached_count` ↔ extent directory (once
-    /// built: the index's key set, every entry within the size mark);
-    /// across shards, the per-target counts. Call between operations —
-    /// the property suites do, after every step.
-    #[cfg(any(test, debug_assertions))]
-    pub fn check_invariants(&self) {
-        let mut per_target = Vec::new();
-        for sh in &self.shards {
-            sh.check_invariants(&mut per_target);
-        }
-        let counted = |t: usize| self.cx.target_counts.get(t).copied().unwrap_or(0);
-        for t in 0..per_target.len().max(self.cx.target_counts.len()) {
-            let resident = per_target.get(t).copied().unwrap_or(0);
-            assert_eq!(counted(t), resident, "target_counts[{t}]");
-        }
-    }
-
-    /// Every resident entry in shard-then-slot order — what one full scan
-    /// of the index sees. With [`RmaCache::evict_slot`], all the full-scan
-    /// oracle of `tests/prop_extents.rs` needs to replay the index-scan
-    /// invalidations the extent directory replaced.
-    #[doc(hidden)]
-    #[cfg(any(test, debug_assertions))]
-    pub fn residents(&self) -> Vec<Resident> {
-        let mut out = Vec::new();
-        for (shard, sh) in self.shards.iter().enumerate() {
-            for (slot, key, id) in sh.index.iter() {
-                let e = sh.entry(id);
-                out.push(Resident {
-                    shard,
-                    slot,
-                    id,
-                    key,
-                    size: e.size,
-                    version: e.version,
-                });
-            }
-        }
-        out
-    }
-
-    /// Evicts whatever occupies `slot` of `shard`, exactly as an
-    /// invalidation evicts a victim; `false` if the slot is empty.
-    #[doc(hidden)]
-    #[cfg(any(test, debug_assertions))]
-    pub fn evict_slot(&mut self, shard: usize, slot: usize) -> bool {
-        let Self {
-            params, shards, cx, ..
-        } = self;
-        let sh = &mut shards[shard];
-        match sh.index.slot(slot) {
-            Some((_, id)) => {
-                sh.evict_resident(params, cx, slot, id);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// An order-independent-of-nothing, content-sensitive fingerprint of
-    /// the resident cache state: every occupied index slot contributes its
-    /// position (offset by the shard's slot base), key, entry state, size,
-    /// and stored payload bytes to an FNV-1a hash. Two caches that went
-    /// through the same sequence of state transitions fingerprint
-    /// identically; any divergence in placement, classification, or bytes
-    /// shows up. Used by the nonblocking-vs-blocking equivalence property
-    /// test.
-    pub fn content_fingerprint(&self) -> u64 {
-        struct Fnv(u64);
-        impl Fnv {
-            fn byte(&mut self, b: u8) {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x100000001b3);
-            }
-            fn word(&mut self, w: u64) {
-                for b in w.to_le_bytes() {
-                    self.byte(b);
-                }
-            }
-        }
-        let mut h = Fnv(0xcbf29ce484222325);
-        let mut slot_base = 0u64;
-        for sh in &self.shards {
-            for slot in 0..sh.index.capacity() {
-                let Some((key, id)) = sh.index.slot(slot) else {
-                    continue;
-                };
-                let e = sh.entry(id);
-                h.word(slot_base + slot as u64);
-                h.word(key.target as u64);
-                h.word(key.disp);
-                h.word(match e.state {
-                    EntryState::Pending => 1,
-                    EntryState::Cached => 2,
-                });
-                h.word(e.size as u64);
-                if e.desc != NO_DESC {
-                    for &b in sh.storage.read(e.desc, e.size) {
-                        h.byte(b);
-                    }
-                }
-            }
-            slot_base += sh.index.capacity() as u64;
-        }
-        h.0
     }
 }
 
@@ -1815,9 +1595,8 @@ mod tests {
         );
         assert!(c.len() <= 4);
         // Every resident entry still serves correct data.
-        let resident: Vec<(GetKey, EntryId)> =
-            (0..4).filter_map(|s| c.shards[0].index.slot(s)).collect();
-        for (k, _) in resident {
+        let resident: Vec<GetKey> = c.index.iter().map(|(_, k, _)| k).collect();
+        for k in resident {
             let mut dst = vec![0u8; 64];
             assert_eq!(
                 c.process_lookup(k, &LayoutSig::Contig(64), &mut dst),
@@ -1976,86 +1755,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_splits_capacity_and_stays_consistent() {
-        // 4 shards, capacity split evenly; every insert lands in the shard
-        // its stripe selects and later hits from there.
-        let mut c = RmaCache::new(CacheParams {
-            index_entries: 256,
-            storage_bytes: 64 << 10,
-            costs: CacheCostModel::free(),
-            shards: 4,
-            ..CacheParams::default()
-        });
-        assert_eq!(c.shards.len(), 4);
-        for sh in &c.shards {
-            assert_eq!(sh.index.capacity(), 64);
-            assert_eq!(sh.storage.capacity(), 16 << 10);
-        }
-        for i in 0..64u64 {
-            let data = vec![i as u8; 128];
-            assert_eq!(insert(&mut c, key(0, i * 1000), &data), AccessType::Direct);
-        }
-        c.epoch_close();
-        assert_eq!(c.len(), 64);
-        assert_eq!(c.cached_entries(), 64);
-        assert!(
-            c.shards.iter().all(|s| !s.index.is_empty()),
-            "64 keys over 4 stripes should touch every shard"
-        );
-        for i in 0..64u64 {
-            let mut dst = vec![0u8; 128];
-            assert_eq!(
-                c.process_lookup(key(0, i * 1000), &LayoutSig::Contig(128), &mut dst),
-                Lookup::Hit
-            );
-            assert_eq!(dst, vec![i as u8; 128]);
-        }
-        assert_eq!(c.stats().hits, 64);
-        // Cross-shard invalidation drops everything.
-        c.invalidate();
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn shard_zero_of_one_matches_unsharded_seeds() {
-        // `shards: 1` must reproduce the historical seed streams exactly:
-        // same index placement, same victim sampling, same fingerprints.
-        let mut a = RmaCache::new(params(64, 4096));
-        let mut b = RmaCache::new(CacheParams {
-            shards: 1,
-            ..params(64, 4096)
-        });
-        for i in 0..32u64 {
-            let data = vec![i as u8; 200];
-            assert_eq!(
-                insert(&mut a, key(1, i * 64), &data),
-                insert(&mut b, key(1, i * 64), &data)
-            );
-            a.epoch_close();
-            b.epoch_close();
-        }
-        assert_eq!(a.content_fingerprint(), b.content_fingerprint());
-        assert_eq!(a.stats().evictions, b.stats().evictions);
-    }
-
-    #[test]
     fn racy_probe_agrees_with_process_lookup_on_stable_state() {
         let mut c = cache(64, 8 << 10);
         for i in 0..16u64 {
             insert(&mut c, key(0, i * 100), &[i as u8; 64]);
         }
         c.epoch_close();
-        let sh = &c.shards[0];
         for i in 0..16u64 {
             let mut dst = vec![0u8; 64];
-            assert_eq!(sh.racy_probe(&key(0, i * 100), &mut dst), ProbeResult::Hit);
+            assert_eq!(c.racy_probe(&key(0, i * 100), &mut dst), ProbeResult::Hit);
             assert_eq!(dst, vec![i as u8; 64]);
         }
         let mut dst = vec![0u8; 64];
-        assert_eq!(sh.racy_probe(&key(9, 0), &mut dst), ProbeResult::Miss);
+        assert_eq!(c.racy_probe(&key(9, 0), &mut dst), ProbeResult::Miss);
         // Oversized request: a clean miss, not a retry.
         let mut big = vec![0u8; 128];
-        assert_eq!(sh.racy_probe(&key(0, 0), &mut big), ProbeResult::Miss);
+        assert_eq!(c.racy_probe(&key(0, 0), &mut big), ProbeResult::Miss);
     }
 
     #[test]
@@ -2063,14 +1778,8 @@ mod tests {
         let mut c = cache(64, 4096);
         insert(&mut c, key(0, 0), &[1u8; 64]); // still PENDING
         let mut dst = vec![0u8; 64];
-        assert_eq!(
-            c.shards[0].racy_probe(&key(0, 0), &mut dst),
-            ProbeResult::Retry
-        );
+        assert_eq!(c.racy_probe(&key(0, 0), &mut dst), ProbeResult::Retry);
         c.epoch_close();
-        assert_eq!(
-            c.shards[0].racy_probe(&key(0, 0), &mut dst),
-            ProbeResult::Hit
-        );
+        assert_eq!(c.racy_probe(&key(0, 0), &mut dst), ProbeResult::Hit);
     }
 }

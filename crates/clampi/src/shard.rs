@@ -1,14 +1,17 @@
-//! The concurrent cache front: per-stripe shards behind a seqlock, so the
-//! hit path takes **zero write-locks**.
+//! The concurrent cache front: N engines, one per hash stripe, each behind
+//! a seqlock, so the hit path takes **zero write-locks**.
 //!
-//! [`ShardedCache`] wraps one [`ShardCore`] per hash stripe of the
-//! [`GetKey`]. Each shard pairs its core with a sequence counter and an
-//! `RwLock`:
+//! [`ShardedCache`] wraps one [`RmaCache`] per hash stripe of the
+//! [`GetKey`] ([`GetKey::stripe`] `mod` stripe count). How keys, capacity
+//! and seeds are split across stripes is decided in this module and
+//! nowhere else (`stripe_engine`, `shard_of`): the engine does not know
+//! it is one of several. Each shard pairs its engine with a sequence
+//! counter and an `RwLock`:
 //!
 //! - **Hits (fast path).** [`ShardedCache::get`] performs a seqlock-style
 //!   optimistic read: load the sequence counter (even = no writer), probe
-//!   the core with the panic-free, bounds-checked
-//!   [`ShardCore::racy_probe`], then validate that the counter is
+//!   the engine with the panic-free, bounds-checked
+//!   [`RmaCache::racy_probe`], then validate that the counter is
 //!   unchanged. A torn read cannot crash (every access is bounds-checked
 //!   and payload bytes are copied via the entry's cached region offset,
 //!   never through allocator metadata) and cannot be *returned* (the
@@ -35,8 +38,8 @@
 //! needed anywhere. The extracted protocol is model-checked exhaustively
 //! by the `mc_*` tests in `seqlock.rs` under `--cfg clampi_mc`.
 //!
-//! **Why reads through a mutating core are tolerable.** A [`ShardCore`]
-//! built with a pinned slab never reallocates reader-visible memory while
+//! **Why reads through a mutating engine are tolerable.** An engine built
+//! by `RmaCache::with_seeds` never reallocates reader-visible memory while
 //! the cache is alive: the entry slab is preallocated to its worst-case
 //! population, the index's slot/fingerprint arrays are fixed at
 //! construction (`clear` is in-place), the storage buffer is fixed, and
@@ -49,7 +52,7 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-use crate::cache::{CacheParams, EngineCtx, LayoutSig, ProbeResult, ShardCore};
+use crate::cache::{CacheParams, LayoutSig, ProbeResult, RmaCache};
 use crate::index::GetKey;
 use crate::seqlock::SeqLock;
 use crate::stats::{AccessType, CacheStats};
@@ -58,9 +61,29 @@ use crate::stats::{AccessType, CacheStats};
 /// validation or an odd counter) before falling back to the read lock.
 const OPTIMISTIC_ATTEMPTS: usize = 8;
 
-struct ShardState {
-    core: ShardCore,
-    cx: EngineCtx,
+/// Derives stripe `stripe`'s seed from a base seed. Stripe 0 keeps the base
+/// unchanged so a one-shard front reproduces the engine's seed streams
+/// bit-for-bit; the odd multiplier decorrelates the other stripes.
+fn shard_seed(base: u64, stripe: usize) -> u64 {
+    base.wrapping_add((stripe as u64).wrapping_mul(0xA24B_AED4_963E_E407))
+}
+
+/// The engine of stripe `stripe` of a `params.shards`-way front (at least
+/// one): an even share of the index and storage, its own hasher and
+/// sampler seeds, no policy lab (the lock-free hit path could not feed it).
+fn stripe_engine(params: &CacheParams, stripe: usize) -> RmaCache {
+    let n = params.shards;
+    let per_stripe = CacheParams {
+        index_entries: (params.index_entries / n).max(1),
+        storage_bytes: params.storage_bytes / n,
+        policy_lab: false,
+        ..params.clone()
+    };
+    RmaCache::with_seeds(
+        per_stripe,
+        shard_seed(params.seed, stripe),
+        shard_seed(params.seed ^ 0x5EED, stripe),
+    )
 }
 
 struct Shard {
@@ -69,7 +92,7 @@ struct Shard {
     /// Slow-path lock. Writers hold it exclusively for every mutation;
     /// the hit-path fallback and stats readers hold it shared.
     lock: RwLock<()>,
-    state: UnsafeCell<ShardState>,
+    engine: UnsafeCell<RmaCache>,
     /// Write-lock acquisitions on this shard. The contention bench asserts
     /// this stays flat across a read-only phase — the "zero write-locks on
     /// the hit path" guarantee, measured rather than claimed.
@@ -81,7 +104,7 @@ struct Shard {
     locked_hits: AtomicU64,
 }
 
-// SAFETY: `state` (fields all Send) is only mutated under the exclusive
+// SAFETY: `engine` (fields all Send) is only mutated under the exclusive
 // write lock; shared access is either read-locked (stable) or optimistic,
 // with bounds-checked panic-free reads discarded on sequence mismatch.
 unsafe impl Sync for Shard {}
@@ -90,7 +113,7 @@ unsafe impl Sync for Shard {}
 ///
 /// This is the scale-facing front over the same engine the deterministic
 /// simulator uses: [`CacheParams::shards`] stripes, each an independent
-/// [`ShardCore`] (index + slab + storage arena) behind its own seqlock.
+/// [`RmaCache`] (index + slab + storage arena) behind its own seqlock.
 /// `get` never takes a write lock; `insert`/`invalidate_range` take only
 /// the owning shard's.
 ///
@@ -136,10 +159,7 @@ impl ShardedCache {
             .map(|i| Shard {
                 seq: SeqLock::new(),
                 lock: RwLock::new(()),
-                state: UnsafeCell::new(ShardState {
-                    core: ShardCore::new(&params, i, true),
-                    cx: EngineCtx::new(),
-                }),
+                engine: UnsafeCell::new(stripe_engine(&params, i)),
                 write_locks: AtomicU64::new(0),
                 opt_hits: AtomicU64::new(0),
                 opt_misses: AtomicU64::new(0),
@@ -166,17 +186,17 @@ impl ShardedCache {
         &self.shards[(key.stripe() % self.shards.len() as u64) as usize]
     }
 
-    /// Runs `f` with exclusive access to `sh`'s state, wrapped in the
+    /// Runs `f` with exclusive access to `sh`'s engine, wrapped in the
     /// seqlock writer protocol (odd counter + release fence before the
     /// mutation, releasing even store after).
-    fn with_write<R>(sh: &Shard, f: impl FnOnce(&mut ShardState) -> R) -> R {
+    fn with_write<R>(sh: &Shard, f: impl FnOnce(&mut RmaCache) -> R) -> R {
         let _g = sh.lock.write().unwrap_or_else(|e| e.into_inner());
         sh.write_locks.fetch_add(1, Ordering::Relaxed);
         let s = sh.seq.write_begin();
         // SAFETY: the exclusive write lock is held for the whole closure,
         // so no other &mut (or locked &) access can exist concurrently.
-        let state = unsafe { &mut *sh.state.get() };
-        let r = f(state);
+        let engine = unsafe { &mut *sh.engine.get() };
+        let r = f(engine);
         sh.seq.write_end(s);
         r
     }
@@ -203,8 +223,8 @@ impl ShardedCache {
             // SAFETY: seqlock compromise — this view may race a writer, but
             // the probe is bounds-checked and panic-free on torn state
             // (allocations pinned, module docs); validation discards races.
-            let state = unsafe { &*sh.state.get() };
-            let res = state.core.racy_probe(&key, dst);
+            let engine = unsafe { &*sh.engine.get() };
+            let res = engine.racy_probe(&key, dst);
             if sh.seq.read_validate(s1) {
                 match res {
                     ProbeResult::Hit => {
@@ -226,8 +246,8 @@ impl ShardedCache {
         let _g = sh.lock.read().unwrap_or_else(|e| e.into_inner());
         // SAFETY: the read lock excludes writers (which take the write
         // lock), so this shared view is stable for the probe's duration.
-        let state = unsafe { &*sh.state.get() };
-        match state.core.racy_probe(&key, dst) {
+        let engine = unsafe { &*sh.engine.get() };
+        match engine.racy_probe(&key, dst) {
             ProbeResult::Hit => {
                 sh.locked_hits.fetch_add(1, Ordering::Relaxed);
                 true
@@ -243,26 +263,17 @@ impl ShardedCache {
     /// write lock; the entry is servable as soon as this returns.
     pub fn insert(&self, key: GetKey, data: &[u8]) -> AccessType {
         let sh = self.shard_of(&key);
-        Self::with_write(sh, |state| {
+        Self::with_write(sh, |engine| {
             // There is no process_lookup on this path, so advance the
-            // shard's logical clock here: each insert is an access event.
-            // Distinct `last` stamps are what temporal victim scoring
-            // relies on.
-            state.cx.seq += 1;
+            // stripe's logical clock here: each insert is an access event.
+            engine.tick();
             // The Cuckoo index forbids duplicate keys: drop any resident
             // entry first (concurrent refresh instead of partial-extend).
-            state.core.remove_key(&self.params, &mut state.cx, &key);
-            let class = state.core.finish_miss(
-                &self.params,
-                &mut state.cx,
-                key,
-                LayoutSig::Contig(data.len()),
-                data,
-                0,
-            );
+            engine.remove_key(&key);
+            let class = engine.finish_miss(key, LayoutSig::Contig(data.len()), data, 0);
             // No epochs on the concurrent front: promote immediately so
             // the entry is servable (and optimistically readable) now.
-            state.core.promote_pending();
+            engine.promote_pending();
             class
         })
     }
@@ -272,27 +283,23 @@ impl ShardedCache {
     pub fn invalidate_range(&self, target: u32, lo: u64, hi: u64) -> usize {
         self.shards
             .iter()
-            .map(|sh| {
-                Self::with_write(sh, |state| {
-                    state
-                        .core
-                        .invalidate_range(&self.params, &mut state.cx, target, lo, hi)
-                })
-            })
+            .map(|sh| Self::with_write(sh, |engine| engine.invalidate_range(target, lo, hi)))
             .sum()
+    }
+
+    /// Resident entries of each stripe, in stripe order (read-locked).
+    fn stripe_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.shards.iter().map(|sh| {
+            let _g = sh.lock.read().unwrap_or_else(|e| e.into_inner());
+            // SAFETY: read lock held — stable shared view.
+            let engine = unsafe { &*sh.engine.get() };
+            engine.len()
+        })
     }
 
     /// Number of resident entries across all shards (read-locked).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|sh| {
-                let _g = sh.lock.read().unwrap_or_else(|e| e.into_inner());
-                // SAFETY: read lock held — stable shared view.
-                let state = unsafe { &*sh.state.get() };
-                state.core.index.len()
-            })
-            .sum()
+        self.stripe_lens().sum()
     }
 
     /// Whether no entry is resident.
@@ -311,8 +318,8 @@ impl ShardedCache {
         for sh in self.shards.iter() {
             let _g = sh.lock.read().unwrap_or_else(|e| e.into_inner());
             // SAFETY: read lock held — stable shared view.
-            let state = unsafe { &*sh.state.get() };
-            total.merge(&state.cx.stats);
+            let engine = unsafe { &*sh.engine.get() };
+            total.merge(engine.stats());
             let hits = sh.opt_hits.load(Ordering::Relaxed) + sh.locked_hits.load(Ordering::Relaxed);
             total.hits += hits;
             total.total_gets += hits;
@@ -386,6 +393,97 @@ mod tests {
         assert_eq!(s.hits, 64);
         assert_eq!(s.direct, 64);
         assert_eq!(s.total_gets, 128);
+    }
+
+    #[test]
+    fn four_stripes_split_the_index_and_serve_what_fits() {
+        // 256 index entries over 4 stripes: every stripe has room for 64,
+        // so the 64 keys all fit whichever stripes they hash to.
+        let c = cache(4);
+        for i in 0..64u64 {
+            assert_eq!(
+                c.insert(key(0, i * 1000), &[i as u8; 128]),
+                AccessType::Direct
+            );
+        }
+        assert!(
+            c.stripe_lens().all(|n| n > 0),
+            "64 keys over 4 stripes should touch every stripe"
+        );
+        for i in 0..64u64 {
+            let mut dst = vec![0u8; 128];
+            assert!(c.get(key(0, i * 1000), &mut dst), "i={i}");
+            assert_eq!(dst, vec![i as u8; 128]);
+        }
+        // Far more keys than slots: no stripe ever outgrows its share.
+        for i in 64..2048u64 {
+            c.insert(key(1, i * 8), &[i as u8; 8]);
+            assert!(c.stripe_lens().all(|n| n <= 64), "after insert {i}");
+        }
+        assert!(c.len() > 128, "the stripes filled up: {}", c.len());
+    }
+
+    /// The front's `get` and `insert`, spelled on a bare engine.
+    fn engine_get_or_insert(
+        e: &mut RmaCache,
+        k: GetKey,
+        data: &[u8],
+        dst: &mut [u8],
+    ) -> Option<AccessType> {
+        if e.racy_probe(&k, dst) == ProbeResult::Hit {
+            return None;
+        }
+        e.tick();
+        e.remove_key(&k);
+        let class = e.finish_miss(k, LayoutSig::Contig(data.len()), data, 0);
+        e.promote_pending();
+        Some(class)
+    }
+
+    #[test]
+    fn prop_one_shard_front_equals_the_engine() {
+        use crate::eviction::VictimScheme;
+        use clampi_prng::prop::check;
+        // Stripe 0 of 1 must be the engine `RmaCache::new` builds — the
+        // whole capacity, the same hasher and sampler streams — and the
+        // seqlock and lock around it must change nothing: same hits, same
+        // classes (conflict and capacity evictions included), same bytes.
+        check("ShardedCache{shards: 1} == RmaCache", 48, |g| {
+            let params = CacheParams {
+                index_entries: g.range(4..48usize),
+                storage_bytes: g.range(512..8192usize),
+                victim_scheme: VictimScheme::ALL[g.range(0..VictimScheme::ALL.len())],
+                sample_size: g.range(1..=16usize),
+                max_evictions_per_miss: g.range(1..=3usize),
+                seed: g.u64(),
+                shards: 1,
+                ..CacheParams::default()
+            };
+            let front = ShardedCache::new(params.clone());
+            let mut engine = RmaCache::new(params);
+            for step in 0..g.range(200..600u64) {
+                let k = key(g.range(0..2u64) as u32, g.range(0..48u64) * 8);
+                // Mostly one size per key, so that repeats hit.
+                let len = match g.bool_with(0.8) {
+                    true => 8 + (k.disp as usize * 7) % 200,
+                    false => g.range(1..=400usize),
+                };
+                let data = vec![step as u8; len];
+                let (mut a, mut b) = (vec![0u8; len], vec![0u8; len]);
+                let hit = front.get(k, &mut a);
+                let class = (!hit).then(|| front.insert(k, &data));
+                let expected = engine_get_or_insert(&mut engine, k, &data, &mut b);
+                assert_eq!(class, expected, "step {step}: {k:?}, {len} B");
+                assert_eq!(a, b, "step {step}: bytes served for {k:?}");
+                engine.check_invariants();
+            }
+            assert_eq!(front.len(), engine.len());
+            let (s, e) = (front.stats(), engine.stats());
+            assert_eq!(
+                (s.direct, s.conflicting, s.capacity, s.failed, s.evictions),
+                (e.direct, e.conflicting, e.capacity, e.failed, e.evictions)
+            );
+        });
     }
 
     #[test]

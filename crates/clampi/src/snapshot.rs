@@ -33,12 +33,12 @@
 //! # Abort conditions
 //!
 //! A validation attempt aborts (and the whole batch retries, bounded by
-//! [`SnapshotCtx::max_attempts`]) when
+//! `MAX_ATTEMPTS` = 4) when
 //!
 //! - the notification ring **overflowed** past an entry's stamp, so its
 //!   interval cannot be bounded, or
-//! - the bounded refetch rounds ([`SnapshotCtx::max_rounds`]) fail to
-//!   close the intersection under a fast writer.
+//! - the bounded refetch rounds (`MAX_ROUNDS` = 4) fail to close the
+//!   intersection under a fast writer.
 //!
 //! Retry attempts bypass the cache entirely (direct fetches with fresh
 //! stamps), so a stale resident entry cannot livelock the batch. A target
@@ -51,7 +51,6 @@
 //! interval logic (unit-tested in isolation below).
 
 use clampi_rma::PutRecord;
-use std::ops::Range;
 
 /// Commit-state stamp of one cached payload: the bytes were read while
 /// `target`'s window region was at write `version`, whose commit timestamp
@@ -144,8 +143,8 @@ pub enum SnapshotError {
         /// The faulted target rank.
         target: u32,
     },
-    /// `max_attempts` whole-batch retries were exhausted (sustained ring
-    /// overflow or writer pressure).
+    /// Every whole-batch attempt was aborted (sustained ring overflow or
+    /// writer pressure).
     RetriesExhausted,
 }
 
@@ -164,27 +163,15 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Reusable scratch state for snapshot reads: the staged request list of
-/// the `tx_*` API plus every temporary the validation loop needs, so a
-/// steady-state `multi_get` allocates nothing.
+/// Reusable scratch state for snapshot reads: every temporary the
+/// validation loop needs, so a steady-state `multi_get` allocates nothing.
 ///
 /// Creating (or holding) a context has no effect on the window — the
 /// snapshot subsystem is pay-as-you-go, and runs that never call
 /// [`crate::CachedWindow::multi_get`] are bit-identical to builds without
 /// it.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SnapshotCtx {
-    /// Refetch rounds per validation attempt before declaring the attempt
-    /// aborted (each round refetches only the requests whose interval
-    /// excludes the candidate timestamp).
-    pub max_rounds: usize,
-    /// Whole-batch attempts before [`SnapshotError::RetriesExhausted`].
-    /// Attempts after the first bypass the cache entirely.
-    pub max_attempts: usize,
-    /// Staged requests of the `tx_get`/`tx_commit` API.
-    pub(crate) reqs: Vec<SnapReq>,
-    /// Staged destination buffer of the `tx_get`/`tx_commit` API.
-    pub(crate) buf: Vec<u8>,
     /// Per-request interval state (parallel to the batch).
     pub(crate) bounds: Vec<ReqBound>,
     /// Drain scratch for put-notification records.
@@ -195,49 +182,20 @@ pub struct SnapshotCtx {
     pub(crate) refetch: Vec<usize>,
 }
 
-impl Default for SnapshotCtx {
-    fn default() -> Self {
-        SnapshotCtx {
-            max_rounds: 4,
-            max_attempts: 4,
-            reqs: Vec::new(),
-            buf: Vec::new(),
-            bounds: Vec::new(),
-            records: Vec::new(),
-            targets: Vec::new(),
-            refetch: Vec::new(),
-        }
-    }
-}
-
 impl SnapshotCtx {
-    /// A context with the default retry bounds.
+    /// An empty context.
     pub fn new() -> Self {
         SnapshotCtx::default()
     }
-
-    /// The transaction buffer: after a successful
-    /// [`crate::CachedWindow::tx_commit`], each staged read's payload sits
-    /// at the range its `tx_get` returned.
-    pub fn bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Clears the staged transaction (see [`crate::CachedWindow::tx_begin`]).
-    pub(crate) fn begin(&mut self) {
-        self.reqs.clear();
-        self.buf.clear();
-    }
-
-    /// Stages one read and reserves its bytes in the transaction buffer,
-    /// returning the range `tx_commit` will fill.
-    pub(crate) fn stage(&mut self, target: u32, disp: usize, len: usize) -> Range<usize> {
-        let start = self.buf.len();
-        self.reqs.push(SnapReq { target, disp, len });
-        self.buf.resize(start + len, 0);
-        start..start + len
-    }
 }
+
+/// Refetch rounds per validation attempt before the attempt is aborted
+/// (each round refetches only the requests whose interval excludes the
+/// candidate timestamp).
+pub(crate) const MAX_ROUNDS: usize = 4;
+/// Whole-batch attempts before [`SnapshotError::RetriesExhausted`].
+/// Attempts after the first bypass the cache entirely.
+pub(crate) const MAX_ATTEMPTS: usize = 4;
 
 /// Intersects the batch's validity intervals and picks the newest commit
 /// timestamp certifiable from the drains.
@@ -321,18 +279,6 @@ mod tests {
         // result inside the intersection anyway.
         let bounds = [b(9, u64::MAX)];
         assert_eq!(choose_timestamp(&bounds, 2), Ok(9));
-    }
-
-    #[test]
-    fn stage_packs_requests_back_to_back() {
-        let mut cx = SnapshotCtx::new();
-        cx.begin();
-        assert_eq!(cx.stage(1, 0, 8), 0..8);
-        assert_eq!(cx.stage(2, 16, 4), 8..12);
-        assert_eq!(cx.reqs.len(), 2);
-        assert_eq!(cx.buf.len(), 12);
-        cx.begin();
-        assert!(cx.reqs.is_empty() && cx.buf.is_empty());
     }
 }
 

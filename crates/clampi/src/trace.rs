@@ -37,7 +37,7 @@ pub enum TraceEvent {
     /// `target`'s window — what a coherence pass or a per-target
     /// degradation performs. A *full* invalidation (`CLAMPI_Invalidate`)
     /// is the sentinel `target == u32::MAX` (with `disp == 0`,
-    /// `len == u64::MAX`), so legacy target-less traces stay replayable.
+    /// `len == u64::MAX`).
     Invalidate {
         /// Target rank, or `u32::MAX` for a full invalidation.
         target: u32,
@@ -82,9 +82,6 @@ pub struct Trace {
 
 /// Format version 2: `Invalidate` carries `(target, disp, len)`.
 const MAGIC: &[u8; 8] = b"CLAMPIT2";
-/// Format version 1 (read-only support): `Invalidate` is a bare tag and
-/// always means a full invalidation.
-const MAGIC_V1: &[u8; 8] = b"CLAMPITR";
 const TAG_GET: u8 = 1;
 const TAG_EPOCH: u8 = 2;
 const TAG_INVALIDATE: u8 = 3;
@@ -183,25 +180,25 @@ impl Trace {
         out
     }
 
-    /// Parses the binary format. Accepts both the current version-2
-    /// layout (`CLAMPIT2`, 20-byte invalidate payload) and the legacy
-    /// version-1 layout (`CLAMPITR`, bare invalidate tag — decoded as a
-    /// full invalidation).
+    /// Parses the binary format (`CLAMPIT2`: 16-byte header, then one
+    /// tagged record per event).
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed byte sequence.
     pub fn from_bytes(data: &[u8]) -> Result<Self, String> {
-        let legacy = if data.len() < 16 {
+        if data.len() < 16 {
             return Err("not a CLaMPI trace (too short)".into());
-        } else if &data[..8] == MAGIC {
-            false
-        } else if &data[..8] == MAGIC_V1 {
-            true
-        } else {
+        }
+        if &data[..8] != MAGIC {
             return Err("not a CLaMPI trace (bad magic)".into());
-        };
-        let count = le64(data, 8) as usize;
+        }
+        // Every event is at least its tag byte, so a count the buffer
+        // cannot hold is a lie: reject it before reserving memory for it.
+        let count = usize::try_from(le64(data, 8))
+            .ok()
+            .filter(|&n| n <= data.len() - 16)
+            .ok_or("event count exceeds the trace's length")?;
         let mut events = Vec::with_capacity(count);
         let mut at = 16;
         for i in 0..count {
@@ -221,7 +218,6 @@ impl Trace {
                     events.push(TraceEvent::Get { target, disp, size });
                 }
                 TAG_EPOCH => events.push(TraceEvent::EpochClose),
-                TAG_INVALIDATE if legacy => events.push(INVALIDATE_ALL),
                 TAG_INVALIDATE => {
                     if data.len() < at + 20 {
                         return Err(format!("truncated invalidate at event {i}"));
@@ -388,7 +384,14 @@ mod tests {
         let mut bad_tag = sample_trace().to_bytes();
         bad_tag[16] = 99;
         assert!(Trace::from_bytes(&bad_tag).is_err());
-        // A v2 invalidate must carry its 20-byte payload.
+        // Hostile headers: an event count no buffer could back must not
+        // reach the allocator (it used to panic or abort there).
+        for count in [u64::MAX, 1 << 36] {
+            let mut header = MAGIC.to_vec();
+            header.extend_from_slice(&count.to_le_bytes());
+            assert!(Trace::from_bytes(&header).is_err(), "count {count}");
+        }
+        // An invalidate must carry its 20-byte payload.
         let mut t = Trace::new();
         t.invalidate_range(1, 0, 64);
         let mut cut = t.to_bytes();
@@ -415,36 +418,6 @@ mod tests {
             }
         );
         assert_eq!(back.events()[4], INVALIDATE_ALL);
-    }
-
-    #[test]
-    fn legacy_v1_traces_still_parse() {
-        // Hand-build a v1 stream: one get, one epoch, one bare invalidate.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(b"CLAMPITR");
-        v1.extend_from_slice(&3u64.to_le_bytes());
-        v1.push(TAG_GET);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&256u64.to_le_bytes());
-        v1.extend_from_slice(&128u32.to_le_bytes());
-        v1.push(TAG_EPOCH);
-        v1.push(TAG_INVALIDATE); // bare: no payload in v1
-        let t = Trace::from_bytes(&v1).unwrap();
-        assert_eq!(
-            t.events(),
-            &[
-                TraceEvent::Get {
-                    target: 1,
-                    disp: 256,
-                    size: 128
-                },
-                TraceEvent::EpochClose,
-                INVALIDATE_ALL,
-            ]
-        );
-        // The legacy full invalidation replays as a total cache drop.
-        let r = replay(&t, CacheParams::default(), ReplayCosts::default());
-        assert_eq!(r.stats.invalidations, 1);
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl ShadowCache {
 
     /// Victim score under the shadow's approximations (lower = evicted
     /// first). See the module docs for the positional surrogate.
-    fn score(&self, e: &ShadowEntry, now: u64, _ags: f64) -> f64 {
+    fn score(&self, e: &ShadowEntry, now: u64) -> f64 {
         match self.policy {
             VictimScheme::Temporal => temporal_score(e.last, now),
             VictimScheme::Positional => positional_surrogate(e.tag),
@@ -157,7 +157,7 @@ impl ShadowCache {
 
     /// Evicts one entry for capacity; returns false when nothing
     /// evictable was found within the bounded scan.
-    fn evict_for_capacity(&mut self, now: u64, ags: f64) -> bool {
+    fn evict_for_capacity(&mut self, now: u64) -> bool {
         // Sampled scan from a random start, like the live engine: keep
         // scanning past the minimum sample until a candidate appears,
         // but bound the walk so one eviction stays O(1).
@@ -170,7 +170,7 @@ impl ShadowCache {
             self.visits += 1;
             let e = &self.slots[pos];
             if e.size > 0 {
-                let s = self.score(e, now, ags);
+                let s = self.score(e, now);
                 if best.is_none_or(|(_, bs)| s < bs) {
                     best = Some((pos, s));
                 }
@@ -189,7 +189,7 @@ impl ShadowCache {
     }
 
     /// Replays one get; returns whether this shadow would have hit.
-    pub fn observe(&mut self, tag: u64, size: usize, now: u64, ags: f64) -> bool {
+    pub fn observe(&mut self, tag: u64, size: usize, now: u64) -> bool {
         self.gets += 1;
         let set = (SplitMix64::new(tag).next_u64() as usize) & self.set_mask;
         let base = set * WAYS;
@@ -219,7 +219,7 @@ impl ShadowCache {
         }
         let mut evictions = 0;
         while self.used_bytes + size > self.capacity_bytes && evictions < MAX_EVICT {
-            if !self.evict_for_capacity(now, ags) {
+            if !self.evict_for_capacity(now) {
                 break;
             }
             evictions += 1;
@@ -242,7 +242,7 @@ impl ShadowCache {
                 let mut best = base;
                 let mut best_s = f64::INFINITY;
                 for w in 0..WAYS {
-                    let s = self.score(&self.slots[base + w], now, ags);
+                    let s = self.score(&self.slots[base + w], now);
                     if s < best_s {
                         best_s = s;
                         best = base + w;
@@ -293,11 +293,11 @@ impl PolicyLab {
 
     /// Replays one get against every shadow, updating `stats`'
     /// `shadow_gets` / `shadow_hits` / `shadow_slot_visits` counters.
-    pub fn observe(&mut self, tag: u64, size: usize, now: u64, ags: f64, stats: &mut CacheStats) {
+    pub fn observe(&mut self, tag: u64, size: usize, now: u64, stats: &mut CacheStats) {
         stats.shadow_gets += 1;
         for (i, sh) in self.shadows.iter_mut().enumerate() {
             let before = sh.visits();
-            if sh.observe(tag, size, now, ags) {
+            if sh.observe(tag, size, now) {
                 stats.shadow_hits[i] += 1;
             }
             stats.shadow_slot_visits += sh.visits() - before;
@@ -335,7 +335,7 @@ mod tests {
         let mut lab = lab();
         let mut stats = CacheStats::default();
         for now in 1..=100u64 {
-            lab.observe(0xABCD, 64, now, 64.0, &mut stats);
+            lab.observe(0xABCD, 64, now, &mut stats);
         }
         assert_eq!(stats.shadow_gets, 100);
         for (i, &h) in stats.shadow_hits.iter().enumerate() {
@@ -349,7 +349,7 @@ mod tests {
     fn byte_budget_is_respected() {
         let mut sh = ShadowCache::new(VictimScheme::Full, 64, 4096, 8, 1);
         for i in 0..1000u64 {
-            sh.observe(SplitMix64::new(i).next_u64(), 512, i + 1, 512.0);
+            sh.observe(SplitMix64::new(i).next_u64(), 512, i + 1);
             assert!(sh.used_bytes <= sh.capacity_bytes);
         }
         let (gets, hits) = sh.counts();
@@ -361,7 +361,7 @@ mod tests {
     fn oversized_accesses_are_never_cached() {
         let mut sh = ShadowCache::new(VictimScheme::Temporal, 64, 1024, 8, 1);
         for now in 1..=10u64 {
-            assert!(!sh.observe(7, 4096, now, 64.0), "cannot ever fit");
+            assert!(!sh.observe(7, 4096, now), "cannot ever fit");
         }
         assert_eq!(sh.used_bytes, 0);
     }
@@ -374,11 +374,11 @@ mod tests {
     fn sizes_past_u32_are_tracked_exactly() {
         const BIG: usize = 1 << 32;
         let mut sh = ShadowCache::new(VictimScheme::Temporal, 64, 3 * BIG, 8, 1);
-        assert!(!sh.observe(7, BIG, 1, BIG as f64));
-        assert!(sh.observe(7, BIG, 2, BIG as f64), "resident after its miss");
+        assert!(!sh.observe(7, BIG, 1));
+        assert!(sh.observe(7, BIG, 2), "resident after its miss");
         assert_eq!(sh.used_bytes, BIG);
         // A partial-hit extension by one byte is tracked to the byte.
-        assert!(sh.observe(7, BIG + 1, 3, BIG as f64));
+        assert!(sh.observe(7, BIG + 1, 3));
         assert_eq!(sh.used_bytes, BIG + 1);
     }
 
@@ -388,10 +388,7 @@ mod tests {
         let mut b = ShadowCache::new(VictimScheme::Full, 128, 8 << 10, 8, 42);
         for i in 0..3000u64 {
             let tag = SplitMix64::new(i % 97).next_u64();
-            assert_eq!(
-                a.observe(tag, 96, i + 1, 96.0),
-                b.observe(tag, 96, i + 1, 96.0)
-            );
+            assert_eq!(a.observe(tag, 96, i + 1), b.observe(tag, 96, i + 1));
         }
         assert_eq!(a.counts(), b.counts());
         assert_eq!(a.visits(), b.visits());

@@ -29,6 +29,7 @@ use crate::index::GetKey;
 use crate::recovery::{with_retry, RetryPolicy};
 use crate::snapshot::{
     choose_timestamp, ReqBound, SnapReq, SnapStamp, SnapshotCtx, SnapshotError, SnapshotInfo,
+    MAX_ATTEMPTS, MAX_ROUNDS,
 };
 use crate::stats::{AccessType, CacheStats};
 
@@ -56,11 +57,6 @@ pub struct ClampiConfig {
     pub params: CacheParams,
     /// `Some` enables the *adaptive* strategy; `None` is the *fixed* one.
     pub adaptive: Option<AdaptiveParams>,
-    /// Extension beyond the paper: drop cached entries that overlap this
-    /// rank's own puts, keeping an always-cache window coherent with local
-    /// writers without a full invalidation. Off by default (the paper
-    /// relies purely on epoch semantics).
-    pub invalidate_on_put: bool,
     /// Retry/backoff policy for transient RMA faults (only relevant when
     /// the simulator injects faults; with faults disabled no retry path
     /// is ever taken).
@@ -82,7 +78,6 @@ impl ClampiConfig {
             mode,
             params,
             adaptive: None,
-            invalidate_on_put: false,
             retry: RetryPolicy::default(),
         }
     }
@@ -93,7 +88,6 @@ impl ClampiConfig {
             mode,
             params,
             adaptive: Some(AdaptiveParams::default()),
-            invalidate_on_put: false,
             retry: RetryPolicy::default(),
         }
     }
@@ -166,7 +160,6 @@ pub struct CachedWindow {
     cache: Option<RmaCache>,
     controller: Option<AdaptiveController>,
     mode: Mode,
-    invalidate_on_put: bool,
     retry: RetryPolicy,
     /// Targets marked as persistently failed: their cached entries are
     /// dropped and their gets served degraded (see `crate::recovery`).
@@ -213,7 +206,7 @@ enum SnapAbort {
     /// A notification ring dropped records past a request's stamp, so its
     /// validity interval can no longer be bounded.
     Overflow,
-    /// `SnapshotCtx::max_rounds` refetch rounds failed to close the
+    /// [`MAX_ROUNDS`] refetch rounds failed to close the
     /// interval intersection under writer pressure.
     Rounds,
     /// A target faulted mid-batch (the degraded flag tells persistent
@@ -244,7 +237,6 @@ impl CachedWindow {
             cache,
             controller,
             mode: cfg.mode,
-            invalidate_on_put: cfg.invalidate_on_put,
             retry: cfg.retry,
             degraded,
             fault_stats: CacheStats::default(),
@@ -833,14 +825,6 @@ impl CachedWindow {
         if self.degraded[target] {
             return;
         }
-        if self.invalidate_on_put {
-            if let Some(cache) = self.cache.as_mut() {
-                let span = dtype.flatten_n(count).span();
-                let lo = disp as u64;
-                cache.invalidate_range(target as u32, lo, lo.saturating_add(span as u64));
-                self.charge_engine(p);
-            }
-        }
         let sent = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
             self.win.try_put(p, src, target, disp, dtype, count)
         });
@@ -903,7 +887,7 @@ impl CachedWindow {
         let mut refetched = 0u64;
         let mut fault: Option<usize> = None;
         let mut outcome: Result<SnapshotInfo, SnapshotError> = Err(SnapshotError::RetriesExhausted);
-        for attempt in 0..ctx.max_attempts.max(1) {
+        for attempt in 0..MAX_ATTEMPTS {
             match self.snapshot_attempt(p, ctx, reqs, dst, attempt > 0, &mut refetched) {
                 Ok(mut info) => {
                     info.aborts = aborts;
@@ -935,41 +919,6 @@ impl CachedWindow {
             self.fault_stats.snapshot_staleness_ns += info.staleness_ns;
         }
         outcome
-    }
-
-    /// Clears `ctx`'s staged transaction (the lazy face of
-    /// [`CachedWindow::multi_get`]).
-    pub fn tx_begin(&mut self, ctx: &mut SnapshotCtx) {
-        ctx.begin();
-    }
-
-    /// Stages one read in the transaction: no bytes move until
-    /// [`CachedWindow::tx_commit`]. Returns the range of
-    /// [`SnapshotCtx::bytes`] the payload will occupy after the commit.
-    pub fn tx_get(
-        &mut self,
-        ctx: &mut SnapshotCtx,
-        target: usize,
-        disp: usize,
-        len: usize,
-    ) -> std::ops::Range<usize> {
-        ctx.stage(target as u32, disp, len)
-    }
-
-    /// Executes every read staged since [`CachedWindow::tx_begin`] as one
-    /// snapshot batch; on success [`SnapshotCtx::bytes`] holds the
-    /// payloads at the ranges `tx_get` returned.
-    pub fn tx_commit(
-        &mut self,
-        p: &mut Process,
-        ctx: &mut SnapshotCtx,
-    ) -> Result<SnapshotInfo, SnapshotError> {
-        let reqs = std::mem::take(&mut ctx.reqs);
-        let mut buf = std::mem::take(&mut ctx.buf);
-        let r = self.multi_get(p, ctx, &reqs, &mut buf);
-        ctx.reqs = reqs;
-        ctx.buf = buf;
-        r
     }
 
     /// One gather + validate pass over the whole batch. `direct` (retry
@@ -1133,7 +1082,7 @@ impl CachedWindow {
                 }
                 Err(lo) => {
                     rounds += 1;
-                    if rounds >= ctx.max_rounds.max(1) {
+                    if rounds >= MAX_ROUNDS {
                         return Err(SnapAbort::Rounds);
                     }
                     for (i, r) in reqs.iter().enumerate() {

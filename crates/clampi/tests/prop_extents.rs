@@ -13,8 +13,8 @@
 //! capacity and conflict evictions), epoch closes, full invalidations,
 //! resizes, policy switches and all three ranged invalidations — one
 //! through the engine's own methods, the other through a test-local
-//! **full-scan oracle**: the parent commit's loops (one pass over every
-//! slot of every shard, victims collected, then evicted in ascending slot
+//! **full-scan oracle**: the loops the directory replaced (one pass over
+//! every index slot, victims collected, then evicted in ascending slot
 //! order), rebuilt here on the engine's two debug hooks
 //! ([`RmaCache::residents`], [`RmaCache::evict_slot`]). After every step
 //! the two must agree on the dropped count, `content_fingerprint()`,
@@ -37,11 +37,9 @@ const TARGETS: u32 = 3;
 const GRAIN: u64 = 8;
 const DISPS: u64 = 96;
 
-/// The parent commit's invalidation: every slot of every shard is
-/// visited, the entries of `target` that `doomed(e_lo, e_hi, version)`
-/// condemns are collected, then evicted in shard-then-slot order. (The
-/// parent collected and evicted shard by shard; shards share no index, so
-/// collecting first changes nothing.)
+/// The index-scan invalidation: every slot is visited, the entries of
+/// `target` that `doomed(e_lo, e_hi, version)` condemns are collected,
+/// then evicted in slot order.
 fn scan_invalidate(c: &mut RmaCache, target: u32, doomed: impl Fn(u64, u64, u64) -> bool) -> usize {
     let victims: Vec<_> = c
         .residents()
@@ -52,7 +50,7 @@ fn scan_invalidate(c: &mut RmaCache, target: u32, doomed: impl Fn(u64, u64, u64)
         })
         .collect();
     for v in &victims {
-        assert!(c.evict_slot(v.shard, v.slot), "victim vanished: {v:?}");
+        assert!(c.evict_slot(v.slot), "victim vanished: {v:?}");
     }
     victims.len()
 }
@@ -221,15 +219,12 @@ impl Pair {
 
 /// `(|I_w|, |S_w|)`, small enough for Cuckoo conflicts and capacity
 /// evictions.
-fn gen_geometry(g: &mut Gen, shards: usize) -> (usize, usize) {
-    (
-        shards * g.range(8..64usize),
-        shards * g.range(1024..12288usize),
-    )
+fn gen_geometry(g: &mut Gen) -> (usize, usize) {
+    (g.range(8..64usize), g.range(1024..12288usize))
 }
 
-fn gen_params(g: &mut Gen, shards: usize) -> CacheParams {
-    let (index_entries, storage_bytes) = gen_geometry(g, shards);
+fn gen_params(g: &mut Gen) -> CacheParams {
+    let (index_entries, storage_bytes) = gen_geometry(g);
     CacheParams {
         index_entries,
         storage_bytes,
@@ -237,13 +232,12 @@ fn gen_params(g: &mut Gen, shards: usize) -> CacheParams {
         sample_size: g.range(1..=16usize),
         max_evictions_per_miss: g.range(1..=3usize),
         seed: g.u64(),
-        shards,
         ..CacheParams::default()
     }
 }
 
-fn run_case(g: &mut Gen, shards: usize) {
-    let mut pair = Pair::new(gen_params(g, shards));
+fn run_case(g: &mut Gen) {
+    let mut pair = Pair::new(gen_params(g));
     // Keys seen so far: revisited for hits and partial-hit extensions.
     let mut seen: Vec<GetKey> = Vec::new();
     for _ in 0..g.range(150..400usize) {
@@ -293,7 +287,7 @@ fn run_case(g: &mut Gen, shards: usize) {
                 "invalidate"
             }
             97 => {
-                let (index, storage) = gen_geometry(g, shards);
+                let (index, storage) = gen_geometry(g);
                 pair.new.resize(index, storage);
                 pair.old.resize(index, storage);
                 "resize"
@@ -313,16 +307,7 @@ fn run_case(g: &mut Gen, shards: usize) {
 
 #[test]
 fn prop_directory_invalidation_equals_full_scan() {
-    check("extent directory == full index scan, shards = 1", 40, |g| {
-        run_case(g, 1)
-    });
-}
-
-#[test]
-fn prop_directory_invalidation_equals_full_scan_sharded() {
-    check("extent directory == full index scan, shards = 4", 40, |g| {
-        run_case(g, 4)
-    });
+    check("extent directory == full index scan", 40, run_case);
 }
 
 fn filled(entries: &[(u64, usize)]) -> RmaCache {

@@ -559,54 +559,3 @@ fn disabled_mode_multi_get_matches_sequential_gets() {
         "disabled-mode batch diverged from sequential gets"
     );
 }
-
-/// The lazy transactional face: `tx_begin`/`tx_get`/`tx_commit` stage
-/// reads into the context's buffer and are equivalent to one
-/// `multi_get`.
-#[test]
-fn tx_api_stages_and_commits_one_batch() {
-    let out = run_collect(SimConfig::default(), 2, |p| {
-        let rank = p.rank();
-        let cfg = ClampiConfig::fixed(Mode::AlwaysCache, CacheParams::default());
-        let mut win = CachedWindow::create(p, 4 * SLOT, cfg);
-        if rank == 1 {
-            let mut local = win.local_mut();
-            for k in 0..4 {
-                local[k * SLOT..(k + 1) * SLOT].copy_from_slice(&encode((k + 10) as u64, k));
-            }
-        }
-        p.barrier();
-        win.lock_all(p);
-        let mut result = None;
-        if rank == 0 {
-            let mut ctx = SnapshotCtx::new();
-            win.tx_begin(&mut ctx);
-            let r2 = win.tx_get(&mut ctx, 1, 2 * SLOT, SLOT);
-            let r0 = win.tx_get(&mut ctx, 1, 0, SLOT);
-            let tx1 = win
-                .tx_commit(p, &mut ctx)
-                .map(|info| (ctx.bytes()[r2].to_vec(), ctx.bytes()[r0].to_vec(), info))
-                .map_err(|e| e.to_string());
-            let gets_after_tx1 = win.stats().snapshot_gets;
-            // A second transaction must reuse the context cleanly.
-            win.tx_begin(&mut ctx);
-            let r3 = win.tx_get(&mut ctx, 1, 3 * SLOT, SLOT);
-            let tx2 = win
-                .tx_commit(p, &mut ctx)
-                .map(|_| ctx.bytes()[r3].to_vec())
-                .map_err(|e| e.to_string());
-            result = Some((tx1, gets_after_tx1, tx2));
-        }
-        p.barrier();
-        win.unlock_all(p);
-        p.barrier();
-        result
-    });
-    let (tx1, gets_after_tx1, tx2) = out[0].1.clone().expect("rank 0 observes");
-    let (b2, b0, info) = tx1.expect("fault-free");
-    assert_eq!(decode(2, &b2), 12);
-    assert_eq!(decode(0, &b0), 10);
-    assert_eq!(gets_after_tx1, 2);
-    assert_eq!(info.aborts, 0);
-    assert_eq!(decode(3, &tx2.expect("fault-free")), 13);
-}

@@ -86,16 +86,21 @@ fn budget_zero_behaves_like_one() {
     assert_eq!(t, AccessType::Capacity, "clamped budget still evicts once");
 }
 
-mod invalidate_on_put {
-    use clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, Mode};
+/// An always-cache window stays coherent with the issuing rank's own puts
+/// under `EagerInvalidate`: they land in the target's notification ring
+/// like anyone's and are drained at the next flush.
+mod own_put_coherence {
+    use clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, CoherenceMode, Mode};
     use clampi_datatype::Datatype;
     use clampi_rma::{run, SimConfig};
 
     fn cfg() -> ClampiConfig {
         ClampiConfig {
             mode: Mode::AlwaysCache,
-            params: CacheParams::default(),
-            invalidate_on_put: true,
+            params: CacheParams {
+                coherence: CoherenceMode::EagerInvalidate,
+                ..CacheParams::default()
+            },
             ..ClampiConfig::default()
         }
     }
@@ -344,7 +349,6 @@ mod config_defaults {
         let cfg = ClampiConfig::default();
         assert_eq!(cfg.mode, Mode::Transparent);
         assert!(cfg.adaptive.is_none());
-        assert!(!cfg.invalidate_on_put);
         run(SimConfig::default(), 2, |p| {
             let mut win = CachedWindow::create(p, 64, ClampiConfig::default());
             p.barrier();
