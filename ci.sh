@@ -55,7 +55,8 @@
 #                 any difference FAILS the build (refresh the baseline if
 #                 the change is intended). Wall-clock keys (fig_contention,
 #                 the wall_* keys) warn only, on >2x drift. Keys present on
-#                 only one side are flagged in both directions, and a stale
+#                 only one side are flagged in both directions - an enforced
+#                 key missing from the current summary FAILS - and a stale
 #                 BENCH_perf.json (older than the bench binaries) is
 #                 refused. The gate's own planted-regression /
 #                 allowlisted-drift self-test over ci/fixtures/perf/ is a

@@ -530,7 +530,7 @@ impl Dht {
     }
 
     /// Runs a coherence pass over the bucket cache (see
-    /// [`CachedWindow::validate`]): surgical under `EpochValidate` /
+    /// [`CachedWindow::validate`]): surgical under
     /// `EagerInvalidate`, full invalidation under [`CoherenceMode::None`].
     /// Call after the barrier that ends a write phase.
     pub fn validate(&mut self, p: &mut Process) {
@@ -635,11 +635,7 @@ mod tests {
 
     #[test]
     fn matches_hashmap_cached_all_modes() {
-        for mode in [
-            CoherenceMode::None,
-            CoherenceMode::EpochValidate,
-            CoherenceMode::EagerInvalidate,
-        ] {
+        for mode in [CoherenceMode::None, CoherenceMode::EagerInvalidate] {
             exercise(move || DhtConfig::new(coherent_cfg(mode), 257));
         }
     }
@@ -735,8 +731,12 @@ mod tests {
 
     #[test]
     fn updates_are_visible_after_validate() {
-        for mode in [CoherenceMode::EpochValidate, CoherenceMode::EagerInvalidate] {
-            let results = run_collect(SimConfig::default(), 2, move |p| {
+        // With the default notification ring and with none at all (every
+        // drain after a write overflows: the whole-target fallback).
+        let mode = CoherenceMode::EagerInvalidate;
+        for ring_cap in [SimConfig::default().notify_ring_cap, 0] {
+            let sim = SimConfig::default().with_notify_ring_cap(ring_cap);
+            let results = run_collect(sim, 2, move |p| {
                 let cfg = DhtConfig::new(coherent_cfg(mode), 127).with_location_cache(64);
                 let mut dht = Dht::create(p, cfg);
                 dht.lock_all(p);
@@ -754,7 +754,7 @@ mod tests {
                         assert_eq!(
                             dht.lookup(p, k),
                             DhtLookup::Found(k ^ round),
-                            "stale read in round {round} under {mode:?}"
+                            "stale read in round {round} at ring capacity {ring_cap}"
                         );
                     }
                     p.barrier();
@@ -775,7 +775,7 @@ mod tests {
         let dead = 2usize;
         let body = move |p: &mut Process, fail_at: Option<f64>| {
             let cfg = DhtConfig::new(
-                coherent_cfg(CoherenceMode::EpochValidate).with_retry(RetryPolicy {
+                coherent_cfg(CoherenceMode::EagerInvalidate).with_retry(RetryPolicy {
                     max_retries: 16,
                     ..RetryPolicy::default()
                 }),
@@ -848,7 +848,7 @@ mod tests {
             || DhtConfig::new(ClampiConfig::disabled(), 257),
             || DhtConfig::new(coherent_cfg(CoherenceMode::None), 257),
             || {
-                DhtConfig::new(coherent_cfg(CoherenceMode::EpochValidate), 257)
+                DhtConfig::new(coherent_cfg(CoherenceMode::EagerInvalidate), 257)
                     .with_location_cache(128)
             },
         ];
@@ -911,7 +911,7 @@ mod tests {
         let dead = 2usize;
         let body = move |p: &mut Process, _fail: Option<f64>| {
             let cfg = DhtConfig::new(
-                coherent_cfg(CoherenceMode::EpochValidate).with_retry(RetryPolicy {
+                coherent_cfg(CoherenceMode::EagerInvalidate).with_retry(RetryPolicy {
                     max_retries: 16,
                     ..RetryPolicy::default()
                 }),

@@ -12,8 +12,8 @@
 //! Properties:
 //!
 //! 1. **bit-identical to the HashMap**, for every cache configuration —
-//!    uncached (`ClampiConfig::disabled()`), and always-cache under all
-//!    three [`CoherenceMode`]s, each with the location cache off and on:
+//!    uncached (`ClampiConfig::disabled()`), and always-cache under
+//!    both [`CoherenceMode`]s, each with the location cache off and on:
 //!    same schedule → same `Found`/`NotFound` sequence on every rank;
 //! 2. the same holds under **transient fault injection** with a generous
 //!    retry policy (no lookup may degrade, none may go stale);
@@ -212,15 +212,11 @@ fn gen_schedule(g: &mut Gen, faulty: bool) -> Schedule {
     }
 }
 
-/// Every cache configuration under test: uncached, then all three
+/// Every cache configuration under test: uncached, then both
 /// coherence modes, each with the location cache off and on.
 fn all_configs() -> Vec<(Cache, usize)> {
     let mut cfgs = vec![(Cache::Uncached, 0), (Cache::Uncached, 256)];
-    for mode in [
-        CoherenceMode::None,
-        CoherenceMode::EpochValidate,
-        CoherenceMode::EagerInvalidate,
-    ] {
+    for mode in [CoherenceMode::None, CoherenceMode::EagerInvalidate] {
         cfgs.push((Cache::Coherent(mode), 0));
         cfgs.push((Cache::Coherent(mode), 256));
     }
@@ -253,7 +249,6 @@ fn prop_dht_survives_transient_faults() {
         let want = reference(&s);
         for (cache, loc) in [
             (Cache::Uncached, 0),
-            (Cache::Coherent(CoherenceMode::EpochValidate), 256),
             (Cache::Coherent(CoherenceMode::EagerInvalidate), 256),
         ] {
             let got = run_schedule(&s, cache, loc);
@@ -291,7 +286,7 @@ fn rank_death_degrades_only_the_dead_owners_lookups() {
     let body = |p: &mut Process, s: &Schedule| {
         let mut dht = Dht::create(
             p,
-            dht_config(s, Cache::Coherent(CoherenceMode::EpochValidate), 256),
+            dht_config(s, Cache::Coherent(CoherenceMode::EagerInvalidate), 256),
         );
         dht.lock_all(p);
         for id in 0..s.population {

@@ -8,15 +8,16 @@
 //! byte for byte — that every get returns the *current* value: no
 //! coherence mode is allowed to serve a stale byte.
 //!
-//! Three ways of staying coherent are swept against each other, for
-//! each update rate:
+//! Both coherence modes are swept against each other, for each update
+//! rate, the surgical one also without its notification ring:
 //!
 //! - **full-inval** (`CoherenceMode::None`): the reader drops its whole
 //!   cache every round ([`CachedWindow::validate`] falls back to a full
 //!   invalidation) — always safe, zero reuse across rounds;
-//! - **epoch-validate**: one 8-byte version fetch per pass; any change
-//!   to the target's region drops every entry for that target (cheap
-//!   wire, coarse invalidation);
+//! - **eager-inval/ring0** (`EagerInvalidate` at `notify_ring_cap = 0`):
+//!   no records are kept, so every drain after a write overflows and
+//!   drops every entry for that target — coarse, CPU-only, and what a
+//!   window falls back to when it cannot afford a ring;
 //! - **eager-inval**: drain the target's put-notification ring and drop
 //!   only entries overlapping a newer put (surgical — untouched records
 //!   stay cached across rounds).
@@ -25,7 +26,10 @@
 //! more reuse than full invalidation — asserted here, not just plotted.
 //! A final tiny-ring run (`notify_ring_cap = 2`) forces the
 //! notification-overflow fallback and asserts it both fires and stays
-//! correct.
+//! correct. After the sweep one `# KEEP <mode> best_on=<rates|none>` line
+//! per row label names the update rates where it has the lowest reader
+//! time (ties count), like `fig_policy`'s: a label that reads `none` wins
+//! nowhere and owes the next reader a reason to exist.
 //!
 //! Emits `# PERF <key> <value>` lines harvested by `run_all --json`
 //! into the tracked perf baseline. Honours `CLAMPI_BENCH_SMOKE=1`.
@@ -175,32 +179,34 @@ fn main() {
         "hit_ratio",
         "stale_prevented",
         "drained",
-        "version_fetches",
     ]);
 
+    let ring = 4 * records;
+    // Row order, and the index of each row in the per-mode arrays below.
+    let (full, ring0, eager) = (0, 1, 2);
     let modes = [
-        ("full-inval", CoherenceMode::None),
-        ("epoch-validate", CoherenceMode::EpochValidate),
-        ("eager-inval", CoherenceMode::EagerInvalidate),
+        ("full-inval", CoherenceMode::None, ring),
+        ("eager-inval/ring0", CoherenceMode::EagerInvalidate, 0),
+        ("eager-inval", CoherenceMode::EagerInvalidate, ring),
     ];
 
-    let mut eager_total = 0.0;
-    let mut epoch_total = 0.0;
-    let mut full_total = 0.0;
+    let mut totals = [0.0f64; 3];
+    let mut best_on: [Vec<String>; 3] = Default::default();
     let mut eager_low_rate_hits = 0.0;
 
     for &rate in rates {
-        let w = Workload {
-            records,
-            size,
-            rounds,
-            gets_per_round,
-            rate,
-            seed,
-            ring_cap: 4 * records,
-        };
         let mut hit_by_mode = [0.0f64; 3];
-        for (i, (label, mode)) in modes.iter().enumerate() {
+        let mut ns_by_mode = [0.0f64; 3];
+        for (i, (label, mode, ring_cap)) in modes.iter().enumerate() {
+            let w = Workload {
+                records,
+                size,
+                rounds,
+                gets_per_round,
+                rate,
+                seed,
+                ring_cap: *ring_cap,
+            };
             let o = run_mode(w, *mode);
             row(&[
                 format!("{rate:.2}"),
@@ -209,30 +215,30 @@ fn main() {
                 format!("{:.4}", o.stats.hit_ratio()),
                 o.stats.stale_hits_prevented.to_string(),
                 o.stats.notifications_drained.to_string(),
-                o.stats.version_fetches.to_string(),
             ]);
             hit_by_mode[i] = o.stats.hit_ratio();
-            match mode {
-                CoherenceMode::None => full_total += o.reader_ns,
-                CoherenceMode::EpochValidate => epoch_total += o.reader_ns,
-                CoherenceMode::EagerInvalidate => {
-                    eager_total += o.reader_ns;
-                    if rate > 0.0 && rate <= 0.05 {
-                        eager_low_rate_hits = o.stats.hit_ratio();
-                    }
-                }
+            ns_by_mode[i] = o.reader_ns;
+            totals[i] += o.reader_ns;
+            if i == eager && rate > 0.0 && rate <= 0.05 {
+                eager_low_rate_hits = o.stats.hit_ratio();
+            }
+        }
+        let best = ns_by_mode.iter().copied().fold(f64::INFINITY, f64::min);
+        for (wins, &ns) in best_on.iter_mut().zip(&ns_by_mode) {
+            if ns == best {
+                wins.push(format!("{rate:.2}"));
             }
         }
         // Surgical invalidation must preserve at least the reuse of the
         // sledgehammer; strictly more whenever some records survive a
         // round untouched.
         assert!(
-            hit_by_mode[2] >= hit_by_mode[0],
+            hit_by_mode[eager] >= hit_by_mode[full],
             "eager hit ratio fell below full invalidation at rate {rate}"
         );
         if rate > 0.0 && rate < 1.0 {
             assert!(
-                hit_by_mode[2] > hit_by_mode[0],
+                hit_by_mode[eager] > hit_by_mode[full],
                 "eager invalidation preserved no extra reuse at rate {rate}"
             );
         }
@@ -261,9 +267,17 @@ fn main() {
         o.stats.hit_ratio()
     ));
 
-    meta(&format!("PERF full_inval_total_ns {full_total:.1}"));
-    meta(&format!("PERF epoch_validate_total_ns {epoch_total:.1}"));
-    meta(&format!("PERF eager_total_ns {eager_total:.1}"));
+    for ((label, ..), wins) in modes.iter().zip(&best_on) {
+        let wins = if wins.is_empty() {
+            "none".to_string()
+        } else {
+            wins.join(",")
+        };
+        meta(&format!("KEEP {label} best_on={wins}"));
+    }
+    meta(&format!("PERF full_inval_total_ns {:.1}", totals[full]));
+    meta(&format!("PERF eager_ring0_total_ns {:.1}", totals[ring0]));
+    meta(&format!("PERF eager_total_ns {:.1}", totals[eager]));
     meta(&format!(
         "PERF eager_hit_ratio_low_rate {eager_low_rate_hits:.4}"
     ));

@@ -375,7 +375,6 @@ fn main() {
     let skews: &[f64] = if smoke { &[0.99] } else { &[0.5, 0.99, 1.2] };
     let modes = [
         ("full-inval", CoherenceMode::None),
-        ("epoch-validate", CoherenceMode::EpochValidate),
         ("eager-inval", CoherenceMode::EagerInvalidate),
     ];
     row(&[
@@ -386,10 +385,10 @@ fn main() {
         "clampi_hit",
         "loc_hit",
     ]);
-    let mut pinned = [0.0f64; 3]; // per-mode hit ratio at s=0.99, top rate
+    let mut pinned = [0.0f64; 2]; // per-mode hit ratio at s=0.99, top rate
     for &skew in skews {
         for &rate in rates {
-            let mut hit_by_mode = [0.0f64; 3];
+            let mut hit_by_mode = [0.0f64; 2];
             for (i, (label, mode)) in modes.iter().enumerate() {
                 let o = run_churn_phase(ChurnPhase {
                     population: pop_b,
@@ -417,7 +416,7 @@ fn main() {
             // Surgical invalidation must preserve at least the reuse of
             // the full-invalidation sledgehammer, at every grid point.
             assert!(
-                hit_by_mode[2] >= hit_by_mode[0],
+                hit_by_mode[1] >= hit_by_mode[0],
                 "eager hit ratio fell below full invalidation (skew {skew}, rate {rate})"
             );
         }
@@ -434,8 +433,7 @@ fn main() {
     meta(&format!("PERF p99_ns {p99:.1}"));
     meta(&format!("PERF gets_per_vsec {gets_per_vsec:.1}"));
     meta(&format!("PERF churn_hit_full {:.4}", pinned[0]));
-    meta(&format!("PERF churn_hit_epoch {:.4}", pinned[1]));
-    meta(&format!("PERF churn_hit_eager {:.4}", pinned[2]));
+    meta(&format!("PERF churn_hit_eager {:.4}", pinned[1]));
     meta(&format!(
         "PERF wall_ms {:.1}",
         wall.elapsed().as_secs_f64() * 1e3

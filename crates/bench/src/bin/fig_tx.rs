@@ -367,7 +367,6 @@ fn main() {
     let modes = [
         ("none", CoherenceMode::None),
         ("eager", CoherenceMode::EagerInvalidate),
-        ("epoch", CoherenceMode::EpochValidate),
     ];
     for (label, coherence) in modes {
         let mut total_ns = 0.0;

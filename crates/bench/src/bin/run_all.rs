@@ -13,8 +13,8 @@
 //! - `--gate <baseline> <current>` — run nothing: compare two such
 //!   summaries with [`clampi_bench::gate`] (enforced keys must be equal,
 //!   wall-clock keys warn), print one line per key, and exit nonzero if
-//!   an enforced key changed. CI's perf-gate stage is this invocation
-//!   against the committed `ci/perf_baseline.json`.
+//!   an enforced key changed or went missing. CI's perf-gate stage is
+//!   this invocation against the committed `ci/perf_baseline.json`.
 //!
 //! All other flags are forwarded to every binary (e.g. `--paper`,
 //! `--seed 7`).
@@ -117,7 +117,7 @@ fn main() {
                 report.lines.iter().for_each(|l| println!("{l}"));
                 if report.failures > 0 {
                     eprintln!(
-                        "perf-gate: {} enforced key(s) changed (refresh ci/perf_baseline.json if intended)",
+                        "perf-gate: {} enforced key(s) changed or missing (refresh ci/perf_baseline.json if intended)",
                         report.failures
                     );
                     std::process::exit(1);

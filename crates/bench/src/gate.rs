@@ -9,7 +9,9 @@
 //! ci/perf_baseline.json`). Wall-clock keys (real threads on whatever
 //! machine runs CI) only warn, and only on >2x drift. Keys present on one
 //! side only are reported in both directions: a baseline-only key means a
-//! bench was dropped, a current-only key means the baseline is out of
+//! gated number was dropped — a failure for an enforced key, since a
+//! refactor must not lose one silently (refresh the baseline if the key
+//! left on purpose) —, a current-only key means the baseline is out of
 //! date.
 
 /// `("<name>.<key>", raw value)` for every entry of each line's `"perf"`
@@ -55,7 +57,8 @@ pub fn is_wall_clock(key: &str) -> bool {
 pub struct GateReport {
     /// `ok:` / `WARN:` / `FAIL:` lines, baseline keys first.
     pub lines: Vec<String>,
-    /// Number of enforced keys whose value is not equal to the baseline's.
+    /// Number of enforced baseline keys whose value is missing from the
+    /// current summary or not equal to the baseline's.
     pub failures: usize,
 }
 
@@ -71,7 +74,13 @@ pub fn check(baseline: &str, current: &str) -> GateReport {
     };
     for (key, b) in &base {
         let line = match find(&cur, key) {
-            None => format!("WARN: {key} present in baseline but missing from current"),
+            None if is_wall_clock(key) => {
+                format!("WARN: {key} present in baseline but missing from current")
+            }
+            None => {
+                report.failures += 1;
+                format!("FAIL: {key} present in baseline but missing from current")
+            }
             Some(c) if c == b => format!("ok: {key} {b}"),
             Some(c) if is_wall_clock(key) => {
                 let (bv, cv) = (b.parse().unwrap_or(0.0f64), c.parse().unwrap_or(0.0f64));
@@ -146,19 +155,31 @@ mod tests {
 
     #[test]
     fn one_sided_keys_are_reported_in_both_directions() {
-        let cur = BASELINE.replace("\"coal_speedup_at_max\"", "\"renamed\"");
+        // An enforced key and a wall-clock key leave, each under a new name.
+        let cur = BASELINE
+            .replace("\"coal_speedup_at_max\"", "\"renamed\"")
+            .replace("\"gets_per_sec_t1\"", "\"gets_per_sec\"");
         let r = check(BASELINE, &cur);
-        assert_eq!(r.failures, 0);
-        let warns = |needle: &str| {
+        let says = |verdict: &str, needle: &str| {
             r.lines
                 .iter()
-                .any(|l| l.starts_with("WARN:") && l.contains(needle))
+                .any(|l| l.starts_with(verdict) && l.contains(needle))
         };
-        assert!(warns(
+        // A dropped enforced key fails; a dropped wall-clock key warns.
+        assert_eq!(r.failures, 1, "{:#?}", r.lines);
+        assert!(says(
+            "FAIL:",
             "fig08_overlap.coal_speedup_at_max present in baseline but missing"
         ));
-        assert!(warns(
-            "fig08_overlap.renamed present in current but missing"
+        assert!(says(
+            "WARN:",
+            "fig_contention.gets_per_sec_t1 present in baseline but missing"
         ));
+        for new in ["fig08_overlap.renamed", "fig_contention.gets_per_sec"] {
+            assert!(says(
+                "WARN:",
+                &format!("{new} present in current but missing")
+            ));
+        }
     }
 }

@@ -11,6 +11,9 @@
 //! 2. On a miss / partial hit the wrapper issues the remote get, then calls
 //!    [`RmaCache::finish_miss`] / [`RmaCache::finish_partial`] to try to
 //!    cache the fetched data (direct / conflicting / capacity / failed).
+//!    The install is also the one place an entry's [`SnapStamp`] is set:
+//!    the window hands over the fetch's exact stamp, the public
+//!    four-argument forms build an inexact one from their `version`.
 //! 3. At every epoch closure the wrapper calls [`RmaCache::epoch_close`],
 //!    which promotes `PENDING` entries to `CACHED` — the moment the paper
 //!    performs the deferred cache-fill copies.
@@ -110,17 +113,13 @@ struct Entry {
     /// descriptor list (which optimistic readers must never touch).
     off: usize,
     last: u64,
-    /// Target-region write version observed when this entry was filled
-    /// (0 when the caller does not track versions). The coherence layer
-    /// compares it against put-notification records to drop stale data.
-    version: u64,
-    /// Snapshot stamp of the payload bytes (see [`crate::snapshot`]):
-    /// staged by the wrapper via [`RmaCache::stage_stamp`] when it read
-    /// the bytes under the region read lock, else an inexact default that
-    /// forces `multi_get` to refetch. Separate from `version`, which stays
-    /// the conservative pre-read peek the coherence layer was built on.
-    /// Never read by [`RmaCache::racy_probe`].
-    snap: SnapStamp,
+    /// What the entry knows about the age of its bytes, set where it is
+    /// installed: the fetch's exact stamp when the window read the bytes
+    /// under the region read lock, else an inexact one at the caller's
+    /// version (which forces `multi_get` to refetch). The coherence layer
+    /// compares `stamp.version` against put-notification records to drop
+    /// stale data. Never read by [`RmaCache::racy_probe`].
+    stamp: SnapStamp,
 }
 
 impl Entry {
@@ -130,6 +129,31 @@ impl Entry {
         let e_lo = self.key.disp;
         let e_hi = e_lo.saturating_add(self.size as u64);
         (e_lo < hi || hi == u64::MAX) && lo < e_hi
+    }
+
+    /// How much of a get shaped `want` this entry can serve: `(full,
+    /// cached_len)`, where a partial hit serves the first `cached_len`
+    /// bytes (0 when the cached layout is incompatible).
+    fn servable(&self, want: &LayoutSig) -> (bool, usize) {
+        match (&self.sig, want) {
+            (LayoutSig::Contig(have), LayoutSig::Contig(want)) => {
+                if want <= have {
+                    (true, *want)
+                } else if self.state == EntryState::Cached {
+                    (false, *have)
+                } else {
+                    // Partial hit on a PENDING entry: nothing servable
+                    // yet (its fill is deferred to the epoch close).
+                    (false, 0)
+                }
+            }
+            // `Arc<T: Eq>` compares pointers first, so a signature that
+            // shares the entry's layout (the window's memo) matches in O(1).
+            (LayoutSig::Blocks(have), LayoutSig::Blocks(want)) if have == want => {
+                (true, want.total_size())
+            }
+            _ => (false, 0),
+        }
     }
 }
 
@@ -335,15 +359,6 @@ pub struct RmaCache {
     /// Copy time the paper pays at the epoch closure; `epoch_close` moves
     /// it into `uncharged_ns`.
     deferred_ns: f64,
-    /// Prefix length served from cache by the most recent PartialHit
-    /// lookup (consumed by `finish_partial` for byte accounting).
-    last_partial_prefix: usize,
-    /// Snapshot stamp staged by [`RmaCache::stage_stamp`] for the payload
-    /// about to be handed to `finish_miss`/`finish_partial`; consumed (or
-    /// discarded, on a failed insert) by that call. `None` — the default
-    /// for every caller that does not track stamps — yields inexact
-    /// entries, which the snapshot layer simply refetches.
-    staged_stamp: Option<SnapStamp>,
     /// Resident entries per target rank (grown on demand), so coherence
     /// passes can skip targets with nothing cached in O(1).
     target_counts: Vec<u32>,
@@ -428,8 +443,6 @@ impl RmaCache {
             ags: 0.0,
             uncharged_ns: 0.0,
             deferred_ns: 0.0,
-            last_partial_prefix: 0,
-            staged_stamp: None,
             target_counts: Vec::new(),
             lab: new_lab(&params),
             rebuilds: 0,
@@ -606,23 +619,7 @@ impl RmaCache {
         let e = self.entry(id);
         debug_assert_eq!(e.key, key, "index returned a foreign entry");
         let (state, off) = (e.state, e.off);
-        let (full, cached_len) = match (&e.sig, sig) {
-            (LayoutSig::Contig(have), LayoutSig::Contig(want)) => {
-                if want <= have {
-                    (true, *want)
-                } else if state == EntryState::Cached {
-                    (false, *have)
-                } else {
-                    // Partial hit on a PENDING entry: nothing servable
-                    // yet (its fill is deferred to the epoch close).
-                    (false, 0)
-                }
-            }
-            // `Arc<T: Eq>` compares pointers first, so a signature that
-            // shares the entry's layout (the window's memo) matches in O(1).
-            (LayoutSig::Blocks(have), LayoutSig::Blocks(want)) if have == want => (true, size),
-            _ => (false, 0),
-        };
+        let (full, cached_len) = e.servable(sig);
         // The served bytes come straight from the entry's cached region
         // offset: no dependent load through the descriptor slab. `off` is
         // set wherever `desc` is (`check_invariants` compares them).
@@ -652,34 +649,25 @@ impl RmaCache {
             }
             self.entry_mut(id).last = seq;
             self.stats.partial_hits += 1;
-            self.last_partial_prefix = cached_len;
             Lookup::PartialHit { cached_len }
         }
     }
 
-    /// Stages the snapshot stamp for the payload about to be handed to
-    /// the next [`RmaCache::finish_miss`] / [`RmaCache::finish_partial`]
-    /// call, which consumes it (or discards it on failure). Callers that
-    /// never stage get inexact entries, which the snapshot layer refetches
-    /// — so stamp-blind paths (traces, the concurrent front's insert)
-    /// stay correct without changes.
-    pub fn stage_stamp(&mut self, stamp: SnapStamp) {
-        self.staged_stamp = Some(stamp);
-    }
-
-    /// Read-only probe of the snapshot stamp of the resident entry for
-    /// `key` (`None` when nothing is resident). Free in virtual time,
-    /// like the index peek it is.
+    /// Read-only probe of the stamp of the resident entry for `key`
+    /// (`None` when nothing is resident). Free in virtual time, like the
+    /// index peek it is.
     pub fn snap_stamp(&self, key: &GetKey) -> Option<SnapStamp> {
-        self.index.lookup(key).map(|id| self.entry(id).snap)
+        self.index.lookup(key).map(|id| self.entry(id).stamp)
     }
 
     /// Phase 2 after a [`Lookup::Miss`]: `data` is the fetched payload;
     /// attempt to cache it. Returns the access classification.
     ///
-    /// `version` is the target-region write version observed *before* the
-    /// payload bytes were read (pass 0 when versions are not tracked); the
-    /// coherence layer uses it to decide staleness later.
+    /// `version` is a target-region write version no newer than the
+    /// payload bytes (pass 0 when versions are not tracked); the entry is
+    /// stamped inexact at it, which the coherence layer uses to decide
+    /// staleness later and the snapshot layer refetches. So stamp-blind
+    /// callers (traces, the concurrent front's insert) stay correct.
     pub fn finish_miss(
         &mut self,
         key: GetKey,
@@ -687,14 +675,21 @@ impl RmaCache {
         data: &[u8],
         version: u64,
     ) -> AccessType {
+        self.install_miss(key, sig, data, SnapStamp::inexact(version))
+    }
+
+    /// [`RmaCache::finish_miss`] with the payload's stamp: the window
+    /// passes the exact one its fetch sampled under the region read lock.
+    pub(crate) fn install_miss(
+        &mut self,
+        key: GetKey,
+        sig: LayoutSig,
+        data: &[u8],
+        stamp: SnapStamp,
+    ) -> AccessType {
         let size = sig.size();
         debug_assert_eq!(data.len(), size);
         self.stats.bytes_from_network += size as u64;
-        let snap = self.staged_stamp.take().unwrap_or(SnapStamp {
-            version,
-            ts: 0,
-            exact: false,
-        });
         let id = self.alloc_entry(Entry {
             key,
             sig,
@@ -703,8 +698,7 @@ impl RmaCache {
             desc: NO_DESC,
             off: 0,
             last: self.seq,
-            version,
-            snap,
+            stamp,
         });
 
         let (inserted, conflicted) = self.insert_with_path_eviction(key, id);
@@ -751,10 +745,11 @@ impl RmaCache {
     /// entry stays valid (Sec. III-B: "extended only if `S_w` contains
     /// enough space").
     ///
-    /// `version` is the write version observed before the tail fetch; the
-    /// extended entry is stamped with the *older* of its existing version
-    /// and `version` (the head bytes may predate the tail bytes, so the
-    /// conservative choice is the minimum).
+    /// `version` is a write version no newer than the tail bytes, as in
+    /// [`RmaCache::finish_miss`]. The extended entry's stamp is the
+    /// [`SnapStamp::merge`] of its existing one and the tail's: the head
+    /// bytes may predate the tail bytes, so the conservative choice is
+    /// the older of the two.
     pub fn finish_partial(
         &mut self,
         key: GetKey,
@@ -762,21 +757,29 @@ impl RmaCache {
         data: &[u8],
         version: u64,
     ) -> AccessType {
+        self.install_partial(key, sig, data, SnapStamp::inexact(version))
+    }
+
+    /// [`RmaCache::finish_partial`] with the tail's stamp (see
+    /// [`RmaCache::install_miss`]).
+    pub(crate) fn install_partial(
+        &mut self,
+        key: GetKey,
+        sig: LayoutSig,
+        data: &[u8],
+        stamp: SnapStamp,
+    ) -> AccessType {
         let size = sig.size();
         debug_assert_eq!(data.len(), size);
         let Some(id) = self.index.lookup(&key) else {
-            // The entry vanished (should not happen between phases). The
-            // staged stamp, if any, rides along into the miss path.
-            return self.finish_miss(key, sig, data, version);
+            // The entry vanished (should not happen between phases).
+            return self.install_miss(key, sig, data, stamp);
         };
-        // Taken unconditionally so a failed extension cannot leak this
-        // call's stamp into a later, unrelated finish.
-        let staged = self.staged_stamp.take();
-        // The wrapper fetched everything beyond the served prefix (which is
-        // zero for incompatible layouts).
-        self.stats.bytes_from_network +=
-            (size as u64).saturating_sub(self.last_partial_prefix as u64);
-        self.last_partial_prefix = 0;
+        // The wrapper fetched everything beyond the prefix the lookup
+        // served (which is zero for incompatible layouts); the entry has
+        // not changed since.
+        let (_, served) = self.entry(id).servable(&sig);
+        self.stats.bytes_from_network += (size - served) as u64;
 
         if self.entry(id).state == EntryState::Pending {
             // Cannot touch a pending entry's storage; leave it as-is.
@@ -801,23 +804,8 @@ impl RmaCache {
                     e.size = size;
                     e.sig = sig;
                     e.state = EntryState::Pending;
-                    e.version = e.version.min(version);
-                    // Head bytes carry the old entry's stamp, tail bytes
-                    // the staged one; the mix is exact only when both are
-                    // exact at the *same* version (no write in between).
-                    e.snap = match staged {
-                        Some(s) if s.exact && e.snap.exact && s.version == e.snap.version => s,
-                        Some(s) => SnapStamp {
-                            version: e.snap.version.min(s.version),
-                            ts: e.snap.ts.min(s.ts),
-                            exact: false,
-                        },
-                        None => SnapStamp {
-                            version: e.snap.version.min(version),
-                            ts: 0,
-                            exact: false,
-                        },
-                    };
+                    // Head bytes carry the old stamp, tail bytes the new.
+                    e.stamp = e.stamp.merge(stamp);
                 }
                 if let Some(dir) = self.extents.as_mut() {
                     dir.max_size = dir.max_size.max(size);
@@ -1103,21 +1091,9 @@ impl RmaCache {
         self.invalidate_extents(target, &[(lo, hi, 0)], |e, lo, hi, _| e.overlaps(lo, hi))
     }
 
-    /// Drops every resident entry keyed to `target` whose stored version
-    /// differs from `version` (the target's current write version, fetched
-    /// by an `EpochValidate` coherence pass); returns how many were
-    /// dropped. Entries already stamped with the current version are
-    /// provably fresh and survive. Walks the target's stretch of the
-    /// extent directory: linear in the entries cached *for that target*.
-    pub fn invalidate_target_stale(&mut self, target: u32, version: u64) -> usize {
-        self.invalidate_extents(target, &[(0, u64::MAX, version)], |e, _, _, v| {
-            e.version != v
-        })
-    }
-
     /// Drops every resident entry keyed to `target` that overlaps one of
     /// the put `ranges` (`(lo, hi, version)`, half-open bytes) *and* was
-    /// filled before that put (`entry.version < version`); returns how
+    /// filled before that put (`entry.stamp.version < version`); returns how
     /// many were dropped. This is the surgical `EagerInvalidate` path:
     /// each drained notification record seeks the extent directory and
     /// examines only the entries that can overlap it —
@@ -1129,7 +1105,7 @@ impl RmaCache {
         ranges: &[(u64, u64, u64)],
     ) -> usize {
         self.invalidate_extents(target, ranges, |e, lo, hi, v| {
-            e.overlaps(lo, hi) && e.version < v
+            e.overlaps(lo, hi) && e.stamp.version < v
         })
     }
 
@@ -1273,7 +1249,7 @@ impl RmaCache {
                     id,
                     key,
                     size: e.size,
-                    version: e.version,
+                    version: e.stamp.version,
                 }
             })
             .collect()

@@ -23,8 +23,7 @@ pub struct CacheCostModel {
     /// score computation for non-empty slots).
     ///
     /// The ranged invalidations (`invalidate_range`,
-    /// `invalidate_target_stale`, `invalidate_overlapping_stale`) charge
-    /// the same constant for the work they do in the ordered extent
+    /// `invalidate_overlapping_stale`) charge the same constant for the work they do in the ordered extent
     /// directory: once per probe (the seek) and once per entry examined —
     /// plus, the first time a shard invalidates by range, once per index
     /// slot for the pass that builds its directory.

@@ -54,12 +54,16 @@ use clampi_rma::PutRecord;
 
 /// Commit-state stamp of one cached payload: the bytes were read while
 /// `target`'s window region was at write `version`, whose commit timestamp
-/// was `ts`.
+/// was `ts`. It is the one thing an entry knows about the age of its
+/// bytes: the coherence layer compares `version` against put-notification
+/// records, the snapshot layer builds validity intervals from `ts`.
 ///
 /// `exact` distinguishes stamps sampled inside the region read lock
 /// (bytes ⟺ stamp, usable as a snapshot interval's lower bound) from
-/// conservative pre-read peeks or merged partial fills, which only bound
-/// the version from below and force a refetch under [`CachedWindow::multi_get`].
+/// caller-supplied versions or merged partial fills, which only bound the
+/// version from below (never newer than the bytes — at worst an
+/// unnecessary invalidation) and force a refetch under
+/// [`CachedWindow::multi_get`].
 ///
 /// [`CachedWindow::multi_get`]: crate::CachedWindow::multi_get
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -80,6 +84,27 @@ impl SnapStamp {
             version,
             ts,
             exact: true,
+        }
+    }
+
+    /// What a stamp-blind caller knows: the bytes are no older than
+    /// `version` (0 when versions are not tracked at all).
+    pub(crate) fn inexact(version: u64) -> Self {
+        SnapStamp {
+            version,
+            ts: 0,
+            exact: false,
+        }
+    }
+
+    /// The stamp of a payload stitched from two reads (a cached head and
+    /// a fetched tail): the older of the two, exact only when both are
+    /// exact at the *same* version — no write in between.
+    pub(crate) fn merge(self, other: SnapStamp) -> Self {
+        SnapStamp {
+            version: self.version.min(other.version),
+            ts: self.ts.min(other.ts),
+            exact: self.exact && other.exact && self.version == other.version,
         }
     }
 }

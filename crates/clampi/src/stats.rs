@@ -168,7 +168,10 @@ counter_table! {
     /// Notification-ring overflows observed (each falls back to a full
     /// per-target invalidation).
     notification_overflows: u64,
-    /// Remote version fetches issued by `EpochValidate` passes.
+    /// Always 0: nothing fetches a version since the epoch-validation
+    /// coherence mode was deleted. Still here because
+    /// `benchmark/src/counters.rs` reads it; goes with the next benchmark
+    /// PR.
     version_fetches: u64,
     /// Optimistic (seqlock) hit-path reads discarded because the shard's
     /// sequence counter changed mid-copy; each one retried or fell back to

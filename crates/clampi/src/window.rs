@@ -182,7 +182,7 @@ pub struct CachedWindow {
     /// Reusable packed-payload buffer for [`CachedWindow::get_typed`].
     scratch_buf: Vec<u8>,
     /// Per-target coherence state (drain cursors, scratch) for
-    /// [`crate::coherence::CoherenceMode`] passes.
+    /// [`CoherenceMode::EagerInvalidate`] passes.
     coherence: CoherenceTracker,
 }
 
@@ -258,26 +258,78 @@ impl CachedWindow {
             .unwrap_or_default()
     }
 
-    /// Runs one coherence pass over `target` (`None` = every target) and
-    /// charges the accumulated management cost. No-op when the mode is
-    /// [`CoherenceMode::None`] or caching is disabled.
+    /// Runs one coherence pass over `target` (`None` = every target,
+    /// degraded ones skipped) and charges the accumulated management
+    /// cost. No-op when the mode is [`CoherenceMode::None`] or caching is
+    /// disabled.
     fn coherence_pass(&mut self, p: &mut Process, target: Option<usize>) {
+        if self.coherence_mode() == CoherenceMode::None {
+            return;
+        }
+        let targets = match target {
+            Some(t) => t..t + 1,
+            None => 0..self.win.ntargets(),
+        };
+        for t in targets {
+            if !self.degraded[t] {
+                self.drain_target(p, t);
+            }
+        }
+        self.charge_engine(p);
+    }
+
+    /// The coherence pass for one target: drain its notification ring and
+    /// invalidate exactly the overlapped-and-older entries; a ring
+    /// overflow degrades to a full per-target invalidation.
+    fn drain_target(&mut self, p: &mut Process, t: usize) {
         let Some(cache) = self.cache.as_mut() else {
             return;
         };
-        if cache.params().coherence == CoherenceMode::None {
+        let co = &mut self.coherence;
+        if !cache.has_entries_for(t as u32) {
+            // Nothing cached: skip the drain but refresh the cursor from
+            // the zero-cost version peek, so old records cannot trigger a
+            // spurious overflow later. Safe because any entry filled from
+            // now on is stamped with a version ≥ this peek, and the stale
+            // check (`entry.stamp.version < record.version`) can
+            // therefore never need the skipped records.
+            co.cursors[t] = self.win.version(t);
             return;
         }
-        self.coherence.run_pass(
-            p,
-            &mut self.win,
-            cache,
-            &mut self.fault_stats,
-            &mut self.degraded,
-            &self.retry,
-            target,
-        );
-        self.charge_engine(p);
+        co.scratch.clear();
+        let cursor = co.cursors[t];
+        let drained = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
+            self.win
+                .try_drain_notifications(p, t, cursor, &mut co.scratch)
+        });
+        match drained {
+            Ok(drain) => {
+                let dropped = if drain.overflowed {
+                    self.fault_stats.notification_overflows += 1;
+                    cache.invalidate_range(t as u32, 0, u64::MAX)
+                } else {
+                    self.fault_stats.notifications_drained += co.scratch.len() as u64;
+                    co.ranges.clear();
+                    co.ranges.extend(
+                        co.scratch
+                            .iter()
+                            .map(|r| (r.disp, r.disp.saturating_add(r.len), r.version)),
+                    );
+                    cache.invalidate_overlapping_stale(t as u32, &co.ranges)
+                };
+                self.fault_stats.stale_hits_prevented += dropped as u64;
+                co.cursors[t] = drain.version;
+            }
+            Err(e) => {
+                // The pass could not reach `t`: its cached entries can no
+                // longer be validated, so they are all dropped (the
+                // pending notifications degrade to a full per-target
+                // invalidation — never a silent drop), whether or not the
+                // failure is persistent.
+                self.degraded[t] |= matches!(e, RmaError::TargetFailed { .. });
+                self.drop_target(t);
+            }
+        }
     }
 
     /// The caching engine on the caching-enabled path.
@@ -299,14 +351,14 @@ impl CachedWindow {
     /// post-put barrier, `validate` makes the remote writes of the
     /// finished superstep safe to read through the cache).
     ///
-    /// With a coherence mode configured this revalidates/drains per mode;
-    /// with [`CoherenceMode::None`] it falls back to a full
+    /// With [`CoherenceMode::EagerInvalidate`] this drains every target's
+    /// notifications; with [`CoherenceMode::None`] it falls back to a full
     /// [`CachedWindow::invalidate`] (the only safe answer without version
     /// tracking); with caching disabled it is a no-op.
     pub fn validate(&mut self, p: &mut Process) {
         match self.coherence_mode() {
             CoherenceMode::None => self.invalidate(p),
-            _ => self.coherence_pass(p, None),
+            CoherenceMode::EagerInvalidate => self.coherence_pass(p, None),
         }
     }
 
@@ -337,38 +389,32 @@ impl CachedWindow {
         s
     }
 
-    /// The retry policy governing transient-fault recovery.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Whether `target` has been marked persistently failed (all its gets
     /// are now served degraded, without network traffic).
     pub fn is_degraded(&self, target: usize) -> bool {
         self.degraded[target]
     }
 
-    /// The targets currently marked persistently failed.
-    pub fn degraded_targets(&self) -> Vec<usize> {
-        (0..self.degraded.len())
-            .filter(|&t| self.degraded[t])
-            .collect()
+    /// Drops every cached entry keyed to an unreachable `target`, counted
+    /// in `invalidations_on_failure`. The caller charges the engine.
+    fn drop_target(&mut self, target: usize) {
+        if let Some(cache) = self.cache.as_mut() {
+            let dropped = cache.invalidate_range(target as u32, 0, u64::MAX);
+            self.fault_stats.invalidations_on_failure += dropped as u64;
+        }
     }
 
     /// Books an abandoned operation's error: a persistent failure marks
-    /// `target` degraded — drops every cached entry keyed to it (counted
-    /// in `invalidations_on_failure`) and routes later accesses through
-    /// the degraded path. Transient errors degrade nothing.
+    /// `target` degraded — drops every cached entry keyed to it and
+    /// routes later accesses through the degraded path. Transient errors
+    /// degrade nothing.
     fn degrade_if_dead(&mut self, p: &mut Process, target: usize, err: &RmaError) {
         if !matches!(err, RmaError::TargetFailed { .. }) || self.degraded[target] {
             return;
         }
         self.degraded[target] = true;
-        if let Some(cache) = self.cache.as_mut() {
-            let dropped = cache.invalidate_range(target as u32, 0, u64::MAX);
-            self.fault_stats.invalidations_on_failure += dropped as u64;
-            self.charge_engine(p);
-        }
+        self.drop_target(target);
+        self.charge_engine(p);
     }
 
     /// Concludes a get whose fetch was abandoned: degrades the target on
@@ -608,26 +654,20 @@ impl CachedWindow {
             Lookup::Miss => 0,
             Lookup::PartialHit { cached_len } => cached_len,
         };
-        // Version stamp for coherence: peeked *before* the payload bytes
-        // are read, so the entry can only look older than it is (a get
-        // response piggybacks the region version at zero model cost).
-        // Only an install uses it, so a hit never takes the ring's lock.
-        let ver = self.win.version(target);
         let tail = if from == 0 { layout } else { None };
         let fetched = self.fetch(p, &mut dst[from..], target, disp + from, tail, completion);
-        // Install. An abandoned fetch simply never calls `finish_*` — the
+        // Install. An abandoned fetch simply never calls `install_*` — the
         // engine allocates entries only in those calls, so no cleanup is
-        // needed. The fetch's exact stamp rides into the entry for the
-        // snapshot layer.
+        // needed. The fetch's exact stamp rides into the entry, for the
+        // coherence and snapshot layers alike.
         let outcome = fetched.map(|stamp| {
             let cache = self.engine();
-            cache.stage_stamp(stamp);
             match looked_up {
                 Lookup::Miss => {
-                    let class = cache.finish_miss(key, sig.clone(), dst, ver);
+                    let class = cache.install_miss(key, sig.clone(), dst, stamp);
                     GetOutcome::Fetched(Some(class), stamp)
                 }
-                _ => GetOutcome::Partial(cache.finish_partial(key, sig.clone(), dst, ver)),
+                _ => GetOutcome::Partial(cache.install_partial(key, sig.clone(), dst, stamp)),
             }
         });
         // The engine's CPU cost is charged *after* the fetch on both

@@ -12,12 +12,16 @@
 //! same script issued through `get_flat`/`get_nb_flat` with a layout
 //! flattened afresh for every call, which never touches the memo.
 //!
+//! A directed test pins where an entry's stamp comes from: the fetch that
+//! filled it (exact), the merge of head and tail on an extension, or the
+//! caller's version on the public stamp-blind install (inexact).
+//!
 //! Observations are collected inside the simulation and asserted after
 //! the join: a panicking rank would strand its peer at a barrier.
 
 use clampi::{
-    AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, Mode, RetryPolicy, SnapReq,
-    SnapshotCtx, SnapshotError,
+    AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, GetKey, LayoutSig, Mode,
+    RetryPolicy, RmaCache, SnapReq, SnapStamp, SnapshotCtx, SnapshotError,
 };
 use clampi_datatype::{pack, Datatype};
 use clampi_rma::{run_collect, FaultConfig, Process, SimConfig};
@@ -215,6 +219,56 @@ fn drive(case: &Case, via: Via) -> Obs {
             after: win.stats(),
         }
     })
+}
+
+#[test]
+fn an_entry_carries_the_stamp_of_the_fetch_that_filled_it() {
+    let cfg = ClampiConfig::fixed(Mode::AlwaysCache, CacheParams::default());
+    let (fills, extensions) = on_rank0(SimConfig::default(), &cfg, |p, win| {
+        // One remote write, away from the bytes read below, moves the
+        // target's version; then a get of the first `len` bytes. Returns
+        // the fetch's stamp and the one the resident entry ends up with.
+        let mut write_then_get = |disp: usize, len: usize| {
+            win.put(p, &[7u8; 8], 1, disp, &Datatype::bytes(8), 1);
+            win.flush(p, 1);
+            let mut buf = vec![0u8; len];
+            win.get(p, &mut buf, 1, 0, &Datatype::bytes(len), 1);
+            let fetch = win.inner().last_get_stamp();
+            let key = GetKey { target: 1, disp: 0 };
+            let entry = win.cache().and_then(|c| c.snap_stamp(&key));
+            win.flush(p, 1);
+            (SnapStamp::exact(fetch.version, fetch.ts), entry)
+        };
+        let miss = write_then_get(1024, 32);
+        // A partial hit: the head is one write older than the tail.
+        let extended = write_then_get(1032, 64);
+        (miss, extended)
+    });
+    let (fetch, entry) = fills;
+    assert!(fetch.version > 0 && fetch.ts > 0, "{fetch:?}");
+    assert_eq!(
+        entry,
+        Some(fetch),
+        "a miss installs the fetch's exact stamp"
+    );
+    let (tail, entry) = extensions;
+    assert_eq!(tail.version, fetch.version + 1);
+    let merged = SnapStamp {
+        exact: false,
+        ..fetch
+    };
+    assert_eq!(entry, Some(merged), "an extension keeps the older half");
+
+    // The public install is stamp-blind: inexact, at the caller's version.
+    let mut engine = RmaCache::new(CacheParams::default());
+    let key = GetKey { target: 1, disp: 0 };
+    engine.finish_miss(key, LayoutSig::Contig(8), &[1u8; 8], 5);
+    let blind = SnapStamp {
+        version: 5,
+        ts: 0,
+        exact: false,
+    };
+    assert_eq!(engine.snap_stamp(&key), Some(blind));
 }
 
 #[test]

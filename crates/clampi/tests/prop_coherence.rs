@@ -11,12 +11,15 @@
 //!
 //! Properties:
 //!
-//! 1. **no stale byte, ever**: under both [`CoherenceMode`]s (and the
+//! 1. **no stale byte, ever**: under [`CoherenceMode::EagerInvalidate`]
+//!    at every notification-ring capacity of [`ring_caps`] (and under the
 //!    `None` + full-invalidation fallback), every get returns the
 //!    record's current value, bit-identical to an uncached
 //!    (`Mode::Disabled`) run of the same schedule — over random
-//!    schedules, blocking and nonblocking reads, and notification-ring
-//!    capacities down to 0 (the always-overflow degenerate ring);
+//!    schedules, blocking and nonblocking reads. Capacity 0 is the
+//!    no-ring fallback (whole-target drop on any write, what the deleted
+//!    epoch-validation mode did over the wire): it must overflow whenever
+//!    it saw a write;
 //! 2. the same holds under transient fault injection with retries;
 //! 3. **`CoherenceMode::None` is inert**: its runs are bit-identical —
 //!    bytes, cache fingerprints, stats — whatever the notification-ring
@@ -193,6 +196,13 @@ fn run_schedule(s: &Schedule, coherence: Option<CoherenceMode>) -> Run {
     }
 }
 
+/// The notification-ring capacities every coherent property runs at: the
+/// simulator's default (never overflows here), a 2-record ring (overflows
+/// under load) and no ring at all (every drain after a write overflows).
+fn ring_caps() -> [usize; 3] {
+    [SimConfig::default().notify_ring_cap, 2, 0]
+}
+
 fn gen_schedule(g: &mut Gen, faulty: bool) -> Schedule {
     let records = g.range(8..32usize);
     Schedule {
@@ -201,18 +211,36 @@ fn gen_schedule(g: &mut Gen, faulty: bool) -> Schedule {
         gets_per_round: g.range(8..32usize),
         updates_per_round: g.range(0..records),
         seed: g.u64(),
-        ring_cap: match g.range(0..4u32) {
-            0 => 0,
-            1 => 1,
-            2 => g.range(2..8usize),
-            _ => 4 * records,
-        },
+        ring_cap: SimConfig::default().notify_ring_cap,
         nonblocking: g.bool(),
         faults: if faulty {
             Some(FaultConfig::transient(g.range(0.0..0.12), g.u64()))
         } else {
             None
         },
+    }
+}
+
+/// `EagerInvalidate` runs of `s` at every capacity of [`ring_caps`]: each
+/// must return the uncached run's bytes, and the ring-less one must have
+/// fallen back to whole-target drops if anything was written.
+fn check_eager_at_every_ring_cap(s: &Schedule, uncached: &Run) {
+    for cap in ring_caps() {
+        let s = Schedule {
+            ring_cap: cap,
+            ..s.clone()
+        };
+        let cached = run_schedule(&s, Some(CoherenceMode::EagerInvalidate));
+        assert_eq!(
+            uncached.bytes, cached.bytes,
+            "cached bytes diverged from uncached run (ring capacity {cap})"
+        );
+        if cap == 0 && s.updates_per_round > 0 {
+            assert!(
+                cached.stats.notification_overflows > 0,
+                "a ring of capacity 0 saw writes and never overflowed"
+            );
+        }
     }
 }
 
@@ -228,20 +256,15 @@ fn coherence_counters(s: &CacheStats) -> [u64; 4] {
 
 #[test]
 fn prop_coherent_modes_serve_no_stale_bytes() {
-    check("eager/epoch/full-inval == uncached bytes", 12, |g| {
+    check("eager (every ring)/full-inval == uncached bytes", 12, |g| {
         let s = gen_schedule(g, false);
         let uncached = run_schedule(&s, None);
-        for mode in [
-            CoherenceMode::EagerInvalidate,
-            CoherenceMode::EpochValidate,
-            CoherenceMode::None,
-        ] {
-            let cached = run_schedule(&s, Some(mode));
-            assert_eq!(
-                uncached.bytes, cached.bytes,
-                "cached bytes diverged from uncached run ({mode:?})"
-            );
-        }
+        check_eager_at_every_ring_cap(&s, &uncached);
+        let cached = run_schedule(&s, Some(CoherenceMode::None));
+        assert_eq!(
+            uncached.bytes, cached.bytes,
+            "cached bytes diverged from uncached run (full invalidation)"
+        );
     });
 }
 
@@ -250,13 +273,7 @@ fn prop_coherent_modes_survive_transient_faults() {
     check("no stale bytes under transient faults + retries", 10, |g| {
         let s = gen_schedule(g, true);
         let uncached = run_schedule(&s, None);
-        for mode in [CoherenceMode::EagerInvalidate, CoherenceMode::EpochValidate] {
-            let cached = run_schedule(&s, Some(mode));
-            assert_eq!(
-                uncached.bytes, cached.bytes,
-                "cached bytes diverged under faults ({mode:?})"
-            );
-        }
+        check_eager_at_every_ring_cap(&s, &uncached);
         assert!(s.faults.is_some());
     });
 }

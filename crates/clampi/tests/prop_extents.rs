@@ -2,16 +2,15 @@
 //! invalidations (`CLAMPI_PROP_SEED` replays a single case;
 //! `CLAMPI_PROP_CASES` overrides the counts).
 //!
-//! `invalidate_range`, `invalidate_target_stale` and
-//! `invalidate_overlapping_stale` used to scan every index slot; they now
-//! seek an ordered `(target, disp)` directory and examine only the
+//! `invalidate_range` and `invalidate_overlapping_stale` used to scan
+//! every index slot; they now seek an ordered `(target, disp)` directory and examine only the
 //! entries that can overlap. The directory is a second description of the
 //! resident set, so the property is equivalence with the scan it
 //! replaced: two engines with the same parameters are driven through the
 //! same random sequence of gets (mixed sizes, overlapping extents,
 //! entries larger than the puts that hit them, partial-hit extensions,
 //! capacity and conflict evictions), epoch closes, full invalidations,
-//! resizes, policy switches and all three ranged invalidations — one
+//! resizes, policy switches and both ranged invalidations — one
 //! through the engine's own methods, the other through a test-local
 //! **full-scan oracle**: the loops the directory replaced (one pass over
 //! every index slot, victims collected, then evicted in ascending slot
@@ -57,10 +56,6 @@ fn scan_invalidate(c: &mut RmaCache, target: u32, doomed: impl Fn(u64, u64, u64)
 
 fn scan_range(c: &mut RmaCache, target: u32, lo: u64, hi: u64) -> usize {
     scan_invalidate(c, target, |e_lo, e_hi, _| e_lo < hi && lo < e_hi)
-}
-
-fn scan_target_stale(c: &mut RmaCache, target: u32, version: u64) -> usize {
-    scan_invalidate(c, target, |_, _, v| v != version)
 }
 
 fn scan_overlapping_stale(c: &mut RmaCache, target: u32, ranges: &[(u64, u64, u64)]) -> usize {
@@ -265,21 +260,13 @@ fn run_case(g: &mut Gen) {
                 pair.drain(g);
                 "invalidate_overlapping_stale"
             }
-            84..=91 => {
+            84..=95 => {
                 let t = g.range(0..TARGETS as u64) as u32;
                 let (lo, hi) = gen_range(g);
                 let dropped = pair.new.invalidate_range(t, lo, hi);
                 let expected = scan_range(&mut pair.old, t, lo, hi);
                 assert_eq!(dropped, expected, "invalidate_range({t}, {lo}, {hi})");
                 "invalidate_range"
-            }
-            92..=95 => {
-                let t = g.range(0..TARGETS as usize);
-                let v = pair.versions[t] - u64::from(g.bool_with(0.3));
-                let dropped = pair.new.invalidate_target_stale(t as u32, v);
-                let expected = scan_target_stale(&mut pair.old, t as u32, v);
-                assert_eq!(dropped, expected, "invalidate_target_stale({t}, {v})");
-                "invalidate_target_stale"
             }
             96 => {
                 pair.new.invalidate();

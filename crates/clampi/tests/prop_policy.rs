@@ -178,10 +178,9 @@ fn gen_schedule(g: &mut Gen, faulty: bool) -> Schedule {
         updates_per_round: g.range(0..records),
         seed: g.u64(),
         victim: VictimScheme::ALL[g.range(0..VictimScheme::ALL.len())],
-        coherence: match g.range(0..3u32) {
-            0 => CoherenceMode::None,
-            1 => CoherenceMode::EagerInvalidate,
-            _ => CoherenceMode::EpochValidate,
+        coherence: match g.bool() {
+            false => CoherenceMode::None,
+            true => CoherenceMode::EagerInvalidate,
         },
         nonblocking: g.bool(),
         faults: if faulty {

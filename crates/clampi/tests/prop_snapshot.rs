@@ -293,11 +293,7 @@ fn run_schedule(
 fn prop_snapshot_batches_are_prefix_consistent() {
     check("multi_get == serial prefix, all modes", 32, |g| {
         let s = gen_schedule(g, false);
-        for coherence in [
-            CoherenceMode::None,
-            CoherenceMode::EagerInvalidate,
-            CoherenceMode::EpochValidate,
-        ] {
+        for coherence in [CoherenceMode::None, CoherenceMode::EagerInvalidate] {
             let (obs, err, _) = run_schedule(&s, Mode::AlwaysCache, coherence, 1);
             assert_eq!(err, None);
             assert_eq!(obs.len(), s.rounds);

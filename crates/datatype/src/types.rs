@@ -52,6 +52,19 @@ pub enum Datatype {
     },
 }
 
+/// What every size, extent and block-offset computation panics with when
+/// it does not fit a `usize`: a wrapped offset would alias low addresses
+/// and pass the window bound check, so it must never be produced.
+const OVERFLOW: &str = "datatype extent overflows usize";
+
+fn mul(a: usize, b: usize) -> usize {
+    a.checked_mul(b).expect(OVERFLOW)
+}
+
+fn add(a: usize, b: usize) -> usize {
+    a.checked_add(b).expect(OVERFLOW)
+}
+
 impl Datatype {
     /// A contiguous run of `size` bytes.
     pub fn bytes(size: usize) -> Self {
@@ -156,6 +169,11 @@ impl Datatype {
 
     /// The payload size in bytes: the sum of the sizes of all data blocks
     /// (the paper's `size(x)` for `count = 1`).
+    ///
+    /// # Panics
+    ///
+    /// Like [`Datatype::extent`] and the flatteners, panics with "datatype
+    /// extent overflows usize" if the result does not fit.
     pub fn size(&self) -> usize {
         match self {
             Datatype::Contiguous { size } => *size,
@@ -164,8 +182,8 @@ impl Datatype {
                 blocklen,
                 inner,
                 ..
-            } => count * blocklen * inner.size(),
-            Datatype::Indexed { fields } => fields.iter().map(|(_, d)| d.size()).sum(),
+            } => mul(mul(*count, *blocklen), inner.size()),
+            Datatype::Indexed { fields } => fields.iter().fold(0, |sum, (_, d)| add(sum, d.size())),
             Datatype::Resized { inner, .. } => inner.size(),
         }
     }
@@ -184,12 +202,12 @@ impl Datatype {
                 if *count == 0 {
                     0
                 } else {
-                    ((count - 1) * stride + blocklen) * inner.extent()
+                    mul(add(mul(count - 1, *stride), *blocklen), inner.extent())
                 }
             }
             Datatype::Indexed { fields } => fields
                 .iter()
-                .map(|(off, d)| off + d.extent())
+                .map(|(off, d)| add(*off, d.extent()))
                 .max()
                 .unwrap_or(0),
             Datatype::Resized { extent, .. } => *extent,
@@ -211,6 +229,9 @@ impl Datatype {
     pub fn flatten_n(&self, count: usize) -> FlatLayout {
         let mut blocks = Vec::new();
         let ext = self.extent();
+        // The whole tiling must be addressable, one past its last byte
+        // included (`Block::end`); every `rep * ext` below is smaller.
+        mul(count, ext);
         for rep in 0..count {
             self.collect_blocks(rep * ext, &mut blocks);
         }
@@ -236,13 +257,14 @@ impl Datatype {
                 let ext = inner.extent();
                 for b in 0..*count {
                     for e in 0..*blocklen {
-                        inner.collect_blocks(base + (b * stride + e) * ext, out);
+                        let elem = add(mul(b, *stride), e);
+                        inner.collect_blocks(add(base, mul(elem, ext)), out);
                     }
                 }
             }
             Datatype::Indexed { fields } => {
                 for (off, d) in fields {
-                    d.collect_blocks(base + off, out);
+                    d.collect_blocks(add(base, *off), out);
                 }
             }
             Datatype::Resized { inner, .. } => inner.collect_blocks(base, out),
@@ -344,6 +366,16 @@ mod tests {
     #[should_panic(expected = "extent")]
     fn shrinking_resize_rejected() {
         let _ = Datatype::resized(4, Datatype::bytes(8));
+    }
+
+    /// Two 8-byte blocks whose stride wraps the second one round to
+    /// offset 8: unchecked, a release build reports `size 16, extent 16`,
+    /// calls the type contiguous and reads the wrong bytes.
+    #[test]
+    #[should_panic(expected = "datatype extent overflows usize")]
+    fn wrapping_stride_is_rejected_not_flattened() {
+        let dt = Datatype::vector(2, 1, usize::MAX / 8 + 2, Datatype::bytes(8));
+        let _ = dt.is_contiguous();
     }
 }
 

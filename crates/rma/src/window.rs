@@ -818,27 +818,6 @@ impl Window {
         p.clock_mut().charge_cpu(scatter);
     }
 
-    /// Request-based get (MPI_Rget): like [`Window::get`] but returns a
-    /// handle that can be completed individually with
-    /// [`Window::wait_request`] — finer-grained than a whole-target flush
-    /// and without closing the epoch.
-    pub fn rget(
-        &mut self,
-        p: &mut Process,
-        dst: &mut [u8],
-        target: usize,
-        disp: usize,
-        dtype: &Datatype,
-        count: usize,
-    ) -> RmaRequest {
-        let before = p.clock().outstanding_count();
-        self.get(p, dst, target, disp, dtype, count);
-        debug_assert_eq!(p.clock().outstanding_count(), before + 1);
-        RmaRequest {
-            id: p.clock_mut().last_posted_id(),
-        }
-    }
-
     /// Request-based put (MPI_Rput): like [`Window::put`] but returns a
     /// handle completed individually with [`Window::wait_request`].
     pub fn rput(
@@ -1166,8 +1145,7 @@ impl Window {
     /// Reading the counter is free in virtual time: the simulator models
     /// it as piggybacked on get responses (a real implementation ships the
     /// version in every reply header), which is why a caching layer can
-    /// stamp entries at fill time for free. Use
-    /// [`Window::try_fetch_version`] for an explicitly charged fetch.
+    /// stamp entries at fill time for free.
     ///
     /// **Ordering.** Writers update the region bytes and bump the version
     /// *inside the region write lock* (bytes first, then the bump, as one
@@ -1208,25 +1186,6 @@ impl Window {
             // `CommitClock` for why Relaxed suffices).
             now_ts: self.shared.commit_ts.read(),
         }
-    }
-
-    /// Fetches `target`'s region version counter as a synchronous 8-byte
-    /// round trip. Like [`Window::fetch_and_op`], the result steers
-    /// control flow, so the wire time is charged immediately rather than
-    /// left outstanding. Fault-gated: transient faults and dead targets
-    /// surface as typed errors with only their detection cost charged.
-    pub fn try_fetch_version(&mut self, p: &mut Process, target: usize) -> Result<u64, RmaError> {
-        let spike = self.fault_gate(p, target)?;
-        let v = sync::lock(&self.shared.notify[target]).version;
-        if let (Some(local), Some(ctx)) = (self.san.as_deref_mut(), p.san.as_ref()) {
-            local.check_version(ctx, target, v);
-        }
-        let cost = p.netmodel().transfer_cost(self.my_rank, target, 8, 1);
-        p.clock_mut().charge_cpu(cost.cpu_ns);
-        p.clock_mut().charge_cpu(cost.wire_ns * spike);
-        p.counters.gets += 1;
-        p.counters.bytes_get += 8;
-        Ok(v)
     }
 
     /// Drains `target`'s put-notification ring past `cursor` (the version

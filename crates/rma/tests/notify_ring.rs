@@ -61,29 +61,6 @@ fn versions_bump_on_every_write_kind() {
 }
 
 #[test]
-fn fetch_version_matches_peek_and_pays_a_round_trip() {
-    run(SimConfig::checked(), 2, |p| {
-        let mut win = p.win_allocate(64);
-        p.barrier();
-        if p.rank() == 0 {
-            win.lock_all(p);
-            win.put(p, &[1u8; 4], 1, 0, &Datatype::bytes(4), 1);
-            win.flush(p, 1);
-            let gets_before = p.counters().gets;
-            let bytes_before = p.counters().bytes_get;
-            let t0 = p.now();
-            let v = win.try_fetch_version(p, 1).unwrap();
-            assert_eq!(v, win.version(1));
-            assert_eq!(p.counters().gets, gets_before + 1);
-            assert_eq!(p.counters().bytes_get, bytes_before + 8);
-            assert!(p.now() > t0, "a version fetch is not free");
-            win.unlock_all(p);
-        }
-        p.barrier();
-    });
-}
-
-#[test]
 fn drain_returns_records_after_cursor_and_tracks_overflow() {
     let cfg = SimConfig::checked().with_notify_ring_cap(4);
     run(cfg, 2, |p| {

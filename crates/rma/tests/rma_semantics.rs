@@ -618,8 +618,8 @@ mod requests {
                 win.lock_all(p);
                 let mut small = [0u8; 8];
                 let mut big = vec![0u8; 32 << 10];
-                let r_small = win.rget(p, &mut small, 1, 0, &Datatype::bytes(8), 1);
-                let r_big = win.rget(p, &mut big, 1, 64, &Datatype::bytes(32 << 10), 1);
+                let r_small = win.iget(p, &mut small, 1, 0, &Datatype::bytes(8), 1);
+                let r_big = win.iget(p, &mut big, 1, 64, &Datatype::bytes(32 << 10), 1);
                 // Completing only the small one must not wait for the big.
                 let t0 = p.now();
                 win.wait_request(p, r_small);
@@ -647,7 +647,7 @@ mod requests {
             if p.rank() == 0 {
                 win.lock_all(p);
                 let mut b = [0u8; 8];
-                let r = win.rget(p, &mut b, 1, 0, &Datatype::bytes(8), 1);
+                let r = win.iget(p, &mut b, 1, 0, &Datatype::bytes(8), 1);
                 win.wait_request(p, r);
                 let t = p.now();
                 win.wait_request(p, r); // already retired: no-op
