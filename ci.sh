@@ -24,8 +24,8 @@
 #   build         cargo build --release --offline (workspace)
 #   test          cargo test -q --offline (workspace)
 #   mc-test       the in-tree concurrency model checker (crates/mc) over
-#                 the shipped seqlock + snapshot protocols, compiled with
-#                 the tracked-atomics facade (RUSTFLAGS=--cfg clampi_mc,
+#                 the shipped snapshot/commit-clock protocols, compiled
+#                 with the tracked-atomics facade (RUSTFLAGS=--cfg clampi_mc,
 #                 own target dir target/mc). The planted-mutant fixtures
 #                 run first and gate the stage; default bounds are the
 #                 smoke preset, CLAMPI_MC_FULL=1 lifts the preemption
@@ -155,17 +155,17 @@ stage_test() {
 }
 
 stage_mc_test() {
-    # The concurrency model checker over the *shipped* protocol code:
-    # --cfg clampi_mc swaps the sync_shim facade from std atomics to
-    # tracked cells, so the mc_* unit tests in clampi (seqlock, snapshot)
-    # and clampi-rma (commit clock) explore the exact lines production
-    # builds run. A separate target dir keeps the cfg'd build from
-    # invalidating the normal cache.
+    # The concurrency model checker over the *shipped* snapshot/commit-clock
+    # protocol code: --cfg clampi_mc swaps clampi_mc::shim from std atomics
+    # to tracked cells, so the mc_* unit tests in clampi (the snapshot
+    # timestamp rule) and clampi-rma (the commit clock) explore the exact
+    # lines production builds run. A separate target dir keeps the cfg'd
+    # build from invalidating the normal cache.
     #
     # The planted-mutant fixtures run FIRST and gate everything else: a
-    # checker that cannot catch the known-broken protocol variants
-    # (dropped Release fence, Relaxed seq load, commit stamp outside the
-    # ring lock) proves nothing about the shipped ones.
+    # checker that cannot catch the known-broken protocol variants (the
+    # seqlock recipe's dropped Release fence and Relaxed seq load, a commit
+    # stamp outside the ring lock) proves nothing about the shipped ones.
     local bounds=smoke
     [ "${CLAMPI_MC_FULL:-0}" = 1 ] && bounds=full
     echo "-- mc mutant fixtures (checker self-validation, gating)"
@@ -174,12 +174,23 @@ stage_mc_test() {
     echo "-- mc litmus + unit suites"
     RUSTFLAGS="--cfg clampi_mc" CARGO_TARGET_DIR=target/mc \
         limited "$TEST_TIMEOUT_S" cargo test -q --offline -p clampi-mc
-    echo "-- shipped protocols under the checker ($bounds bounds)"
-    RUSTFLAGS="--cfg clampi_mc" CARGO_TARGET_DIR=target/mc \
-        limited "$TEST_TIMEOUT_S" cargo test -q --offline -p clampi --lib mc_
-    RUSTFLAGS="--cfg clampi_mc" CARGO_TARGET_DIR=target/mc \
-        limited "$TEST_TIMEOUT_S" cargo test -q --offline -p clampi-rma --lib mc_
-    echo "mc-test ok: mutants caught, shipped seqlock/snapshot/commit-clock clean ($bounds bounds)"
+    echo "-- shipped snapshot/commit-clock protocols under the checker ($bounds bounds)"
+    # An empty `mc_` filter passes silently, which is how a stage rots:
+    # each crate must still run at least one test.
+    local pkg out
+    for pkg in clampi clampi-rma; do
+        out=$(RUSTFLAGS="--cfg clampi_mc" CARGO_TARGET_DIR=target/mc \
+            limited "$TEST_TIMEOUT_S" cargo test -q --offline -p "$pkg" --lib mc_ 2>&1) || {
+            echo "$out"
+            return 1
+        }
+        echo "$out"
+        if ! grep -Eq "^test result: ok\. [1-9][0-9]* passed" <<<"$out"; then
+            echo "FAIL: -p $pkg --lib mc_ ran no test" >&2
+            return 1
+        fi
+    done
+    echo "mc-test ok: mutants caught, shipped snapshot/commit-clock clean ($bounds bounds)"
 }
 
 stage_san_test() {

@@ -1,5 +1,5 @@
-//! Contention scaling of the sharded, lock-minimal cache front
-//! ([`clampi::ShardedCache`]).
+//! Contention scaling of the sharded cache front
+//! ([`clampi::ShardedCache`]: one reader–writer lock per stripe).
 //!
 //! Many worker threads hammer one shared window's cache with Zipf-skewed
 //! keys (skew makes popular keys collide on the same shard — the hard case
@@ -9,8 +9,8 @@
 //!   and p99 get latency are reported for 1..N threads. The shard
 //!   write-lock counter must stay *flat* across this phase — the "zero
 //!   write-locks on the hit path" guarantee, asserted, not claimed. Every
-//!   payload is self-identifying and verified, so a torn read that escaped
-//!   seqlock validation would be caught here.
+//!   payload is self-identifying and verified, so a torn read that got
+//!   past the stripe lock would be caught here.
 //! - **mixed**: gets with a slice of refreshing inserts; afterwards the
 //!   merged stats must satisfy `hits + direct + conflicting + capacity +
 //!   failed == total_gets`.
@@ -264,8 +264,6 @@ fn main() {
         "stats classes must partition total_gets after the mixed phase"
     );
 
-    meta(&format!("opt_retries {}", s.opt_retries));
-    meta(&format!("locked_reads {}", s.locked_reads));
     meta(&format!("PERF gets_per_sec_t1 {:.1}", rates[0]));
     // xlint: allow(no-unwrap) rates has one entry per thread count
     meta(&format!(

@@ -341,7 +341,6 @@ fn replay(stream: &Stream, geo: &Geometry, policy: VictimScheme, adaptive: bool)
             capacity_threshold: 2.0,
             sparsity_threshold: 0.0,
             stable_threshold: 2.0,
-            ..AdaptiveParams::default()
         })
     });
     let payload = vec![0u8; STRIDE as usize];

@@ -7,8 +7,11 @@
 //!   (a sparse index makes victim samples poor);
 //! - `(capacity + failed) / total > capacity_threshold` → grow the storage;
 //! - `hits / total > stable_threshold` **and** free space above
-//!   `free_fraction_threshold` **and** no evictions in the interval →
+//!   [`FREE_FRACTION_THRESHOLD`] **and** no evictions in the interval →
 //!   shrink the storage (working set stable and over-provisioned).
+//!
+//! The interval and the four ratio thresholds are [`AdaptiveParams`]; the
+//! resize factors and size bounds are constants (no caller ever set them).
 //!
 //! Any change requires a cache invalidation, so the controller fires at
 //! most one rule per check and the wrapper counts it as an *adjustment*
@@ -37,7 +40,22 @@ use crate::stats::CacheStats;
 /// the shadows' positional surrogate ([`crate::vcache`]).
 pub const SWITCH_MARGIN: f64 = 0.02;
 
-/// Thresholds, factors and bounds of the adaptive strategy.
+/// Shrink `|S_w|` only if at least this fraction of it is free.
+pub const FREE_FRACTION_THRESHOLD: f64 = 0.70;
+/// Multiplier when growing the index (the paper's `index_increase_factor`).
+pub const INDEX_INCREASE_FACTOR: f64 = 2.0;
+/// Divisor when shrinking the index (`index_decrease_factor`).
+pub const INDEX_DECREASE_FACTOR: f64 = 2.0;
+/// Multiplier when growing the storage (`memory_increase_factor`).
+pub const MEMORY_INCREASE_FACTOR: f64 = 2.0;
+/// Divisor when shrinking the storage (`memory_decrease_factor`).
+pub const MEMORY_DECREASE_FACTOR: f64 = 2.0;
+/// Bounds on `|I_w|` (slots).
+pub const INDEX_BOUNDS: (usize, usize) = (64, 1 << 26);
+/// Bounds on `|S_w|` (bytes).
+pub const STORAGE_BOUNDS: (usize, usize) = (64 << 10, 4 << 30);
+
+/// The check interval and the thresholds of the adaptive strategy.
 #[derive(Debug, Clone)]
 pub struct AdaptiveParams {
     /// Gets between checks.
@@ -50,20 +68,6 @@ pub struct AdaptiveParams {
     pub stable_threshold: f64,
     /// Shrink `|I_w|` below this eviction-scan density `q`.
     pub sparsity_threshold: f64,
-    /// Shrink `|S_w|` only if at least this fraction of it is free.
-    pub free_fraction_threshold: f64,
-    /// Multiplier when growing the index (`index_increase_factor`).
-    pub index_increase_factor: f64,
-    /// Divisor when shrinking the index (`index_decrease_factor`).
-    pub index_decrease_factor: f64,
-    /// Multiplier when growing the storage (`memory_increase_factor`).
-    pub memory_increase_factor: f64,
-    /// Divisor when shrinking the storage (`memory_decrease_factor`).
-    pub memory_decrease_factor: f64,
-    /// Bounds on `|I_w|` (slots).
-    pub index_bounds: (usize, usize),
-    /// Bounds on `|S_w|` (bytes).
-    pub storage_bounds: (usize, usize),
 }
 
 impl Default for AdaptiveParams {
@@ -74,13 +78,6 @@ impl Default for AdaptiveParams {
             capacity_threshold: 0.10,
             stable_threshold: 0.80,
             sparsity_threshold: 0.20,
-            free_fraction_threshold: 0.70,
-            index_increase_factor: 2.0,
-            index_decrease_factor: 2.0,
-            memory_increase_factor: 2.0,
-            memory_decrease_factor: 2.0,
-            index_bounds: (64, 1 << 26),
-            storage_bounds: (64 << 10, 4 << 30),
         }
     }
 }
@@ -222,45 +219,17 @@ impl AdaptiveController {
         }
 
         let p = &self.params;
-        // Degenerate-input guards: a zero lower bound would let a shrink
-        // produce a zero-slot index / zero-byte storage (both panic or
-        // wedge downstream), and a NaN/infinite resize factor would turn
-        // `v.round() as usize` into 0 or usize::MAX. Non-finite targets
-        // fall back to the current size, which reads as "no change" and
-        // suppresses the adjustment.
-        let clamp_i = |v: f64, cur: usize| {
-            let lo = p.index_bounds.0.max(1);
-            let hi = p.index_bounds.1.max(lo);
-            if v.is_finite() {
-                (v.round() as usize).clamp(lo, hi)
-            } else {
-                cur
-            }
-        };
-        let clamp_s = |v: f64, cur: usize| {
-            let lo = p.storage_bounds.0.max(1);
-            let hi = p.storage_bounds.1.max(lo);
-            if v.is_finite() {
-                (v.round() as usize).clamp(lo, hi)
-            } else {
-                cur
-            }
-        };
+        let clamp_i = |v: f64| (v.round() as usize).clamp(INDEX_BOUNDS.0, INDEX_BOUNDS.1);
+        let clamp_s = |v: f64| (v.round() as usize).clamp(STORAGE_BOUNDS.0, STORAGE_BOUNDS.1);
 
         if delta.conflict_ratio() > p.conflict_threshold {
-            let new = clamp_i(
-                index_entries as f64 * p.index_increase_factor,
-                index_entries,
-            );
+            let new = clamp_i(index_entries as f64 * INDEX_INCREASE_FACTOR);
             if new != index_entries {
                 return Some(self.apply_index(AdjustRule::GrowIndex, new, storage_bytes));
             }
         }
         if delta.capacity_ratio() > p.capacity_threshold {
-            let new = clamp_s(
-                storage_bytes as f64 * p.memory_increase_factor,
-                storage_bytes,
-            );
+            let new = clamp_s(storage_bytes as f64 * MEMORY_INCREASE_FACTOR);
             if new != storage_bytes {
                 return Some(self.apply_storage(AdjustRule::GrowStorage, index_entries, new));
             }
@@ -270,10 +239,7 @@ impl AdaptiveController {
             && delta.evictions > 0
             && delta.eviction_density() < p.sparsity_threshold
         {
-            let new = clamp_i(
-                index_entries as f64 / p.index_decrease_factor,
-                index_entries,
-            );
+            let new = clamp_i(index_entries as f64 / INDEX_DECREASE_FACTOR);
             if new != index_entries {
                 return Some(self.apply_index(AdjustRule::ShrinkIndex, new, storage_bytes));
             }
@@ -289,12 +255,9 @@ impl AdaptiveController {
             && delta.evictions == 0
             && delta.failed == 0
             && delta.hit_ratio() > p.stable_threshold
-            && free_fraction > p.free_fraction_threshold
+            && free_fraction > FREE_FRACTION_THRESHOLD
         {
-            let new = clamp_s(
-                storage_bytes as f64 / p.memory_decrease_factor,
-                storage_bytes,
-            );
+            let new = clamp_s(storage_bytes as f64 / MEMORY_DECREASE_FACTOR);
             if new != storage_bytes {
                 self.prev_free = None; // resized: free fraction resets
                 return Some(self.apply_storage(AdjustRule::ShrinkStorage, index_entries, new));
@@ -477,14 +440,12 @@ mod tests {
 
     #[test]
     fn bounds_are_respected() {
-        let mut c = AdaptiveController::new(AdaptiveParams {
-            interval: 10,
-            index_bounds: (64, 1024),
-            ..AdaptiveParams::default()
-        });
+        let mut c = controller(10);
         let s = stats_with(0, 5, 5, 0, 0);
         // Already at the max: growing is a no-op, falls through to nothing.
-        assert!(c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.0).is_none());
+        assert!(c
+            .maybe_adjust(&s, FULL, INDEX_BOUNDS.1, 1 << 20, 0.0)
+            .is_none());
     }
 
     #[test]
@@ -495,53 +456,6 @@ mod tests {
         let adj = c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.0).unwrap();
         assert_eq!(adj.rule, AdjustRule::GrowIndex);
         assert_eq!(adj.storage_bytes, 1 << 20, "storage untouched this check");
-    }
-
-    #[test]
-    fn zero_lower_bounds_never_yield_zero_sizes() {
-        // index_bounds.0 == 0 with an aggressive shrink used to clamp the
-        // new index size to 0 slots (CuckooIndex::new panics on 0).
-        let mut c = AdaptiveController::new(AdaptiveParams {
-            interval: 10,
-            index_bounds: (0, 1 << 14),
-            index_decrease_factor: 1e9,
-            ..AdaptiveParams::default()
-        });
-        let mut s = stats_with(80, 10, 0, 10, 0);
-        s.evictions = 10;
-        s.visited_slots = 1000;
-        s.visited_nonempty = 50; // q = 0.05: sparsity shrink fires
-        let adj = c.maybe_adjust(&s, FULL, 4096, 1 << 20, 0.0).unwrap();
-        assert_eq!(adj.rule, AdjustRule::ShrinkIndex);
-        assert!(
-            adj.index_entries >= 1,
-            "shrunk to {} slots",
-            adj.index_entries
-        );
-    }
-
-    #[test]
-    fn zero_storage_lower_bound_never_yields_zero_bytes() {
-        let mut c = AdaptiveController::new(AdaptiveParams {
-            interval: 10,
-            storage_bounds: (0, 4 << 30),
-            memory_decrease_factor: 1e12,
-            ..AdaptiveParams::default()
-        });
-        // First check sets the free-fraction baseline; second shrinks.
-        let s1 = stats_with(95, 5, 0, 0, 0);
-        assert!(c.maybe_adjust(&s1, FULL, 1024, 4 << 20, 0.9).is_none());
-        let mut s2 = s1;
-        for _ in 0..100 {
-            s2.record(AccessType::Hit);
-        }
-        let adj = c.maybe_adjust(&s2, FULL, 1024, 4 << 20, 0.9).unwrap();
-        assert_eq!(adj.rule, AdjustRule::ShrinkStorage);
-        assert!(
-            adj.storage_bytes >= 1,
-            "shrunk to {} bytes",
-            adj.storage_bytes
-        );
     }
 
     /// Extends `s` with one interval of all-hit gets plus shadow counters
@@ -610,25 +524,6 @@ mod tests {
         let adj = c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.5).unwrap();
         assert_eq!(adj.rule, AdjustRule::SwitchPolicy(VictimScheme::Temporal));
     }
-
-    #[test]
-    fn non_finite_resize_factors_produce_no_adjustment() {
-        for factor in [f64::NAN, f64::INFINITY] {
-            let mut c = AdaptiveController::new(AdaptiveParams {
-                interval: 10,
-                index_increase_factor: factor,
-                ..AdaptiveParams::default()
-            });
-            // Heavy conflicts would normally grow the index; with a
-            // degenerate factor the target size is meaningless, so the
-            // controller must hold steady rather than jump to 0 or max.
-            let s = stats_with(50, 20, 30, 0, 0);
-            assert!(
-                c.maybe_adjust(&s, FULL, 1024, 1 << 20, 0.1).is_none(),
-                "factor {factor} produced an adjustment"
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -656,8 +551,6 @@ mod prop_tests {
             });
             let mut c = AdaptiveController::new(AdaptiveParams {
                 interval: 1,
-                index_bounds: (64, 1 << 14),
-                storage_bounds: (64 << 10, 64 << 20),
                 ..AdaptiveParams::default()
             });
             let mut stats = CacheStats::default();
@@ -698,13 +591,15 @@ mod prop_tests {
             }
             // Bounds: each resource can grow at most log2(max/min) times,
             // shrink at most log2(max/min) times, with one reversal each.
-            let max_per_resource = 2 * 14 + 2;
+            let doublings = |(lo, hi): (usize, usize)| (hi / lo).ilog2() as usize;
+            let max_adjustments =
+                2 * doublings(INDEX_BOUNDS) + 2 + 2 * doublings(STORAGE_BOUNDS) + 2;
             assert!(
-                adjustments <= 2 * max_per_resource,
+                adjustments <= max_adjustments,
                 "{adjustments} adjustments (grows_i={grows_i}, grows_s={grows_s})"
             );
-            assert!((64..=1 << 14).contains(&iw));
-            assert!((64 << 10..=64 << 20).contains(&sw));
+            assert!((INDEX_BOUNDS.0..=INDEX_BOUNDS.1).contains(&iw));
+            assert!((STORAGE_BOUNDS.0..=STORAGE_BOUNDS.1).contains(&sw));
         });
     }
 }

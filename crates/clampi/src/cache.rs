@@ -109,8 +109,8 @@ struct Entry {
     state: EntryState,
     desc: DescId,
     /// Byte offset of `desc`'s region in the storage buffer, cached here
-    /// so the seqlock hit path can copy payload bytes without walking the
-    /// descriptor list (which optimistic readers must never touch).
+    /// so a hit copies payload bytes without a dependent load through the
+    /// descriptor slab. Set wherever `desc` is.
     off: usize,
     last: u64,
     /// What the entry knows about the age of its bytes, set where it is
@@ -118,7 +118,7 @@ struct Entry {
     /// under the region read lock, else an inexact one at the caller's
     /// version (which forces `multi_get` to refetch). The coherence layer
     /// compares `stamp.version` against put-notification records to drop
-    /// stale data. Never read by [`RmaCache::racy_probe`].
+    /// stale data.
     stamp: SnapStamp,
 }
 
@@ -278,7 +278,7 @@ pub struct CacheParams {
     /// an adaptive window's does: the lab being on is what enables
     /// [`crate::AdjustRule::SwitchPolicy`].
     /// The concurrent front builds its engines with the lab off: its
-    /// lock-free hit path cannot update shadows without taking writes.
+    /// read-locked gets cannot update shadows.
     pub policy_lab: bool,
 }
 
@@ -342,13 +342,7 @@ pub struct RmaCache {
     /// range pay neither its upkeep nor its memory). Once built it is
     /// kept in step where entries are born and die (`alloc_entry`,
     /// `drop_entry`; the size mark also where `finish_partial` extends).
-    /// Never read by [`RmaCache::racy_probe`].
     extents: Option<ExtentDir>,
-    /// When set, the entry slab was preallocated and must never grow past
-    /// its capacity (the concurrent front hands out raw views of it to
-    /// optimistic readers, so a reallocating push would be a use-after-free
-    /// for them, not just a logic bug).
-    pin_slab: bool,
     stats: CacheStats,
     /// The get sequence counter (index into the paper's `C_w.G`).
     seq: u64,
@@ -414,30 +408,26 @@ impl RmaCache {
     /// not one of them: the engine is one `C_w`).
     pub fn new(params: CacheParams) -> Self {
         let seed = params.seed;
-        Self::build(params, seed, seed ^ 0x5EED, false)
+        Self::with_seeds(params, seed, seed ^ 0x5EED)
     }
 
-    fn build(params: CacheParams, index_seed: u64, sampler_seed: u64, pin_slab: bool) -> Self {
-        let index = CuckooIndex::new(
-            params.index_entries.max(1),
-            params.max_insert_iters,
-            index_seed,
-        );
-        let entries = if pin_slab {
-            Vec::with_capacity(index.capacity() + 2)
-        } else {
-            Vec::new()
-        };
+    /// A fresh engine whose Cuckoo hashers and victim sampler are seeded
+    /// explicitly (`params.seed` is not consulted until a resize): the
+    /// concurrent front gives each stripe its own streams.
+    pub(crate) fn with_seeds(params: CacheParams, index_seed: u64, sampler_seed: u64) -> Self {
         RmaCache {
-            index,
+            index: CuckooIndex::new(
+                params.index_entries.max(1),
+                params.max_insert_iters,
+                index_seed,
+            ),
             storage: Storage::new(params.storage_bytes),
-            entries,
+            entries: Vec::new(),
             spare: Vec::new(),
             cached_count: 0,
             pending: Vec::new(),
             rng: SmallRng::seed_from_u64(sampler_seed),
             extents: None,
-            pin_slab,
             stats: CacheStats::default(),
             seq: 0,
             ags: 0.0,
@@ -564,10 +554,6 @@ impl RmaCache {
             self.entries[id as usize] = Some(e);
             id
         } else {
-            debug_assert!(
-                !self.pin_slab || self.entries.len() < self.entries.capacity(),
-                "pinned entry slab would reallocate"
-            );
             self.entries.push(Some(e));
             (self.entries.len() - 1) as EntryId
         };
@@ -1310,38 +1296,13 @@ impl RmaCache {
     }
 }
 
-/// Outcome of a bounds-checked, panic-free cache probe. `Retry` means the
-/// observed state was not servable as a clean hit or miss (torn or
-/// transient under a concurrent writer); the seqlock reader falls back to
-/// the locked path, the locked reader treats it as a miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ProbeResult {
-    /// `dst` was filled from the cache (valid only if the stripe's sequence
-    /// counter validates afterwards).
-    Hit,
-    /// No servable entry for the key at the requested length.
-    Miss,
-    /// Inconclusive: state looked mid-mutation or not directly servable.
-    Retry,
-}
-
-// The front-only surface: everything `ShardedCache` reaches a stripe's
-// engine through that no other caller needs — this block's `with_seeds`,
-// `tick`, `remove_key` and `racy_probe`, its `ProbeResult` above, and the
-// `pub(crate)` on `promote_pending`. The rest of what the front calls
-// (`finish_miss`, `invalidate_range`, `len`, `stats`) is the public engine
-// API. These six are what ROADMAP's front exit (b) deletes, with `shard.rs`
-// and `seqlock.rs`.
+// The front-only surface: what `ShardedCache` reaches a stripe's engine
+// through that no other caller needs — this block's `tick`, `remove_key`
+// and `peek`, plus the `pub(crate)` on `with_seeds` and `promote_pending`.
+// The rest of what the front calls (`finish_miss`, `invalidate_range`,
+// `len`, `stats`) is the public engine API. These go with `shard.rs` when
+// the `shared_front` workload does (ROADMAP, front exit (b)).
 impl RmaCache {
-    /// A fresh engine whose Cuckoo hashers and victim sampler are seeded
-    /// explicitly (`params.seed` is not consulted until a resize) and
-    /// whose entry slab is preallocated to its worst-case population
-    /// (index capacity + the transient insert + one spare), so it never
-    /// reallocates under an optimistic reader.
-    pub(crate) fn with_seeds(params: CacheParams, index_seed: u64, sampler_seed: u64) -> Self {
-        Self::build(params, index_seed, sampler_seed, true)
-    }
-
     /// Advances the get sequence counter without a lookup: the front's
     /// insert is an access event of its own, and distinct `last` stamps
     /// are what temporal victim scoring relies on.
@@ -1363,39 +1324,26 @@ impl RmaCache {
         }
     }
 
-    /// Bounds-checked, panic-free probe for the concurrent hit path. Safe
-    /// to call on state that a writer is mutating concurrently (a
-    /// *seqlock racy read*): every access is bounds-checked, payload bytes
-    /// are copied via the cached region offset (never through the
-    /// descriptor list, whose links a writer may be rewiring), and any
-    /// state that looks mid-mutation yields [`ProbeResult::Retry`]. A torn
-    /// read can still produce a wrong `Hit`/`Miss` — the caller MUST
-    /// validate the stripe's sequence counter afterwards and discard the
-    /// result on mismatch.
-    pub(crate) fn racy_probe(&self, key: &GetKey, dst: &mut [u8]) -> ProbeResult {
+    /// Read-only full-hit probe: copies `key`'s first `dst.len()` cached
+    /// bytes into `dst` when a CACHED contiguous entry holds that many —
+    /// [`RmaCache::process_lookup`]'s classification without its
+    /// bookkeeping (`seq`, `ags`, `last`, cost, statistics all stay put),
+    /// so the front can run it under a shared lock.
+    pub(crate) fn peek(&self, key: &GetKey, dst: &mut [u8]) -> bool {
         let Some(id) = self.index.lookup(key) else {
-            return ProbeResult::Miss;
+            return false;
         };
-        let Some(Some(e)) = self.entries.get(id as usize) else {
-            return ProbeResult::Retry;
-        };
-        if e.key != *key || e.state != EntryState::Cached || e.desc == NO_DESC {
-            return ProbeResult::Retry;
+        let e = self.entry(id);
+        let (full, len) = e.servable(&LayoutSig::Contig(dst.len()));
+        if !full || e.state != EntryState::Cached {
+            return false;
         }
-        let have = match &e.sig {
-            LayoutSig::Contig(n) => *n,
-            LayoutSig::Blocks(_) => return ProbeResult::Retry,
-        };
-        if dst.len() > have {
-            return ProbeResult::Miss;
-        }
-        match self.storage.bytes_at(e.off, dst.len()) {
-            Some(src) => {
-                dst.copy_from_slice(src);
-                ProbeResult::Hit
-            }
-            None => ProbeResult::Retry,
-        }
+        let cached = self
+            .storage
+            .bytes_at(e.off, len)
+            .expect("region inside the buffer"); // xlint: allow(no-unwrap) invariant: `off` is set wherever `desc` is
+        dst.copy_from_slice(cached);
+        true
     }
 }
 
@@ -1582,6 +1530,47 @@ mod tests {
         }
     }
 
+    /// ROADMAP aim 3, hostile inputs: every size and bound knob at 0, 1 and
+    /// `usize::MAX` must leave the engine live and consistent. The last
+    /// row used to spin: a Cuckoo walk on a full 4-slot table ran for
+    /// `max_insert_iters` steps, however many that was.
+    #[test]
+    fn degenerate_params_neither_hang_nor_corrupt() {
+        let base = || CacheParams {
+            index_entries: 16,
+            storage_bytes: 1024,
+            costs: CacheCostModel::free(),
+            ..CacheParams::default()
+        };
+        #[rustfmt::skip]
+        let rows: [(&str, CacheParams); 11] = [
+            ("index_entries 0", CacheParams { index_entries: 0, ..base() }),
+            ("index_entries 1", CacheParams { index_entries: 1, ..base() }),
+            ("index_entries 3", CacheParams { index_entries: 3, ..base() }),
+            ("storage_bytes 0", CacheParams { storage_bytes: 0, ..base() }),
+            ("storage_bytes 1", CacheParams { storage_bytes: 1, ..base() }),
+            ("sample_size 0", CacheParams { sample_size: 0, ..base() }),
+            ("sample_size MAX", CacheParams { sample_size: usize::MAX, ..base() }),
+            ("max_insert_iters 0", CacheParams { max_insert_iters: 0, ..base() }),
+            ("max_evictions_per_miss 0", CacheParams { max_evictions_per_miss: 0, ..base() }),
+            ("max_evictions_per_miss MAX", CacheParams { max_evictions_per_miss: usize::MAX, ..base() }),
+            ("max_insert_iters MAX", CacheParams { max_insert_iters: usize::MAX, index_entries: 4, ..base() }),
+        ];
+        for (row, params) in rows {
+            let mut c = RmaCache::new(params);
+            for i in 0..50u64 {
+                let (k, sig) = (key(0, i * 64), LayoutSig::Contig(64));
+                let mut dst = [0u8; 64];
+                if c.process_lookup(k, &sig, &mut dst) == Lookup::Miss {
+                    c.finish_miss(k, sig, &[i as u8; 64], 0);
+                }
+                c.epoch_close();
+                c.check_invariants();
+            }
+            assert_eq!(c.stats().total_gets, 50, "{row}");
+        }
+    }
+
     #[test]
     fn invalidate_clears_everything() {
         let mut c = cache(64, 4096);
@@ -1731,7 +1720,7 @@ mod tests {
     }
 
     #[test]
-    fn racy_probe_agrees_with_process_lookup_on_stable_state() {
+    fn peek_agrees_with_process_lookup_on_stable_state() {
         let mut c = cache(64, 8 << 10);
         for i in 0..16u64 {
             insert(&mut c, key(0, i * 100), &[i as u8; 64]);
@@ -1739,23 +1728,42 @@ mod tests {
         c.epoch_close();
         for i in 0..16u64 {
             let mut dst = vec![0u8; 64];
-            assert_eq!(c.racy_probe(&key(0, i * 100), &mut dst), ProbeResult::Hit);
+            assert!(c.peek(&key(0, i * 100), &mut dst));
             assert_eq!(dst, vec![i as u8; 64]);
         }
         let mut dst = vec![0u8; 64];
-        assert_eq!(c.racy_probe(&key(9, 0), &mut dst), ProbeResult::Miss);
-        // Oversized request: a clean miss, not a retry.
+        assert!(!c.peek(&key(9, 0), &mut dst));
+        // Oversized request: a clean miss.
         let mut big = vec![0u8; 128];
-        assert_eq!(c.racy_probe(&key(0, 0), &mut big), ProbeResult::Miss);
+        assert!(!c.peek(&key(0, 0), &mut big));
     }
 
     #[test]
-    fn racy_probe_reports_retry_on_pending_entries() {
+    fn peek_misses_on_pending_entries() {
         let mut c = cache(64, 4096);
         insert(&mut c, key(0, 0), &[1u8; 64]); // still PENDING
         let mut dst = vec![0u8; 64];
-        assert_eq!(c.racy_probe(&key(0, 0), &mut dst), ProbeResult::Retry);
+        assert!(!c.peek(&key(0, 0), &mut dst));
         c.epoch_close();
-        assert_eq!(c.racy_probe(&key(0, 0), &mut dst), ProbeResult::Hit);
+        assert!(c.peek(&key(0, 0), &mut dst));
+    }
+
+    #[test]
+    fn peek_refuses_blocks_entries_and_overlong_reads_without_moving_stats() {
+        use clampi_datatype::Datatype;
+        let mut c = cache(64, 4096);
+        let layout = Datatype::vector(4, 1, 2, Datatype::bytes(8)).flatten();
+        let sig = LayoutSig::from_layout(&layout);
+        c.finish_miss(key(2, 0), sig, &vec![5u8; layout.total_size()], 0);
+        insert(&mut c, key(0, 0), &[1u8; 64]);
+        c.epoch_close();
+        let (stats, seq) = (*c.stats(), c.seq());
+        // A `Blocks` entry is not servable as contiguous bytes, whatever
+        // the length asked for; a contiguous one not past its end.
+        assert!(!c.peek(&key(2, 0), &mut [0u8; 8]));
+        assert!(!c.peek(&key(2, 0), &mut vec![0u8; layout.total_size()]));
+        assert!(!c.peek(&key(0, 0), &mut [0u8; 65]));
+        assert!(c.peek(&key(0, 0), &mut [0u8; 64]));
+        assert_eq!((*c.stats(), c.seq()), (stats, seq), "peek is read-only");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's CLaMPI caches only `get`s and punts staleness to the user
 //! via `CLAMPI_Invalidate`: any workload where another rank `put`s into a
-//! cached region is unsafe to cache. This module closes that gap with two
+//! cached region cannot be cached. This module closes that gap with two
 //! RMA-layer primitives (see `clampi_rma::window`):
 //!
 //! - **Version counters**: every window region carries a monotonic write

@@ -192,7 +192,11 @@ pub struct CuckooIndex {
 
 impl CuckooIndex {
     /// A table with `capacity` slots (the paper's `|I_w|`), deterministic
-    /// under `seed`.
+    /// under `seed`. An insertion walk gives up after `max_iters`
+    /// displacements, capped at `32 · bits(capacity)`: a random walk places
+    /// its key in polylogarithmically many steps or is going round a cycle,
+    /// so a larger threshold only buys a longer spin on a full table (with
+    /// `usize::MAX` it never returned). No walk of 32 steps or fewer is cut.
     ///
     /// # Panics
     ///
@@ -204,6 +208,7 @@ impl CuckooIndex {
             capacity <= u32::MAX as usize,
             "index capacity {capacity} exceeds the 32-bit hash range"
         );
+        let walk_cap = 32 * (usize::BITS - capacity.leading_zeros()) as usize;
         let mut rng = SmallRng::seed_from_u64(seed);
         let hashers = [
             UniversalHasher::new(&mut rng),
@@ -217,7 +222,7 @@ impl CuckooIndex {
             hashers,
             modulus: FastMod32::new(capacity),
             len: 0,
-            max_iters,
+            max_iters: max_iters.min(walk_cap),
             rng,
             path: Vec::new(),
         }

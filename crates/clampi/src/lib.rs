@@ -65,6 +65,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod adaptive;
 pub mod blockcache;
@@ -74,12 +75,10 @@ pub mod costs;
 pub mod eviction;
 pub mod index;
 pub mod recovery;
-pub mod seqlock;
 pub mod shard;
 pub mod snapshot;
 pub mod stats;
 pub mod storage;
-pub mod sync_shim;
 pub mod trace;
 pub mod vcache;
 pub mod window;

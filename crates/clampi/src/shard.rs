@@ -1,65 +1,15 @@
 //! The concurrent cache front: N engines, one per hash stripe, each behind
-//! a seqlock, so the hit path takes **zero write-locks**.
-//!
-//! [`ShardedCache`] wraps one [`RmaCache`] per hash stripe of the
-//! [`GetKey`] ([`GetKey::stripe`] `mod` stripe count). How keys, capacity
-//! and seeds are split across stripes is decided in this module and
-//! nowhere else (`stripe_engine`, `shard_of`): the engine does not know
-//! it is one of several. Each shard pairs its engine with a sequence
-//! counter and an `RwLock`:
-//!
-//! - **Hits (fast path).** [`ShardedCache::get`] performs a seqlock-style
-//!   optimistic read: load the sequence counter (even = no writer), probe
-//!   the engine with the panic-free, bounds-checked
-//!   [`RmaCache::racy_probe`], then validate that the counter is
-//!   unchanged. A torn read cannot crash (every access is bounds-checked
-//!   and payload bytes are copied via the entry's cached region offset,
-//!   never through allocator metadata) and cannot be *returned* (the
-//!   validation discards it). No lock, no shared-cacheline store except
-//!   the destination buffer.
-//! - **Everything else (slow path).** Inserts, invalidation and the rare
-//!   hit-path fallback take the shard's `RwLock`. Writers additionally
-//!   bump the sequence counter to odd for the duration of the mutation.
-//!   Eviction and slab management stay on this path on purpose: they
-//!   rewire descriptor lists and the extent directory (built by a
-//!   shard's first `invalidate_range`), which cannot be made
-//!   torn-read-safe cheaply — and misses already pay a network round trip,
-//!   so a lock there is noise.
-//!
-//! **Memory ordering.** The ordering-sensitive counter protocol lives in
-//! [`crate::seqlock::SeqLock`]: the writer does `write_begin` (odd store +
-//! Release fence) and `write_end` (releasing even store); the reader does
-//! `read_begin` (Acquire load) and `read_validate` (Acquire fence +
-//! Relaxed re-load). If validation still sees the first (even) sequence,
-//! no writer published a mutation between the two loads, so the probed
-//! bytes are consistent; otherwise the result is discarded and the read
-//! retried. This is the classic seqlock recipe (Boehm, *Can seqlocks get
-//! along with programming language memory models?*); no `SeqCst` is
-//! needed anywhere. The extracted protocol is model-checked exhaustively
-//! by the `mc_*` tests in `seqlock.rs` under `--cfg clampi_mc`.
-//!
-//! **Why reads through a mutating engine are tolerable.** An engine built
-//! by `RmaCache::with_seeds` never reallocates reader-visible memory while
-//! the cache is alive: the entry slab is preallocated to its worst-case
-//! population, the index's slot/fingerprint arrays are fixed at
-//! construction (`clear` is in-place), the storage buffer is fixed, and
-//! the concurrent front never resizes. So an optimistic reader racing a
-//! writer observes stale or torn *values* inside always-valid allocations;
-//! `racy_probe` is written to be panic-free under any such values, and the
-//! sequence validation rejects the result whenever a race was possible.
+//! its own reader–writer lock — the tool foMPI builds `MPI_Win_lock` from.
+//! How keys, capacity and seeds are split across stripes is decided here
+//! and nowhere else (`stripe_engine`, `shard_of`): the engine does not know
+//! it is one of several. There is no protocol beyond the lock.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::cache::{CacheParams, LayoutSig, ProbeResult, RmaCache};
+use crate::cache::{CacheParams, LayoutSig, RmaCache};
 use crate::index::GetKey;
-use crate::seqlock::SeqLock;
 use crate::stats::{AccessType, CacheStats};
-
-/// Optimistic read attempts (including retries after a failed sequence
-/// validation or an odd counter) before falling back to the read lock.
-const OPTIMISTIC_ATTEMPTS: usize = 8;
 
 /// Derives stripe `stripe`'s seed from a base seed. Stripe 0 keeps the base
 /// unchanged so a one-shard front reproduces the engine's seed streams
@@ -70,12 +20,11 @@ fn shard_seed(base: u64, stripe: usize) -> u64 {
 
 /// The engine of stripe `stripe` of a `params.shards`-way front (at least
 /// one): an even share of the index and storage, its own hasher and
-/// sampler seeds, no policy lab (the lock-free hit path could not feed it).
+/// sampler seeds, no policy lab (a read-locked get could not feed it).
 fn stripe_engine(params: &CacheParams, stripe: usize) -> RmaCache {
-    let n = params.shards;
     let per_stripe = CacheParams {
-        index_entries: (params.index_entries / n).max(1),
-        storage_bytes: params.storage_bytes / n,
+        index_entries: (params.index_entries / params.shards).max(1),
+        storage_bytes: params.storage_bytes / params.shards,
         policy_lab: false,
         ..params.clone()
     };
@@ -87,41 +36,37 @@ fn stripe_engine(params: &CacheParams, stripe: usize) -> RmaCache {
 }
 
 struct Shard {
-    /// Seqlock sequence counter: odd while a writer is inside.
-    seq: SeqLock,
-    /// Slow-path lock. Writers hold it exclusively for every mutation;
-    /// the hit-path fallback and stats readers hold it shared.
-    lock: RwLock<()>,
-    engine: UnsafeCell<RmaCache>,
-    /// Write-lock acquisitions on this shard. The contention bench asserts
-    /// this stays flat across a read-only phase — the "zero write-locks on
-    /// the hit path" guarantee, measured rather than claimed.
+    engine: RwLock<RmaCache>,
+    /// Write-lock acquisitions (`fig_contention` asserts gets add none).
     write_locks: AtomicU64,
-    opt_hits: AtomicU64,
-    opt_misses: AtomicU64,
-    opt_retries: AtomicU64,
-    locked_reads: AtomicU64,
-    locked_hits: AtomicU64,
+    /// Hits served by [`ShardedCache::get`]; `peek` cannot count them.
+    hits: AtomicU64,
 }
 
-// SAFETY: `engine` (fields all Send) is only mutated under the exclusive
-// write lock; shared access is either read-locked (stable) or optimistic,
-// with bounds-checked panic-free reads discarded on sequence mismatch.
-unsafe impl Sync for Shard {}
+impl Shard {
+    // A panic under a lock leaves the engine as consistent as the same
+    // panic would single-threaded, so poison is absorbed, not propagated.
+    fn read(&self) -> RwLockReadGuard<'_, RmaCache> {
+        self.engine.read().unwrap_or_else(PoisonError::into_inner)
+    }
 
-/// A thread-safe sharded cache for concurrent hit-path traffic.
-///
-/// This is the scale-facing front over the same engine the deterministic
-/// simulator uses: [`CacheParams::shards`] stripes, each an independent
-/// [`RmaCache`] (index + slab + storage arena) behind its own seqlock.
-/// `get` never takes a write lock; `insert`/`invalidate_range` take only
-/// the owning shard's.
+    fn write(&self) -> RwLockWriteGuard<'_, RmaCache> {
+        self.write_locks.fetch_add(1, Ordering::Relaxed);
+        self.engine.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A thread-safe sharded cache: one independent [`RmaCache`] per stripe of
+/// the [`GetKey`] ([`GetKey::stripe`] `mod` [`CacheParams::shards`]), each
+/// behind its own `RwLock`. A get takes its stripe's *read* lock, so
+/// readers of one stripe run side by side; inserts and invalidations take
+/// the *write* lock (a miss already pays a network round trip).
 ///
 /// Unlike [`crate::RmaCache`] there are no epochs: inserted entries are
-/// promoted to servable immediately, and a get that misses records no
-/// statistics by itself — the caller's subsequent [`ShardedCache::insert`]
-/// classifies the access, so `hits + direct + conflicting + capacity +
-/// failed == total_gets` holds exactly for get-then-insert-on-miss usage.
+/// servable immediately, and a get that misses records no statistics by
+/// itself — the caller's subsequent [`ShardedCache::insert`] classifies
+/// the access, so `hits + direct + conflicting + capacity + failed ==
+/// total_gets` holds exactly for get-then-insert-on-miss usage.
 ///
 /// # Examples
 ///
@@ -147,28 +92,17 @@ pub struct ShardedCache {
 }
 
 impl ShardedCache {
-    /// A fresh cache with `params.shards` independent stripes (at least
-    /// one); `index_entries` and `storage_bytes` are divided evenly across
-    /// them.
-    pub fn new(params: CacheParams) -> Self {
-        let params = CacheParams {
-            shards: params.shards.max(1),
-            ..params
-        };
+    /// A fresh cache of `params.shards` stripes (at least one), with
+    /// `index_entries` and `storage_bytes` divided evenly across them.
+    pub fn new(mut params: CacheParams) -> Self {
+        params.shards = params.shards.max(1);
         let shards = (0..params.shards)
             .map(|i| Shard {
-                seq: SeqLock::new(),
-                lock: RwLock::new(()),
-                engine: UnsafeCell::new(stripe_engine(&params, i)),
+                engine: RwLock::new(stripe_engine(&params, i)),
                 write_locks: AtomicU64::new(0),
-                opt_hits: AtomicU64::new(0),
-                opt_misses: AtomicU64::new(0),
-                opt_retries: AtomicU64::new(0),
-                locked_reads: AtomicU64::new(0),
-                locked_hits: AtomicU64::new(0),
+                hits: AtomicU64::new(0),
             })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+            .collect();
         ShardedCache { params, shards }
     }
 
@@ -186,118 +120,45 @@ impl ShardedCache {
         &self.shards[(key.stripe() % self.shards.len() as u64) as usize]
     }
 
-    /// Runs `f` with exclusive access to `sh`'s engine, wrapped in the
-    /// seqlock writer protocol (odd counter + release fence before the
-    /// mutation, releasing even store after).
-    fn with_write<R>(sh: &Shard, f: impl FnOnce(&mut RmaCache) -> R) -> R {
-        let _g = sh.lock.write().unwrap_or_else(|e| e.into_inner());
-        sh.write_locks.fetch_add(1, Ordering::Relaxed);
-        let s = sh.seq.write_begin();
-        // SAFETY: the exclusive write lock is held for the whole closure,
-        // so no other &mut (or locked &) access can exist concurrently.
-        let engine = unsafe { &mut *sh.engine.get() };
-        let r = f(engine);
-        sh.seq.write_end(s);
-        r
-    }
-
-    /// Looks `key` up and copies its payload into `dst` on a hit.
-    ///
-    /// Fast path: seqlock optimistic read — zero locks of any kind. After
-    /// [`OPTIMISTIC_ATTEMPTS`] failed validations (a writer kept touching
-    /// the shard) the read falls back to the shard's *read* lock; no get
-    /// ever takes a write lock.
-    ///
-    /// A `false` return means the key is absent, larger than the cached
-    /// entry, or (rarely, under a concurrent eviction) was dropped
-    /// mid-read; callers treat all of these as a miss and may re-insert.
+    /// Copies `key`'s payload into `dst` on a hit. `false` means absent or
+    /// `dst` longer than the cached entry: a miss, the caller may insert.
     pub fn get(&self, key: GetKey, dst: &mut [u8]) -> bool {
         let sh = self.shard_of(&key);
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            let Some(s1) = sh.seq.read_begin() else {
-                // A writer is inside: writers are short (no network under
-                // the lock), so spin once and re-check.
-                std::hint::spin_loop();
-                continue;
-            };
-            // SAFETY: seqlock compromise — this view may race a writer, but
-            // the probe is bounds-checked and panic-free on torn state
-            // (allocations pinned, module docs); validation discards races.
-            let engine = unsafe { &*sh.engine.get() };
-            let res = engine.racy_probe(&key, dst);
-            if sh.seq.read_validate(s1) {
-                match res {
-                    ProbeResult::Hit => {
-                        sh.opt_hits.fetch_add(1, Ordering::Relaxed);
-                        return true;
-                    }
-                    ProbeResult::Miss => {
-                        sh.opt_misses.fetch_add(1, Ordering::Relaxed);
-                        return false;
-                    }
-                    // Stable but not optimistically servable (e.g. a
-                    // non-contiguous entry): resolve under the lock.
-                    ProbeResult::Retry => break,
-                }
-            }
-            sh.opt_retries.fetch_add(1, Ordering::Relaxed);
+        let hit = sh.read().peek(&key, dst);
+        if hit {
+            sh.hits.fetch_add(1, Ordering::Relaxed);
         }
-        sh.locked_reads.fetch_add(1, Ordering::Relaxed);
-        let _g = sh.lock.read().unwrap_or_else(|e| e.into_inner());
-        // SAFETY: the read lock excludes writers (which take the write
-        // lock), so this shared view is stable for the probe's duration.
-        let engine = unsafe { &*sh.engine.get() };
-        match engine.racy_probe(&key, dst) {
-            ProbeResult::Hit => {
-                sh.locked_hits.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            // Under a stable view, Retry means "present but not servable
-            // as a contiguous cached block": a miss to the caller.
-            ProbeResult::Miss | ProbeResult::Retry => false,
-        }
+        hit
     }
 
-    /// Caches `data` under `key` (replacing any resident entry for the
-    /// key), returning the access classification. Takes the owning shard's
-    /// write lock; the entry is servable as soon as this returns.
+    /// Caches `data` under `key`, replacing any resident entry for it;
+    /// returns the access classification. Servable as soon as this returns.
     pub fn insert(&self, key: GetKey, data: &[u8]) -> AccessType {
-        let sh = self.shard_of(&key);
-        Self::with_write(sh, |engine| {
-            // There is no process_lookup on this path, so advance the
-            // stripe's logical clock here: each insert is an access event.
-            engine.tick();
-            // The Cuckoo index forbids duplicate keys: drop any resident
-            // entry first (concurrent refresh instead of partial-extend).
-            engine.remove_key(&key);
-            let class = engine.finish_miss(key, LayoutSig::Contig(data.len()), data, 0);
-            // No epochs on the concurrent front: promote immediately so
-            // the entry is servable (and optimistically readable) now.
-            engine.promote_pending();
-            class
-        })
+        let mut engine = self.shard_of(&key).write();
+        // No process_lookup on this path: the insert is the access event.
+        engine.tick();
+        // The Cuckoo index forbids duplicate keys: drop any resident
+        // entry first (concurrent refresh instead of partial-extend).
+        engine.remove_key(&key);
+        let class = engine.finish_miss(key, LayoutSig::Contig(data.len()), data, 0);
+        // No epochs on the concurrent front: promote immediately.
+        engine.promote_pending();
+        class
     }
 
-    /// Drops every entry overlapping `[lo, hi)` in `target`'s window
-    /// across all shards; returns how many were dropped.
+    /// Drops every entry overlapping `[lo, hi)` of `target`, on all shards;
+    /// returns how many were dropped.
     pub fn invalidate_range(&self, target: u32, lo: u64, hi: u64) -> usize {
-        self.shards
-            .iter()
-            .map(|sh| Self::with_write(sh, |engine| engine.invalidate_range(target, lo, hi)))
-            .sum()
+        let drop_in = |sh: &Shard| sh.write().invalidate_range(target, lo, hi);
+        self.shards.iter().map(drop_in).sum()
     }
 
-    /// Resident entries of each stripe, in stripe order (read-locked).
+    /// Resident entries of each stripe, in stripe order.
     fn stripe_lens(&self) -> impl Iterator<Item = usize> + '_ {
-        self.shards.iter().map(|sh| {
-            let _g = sh.lock.read().unwrap_or_else(|e| e.into_inner());
-            // SAFETY: read lock held — stable shared view.
-            let engine = unsafe { &*sh.engine.get() };
-            engine.len()
-        })
+        self.shards.iter().map(|sh| sh.read().len())
     }
 
-    /// Number of resident entries across all shards (read-locked).
+    /// Number of resident entries across all shards.
     pub fn len(&self) -> usize {
         self.stripe_lens().sum()
     }
@@ -307,44 +168,23 @@ impl ShardedCache {
         self.len() == 0
     }
 
-    /// Merged statistics across shards. Hits from the lock-free path are
-    /// folded into `hits`/`total_gets`; `opt_retries` and `locked_reads`
-    /// report the seqlock's health. Misses observed by [`ShardedCache::get`]
-    /// are *not* counted here — the caller's follow-up insert classifies
-    /// them — so for get-then-insert-on-miss usage
-    /// `hits + direct + conflicting + capacity + failed == total_gets`.
+    /// Merged statistics across shards, the front's hits folded in.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for sh in self.shards.iter() {
-            let _g = sh.lock.read().unwrap_or_else(|e| e.into_inner());
-            // SAFETY: read lock held — stable shared view.
-            let engine = unsafe { &*sh.engine.get() };
-            total.merge(engine.stats());
-            let hits = sh.opt_hits.load(Ordering::Relaxed) + sh.locked_hits.load(Ordering::Relaxed);
+            total.merge(sh.read().stats());
+            let hits = sh.hits.load(Ordering::Relaxed);
             total.hits += hits;
             total.total_gets += hits;
-            total.opt_retries += sh.opt_retries.load(Ordering::Relaxed);
-            total.locked_reads += sh.locked_reads.load(Ordering::Relaxed);
         }
         total
     }
 
-    /// Total write-lock acquisitions across shards (every insert and
-    /// invalidation takes exactly one). Flat across a read-only phase by
-    /// construction; the contention bench asserts it.
+    /// Write-lock acquisitions: one per insert, one per shard per
+    /// invalidation, none per get.
     pub fn write_lock_acquisitions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|sh| sh.write_locks.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Optimistic reads discarded by a failed sequence validation.
-    pub fn optimistic_retries(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|sh| sh.opt_retries.load(Ordering::Relaxed))
-            .sum()
+        let locks = |sh: &Shard| sh.write_locks.load(Ordering::Relaxed);
+        self.shards.iter().map(locks).sum()
     }
 }
 
@@ -374,6 +214,14 @@ mod tests {
             shards,
             ..CacheParams::default()
         })
+    }
+
+    /// The auto traits carry the whole thread-safety claim: this stops
+    /// compiling if a stripe ever holds a `!Send` or `!Sync` field.
+    #[test]
+    fn front_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ShardedCache>();
     }
 
     #[test]
@@ -430,7 +278,7 @@ mod tests {
         data: &[u8],
         dst: &mut [u8],
     ) -> Option<AccessType> {
-        if e.racy_probe(&k, dst) == ProbeResult::Hit {
+        if e.peek(&k, dst) {
             return None;
         }
         e.tick();
@@ -446,8 +294,8 @@ mod tests {
         use clampi_prng::prop::check;
         // Stripe 0 of 1 must be the engine `RmaCache::new` builds — the
         // whole capacity, the same hasher and sampler streams — and the
-        // seqlock and lock around it must change nothing: same hits, same
-        // classes (conflict and capacity evictions included), same bytes.
+        // lock around it must change nothing: same hits, same classes
+        // (conflict and capacity evictions included), same bytes.
         check("ShardedCache{shards: 1} == RmaCache", 48, |g| {
             let params = CacheParams {
                 index_entries: g.range(4..48usize),

@@ -173,13 +173,15 @@ counter_table! {
     /// `benchmark/src/counters.rs` reads it; goes with the next benchmark
     /// PR.
     version_fetches: u64,
-    /// Optimistic (seqlock) hit-path reads discarded because the shard's
-    /// sequence counter changed mid-copy; each one retried or fell back to
-    /// the locked path ([`crate::ShardedCache`]).
+    /// Always 0: the concurrent front has no optimistic read path to
+    /// retry since its seqlock was deleted. Still here because
+    /// `benchmark/src/workloads/shared_front.rs` reads it; goes with the
+    /// next benchmark PR.
     opt_retries: u64,
-    /// Hit-path reads served under the shard read lock instead of the
-    /// optimistic path (fallback after repeated validation failures or a
-    /// mid-mutation probe).
+    /// Always 0, like `opt_retries` (every front get is a read-locked
+    /// read now, so the count would be `hits` plus the misses). Read by
+    /// `benchmark/src/workloads/shared_front.rs`; goes with the next
+    /// benchmark PR.
     locked_reads: u64,
     /// Live victim-policy switches applied (adaptive [`SwitchPolicy`]
     /// adjustments plus explicit `set_victim_scheme` calls that changed

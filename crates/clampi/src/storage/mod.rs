@@ -205,17 +205,16 @@ impl Storage {
         &self.buf[d.offset..d.offset + len]
     }
 
-    /// The byte offset of a region's start in the buffer. The concurrent
-    /// front caches this on the entry so its optimistic readers never walk
-    /// the descriptor list.
+    /// The byte offset of a region's start in the buffer. The engine caches
+    /// this on the entry so a hit reads through [`Storage::bytes_at`]
+    /// without a dependent load through the descriptor slab.
     pub fn offset(&self, id: DescId) -> usize {
         self.descs.get(id).offset
     }
 
-    /// Panic-free positional read: the `len` bytes starting at raw offset
-    /// `off`, or `None` when the range leaves the buffer. Used by the
-    /// seqlock hit path, which may probe with a torn (stale) offset and
-    /// must never fault — the sequence validation discards the bytes.
+    /// Positional read: the `len` bytes starting at raw offset `off`, or
+    /// `None` when the range leaves the buffer. The hit path reads cached
+    /// payloads this way, from the offset stored on the entry.
     pub fn bytes_at(&self, off: usize, len: usize) -> Option<&[u8]> {
         let end = off.checked_add(len)?;
         self.buf.get(off..end)

@@ -8,8 +8,8 @@
 //!    one [`ShardedCache`] with a random mix of gets, stamped inserts and
 //!    range invalidations. Every payload is self-identifying (each byte is
 //!    a function of the key, the byte position and a per-insert stamp), so
-//!    a hit whose bytes mix two stamps — a torn read that escaped seqlock
-//!    validation — fails immediately. After the threads join, the merged
+//!    a hit whose bytes mix two stamps — a torn read that got past the
+//!    stripe lock — fails immediately. After the threads join, the merged
 //!    stats must satisfy `hits + direct + conflicting + capacity + failed
 //!    == total_gets` for the get-then-insert-on-miss usage the front
 //!    documents.
@@ -117,7 +117,7 @@ fn prop_sharded_cache_concurrent_mixed_ops() {
         assert_eq!(
             torn.load(Ordering::Relaxed),
             0,
-            "torn read escaped seqlock validation"
+            "torn read: a get saw an insert's bytes half-written under the stripe lock"
         );
         let s = cache.stats();
         assert_eq!(

@@ -269,7 +269,6 @@ fn adaptive_controller_switches_away_from_positional_under_zipf() {
             capacity_threshold: 2.0,
             sparsity_threshold: 0.0,
             stable_threshold: 2.0,
-            ..AdaptiveParams::default()
         };
         let cfg = ClampiConfig {
             mode: Mode::AlwaysCache,

@@ -12,9 +12,9 @@
 //! - [`spawn`]/[`JoinHandle`] — virtual threads on a cooperative scheduler.
 //!
 //! Outside an exploration every primitive degrades to its `std` counterpart
-//! with zero behavioral difference, which is what the `clampi::sync_shim`
-//! facade relies on: shipped protocol code (the seqlock front, the snapshot
-//! commit clock) is compiled onto these types under `--cfg clampi_mc` and
+//! with zero behavioral difference, which is what the [`shim`] facade
+//! relies on: shipped protocol code (the snapshot commit clock in
+//! `clampi-rma`) is compiled onto these types under `--cfg clampi_mc` and
 //! onto plain `std::sync::atomic` otherwise.
 //!
 //! # Example

@@ -1,12 +1,11 @@
-//! The atomics facade consumed by `clampi::sync_shim` and `rma`.
+//! The atomics facade consumed by `clampi-rma`.
 //!
-//! Shipped protocol code (the seqlock front, the snapshot commit clock) is
-//! written against `McAtomicU64`/`mc_fence`. In a normal build these are
-//! *type aliases and re-exports* of `std::sync::atomic` items — the facade
-//! costs exactly nothing. Under `--cfg clampi_mc` they switch to the tracked
-//! [`crate::TrackedU64`] cell and scheduler-aware [`crate::fence`], so the
-//! model checker explores the real shipped code paths, not a transliterated
-//! model.
+//! Shipped protocol code (the snapshot commit clock) is written against
+//! `McAtomicU64`. In a normal build this is a *type alias* of
+//! `std::sync::atomic::AtomicU64` — the facade costs exactly nothing. Under
+//! `--cfg clampi_mc` it switches to the tracked [`crate::TrackedU64`] cell,
+//! so the model checker explores the real shipped code path, not a
+//! transliterated model.
 
 /// Tracked atomic u64 under `cfg(clampi_mc)`, plain `AtomicU64` otherwise.
 #[cfg(clampi_mc)]
@@ -14,15 +13,3 @@ pub type McAtomicU64 = crate::TrackedU64;
 /// Tracked atomic u64 under `cfg(clampi_mc)`, plain `AtomicU64` otherwise.
 #[cfg(not(clampi_mc))]
 pub type McAtomicU64 = std::sync::atomic::AtomicU64;
-
-/// The `McFence` shim: scheduler-visible fence under `cfg(clampi_mc)`,
-/// `std::sync::atomic::fence` otherwise.
-#[cfg(clampi_mc)]
-pub use crate::fence as mc_fence;
-/// The `McFence` shim: scheduler-visible fence under `cfg(clampi_mc)`,
-/// `std::sync::atomic::fence` otherwise.
-#[cfg(not(clampi_mc))]
-pub use std::sync::atomic::fence as mc_fence;
-
-/// True when this build is running with the tracked facade.
-pub const MC_ACTIVE: bool = cfg!(clampi_mc);

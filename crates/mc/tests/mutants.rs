@@ -1,6 +1,6 @@
 //! Planted-mutant fixtures: the checker is only trusted because it provably
-//! catches known-broken variants of the protocols it guards, mirroring the
-//! xlint and perf-gate fixture discipline. `ci.sh`'s `mc-test` stage runs
+//! catches known-broken protocol variants, mirroring the xlint and
+//! perf-gate fixture discipline. `ci.sh`'s `mc-test` stage runs
 //! this suite first and refuses to run the real checks if any mutant
 //! escapes.
 //!
@@ -15,10 +15,11 @@ use std::sync::Arc;
 use clampi_mc as mc;
 
 // ---------------------------------------------------------------------------
-// Transliterated seqlock front (shard.rs recipe), with mutation switches.
-// The shipped code itself is model-checked by `clampi`'s `mc_*` unit tests
-// under `--cfg clampi_mc`; these transliterations exist so the checker's own
-// mutant-catching power is validated in every tier-1 run.
+// The classic seqlock recipe (Boehm), with mutation switches. Nothing in the
+// workspace ships a seqlock any more (the cache front it was written for is
+// N `RwLock`s); the recipe stays as the checker's self-test, because its
+// fence/ordering mutants are the sharpest weak-memory bugs the checker is
+// known to catch, validated in every tier-1 run.
 // ---------------------------------------------------------------------------
 
 #[derive(Clone, Copy)]

@@ -11,7 +11,7 @@
 //! | `safety-comment` | every `.rs`                   | each `unsafe` carries a `// SAFETY:` comment nearby |
 //! | `no-println`     | sim-path crates, `src/`       | no `print!`/`println!` — binaries own stdout |
 //! | `no-bare-seqcst` | every `.rs`                   | each `Ordering::SeqCst` carries a comment saying why a weaker ordering won't do |
-//! | `no-bare-fence`  | every `.rs`                   | each standalone `fence(...)`/`mc_fence(...)` carries a "pairs with" comment naming its matching site |
+//! | `no-bare-fence`  | every `.rs`                   | each standalone `fence(...)` carries a "pairs with" comment naming its matching site |
 //!
 //! Escapes: append `// xlint: allow(<rule>)` to the offending line or put
 //! it on the line directly above. A `#[cfg(test)]` attribute suppresses
@@ -83,7 +83,7 @@ const RULES: &[(&str, &str)] = &[
     ),
     (
         "no-bare-fence",
-        "every standalone fence()/mc_fence() carries a `pairs with` comment naming its matching acquire/release site within 3 lines",
+        "every standalone fence() carries a `pairs with` comment naming its matching acquire/release site within 3 lines",
     ),
 ];
 
@@ -262,27 +262,26 @@ fn has_token(line: &str, tok: &str) -> bool {
     false
 }
 
-/// Standalone fence call: `fence(` or `mc_fence(` at an ident boundary,
+/// Standalone fence call: `fence(` at an ident boundary,
 /// excluding method calls (`win.fence(p)` — MPI's collective, not an
 /// atomic fence) and declarations (`fn fence(`). Paths (`mc::fence(`,
 /// `std::sync::atomic::fence(`) stay in scope: those are the calls whose
 /// ordering pairing the rule wants documented.
 fn has_fence_call(line: &str) -> bool {
     let bytes = line.as_bytes();
-    for tok in ["mc_fence", "fence"] {
-        let mut start = 0;
-        while let Some(pos) = line[start..].find(tok) {
-            let p = start + pos;
-            let before_ok = p == 0 || !is_ident(bytes[p - 1] as char);
-            let after = p + tok.len();
-            if before_ok && after < bytes.len() && bytes[after] == b'(' {
-                let prev = line[..p].trim_end();
-                if !prev.ends_with('.') && !prev.ends_with("fn") {
-                    return true;
-                }
+    let tok = "fence";
+    let mut start = 0;
+    while let Some(pos) = line[start..].find(tok) {
+        let p = start + pos;
+        let before_ok = p == 0 || !is_ident(bytes[p - 1] as char);
+        let after = p + tok.len();
+        if before_ok && after < bytes.len() && bytes[after] == b'(' {
+            let prev = line[..p].trim_end();
+            if !prev.ends_with('.') && !prev.ends_with("fn") {
+                return true;
             }
-            start = p + 1;
         }
+        start = p + 1;
     }
     false
 }
@@ -946,7 +945,6 @@ mod tests {
     #[test]
     fn fence_rule_matches_calls_not_methods_or_decls() {
         assert!(has_fence_call("    fence(Ordering::Release);"));
-        assert!(has_fence_call("    mc_fence(Ordering::Acquire);"));
         assert!(has_fence_call("    std::sync::atomic::fence(ord);"));
         assert!(has_fence_call("    mc::fence(Release);"));
         assert!(!has_fence_call("    win.fence(p);"), "method call exempt");
