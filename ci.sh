@@ -8,38 +8,26 @@
 #   ./ci.sh --list          list stage names
 #
 # Stages (in pipeline order):
-#   hermeticity   no external (non-path) dependency in any Cargo.toml,
-#                 including the table form [dependencies.<name>]; runs
-#                 `xlint --rule hermeticity`, which self-tests against
-#                 ci/fixtures/offending/Cargo.toml first
-#   xlint         the full in-tree lint pass (crates/xlint): hermeticity,
+#   xlint         the full in-tree lint pass (crates/xlint): hermeticity
+#                 (no external, non-path dependency in any Cargo.toml,
+#                 including the table form [dependencies.<name>]),
 #                 no-std-time, no-unwrap, safety-comment, no-println,
 #                 no-bare-seqcst, no-bare-fence — self-tested against the
-#                 seeded ci/fixtures/lint/ tree, then run over the whole
-#                 workspace (see `xlint --list`)
+#                 seeded ci/fixtures/ trees (each planted violation must be
+#                 flagged, the clean files must stay clean), then run over
+#                 the whole workspace (see `xlint --list`)
 #   fmt           cargo fmt --all --check   (skipped loudly if rustfmt
 #                 is not installed)
 #   clippy        cargo clippy -D warnings  (skipped loudly if clippy is
 #                 not installed)
 #   build         cargo build --release --offline (workspace)
 #   test          cargo test -q --offline (workspace)
-#   mc-test       the in-tree concurrency model checker (crates/mc) over
-#                 the shipped snapshot/commit-clock protocols, compiled
-#                 with the tracked-atomics facade (RUSTFLAGS=--cfg clampi_mc,
-#                 own target dir target/mc). The planted-mutant fixtures
-#                 run first and gate the stage; default bounds are the
-#                 smoke preset, CLAMPI_MC_FULL=1 lifts the preemption
-#                 bound for exhaustive exploration
 #   san-test      the whole test suite again under CLAMPI_SAN=1 (the RMA
 #                 semantics sanitizer armed; run_collect asserts zero
-#                 diagnostics after every simulation), plus
+#                 diagnostics after every simulation — this includes the
+#                 DHT property suite's fault-plan cases), plus
 #                 fig_fault_recovery and fig_tx smoke runs whose
 #                 `# SAN diags` summaries must be 0
-#   dht-test      the DHT-over-cached-windows property suite (HashMap
-#                 equivalence in every coherence mode) rerun with the
-#                 sanitizer armed; the suite's transient-fault and
-#                 rank-death cases put a fault plan under CLAMPI_SAN=1 in
-#                 the same pass
 #   prop-matrix   the twelve property suites under 3 fixed CLAMPI_PROP_SEED
 #                 values (single-case replay determinism)
 #   bench-smoke   microcosts + fig_fault_recovery + the perf-summary
@@ -69,18 +57,18 @@
 #                 the workspace, so drift against what it uses fails here
 #                 instead of at the benchmark driver.
 #
-# Every `cargo test` of the test, mc-test, san-test, dht-test and
-# prop-matrix stages runs under `timeout` (TEST_TIMEOUT_S below): a rank
-# that panics inside a simulation strands its peers at a barrier, and a
-# hung suite must come back FAIL instead of sitting there forever.
+# Every `cargo test` of the test, san-test and prop-matrix stages runs
+# under `timeout` (TEST_TIMEOUT_S below): a rank that panics inside a
+# simulation strands its peers at a barrier, and a hung suite must come
+# back FAIL instead of sitting there forever.
 #
 # This repo builds on machines with no network and no cargo registry
 # cache, so any external crate in a dependency section is a build break
-# by definition — the hermeticity stage is the contract for that.
+# by definition — xlint's hermeticity rule is the contract for that.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(hermeticity xlint fmt clippy build test mc-test san-test dht-test prop-matrix bench-smoke perf-gate benchmark-smoke)
+ALL_STAGES=(xlint fmt clippy build test san-test prop-matrix bench-smoke perf-gate benchmark-smoke)
 PROP_SEEDS=(1 42 20170527)
 # Seconds one `cargo test` invocation may take, build included. The slowest
 # (the whole workspace) takes 5-13 s warm on the reference host, plus the
@@ -99,25 +87,13 @@ limited() {
     return "$rc"
 }
 
-stage_hermeticity() {
-    # The gate lives in crates/xlint (dependency-free by construction).
-    # Self-test first: a gate that waves the known-offending fixture
-    # through is broken and everything it "verifies" is meaningless.
-    #
-    # Note: if a *workspace member's* manifest already declares a registry
-    # dependency, `cargo run` itself fails at offline resolution ("no
-    # matching package named ... found") before xlint can print file:line
-    # — the stage still FAILs and the error names the offender. xlint's
-    # own scan matters for the fixture self-test and for manifests cargo
-    # tolerates (and it pinpoints file:line when run from a built tree).
-    cargo run -q --offline -p xlint -- --self-test hermeticity
-    cargo run -q --offline -p xlint -- --rule hermeticity
-}
-
 stage_xlint() {
     # All seven rules: self-test against the seeded fixtures (each planted
     # violation must be flagged, the clean file must stay clean), then
-    # scan the real tree.
+    # scan the real tree. A registry dependency in a workspace member's
+    # manifest already fails `cargo run` at offline resolution (cargo
+    # names the package), so the stage FAILs before xlint prints
+    # file:line; the scan pinpoints manifests cargo tolerates.
     cargo run -q --offline -p xlint -- --self-test
     cargo run -q --offline -p xlint
 }
@@ -154,45 +130,6 @@ stage_test() {
     limited "$TEST_TIMEOUT_S" cargo test -q --offline --workspace
 }
 
-stage_mc_test() {
-    # The concurrency model checker over the *shipped* snapshot/commit-clock
-    # protocol code: --cfg clampi_mc swaps clampi_mc::shim from std atomics
-    # to tracked cells, so the mc_* unit tests in clampi (the snapshot
-    # timestamp rule) and clampi-rma (the commit clock) explore the exact
-    # lines production builds run. A separate target dir keeps the cfg'd
-    # build from invalidating the normal cache.
-    #
-    # The planted-mutant fixtures run FIRST and gate everything else: a
-    # checker that cannot catch the known-broken protocol variants (the
-    # seqlock recipe's dropped Release fence and Relaxed seq load, a commit
-    # stamp outside the ring lock) proves nothing about the shipped ones.
-    local bounds=smoke
-    [ "${CLAMPI_MC_FULL:-0}" = 1 ] && bounds=full
-    echo "-- mc mutant fixtures (checker self-validation, gating)"
-    RUSTFLAGS="--cfg clampi_mc" CARGO_TARGET_DIR=target/mc \
-        limited "$TEST_TIMEOUT_S" cargo test -q --offline -p clampi-mc --test mutants
-    echo "-- mc litmus + unit suites"
-    RUSTFLAGS="--cfg clampi_mc" CARGO_TARGET_DIR=target/mc \
-        limited "$TEST_TIMEOUT_S" cargo test -q --offline -p clampi-mc
-    echo "-- shipped snapshot/commit-clock protocols under the checker ($bounds bounds)"
-    # An empty `mc_` filter passes silently, which is how a stage rots:
-    # each crate must still run at least one test.
-    local pkg out
-    for pkg in clampi clampi-rma; do
-        out=$(RUSTFLAGS="--cfg clampi_mc" CARGO_TARGET_DIR=target/mc \
-            limited "$TEST_TIMEOUT_S" cargo test -q --offline -p "$pkg" --lib mc_ 2>&1) || {
-            echo "$out"
-            return 1
-        }
-        echo "$out"
-        if ! grep -Eq "^test result: ok\. [1-9][0-9]* passed" <<<"$out"; then
-            echo "FAIL: -p $pkg --lib mc_ ran no test" >&2
-            return 1
-        fi
-    done
-    echo "mc-test ok: mutants caught, shipped snapshot/commit-clock clean ($bounds bounds)"
-}
-
 stage_san_test() {
     # The whole suite again with the RMA semantics sanitizer armed:
     # CLAMPI_SAN=1 makes run_collect install a collecting checker and
@@ -223,19 +160,6 @@ stage_san_test() {
         return 1
     fi
     echo "fig_tx clean under the sanitizer (# SAN diags 0)"
-}
-
-stage_dht_test() {
-    # The DHT suite is the only one that layers a real application data
-    # structure (remote open-addressed buckets + a location cache) over
-    # CachedWindow, so it gets a dedicated armed run: the whole suite
-    # pins bit-identical results against std HashMap in every coherence
-    # mode, and its transient-fault and rank-death cases run a fault
-    # plan under the same CLAMPI_SAN=1 pass — any RMA misuse in the DHT
-    # layer (e.g. reading a window the owner is mutating) fails here.
-    CLAMPI_SAN=1 limited "$TEST_TIMEOUT_S" \
-        cargo test -q --offline -p clampi-apps --test prop_dht
-    echo "prop_dht clean under the sanitizer (all coherence modes + fault plans)"
 }
 
 stage_prop_matrix() {

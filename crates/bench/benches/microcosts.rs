@@ -219,7 +219,8 @@ fn bench_datatype() {
 }
 
 fn bench_trace_replay() {
-    use clampi::trace::{replay, ReplayCosts, Trace};
+    use clampi::trace::{replay, Trace};
+    use clampi_rma::NetModel;
     let b = Bench::new("trace_replay");
     let mut t = Trace::new();
     for round in 0..10u64 {
@@ -238,7 +239,7 @@ fn bench_trace_replay() {
                 costs: CacheCostModel::free(),
                 ..CacheParams::default()
             },
-            ReplayCosts::default(),
+            &NetModel::default(),
         );
         black_box(r.stats.hits);
     });

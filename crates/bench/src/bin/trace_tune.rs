@@ -7,9 +7,10 @@
 //! completion time — the paper's manual parameter study as a
 //! milliseconds-fast batch job.
 
-use clampi::trace::{replay, ReplayCosts, Trace};
+use clampi::trace::{replay, Trace};
 use clampi::{CacheParams, VictimScheme};
 use clampi_bench::cli::{meta, row, Args};
+use clampi_rma::NetModel;
 use clampi_workloads::micro::MicroParams;
 use clampi_workloads::MicroWorkload;
 
@@ -59,6 +60,7 @@ fn main() {
     let iw_grid = [256usize, 1024, 4096, 16384];
     let sw_grid = [256usize << 10, 1 << 20, 4 << 20, 16 << 20];
 
+    let net = NetModel::default();
     let mut results = Vec::new();
     for &iw in &iw_grid {
         for &sw in &sw_grid {
@@ -71,7 +73,7 @@ fn main() {
                         victim_scheme: scheme,
                         ..CacheParams::default()
                     },
-                    ReplayCosts::default(),
+                    &net,
                 );
                 results.push((r.completion_ns, iw, sw, scheme, r.stats));
             }

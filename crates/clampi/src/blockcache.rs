@@ -147,12 +147,18 @@ impl BlockCachedWindow {
             return;
         }
         let len = layout.total_size();
+        let win_size = self.win.size_of(target);
+        // Block fills are clamped to the window, so without this check a
+        // request running past the end would leave `dst`'s tail unwritten.
+        assert!(
+            disp + len <= win_size,
+            "get out of bounds: disp {disp} + span {len} > window size {win_size} at target {target}"
+        );
         self.stats.total_gets += 1;
         if len == 0 {
             return;
         }
         let bs = self.block_size;
-        let win_size = self.win.size_of(target);
         let first = (disp / bs) as u64;
         let last = ((disp + len - 1) / bs) as u64;
         for block in first..=last {
@@ -214,5 +220,39 @@ impl BlockCachedWindow {
     /// MPI_Win_unlock_all passthrough.
     pub fn unlock_all(&mut self, p: &mut Process) {
         self.win.unlock_all(p);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clampi_rma::{run, SimConfig};
+
+    /// One rank, a 1000-byte window behind 64-byte blocks: reads `len`
+    /// bytes at `disp`.
+    fn get_at(disp: usize, len: usize) {
+        run(SimConfig::default(), 1, |p| {
+            let cfg = BlockCacheConfig {
+                block_size: 64,
+                memory_bytes: 1 << 12,
+                ..BlockCacheConfig::default()
+            };
+            let mut w = BlockCachedWindow::create(p, 1000, cfg);
+            w.lock_all(p);
+            let mut dst = vec![0u8; len];
+            w.get(p, &mut dst, 0, disp, &Datatype::bytes(len), 1);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "get out of bounds")]
+    fn read_ending_inside_the_last_block_past_the_window_panics() {
+        get_at(990, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "get out of bounds")]
+    fn read_with_a_block_wholly_past_the_window_panics() {
+        get_at(990, 100);
     }
 }

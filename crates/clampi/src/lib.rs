@@ -94,6 +94,6 @@ pub use recovery::RetryPolicy;
 pub use shard::ShardedCache;
 pub use snapshot::{SnapReq, SnapStamp, SnapshotCtx, SnapshotError, SnapshotInfo};
 pub use stats::{AccessType, CacheStats};
-pub use trace::{replay, ReplayCosts, ReplayResult, Trace, TraceEvent};
+pub use trace::{replay, ReplayResult, Trace, TraceEvent};
 pub use vcache::{PolicyLab, ShadowCache};
 pub use window::{CachedWindow, ClampiConfig, Mode};

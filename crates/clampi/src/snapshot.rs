@@ -305,112 +305,141 @@ mod tests {
         let bounds = [b(9, u64::MAX)];
         assert_eq!(choose_timestamp(&bounds, 2), Ok(9));
     }
-}
 
-/// Model checks of the snapshot protocol, compiled only under
-/// `--cfg clampi_mc` (the `mc-test` CI stage). The harness drives the
-/// *shipped* pieces — [`clampi_rma::CommitClock`] for stamping and
-/// [`choose_timestamp`] for interval intersection — through a miniature
-/// two-target window: a writer committing one put per target races a
-/// reader gathering, draining and validating a two-request batch. The
-/// checked property is the issue's #4: on every schedule, the chosen
-/// timestamp lies inside every request's validity interval; and the
-/// refetch-on-`Err` loop is bounded.
-#[cfg(all(test, clampi_mc))]
-mod mc_tests {
-    use super::*;
-    use clampi_rma::CommitClock;
-    use std::sync::Arc;
-
-    type Ring = clampi_mc::Mutex<Vec<(u64, u64)>>;
-
-    /// `note_put`'s essential shape: version bump + commit stamp, one
-    /// atomic step under the target's ring lock.
-    fn put(clock: &CommitClock, ring: &Ring) {
-        let mut r = ring.lock();
-        let ts = clock.stamp(0);
-        let version = r.len() as u64 + 1;
-        r.push((version, ts));
+    /// The window's locking in miniature: two targets' rings of
+    /// `(version, ts)` records plus the commit clock, a writer putting once
+    /// to each target, and a reader running `multi_get`'s validation loop
+    /// over one request per target. Every step is one critical section of
+    /// `clampi_rma::Window`, so running every order of the steps runs
+    /// every schedule there is.
+    #[derive(Clone, Default)]
+    struct Mini {
+        clock: u64,
+        rings: [Vec<(u64, u64)>; 2],
+        /// Writer steps taken, and the stamp of the put in flight.
+        w_pc: usize,
+        w_ts: u64,
+        /// Reader step within the attempt, attempts that failed, the
+        /// attempt's stamps and `(hi, now_ts)` drains, and every drain as
+        /// `(target, newest version seen, now_ts)`.
+        r_pc: usize,
+        failed: usize,
+        done: bool,
+        stamps: [SnapStamp; 2],
+        drains: [(u64, u64); 2],
+        drain_log: Vec<(usize, u64, u64)>,
+        /// The schedule so far, one `r`/`w` per step.
+        trace: String,
     }
 
-    /// The gather side: bytes + stamp sampled under the region lock
-    /// (modelled by the ring lock — both sides of the simulator take it).
-    fn read_stamp(ring: &Ring) -> SnapStamp {
-        let r = ring.lock();
-        match r.last() {
-            Some(&(version, ts)) => SnapStamp::exact(version, ts),
-            None => SnapStamp::exact(0, 0),
+    impl Mini {
+        /// Shipped: `note_put` stamps the clock and pushes the record in
+        /// one ring critical section. `split` is the mutant whose stamp is
+        /// its own step, taken before the ring push.
+        fn writer_step(&mut self, split: bool) {
+            let (target, stamp, push) = if split {
+                let first = self.w_pc.is_multiple_of(2);
+                (self.w_pc / 2, first, !first)
+            } else {
+                (self.w_pc, true, true)
+            };
+            if stamp {
+                self.clock += 1;
+                self.w_ts = self.clock;
+            }
+            if push {
+                let version = self.rings[target].len() as u64 + 1;
+                self.rings[target].push((version, self.w_ts));
+            }
+            self.w_pc += 1;
+            self.trace.push('w');
         }
-    }
 
-    /// The drain side: `hi` (first write after the stamp) and the commit
-    /// clock cap, both sampled inside the ring lock — the discipline
-    /// `try_drain_notifications` ships.
-    fn drain(clock: &CommitClock, ring: &Ring, stamp: SnapStamp) -> (u64, u64) {
-        let r = ring.lock();
-        let cap = clock.read();
-        let hi = r
-            .iter()
-            .find(|(version, _)| *version > stamp.version)
-            .map(|&(_, ts)| ts)
-            .unwrap_or(u64::MAX);
-        (hi, cap)
-    }
-
-    fn snapshot_body() {
-        let clock = Arc::new(CommitClock::new());
-        let rings: [Arc<Ring>; 2] = [
-            Arc::new(clampi_mc::Mutex::with_label(Vec::new(), "ring0")),
-            Arc::new(clampi_mc::Mutex::with_label(Vec::new(), "ring1")),
-        ];
-        let (clock_w, r0, r1) = (clock.clone(), rings[0].clone(), rings[1].clone());
-        let writer = clampi_mc::spawn(move || {
-            put(&clock_w, &r0);
-            put(&clock_w, &r1);
-        });
-        // multi_get's validation loop, refetching everything on Err. One
-        // round per writer put can fail, plus the final success: with a
-        // quiescent writer a fresh gather always yields hi == MAX (the
-        // stamp *is* the newest ring entry), which intersects.
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            assert!(attempts <= 3, "refetch rounds must be bounded");
-            let stamps = [read_stamp(&rings[0]), read_stamp(&rings[1])];
-            let (h0, c0) = drain(&clock, &rings[0], stamps[0]);
-            let (h1, c1) = drain(&clock, &rings[1], stamps[1]);
-            let cap = c0.min(c1);
-            let bounds = [
-                ReqBound {
-                    stamp: stamps[0],
-                    hi: h0,
-                },
-                ReqBound {
-                    stamp: stamps[1],
-                    hi: h1,
-                },
-            ];
-            match choose_timestamp(&bounds, cap) {
-                Ok(t) => {
-                    for b in &bounds {
-                        assert!(
-                            b.stamp.ts <= t && t < b.hi,
-                            "chosen timestamp {t} outside validity interval [{}, {})",
-                            b.stamp.ts,
-                            b.hi
-                        );
+        /// Read both stamps, drain both rings (`hi` and the clock under
+        /// the ring lock), intersect; on `Err` refetch everything.
+        fn reader_step(&mut self) -> Result<(), String> {
+            self.trace.push('r');
+            let t = self.r_pc % 2;
+            let ring = &self.rings[t];
+            if self.r_pc < 2 {
+                let (version, ts) = ring.last().copied().unwrap_or_default();
+                self.stamps[t] = SnapStamp::exact(version, ts);
+            } else {
+                let hi = ring
+                    .iter()
+                    .find(|r| r.0 > self.stamps[t].version)
+                    .map_or(u64::MAX, |r| r.1);
+                self.drains[t] = (hi, self.clock);
+                self.drain_log
+                    .push((t, ring.last().map_or(0, |r| r.0), self.clock));
+            }
+            self.r_pc += 1;
+            if self.r_pc < 4 {
+                return Ok(());
+            }
+            self.r_pc = 0;
+            let bounds = [0, 1].map(|t| ReqBound {
+                stamp: self.stamps[t],
+                hi: self.drains[t].0,
+            });
+            match choose_timestamp(&bounds, self.drains[0].1.min(self.drains[1].1)) {
+                Ok(ts) => match bounds.iter().find(|b| b.stamp.ts > ts || ts >= b.hi) {
+                    Some(b) => Err(format!("T {ts} outside [{}, {})", b.stamp.ts, b.hi)),
+                    None => {
+                        self.done = true;
+                        Ok(())
                     }
-                    break;
+                },
+                Err(_) if self.failed == 2 => Err("a 4th attempt".into()),
+                Err(_) => {
+                    self.failed += 1;
+                    Ok(())
                 }
-                Err(_bar) => continue,
             }
         }
-        writer.join();
+    }
+
+    /// Runs every interleaving from `s`: the number of complete
+    /// schedules, or the first violating one and what it broke.
+    fn explore(s: Mini, split: bool) -> Result<usize, String> {
+        let writer_steps = if split { 4 } else { 2 };
+        if s.done && s.w_pc == writer_steps {
+            for &(t, seen, now_ts) in &s.drain_log {
+                if let Some((v, ts)) = s.rings[t].iter().find(|r| r.0 > seen && r.1 <= now_ts) {
+                    return Err(format!(
+                        "{}: put v{v} to target {t}, unseen by a drain, stamped {ts} <= now_ts {now_ts}",
+                        s.trace
+                    ));
+                }
+            }
+            return Ok(1);
+        }
+        let mut schedules = 0;
+        if !s.done {
+            let mut n = s.clone();
+            n.reader_step().map_err(|e| format!("{}: {e}", n.trace))?;
+            schedules += explore(n, split)?;
+        }
+        if s.w_pc < writer_steps {
+            let mut n = s;
+            n.writer_step(split);
+            schedules += explore(n, split)?;
+        }
+        Ok(schedules)
     }
 
     #[test]
-    fn mc_snapshot_timestamp_inside_every_validity_interval() {
-        let report = clampi_mc::check(clampi_mc::Config::smoke(), snapshot_body);
-        report.assert_pass();
+    fn every_schedule_of_the_miniature_picks_a_certified_timestamp() {
+        let schedules = explore(Mini::default(), false).unwrap_or_else(|e| panic!("{e}"));
+        // The writer's two steps placed among the first attempt's four:
+        // C(6, 2). An attempt fails only with both puts inside it, so a
+        // retry lengthens a schedule but never branches it.
+        assert_eq!(schedules, 15);
+    }
+
+    #[test]
+    fn a_stamp_taken_before_the_ring_push_is_caught() {
+        let err = explore(Mini::default(), true).expect_err("split-stamp mutant passed");
+        assert!(err.contains("unseen by a drain"), "{err}");
     }
 }

@@ -15,6 +15,8 @@
 //! The replayer feeds the cache synthetic payloads — policy decisions
 //! depend only on keys and sizes, never on payload bytes.
 
+use clampi_rma::NetModel;
+
 use crate::cache::{CacheParams, LayoutSig, Lookup, RmaCache};
 use crate::index::GetKey;
 use crate::stats::CacheStats;
@@ -61,15 +63,16 @@ pub const INVALIDATE_ALL: TraceEvent = TraceEvent::Invalidate {
 /// # Examples
 ///
 /// ```
-/// use clampi::trace::{replay, ReplayCosts, Trace};
+/// use clampi::trace::{replay, Trace};
 /// use clampi::CacheParams;
+/// use clampi_rma::NetModel;
 ///
 /// let mut trace = Trace::new();
 /// for _ in 0..3 {
 ///     trace.get(1, 0, 256); // the same get, three times
 ///     trace.epoch_close();
 /// }
-/// let result = replay(&trace, CacheParams::default(), ReplayCosts::default());
+/// let result = replay(&trace, CacheParams::default(), &NetModel::default());
 /// assert_eq!(result.stats.hits, 2); // first is a miss, rest hit
 ///
 /// // Round-trips through the compact binary format.
@@ -258,26 +261,6 @@ impl Trace {
     }
 }
 
-/// Cost model of the replayer: what a miss and a hit cost besides the
-/// cache-management time the engine itself charges.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplayCosts {
-    /// Latency of a remote get + flush (paid by every non-hit).
-    pub miss_base_ns: f64,
-    /// Per-byte wire cost of a remote get.
-    pub miss_per_byte_ns: f64,
-}
-
-impl Default for ReplayCosts {
-    fn default() -> Self {
-        // The default network model's same-chassis get + sync.
-        ReplayCosts {
-            miss_base_ns: 120.0 + 1800.0 + 250.0,
-            miss_per_byte_ns: 0.10,
-        }
-    }
-}
-
 /// The outcome of a replay.
 #[derive(Debug, Clone)]
 pub struct ReplayResult {
@@ -287,8 +270,13 @@ pub struct ReplayResult {
     pub completion_ns: f64,
 }
 
-/// Replays `trace` through a fresh cache with `params`.
-pub fn replay(trace: &Trace, params: CacheParams, costs: ReplayCosts) -> ReplayResult {
+/// Replays `trace` through a fresh cache with `params`. Every non-hit
+/// pays `net`'s same-chassis get plus one sync: issue overhead, latency
+/// and sync overhead, then the per-byte wire cost of the missing bytes.
+pub fn replay(trace: &Trace, params: CacheParams, net: &NetModel) -> ReplayResult {
+    // Index 2 is the same-chassis distance class.
+    let miss_base_ns = net.issue_overhead_ns + net.latency_ns[2] + net.sync_overhead_ns;
+    let miss_per_byte_ns = net.per_byte_ns[2];
     let mut cache = RmaCache::new(params);
     let mut completion_ns = 0.0;
     let mut payload: Vec<u8> = Vec::new();
@@ -307,13 +295,13 @@ pub fn replay(trace: &Trace, params: CacheParams, costs: ReplayCosts) -> ReplayR
                     Lookup::Hit => {}
                     Lookup::PartialHit { cached_len } => {
                         payload.resize(size, 0);
-                        completion_ns += costs.miss_base_ns
-                            + (size - cached_len) as f64 * costs.miss_per_byte_ns;
+                        completion_ns +=
+                            miss_base_ns + (size - cached_len) as f64 * miss_per_byte_ns;
                         cache.finish_partial(key, sig, &payload, 0);
                     }
                     Lookup::Miss => {
                         payload.resize(size, 0);
-                        completion_ns += costs.miss_base_ns + size as f64 * costs.miss_per_byte_ns;
+                        completion_ns += miss_base_ns + size as f64 * miss_per_byte_ns;
                         cache.finish_miss(key, sig, &payload, 0);
                     }
                 }
@@ -440,7 +428,7 @@ mod tests {
                 costs: CacheCostModel::free(),
                 ..CacheParams::default()
             },
-            ReplayCosts::default(),
+            &NetModel::default(),
         );
         assert_eq!(r.stats.total_gets, 4);
         assert_eq!(r.stats.direct, 3, "the invalidated block re-missed");
@@ -458,7 +446,7 @@ mod tests {
                 costs: CacheCostModel::free(),
                 ..CacheParams::default()
             },
-            ReplayCosts::default(),
+            &NetModel::default(),
         );
         // Round 1 misses (20), rounds 2-3 hit, invalidate, round 4 misses
         // again, round 5 hits.
@@ -487,7 +475,7 @@ mod tests {
                 storage_bytes: 1 << 20,
                 ..CacheParams::default()
             },
-            ReplayCosts::default(),
+            &NetModel::default(),
         );
         let big = replay(
             &t,
@@ -496,7 +484,7 @@ mod tests {
                 storage_bytes: 1 << 20,
                 ..CacheParams::default()
             },
-            ReplayCosts::default(),
+            &NetModel::default(),
         );
         assert!(big.stats.hit_ratio() > small.stats.hit_ratio());
         assert!(big.completion_ns < small.completion_ns);

@@ -154,9 +154,7 @@ pub enum SanKind {
     /// A drained record's commit timestamp ran backwards for its target:
     /// the commit clock is stamped inside the ring lock, so per-target
     /// `PutRecord.ts` order must agree with version order — a regression
-    /// indicates stamping outside the lock (the planted mutant
-    /// `mc_mutant_stamp_outside_ring_lock_caught` demonstrates exactly
-    /// this corruption) or a torn drain.
+    /// indicates stamping outside the lock or a torn drain.
     TsRegression {
         /// The target whose drained timestamps regressed.
         target: usize,

@@ -12,6 +12,12 @@
 //!   and `get`/`put` with arbitrary [`clampi_datatype::Datatype`] layouts.
 //!   Epochs are counted per the paper's `w.eph` (concluded synchronization
 //!   events since window creation).
+//! - **Write notification**: each region keeps a write-version counter and
+//!   a bounded put-notification ring ([`Window::try_drain_notifications`]).
+//!   Every write is stamped on one window-global commit clock, a
+//!   `Mutex<u64>` locked only inside the written or drained target's ring
+//!   lock: drained timestamps follow version order, and a drain's clock
+//!   sample ([`NotifyDrain::now_ts`]) caps every write it did not see.
 //! - **Virtual time**: every rank owns a [`clock::Clock`]. CPU work
 //!   (issue overheads, memcpys, cache management) advances the clock
 //!   immediately; network transfers post *completions* that are only waited
@@ -59,7 +65,6 @@
 pub mod check;
 pub mod clock;
 pub mod collectives;
-pub mod commitclock;
 pub mod fault;
 pub mod lockmgr;
 pub mod netmodel;
@@ -70,7 +75,6 @@ pub mod window;
 
 pub use check::{AccessKind, CheckerConfig, PoisonSnapshot, SanDiag, SanHandle, SanKind};
 pub use clock::Clock;
-pub use commitclock::CommitClock;
 pub use fault::{FaultConfig, FaultDecision, FaultPlan, RankFailure, RmaError};
 pub use netmodel::{NetModel, TransferCost};
 pub use process::{run, run_collect, OpCounters, Process, RankReport, SimConfig};

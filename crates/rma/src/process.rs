@@ -25,10 +25,6 @@ const SAN_SEQ_BIT: u64 = 1 << 63;
 pub struct SimConfig {
     /// The network/memory cost model (includes the rank placement).
     pub netmodel: NetModel,
-    /// Panic on conflicting put/get accesses within one epoch (the MPI-3
-    /// rule the paper's Sec. II relies on). Off by default; tests enable
-    /// it via [`SimConfig::checked`].
-    pub check_conflicts: bool,
     /// `Some` injects faults per the deterministic [`FaultConfig`]
     /// schedule; `None` (the default) is the fault-free simulator,
     /// bit-identical to pre-fault-injection behaviour.
@@ -55,7 +51,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             netmodel: NetModel::default(),
-            check_conflicts: false,
             faults: None,
             notify_ring_cap: DEFAULT_NOTIFY_RING_CAP,
             checker: None,
@@ -64,15 +59,14 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// The default configuration with conflict checking enabled.
+    /// The default configuration with RMASAN armed fail-fast: the first
+    /// MPI-3 RMA violation (e.g. conflicting put/get accesses within one
+    /// epoch, the rule the paper's Sec. II relies on) panics.
     pub fn checked() -> Self {
-        SimConfig {
-            check_conflicts: true,
-            ..SimConfig::default()
-        }
+        SimConfig::default().with_checker(CheckerConfig::fail_fast())
     }
 
-    /// Configuration for benchmarks: no conflict bookkeeping.
+    /// Configuration for benchmarks: no sanitizer bookkeeping.
     pub fn bench() -> Self {
         SimConfig::default()
     }
@@ -592,7 +586,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "conflicting RMA access")]
+    #[should_panic(expected = "RMASAN")]
     fn put_get_conflict_detected() {
         run(SimConfig::checked(), 1, |p| {
             let mut win = p.win_allocate(64);

@@ -8,8 +8,8 @@
 //! `crate::sync`, so one panicking simulated rank cannot cascade poison
 //! errors through every other rank's `get`/`put`. MPI's
 //! epoch discipline (no conflicting put/get in one epoch) keeps real
-//! contention negligible; an optional conflict checker enforces that
-//! discipline for the initiator's own operations.
+//! contention negligible; RMASAN (`crate::check`), when armed, enforces
+//! that discipline for the initiator's own operations.
 //!
 //! **Epoch counting.** The paper associates a counter `w.eph` with each
 //! window, counting *concluded epochs* since creation, and treats every
@@ -125,9 +125,16 @@ pub(crate) struct WinShared {
     /// Window-global commit clock: the timestamp of the most recent write
     /// to *any* target region. Each write advances it to
     /// `max(clock + 1, writer's virtual now)`, so timestamps are strictly
-    /// increasing (hence globally unique), agree with per-target version
-    /// order, and track virtual time whenever the writer's clock is ahead.
-    commit_ts: crate::commitclock::CommitClock,
+    /// increasing (hence globally unique) and track virtual time whenever
+    /// the writer's clock is ahead.
+    ///
+    /// Locked only while a ring lock is held (ring → clock is the only
+    /// nesting): stamped in `note_put`, read in `notify_horizon` and
+    /// `try_drain_notifications`. Stamping under the written target's
+    /// ring lock makes per-target timestamp order equal version order;
+    /// reading under the drained target's ring lock makes the sample a
+    /// true cap — a put the drain did not see takes its stamp later.
+    commit_ts: Mutex<u64>,
     /// Cross-rank RMASAN state (access log + atomic-sync clocks); `None`
     /// when the sanitizer is off.
     san: Option<WinSanShared>,
@@ -157,7 +164,7 @@ impl WinShared {
                 .collect(),
             sizes,
             pscw: PscwState::default(),
-            commit_ts: crate::commitclock::CommitClock::new(),
+            commit_ts: Mutex::new(0),
             san: san_enabled.then(|| WinSanShared::new(ntargets)),
         }
     }
@@ -176,10 +183,11 @@ impl WinShared {
         let mut ring = sync::lock(&self.notify[target]);
         // Stamped inside the ring lock, so per-target timestamp order
         // matches version order; strict global growth makes it unique.
-        // (Ordering contract and the SeqCst→Relaxed downgrade rationale
-        // live on `CommitClock`; `mc_commit_ts_order_matches_version_order`
-        // model-checks this exact call shape.)
-        let ts = self.commit_ts.stamp(now);
+        let ts = {
+            let mut c = sync::lock(&self.commit_ts);
+            *c = (*c + 1).max(now);
+            *c
+        };
         ring.version += 1;
         ring.last_ts = ts;
         let version = ring.version;
@@ -420,51 +428,21 @@ impl Window {
         crate::MappedReadGuard(sync::read(&self.shared.regions[self.my_rank]))
     }
 
+    /// RMASAN: records one access of this epoch and reports any earlier
+    /// one it conflicts with. MPI-3 RMA forbids a put overlapping any
+    /// access, and a get overlapping a put, within one epoch (Sec. II of
+    /// the paper); same-operation accumulate overlaps are well-defined.
     fn record_access(&mut self, p: &Process, target: usize, range: Range2, kind: AccessKind) {
-        let sanitize = self.san.is_some() && p.san.is_some();
-        if !p.config().check_conflicts && !sanitize {
+        let Some(ctx) = p.san.as_ref().filter(|_| self.san.is_some()) else {
             return;
-        }
+        };
         for a in &self.accesses {
-            if a.target != target || !a.range.overlaps(&range) {
-                continue;
-            }
-            // MPI-3 RMA forbids a put overlapping any access, and a get
-            // overlapping a put, within one epoch (Sec. II of the paper).
-            // The legacy `check_conflicts` gate treats accumulates like
-            // puts (panicking on any write-side overlap); RMASAN applies
-            // the precise conflict matrix, under which same-operation
-            // accumulate overlaps are well-defined.
-            if p.config().check_conflicts
-                && (kind != AccessKind::Read || a.kind != AccessKind::Read)
-            {
-                panic!(
-                    "conflicting RMA access in one epoch: {} [{},{}) vs {} [{},{}) at target {}",
-                    if a.kind != AccessKind::Read {
-                        "put"
-                    } else {
-                        "get"
-                    },
-                    a.range.start,
-                    a.range.end,
-                    if kind != AccessKind::Read {
-                        "put"
-                    } else {
-                        "get"
-                    },
-                    range.start,
-                    range.end,
-                    target
-                );
-            }
-            if sanitize && a.kind.conflicts_with(kind) {
-                if let Some(ctx) = p.san.as_ref() {
-                    ctx.report(SanKind::EpochConflict {
-                        target,
-                        first: (a.kind, a.range.start, a.range.end),
-                        second: (kind, range.start, range.end),
-                    });
-                }
+            if a.target == target && a.range.overlaps(&range) && a.kind.conflicts_with(kind) {
+                ctx.report(SanKind::EpochConflict {
+                    target,
+                    first: (a.kind, a.range.start, a.range.end),
+                    second: (kind, range.start, range.end),
+                });
             }
         }
         self.accesses.push(AccessRec {
@@ -1182,9 +1160,8 @@ impl Window {
             dropped_through_ts: ring.dropped_through_ts,
             // Sampled inside the ring lock: a put not yet in the ring
             // fields above runs note_put's stamp after this read, so it
-            // gets a timestamp > this value (now_ts is a true cap; see
-            // `CommitClock` for why Relaxed suffices).
-            now_ts: self.shared.commit_ts.read(),
+            // gets a timestamp > this value (now_ts is a true cap).
+            now_ts: *sync::lock(&self.shared.commit_ts),
         }
     }
 
@@ -1219,7 +1196,7 @@ impl Window {
             // visible in this drain runs note_put after this critical
             // section, so its timestamp will exceed now_ts — the cap a
             // snapshot reader may trust.
-            let now_ts = self.shared.commit_ts.read();
+            let now_ts = *sync::lock(&self.shared.commit_ts);
             if ring.dropped_through > cursor {
                 (ring.version, 0usize, true, now_ts)
             } else {

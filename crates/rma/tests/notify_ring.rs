@@ -4,7 +4,7 @@
 //! § Coherence).
 
 use clampi_datatype::Datatype;
-use clampi_rma::{run, AccumulateOp, SimConfig};
+use clampi_rma::{run, run_collect, AccumulateOp, SimConfig};
 
 #[test]
 fn versions_bump_on_every_write_kind() {
@@ -205,4 +205,74 @@ fn zero_capacity_ring_always_overflows_behind_writes() {
         }
         p.barrier();
     });
+}
+
+/// The commit clock under concurrent writers: ranks 1..n put to target 0
+/// at once, then rank 0 drains. Drained timestamps follow version order,
+/// none exceeds the drain's `now_ts`, and a put issued after the drain
+/// stamps above it — the two properties the snapshot layer builds on —
+/// and no stamp falls behind its writer's virtual time.
+#[test]
+fn concurrent_writers_stamp_in_version_order_under_the_drain_cap() {
+    const PUTS: usize = 8;
+    let n = 4;
+    let out = run_collect(SimConfig::checked(), n, |p| {
+        let mut win = p.win_allocate(n * PUTS * 8);
+        p.barrier();
+        let me = p.rank();
+        if me != 0 {
+            win.lock_all(p);
+            for i in 0..PUTS {
+                let disp = (me * PUTS + i) * 8;
+                win.put(p, &[me as u8; 8], 0, disp, &Datatype::bytes(8), 1);
+            }
+            win.unlock_all(p);
+        }
+        p.barrier();
+        let mut first = (Vec::new(), 0);
+        if me == 0 {
+            let d = win.try_drain_notifications(p, 0, 0, &mut first.0).unwrap();
+            first.1 = d.now_ts;
+        }
+        p.barrier();
+        let mut put_at = 0;
+        if me == 1 {
+            win.lock_all(p);
+            put_at = p.now() as u64;
+            win.put(p, &[9u8; 8], 0, 0, &Datatype::bytes(8), 1);
+            win.unlock_all(p);
+        }
+        p.barrier();
+        let mut later = Vec::new();
+        if me == 0 {
+            let cursor = first.0.last().map_or(0, |r| r.version);
+            win.try_drain_notifications(p, 0, cursor, &mut later)
+                .unwrap();
+        }
+        (first, later, put_at)
+    });
+    let ((records, now_ts), later, _) = &out[0].1;
+    assert_eq!(records.len(), (n - 1) * PUTS, "every put was drained");
+    assert!(
+        records
+            .windows(2)
+            .all(|w| w[0].version + 1 == w[1].version && w[0].ts < w[1].ts),
+        "ts order must be version order: {records:?}"
+    );
+    assert!(
+        records.iter().all(|r| r.ts <= *now_ts),
+        "a drained ts above now_ts {now_ts}: {records:?}"
+    );
+    assert_eq!(later.len(), 1, "the post-drain put is drained next");
+    assert!(
+        later[0].ts > *now_ts,
+        "a put after the drain stamped {} <= now_ts {now_ts}",
+        later[0].ts
+    );
+    let put_at = out[1].1 .2;
+    assert!(
+        put_at > 0 && later[0].ts >= put_at,
+        "stamp {} behind the writer's virtual now {put_at}",
+        later[0].ts
+    );
 }

@@ -36,15 +36,7 @@ use std::process::ExitCode;
 /// Crates whose `src/` is simulation-path code: they run under the
 /// virtual clock and must not read wall-clock time or chat on stdout.
 /// (`bench` is exempt — its binaries own stdout and time real builds.)
-const SIM_CRATES: &[&str] = &[
-    "rma",
-    "clampi",
-    "datatype",
-    "workloads",
-    "apps",
-    "prng",
-    "mc",
-];
+const SIM_CRATES: &[&str] = &["rma", "clampi", "datatype", "workloads", "apps", "prng"];
 
 /// Crates whose `src/` must not panic via `.unwrap()`/`.expect(`. The
 /// apps crate is in scope because its data structures (DHT buckets,
@@ -264,7 +256,7 @@ fn has_token(line: &str, tok: &str) -> bool {
 
 /// Standalone fence call: `fence(` at an ident boundary,
 /// excluding method calls (`win.fence(p)` — MPI's collective, not an
-/// atomic fence) and declarations (`fn fence(`). Paths (`mc::fence(`,
+/// atomic fence) and declarations (`fn fence(`). Paths (`atomic::fence(`,
 /// `std::sync::atomic::fence(`) stay in scope: those are the calls whose
 /// ordering pairing the rule wants documented.
 fn has_fence_call(line: &str) -> bool {
@@ -946,7 +938,7 @@ mod tests {
     fn fence_rule_matches_calls_not_methods_or_decls() {
         assert!(has_fence_call("    fence(Ordering::Release);"));
         assert!(has_fence_call("    std::sync::atomic::fence(ord);"));
-        assert!(has_fence_call("    mc::fence(Release);"));
+        assert!(has_fence_call("    atomic::fence(Release);"));
         assert!(!has_fence_call("    win.fence(p);"), "method call exempt");
         assert!(
             !has_fence_call("pub fn fence(ord: Ordering) {"),

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example trace_capture`
 
-use clampi_repro::clampi::trace::{replay, ReplayCosts, Trace};
+use clampi_repro::clampi::trace::{replay, Trace};
 use clampi_repro::clampi::{CacheParams, VictimScheme};
 use clampi_repro::clampi_apps::{barnes_hut, force_phase, Backend, BhConfig};
 use clampi_repro::clampi_rma::{run_collect, SimConfig};
@@ -20,9 +20,8 @@ fn main() {
     let mut cfg = BhConfig::with_backend(Backend::Fompi);
     cfg.trace_gets = true;
     let nranks = 4;
-    let out = run_collect(SimConfig::bench(), nranks, |p| {
-        force_phase(p, &bodies, &cfg)
-    });
+    let sim = SimConfig::bench();
+    let out = run_collect(sim.clone(), nranks, |p| force_phase(p, &bodies, &cfg));
 
     // 2. Convert rank 0's fetch log into a Trace. Every fetch in the
     //    traversal is consumed immediately, so each get closes an epoch.
@@ -44,7 +43,8 @@ fn main() {
     let trace = Trace::load(&path).expect("load trace");
     std::fs::remove_file(&path).ok();
 
-    // 4. Replay across a parameter grid.
+    // 4. Replay across a parameter grid, misses priced by the captured
+    //    run's network model.
     println!(
         "{:>10} {:>10} {:>12} {:>10} {:>14}",
         "iw", "sw_kib", "scheme", "hit_ratio", "completion_ms"
@@ -61,7 +61,7 @@ fn main() {
                         victim_scheme: scheme,
                         ..CacheParams::default()
                     },
-                    ReplayCosts::default(),
+                    &sim.netmodel,
                 );
                 let label = format!("iw={iw} sw={sw_kib}KiB {}", scheme.label());
                 println!(

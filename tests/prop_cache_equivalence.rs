@@ -291,7 +291,8 @@ fn blockcache_reads_equal_plain_reads() {
 #[test]
 fn trace_replay_partitions_and_is_deterministic() {
     check("trace replay deterministic", 24, |g| {
-        use clampi_repro::clampi::trace::{replay, ReplayCosts, Trace};
+        use clampi_repro::clampi::trace::{replay, Trace};
+        use clampi_repro::clampi_rma::NetModel;
         let events = g.vec(1..150usize, |g| {
             (
                 g.range(0..10u32) as u8,
@@ -308,8 +309,8 @@ fn trace_replay_partitions_and_is_deterministic() {
                 _ => t.get(0, d * 64, size),
             }
         }
-        let a = replay(&t, params.clone(), ReplayCosts::default());
-        let b = replay(&t, params, ReplayCosts::default());
+        let a = replay(&t, params.clone(), &NetModel::default());
+        let b = replay(&t, params, &NetModel::default());
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.completion_ns, b.completion_ns);
         let s = a.stats;
