@@ -11,9 +11,8 @@
 #   xlint         the full in-tree lint pass (crates/xlint): hermeticity
 #                 (no external, non-path dependency in any Cargo.toml,
 #                 including the table form [dependencies.<name>]),
-#                 no-std-time, no-unwrap, safety-comment, no-println,
-#                 no-bare-seqcst, no-bare-fence — self-tested against the
-#                 seeded ci/fixtures/ trees (each planted violation must be
+#                 no-std-time, no-unwrap, safety-comment, no-println —
+#                 self-tested against the seeded ci/fixtures/ trees (each planted violation must be
 #                 flagged, the clean files must stay clean), then run over
 #                 the whole workspace (see `xlint --list`)
 #   fmt           cargo fmt --all --check   (skipped loudly if rustfmt
@@ -88,7 +87,7 @@ limited() {
 }
 
 stage_xlint() {
-    # All seven rules: self-test against the seeded fixtures (each planted
+    # All five rules: self-test against the seeded fixtures (each planted
     # violation must be flagged, the clean file must stay clean), then
     # scan the real tree. A registry dependency in a workspace member's
     # manifest already fails `cargo run` at offline resolution (cargo

@@ -18,6 +18,7 @@
 //!   switch shared by both.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod barnes_hut;

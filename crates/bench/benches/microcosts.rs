@@ -48,6 +48,34 @@ fn bench_cuckoo() {
             black_box(ix.lookup(&key(d * 64 + 1)));
         });
     }
+
+    // A conflicting insert on a full table at `miss_churn`'s index size
+    // with the default 32-step budget: one search that finds no free slot,
+    // then one eviction on its path (the oldest pair, standing in for the
+    // engine's lowest score). The table stays full.
+    let cap = 1120;
+    let mut ix = CuckooIndex::new(cap, 32, 7);
+    let mut d = 0u64;
+    while ix.len() < cap && d < 100 * cap as u64 {
+        d += 1;
+        conflict_insert(&mut ix, d);
+    }
+    b.run("conflict_insert", || {
+        d += 1;
+        black_box(conflict_insert(&mut ix, d));
+    });
+}
+
+/// Inserts key `d`; a `Full` search evicts the pair with the smallest
+/// entry id on its path. Returns whether the search came back `Full`.
+fn conflict_insert(ix: &mut CuckooIndex, d: u64) -> bool {
+    if let InsertOutcome::Full { .. } = ix.insert(key(d * 64), d as u32) {
+        let oldest = ix.last_path().min_by_key(|&(_, _, e)| e);
+        let (j, _, _) = oldest.expect("a Full search displaces at least one pair");
+        ix.evict_on_path(j);
+        return true;
+    }
+    false
 }
 
 fn bench_avl() {
@@ -187,8 +215,8 @@ fn bench_hot_path() {
     });
 
     // A full table with a walk budget of one step: every insert probes its
-    // four (occupied) candidates, displaces one and reports the displaced
-    // pair homeless - exactly one walk step, and the table stays full.
+    // four (occupied) candidates, records one displacement and reports the
+    // search `Full` - exactly one walk step, and the table is untouched.
     let cap = 16384;
     let mut ix = CuckooIndex::new(cap, 1, 7);
     let mut d = 0u64;

@@ -15,6 +15,8 @@
 //!   EXPERIMENTS.md);
 //! - figure-specific overrides, see each binary's `--help`.
 
+#![forbid(unsafe_code)]
+
 pub mod access;
 pub mod cli;
 pub mod gate;

@@ -572,8 +572,8 @@ impl RmaCache {
         self.target_counts[e.key.target as usize] -= 1;
         match e.state {
             EntryState::Cached => self.cached_count -= 1,
-            // A PENDING entry can be dropped when a Cuckoo displacement
-            // chain leaves it homeless; forget its scheduled promotion.
+            // A PENDING entry can be dropped by an invalidation (never by
+            // an eviction); forget its scheduled promotion.
             EntryState::Pending => self.pending.retain(|&p| p != id),
         }
         self.spare.push(id);
@@ -687,12 +687,11 @@ impl RmaCache {
             stamp,
         });
 
-        let (inserted, conflicted) = self.insert_with_path_eviction(key, id);
-        if !inserted {
+        let Some(conflicted) = self.insert_with_path_eviction(key, id) else {
             self.drop_entry(id);
             self.stats.record(AccessType::Failed);
             return AccessType::Failed;
-        }
+        };
 
         let (desc, evicted_for_space) = self.alloc_with_eviction(size, id, None);
         let class = match desc {
@@ -811,73 +810,36 @@ impl RmaCache {
         class
     }
 
-    /// Cuckoo insertion with the paper's conflicting-access handling: a
-    /// cycle evicts the lowest-score CACHED entry on the insertion path and
-    /// retries. Returns `(inserted, conflicted)`.
-    fn insert_with_path_eviction(&mut self, key: GetKey, id: EntryId) -> (bool, bool) {
-        const MAX_RETRIES: usize = 4;
-        let mut conflicted = false;
-        let mut cur = (key, id);
-        for attempt in 0..MAX_RETRIES {
-            match self.index.insert(cur.0, cur.1) {
-                InsertOutcome::Placed { steps } => {
-                    self.charge(self.params.costs.insert_step_ns * (steps + 1) as f64);
-                    return (true, conflicted);
-                }
-                InsertOutcome::Cycle { homeless } => {
-                    conflicted = true;
-                    let steps = self.index.last_path().len();
-                    self.charge(self.params.costs.insert_step_ns * steps as f64);
-                    if attempt + 1 == MAX_RETRIES {
-                        return self.resolve_homeless(homeless, id, conflicted);
-                    }
-                    // Victim: lowest score among CACHED entries on the path.
-                    let mut best: Option<(usize, EntryId, f64)> = None;
-                    for &slot in self.index.last_path() {
-                        if let Some((_k, eid)) = self.index.slot(slot) {
-                            if eid == id {
-                                continue;
-                            }
-                            if self.entry(eid).state != EntryState::Cached {
-                                continue;
-                            }
-                            let s = self.entry_score(eid);
-                            if best.is_none_or(|(_, _, bs)| s < bs) {
-                                best = Some((slot, eid, s));
-                            }
-                        }
-                    }
-                    match best {
-                        Some((slot, victim, _)) => {
-                            self.evict_resident(slot, victim);
-                            cur = homeless;
-                        }
-                        None => {
-                            return self.resolve_homeless(homeless, id, conflicted);
-                        }
-                    }
-                }
+    /// Cuckoo insertion with the paper's conflicting-access handling: one
+    /// walk, and when it finds no free slot, one eviction — the
+    /// lowest-score CACHED pair the walk displaced, never the new entry or
+    /// a PENDING one. Returns whether the insert conflicted, or `None` when
+    /// no CACHED pair is on the path: the entry is not inserted and the
+    /// index is untouched.
+    fn insert_with_path_eviction(&mut self, key: GetKey, id: EntryId) -> Option<bool> {
+        let steps = match self.index.insert(key, id) {
+            InsertOutcome::Placed { steps } => {
+                self.charge(self.params.costs.insert_step_ns * (steps + 1) as f64);
+                return Some(false);
+            }
+            InsertOutcome::Full { steps } => steps,
+        };
+        self.charge(self.params.costs.insert_step_ns * steps as f64);
+        let mut best: Option<(usize, EntryId, f64)> = None;
+        for (j, _, eid) in self.index.last_path() {
+            if self.entry(eid).state != EntryState::Cached {
+                continue;
+            }
+            let s = self.entry_score(eid);
+            if best.is_none_or(|(_, _, bs)| s < bs) {
+                best = Some((j, eid, s));
             }
         }
-        unreachable!("loop returns on the last attempt")
-    }
-
-    fn resolve_homeless(
-        &mut self,
-        homeless: (GetKey, EntryId),
-        new_id: EntryId,
-        conflicted: bool,
-    ) -> (bool, bool) {
-        if homeless.1 == new_id {
-            // The new entry itself could not be placed; nothing to undo.
-            (false, conflicted)
-        } else {
-            // The new key is placed; the displaced resident is dropped
-            // (it lost its slot and path eviction found no better victim).
-            self.free_entry_storage(homeless.1);
-            self.drop_entry(homeless.1);
-            (true, conflicted)
-        }
+        let (j, victim, _) = best?;
+        self.index.evict_on_path(j);
+        self.free_entry_storage(victim);
+        self.drop_entry(victim);
+        Some(true)
     }
 
     fn free_entry_storage(&mut self, id: EntryId) {
@@ -1528,6 +1490,67 @@ mod tests {
             );
             assert_eq!(dst, vec![(k.disp / 64) as u8; 64]);
         }
+    }
+
+    /// A Cuckoo walk that finds no free slot may only evict a CACHED
+    /// entry. Within one epoch every resident is PENDING, so a get whose
+    /// walk fails is `Failed` and every earlier install stays resident.
+    #[test]
+    fn a_failed_walk_never_drops_a_pending_entry() {
+        for seed in 0..50 {
+            let mut c = RmaCache::new(CacheParams {
+                index_entries: 4,
+                storage_bytes: 1 << 20,
+                max_insert_iters: 8,
+                costs: CacheCostModel::free(),
+                seed,
+                ..CacheParams::default()
+            });
+            let mut installed = Vec::new();
+            for i in 0..6u64 {
+                let k = key(0, i * 64);
+                match insert(&mut c, k, &[i as u8; 64]) {
+                    AccessType::Direct => installed.push(k),
+                    AccessType::Failed => {}
+                    other => panic!("seed {seed}, get {i}: {other:?} with no CACHED entry"),
+                }
+                c.check_invariants();
+            }
+            assert_eq!(c.len(), installed.len(), "seed {seed}");
+            for k in installed {
+                assert!(c.index.lookup(&k).is_some(), "seed {seed}: {k:?} dropped");
+            }
+        }
+    }
+
+    /// Fig. 7's constant eviction cost: a conflicting get walks the Cuckoo
+    /// path once (`max_insert_iters` steps) and swaps one entry for
+    /// another, whatever the table looks like.
+    #[test]
+    fn a_conflicting_get_costs_one_walk_and_one_eviction() {
+        let mut c = RmaCache::new(CacheParams {
+            index_entries: 16,
+            storage_bytes: 1 << 20,
+            costs: CacheCostModel {
+                insert_step_ns: 1.0,
+                ..CacheCostModel::free()
+            },
+            ..CacheParams::default()
+        });
+        let iters = c.params().max_insert_iters as f64;
+        let mut conflicting = 0;
+        for i in 0..200u64 {
+            let len = c.len();
+            let class = insert(&mut c, key(0, i * 64), &[i as u8; 64]);
+            let cost = c.take_cost();
+            c.epoch_close();
+            if class == AccessType::Conflicting {
+                conflicting += 1;
+                assert_eq!(cost, iters, "get {i}");
+                assert_eq!(c.len(), len, "get {i}: one entry in, one out");
+            }
+        }
+        assert!(conflicting > 100, "only {conflicting} conflicting gets");
     }
 
     /// ROADMAP aim 3, hostile inputs: every size and bound knob at 0, 1 and

@@ -9,11 +9,22 @@
 //! if it exceeds the iteration threshold (a cycle in the Cuckoo graph), the
 //! paper does **not** rehash — it reports the failure so the caller can
 //! treat the access as *conflicting* and evict an entry on the path.
+//!
+//! The walk searches before it moves (MemC3's path search, Fan et al.,
+//! NSDI'13): each step is recorded, not written, and the path is committed
+//! only once it ends in a free slot. A failed search therefore leaves the
+//! table untouched, and [`CuckooIndex::evict_on_path`] turns it into a
+//! placement by committing a prefix of the recorded path and dropping the
+//! pair displaced at its end — one walk per insert, whatever happens.
 
 use clampi_prng::SmallRng;
 
 /// Number of hash functions (97 % load factor per Fotakis et al.).
 pub const NUM_HASHES: usize = 4;
+
+/// Low bits of a walk stamp that hold the step: a walk is capped at
+/// `32 · bits(capacity) <= 1024` steps (see [`CuckooIndex::new`]).
+const STEP_BITS: u32 = 10;
 
 /// Identifier of a cache entry in the engine's entry slab.
 pub type EntryId = u32;
@@ -121,6 +132,19 @@ struct Slot {
     entry: EntryId,
 }
 
+/// One step of an insertion walk: the slot it displaced a pair from, the
+/// fingerprint of the pair it puts there, and the displaced pair — which
+/// came either out of the table (`from_table`: the walk had not been
+/// through that slot, so this is the pair's first displacement) or out of
+/// the walk's own record.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    slot: usize,
+    fp: u8,
+    from_table: bool,
+    displaced: Slot,
+}
+
 /// 8-bit slot fingerprint from the mixed key (top byte); `0` is reserved
 /// for "empty", so occupied slots always carry a nonzero fingerprint.
 fn fingerprint(x: u64) -> u8 {
@@ -141,15 +165,14 @@ pub enum InsertOutcome {
         /// Displacement steps performed.
         steps: usize,
     },
-    /// The random walk hit the iteration threshold. `homeless` is the
-    /// key/entry pair left without a slot (not necessarily the one the
-    /// caller tried to insert — displacements are kept).
-    /// [`CuckooIndex::last_path`] lists the slot indices the walk visited;
-    /// the caller should evict one of the entries living there (a
-    /// *conflicting* access) and re-insert the homeless pair.
-    Cycle {
-        /// The displaced pair currently without a slot.
-        homeless: (GetKey, EntryId),
+    /// The walk hit the iteration threshold without reaching a free slot.
+    /// Nothing moved: the table is as it was before the call.
+    /// [`CuckooIndex::last_path`] lists the pairs the walk would have
+    /// displaced; the caller either gives up or evicts one of them with
+    /// [`CuckooIndex::evict_on_path`] (a *conflicting* access).
+    Full {
+        /// Displacement steps searched (the iteration threshold).
+        steps: usize,
     },
 }
 
@@ -184,10 +207,23 @@ pub struct CuckooIndex {
     len: usize,
     max_iters: usize,
     rng: SmallRng,
-    /// Slots displaced by the most recent [`CuckooIndex::insert`] walk, in
+    /// The steps of the most recent [`CuckooIndex::insert`] walk, in
     /// order. Owned here so a displacing insert reuses one buffer instead
     /// of allocating a path per call.
-    path: Vec<usize>,
+    path: Vec<Step>,
+    /// Per slot, the last walk that displaced from it and at which step,
+    /// as `walk << STEP_BITS | step`: a slot marked with the current
+    /// `walk` holds, as far as the search is concerned, the pair that step
+    /// carried there. Every step finds its resident in O(1), in the table
+    /// or in `path`.
+    walked: Vec<u32>,
+    /// The current walk's number, below `2^(32 - STEP_BITS)`; never 0,
+    /// which `walked` starts at.
+    walk: u32,
+    /// The pair of the most recent insert whose search came back
+    /// [`InsertOutcome::Full`], until [`CuckooIndex::evict_on_path`]
+    /// places it or another mutation makes `path` stale.
+    unplaced: Option<Slot>,
 }
 
 impl CuckooIndex {
@@ -209,6 +245,7 @@ impl CuckooIndex {
             "index capacity {capacity} exceeds the 32-bit hash range"
         );
         let walk_cap = 32 * (usize::BITS - capacity.leading_zeros()) as usize;
+        debug_assert!(walk_cap <= 1 << STEP_BITS, "steps overflow a walk stamp");
         let mut rng = SmallRng::seed_from_u64(seed);
         let hashers = [
             UniversalHasher::new(&mut rng),
@@ -225,6 +262,9 @@ impl CuckooIndex {
             max_iters: max_iters.min(walk_cap),
             rng,
             path: Vec::new(),
+            walked: vec![0; capacity],
+            walk: 0,
+            unplaced: None,
         }
     }
 
@@ -297,48 +337,121 @@ impl CuckooIndex {
 
     /// Inserts `key -> entry` with the random-walk Cuckoo scheme.
     ///
+    /// Each step probes the current pair's `p` candidates for a free slot,
+    /// else displaces the one at a random candidate. The steps are recorded
+    /// and written only when the walk reaches a free slot, so a placed key
+    /// leaves the table an in-place walk would, and an
+    /// [`InsertOutcome::Full`] search leaves it unchanged.
+    ///
     /// The caller must ensure `key` is not already present (lookup first).
     pub fn insert(&mut self, key: GetKey, entry: EntryId) -> InsertOutcome {
         debug_assert!(self.lookup(&key).is_none(), "duplicate insert of {key:?}");
         let m = self.modulus;
-        let mut cur = Slot { key, entry };
+        let new = Slot { key, entry };
+        let mut cur = new;
         self.path.clear();
+        self.unplaced = None;
+        self.walk += 1;
+        if self.walk == 1 << (32 - STEP_BITS) {
+            self.walked.fill(0);
+            self.walk = 1;
+        }
         for step in 0..self.max_iters {
             let x = cur.key.mix();
-            // Try all p candidate positions for an empty slot first.
-            for h in &self.hashers {
+            let fp = fingerprint(x);
+            // Try all p candidate positions for an empty slot first. The
+            // walk only ever displaces from occupied slots, so the table
+            // itself says which slots are free. The positions are kept: the
+            // displacement below draws one of them.
+            let mut candidates = [0; NUM_HASHES];
+            for (c, h) in candidates.iter_mut().zip(&self.hashers) {
                 let i = h.hash(x, m);
+                *c = i;
                 if self.slots[i].is_none() {
+                    self.commit(new, step);
                     self.slots[i] = Some(cur);
-                    self.fps[i] = fingerprint(x);
+                    self.fps[i] = fp;
                     self.len += 1;
                     return InsertOutcome::Placed { steps: step };
                 }
             }
-            // All occupied: displace a random candidate.
-            let choice = self.rng.gen_range(0..NUM_HASHES);
-            let i = self.hashers[choice].hash(x, m);
-            self.path.push(i);
-            // xlint: allow(no-unwrap) invariant: the all-occupied branch was just checked
-            let displaced = self.slots[i].replace(cur).expect("slot checked occupied");
-            self.fps[i] = fingerprint(x);
+            // All occupied: displace a random candidate, on paper. A slot
+            // this walk has been through holds the pair its last step
+            // there carried: `new` at step 0, else what the step before
+            // displaced.
+            let slot = candidates[self.rng.gen_range(0..NUM_HASHES)];
+            let mark = self.walked[slot];
+            let from_table = mark >> STEP_BITS != self.walk;
+            let k = (mark & ((1 << STEP_BITS) - 1)) as usize;
+            let displaced = if from_table {
+                // xlint: allow(no-unwrap) invariant: the walk displaces only from slots it found occupied
+                self.slots[slot].expect("slot checked occupied")
+            } else if k == 0 {
+                new
+            } else {
+                self.path[k - 1].displaced
+            };
+            self.walked[slot] = self.walk << STEP_BITS | step as u32;
+            self.path.push(Step {
+                slot,
+                fp,
+                from_table,
+                displaced,
+            });
             cur = displaced;
         }
-        InsertOutcome::Cycle {
-            homeless: (cur.key, cur.entry),
+        self.unplaced = Some(new);
+        InsertOutcome::Full {
+            steps: self.max_iters,
         }
     }
 
-    /// The slot indices the most recent [`CuckooIndex::insert`] displaced,
-    /// in walk order (empty when it found a free slot straight away). After
-    /// an [`InsertOutcome::Cycle`] this is the insertion path to evict
-    /// from.
-    pub fn last_path(&self) -> &[usize] {
-        &self.path
+    /// Writes the first `n` recorded steps in walk order, starting with
+    /// `new`: each step puts the pair it carries into its slot and carries
+    /// on with the pair it displaced.
+    fn commit(&mut self, new: Slot, n: usize) {
+        let mut carried = new;
+        for s in &self.path[..n] {
+            self.slots[s.slot] = Some(carried);
+            self.fps[s.slot] = s.fp;
+            carried = s.displaced;
+        }
+    }
+
+    /// The resident pairs the most recent [`CuckooIndex::insert`] displaced
+    /// (or, after [`InsertOutcome::Full`], would displace), in walk order,
+    /// each once with the step that first displaced it: `(step, key,
+    /// entry)`. Empty when the walk found a free slot straight away. The
+    /// new key is never among them, and the step of a pair is what
+    /// [`CuckooIndex::evict_on_path`] takes to evict it.
+    pub fn last_path(&self) -> impl Iterator<Item = (usize, GetKey, EntryId)> + '_ {
+        (self.path.iter().enumerate())
+            .filter(|(_, s)| s.from_table)
+            .map(|(j, s)| (j, s.displaced.key, s.displaced.entry))
+    }
+
+    /// Resolves an [`InsertOutcome::Full`] search by evicting the pair its
+    /// step `j` displaced: steps `0..=j` are written, which places the new
+    /// key, and the pair left over is returned instead of re-inserted. The
+    /// table ends as the walk left it after step `j`, minus that pair, and
+    /// holds as many pairs as before the insert.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the last mutation of the index was an insert that came
+    /// back `Full`, or if `j` is not a step of its path.
+    pub fn evict_on_path(&mut self, j: usize) -> (GetKey, EntryId) {
+        // xlint: allow(no-unwrap) invariant: documented precondition of this method
+        let new = self.unplaced.take().expect("no Full search to resolve");
+        let gone = self.path[j].displaced;
+        debug_assert_ne!(gone.key, new.key, "evicting the key being inserted");
+        self.commit(new, j + 1);
+        (gone.key, gone.entry)
     }
 
     /// Removes `key`; returns its entry id if present.
     pub fn remove(&mut self, key: &GetKey) -> Option<EntryId> {
+        self.unplaced = None;
         let x = key.mix();
         let fp = fingerprint(x);
         for h in &self.hashers {
@@ -361,6 +474,7 @@ impl CuckooIndex {
 
     /// Removes whatever occupies slot `i` (victim eviction by position).
     pub fn remove_slot(&mut self, i: usize) -> Option<(GetKey, EntryId)> {
+        self.unplaced = None;
         let s = self.slots[i].take();
         if s.is_some() {
             self.fps[i] = 0;
@@ -371,6 +485,7 @@ impl CuckooIndex {
 
     /// Empties the table, keeping capacity and hash functions.
     pub fn clear(&mut self) {
+        self.unplaced = None;
         self.slots.iter_mut().for_each(|s| *s = None);
         self.fps.iter_mut().for_each(|f| *f = 0);
         self.len = 0;
@@ -433,28 +548,21 @@ mod tests {
         for &seed in &seeds {
             let mut ix = CuckooIndex::new(cap, 32, seed);
             let mut inserted = 0usize;
-            let mut homeless_key = None;
             for d in 0..cap as u64 {
-                match ix.insert(key(0, d), d as EntryId) {
-                    InsertOutcome::Placed { .. } => inserted += 1,
-                    InsertOutcome::Cycle { homeless, .. } => {
-                        // The walk leaves exactly one (displaced) pair homeless.
-                        homeless_key = Some(homeless.0);
-                        break;
-                    }
+                if let InsertOutcome::Full { .. } = ix.insert(key(0, d), d as EntryId) {
+                    break;
                 }
+                inserted += 1;
             }
             assert!(
                 inserted as f64 >= 0.85 * cap as f64,
                 "seed {seed}: only {inserted}/{cap} inserted before first cycle"
             );
             total_inserted += inserted;
-            // Everything inserted is still findable, except the homeless
-            // pair the cycle displaced out of the table.
+            // The failed search moved nothing: everything inserted is
+            // still findable.
+            assert_eq!(ix.len(), inserted);
             for d in 0..inserted as u64 {
-                if homeless_key == Some(key(0, d)) {
-                    continue;
-                }
                 assert_eq!(ix.lookup(&key(0, d)), Some(d as EntryId), "d={d}");
             }
         }
@@ -466,26 +574,55 @@ mod tests {
     }
 
     #[test]
-    fn cycle_reports_path_and_homeless() {
+    fn full_search_moves_nothing_and_evicts_one_pair_on_its_path() {
         let mut ix = CuckooIndex::new(4, 8, 1);
-        let mut homeless = None;
+        let snapshot = |ix: &CuckooIndex| ix.iter().collect::<Vec<_>>();
         for d in 0..64u64 {
-            if let InsertOutcome::Cycle { homeless: h } = ix.insert(key(9, d), d as EntryId) {
-                assert_eq!(ix.last_path().len(), 8, "one slot per walk step");
-                for &slot in ix.last_path() {
-                    assert!(slot < ix.capacity());
+            let before = snapshot(&ix);
+            if let InsertOutcome::Full { steps } = ix.insert(key(9, d), d as EntryId) {
+                assert_eq!(steps, 8);
+                assert_eq!(snapshot(&ix), before, "a Full search moved a pair");
+                // Each resident on the path once, from its first step on.
+                let path: Vec<_> = ix.last_path().collect();
+                assert_eq!(path[0].0, 0, "step 0 displaces a resident");
+                for (n, &(j, k, e)) in path.iter().enumerate() {
+                    assert!(j < steps && (n == 0 || path[n - 1].0 < j));
+                    assert!(before.contains(&(ix.position(&k).unwrap().0, k, e)));
+                    assert!(path[..n].iter().all(|&(_, other, _)| other != k));
                 }
-                homeless = Some(h);
-                break;
+                let (j, k, e) = *path.last().unwrap();
+                let want = (k, e);
+                assert_eq!(ix.evict_on_path(j), want);
+                assert_eq!(ix.len(), before.len(), "one pair in, one out");
+                assert_eq!(ix.lookup(&key(9, d)), Some(d as EntryId));
+                assert_eq!(ix.lookup(&want.0), None);
+                for (_, k, e) in before {
+                    if k != want.0 {
+                        assert_eq!(ix.lookup(&k), Some(e), "{k:?} lost");
+                    }
+                }
+                return;
             }
         }
-        let (hk, he) = homeless.expect("a 4-slot table must overflow within 64 inserts");
-        // The homeless pair is not in the table.
-        assert_ne!(ix.lookup(&hk), Some(he));
-        // Every resident is a (key, entry) pair we inserted.
-        for (_, k, e) in ix.iter() {
-            assert_eq!(k.target, 9);
-            assert_eq!(k.disp, e as u64);
+        panic!("a 4-slot table must fill within 64 inserts");
+    }
+
+    #[test]
+    fn walk_stamps_wrap_without_changing_a_walk() {
+        // Stamps only tell the search which slots it passed. Every insert
+        // of `b` wraps the walk numbering back to 1, the number the
+        // previous walk stamped its slots with: those stamps must not be
+        // taken for the new walk's.
+        let (mut a, mut b) = (CuckooIndex::new(16, 8, 3), CuckooIndex::new(16, 8, 3));
+        for d in 0..200u64 {
+            b.walk = (1 << (32 - STEP_BITS)) - 1;
+            let (ra, rb) = (
+                a.insert(key(2, d), d as EntryId),
+                b.insert(key(2, d), d as EntryId),
+            );
+            assert_eq!(b.walk, 1);
+            assert_eq!(format!("{ra:?}"), format!("{rb:?}"), "insert {d}");
+            assert_eq!(a.iter().collect::<Vec<_>>(), b.iter().collect::<Vec<_>>());
         }
     }
 
@@ -493,22 +630,14 @@ mod tests {
     fn displacements_preserve_all_residents() {
         let mut ix = idx(128);
         let mut placed = Vec::new();
-        let mut homeless_key = None;
         for d in 0..120u64 {
             match ix.insert(key(3, d * 16), d as EntryId) {
                 InsertOutcome::Placed { .. } => placed.push(d),
-                InsertOutcome::Cycle { homeless, .. } => {
-                    homeless_key = Some(homeless.0);
-                    break;
-                }
+                InsertOutcome::Full { .. } => break,
             }
         }
-        // Every placed key except the (at most one) homeless pair survives
-        // all the displacement swaps.
+        // Every placed key survives all the displacement swaps.
         for &d in &placed {
-            if homeless_key == Some(key(3, d * 16)) {
-                continue;
-            }
             assert_eq!(ix.lookup(&key(3, d * 16)), Some(d as EntryId));
         }
     }

@@ -15,6 +15,15 @@
 //!    the filter cannot hide residents or resurrect removed keys;
 //! 3. `remove` through the filter takes exactly the model's keys out.
 //!
+//! The insertion walk searches before it moves. Three properties pin that:
+//!
+//! 4. a search that comes back `Full` leaves `iter()` unchanged;
+//! 5. `evict_on_path(j)` then removes exactly the pair step `j` displaced
+//!    and places the new key;
+//! 6. while every insert is placed, the table is slot for slot the one an
+//!    in-place walk (the same hash functions and draws, written as it
+//!    goes) leaves — kept below as `InPlaceWalk`.
+//!
 //! A second subject is the division-free slot reduction: `FastMod32` must
 //! equal the hardware remainder on its whole domain (32-bit hash values,
 //! moduli up to `u32::MAX`), which is what makes every slot position the
@@ -22,6 +31,7 @@
 
 use clampi::index::{CuckooIndex, EntryId, FastMod32, GetKey, InsertOutcome};
 use clampi_prng::prop::{check, Gen};
+use clampi_prng::SmallRng;
 
 fn gen_key(g: &mut Gen) -> GetKey {
     GetKey {
@@ -58,16 +68,18 @@ fn prop_fingerprint_filter_is_behavior_preserving() {
                     next_id += 1;
                     match ix.insert(key, id) {
                         InsertOutcome::Placed { .. } => model.push((key, id)),
-                        InsertOutcome::Cycle { homeless } => {
-                            // The borrowed path is this walk's: one slot
-                            // per step of the iteration budget.
-                            assert_eq!(ix.last_path().len(), 32);
-                            assert!(ix.last_path().iter().all(|&slot| slot < cap));
-                            // The walk keeps every displacement except the
-                            // homeless pair; mirror that in the model.
-                            model.push((key, id));
-                            let gone = model_remove(&mut model, &homeless.0);
-                            assert_eq!(gone, Some(homeless.1), "homeless pair was resident");
+                        InsertOutcome::Full { steps } => {
+                            // The borrowed path is this walk's: at most one
+                            // resident per step of the iteration budget.
+                            // Nothing moved; half the time, evict the first
+                            // resident on the path to place the key.
+                            assert!(ix.last_path().count() <= steps);
+                            if g.bool() {
+                                let (j, _, _) = ix.last_path().next().unwrap();
+                                let (gone, e) = ix.evict_on_path(j);
+                                assert_eq!(model_remove(&mut model, &gone), Some(e));
+                                model.push((key, id));
+                            }
                         }
                     }
                 }
@@ -125,7 +137,7 @@ fn prop_fingerprint_filter_is_behavior_preserving() {
 
 #[test]
 fn prop_filter_never_false_negatives_at_high_load() {
-    check("every placed key is found until the first cycle", 32, |g| {
+    check("every placed key is found until the first Full", 32, |g| {
         let cap = g.range(32..256usize);
         let mut ix = CuckooIndex::new(cap, 32, g.u64());
         let mut placed = Vec::new();
@@ -136,15 +148,182 @@ fn prop_filter_never_false_negatives_at_high_load() {
             };
             match ix.insert(key, d as EntryId) {
                 InsertOutcome::Placed { .. } => placed.push((key, d as EntryId)),
-                InsertOutcome::Cycle { homeless, .. } => {
-                    placed.retain(|&(k, _)| k != homeless.0);
-                    break;
-                }
+                InsertOutcome::Full { .. } => break,
             }
         }
         for &(k, e) in &placed {
             assert_eq!(ix.lookup(&k), Some(e));
             assert_eq!(ix.lookup_full_compare(&k), Some(e));
+        }
+    });
+}
+
+/// The resident pairs in key order.
+fn pairs(ix: &CuckooIndex) -> Vec<(GetKey, EntryId)> {
+    let mut v: Vec<_> = ix.iter().map(|(_, k, e)| (k, e)).collect();
+    v.sort_by_key(|&(k, e)| (k.target, k.disp, e));
+    v
+}
+
+#[test]
+fn prop_full_search_moves_nothing_and_evict_on_path_swaps_one_pair() {
+    check(
+        "Full moves nothing, evict_on_path swaps one pair",
+        48,
+        |g| {
+            let cap = g.range(4..64usize);
+            let mut ix = CuckooIndex::new(cap, g.range(1..40usize), g.u64());
+            let mut fulls = 0;
+            for id in 0..3 * cap as EntryId {
+                let key = gen_key(g);
+                if ix.lookup(&key).is_some() {
+                    continue;
+                }
+                let before: Vec<_> = ix.iter().collect();
+                let InsertOutcome::Full { steps } = ix.insert(key, id) else {
+                    continue;
+                };
+                fulls += 1;
+                assert_eq!(ix.iter().collect::<Vec<_>>(), before, "a Full search moved");
+                // The path lists residents, each once, at the step that first
+                // displaced it.
+                let path: Vec<_> = ix.last_path().collect();
+                let resident: Vec<_> = before.iter().map(|&(_, k, e)| (k, e)).collect();
+                for (n, &(j, k, e)) in path.iter().enumerate() {
+                    assert!(j < steps, "step {j} of {steps}");
+                    assert!(resident.contains(&(k, e)), "{k:?} was not resident");
+                    assert!(path[..n].iter().all(|&(i, other, _)| i < j && other != k));
+                }
+                // Some searches are left unresolved, as a Failed get leaves them.
+                if g.bool_with(0.25) {
+                    continue;
+                }
+                let (j, k, e) = path[g.range(0..path.len())];
+                let mut want = pairs(&ix);
+                want.retain(|&p| p != (k, e));
+                want.push((key, id));
+                want.sort_by_key(|&(k, e)| (k.target, k.disp, e));
+                assert_eq!(ix.evict_on_path(j), (k, e));
+                assert_eq!(pairs(&ix), want, "evict_on_path({j}) of {steps}");
+                for &(k, e) in &want {
+                    assert_eq!(ix.lookup(&k), Some(e), "{k:?} not found after the commit");
+                    assert_eq!(ix.lookup_full_compare(&k), Some(e));
+                }
+            }
+            assert!(
+                fulls > 0,
+                "{} inserts into {cap} slots never filled them",
+                3 * cap
+            );
+        },
+    );
+}
+
+/// The in-place insertion walk: the same hash functions and RNG draws as
+/// `CuckooIndex::insert`, but every displacement is written as the walk
+/// goes. A walk that places its key must leave the same table either way.
+struct InPlaceWalk {
+    slots: Vec<Option<(GetKey, EntryId)>>,
+    hashers: [(u64, u64); 4],
+    modulus: FastMod32,
+    max_iters: usize,
+    rng: SmallRng,
+}
+
+impl InPlaceWalk {
+    fn new(cap: usize, max_iters: usize, seed: u64) -> Self {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let hashers = [(); 4].map(|_| (rng.gen_u64() | 1, rng.gen_u64()));
+        let walk_cap = 32 * (usize::BITS - cap.leading_zeros()) as usize;
+        InPlaceWalk {
+            slots: vec![None; cap],
+            hashers,
+            modulus: FastMod32::new(cap),
+            max_iters: max_iters.min(walk_cap),
+            rng,
+        }
+    }
+
+    /// Candidate slot `h` of `key`: the key mix, then `((a·x + b) >> 32) mod m`.
+    fn slot(&self, h: usize, key: &GetKey) -> usize {
+        let mut x = key
+            .disp
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((key.target as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
+        x ^= x >> 30;
+        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x ^= x >> 27;
+        let (a, b) = self.hashers[h];
+        self.modulus
+            .reduce((a.wrapping_mul(x).wrapping_add(b) >> 32) as u32)
+    }
+
+    /// The steps the walk took to place `key`, or `None` if it gave up.
+    fn insert(&mut self, key: GetKey, entry: EntryId) -> Option<usize> {
+        let mut cur = (key, entry);
+        for step in 0..self.max_iters {
+            let free = (0..4)
+                .map(|h| self.slot(h, &cur.0))
+                .find(|&i| self.slots[i].is_none());
+            if let Some(i) = free {
+                self.slots[i] = Some(cur);
+                return Some(step);
+            }
+            let h = self.rng.gen_range(0..4usize);
+            let i = self.slot(h, &cur.0);
+            cur = self.slots[i]
+                .replace(cur)
+                .expect("displaced from an occupied slot");
+        }
+        None
+    }
+
+    fn remove(&mut self, key: &GetKey) -> Option<EntryId> {
+        let s = self
+            .slots
+            .iter_mut()
+            .find(|s| s.is_some_and(|(k, _)| k == *key))?;
+        s.take().map(|(_, e)| e)
+    }
+
+    fn table(&self) -> Vec<(usize, GetKey, EntryId)> {
+        (self.slots.iter().enumerate())
+            .filter_map(|(i, s)| s.map(|(k, e)| (i, k, e)))
+            .collect()
+    }
+}
+
+#[test]
+fn prop_placed_walks_leave_the_in_place_table() {
+    check("placed walks leave the in-place table", 64, |g| {
+        let cap = g.range(4..96usize);
+        let iters = g.range(1..48usize);
+        let seed = g.u64();
+        let mut ix = CuckooIndex::new(cap, iters, seed);
+        let mut reference = InPlaceWalk::new(cap, iters, seed);
+        for id in 0..4 * cap as EntryId {
+            let key = gen_key(g);
+            if g.bool_with(0.1) {
+                assert_eq!(ix.remove(&key), reference.remove(&key));
+                continue;
+            }
+            if ix.lookup(&key).is_some() {
+                continue;
+            }
+            let placed = match ix.insert(key, id) {
+                InsertOutcome::Placed { steps } => Some(steps),
+                // From here on the in-place walk has shuffled its table.
+                InsertOutcome::Full { .. } => None,
+            };
+            assert_eq!(placed, reference.insert(key, id), "steps of insert {id}");
+            if placed.is_none() {
+                break;
+            }
+            assert_eq!(
+                ix.iter().collect::<Vec<_>>(),
+                reference.table(),
+                "insert {id}"
+            );
         }
     });
 }

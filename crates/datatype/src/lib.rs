@@ -23,6 +23,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod flatten;
 mod types;

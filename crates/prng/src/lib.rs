@@ -26,6 +26,7 @@
 //! generator, replacing `proptest` for this workspace's needs.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod prop;
 

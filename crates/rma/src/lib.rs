@@ -61,6 +61,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod check;
 pub mod clock;

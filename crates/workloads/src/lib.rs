@@ -14,6 +14,7 @@
 //! Everything is deterministic under an explicit seed.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bodies;
 pub mod keys;

@@ -1,6 +1,6 @@
 //! `xlint` — the workspace's in-tree, dependency-free lint pass.
 //!
-//! Seven rules, all lexical: sources are stripped of comments and string
+//! Five rules, all lexical: sources are stripped of comments and string
 //! literals before matching, so prose and message text never trip a rule.
 //!
 //! | rule             | scope                         | what it enforces            |
@@ -10,15 +10,12 @@
 //! | `no-unwrap`      | `crates/{rma,clampi}/src/`    | no `.unwrap()` / `.expect(` in library code |
 //! | `safety-comment` | every `.rs`                   | each `unsafe` carries a `// SAFETY:` comment nearby |
 //! | `no-println`     | sim-path crates, `src/`       | no `print!`/`println!` — binaries own stdout |
-//! | `no-bare-seqcst` | every `.rs`                   | each `Ordering::SeqCst` carries a comment saying why a weaker ordering won't do |
-//! | `no-bare-fence`  | every `.rs`                   | each standalone `fence(...)` carries a "pairs with" comment naming its matching site |
 //!
 //! Escapes: append `// xlint: allow(<rule>)` to the offending line or put
 //! it on the line directly above. A `#[cfg(test)]` attribute suppresses
 //! `no-unwrap`, `no-std-time` and `no-println` from that line to end of
-//! file (`safety-comment`, `no-bare-seqcst` and `no-bare-fence` stay
-//! active: test `unsafe` still needs a `// SAFETY:`, and test atomics
-//! still document their ordering and fence pairings).
+//! file (`safety-comment` stays active: test `unsafe` still needs a
+//! `// SAFETY:`).
 //!
 //! Usage:
 //!   xlint [--root DIR] [--rule a,b] [--list] [--self-test [RULE]]
@@ -68,14 +65,6 @@ const RULES: &[(&str, &str)] = &[
     (
         "no-println",
         "no print!/println! in simulation-path crate src (binaries own stdout)",
-    ),
-    (
-        "no-bare-seqcst",
-        "every Ordering::SeqCst carries a comment mentioning SeqCst within 3 lines (default to weaker orderings)",
-    ),
-    (
-        "no-bare-fence",
-        "every standalone fence() carries a `pairs with` comment naming its matching acquire/release site within 3 lines",
     ),
 ];
 
@@ -254,30 +243,6 @@ fn has_token(line: &str, tok: &str) -> bool {
     false
 }
 
-/// Standalone fence call: `fence(` at an ident boundary,
-/// excluding method calls (`win.fence(p)` — MPI's collective, not an
-/// atomic fence) and declarations (`fn fence(`). Paths (`atomic::fence(`,
-/// `std::sync::atomic::fence(`) stay in scope: those are the calls whose
-/// ordering pairing the rule wants documented.
-fn has_fence_call(line: &str) -> bool {
-    let bytes = line.as_bytes();
-    let tok = "fence";
-    let mut start = 0;
-    while let Some(pos) = line[start..].find(tok) {
-        let p = start + pos;
-        let before_ok = p == 0 || !is_ident(bytes[p - 1] as char);
-        let after = p + tok.len();
-        if before_ok && after < bytes.len() && bytes[after] == b'(' {
-            let prev = line[..p].trim_end();
-            if !prev.ends_with('.') && !prev.ends_with("fn") {
-                return true;
-            }
-        }
-        start = p + 1;
-    }
-    false
-}
-
 /// Macro invocation `name!` with an ident boundary before `name`.
 fn has_macro(line: &str, name: &str) -> bool {
     let bytes = line.as_bytes();
@@ -312,7 +277,7 @@ fn rust_rule_in_scope(rule: &str, rel: &str) -> bool {
     match rule {
         "no-std-time" | "no-println" => in_crate_src(rel, SIM_CRATES),
         "no-unwrap" => in_crate_src(rel, UNWRAP_CRATES),
-        "safety-comment" | "no-bare-seqcst" | "no-bare-fence" => true,
+        "safety-comment" => true,
         _ => false,
     }
 }
@@ -334,11 +299,7 @@ fn scan_rust(raw: &str, rel: &str, rules: &[&'static str], force_scope: bool) ->
             if rule == "hermeticity" || (!force_scope && !rust_rule_in_scope(rule, rel)) {
                 continue;
             }
-            if idx >= test_from
-                && rule != "safety-comment"
-                && rule != "no-bare-seqcst"
-                && rule != "no-bare-fence"
-            {
+            if idx >= test_from && rule != "safety-comment" {
                 continue;
             }
             let msg: Option<String> = match rule {
@@ -362,51 +323,6 @@ fn scan_rust(raw: &str, rel: &str, rules: &[&'static str], force_scope: bool) ->
                 "no-println" => {
                     if has_macro(line, "println") || has_macro(line, "print") {
                         Some("stdout chatter in library code (binaries own stdout)".into())
-                    } else {
-                        None
-                    }
-                }
-                "no-bare-seqcst" => {
-                    if has_token(line, "SeqCst") {
-                        // Justified when a `//` comment within the window
-                        // names SeqCst — the same shape as safety-comment,
-                        // checked against the raw text (comments are
-                        // blanked in the stripped view).
-                        let lo = idx.saturating_sub(SAFETY_WINDOW);
-                        let justified = raw_lines[lo..=idx]
-                            .iter()
-                            .any(|l| l.find("//").is_some_and(|p| l[p..].contains("SeqCst")));
-                        if justified {
-                            None
-                        } else {
-                            Some(
-                                "bare Ordering::SeqCst (say why Acquire/Release won't do, or use them)"
-                                    .into(),
-                            )
-                        }
-                    } else {
-                        None
-                    }
-                }
-                "no-bare-fence" => {
-                    if has_fence_call(line) {
-                        // A fence synchronizes only as one half of a pair;
-                        // the comment must name the other half. Checked
-                        // against the raw text (comments are blanked in
-                        // the stripped view), case-insensitively.
-                        let lo = idx.saturating_sub(SAFETY_WINDOW);
-                        let justified = raw_lines[lo..=idx].iter().any(|l| {
-                            l.find("//")
-                                .is_some_and(|p| l[p..].to_ascii_lowercase().contains("pairs with"))
-                        });
-                        if justified {
-                            None
-                        } else {
-                            Some(
-                                "bare fence (add a `pairs with ...` comment naming the matching acquire/release site)"
-                                    .into(),
-                            )
-                        }
                     } else {
                         None
                     }
@@ -634,8 +550,6 @@ const LINT_FIXTURES: &[(&str, &str, usize)] = &[
     ("bad_unwrap_apps.rs", "no-unwrap", 2),
     ("bad_unsafe.rs", "safety-comment", 1),
     ("bad_println.rs", "no-println", 1),
-    ("bad_seqcst.rs", "no-bare-seqcst", 2),
-    ("bad_fence.rs", "no-bare-fence", 2),
     ("clean.rs", "", 0),
 ];
 
@@ -924,44 +838,6 @@ mod tests {
             scan_rust(src, "crates/rma/src/window.rs", &["no-unwrap"], false).len(),
             1
         );
-    }
-
-    #[test]
-    fn seqcst_needs_justifying_comment_even_in_tests() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t(f: &A) { f.load(Ordering::SeqCst); }\n    fn u(f: &A) {\n        // SeqCst: total order needed across both flags.\n        f.load(Ordering::SeqCst);\n    }\n}\n";
-        let vs = scan_rust(src, "crates/rma/src/x.rs", &["no-bare-seqcst"], false);
-        assert_eq!(vs.len(), 1, "{vs:?}");
-        assert_eq!(vs[0].line, 3, "cfg(test) must not suppress the rule");
-    }
-
-    #[test]
-    fn fence_rule_matches_calls_not_methods_or_decls() {
-        assert!(has_fence_call("    fence(Ordering::Release);"));
-        assert!(has_fence_call("    std::sync::atomic::fence(ord);"));
-        assert!(has_fence_call("    atomic::fence(Release);"));
-        assert!(!has_fence_call("    win.fence(p);"), "method call exempt");
-        assert!(
-            !has_fence_call("pub fn fence(ord: Ordering) {"),
-            "decl exempt"
-        );
-        assert!(!has_fence_call("    on_fence();"), "ident boundary");
-        assert!(!has_fence_call("use std::sync::atomic::fence;"), "no call");
-    }
-
-    #[test]
-    fn fence_rule_wants_pairing_comment_within_window() {
-        let ok = "// Pairs with the Acquire fence in read_validate.\nfence(Ordering::Release);\n";
-        assert_eq!(scan_rust(ok, "x.rs", &["no-bare-fence"], true).len(), 0);
-        let inline = "fence(Ordering::Acquire); // pairs with write_begin's Release fence\n";
-        assert_eq!(scan_rust(inline, "x.rs", &["no-bare-fence"], true).len(), 0);
-        let far = "// pairs with the reader\n//\n//\n//\nfence(Ordering::Release);\n";
-        assert_eq!(scan_rust(far, "x.rs", &["no-bare-fence"], true).len(), 1);
-        let bare = "#[cfg(test)]\nmod t {\n    fn f() { fence(Ordering::Release); }\n}\n";
-        let vs = scan_rust(bare, "x.rs", &["no-bare-fence"], true);
-        assert_eq!(vs.len(), 1, "cfg(test) must not suppress: {vs:?}");
-        // Prose in comments must not count as a call site.
-        let prose = "// a writer does `fence(Release)`, mutates, stores\nlet x = 1;\n";
-        assert_eq!(scan_rust(prose, "x.rs", &["no-bare-fence"], true).len(), 0);
     }
 
     #[test]

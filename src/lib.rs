@@ -11,6 +11,8 @@
 //! - [`clampi_apps`] — Barnes-Hut and Local Clustering Coefficient
 //! - [`clampi_prng`] — the in-tree PRNG and property-test harness
 
+#![forbid(unsafe_code)]
+
 pub use clampi;
 pub use clampi_apps;
 pub use clampi_datatype;

@@ -108,29 +108,17 @@ fn cuckoo_matches_hashmap() {
         let mut ix = CuckooIndex::new(128, 32, seed);
         let mut model: HashMap<u64, u32> = HashMap::new();
         let mut next_id = 0u32;
-        let mut homeless: Option<u64> = None;
         for (op, d) in ops {
-            // After a Cycle one resident is homeless; drop it from the
-            // model exactly like the engine drops it from the cache.
             match op {
                 0 => {
                     let k = GetKey { target: 0, disp: d };
-                    if model.contains_key(&d) || homeless == Some(d) {
+                    if model.contains_key(&d) {
                         continue; // no duplicate inserts
                     }
-                    match ix.insert(k, next_id) {
-                        InsertOutcome::Placed { .. } => {
-                            model.insert(d, next_id);
-                        }
-                        InsertOutcome::Cycle {
-                            homeless: (hk, he), ..
-                        } => {
-                            // Everyone but the homeless pair is resident.
-                            model.insert(d, next_id);
-                            model.remove(&hk.disp);
-                            let _ = he;
-                            homeless = Some(hk.disp);
-                        }
+                    // A Full search moves nothing, so the model only
+                    // changes when the key is placed.
+                    if let InsertOutcome::Placed { .. } = ix.insert(k, next_id) {
+                        model.insert(d, next_id);
                     }
                     next_id += 1;
                 }
