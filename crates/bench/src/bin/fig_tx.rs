@@ -22,7 +22,11 @@
 //!   and therefore bit-stable — the perf gate pins them, which also
 //!   pins that the snapshot layer's costs don't drift. A tiny-ring run
 //!   (`notify_ring_cap = 2`) forces the overflow abort-and-retry path
-//!   and asserts it fires (`snapshot_aborts >= 1`) and stays correct.
+//!   and asserts it fires (`snapshot_aborts >= 1`) and stays correct. A
+//!   hot-entry run (`hot`: writes only to records no batch reads, a
+//!   coherence pass per round) keeps the batch cached while the ring
+//!   moves past its stamps; `snap_aborts_hot` counts the aborts that
+//!   costs (0: validation starts from the coherence cursor).
 //! - **Phase B (wall clock, genuinely concurrent)**: the writer thread
 //!   puts at full speed with **no barriers** while the reader batches.
 //!   Naive batched gets (per-record `get_nb` + one flush, after a
@@ -104,6 +108,10 @@ struct Workload {
     /// Reader runs a coherence pass before each batch (the idiomatic
     /// coherent reader). Off = pure snapshot reads, no ceremony at all.
     validate: bool,
+    /// The writer puts into a second half of the window that no batch
+    /// reads: the batched records stay cached and unwritten while the
+    /// ring moves past their stamps (the hot-entry shape).
+    cold_writes: bool,
 }
 
 struct Outcome {
@@ -126,9 +134,11 @@ fn run_lockstep(w: Workload, coherence: CoherenceMode) -> Outcome {
             coherence,
             ..CacheParams::default()
         };
+        // Cold writes land past the batched records.
+        let cold = if w.cold_writes { w.records } else { 0 };
         let mut win = CachedWindow::create(
             p,
-            w.records * SLOT,
+            (w.records + cold) * SLOT,
             ClampiConfig::fixed(Mode::AlwaysCache, params),
         );
         p.barrier();
@@ -161,14 +171,16 @@ fn run_lockstep(w: Workload, coherence: CoherenceMode) -> Outcome {
                             .unwrap_or_else(|()| panic!("torn record {k} in lockstep phase"))
                     })
                     .collect();
-                batches.push((decoded, info.timestamp, pre, j));
+                // Writes into the batched records so far.
+                let j_read = if w.cold_writes { 0 } else { j };
+                batches.push((decoded, info.timestamp, pre, j_read));
             }
             p.barrier();
             for _ in 0..updates {
                 j += 1;
                 let k = (j % w.records as u64) as usize;
                 if rank == 1 {
-                    win.put(p, &encode(j, k), 1, k * SLOT, &dtype, 1);
+                    win.put(p, &encode(j, k), 1, (cold + k) * SLOT, &dtype, 1);
                     win.flush(p, 1);
                 }
             }
@@ -379,6 +391,7 @@ fn main() {
                 rate,
                 ring_cap: 4 * records,
                 validate: true,
+                cold_writes: false,
             };
             let o = run_lockstep(w, coherence);
             // Freshness lag of the last batch: writes done when the
@@ -421,6 +434,7 @@ fn main() {
         rate: 0.25,
         ring_cap: 4 * records,
         validate: false,
+        cold_writes: false,
     };
     let o = run_lockstep(w, CoherenceMode::None);
     let (decoded, _, _, j_done) = o.batches.last().unwrap();
@@ -445,6 +459,7 @@ fn main() {
         rate: 0.25,
         ring_cap: 2,
         validate: false,
+        cold_writes: false,
     };
     let o = run_lockstep(w, CoherenceMode::EagerInvalidate);
     assert!(
@@ -459,6 +474,30 @@ fn main() {
         "PERF snap_aborts_tiny_ring {}",
         o.stats.snapshot_aborts
     ));
+
+    // Hot entries: the batch stays cached while every round's writes go
+    // elsewhere, so within four rounds the ring no longer holds the
+    // entries' stamps. The coherence passes have proved them write-free
+    // through the cursor, and validation starts there: no abort.
+    let w = Workload {
+        records,
+        rounds,
+        rate: 1.0,
+        ring_cap: 4 * records,
+        validate: true,
+        cold_writes: true,
+    };
+    let o = run_lockstep(w, CoherenceMode::EagerInvalidate);
+    row(&[
+        "1.00".to_string(),
+        "hot".to_string(),
+        format!("{:.1}", o.reader_ns),
+        o.stats.snapshot_refetches.to_string(),
+        o.stats.snapshot_aborts.to_string(),
+        o.stats.snapshot_staleness_ns.to_string(),
+        "0".to_string(),
+    ]);
+    meta(&format!("PERF snap_aborts_hot {}", o.stats.snapshot_aborts));
 
     // Phase B (wall clock): skipped under smoke (budget) and under the
     // sanitizer (the naive reads race puts by design — exactly the

@@ -21,6 +21,18 @@
 //! commit timestamp of the first later write overlapping the entry (`∞` if
 //! none is known).
 //!
+//! The drain does not start at the stamp. Each request carries a
+//! *validated-through* version `seen`: no overlapping write lies in
+//! `(stamp.version, seen]`. For fetched or refetched bytes, and always
+//! under `CoherenceMode::None`, `seen = stamp.version`. For a resident
+//! hit under `EagerInvalidate` it is `max(stamp.version, cursor)`: the
+//! coherence passes that advanced the target's drain cursor would have
+//! dropped the entry had a drained record overlapped it. A target is
+//! drained from the smallest `seen` of its requests, and a record closes
+//! a request's interval only if it is newer than that request's `seen`.
+//! So a hot entry stamped many rounds ago validates from the last pass,
+//! not from a ring position long since evicted.
+//!
 //! [`choose_timestamp`] intersects the intervals of a whole batch: with
 //! `L = max stamp.ts` and `H = min hi`, any `T` in `[L, H)` is consistent
 //! for every request. The implementation picks the newest such `T` it can
@@ -35,8 +47,8 @@
 //! A validation attempt aborts (and the whole batch retries, bounded by
 //! `MAX_ATTEMPTS` = 4) when
 //!
-//! - the notification ring **overflowed** past an entry's stamp, so its
-//!   interval cannot be bounded, or
+//! - the notification ring **overflowed** past a request's
+//!   validated-through version, so its interval cannot be bounded, or
 //! - the bounded refetch rounds (`MAX_ROUNDS` = 4) fail to close the
 //!   intersection under a fast writer.
 //!
@@ -126,20 +138,33 @@ pub struct SnapReq {
 pub(crate) struct ReqBound {
     /// Stamp of the bytes currently in the destination slice.
     pub(crate) stamp: SnapStamp,
+    /// Validated-through version: no write overlapping the request has a
+    /// version in `(stamp.version, seen]`. `stamp.version` for fetched
+    /// bytes; for a resident hit under `EagerInvalidate` it extends to the
+    /// coherence cursor, which the passes already proved write-free.
+    pub(crate) seen: u64,
     /// Exclusive upper bound: commit timestamp of the first known write
-    /// overlapping this request after `stamp.version` (`u64::MAX` when no
-    /// such write is visible in the ring).
+    /// overlapping this request after `seen` (`u64::MAX` when no such
+    /// write is visible in the ring).
     pub(crate) hi: u64,
+}
+
+impl ReqBound {
+    /// An unbounded interval from `stamp`, validated through `seen`.
+    pub(crate) fn new(stamp: SnapStamp, seen: u64) -> Self {
+        ReqBound {
+            stamp,
+            seen,
+            hi: u64::MAX,
+        }
+    }
 }
 
 impl Default for ReqBound {
     /// The neutral interval `[0, ∞)` — what a zero-length request, which
     /// reads nothing, contributes to the intersection.
     fn default() -> Self {
-        ReqBound {
-            stamp: SnapStamp::default(),
-            hi: u64::MAX,
-        }
+        ReqBound::new(SnapStamp::default(), 0)
     }
 }
 
@@ -251,8 +276,8 @@ mod tests {
 
     fn b(ts: u64, hi: u64) -> ReqBound {
         ReqBound {
-            stamp: SnapStamp::exact(ts, ts),
             hi,
+            ..ReqBound::new(SnapStamp::exact(ts, ts), ts)
         }
     }
 
@@ -379,8 +404,8 @@ mod tests {
             }
             self.r_pc = 0;
             let bounds = [0, 1].map(|t| ReqBound {
-                stamp: self.stamps[t],
                 hi: self.drains[t].0,
+                ..ReqBound::new(self.stamps[t], self.stamps[t].version)
             });
             match choose_timestamp(&bounds, self.drains[0].1.min(self.drains[1].1)) {
                 Ok(ts) => match bounds.iter().find(|b| b.stamp.ts > ts || ts >= b.hi) {

@@ -25,7 +25,11 @@
 //!    without it;
 //! 4. (directed, satellite) a notification-ring overflow arriving during
 //!    validation degrades to abort-and-retry — never a torn batch — and
-//!    the same holds under a transient-fault plan.
+//!    the same holds under a transient-fault plan;
+//! 5. (directed) a resident entry validates from the coherence cursor:
+//!    one the passes kept is served on the cached attempt even after the
+//!    ring moved past its stamp, and a put the passes have not drained
+//!    still closes its interval.
 //!
 //! Rank closures never assert: they collect observations, and the test
 //! body checks them after `run_collect` joins. An in-run panic would
@@ -33,8 +37,8 @@
 //! failing it.
 
 use clampi::{
-    CacheParams, CacheStats, CachedWindow, ClampiConfig, CoherenceMode, Mode, RetryPolicy, SnapReq,
-    SnapshotCtx, SnapshotInfo,
+    AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, CoherenceMode, Mode,
+    RetryPolicy, SnapReq, SnapshotCtx, SnapshotInfo,
 };
 use clampi_datatype::Datatype;
 use clampi_prng::prop::{check, Gen};
@@ -495,6 +499,139 @@ fn overflow_during_validation_aborts_and_retries_never_tears() {
         );
         assert_eq!(stats.snapshot_gets, 2 * SLOTS as u64);
     }
+}
+
+/// What the reader saw in [`hot_entry_run`]: the batch's outcome and
+/// bytes (rank 0 only), and its cache counters after the batch.
+type HotObs = (Result<(SnapshotInfo, Vec<u8>), String>, CacheStats);
+
+/// A 4-record ring, `EagerInvalidate`. Rank 0 caches slot 0 (holding
+/// write [`HOT_J`]) through a batch; then, for each `(slot, pass)` of
+/// `writes`, rank 1 puts write `j` (1-based) into `slot` and, if `pass`,
+/// rank 0 runs a coherence pass; then rank 0 batches `reqs` once more.
+fn hot_entry_run(writes: &'static [(usize, bool)], reqs: &'static [usize]) -> HotObs {
+    const SLOTS: usize = 8;
+    let sim = SimConfig::default().with_notify_ring_cap(4);
+    let out = run_collect(sim, 2, move |p| {
+        let rank = p.rank();
+        let cfg = ClampiConfig::fixed(
+            Mode::AlwaysCache,
+            CacheParams {
+                index_entries: 64,
+                storage_bytes: 16 << 10,
+                coherence: CoherenceMode::EagerInvalidate,
+                ..CacheParams::default()
+            },
+        );
+        let mut win = CachedWindow::create(p, SLOTS * SLOT, cfg);
+        if rank == 1 {
+            win.local_mut()[..SLOT].copy_from_slice(&encode(HOT_J, 0));
+        }
+        p.barrier();
+        win.lock_all(p);
+        let mut ctx = SnapshotCtx::new();
+        let batch = |reqs: &[usize]| -> Vec<SnapReq> {
+            reqs.iter()
+                .map(|&k| SnapReq {
+                    target: 1,
+                    disp: k * SLOT,
+                    len: SLOT,
+                })
+                .collect()
+        };
+        let mut dst = vec![0u8; SLOT];
+        if rank == 0 {
+            let _ = win.multi_get(p, &mut ctx, &batch(&[0]), &mut dst);
+        }
+        p.barrier();
+        let dtype = Datatype::bytes(SLOT);
+        for (j, &(k, pass)) in (1..).zip(writes) {
+            if rank == 1 {
+                win.put(p, &encode(j, k), 1, k * SLOT, &dtype, 1);
+                win.flush(p, 1);
+            }
+            p.barrier();
+            if rank == 0 && pass {
+                win.validate(p);
+            }
+            p.barrier();
+        }
+        let mut outcome = Err("not rank 0".to_string());
+        if rank == 0 {
+            let reqs = batch(reqs);
+            let mut dst = vec![0u8; reqs.len() * SLOT];
+            outcome = win
+                .multi_get(p, &mut ctx, &reqs, &mut dst)
+                .map(|info| (info, dst))
+                .map_err(|e| e.to_string());
+        }
+        p.barrier();
+        win.unlock_all(p);
+        p.barrier();
+        (outcome, win.stats())
+    });
+    out[0].1.clone()
+}
+
+/// The write the hot slot 0 holds from the start (a local store, so it
+/// is no version of the ring's history).
+const HOT_J: u64 = 1000;
+
+/// Rule A, positive: puts to *other* slots, each followed by a coherence
+/// pass, push the hot entry's stamp past a 4-record ring's horizon. The
+/// passes proved the entry write-free through the cursor, so the batch
+/// validates from there: it succeeds on the cached attempt, with no
+/// abort and no refetch, and returns the cached bytes.
+#[test]
+fn a_hot_entry_past_the_ring_horizon_validates_from_the_cursor() {
+    const COLD: &[(usize, bool)] = &[
+        (1, true),
+        (2, true),
+        (3, true),
+        (4, true),
+        (5, true),
+        (6, true),
+    ];
+    let (outcome, stats) = hot_entry_run(COLD, &[0]);
+    let (info, bytes) = outcome.expect("the batch succeeds");
+    assert_eq!(
+        (info.aborts, info.refetched),
+        (0, 0),
+        "a hot entry the passes kept must validate on the cached attempt"
+    );
+    assert_eq!(stats.snapshot_aborts, 0);
+    assert_eq!(decode(0, &bytes), HOT_J, "the cached bytes come back");
+    // The first batch missed slot 0; the second hit it.
+    assert_eq!(
+        stats.count(AccessType::Hit),
+        1,
+        "the second batch is served from the cache"
+    );
+}
+
+/// Rule A, negative: a put to the hot slot *newer than the cursor* (no
+/// pass has drained it) still closes the entry's interval. Slot 1 in the
+/// same batch is fetched fresh, after that put, so the stale cached
+/// bytes cannot share its timestamp and are refetched.
+#[test]
+fn a_put_past_the_cursor_still_closes_a_hot_entry_interval() {
+    // Write 1 (slot 2) is drained, so the cursor passes the hot stamp;
+    // write 2 (slot 0, the hot one) is not.
+    let (outcome, stats) = hot_entry_run(&[(2, true), (0, false)], &[0, 1]);
+    let (info, bytes) = outcome.expect("the batch succeeds");
+    assert_eq!(info.aborts, 0);
+    assert_eq!(info.refetched, 1, "the stale hot entry is refetched");
+    assert_eq!(
+        stats.count(AccessType::Hit),
+        1,
+        "slot 0 was first served from the cache"
+    );
+    assert_eq!(
+        decode(0, &bytes[..SLOT]),
+        2,
+        "the refetch reads the new write"
+    );
+    assert_eq!(decode(1, &bytes[SLOT..]), 0);
 }
 
 /// `Mode::Disabled` batches read direct and must equal sequential
