@@ -32,7 +32,9 @@
 //! nowhere and owes the next reader a reason to exist.
 //!
 //! Emits `# PERF <key> <value>` lines harvested by `run_all --json`
-//! into the tracked perf baseline. Honours `CLAMPI_BENCH_SMOKE=1`.
+//! into the tracked perf baseline; `eager_refetches` counts the entries
+//! the `eager-inval` rows' `validate` passes dropped and fetched again.
+//! Honours `CLAMPI_BENCH_SMOKE=1`.
 
 use clampi::{CacheParams, CachedWindow, ClampiConfig, CoherenceMode, Mode};
 use clampi_bench::cli::{meta, row, Args};
@@ -124,11 +126,20 @@ fn run_mode(w: Workload, coherence: CoherenceMode) -> Outcome {
             p.barrier();
 
             // Update phase: both ranks draw the same schedule; only
-            // rank 1 performs the puts (into its own region).
+            // rank 1 performs the puts (into its own region). The draw is
+            // with replacement, but MPI-3 forbids overlapping puts in one
+            // epoch (RMASAN flags them), so each touched record is put
+            // once, at its final version for the round.
+            let mut touched: Vec<usize> = Vec::new();
             for _ in 0..updates_per_round {
                 let r = schedule.gen_range(0..w.records);
                 versions[r] += 1;
-                if rank == 1 {
+                if !touched.contains(&r) {
+                    touched.push(r);
+                }
+            }
+            if rank == 1 {
+                for &r in &touched {
                     let val = pattern(r, versions[r], w.size);
                     win.put(p, &val, 1, r * w.size, &Datatype::bytes(w.size), 1);
                 }
@@ -193,6 +204,7 @@ fn main() {
     let mut totals = [0.0f64; 3];
     let mut best_on: [Vec<String>; 3] = Default::default();
     let mut eager_low_rate_hits = 0.0;
+    let mut eager_refetches = 0;
 
     for &rate in rates {
         let mut hit_by_mode = [0.0f64; 3];
@@ -221,6 +233,9 @@ fn main() {
             totals[i] += o.reader_ns;
             if i == eager && rate > 0.0 && rate <= 0.05 {
                 eager_low_rate_hits = o.stats.hit_ratio();
+            }
+            if i == eager {
+                eager_refetches += o.stats.refetches;
             }
         }
         let best = ns_by_mode.iter().copied().fold(f64::INFINITY, f64::min);
@@ -281,5 +296,6 @@ fn main() {
     meta(&format!(
         "PERF eager_hit_ratio_low_rate {eager_low_rate_hits:.4}"
     ));
+    meta(&format!("PERF eager_refetches {eager_refetches}"));
     clampi_bench::cli::san_summary();
 }

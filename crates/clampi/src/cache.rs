@@ -157,6 +157,29 @@ impl Entry {
     }
 }
 
+/// Victim test of a plain ranged invalidation: the entry overlaps the
+/// probe's bytes.
+fn overlaps_probe(e: &Entry, lo: u64, hi: u64, _version: u64) -> bool {
+    e.overlaps(lo, hi)
+}
+
+/// Victim test of a drained put record: the entry overlaps the written
+/// bytes and was filled before the write.
+fn stale_under_probe(e: &Entry, lo: u64, hi: u64, version: u64) -> bool {
+    e.overlaps(lo, hi) && e.stamp.version < version
+}
+
+/// A CACHED entry a logged invalidation dropped
+/// ([`RmaCache::invalidate_drained`]): what the window needs to fetch it
+/// again and reinstall it as if it had never left.
+#[derive(Debug)]
+pub(crate) struct Dropped {
+    pub(crate) key: GetKey,
+    pub(crate) sig: LayoutSig,
+    /// The entry's last-access sequence number (its temporal score).
+    pub(crate) last: u64,
+}
+
 const NO_DESC: DescId = DescId::MAX;
 
 /// The ordered extent directory: every resident entry keyed
@@ -343,6 +366,9 @@ pub struct RmaCache {
     /// kept in step where entries are born and die (`alloc_entry`,
     /// `drop_entry`; the size mark also where `finish_partial` extends).
     extents: Option<ExtentDir>,
+    /// What logged invalidations dropped since the window last took the
+    /// log (reused: [`RmaCache::take_drops`], [`RmaCache::recycle_drops`]).
+    drops: Vec<Dropped>,
     stats: CacheStats,
     /// The get sequence counter (index into the paper's `C_w.G`).
     seq: u64,
@@ -353,9 +379,12 @@ pub struct RmaCache {
     /// Copy time the paper pays at the epoch closure; `epoch_close` moves
     /// it into `uncharged_ns`.
     deferred_ns: f64,
-    /// Resident entries per target rank (grown on demand), so coherence
-    /// passes can skip targets with nothing cached in O(1).
-    target_counts: Vec<u32>,
+    /// Resident entries per target rank, as `(target, count)` pairs sorted
+    /// by target, one per target ever cached since the engine was last
+    /// emptied: coherence passes skip targets with nothing cached in
+    /// O(log targets), and a hostile target id (a trace's) costs one pair,
+    /// not an array that long.
+    target_counts: Vec<(u32, u32)>,
     /// The policy lab's shadow caches ([`CacheParams::policy_lab`]);
     /// `None` when the lab is off (the default).
     lab: Option<PolicyLab>,
@@ -428,6 +457,7 @@ impl RmaCache {
             pending: Vec::new(),
             rng: SmallRng::seed_from_u64(sampler_seed),
             extents: None,
+            drops: Vec::new(),
             stats: CacheStats::default(),
             seq: 0,
             ags: 0.0,
@@ -525,12 +555,27 @@ impl RmaCache {
     }
 
     /// Whether any resident (pending or cached) entry is keyed to
-    /// `target`. O(1): lets a coherence pass skip targets with nothing
-    /// cached without scanning the index.
+    /// `target`. O(log targets): lets a coherence pass skip targets with
+    /// nothing cached without scanning the index.
     pub fn has_entries_for(&self, target: u32) -> bool {
         self.target_counts
-            .get(target as usize)
-            .is_some_and(|&c| c > 0)
+            .binary_search_by_key(&target, |&(t, _)| t)
+            .is_ok_and(|i| self.target_counts[i].1 > 0)
+    }
+
+    /// `target`'s resident-entry count, its pair inserted at 0 if new.
+    fn target_count(&mut self, target: u32) -> &mut u32 {
+        let i = match self
+            .target_counts
+            .binary_search_by_key(&target, |&(t, _)| t)
+        {
+            Ok(i) => i,
+            Err(i) => {
+                self.target_counts.insert(i, (target, 0));
+                i
+            }
+        };
+        &mut self.target_counts[i].1
     }
 
     fn entry(&self, id: EntryId) -> &Entry {
@@ -544,11 +589,7 @@ impl RmaCache {
     }
 
     fn alloc_entry(&mut self, e: Entry) -> EntryId {
-        let t = e.key.target as usize;
-        if t >= self.target_counts.len() {
-            self.target_counts.resize(t + 1, 0);
-        }
-        self.target_counts[t] += 1;
+        *self.target_count(e.key.target) += 1;
         let (key, size) = (e.key, e.size);
         let id = if let Some(id) = self.spare.pop() {
             self.entries[id as usize] = Some(e);
@@ -569,7 +610,7 @@ impl RmaCache {
         if let Some(dir) = self.extents.as_mut() {
             dir.remove(e.key, id);
         }
-        self.target_counts[e.key.target as usize] -= 1;
+        *self.target_count(e.key.target) -= 1;
         match e.state {
             EntryState::Cached => self.cached_count -= 1,
             // A PENDING entry can be dropped by an invalidation (never by
@@ -586,18 +627,7 @@ impl RmaCache {
     pub fn process_lookup(&mut self, key: GetKey, sig: &LayoutSig, dst: &mut [u8]) -> Lookup {
         let size = sig.size();
         debug_assert_eq!(dst.len(), size);
-        self.seq += 1;
-        let seq = self.seq;
-        // Cumulative mean of processed get sizes (the paper's ags).
-        self.ags += (size as f64 - self.ags) / seq as f64;
-        self.charge(self.params.costs.lookup_ns);
-        // Policy lab: replay this get through the shadow caches.
-        // Observation-only — shadow counters move, nothing else does, and
-        // no virtual-clock cost is charged (overhead is priced separately
-        // from `shadow_slot_visits` by the benches).
-        if let Some(lab) = self.lab.as_mut() {
-            lab.observe(key.stripe(), size, seq, &mut self.stats);
-        }
+        let seq = self.count_get(key, size);
 
         let Some(id) = self.index.lookup(&key) else {
             return Lookup::Miss;
@@ -639,6 +669,38 @@ impl RmaCache {
         }
     }
 
+    /// What every processed get pays before its classification: the next
+    /// `seq` (returned), the running mean size `ags`, the lookup charge
+    /// and the policy lab's replay.
+    fn count_get(&mut self, key: GetKey, size: usize) -> u64 {
+        self.seq += 1;
+        let seq = self.seq;
+        // Cumulative mean of processed get sizes (the paper's ags).
+        self.ags += (size as f64 - self.ags) / seq as f64;
+        self.charge(self.params.costs.lookup_ns);
+        // Policy lab: replay this get through the shadow caches.
+        // Observation-only — shadow counters move, nothing else does, and
+        // no virtual-clock cost is charged (overhead is priced separately
+        // from `shadow_slot_visits` by the benches).
+        if let Some(lab) = self.lab.as_mut() {
+            lab.observe(key.stripe(), size, seq, &mut self.stats);
+        }
+        seq
+    }
+
+    /// Books a get of `size` bytes larger than `|S_w|`, which no install
+    /// can ever cache, without its bytes: a processed get (`seq`, `ags`,
+    /// the lookup charge) classified `Failed`, all `size` bytes from the
+    /// network. Unlike [`RmaCache::process_lookup`] +
+    /// [`RmaCache::finish_miss`] it serves no cached head, inserts nothing
+    /// and evicts nothing for space.
+    pub(crate) fn record_uncacheable(&mut self, key: GetKey, size: usize) {
+        debug_assert!(size > self.params.storage_bytes);
+        self.count_get(key, size);
+        self.stats.bytes_from_network += size as u64;
+        self.stats.record(AccessType::Failed);
+    }
+
     /// Read-only probe of the stamp of the resident entry for `key`
     /// (`None` when nothing is resident). Free in virtual time, like the
     /// index peek it is.
@@ -673,9 +735,36 @@ impl RmaCache {
         data: &[u8],
         stamp: SnapStamp,
     ) -> AccessType {
+        self.stats.bytes_from_network += sig.size() as u64;
+        let class = self.install(key, sig, data, stamp, self.seq);
+        self.stats.record(class);
+        class
+    }
+
+    /// Reinstalls an entry a logged invalidation dropped, from bytes the
+    /// window fetched again for it (`stamp` is that fetch's). It keeps the
+    /// dropped entry's `last`, so eviction order is as if it had never
+    /// left. Not a get: `seq`, `ags` and the statistics stay put. Like any
+    /// install it may fail for want of room, and the entry stays dropped.
+    pub(crate) fn install_refetch(&mut self, d: &Dropped, data: &[u8], stamp: SnapStamp) {
+        self.install(d.key, d.sig.clone(), data, stamp, d.last);
+    }
+
+    /// The install behind [`RmaCache::install_miss`] and
+    /// [`RmaCache::install_refetch`]: index insert (evicting on the path
+    /// if it conflicts), storage allocation (evicting for space if
+    /// needed), payload copy. The new entry is PENDING with `last` as its
+    /// last access. Returns the class; records nothing.
+    fn install(
+        &mut self,
+        key: GetKey,
+        sig: LayoutSig,
+        data: &[u8],
+        stamp: SnapStamp,
+        last: u64,
+    ) -> AccessType {
         let size = sig.size();
         debug_assert_eq!(data.len(), size);
-        self.stats.bytes_from_network += size as u64;
         let id = self.alloc_entry(Entry {
             key,
             sig,
@@ -683,18 +772,17 @@ impl RmaCache {
             state: EntryState::Pending,
             desc: NO_DESC,
             off: 0,
-            last: self.seq,
+            last,
             stamp,
         });
 
         let Some(conflicted) = self.insert_with_path_eviction(key, id) else {
             self.drop_entry(id);
-            self.stats.record(AccessType::Failed);
             return AccessType::Failed;
         };
 
         let (desc, evicted_for_space) = self.alloc_with_eviction(size, id, None);
-        let class = match desc {
+        match desc {
             Some(d) => {
                 self.storage.write(d, data);
                 let off = self.storage.offset(d);
@@ -719,9 +807,7 @@ impl RmaCache {
                 self.drop_entry(id);
                 AccessType::Failed
             }
-        };
-        self.stats.record(class);
-        class
+        }
     }
 
     /// Phase 2 after a [`Lookup::PartialHit`]: `data` is the *full* payload
@@ -986,11 +1072,13 @@ impl RmaCache {
     /// whatever `|I_w|` is. Victims are evicted in ascending index-slot
     /// order, as a scan of the index would find them: the storage free
     /// order (hence later placement) and the slab ids depend on it, and
-    /// `tests/prop_extents.rs` holds it to a full-scan oracle.
+    /// `tests/prop_extents.rs` holds it to a full-scan oracle. With `log`,
+    /// every CACHED victim is appended to the drop log first.
     fn invalidate_extents(
         &mut self,
         target: u32,
         probes: &[(u64, u64, u64)],
+        log: bool,
         doomed: impl Fn(&Entry, u64, u64, u64) -> bool,
     ) -> usize {
         if probes.is_empty() || !self.has_entries_for(target) {
@@ -1017,6 +1105,15 @@ impl RmaCache {
         victims.sort_unstable();
         victims.dedup();
         for &(slot, id) in &victims {
+            let e = self.entry(id);
+            if log && e.state == EntryState::Cached {
+                let d = Dropped {
+                    key: e.key,
+                    sig: e.sig.clone(),
+                    last: e.last,
+                };
+                self.drops.push(d);
+            }
             self.evict_resident(slot, id);
         }
         victims.len()
@@ -1036,7 +1133,7 @@ impl RmaCache {
     /// seek plus the entries that can overlap the range, independent of
     /// how many entries are cached.
     pub fn invalidate_range(&mut self, target: u32, lo: u64, hi: u64) -> usize {
-        self.invalidate_extents(target, &[(lo, hi, 0)], |e, lo, hi, _| e.overlaps(lo, hi))
+        self.invalidate_extents(target, &[(lo, hi, 0)], false, overlaps_probe)
     }
 
     /// Drops every resident entry keyed to `target` that overlaps one of
@@ -1052,9 +1149,37 @@ impl RmaCache {
         target: u32,
         ranges: &[(u64, u64, u64)],
     ) -> usize {
-        self.invalidate_extents(target, ranges, |e, lo, hi, v| {
-            e.overlaps(lo, hi) && e.stamp.version < v
-        })
+        self.invalidate_extents(target, ranges, false, stale_under_probe)
+    }
+
+    /// A coherence drain's invalidation of `target`: what the drained put
+    /// `ranges` make stale ([`RmaCache::invalidate_overlapping_stale`]),
+    /// or — `None`, the notification ring overflowed — every entry of the
+    /// target. With `log`, each CACHED entry it drops is also appended to
+    /// the drop log, for the window to fetch again.
+    pub(crate) fn invalidate_drained(
+        &mut self,
+        target: u32,
+        ranges: Option<&[(u64, u64, u64)]>,
+        log: bool,
+    ) -> usize {
+        match ranges {
+            Some(ranges) => self.invalidate_extents(target, ranges, log, stale_under_probe),
+            None => self.invalidate_extents(target, &[(0, u64::MAX, 0)], log, overlaps_probe),
+        }
+    }
+
+    /// Lends out the drop log ([`RmaCache::invalidate_drained`]), in drop
+    /// order. Hand it back with [`RmaCache::recycle_drops`].
+    pub(crate) fn take_drops(&mut self) -> Vec<Dropped> {
+        std::mem::take(&mut self.drops)
+    }
+
+    /// Takes back the drop log, emptied, so the next one reuses its
+    /// allocation.
+    pub(crate) fn recycle_drops(&mut self, mut drops: Vec<Dropped>) {
+        drops.clear();
+        self.drops = drops;
     }
 
     /// Forgets every resident once the index and storage are empty (or
@@ -1132,7 +1257,7 @@ impl RmaCache {
             assert!(self.entries[id as usize].is_none(), "spare id {id} is live");
         }
         let (mut cached, mut pending) = (0, 0);
-        let mut per_target: Vec<u32> = Vec::new();
+        let mut per_target: BTreeMap<u32, u32> = BTreeMap::new();
         for (slot, key, id) in self.index.iter() {
             let e = self.entries[id as usize]
                 .as_ref()
@@ -1160,25 +1285,22 @@ impl RmaCache {
                 assert_eq!(at, Some(&id), "{key:?}: missing from the extent directory");
                 assert!(e.size <= dir.max_size, "{key:?}: larger than the size mark");
             }
-            let t = key.target as usize;
-            if t >= per_target.len() {
-                per_target.resize(t + 1, 0);
-            }
-            per_target[t] += 1;
+            *per_target.entry(key.target).or_default() += 1;
         }
         assert_eq!(self.cached_count, cached, "cached_count");
         assert_eq!(self.pending.len(), pending, "pending list");
         if let Some(dir) = &self.extents {
             assert_eq!(dir.by_start.len(), live, "extent directory size");
         }
-        let count = |counts: &[u32], t: usize| counts.get(t).copied().unwrap_or(0);
-        for t in 0..per_target.len().max(self.target_counts.len()) {
-            assert_eq!(
-                count(&self.target_counts, t),
-                count(&per_target, t),
-                "target_counts[{t}]"
-            );
-        }
+        assert!(
+            self.target_counts.windows(2).all(|w| w[0].0 < w[1].0),
+            "target_counts out of target order"
+        );
+        let counted = self.target_counts.iter().filter(|&&(_, c)| c > 0);
+        assert!(
+            counted.copied().eq(per_target),
+            "target_counts disagree with the index"
+        );
     }
 
     /// Every resident entry in slot order — what one full scan of the
@@ -1312,6 +1434,7 @@ impl RmaCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clampi_prng::prop::{check, Gen};
 
     fn key(t: u32, d: u64) -> GetKey {
         GetKey { target: t, disp: d }
@@ -1554,9 +1677,10 @@ mod tests {
     }
 
     /// ROADMAP aim 3, hostile inputs: every size and bound knob at 0, 1 and
-    /// `usize::MAX` must leave the engine live and consistent. The last
-    /// row used to spin: a Cuckoo walk on a full 4-slot table ran for
-    /// `max_insert_iters` steps, however many that was.
+    /// `usize::MAX` — alone, then in random compositions — must leave the
+    /// engine live and consistent. The last row used to spin: a Cuckoo
+    /// walk on a full 4-slot table ran for `max_insert_iters` steps,
+    /// however many that was.
     #[test]
     fn degenerate_params_neither_hang_nor_corrupt() {
         let base = || CacheParams {
@@ -1592,6 +1716,52 @@ mod tests {
             }
             assert_eq!(c.stats().total_gets, 50, "{row}");
         }
+
+        // Compositions: each knob drawn independently from the values the
+        // rows above (and `base`) give it, under a mixed stream of gets of
+        // varied sizes, ranged invalidations and epoch closes.
+        fn pick<T: Copy>(g: &mut Gen, values: &[T]) -> T {
+            values[g.range(0..values.len())]
+        }
+        check("random degenerate CacheParams compositions", 200, |g| {
+            let mut c = RmaCache::new(CacheParams {
+                index_entries: pick(g, &[0, 1, 3, 4, 16]),
+                storage_bytes: pick(g, &[0, 1, 1024]),
+                sample_size: pick(g, &[0, 16, usize::MAX]),
+                max_insert_iters: pick(g, &[0, 32, usize::MAX]),
+                max_evictions_per_miss: pick(g, &[0, 1, usize::MAX]),
+                ..base()
+            });
+            let mut gets = 0;
+            for _ in 0..60 {
+                let (t, disp) = (g.range(0..3u32), g.range(0..12u64) * 48);
+                match g.range(0..5u32) {
+                    0 => c.epoch_close(),
+                    1 => {
+                        let lo = g.range(0..640u64);
+                        c.invalidate_range(t, lo, lo + g.range(0..200u64));
+                    }
+                    _ => {
+                        let size = pick(g, &[1, 48, 64, 200, 2000]);
+                        let sig = LayoutSig::Contig(size);
+                        let mut dst = vec![0u8; size];
+                        let data = vec![disp as u8; size];
+                        gets += 1;
+                        match c.process_lookup(key(t, disp), &sig, &mut dst) {
+                            Lookup::Hit => {}
+                            Lookup::PartialHit { .. } => {
+                                c.finish_partial(key(t, disp), sig, &data, 0);
+                            }
+                            Lookup::Miss => {
+                                c.finish_miss(key(t, disp), sig, &data, 0);
+                            }
+                        }
+                    }
+                }
+                c.check_invariants();
+            }
+            assert_eq!(c.stats().total_gets, gets);
+        });
     }
 
     #[test]

@@ -23,6 +23,17 @@
 //! |------|--------------------|--------------------------|
 //! | `None` | zero | none (pre-coherence behaviour, bit-identical) |
 //! | `EagerInvalidate` | CPU-only notification drain (one issue overhead + a record-sized copy per unseen record); zero when the last get reply proves the drain empty | only entries overlapping a drained put record; the whole target when the ring overflowed |
+//! | `EagerInvalidate`, at `validate` | the drain, then one nonblocking refetch per CACHED entry it dropped (issue overhead and wire time, or a coalesced span's extra bytes; an install without a lookup), completed by one flush per target: one wire latency blocked, not one per entry | as above, but the dropped entries are back, refreshed, before `validate` returns |
+//!
+//! What `validate` refetches: every CACHED entry its own pass drops, by a
+//! stale overlap or by the ring-overflow whole-target drop, in ascending
+//! `(target, disp)`. Not refetched: drops by `flush`/`lock` passes, by a
+//! drain that failed, or of PENDING entries, and entries of degraded
+//! targets or of targets with no open access epoch — those stay dropped.
+//! A refetch is not a get (no `seq`, `ags` or access class; it counts in
+//! `CacheStats::refetches`) and keeps the dropped entry's last access, so
+//! eviction order is as if it had never left. A failed refetch leaves its
+//! entry dropped; a dead target is degraded.
 //!
 //! There is one mechanism. A window that cannot afford a notification ring
 //! sets `SimConfig::with_notify_ring_cap(0)`: every drain after a write

@@ -168,6 +168,10 @@ counter_table! {
     /// Notification-ring overflows observed (each falls back to a full
     /// per-target invalidation).
     notification_overflows: u64,
+    /// CACHED entries a [`crate::CachedWindow::validate`] pass dropped and
+    /// fetched again before it returned (one per fetch that delivered;
+    /// not gets: no access class, no `total_gets`).
+    refetches: u64,
     /// Always 0: nothing fetches a version since the epoch-validation
     /// coherence mode was deleted. Still here because
     /// `benchmark/src/counters.rs` reads it; goes with the next benchmark

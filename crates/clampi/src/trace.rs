@@ -273,11 +273,29 @@ pub struct ReplayResult {
 /// Replays `trace` through a fresh cache with `params`. Every non-hit
 /// pays `net`'s same-chassis get plus one sync: issue overhead, latency
 /// and sync overhead, then the per-byte wire cost of the missing bytes.
+///
+/// Buffers are sized by what the cache can hold, never by the file: a
+/// get larger than `|S_w|` (`params.storage_bytes`) can never be cached,
+/// so it is charged as an uncached miss and recorded `Failed` without a
+/// payload buffer of its size. This is where replay and a live run
+/// differ: a live get that size would also serve the head of a smaller
+/// resident entry at its key, and its failed install would still evict
+/// up to `max_evictions_per_miss` entries for space.
 pub fn replay(trace: &Trace, params: CacheParams, net: &NetModel) -> ReplayResult {
+    let mut cache = RmaCache::new(params);
+    let completion_ns = replay_on(&mut cache, trace, net);
+    ReplayResult {
+        stats: *cache.stats(),
+        completion_ns,
+    }
+}
+
+/// [`replay`] into a given engine; returns the modelled completion time.
+fn replay_on(cache: &mut RmaCache, trace: &Trace, net: &NetModel) -> f64 {
     // Index 2 is the same-chassis distance class.
     let miss_base_ns = net.issue_overhead_ns + net.latency_ns[2] + net.sync_overhead_ns;
     let miss_per_byte_ns = net.per_byte_ns[2];
-    let mut cache = RmaCache::new(params);
+    let cacheable = cache.params().storage_bytes;
     let mut completion_ns = 0.0;
     let mut payload: Vec<u8> = Vec::new();
     let mut dst: Vec<u8> = Vec::new();
@@ -289,20 +307,25 @@ pub fn replay(trace: &Trace, params: CacheParams, net: &NetModel) -> ReplayResul
                     continue;
                 }
                 let key = GetKey { target, disp };
-                let sig = LayoutSig::Contig(size);
-                dst.resize(size, 0);
-                match cache.process_lookup(key, &sig, &mut dst) {
-                    Lookup::Hit => {}
-                    Lookup::PartialHit { cached_len } => {
-                        payload.resize(size, 0);
-                        completion_ns +=
-                            miss_base_ns + (size - cached_len) as f64 * miss_per_byte_ns;
-                        cache.finish_partial(key, sig, &payload, 0);
-                    }
-                    Lookup::Miss => {
-                        payload.resize(size, 0);
-                        completion_ns += miss_base_ns + size as f64 * miss_per_byte_ns;
-                        cache.finish_miss(key, sig, &payload, 0);
+                if size > cacheable {
+                    completion_ns += miss_base_ns + size as f64 * miss_per_byte_ns;
+                    cache.record_uncacheable(key, size);
+                } else {
+                    let sig = LayoutSig::Contig(size);
+                    dst.resize(size, 0);
+                    match cache.process_lookup(key, &sig, &mut dst) {
+                        Lookup::Hit => {}
+                        Lookup::PartialHit { cached_len } => {
+                            payload.resize(size, 0);
+                            completion_ns +=
+                                miss_base_ns + (size - cached_len) as f64 * miss_per_byte_ns;
+                            cache.finish_partial(key, sig, &payload, 0);
+                        }
+                        Lookup::Miss => {
+                            payload.resize(size, 0);
+                            completion_ns += miss_base_ns + size as f64 * miss_per_byte_ns;
+                            cache.finish_miss(key, sig, &payload, 0);
+                        }
                     }
                 }
             }
@@ -315,17 +338,14 @@ pub fn replay(trace: &Trace, params: CacheParams, net: &NetModel) -> ReplayResul
         completion_ns += cache.take_cost();
     }
     cache.epoch_close();
-    completion_ns += cache.take_cost();
-    ReplayResult {
-        stats: *cache.stats(),
-        completion_ns,
-    }
+    completion_ns + cache.take_cost()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::costs::CacheCostModel;
+    use clampi_prng::prop::check;
 
     fn sample_trace() -> Trace {
         let mut t = Trace::new();
@@ -385,6 +405,59 @@ mod tests {
         let mut cut = t.to_bytes();
         cut.truncate(cut.len() - 4);
         assert!(Trace::from_bytes(&cut).is_err());
+    }
+
+    /// ROADMAP aim 3, hostile inputs: whatever bytes arrive, `from_bytes`
+    /// returns `Ok` or `Err` and never panics; an accepted trace is the
+    /// canonical encoding of what it parsed to, and replaying it leaves a
+    /// small engine consistent. Inputs: random bytes (bare, or behind a
+    /// valid header with a small event count), truncations and
+    /// single-byte flips of valid traces — a flip can turn a field into a
+    /// hostile target, displacement or size, which replay must survive
+    /// without allocating what it says.
+    #[test]
+    fn hostile_bytes_parse_or_fail_and_replay_consistently() {
+        let mut mixed = sample_trace();
+        for i in 0..24u64 {
+            mixed.get((i % 3) as u32, i * 40, 8 + (i as u32 * 13) % 200);
+            if i % 5 == 0 {
+                mixed.invalidate_range((i % 3) as u32, i * 40, 64);
+                mixed.epoch_close();
+            }
+        }
+        let valid = [sample_trace().to_bytes(), mixed.to_bytes()];
+        let params = CacheParams {
+            index_entries: 16,
+            storage_bytes: 1024,
+            ..CacheParams::default()
+        };
+        check("Trace::from_bytes on hostile bytes", 400, |g| {
+            let mut bytes = match g.range(0..4u32) {
+                0 => Vec::new(),
+                1 => {
+                    let mut header = MAGIC.to_vec();
+                    header.extend_from_slice(&g.range(0..8u64).to_le_bytes());
+                    header
+                }
+                _ => valid[g.range(0..valid.len())].clone(),
+            };
+            if bytes.len() <= 16 {
+                let tail = g.range(0..120usize);
+                bytes.extend((0..tail).map(|_| g.range(0..256u32) as u8));
+            } else if g.bool() {
+                bytes.truncate(g.range(0..bytes.len()));
+            } else {
+                let at = g.range(0..bytes.len());
+                bytes[at] ^= g.range(1..256u32) as u8;
+            }
+            let Ok(trace) = Trace::from_bytes(&bytes) else {
+                return;
+            };
+            assert_eq!(trace.to_bytes(), bytes, "accepted a non-canonical encoding");
+            let mut cache = RmaCache::new(params.clone());
+            replay_on(&mut cache, &trace, &NetModel::default());
+            cache.check_invariants();
+        });
     }
 
     #[test]

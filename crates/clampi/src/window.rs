@@ -121,6 +121,10 @@ enum Completion {
     /// The fetch is staged uncharged (`Window::try_get_staged`) and booked
     /// into the outstanding-miss table, where adjacent misses coalesce.
     Batched,
+    /// [`Completion::Batched`] for `validate`'s refetches, which go out in
+    /// ascending `(target, disp)`: only the newest outstanding span can
+    /// be adjacent, so it is the only merge candidate examined.
+    Refetch,
 }
 
 /// What one get did: its classification *and* where `dst`'s bytes came
@@ -268,7 +272,10 @@ impl CachedWindow {
     /// (`CoherenceTracker::take_quiet`). Only `flush`/`flush_all` passes
     /// can skip: the calls that open an epoch are sync events themselves,
     /// and `validate` forgets the samples first.
-    fn coherence_pass(&mut self, p: &mut Process, target: Option<usize>) {
+    ///
+    /// With `log` (`validate`'s pass), the engine logs every CACHED entry
+    /// a drain drops, for [`CachedWindow::refetch_dropped`].
+    fn coherence_pass(&mut self, p: &mut Process, target: Option<usize>, log: bool) {
         if self.coherence_mode() == CoherenceMode::None {
             return;
         }
@@ -280,7 +287,7 @@ impl CachedWindow {
         for t in targets {
             let quiet = self.coherence.take_quiet(t, sync_events);
             if !self.degraded[t] && !quiet {
-                self.drain_target(p, t);
+                self.drain_target(p, t, log);
             }
         }
         self.charge_engine(p);
@@ -288,8 +295,9 @@ impl CachedWindow {
 
     /// The coherence pass for one target: drain its notification ring and
     /// invalidate exactly the overlapped-and-older entries; a ring
-    /// overflow degrades to a full per-target invalidation.
-    fn drain_target(&mut self, p: &mut Process, t: usize) {
+    /// overflow degrades to a full per-target invalidation. A drain that
+    /// fails drops the target's entries unlogged: they are not refetched.
+    fn drain_target(&mut self, p: &mut Process, t: usize, log: bool) {
         let Some(cache) = self.cache.as_mut() else {
             return;
         };
@@ -312,9 +320,9 @@ impl CachedWindow {
         });
         match drained {
             Ok(drain) => {
-                let dropped = if drain.overflowed {
+                let ranges = if drain.overflowed {
                     self.fault_stats.notification_overflows += 1;
-                    cache.invalidate_range(t as u32, 0, u64::MAX)
+                    None
                 } else {
                     self.fault_stats.notifications_drained += co.scratch.len() as u64;
                     co.ranges.clear();
@@ -323,8 +331,9 @@ impl CachedWindow {
                             .iter()
                             .map(|r| (r.disp, r.disp.saturating_add(r.len), r.version)),
                     );
-                    cache.invalidate_overlapping_stale(t as u32, &co.ranges)
+                    Some(co.ranges.as_slice())
                 };
+                let dropped = cache.invalidate_drained(t as u32, ranges, log);
                 self.fault_stats.stale_hits_prevented += dropped as u64;
                 co.cursors[t] = drain.version;
             }
@@ -366,14 +375,63 @@ impl CachedWindow {
     ///
     /// It forgets the get-reply samples first, so the pass drains every
     /// target even when no sync event happened since its last reply.
+    ///
+    /// Under `EagerInvalidate` it then fetches again every CACHED entry
+    /// its own pass dropped, as one batch of nonblocking fetches completed
+    /// by one flush per target, so the next read phase hits instead of
+    /// paying one blocking miss per updated entry. Entries of degraded
+    /// targets and of targets with no open access epoch stay dropped.
     pub fn validate(&mut self, p: &mut Process) {
         match self.coherence_mode() {
             CoherenceMode::None => self.invalidate(p),
             CoherenceMode::EagerInvalidate => {
                 self.coherence.samples.fill(None);
-                self.coherence_pass(p, None);
+                self.coherence_pass(p, None, true);
+                self.refetch_dropped(p);
             }
         }
+    }
+
+    /// Fetches again, in ascending `(target, disp)`, what the engine's drop
+    /// log holds, and reinstalls it. Each refetch is a batched fetch (issue
+    /// overhead, or a coalesced span's extra bytes; its wire time posted)
+    /// plus an install that keeps the dropped entry's `last` and pays no
+    /// lookup. One flush per refetched target completes the batch, and
+    /// the engine's epoch hook makes every reinstalled entry CACHED. A
+    /// fetch that fails (retries exhausted, or a dead target, which is
+    /// degraded) leaves its entry dropped.
+    fn refetch_dropped(&mut self, p: &mut Process) {
+        let mut drops = self.engine().take_drops();
+        drops.sort_unstable_by_key(|d| (d.key.target, d.key.disp));
+        let mut buf = std::mem::take(&mut self.scratch_buf);
+        for d in &drops {
+            let t = d.key.target as usize;
+            if self.degraded[t] || !self.win.epoch_open_for(t) {
+                continue;
+            }
+            buf.clear();
+            buf.resize(d.sig.size(), 0);
+            let disp = d.key.disp as usize;
+            match self.fetch(p, &mut buf, t, disp, d.sig.blocks(), Completion::Refetch) {
+                Ok(stamp) => {
+                    self.fault_stats.refetches += 1;
+                    self.engine().install_refetch(d, &buf, stamp);
+                    self.charge_engine(p);
+                }
+                Err(e) => self.degrade_if_dead(p, t, &e),
+            }
+        }
+        self.scratch_buf = buf;
+        for same_target in drops.chunk_by(|a, b| a.key.target == b.key.target) {
+            let t = same_target[0].key.target as usize;
+            if self.degraded[t] || !self.win.epoch_open_for(t) {
+                continue;
+            }
+            self.complete_with(p, Some(t), |w, p| w.flush(p, t));
+            self.engine().epoch_close();
+        }
+        self.charge_engine(p);
+        self.engine().recycle_drops(drops);
     }
 
     /// The operational mode.
@@ -727,12 +785,20 @@ impl CachedWindow {
             Completion::Blocking => with_retry(p, &self.retry, &mut self.fault_stats, |p| {
                 self.win.try_get_flat(p, dst, target, disp, layout)
             })?,
-            Completion::Batched => {
+            Completion::Batched | Completion::Refetch => {
                 let staged = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
                     self.win.try_get_staged(p, dst, target, disp, layout)
                 })?;
-                let hi = disp + layout.total_size();
-                self.account_nb_fetch(p, target, disp as u64, hi as u64, staged, layout.is_dense());
+                let (lo, hi) = (disp as u64, (disp + layout.total_size()) as u64);
+                let merge_from = layout.is_dense().then(|| match completion {
+                    Completion::Refetch => self.nb_spans.len().saturating_sub(1),
+                    _ => 0,
+                });
+                let merged = self.account_nb_fetch(p, target, lo, hi, staged, merge_from);
+                // A refetch is not a miss.
+                if merged && completion == Completion::Batched {
+                    self.fault_stats.coalesced_misses += 1;
+                }
             }
         }
         // Every get entry point funnels through `Window::try_get_staged`,
@@ -748,12 +814,13 @@ impl CachedWindow {
         Ok(SnapStamp::exact(s.version, s.ts))
     }
 
-    /// Accounts the virtual-time cost of one staged nonblocking miss fetch
-    /// of bytes `[lo, hi)` at `target`: merges into an outstanding span
-    /// when adjacent/overlapping and within the coalescing bound (posting
-    /// only the incremental bytes' wire time — no new issue overhead, no
-    /// new latency), otherwise charges the issue overhead and posts the
-    /// transfer's full wire time as outstanding.
+    /// Accounts the virtual-time cost of one staged nonblocking fetch of
+    /// bytes `[lo, hi)` at `target`: merges into an outstanding span from
+    /// `nb_spans[merge_from..]` (`None`: not mergeable) when
+    /// adjacent/overlapping and within the coalescing bound (posting only
+    /// the incremental bytes' wire time — no new issue overhead, no new
+    /// latency), otherwise charges the issue overhead and posts the
+    /// transfer's full wire time as outstanding. Returns whether it merged.
     fn account_nb_fetch(
         &mut self,
         p: &mut Process,
@@ -761,15 +828,15 @@ impl CachedWindow {
         lo: u64,
         hi: u64,
         staged: StagedGet,
-        mergeable: bool,
-    ) {
+        merge_from: Option<usize>,
+    ) -> bool {
         let max_coalesce = self
             .cache
             .as_ref()
             .map_or(0, |c| c.params().max_coalesce_bytes) as u64;
-        if mergeable && max_coalesce > 0 {
+        if let Some(from) = merge_from.filter(|_| max_coalesce > 0) {
             let my_rank = self.win.my_rank();
-            for s in &mut self.nb_spans {
+            for s in &mut self.nb_spans[from..] {
                 // Merge candidates: same target, ranges overlapping or
                 // touching, merged extent within the bound.
                 if s.target != target || lo > s.hi || s.lo > hi {
@@ -790,8 +857,7 @@ impl CachedWindow {
                 }
                 s.lo = mlo;
                 s.hi = mhi;
-                self.fault_stats.coalesced_misses += 1;
-                return;
+                return true;
             }
             self.nb_spans.push(NbSpan { target, lo, hi });
         }
@@ -801,6 +867,7 @@ impl CachedWindow {
             p.clock_mut().post_network(target, wire);
             self.nb_posted_wire[target] += wire;
         }
+        false
     }
 
     /// [`CachedWindow::get`] with a *typed origin*: the payload — served
@@ -1259,7 +1326,7 @@ impl CachedWindow {
     pub fn flush(&mut self, p: &mut Process, target: usize) {
         self.complete_with(p, Some(target), |w, p| w.flush(p, target));
         self.on_epoch_close(p);
-        self.coherence_pass(p, Some(target));
+        self.coherence_pass(p, Some(target), false);
     }
 
     /// MPI_Win_flush_all + cache epoch hook + coherence pass over every
@@ -1268,14 +1335,14 @@ impl CachedWindow {
     pub fn flush_all(&mut self, p: &mut Process) {
         self.complete_with(p, None, |w, p| w.flush_all(p));
         self.on_epoch_close(p);
-        self.coherence_pass(p, None);
+        self.coherence_pass(p, None, false);
     }
 
     /// MPI_Win_lock (plus a coherence pass over `target`: the new access
     /// epoch makes remote writes visible).
     pub fn lock(&mut self, p: &mut Process, kind: LockKind, target: usize) {
         self.win.lock(p, kind, target);
-        self.coherence_pass(p, Some(target));
+        self.coherence_pass(p, Some(target), false);
     }
 
     /// MPI_Win_unlock + cache epoch hook.
@@ -1287,7 +1354,7 @@ impl CachedWindow {
     /// MPI_Win_lock_all (plus a coherence pass over every target).
     pub fn lock_all(&mut self, p: &mut Process) {
         self.win.lock_all(p);
-        self.coherence_pass(p, None);
+        self.coherence_pass(p, None, false);
     }
 
     /// MPI_Win_unlock_all + cache epoch hook.
@@ -1302,7 +1369,7 @@ impl CachedWindow {
     pub fn fence(&mut self, p: &mut Process) {
         self.complete_with(p, None, |w, p| w.fence(p));
         self.on_epoch_close(p);
-        self.coherence_pass(p, None);
+        self.coherence_pass(p, None, false);
     }
 
     /// MPI_Win_post (PSCW exposure).
@@ -1315,7 +1382,7 @@ impl CachedWindow {
     pub fn start(&mut self, p: &mut Process, targets: &[usize]) {
         self.win.start(p, targets);
         for &t in targets {
-            self.coherence_pass(p, Some(t));
+            self.coherence_pass(p, Some(t), false);
         }
     }
 

@@ -9,6 +9,8 @@
 //! tail fetch of a contiguous *partial hit*, misses of varying length
 //! (both resize the same scratch layout in place) and misses that end in
 //! a Cuckoo cycle (the index lends out one insertion-path buffer).
+//! Trace replay, fed a file, must size nothing by what the file claims:
+//! the largest request it makes is bounded by `|S_w|`.
 //!
 //! The counter is thread-local, so the other rank's thread (and the test
 //! harness) cannot perturb the measurement. The assertions are compiled
@@ -19,14 +21,16 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use clampi::trace::{replay, Trace};
 use clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, CoherenceMode, Mode};
 use clampi_datatype::Datatype;
-use clampi_rma::{run_collect, Process, SimConfig};
+use clampi_rma::{run_collect, NetModel, Process, SimConfig};
 
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 // SAFETY: pure delegation — every `GlobalAlloc` obligation is forwarded
@@ -38,6 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // `try_with` keeps the allocator safe during TLS teardown.
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        let _ = LARGEST.try_with(|c| c.set(c.get().max(layout.size())));
         // SAFETY: the same `layout` the caller vouched for, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -249,4 +254,41 @@ fn coherent_miss_and_flush_do_not_allocate() {
         get_then_flush(p, win, 0..SLOTS / 2, AccessType::Direct);
         get_then_flush(p, win, SLOTS / 2..SLOTS, AccessType::Direct)
     });
+}
+
+/// A 33-byte trace: the 16-byte header and one get of `size` bytes from
+/// `target`.
+fn one_get_trace(target: u32, size: u32) -> Trace {
+    let mut bytes = b"CLAMPIT2".to_vec();
+    bytes.extend_from_slice(&1u64.to_le_bytes());
+    bytes.push(1); // a get: target, disp, size
+    bytes.extend_from_slice(&target.to_le_bytes());
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    bytes.extend_from_slice(&size.to_le_bytes());
+    assert_eq!(bytes.len(), 33);
+    Trace::from_bytes(&bytes).expect("a well-formed trace")
+}
+
+/// Replay sizes nothing by what a trace file claims. A get of `u32::MAX`
+/// bytes used to make it zero-fill 4 GiB for the payload and as much
+/// again for the destination; a get larger than `|S_w|` can never be
+/// cached, so replay books it as an uncached `Failed` miss without a
+/// buffer its size. A get from target `u32::MAX - 1` used to grow the
+/// engine's per-target counts to 4 billion entries (16 GiB).
+#[test]
+fn replaying_hostile_gets_allocates_nothing_larger_than_the_storage() {
+    let params = CacheParams::default();
+    let storage = params.storage_bytes;
+    for (target, size, failed) in [(1, u32::MAX, 1), (u32::MAX - 1, 64, 0)] {
+        let trace = one_get_trace(target, size);
+        LARGEST.with(|c| c.set(0));
+        let r = replay(&trace, params.clone(), &NetModel::default());
+        let largest = LARGEST.with(|c| c.get());
+        assert!(
+            largest <= storage,
+            "a get of {size} B from {target}: replay requested {largest} B at once, |S_w| is {storage}"
+        );
+        assert_eq!((r.stats.total_gets, r.stats.failed), (1, failed));
+        assert_eq!(r.stats.bytes_from_network, u64::from(size));
+    }
 }

@@ -32,7 +32,13 @@
 //! 5. (directed) a flush skips only the drain its get reply proves empty:
 //!    a read-phase miss + flush charges no drain, but any sync event since
 //!    the reply — a collective, a lock or PSCW acquisition on another
-//!    window, or the reader's own put — makes the flush drain again.
+//!    window, or the reader's own put — makes the flush drain again;
+//! 6. (directed) `validate` fetches again what its own pass dropped: the
+//!    next read is a hit with no wire get and the writer's bytes; the
+//!    refetches block for one wire latency, not one each; a transient
+//!    fault is retried; a target that dies before its refetches is
+//!    degraded with nothing of it cached; outside an access epoch nothing
+//!    is refetched.
 
 use clampi::{
     AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, CoherenceMode, Mode,
@@ -617,4 +623,222 @@ fn a_flush_after_a_pscw_wait_on_another_window_drains_the_write_it_ordered() {
 #[test]
 fn a_flush_after_a_pscw_start_on_another_window_drains_the_write_it_ordered() {
     assert_the_flush_drains(Between::Start);
+}
+
+/// What rank 0 saw around one `validate` ([`revalidate`]).
+struct Revalidated {
+    /// Virtual ns rank 0 spent blocked inside `validate`.
+    blocked_ns: f64,
+    /// Rank 0's `notifications_drained`, `refetches` and `retries`
+    /// counted inside `validate`.
+    drained: u64,
+    refetches: u64,
+    retries: u64,
+    /// Whether target 1 is degraded after `validate`, and whether any
+    /// entry of it is still resident.
+    degraded: bool,
+    resident: bool,
+    /// The classes of the reads after `validate`, the wire gets they
+    /// issued, and whether each read the writer's bytes — equal to an
+    /// uncached read of the record.
+    classes: Vec<Option<AccessType>>,
+    wire_gets: u64,
+    current: Vec<bool>,
+    /// Rank 0's virtual time when it called `validate`.
+    validate_at: f64,
+}
+
+/// Rank 0 caches `records` of rank 1 (every other record, so no two
+/// refetches are adjacent and none coalesce) inside `lock_all`; rank 1
+/// rewrites them all; rank 0 runs `validate` and then reads them again.
+/// `faults` applies to the whole run; with `in_epoch` false rank 0 caches
+/// and rereads under a lock on target 1 that is closed during `validate`.
+fn revalidate(records: usize, faults: Option<FaultConfig>, in_epoch: bool) -> Revalidated {
+    let faulty = faults.is_some();
+    let mut sim = SimConfig::default();
+    if let Some(f) = faults {
+        sim = sim.with_faults(f);
+    }
+    let out = run_collect(sim, 2, move |p| {
+        let rank = p.rank();
+        let params = CacheParams {
+            coherence: CoherenceMode::EagerInvalidate,
+            ..CacheParams::default()
+        };
+        let cfg = ClampiConfig::fixed(Mode::AlwaysCache, params).with_retry(RetryPolicy {
+            max_retries: 64,
+            op_timeout_ns: f64::INFINITY,
+            ..RetryPolicy::default()
+        });
+        let mut win = CachedWindow::create(p, 2 * records * SIZE, cfg);
+        let disp = |i: usize| 2 * i * SIZE;
+        if rank == 1 {
+            let mut local = win.local_mut();
+            for i in 0..records {
+                local[disp(i)..disp(i) + SIZE].fill(pattern_byte(i, 0));
+            }
+        }
+        p.barrier();
+        let dtype = Datatype::bytes(SIZE);
+        let mut buf = vec![0u8; SIZE];
+        if in_epoch {
+            win.lock_all(p);
+        } else if rank == 0 {
+            win.lock(p, LockKind::Shared, 1);
+        }
+        if rank == 0 {
+            for i in 0..records {
+                win.get(p, &mut buf, 1, disp(i), &dtype, 1);
+                win.flush(p, 1);
+            }
+            if !in_epoch {
+                win.unlock(p, 1);
+            }
+        }
+        p.barrier();
+        if rank == 1 {
+            if !in_epoch {
+                win.lock(p, LockKind::Exclusive, 1);
+            }
+            for i in 0..records {
+                win.put(p, &[pattern_byte(i, 1); SIZE], 1, disp(i), &dtype, 1);
+            }
+            if in_epoch {
+                win.flush(p, 1);
+            } else {
+                win.unlock(p, 1);
+            }
+        }
+        p.barrier();
+        let before = (p.clock().total_blocked(), win.stats());
+        let validate_at = p.now();
+        win.validate(p);
+        let during = win.stats().delta_since(&before.1);
+        let mut obs = Revalidated {
+            blocked_ns: p.clock().total_blocked() - before.0,
+            drained: during.notifications_drained,
+            refetches: during.refetches,
+            retries: during.retries,
+            degraded: win.is_degraded(1),
+            resident: win.cache().is_some_and(|c| c.has_entries_for(1)),
+            classes: Vec::new(),
+            wire_gets: 0,
+            current: Vec::new(),
+            validate_at,
+        };
+        if rank == 0 {
+            if !in_epoch {
+                win.lock(p, LockKind::Shared, 1);
+            }
+            for i in 0..records {
+                let gets = p.counters().gets;
+                let class = win.get(p, &mut buf, 1, disp(i), &dtype, 1);
+                obs.classes.push(class);
+                obs.wire_gets += p.counters().gets - gets;
+                if class != Some(AccessType::Hit) {
+                    win.flush(p, 1);
+                }
+                // An uncached read, where one cannot fault (a faulting
+                // read would panic, stranding rank 1 at the barrier).
+                let mut plain = vec![pattern_byte(i, 1); SIZE];
+                if !faulty {
+                    win.get_uncached(p, &mut plain, 1, disp(i), &dtype, 1);
+                    win.inner_mut().flush(p, 1);
+                }
+                let fresh = buf.iter().all(|&b| b == pattern_byte(i, 1));
+                obs.current.push(fresh && buf == plain);
+            }
+            if !in_epoch {
+                win.unlock(p, 1);
+            }
+        }
+        p.barrier();
+        if in_epoch {
+            win.unlock_all(p);
+        }
+        p.barrier();
+        #[cfg(debug_assertions)]
+        if let Some(cache) = win.cache() {
+            cache.check_invariants();
+        }
+        obs
+    });
+    out.into_iter().next().expect("rank 0 reports").1
+}
+
+/// `validate` fetches again what its own pass dropped: the next read of a
+/// rewritten record is a hit that issues no wire get and serves the
+/// writer's bytes, the same bytes an uncached read returns. (Before, it
+/// was a blocking miss.)
+#[test]
+fn a_refetched_entry_serves_the_writers_bytes_without_a_wire_get() {
+    let r = revalidate(4, None, true);
+    assert_eq!(r.refetches, 4);
+    assert_eq!(r.classes, vec![Some(AccessType::Hit); 4]);
+    assert_eq!(r.wire_gets, 0, "a refetched record was fetched again");
+    assert_eq!(
+        r.current,
+        vec![true; 4],
+        "refetched bytes are not the writer's"
+    );
+}
+
+/// The refetches of one target go out as one batch completed by one
+/// flush: `validate` blocks for one wire latency whatever the number of
+/// rewritten records, not once per record.
+#[test]
+fn validate_blocks_for_one_wire_latency_not_one_per_refetch() {
+    let one = revalidate(1, None, true);
+    let eight = revalidate(8, None, true);
+    assert_eq!((one.refetches, eight.refetches), (1, 8));
+    assert!(one.blocked_ns > 0.0, "a refetch that never blocked");
+    assert!(
+        eight.blocked_ns < 1.5 * one.blocked_ns,
+        "8 refetches blocked {} ns, 1 blocked {} ns",
+        eight.blocked_ns,
+        one.blocked_ns
+    );
+}
+
+/// Refetches run under the retry policy: a transient fault is retried and
+/// the entry still comes back current.
+#[test]
+fn a_transient_fault_on_a_refetch_is_retried() {
+    let r = revalidate(8, Some(FaultConfig::transient(0.5, 11)), true);
+    assert!(r.retries > 0, "no fault hit validate's drain or refetches");
+    assert_eq!(r.refetches, 8);
+    assert_eq!(r.classes, vec![Some(AccessType::Hit); 8]);
+    assert_eq!(r.current, vec![true; 8]);
+}
+
+/// Target 1 dies after `validate`'s drain and before its first refetch:
+/// the refetch degrades the target, its entries stay dropped, and nothing
+/// zero-filled is cached — every later read is `Faulted`, never a hit.
+#[test]
+fn a_dead_target_leaves_its_refetches_dropped() {
+    // The drain of target 1 runs at the instant `validate` starts (nothing
+    // of target 0 is cached, so its drain is skipped for free) and charges
+    // CPU time; the refetches come later.
+    let at = revalidate(4, None, true).validate_at + 1.0;
+    let r = revalidate(
+        4,
+        Some(FaultConfig::default().with_rank_failure(1, at)),
+        true,
+    );
+    assert_eq!(r.drained, 4, "the drain must precede the failure");
+    assert!(r.degraded);
+    assert!(!r.resident, "a dead target's entry is still cached");
+    assert_eq!(r.refetches, 0);
+    assert_eq!(r.classes, vec![Some(AccessType::Faulted); 4]);
+}
+
+/// With no access epoch open towards the target, `validate` drops what
+/// the writes made stale and fetches nothing: the next read misses.
+#[test]
+fn validate_outside_an_access_epoch_refetches_nothing() {
+    let r = revalidate(4, None, false);
+    assert_eq!(r.refetches, 0);
+    assert!(!r.resident);
+    assert!(r.classes.iter().all(|&c| c != Some(AccessType::Hit)));
+    assert_eq!(r.current, vec![true; 4]);
 }

@@ -554,16 +554,12 @@ struct PendingRead {
     end: usize,
 }
 
-/// Rank-local sanitizer state of one window handle: lock/epoch
-/// discipline, outstanding get destinations, and the last observed
-/// version per target.
+/// Rank-local sanitizer state of one window handle: outstanding get
+/// destinations and the last observed version per target. (The open
+/// epochs the discipline checks read are tracked by the window itself,
+/// sanitizer or not.)
 #[derive(Debug)]
 pub(crate) struct WinSanLocal {
-    lock_state: Vec<Option<crate::lockmgr::LockKind>>,
-    locked_all: bool,
-    /// True once `fence` has been called: the window is in active-target
-    /// fence mode, where data ops between fences are legal.
-    fence_mode: bool,
     pending_reads: Vec<PendingRead>,
     last_version: Vec<u64>,
     /// Highest commit timestamp drained per target; mirrors
@@ -574,65 +570,10 @@ pub(crate) struct WinSanLocal {
 impl WinSanLocal {
     pub(crate) fn new(ntargets: usize) -> Self {
         WinSanLocal {
-            lock_state: vec![None; ntargets],
-            locked_all: false,
-            fence_mode: false,
             pending_reads: Vec::new(),
             last_version: vec![0; ntargets],
             last_ts: vec![0; ntargets],
         }
-    }
-
-    /// Is some epoch open that covers a data op towards `target`?
-    pub(crate) fn epoch_open_for(&self, target: usize, pscw_targets: &[usize]) -> bool {
-        self.locked_all
-            || self.fence_mode
-            || self.lock_state[target].is_some()
-            || pscw_targets.contains(&target)
-    }
-
-    /// Is any epoch open at all (for `flush_all`)?
-    pub(crate) fn any_epoch_open(&self, pscw_targets: &[usize]) -> bool {
-        self.locked_all
-            || self.fence_mode
-            || !pscw_targets.is_empty()
-            || self.lock_state.iter().any(Option::is_some)
-    }
-
-    pub(crate) fn on_lock(&mut self, san: &SanCtx, kind: crate::lockmgr::LockKind, target: usize) {
-        if self.locked_all || self.lock_state[target].is_some() {
-            san.report(SanKind::DoubleLock {
-                target: Some(target),
-            });
-        }
-        self.lock_state[target] = Some(kind);
-    }
-
-    pub(crate) fn on_unlock(&mut self, san: &SanCtx, target: usize) {
-        if self.locked_all || self.lock_state[target].is_none() {
-            san.report(SanKind::UnlockWithoutLock {
-                target: Some(target),
-            });
-        }
-        self.lock_state[target] = None;
-    }
-
-    pub(crate) fn on_lock_all(&mut self, san: &SanCtx) {
-        if self.locked_all || self.lock_state.iter().any(Option::is_some) {
-            san.report(SanKind::DoubleLock { target: None });
-        }
-        self.locked_all = true;
-    }
-
-    pub(crate) fn on_unlock_all(&mut self, san: &SanCtx) {
-        if !self.locked_all {
-            san.report(SanKind::UnlockWithoutLock { target: None });
-        }
-        self.locked_all = false;
-    }
-
-    pub(crate) fn on_fence(&mut self) {
-        self.fence_mode = true;
     }
 
     /// Registers the destination buffer of a get that is now outstanding.

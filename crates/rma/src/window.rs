@@ -23,7 +23,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use clampi_datatype::{Datatype, FlatLayout};
 
-use crate::check::{AccessKind, SanKind, WinSanLocal, WinSanShared};
+use crate::check::{AccessKind, SanCtx, SanKind, WinSanLocal, WinSanShared};
 use crate::fault::{FaultDecision, RmaError};
 use crate::process::Process;
 use crate::sync;
@@ -356,7 +356,8 @@ pub struct Window {
     my_rank: usize,
     epoch: u64,
     accesses: Vec<AccessRec>,
-    pscw_targets: Vec<usize>,
+    /// The access epochs this handle has open ([`Window::epoch_open_for`]).
+    open: OpenEpochs,
     /// Outstanding nonblocking-get request ids, queued per target; drained
     /// (cleared) when the corresponding completion event runs.
     nb_queue: Vec<Vec<u64>>,
@@ -370,6 +371,78 @@ pub struct Window {
     /// Rank-local RMASAN state (epoch discipline, outstanding get
     /// destinations, observed versions); `None` when the sanitizer is off.
     san: Option<Box<WinSanLocal>>,
+}
+
+/// The access epochs one window handle has open. Tracked whether or not
+/// RMASAN is armed: callers ask [`Window::epoch_open_for`] before they
+/// issue operations of their own, and the sanitizer checks the lock
+/// discipline against it (`san` is `Some` only when it is armed).
+#[derive(Debug)]
+struct OpenEpochs {
+    locks: Vec<Option<LockKind>>,
+    locked_all: bool,
+    /// Set by the first `fence`: the window is in active-target fence
+    /// mode, where data ops between fences are legal.
+    fenced: bool,
+    /// The group of the open PSCW access epoch (empty when none is).
+    pscw: Vec<usize>,
+}
+
+impl OpenEpochs {
+    fn for_targets(ntargets: usize) -> Self {
+        OpenEpochs {
+            locks: vec![None; ntargets],
+            locked_all: false,
+            fenced: false,
+            pscw: Vec::new(),
+        }
+    }
+
+    fn covers(&self, target: usize) -> bool {
+        self.locked_all
+            || self.fenced
+            || self.locks[target].is_some()
+            || self.pscw.contains(&target)
+    }
+
+    fn any(&self) -> bool {
+        self.locked_all
+            || self.fenced
+            || !self.pscw.is_empty()
+            || self.locks.iter().any(Option::is_some)
+    }
+
+    fn lock(&mut self, san: Option<&SanCtx>, kind: LockKind, target: usize) {
+        if let Some(s) = san.filter(|_| self.locked_all || self.locks[target].is_some()) {
+            s.report(SanKind::DoubleLock {
+                target: Some(target),
+            });
+        }
+        self.locks[target] = Some(kind);
+    }
+
+    fn unlock(&mut self, san: Option<&SanCtx>, target: usize) {
+        if let Some(s) = san.filter(|_| self.locked_all || self.locks[target].is_none()) {
+            s.report(SanKind::UnlockWithoutLock {
+                target: Some(target),
+            });
+        }
+        self.locks[target] = None;
+    }
+
+    fn lock_all(&mut self, san: Option<&SanCtx>) {
+        if let Some(s) = san.filter(|_| self.locked_all || self.locks.iter().any(Option::is_some)) {
+            s.report(SanKind::DoubleLock { target: None });
+        }
+        self.locked_all = true;
+    }
+
+    fn unlock_all(&mut self, san: Option<&SanCtx>) {
+        if let Some(s) = san.filter(|_| !self.locked_all) {
+            s.report(SanKind::UnlockWithoutLock { target: None });
+        }
+        self.locked_all = false;
+    }
 }
 
 /// Copies an 8-byte slice into an array for `from_le_bytes`. Callers pass
@@ -389,7 +462,7 @@ impl Window {
             my_rank,
             epoch: 0,
             accesses: Vec::new(),
-            pscw_targets: Vec::new(),
+            open: OpenEpochs::for_targets(ntargets),
             nb_queue: vec![Vec::new(); ntargets],
             scratch_layout: FlatLayout::contiguous(0),
             last_get_stamp: GetStamp::default(),
@@ -400,6 +473,19 @@ impl Window {
     /// The number of concluded access epochs (the paper's `w.eph`).
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Whether an access epoch that covers data ops towards `target` is
+    /// open on this handle: a lock on it, `lock_all`, fence mode, or a
+    /// PSCW access epoch whose group names it.
+    pub fn epoch_open_for(&self, target: usize) -> bool {
+        self.open.covers(target)
+    }
+
+    /// This handle's RMASAN context: `Some` only when the sanitizer is
+    /// armed for both the process and the window.
+    fn san_ctx<'p>(&self, p: &'p Process) -> Option<&'p SanCtx> {
+        p.san.as_ref().filter(|_| self.san.is_some())
     }
 
     /// The rank that owns this handle.
@@ -454,10 +540,8 @@ impl Window {
 
     /// RMASAN: checks that a data op towards `target` has an open epoch.
     fn san_epoch_gate(&self, p: &Process, target: usize, op: &'static str) {
-        if let (Some(local), Some(ctx)) = (self.san.as_deref(), p.san.as_ref()) {
-            if !local.epoch_open_for(target, &self.pscw_targets) {
-                ctx.report(SanKind::OpOutsideEpoch { target, op });
-            }
+        if let Some(ctx) = self.san_ctx(p).filter(|_| !self.open.covers(target)) {
+            ctx.report(SanKind::OpOutsideEpoch { target, op });
         }
     }
 
@@ -1251,12 +1335,12 @@ impl Window {
     /// Completes all outstanding operations towards `target`
     /// (MPI_Win_flush). Counts as an epoch closure for the caching layer.
     pub fn flush(&mut self, p: &mut Process, target: usize) {
-        if let (Some(local), Some(ctx)) = (self.san.as_deref_mut(), p.san.as_ref()) {
-            if !local.epoch_open_for(target, &self.pscw_targets) {
-                ctx.report(SanKind::FlushOutsideEpoch {
-                    target: Some(target),
-                });
-            }
+        if let Some(ctx) = self.san_ctx(p).filter(|_| !self.open.covers(target)) {
+            ctx.report(SanKind::FlushOutsideEpoch {
+                target: Some(target),
+            });
+        }
+        if let Some(local) = self.san.as_deref_mut() {
             local.complete_reads_for(target);
         }
         let sync = p.netmodel().sync_cost();
@@ -1270,10 +1354,10 @@ impl Window {
     /// Completes all outstanding operations towards every target
     /// (MPI_Win_flush_all). Counts as an epoch closure.
     pub fn flush_all(&mut self, p: &mut Process) {
-        if let (Some(local), Some(ctx)) = (self.san.as_deref_mut(), p.san.as_ref()) {
-            if !local.any_epoch_open(&self.pscw_targets) {
-                ctx.report(SanKind::FlushOutsideEpoch { target: None });
-            }
+        if let Some(ctx) = self.san_ctx(p).filter(|_| !self.open.any()) {
+            ctx.report(SanKind::FlushOutsideEpoch { target: None });
+        }
+        if let Some(local) = self.san.as_deref_mut() {
             local.complete_all_reads();
         }
         let sync = p.netmodel().sync_cost();
@@ -1289,9 +1373,7 @@ impl Window {
     pub fn lock(&mut self, p: &mut Process, kind: LockKind, target: usize) {
         let sync = p.netmodel().sync_cost();
         p.clock_mut().charge_cpu(sync);
-        if let (Some(local), Some(ctx)) = (self.san.as_deref_mut(), p.san.as_ref()) {
-            local.on_lock(ctx, kind, target);
-        }
+        self.open.lock(self.san_ctx(p), kind, target);
         self.shared.locks.lock_hb(kind, target, p.san.as_mut());
         p.sync_events += 1;
     }
@@ -1302,8 +1384,8 @@ impl Window {
         let sync = p.netmodel().sync_cost();
         p.clock_mut().charge_cpu(sync);
         p.clock_mut().wait_target(target);
-        if let (Some(local), Some(ctx)) = (self.san.as_deref_mut(), p.san.as_ref()) {
-            local.on_unlock(ctx, target);
+        self.open.unlock(self.san_ctx(p), target);
+        if let Some(local) = self.san.as_deref_mut() {
             local.complete_reads_for(target);
         }
         self.shared.locks.unlock_hb(target, p.san.as_mut());
@@ -1316,9 +1398,7 @@ impl Window {
     pub fn lock_all(&mut self, p: &mut Process) {
         let sync = p.netmodel().sync_cost();
         p.clock_mut().charge_cpu(sync);
-        if let (Some(local), Some(ctx)) = (self.san.as_deref_mut(), p.san.as_ref()) {
-            local.on_lock_all(ctx);
-        }
+        self.open.lock_all(self.san_ctx(p));
         self.shared.locks.lock_all_hb(p.san.as_mut());
         p.sync_events += 1;
     }
@@ -1328,8 +1408,8 @@ impl Window {
         let sync = p.netmodel().sync_cost();
         p.clock_mut().charge_cpu(sync);
         p.clock_mut().wait_all();
-        if let (Some(local), Some(ctx)) = (self.san.as_deref_mut(), p.san.as_ref()) {
-            local.on_unlock_all(ctx);
+        self.open.unlock_all(self.san_ctx(p));
+        if let Some(local) = self.san.as_deref_mut() {
             local.complete_all_reads();
         }
         self.shared.locks.unlock_all_hb(p.san.as_mut());
@@ -1381,7 +1461,7 @@ impl Window {
             p.clock_mut().advance_to(now.max(l));
         }
         p.sync_events += 1;
-        self.pscw_targets = targets.to_vec();
+        self.open.pscw = targets.to_vec();
     }
 
     /// Completes the access epoch opened by [`Window::start`]
@@ -1398,7 +1478,7 @@ impl Window {
             san.tick();
             san.vc.clone()
         });
-        for &t in &self.pscw_targets {
+        for &t in &self.open.pscw {
             PscwState::signal(
                 &self.shared.pscw.completes,
                 &self.shared.pscw.cv,
@@ -1406,7 +1486,7 @@ impl Window {
                 san_vc.as_deref(),
             );
         }
-        self.pscw_targets.clear();
+        self.open.pscw.clear();
         self.drain_all_requests();
         self.close_epoch();
     }
@@ -1438,8 +1518,8 @@ impl Window {
         let sync = p.netmodel().sync_cost();
         p.clock_mut().charge_cpu(sync);
         p.clock_mut().wait_all();
+        self.open.fenced = true;
         if let Some(local) = self.san.as_deref_mut() {
-            local.on_fence();
             local.complete_all_reads();
         }
         p.barrier();

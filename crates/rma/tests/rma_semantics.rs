@@ -680,3 +680,44 @@ fn rput_completes_individually() {
         p.barrier();
     });
 }
+
+/// `Window::epoch_open_for` tracks the open access epochs whether or not
+/// RMASAN is armed: a lock covers its target only, `lock_all` every
+/// target, a PSCW access epoch its group, and fence mode everything from
+/// the first fence on.
+#[test]
+fn epoch_open_for_follows_every_epoch_kind() {
+    let out = run_collect(SimConfig::default(), 2, |p| {
+        let mut win = p.win_allocate(64);
+        let mut seen = Vec::new();
+        let open = |win: &clampi_rma::Window| [win.epoch_open_for(0), win.epoch_open_for(1)];
+        p.barrier();
+        if p.rank() == 0 {
+            seen.push(open(&win));
+            win.lock(p, LockKind::Shared, 1);
+            seen.push(open(&win));
+            win.unlock(p, 1);
+            seen.push(open(&win));
+            win.lock_all(p);
+            seen.push(open(&win));
+            win.unlock_all(p);
+            seen.push(open(&win));
+            win.start(p, &[1]);
+            seen.push(open(&win));
+            win.complete(p);
+            seen.push(open(&win));
+        } else {
+            win.post(p, &[0]);
+            win.wait(p, &[0]);
+        }
+        win.fence(p);
+        seen.push(open(&win));
+        win.fence(p);
+        seen
+    });
+    let none = [false, false];
+    let (target1, all) = ([false, true], [true, true]);
+    let expect = vec![none, target1, none, all, none, target1, none, all];
+    assert_eq!(out[0].1, expect);
+    assert_eq!(out[1].1, vec![all], "rank 1 after its first fence");
+}
