@@ -5,18 +5,25 @@
 //! The workload is the DHT's canonical phase shape over N ranks: a
 //! shared-seed [`KeyStream`] populates the table (every key id, version
 //! 0), then rounds of {per-rank Zipf lookups (plus a few
-//! never-inserted keys) → barrier → owner-local skewed churn → flush →
-//! barrier → validate}. Every rank's lookup-result sequence is compared
-//! against a sequential HashMap replay of the identical schedule.
+//! never-inserted keys) and [`Dht::multi_get`] batches of Zipf keys (plus
+//! one never-inserted key each) → barrier → owner-local skewed churn →
+//! flush → barrier → validate}. Every rank's result sequence is compared
+//! against a sequential HashMap replay of the identical schedule. The
+//! churn's owners read their own fresh updates back in the next round,
+//! through both paths: the write-update of their own cached copies and
+//! `validate`'s refetch of what other ranks wrote are both under test.
 //!
 //! Properties:
 //!
 //! 1. **bit-identical to the HashMap**, for every cache configuration —
 //!    uncached (`ClampiConfig::disabled()`), and always-cache under
-//!    both [`CoherenceMode`]s, each with the location cache off and on:
-//!    same schedule → same `Found`/`NotFound` sequence on every rank;
+//!    both [`CoherenceMode`]s, each with the location cache off and on,
+//!    `EagerInvalidate` at notification-ring capacities default, 2 and 0
+//!    (the last two overflow under churn): same schedule → same
+//!    `Found`/`NotFound` sequence on every rank;
 //! 2. the same holds under **transient fault injection** with a generous
-//!    retry policy (no lookup may degrade, none may go stale);
+//!    retry policy (no lookup may degrade, none may go stale), at every
+//!    ring capacity;
 //! 3. (directed) a **rank-death** plan degrades lookups against the dead
 //!    owner to [`DhtLookup::Degraded`] (or serves a still-cached value)
 //!    while live-owner lookups stay bit-identical to the reference;
@@ -49,17 +56,32 @@ struct Schedule {
     population: usize,
     rounds: usize,
     lookups_per_round: usize,
+    /// `multi_get` batches per round and rank, of [`BATCH_KEYS`] keys.
+    batches_per_round: usize,
     churn_per_round: usize,
     skew: f64,
     seed: u64,
     faults: Option<FaultConfig>,
 }
 
+/// Keys per `multi_get` batch: `BATCH_KEYS - 1` Zipf draws and one
+/// never-inserted key.
+const BATCH_KEYS: usize = 4;
+
 /// One cache configuration under test.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Cache {
     Uncached,
     Coherent(CoherenceMode),
+}
+
+/// A cache configuration, its location-cache entries and the
+/// notification-ring capacity of the simulator.
+#[derive(Clone, Copy, Debug)]
+struct Config {
+    cache: Cache,
+    loc: usize,
+    ring_cap: usize,
 }
 
 fn dht_config(s: &Schedule, cache: Cache, loc_entries: usize) -> DhtConfig {
@@ -87,17 +109,20 @@ fn dht_config(s: &Schedule, cache: Cache, loc_entries: usize) -> DhtConfig {
 
 /// Runs the schedule on the simulator; returns each rank's
 /// lookup-result sequence and DHT counters.
-fn run_schedule(s: &Schedule, cache: Cache, loc_entries: usize) -> Vec<(Vec<DhtLookup>, DhtStats)> {
-    let mut sim = SimConfig::default();
+fn run_schedule(s: &Schedule, c: Config) -> Vec<(Vec<DhtLookup>, DhtStats)> {
+    let mut sim = SimConfig::default().with_notify_ring_cap(c.ring_cap);
     if let Some(f) = &s.faults {
         sim = sim.with_faults(f.clone());
     }
     let s = s.clone();
-    let out = run_collect(sim, s.nranks, move |p| {
-        let (results, stats) = run_rank(p, &s, cache, loc_entries);
-        (results, stats)
-    });
+    let out = run_collect(sim, s.nranks, move |p| run_rank(p, &s, c.cache, c.loc));
     out.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Round `round`'s never-inserted key of batch `b` (disjoint from the
+/// lookups' absent keys).
+fn batch_absent_key(population: usize, round: usize, b: usize) -> u64 {
+    absent_key(population, 1_000 + 64 * round + b)
 }
 
 fn run_rank(
@@ -137,6 +162,13 @@ fn run_rank(
         for j in 0..2 {
             results.push(dht.lookup(p, absent_key(s.population, 2 * round + j)));
         }
+        for b in 0..s.batches_per_round {
+            let mut keys: Vec<u64> = (1..BATCH_KEYS)
+                .map(|_| mix_key(lookups.sample() as u64))
+                .collect();
+            keys.push(batch_absent_key(s.population, round, b));
+            results.extend(dht.multi_get(p, &keys));
+        }
         p.barrier();
 
         // Churn phase: shared batch, owners put their keys.
@@ -174,16 +206,24 @@ fn reference(s: &Schedule) -> Vec<Vec<DhtLookup>> {
         })
         .collect();
     let mut results = vec![Vec::new(); s.nranks];
+    let found = |map: &HashMap<u64, u64>, k: u64| {
+        map.get(&k)
+            .map_or(DhtLookup::NotFound, |&v| DhtLookup::Found(v))
+    };
     for _ in 0..s.rounds {
         for (rank, zipf) in lookups.iter_mut().enumerate() {
             for _ in 0..s.lookups_per_round {
                 let k = mix_key(zipf.sample() as u64);
-                results[rank].push(
-                    map.get(&k)
-                        .map_or(DhtLookup::NotFound, |&v| DhtLookup::Found(v)),
-                );
+                results[rank].push(found(&map, k));
             }
             for _ in 0..2 {
+                results[rank].push(DhtLookup::NotFound);
+            }
+            for _ in 0..s.batches_per_round {
+                for _ in 1..BATCH_KEYS {
+                    let k = mix_key(zipf.sample() as u64);
+                    results[rank].push(found(&map, k));
+                }
                 results[rank].push(DhtLookup::NotFound);
             }
         }
@@ -201,6 +241,7 @@ fn gen_schedule(g: &mut Gen, faulty: bool) -> Schedule {
         population,
         rounds: g.range(2..5usize),
         lookups_per_round: g.range(8..32usize),
+        batches_per_round: g.range(0..4usize),
         churn_per_round: g.range(0..population),
         skew: g.range(0.4..1.3),
         seed: g.u64(),
@@ -212,13 +253,33 @@ fn gen_schedule(g: &mut Gen, faulty: bool) -> Schedule {
     }
 }
 
-/// Every cache configuration under test: uncached, then both
-/// coherence modes, each with the location cache off and on.
-fn all_configs() -> Vec<(Cache, usize)> {
-    let mut cfgs = vec![(Cache::Uncached, 0), (Cache::Uncached, 256)];
-    for mode in [CoherenceMode::None, CoherenceMode::EagerInvalidate] {
-        cfgs.push((Cache::Coherent(mode), 0));
-        cfgs.push((Cache::Coherent(mode), 256));
+/// The notification-ring capacities `EagerInvalidate` runs at: the
+/// simulator's default, a 2-record ring and none at all (every drain
+/// after a write overflows into a whole-target drop).
+fn ring_caps() -> [usize; 3] {
+    [SimConfig::default().notify_ring_cap, 2, 0]
+}
+
+/// Every cache configuration under test: uncached, then both coherence
+/// modes, each with the location cache off and on, `EagerInvalidate` at
+/// every ring capacity of [`ring_caps`].
+fn all_configs() -> Vec<Config> {
+    let ring_cap = SimConfig::default().notify_ring_cap;
+    let mut cfgs = Vec::new();
+    for loc in [0, 256] {
+        for cache in [Cache::Uncached, Cache::Coherent(CoherenceMode::None)] {
+            cfgs.push(Config {
+                cache,
+                loc,
+                ring_cap,
+            });
+        }
+        let cache = Cache::Coherent(CoherenceMode::EagerInvalidate);
+        cfgs.extend(ring_caps().map(|ring_cap| Config {
+            cache,
+            loc,
+            ring_cap,
+        }));
     }
     cfgs
 }
@@ -228,12 +289,12 @@ fn prop_dht_matches_hashmap_all_modes() {
     check("dht == HashMap across cache configs", 6, |g| {
         let s = gen_schedule(g, false);
         let want = reference(&s);
-        for (cache, loc) in all_configs() {
-            let got = run_schedule(&s, cache, loc);
+        for c in all_configs() {
+            let got = run_schedule(&s, c);
             for (rank, (results, stats)) in got.iter().enumerate() {
                 assert_eq!(
                     results, &want[rank],
-                    "rank {rank} diverged from HashMap ({cache:?}, loc={loc})"
+                    "rank {rank} diverged from HashMap ({c:?})"
                 );
                 assert_eq!(stats.insert_fails, 0, "rank {rank}: insert failed");
                 assert_eq!(stats.degraded, 0, "rank {rank}: degraded without faults");
@@ -247,15 +308,22 @@ fn prop_dht_survives_transient_faults() {
     check("dht == HashMap under transient faults", 5, |g| {
         let s = gen_schedule(g, true);
         let want = reference(&s);
-        for (cache, loc) in [
-            (Cache::Uncached, 0),
-            (Cache::Coherent(CoherenceMode::EagerInvalidate), 256),
-        ] {
-            let got = run_schedule(&s, cache, loc);
+        let uncached = Config {
+            cache: Cache::Uncached,
+            loc: 0,
+            ring_cap: SimConfig::default().notify_ring_cap,
+        };
+        let eager = ring_caps().map(|ring_cap| Config {
+            cache: Cache::Coherent(CoherenceMode::EagerInvalidate),
+            loc: 256,
+            ring_cap,
+        });
+        for c in std::iter::once(uncached).chain(eager) {
+            let got = run_schedule(&s, c);
             for (rank, (results, stats)) in got.iter().enumerate() {
                 assert_eq!(
                     results, &want[rank],
-                    "rank {rank} diverged under faults ({cache:?}, loc={loc})"
+                    "rank {rank} diverged under faults ({c:?})"
                 );
                 assert_eq!(stats.degraded, 0, "transient faults must be retried away");
             }
@@ -274,6 +342,7 @@ fn rank_death_degrades_only_the_dead_owners_lookups() {
         population: 48,
         rounds: 2,
         lookups_per_round: 24,
+        batches_per_round: 0,
         churn_per_round: 0, // freeze values: reference is version 0
         skew: 0.99,
         seed: 0xD147_0BAD,

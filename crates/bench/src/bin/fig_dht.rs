@@ -385,7 +385,9 @@ fn main() {
         "clampi_hit",
         "loc_hit",
     ]);
-    let mut pinned = [0.0f64; 2]; // per-mode hit ratio at s=0.99, top rate
+    // Per-mode hit ratio and elapsed virtual ns at s=0.99, top rate.
+    let mut pinned = [0.0f64; 2];
+    let mut pinned_ns = [0.0f64; 2];
     for &skew in skews {
         for &rate in rates {
             let mut hit_by_mode = [0.0f64; 2];
@@ -411,6 +413,7 @@ fn main() {
                 hit_by_mode[i] = o.hit_ratio;
                 if (skew - 0.99).abs() < 1e-9 && (rate - 0.2).abs() < 1e-9 {
                     pinned[i] = o.hit_ratio;
+                    pinned_ns[i] = o.elapsed_ns;
                 }
             }
             // Surgical invalidation must preserve at least the reuse of
@@ -434,6 +437,8 @@ fn main() {
     meta(&format!("PERF gets_per_vsec {gets_per_vsec:.1}"));
     meta(&format!("PERF churn_hit_full {:.4}", pinned[0]));
     meta(&format!("PERF churn_hit_eager {:.4}", pinned[1]));
+    meta(&format!("PERF churn_ns_full {:.1}", pinned_ns[0]));
+    meta(&format!("PERF churn_ns_eager {:.1}", pinned_ns[1]));
     meta(&format!(
         "PERF wall_ms {:.1}",
         wall.elapsed().as_secs_f64() * 1e3

@@ -750,6 +750,38 @@ impl RmaCache {
         self.install(d.key, d.sig.clone(), data, stamp, d.last);
     }
 
+    /// Writes this rank's own put through to its cached copy: when a
+    /// CACHED contiguous entry is keyed exactly at `key` and is no longer
+    /// than the put's payload `data`, its bytes become the put's and its
+    /// stamp the put's `stamp`, so the drain of the put's own record keeps
+    /// it.
+    ///
+    /// Free when nothing of `key.target` is resident; otherwise one lookup
+    /// charge, plus the copy when an entry qualifies. Not a get and not an
+    /// access: `seq`, `ags`, `last`, the access classes and the policy lab
+    /// stay put. Everything else (PENDING or strided entries, entries the
+    /// put overlaps from another key or only partly covers) is left to the
+    /// drain, which drops it.
+    pub(crate) fn update_on_put(&mut self, key: GetKey, data: &[u8], stamp: SnapStamp) {
+        if !self.has_entries_for(key.target) {
+            return;
+        }
+        self.charge(self.params.costs.lookup_ns);
+        let Some(id) = self.index.lookup(&key) else {
+            return;
+        };
+        let e = self.entry(id);
+        let covered = matches!(e.sig, LayoutSig::Contig(size) if size <= data.len());
+        if e.state != EntryState::Cached || !covered {
+            return;
+        }
+        let (desc, size) = (e.desc, e.size);
+        self.storage.write(desc, &data[..size]);
+        self.entry_mut(id).stamp = stamp;
+        self.charge(self.params.costs.memcpy_cost(size));
+        self.stats.put_updates += 1;
+    }
+
     /// The install behind [`RmaCache::install_miss`] and
     /// [`RmaCache::install_refetch`]: index insert (evicting on the path
     /// if it conflicts), storage allocation (evicting for space if

@@ -24,6 +24,7 @@
 //! | `None` | zero | none (pre-coherence behaviour, bit-identical) |
 //! | `EagerInvalidate` | CPU-only notification drain (one issue overhead + a record-sized copy per unseen record); zero when the last get reply proves the drain empty | only entries overlapping a drained put record; the whole target when the ring overflowed |
 //! | `EagerInvalidate`, at `validate` | the drain, then one nonblocking refetch per CACHED entry it dropped (issue overhead and wire time, or a coalesced span's extra bytes; an install without a lookup), completed by one flush per target: one wire latency blocked, not one per entry | as above, but the dropped entries are back, refreshed, before `validate` returns |
+//! | `EagerInvalidate`, at this rank's own `put` | zero when nothing of the target is cached; else one lookup, plus a copy of the entry when one qualifies | none: a CACHED contiguous entry keyed exactly at the put's displacement and no longer than it takes the put's bytes and exact stamp, so the drain of the put's own record keeps it; every other entry the put overlaps is left to the drain |
 //!
 //! What `validate` refetches: every CACHED entry its own pass drops, by a
 //! stale overlap or by the ring-overflow whole-target drop, in ascending
@@ -34,6 +35,17 @@
 //! `CacheStats::refetches`) and keeps the dropped entry's last access, so
 //! eviction order is as if it had never left. A failed refetch leaves its
 //! entry dropped; a dead target is degraded.
+//!
+//! What a put writes through (`CacheStats::put_updates`): the writer's own
+//! copy of exactly what it wrote. The put overwrote every byte of the
+//! entry at version `v`, and versions are ordered under the region lock,
+//! so every earlier overlapping write is superseded and every later one
+//! has a version above `v` and still drops the entry at the next drain.
+//! Not updated: PENDING or strided entries, entries keyed elsewhere or
+//! longer than the put, puts that failed or were discarded (degraded
+//! target, retries exhausted), and every put under `CoherenceMode::None`.
+//! An update is not a get either: `seq`, `ags`, `last` and the access
+//! classes stay put.
 //!
 //! There is one mechanism. A window that cannot afford a notification ring
 //! sets `SimConfig::with_notify_ring_cap(0)`: every drain after a write
@@ -143,7 +155,9 @@ impl CoherenceTracker {
     /// Consumes `t`'s reply sample and reports whether it proves a drain
     /// of `t` empty: the reply saw `t` at the cursor, and this rank's
     /// `sync_events` count has not moved since — it has neither written
-    /// (its own put must become visible to its own later gets) nor
+    /// (its own put must be drained: the put updated at most its own
+    /// copy of what it covered exactly, and every other entry it
+    /// overlaps must drop) nor
     /// acquired a lock, a PSCW epoch or a collective (each of which may
     /// order another rank's flushed put before this rank's next get). A
     /// put by another rank after the reply, with no such event in

@@ -228,6 +228,8 @@ pub struct SnapshotCtx {
     pub(crate) records: Vec<PutRecord>,
     /// Involved targets, deduplicated.
     pub(crate) targets: Vec<u32>,
+    /// Whether the current gather issued a fetch towards `targets[k]`.
+    pub(crate) staged: Vec<bool>,
     /// Indices of requests to refetch in the current round.
     pub(crate) refetch: Vec<usize>,
 }

@@ -172,6 +172,11 @@ counter_table! {
     /// fetched again before it returned (one per fetch that delivered;
     /// not gets: no access class, no `total_gets`).
     refetches: u64,
+    /// Cached entries this rank's own puts wrote through under
+    /// `EagerInvalidate` (exact key, CACHED, contiguous, covered by the
+    /// put): each keeps its place instead of being dropped by the drain.
+    /// Not gets.
+    put_updates: u64,
     /// Always 0: nothing fetches a version since the epoch-validation
     /// coherence mode was deleted. Still here because
     /// `benchmark/src/counters.rs` reads it; goes with the next benchmark

@@ -928,9 +928,15 @@ impl CachedWindow {
         self.win.get(p, dst, target, disp, dtype, count);
     }
 
-    /// An uncached put (writes invalidate nothing by themselves — MPI's
-    /// epoch rules forbid conflicting put/get in one epoch, and the mode
-    /// determines when cached data expires).
+    /// A put (writes invalidate nothing by themselves — MPI's epoch rules
+    /// forbid conflicting put/get in one epoch, and the mode determines
+    /// when cached data expires).
+    ///
+    /// Under [`CoherenceMode::EagerInvalidate`] a contiguous put that
+    /// landed also writes through to this rank's own cached copy of the
+    /// same record (see `RmaCache::update_on_put`): the entry takes the
+    /// put's bytes and exact stamp, the drain of the put's own record
+    /// keeps it, and this rank's next read of what it wrote hits.
     ///
     /// Under fault injection, transient faults are retried like gets.
     /// A put towards a target marked persistently failed — or one whose
@@ -954,8 +960,21 @@ impl CachedWindow {
         let sent = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
             self.win.try_put(p, src, target, disp, dtype, count)
         });
-        if let Err(e) = sent {
-            self.degrade_if_dead(p, target, &e);
+        match sent {
+            Ok(()) => {
+                if self.coherence_mode() == CoherenceMode::EagerInvalidate && dtype.is_contiguous()
+                {
+                    let s = self.win.last_put_stamp();
+                    let key = GetKey {
+                        target: target as u32,
+                        disp: disp as u64,
+                    };
+                    let stamp = SnapStamp::exact(s.version, s.ts);
+                    self.engine().update_on_put(key, src, stamp);
+                    self.charge_engine(p);
+                }
+            }
+            Err(e) => self.degrade_if_dead(p, target, &e),
         }
     }
 
@@ -1065,6 +1084,8 @@ impl CachedWindow {
         ctx.bounds.clear();
         ctx.bounds.resize(reqs.len(), ReqBound::default());
         ctx.refetch.clear();
+        ctx.staged.clear();
+        ctx.staged.resize(ctx.targets.len(), false);
         let mut off = 0usize;
         for (i, r) in reqs.iter().enumerate() {
             let slice = &mut dst[off..off + r.len];
@@ -1076,6 +1097,9 @@ impl CachedWindow {
             if self.degraded[target] {
                 return Err(SnapAbort::Fault(target));
             }
+            // A resident hit issues nothing; every other read stages a
+            // fetch that the gather's completion must wait for.
+            let mut staged = true;
             // The bytes' stamp, and the version through which they are
             // already known to be write-free.
             let (stamp, seen) = if direct || self.cache.is_none() {
@@ -1101,6 +1125,7 @@ impl CachedWindow {
                     // starts there, not at the stamp. (Without a
                     // coherence mode no pass runs and the cursor stays 0.)
                     GetOutcome::Resident => {
+                        staged = false;
                         let key = GetKey {
                             target: r.target,
                             disp: r.disp as u64,
@@ -1111,6 +1136,11 @@ impl CachedWindow {
                     GetOutcome::Fetched(_, stamp) => (stamp, stamp.version),
                 }
             };
+            if staged {
+                if let Ok(k) = ctx.targets.binary_search(&r.target) {
+                    ctx.staged[k] = true;
+                }
+            }
             if stamp.exact {
                 ctx.bounds[i] = ReqBound::new(stamp, seen);
             } else {
@@ -1120,9 +1150,16 @@ impl CachedWindow {
         // Complete the gathered fetches. Deliberately *not*
         // `CachedWindow::flush`: no epoch hook (transparent mode would
         // invalidate the entries being validated) and no coherence pass.
+        // Only targets with something in flight are flushed: a fetch this
+        // gather staged, or an earlier transfer not yet completed (so a
+        // hit on a PENDING entry still waits for the fetch that fills it).
+        // A target the batch only hit has nothing to complete.
         for k in 0..ctx.targets.len() {
             let t = ctx.targets[k] as usize;
-            self.complete_with(p, Some(t), |w, p| w.flush(p, t));
+            if ctx.staged[k] || self.nb_posted_wire[t] > 0.0 || self.win.outstanding_requests(t) > 0
+            {
+                self.complete_with(p, Some(t), |w, p| w.flush(p, t));
+            }
         }
 
         // --- Validate: bound every interval from the notification rings,

@@ -8,7 +8,9 @@
 //! repeated strided type (the wrappers' flatten memo) — and so must the
 //! tail fetch of a contiguous *partial hit*, misses of varying length
 //! (both resize the same scratch layout in place) and misses that end in
-//! a Cuckoo cycle (the index lends out one insertion-path buffer).
+//! a Cuckoo cycle (the index lends out one insertion-path buffer). A put
+//! that writes through to the putter's cached copy, the coherence flush
+//! after it and the hit after that allocate nothing either.
 //! Trace replay, fed a file, must size nothing by what the file claims:
 //! the largest request it makes is bounded by `|S_w|`.
 //!
@@ -253,6 +255,47 @@ fn coherent_miss_and_flush_do_not_allocate() {
         win.invalidate(p);
         get_then_flush(p, win, 0..SLOTS / 2, AccessType::Direct);
         get_then_flush(p, win, SLOTS / 2..SLOTS, AccessType::Direct)
+    });
+}
+
+/// Puts a `GET`-byte record at every slot of `slots`, flushes its target
+/// and reads the record back, one slot per epoch. Returns `(heap
+/// allocations of the puts, flushes and gets, gets classified `Hit`)`.
+fn put_flush_get(
+    p: &mut Process,
+    win: &mut CachedWindow,
+    slots: std::ops::Range<usize>,
+) -> (u64, u64) {
+    let (dtype, mut buf) = (Datatype::bytes(GET), [0u8; GET]);
+    let before = allocs_on_this_thread();
+    let mut hits = 0;
+    for slot in slots {
+        let src = [slot as u8; GET];
+        win.put(p, &src, 1, slot * GET, &dtype, 1);
+        win.flush(p, 1);
+        let class = win.get(p, &mut buf, 1, slot * GET, &dtype, 1);
+        hits += (class == Some(AccessType::Hit) && buf == src) as u64;
+    }
+    (allocs_on_this_thread() - before, hits)
+}
+
+#[test]
+fn put_update_and_flush_do_not_allocate() {
+    let what = "a put that updates the putter's cached copy, its flush and the hit after";
+    let params = CacheParams {
+        coherence: CoherenceMode::EagerInvalidate,
+        ..CacheParams::default()
+    };
+    assert_alloc_free(what, params, SLOTS / 2, |p, win| {
+        // Cache every slot, then rewrite and reread each: the put writes
+        // through to the cached copy, the flush drains the put's record
+        // and keeps the entry, the get hits the put's bytes. The first
+        // rewrite sweep fills the notification ring and builds the extent
+        // directory; the second is measured from its second half.
+        get_then_flush(p, win, 0..SLOTS, AccessType::Direct);
+        put_flush_get(p, win, 0..SLOTS);
+        put_flush_get(p, win, 0..SLOTS / 2);
+        put_flush_get(p, win, SLOTS / 2..SLOTS)
     });
 }
 

@@ -38,7 +38,13 @@
 //!    refetches block for one wire latency, not one each; a transient
 //!    fault is retried; a target that dies before its refetches is
 //!    degraded with nothing of it cached; outside an access epoch nothing
-//!    is refetched.
+//!    is refetched;
+//! 7. (directed) a writer's cache keeps what it wrote: a put that covers
+//!    a cached record exactly updates the writer's copy with the put's
+//!    bytes and version, so its next read hits; a later foreign write
+//!    still drops it; a put that covers the record only in part, or from
+//!    another key, a put to a dead target and any put under
+//!    `CoherenceMode::None` update nothing.
 
 use clampi::{
     AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, CoherenceMode, Mode,
@@ -600,10 +606,17 @@ fn a_flush_after_a_collective_drains_the_write_it_ordered() {
     assert_the_flush_drains(Between::Barrier);
 }
 
-/// The reader's own put must be visible to its own next get.
+/// The reader's own put must be visible to its own next get. The flush
+/// still drains the put's record, but the put wrote through to the
+/// reader's cached copy and stamped it with the put's version, so the
+/// drain keeps it and the next get hits the put's bytes.
 #[test]
-fn a_flush_after_the_readers_own_put_drains() {
-    assert_the_flush_drains(Between::OwnPut);
+fn a_flush_after_the_readers_own_put_drains_it_and_the_next_get_hits_the_put() {
+    let (_, drained, class, current) =
+        miss_then_flush(CoherenceMode::EagerInvalidate, Between::OwnPut);
+    assert_eq!(drained, 1, "the flush must drain the reader's own put");
+    assert_eq!(class, Some(AccessType::Hit), "the written record must hit");
+    assert!(current, "the hit must serve the put's bytes");
 }
 
 /// Lock acquisition on *another* window orders the writer's flushed put
@@ -841,4 +854,209 @@ fn validate_outside_an_access_epoch_refetches_nothing() {
     assert!(!r.resident);
     assert!(r.classes.iter().all(|&c| c != Some(AccessType::Hit)));
     assert_eq!(r.current, vec![true; 4]);
+}
+
+/// The record rank 0 caches from rank 1 and then writes itself.
+const OWN: usize = 1;
+
+/// What rank 0's put does to the record [`OWN`] it has cached.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum OwnPut {
+    /// It covers the record exactly.
+    Exact,
+    /// It covers the record exactly; then rank 1 writes the record again.
+    ThenForeign,
+    /// It covers only the record's first half.
+    Half,
+    /// It covers the whole record, but starts half a record before it:
+    /// the entry is keyed elsewhere.
+    Elsewhere,
+    /// It covers the record exactly, after rank 1 died.
+    DeadTarget,
+}
+
+/// What rank 0 saw around its own put ([`own_put`]).
+#[derive(Debug, Default)]
+struct OwnPutObs {
+    /// Cached entries the put updated.
+    updates: u64,
+    /// Virtual ns the put took.
+    put_ns: f64,
+    /// The cached entry's stamp after the put (`(version, exact)`), and
+    /// target 1's version right after the put.
+    stamp: Option<(u64, bool)>,
+    put_version: u64,
+    /// The class and bytes of the read of [`OWN`] after the flushes, and
+    /// the bytes of an uncached read of it (`None` for a dead target).
+    class: Option<AccessType>,
+    bytes: Vec<u8>,
+    uncached: Option<Vec<u8>>,
+    degraded: bool,
+}
+
+/// The virtual time at which rank 1 dies in [`OwnPut::DeadTarget`]: after
+/// rank 0 cached [`OWN`], before its put.
+const KILL_NS: f64 = 1e9;
+
+/// Rank 0 caches record [`OWN`] of rank 1 (a miss, flushed), puts
+/// `case`'s range with version-1 bytes, flushes; after a barrier (and,
+/// for [`OwnPut::ThenForeign`], rank 1's version-2 write of the record)
+/// it flushes again, reads [`OWN`] through the cache and then uncached.
+/// `coherence` `None` runs caching disabled.
+fn own_put(coherence: Option<CoherenceMode>, case: OwnPut) -> OwnPutObs {
+    let mut sim = SimConfig::default();
+    if case == OwnPut::DeadTarget {
+        sim = sim.with_faults(FaultConfig::default().with_rank_failure(1, KILL_NS));
+    }
+    let out = run_collect(sim, 2, move |p| {
+        let rank = p.rank();
+        let cfg = match coherence {
+            None => ClampiConfig::disabled(),
+            Some(coherence) => {
+                let params = CacheParams {
+                    coherence,
+                    ..CacheParams::default()
+                };
+                ClampiConfig::fixed(Mode::AlwaysCache, params)
+            }
+        };
+        let mut win = CachedWindow::create(p, 4 * SIZE, cfg);
+        if rank == 1 {
+            let mut local = win.local_mut();
+            for r in 0..4 {
+                local[r * SIZE..(r + 1) * SIZE].fill(pattern_byte(r, 0));
+            }
+        }
+        p.barrier();
+        win.lock_all(p);
+        let mut obs = OwnPutObs::default();
+        let mut buf = vec![0u8; SIZE];
+        let dtype = Datatype::bytes(SIZE);
+        if rank == 0 {
+            win.get(p, &mut buf, 1, OWN * SIZE, &dtype, 1);
+            win.flush(p, 1);
+            let (disp, len) = match case {
+                OwnPut::Half => (OWN * SIZE, SIZE / 2),
+                OwnPut::Elsewhere => (OWN * SIZE - SIZE / 2, 2 * SIZE),
+                _ => (OWN * SIZE, SIZE),
+            };
+            if case == OwnPut::DeadTarget {
+                p.compute(KILL_NS);
+            }
+            let before = (win.stats().put_updates, p.now());
+            let src = vec![pattern_byte(OWN, 1); len];
+            win.put(p, &src, 1, disp, &Datatype::bytes(len), 1);
+            obs.updates = win.stats().put_updates - before.0;
+            obs.put_ns = p.now() - before.1;
+            let key = clampi::index::GetKey {
+                target: 1,
+                disp: (OWN * SIZE) as u64,
+            };
+            let stamp = win.cache().and_then(|c| c.snap_stamp(&key));
+            obs.stamp = stamp.map(|s| (s.version, s.exact));
+            obs.put_version = win.inner().version(1);
+            if !win.is_degraded(1) {
+                win.flush(p, 1);
+            }
+        }
+        p.barrier();
+        if rank == 1 && case == OwnPut::ThenForeign {
+            win.put(p, &[pattern_byte(OWN, 2); SIZE], 1, OWN * SIZE, &dtype, 1);
+            win.flush(p, 1);
+        }
+        p.barrier();
+        if rank == 0 {
+            obs.degraded = win.is_degraded(1);
+            if !obs.degraded {
+                win.flush(p, 1);
+            }
+            obs.class = win.get(p, &mut buf, 1, OWN * SIZE, &dtype, 1);
+            if !obs.degraded && obs.class != Some(AccessType::Hit) {
+                win.flush(p, 1);
+            }
+            obs.bytes = buf.clone();
+            if !obs.degraded {
+                let mut plain = vec![0u8; SIZE];
+                win.get_uncached(p, &mut plain, 1, OWN * SIZE, &dtype, 1);
+                win.inner_mut().flush(p, 1);
+                obs.uncached = Some(plain);
+            }
+        }
+        p.barrier();
+        win.unlock_all(p);
+        p.barrier();
+        #[cfg(debug_assertions)]
+        if let Some(cache) = win.cache() {
+            cache.check_invariants();
+        }
+        obs
+    });
+    out.into_iter().next().expect("rank 0 reports").1
+}
+
+/// A put that covers a cached record exactly writes through to the
+/// writer's copy: the entry takes the put's version, exact, and the next
+/// read hits and serves what an uncached read returns.
+#[test]
+fn an_exact_cover_put_updates_the_writers_cached_copy() {
+    let o = own_put(Some(CoherenceMode::EagerInvalidate), OwnPut::Exact);
+    assert_eq!(o.updates, 1);
+    assert_eq!(o.stamp, Some((o.put_version, true)), "not the put's stamp");
+    assert_eq!(o.class, Some(AccessType::Hit));
+    assert_eq!(o.bytes, vec![pattern_byte(OWN, 1); SIZE]);
+    assert_eq!(o.uncached.as_ref(), Some(&o.bytes));
+}
+
+/// The updated entry is stamped with its put's version, not newer: a
+/// later foreign write to the record still drops it at the drain, and the
+/// next read misses and sees the foreign bytes.
+#[test]
+fn a_foreign_write_after_the_writers_update_still_drops_it() {
+    let o = own_put(Some(CoherenceMode::EagerInvalidate), OwnPut::ThenForeign);
+    assert_eq!(o.updates, 1);
+    assert_ne!(o.class, Some(AccessType::Hit), "a stale update survived");
+    assert_eq!(o.bytes, vec![pattern_byte(OWN, 2); SIZE]);
+    assert_eq!(o.uncached.as_ref(), Some(&o.bytes));
+}
+
+/// A put that covers the cached record only in part, or covers it from
+/// another key, updates nothing: the drain drops the entry as before and
+/// the next read misses and reads what an uncached read does.
+#[test]
+fn a_partial_or_foreign_keyed_put_leaves_the_entry_to_the_drain() {
+    for case in [OwnPut::Half, OwnPut::Elsewhere] {
+        let o = own_put(Some(CoherenceMode::EagerInvalidate), case);
+        assert_eq!(o.updates, 0, "{case:?}");
+        assert_ne!(o.class, Some(AccessType::Hit), "{case:?}: entry kept");
+        assert_eq!(o.uncached.as_ref(), Some(&o.bytes), "{case:?}");
+        assert_eq!(&o.bytes[..SIZE / 2], &[pattern_byte(OWN, 1); SIZE / 2]);
+    }
+}
+
+/// A put whose target has died is discarded and updates nothing: the
+/// target is degraded, nothing of it stays cached, and the next read is
+/// `Faulted` zeros, not the put's bytes.
+#[test]
+fn a_put_to_a_dead_target_updates_nothing() {
+    let o = own_put(Some(CoherenceMode::EagerInvalidate), OwnPut::DeadTarget);
+    assert!(o.degraded);
+    assert_eq!(o.updates, 0);
+    assert_eq!(o.stamp, None, "a dead target's entry is still cached");
+    assert_eq!(o.class, Some(AccessType::Faulted));
+    assert_eq!(o.bytes, vec![0; SIZE]);
+}
+
+/// Under `CoherenceMode::None` a put updates nothing and charges nothing:
+/// it costs what it costs with caching disabled, and the cached copy
+/// still holds the old bytes an uncached read no longer returns (that
+/// mode leaves staleness to the user).
+#[test]
+fn a_put_without_coherence_updates_nothing_and_charges_nothing() {
+    let none = own_put(Some(CoherenceMode::None), OwnPut::Exact);
+    let disabled = own_put(None, OwnPut::Exact);
+    assert_eq!(none.updates, 0);
+    assert_eq!(none.put_ns, disabled.put_ns, "the put paid for a probe");
+    assert_eq!(none.class, Some(AccessType::Hit));
+    assert_eq!(none.bytes, vec![pattern_byte(OWN, 0); SIZE]);
+    assert_eq!(none.uncached, Some(vec![pattern_byte(OWN, 1); SIZE]));
 }

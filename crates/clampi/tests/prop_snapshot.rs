@@ -29,7 +29,10 @@
 //! 5. (directed) a resident entry validates from the coherence cursor:
 //!    one the passes kept is served on the cached attempt even after the
 //!    ring moved past its stamp, and a put the passes have not drained
-//!    still closes its interval.
+//!    still closes its interval;
+//! 6. (directed) a batch flushes only targets with something in flight:
+//!    an all-hit batch completes nothing, while a batch whose target has
+//!    a `get_nb` of the caller's own outstanding still flushes it.
 //!
 //! Rank closures never assert: they collect observations, and the test
 //! body checks them after `run_collect` joins. An in-run panic would
@@ -691,4 +694,93 @@ fn disabled_mode_multi_get_matches_sequential_gets() {
         dst, seq,
         "disabled-mode batch diverged from sequential gets"
     );
+}
+
+/// What [`hit_batch`] saw: the flushes the batch issued, its bytes, and
+/// the same records read uncached.
+type HitBatchObs = (Result<u64, String>, Vec<u8>, Vec<u8>);
+
+/// Rank 0 caches slots 0 and 1 of rank 1 (misses, then an epoch close);
+/// with `in_flight` it then issues a `get_nb` of slot 2 and leaves it
+/// outstanding. It batches slots 0 and 2 (`in_flight`: a hit on the
+/// PENDING entry of its own get) or 0 and 1 (every request a hit on a
+/// CACHED entry), counting the flushes the batch issued.
+fn hit_batch(in_flight: bool) -> HitBatchObs {
+    let out = run_collect(SimConfig::default(), 2, move |p| {
+        let rank = p.rank();
+        let cfg = ClampiConfig::fixed(
+            Mode::AlwaysCache,
+            CacheParams {
+                coherence: CoherenceMode::EagerInvalidate,
+                ..CacheParams::default()
+            },
+        );
+        let mut win = CachedWindow::create(p, 4 * SLOT, cfg);
+        if rank == 1 {
+            let mut local = win.local_mut();
+            for k in 0..4 {
+                local[k * SLOT..(k + 1) * SLOT].copy_from_slice(&encode((k + 1) as u64, k));
+            }
+        }
+        p.barrier();
+        win.lock_all(p);
+        let mut obs = (Err("not rank 0".to_string()), Vec::new(), Vec::new());
+        if rank == 0 {
+            let dtype = Datatype::bytes(SLOT);
+            let mut buf = vec![0u8; SLOT];
+            for k in 0..2 {
+                win.get(p, &mut buf, 1, k * SLOT, &dtype, 1);
+            }
+            win.flush(p, 1);
+            let mut pending = vec![0u8; SLOT];
+            if in_flight {
+                win.get_nb(p, &mut pending, 1, 2 * SLOT, &dtype, 1);
+            }
+            let slots = [0, if in_flight { 2 } else { 1 }];
+            let reqs: Vec<SnapReq> = slots
+                .iter()
+                .map(|&k| SnapReq {
+                    target: 1,
+                    disp: k * SLOT,
+                    len: SLOT,
+                })
+                .collect();
+            let mut dst = vec![0u8; 2 * SLOT];
+            let flushes = p.counters().flushes;
+            let r = win.multi_get(p, &mut SnapshotCtx::new(), &reqs, &mut dst);
+            obs.0 = r
+                .map(|_| p.counters().flushes - flushes)
+                .map_err(|e| e.to_string());
+            win.flush(p, 1);
+            obs.1 = dst;
+            for k in slots {
+                win.get_uncached(p, &mut buf, 1, k * SLOT, &dtype, 1);
+                win.inner_mut().flush(p, 1);
+                obs.2.extend_from_slice(&buf);
+            }
+        }
+        p.barrier();
+        win.unlock_all(p);
+        p.barrier();
+        obs
+    });
+    out[0].1.clone()
+}
+
+/// A batch served entirely by CACHED entries issues no RMA operation, so
+/// it has nothing to complete: it flushes no target.
+#[test]
+fn an_all_hit_batch_flushes_nothing() {
+    let (flushes, bytes, uncached) = hit_batch(false);
+    assert_eq!(flushes, Ok(0), "an all-hit batch paid a flush");
+    assert_eq!(bytes, uncached);
+}
+
+/// A batch that hits the PENDING entry of the caller's own outstanding
+/// `get_nb` still waits for that transfer: it flushes the target once.
+#[test]
+fn a_batch_over_a_get_nb_in_flight_still_flushes_its_target() {
+    let (flushes, bytes, uncached) = hit_batch(true);
+    assert_eq!(flushes, Ok(1), "the in-flight transfer was not completed");
+    assert_eq!(bytes, uncached);
 }

@@ -178,8 +178,9 @@ impl WinShared {
     /// atomic step for anyone holding the region lock.
     ///
     /// `now` is the writer's virtual time in whole nanoseconds; the
-    /// assigned timestamp is `max(commit_clock + 1, now)`.
-    fn note_put(&self, target: usize, origin: usize, disp: u64, len: u64, now: u64) {
+    /// assigned timestamp is `max(commit_clock + 1, now)`. Returns the
+    /// write's `(version, ts)`.
+    fn note_put(&self, target: usize, origin: usize, disp: u64, len: u64, now: u64) -> GetStamp {
         let mut ring = sync::lock(&self.notify[target]);
         // Stamped inside the ring lock, so per-target timestamp order
         // matches version order; strict global growth makes it unique.
@@ -191,12 +192,13 @@ impl WinShared {
         ring.version += 1;
         ring.last_ts = ts;
         let version = ring.version;
+        let stamp = GetStamp { version, ts };
         if ring.cap == 0 {
             // No ring at all: every reader cursor is behind, so every
             // drain reports overflow (always-full-invalidate semantics).
             ring.dropped_through = version;
             ring.dropped_through_ts = ts;
-            return;
+            return stamp;
         }
         if ring.records.len() == ring.cap {
             if let Some(evicted) = ring.records.pop_front() {
@@ -211,6 +213,7 @@ impl WinShared {
             version,
             ts,
         });
+        stamp
     }
 }
 
@@ -314,7 +317,8 @@ pub struct StagedGet {
 }
 
 /// The `(version, commit-timestamp)` pair of a target region, sampled by
-/// a get *inside its region read lock* ([`Window::last_get_stamp`]).
+/// a get *inside its region read lock* ([`Window::last_get_stamp`]), or
+/// assigned to a put ([`Window::last_put_stamp`]).
 /// Writers bump the version inside the region write lock, so the bytes a
 /// get copied correspond *exactly* to this stamp — the foundation the
 /// snapshot layer's validity intervals are built on. `ts` is the commit
@@ -368,6 +372,9 @@ pub struct Window {
     /// handle, sampled inside the region read lock
     /// ([`Window::last_get_stamp`]).
     last_get_stamp: GetStamp,
+    /// `(version, ts)` of the last put that landed through this handle
+    /// ([`Window::last_put_stamp`]).
+    last_put_stamp: GetStamp,
     /// Rank-local RMASAN state (epoch discipline, outstanding get
     /// destinations, observed versions); `None` when the sanitizer is off.
     san: Option<Box<WinSanLocal>>,
@@ -466,6 +473,7 @@ impl Window {
             nb_queue: vec![Vec::new(); ntargets],
             scratch_layout: FlatLayout::contiguous(0),
             last_get_stamp: GetStamp::default(),
+            last_put_stamp: GetStamp::default(),
             san: san_enabled.then(|| Box::new(WinSanLocal::new(ntargets))),
         }
     }
@@ -744,7 +752,7 @@ impl Window {
         f: impl FnOnce(&mut Self, &FlatLayout) -> R,
     ) -> R {
         if self.scratch_layout.total_size() != len {
-            self.scratch_layout = FlatLayout::contiguous(len);
+            self.scratch_layout.set_contiguous(len);
         }
         let layout = std::mem::replace(&mut self.scratch_layout, FlatLayout::contiguous(0));
         let r = f(self, &layout);
@@ -942,7 +950,7 @@ impl Window {
     /// and no epoch access has been recorded; only the failure's
     /// detection cost has been charged. Transient errors may be retried
     /// (put is idempotent, so a duplicate delivery of a retried put is
-    /// harmless).
+    /// harmless). On `Ok`, [`Window::last_put_stamp`] is the write's.
     pub fn try_put(
         &mut self,
         p: &mut Process,
@@ -952,7 +960,25 @@ impl Window {
         dtype: &Datatype,
         count: usize,
     ) -> Result<(), RmaError> {
+        if dtype.is_contiguous() {
+            let len = dtype.size() * count;
+            return self.with_contig_layout(len, |w, layout| {
+                w.try_put_flat(p, src, target, disp, layout)
+            });
+        }
         let layout = dtype.flatten_n(count);
+        self.try_put_flat(p, src, target, disp, &layout)
+    }
+
+    /// [`Window::try_put`] with a pre-flattened layout.
+    fn try_put_flat(
+        &mut self,
+        p: &mut Process,
+        src: &[u8],
+        target: usize,
+        disp: usize,
+        layout: &FlatLayout,
+    ) -> Result<(), RmaError> {
         let span = layout.span();
         assert!(
             disp + span <= self.shared.sizes[target],
@@ -973,8 +999,8 @@ impl Window {
         self.san_log_access(p, target, disp, disp + span, AccessKind::Write);
         {
             let mut region = sync::write(&self.shared.regions[target]);
-            clampi_datatype::unpack(src, &layout, &mut region[disp..disp + span]);
-            self.shared.note_put(
+            clampi_datatype::unpack(src, layout, &mut region[disp..disp + span]);
+            self.last_put_stamp = self.shared.note_put(
                 target,
                 self.my_rank,
                 disp as u64,
@@ -1232,6 +1258,15 @@ impl Window {
     /// virtual time: the stamp rides the get reply it describes.
     pub fn last_get_stamp(&self) -> GetStamp {
         self.last_get_stamp
+    }
+
+    /// The `(version, ts)` that [`Window::try_put`] assigned to the last
+    /// put that landed through this handle, under the target's region
+    /// write lock: the region's bytes the put covered are exactly the
+    /// put's at that version. Free in virtual time, like
+    /// [`Window::last_get_stamp`].
+    pub fn last_put_stamp(&self) -> GetStamp {
+        self.last_put_stamp
     }
 
     /// A zero-cost peek at `target`'s notification-ring horizon: current
