@@ -13,10 +13,10 @@ use std::hint::black_box;
 use clampi::cache::{CacheParams, LayoutSig, Lookup, RmaCache};
 use clampi::index::{CuckooIndex, GetKey, InsertOutcome};
 use clampi::storage::{FreeTree, Storage};
-use clampi::{AccessType, CacheCostModel, CachedWindow, ClampiConfig, Mode};
+use clampi::{AccessType, CacheCostModel, CachedWindow, ClampiConfig, CoherenceMode, Mode};
 use clampi_bench::timer::Bench;
 use clampi_datatype::Datatype;
-use clampi_rma::{run_collect, SimConfig};
+use clampi_rma::{run_collect, Process, SimConfig};
 
 fn key(d: u64) -> GetKey {
     GetKey { target: 1, disp: d }
@@ -230,6 +230,60 @@ fn bench_hot_path() {
     });
 }
 
+/// `validate` in wall-clock time, on one warm `EagerInvalidate` window
+/// holding 512 cached records of target 1. Each iteration re-dirties 64 of
+/// them through the inner window (its cache is not told) and flushes it;
+/// `validate_refresh_64` then also validates, which drains the 64 put
+/// records, refreshes the 64 stale entries in place and flushes. The put
+/// batch alone is the other rung, so validate's share is the difference.
+fn bench_coherence() {
+    const RECORDS: usize = 512;
+    const DIRTY: usize = 64;
+    const REC: usize = 64;
+    let b = Bench::new("coherence");
+    // A ring that holds one iteration's records, so no drain overflows.
+    let sim = SimConfig::bench().with_notify_ring_cap(4 * DIRTY);
+    run_collect(sim, 2, |p| {
+        let params = CacheParams {
+            index_entries: 4096,
+            storage_bytes: 1 << 20,
+            coherence: CoherenceMode::EagerInvalidate,
+            ..CacheParams::default()
+        };
+        let cfg = ClampiConfig::fixed(Mode::AlwaysCache, params);
+        let mut win = CachedWindow::create(p, RECORDS * REC, cfg);
+        p.barrier();
+        if p.rank() == 0 {
+            win.lock_all(p);
+            let dtype = Datatype::bytes(REC);
+            let mut dst = [0u8; REC];
+            for k in 0..RECORDS {
+                win.get(p, &mut dst, 1, k * REC, &dtype, 1);
+            }
+            win.flush_all(p);
+            // Every eighth record from a rotating start: no two adjacent.
+            let mut round = 0usize;
+            let mut dirty = |win: &mut CachedWindow, p: &mut Process| {
+                round += 1;
+                let src = [round as u8; REC];
+                for i in 0..DIRTY {
+                    let k = (round + 8 * i) % RECORDS;
+                    win.inner_mut().put(p, &src, 1, k * REC, &dtype, 1);
+                }
+                win.inner_mut().flush(p, 1);
+            };
+            b.run("put_batch_64", || dirty(&mut win, p));
+            win.validate(p);
+            b.run("validate_refresh_64", || {
+                dirty(&mut win, p);
+                win.validate(p);
+            });
+            win.unlock_all(p);
+        }
+        p.barrier();
+    });
+}
+
 fn bench_datatype() {
     let b = Bench::new("datatype");
     let strided = Datatype::vector(64, 1, 4, Datatype::double());
@@ -280,6 +334,7 @@ fn main() {
     bench_storage();
     bench_cache_paths();
     bench_hot_path();
+    bench_coherence();
     bench_datatype();
     bench_trace_replay();
 }

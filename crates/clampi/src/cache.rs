@@ -27,7 +27,6 @@
 //! accesses their better comm/comp overlap in Fig. 8.
 
 use std::collections::BTreeMap;
-use std::ops::Bound;
 use std::sync::Arc;
 
 use clampi_datatype::FlatLayout;
@@ -169,15 +168,13 @@ fn stale_under_probe(e: &Entry, lo: u64, hi: u64, version: u64) -> bool {
     e.overlaps(lo, hi) && e.stamp.version < version
 }
 
-/// A CACHED entry a logged invalidation dropped
-/// ([`RmaCache::invalidate_drained`]): what the window needs to fetch it
-/// again and reinstall it as if it had never left.
-#[derive(Debug)]
-pub(crate) struct Dropped {
+/// A stale CACHED entry an invalidation with `keep` left resident
+/// ([`RmaCache::invalidate_drained`]), for the window to fetch again and
+/// [`RmaCache::refresh`] in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Kept {
     pub(crate) key: GetKey,
-    pub(crate) sig: LayoutSig,
-    /// The entry's last-access sequence number (its temporal score).
-    pub(crate) last: u64,
+    pub(crate) id: EntryId,
 }
 
 const NO_DESC: DescId = DescId::MAX;
@@ -217,19 +214,13 @@ impl ExtentDir {
         hi: u64,
     ) -> impl Iterator<Item = (GetKey, EntryId)> + '_ {
         let start = lo.saturating_sub(self.max_size.saturating_sub(1) as u64);
-        let end = if hi == u64::MAX {
-            Bound::Included((target, hi))
-        } else {
-            Bound::Excluded((target, hi))
-        };
-        // `BTreeMap::range` panics on an inverted range; an inverted or
+        // One descent to the seek point, then a walk that stops at the
+        // first key of another target or at or past `hi`. An inverted or
         // empty byte range may still reach back into an entry that spans
         // it, but never past its own upper end.
-        let range =
-            (start <= hi).then(|| self.by_start.range((Bound::Included((target, start)), end)));
-        range
-            .into_iter()
-            .flatten()
+        self.by_start
+            .range((target, start)..)
+            .take_while(move |&(&(t, disp), _)| t == target && (disp < hi || hi == u64::MAX))
             .map(|(&(target, disp), &id)| (GetKey { target, disp }, id))
     }
 }
@@ -366,9 +357,12 @@ pub struct RmaCache {
     /// kept in step where entries are born and die (`alloc_entry`,
     /// `drop_entry`; the size mark also where `finish_partial` extends).
     extents: Option<ExtentDir>,
-    /// What logged invalidations dropped since the window last took the
-    /// log (reused: [`RmaCache::take_drops`], [`RmaCache::recycle_drops`]).
-    drops: Vec<Dropped>,
+    /// What invalidations with `keep` left resident since the window last
+    /// took the log (reused: [`RmaCache::take_kept`],
+    /// [`RmaCache::recycle_kept`]).
+    kept: Vec<Kept>,
+    /// An invalidation's `(slot, id)` victims (reused scratch).
+    victims: Vec<(usize, EntryId)>,
     stats: CacheStats,
     /// The get sequence counter (index into the paper's `C_w.G`).
     seq: u64,
@@ -419,6 +413,10 @@ pub struct Resident {
     pub size: usize,
     /// Target write version observed when it was filled.
     pub version: u64,
+    /// Byte offset of its storage region.
+    pub off: usize,
+    /// Its last access (a get sequence number).
+    pub last: u64,
 }
 
 fn new_lab(params: &CacheParams) -> Option<PolicyLab> {
@@ -457,7 +455,8 @@ impl RmaCache {
             pending: Vec::new(),
             rng: SmallRng::seed_from_u64(sampler_seed),
             extents: None,
-            drops: Vec::new(),
+            kept: Vec::new(),
+            victims: Vec::new(),
             stats: CacheStats::default(),
             seq: 0,
             ags: 0.0,
@@ -736,18 +735,39 @@ impl RmaCache {
         stamp: SnapStamp,
     ) -> AccessType {
         self.stats.bytes_from_network += sig.size() as u64;
-        let class = self.install(key, sig, data, stamp, self.seq);
+        let class = self.install(key, sig, data, stamp);
         self.stats.record(class);
         class
     }
 
-    /// Reinstalls an entry a logged invalidation dropped, from bytes the
-    /// window fetched again for it (`stamp` is that fetch's). It keeps the
-    /// dropped entry's `last`, so eviction order is as if it had never
-    /// left. Not a get: `seq`, `ags` and the statistics stay put. Like any
-    /// install it may fail for want of room, and the entry stays dropped.
-    pub(crate) fn install_refetch(&mut self, d: &Dropped, data: &[u8], stamp: SnapStamp) {
-        self.install(d.key, d.sig.clone(), data, stamp, d.last);
+    /// The layout of a kept entry, for the window to fetch it again.
+    pub(crate) fn kept_sig(&self, k: Kept) -> LayoutSig {
+        self.entry(k.id).sig.clone()
+    }
+
+    /// Refreshes a kept entry in place from bytes the window fetched again
+    /// for it: they overwrite its storage region and `stamp` (the fetch's)
+    /// becomes its stamp. Its slab id, index slot, region and `last` stay,
+    /// so nothing is freed, allocated, inserted or evicted. It is PENDING
+    /// until the next epoch hook, which pays the deferred copy, the only
+    /// charge. Not a get: `seq`, `ags` and the statistics stay put.
+    pub(crate) fn refresh(&mut self, k: Kept, data: &[u8], stamp: SnapStamp) {
+        let e = self.entry_mut(k.id);
+        debug_assert!(e.key == k.key && e.state == EntryState::Cached);
+        e.stamp = stamp;
+        e.state = EntryState::Pending;
+        let (desc, size) = (e.desc, e.size);
+        self.storage.write(desc, data);
+        self.cached_count -= 1;
+        self.pending.push(k.id);
+        self.defer(self.params.costs.memcpy_cost(size));
+    }
+
+    /// Evicts a kept entry whose refetch failed.
+    pub(crate) fn evict_kept(&mut self, k: Kept) {
+        // xlint: allow(no-unwrap) invariant: a kept entry stays indexed until refreshed or evicted
+        let (slot, _) = self.index.position(&k.key).expect("kept entry not indexed");
+        self.evict_resident(slot, k.id);
     }
 
     /// Writes this rank's own put through to its cached copy: when a
@@ -782,18 +802,16 @@ impl RmaCache {
         self.stats.put_updates += 1;
     }
 
-    /// The install behind [`RmaCache::install_miss`] and
-    /// [`RmaCache::install_refetch`]: index insert (evicting on the path
-    /// if it conflicts), storage allocation (evicting for space if
-    /// needed), payload copy. The new entry is PENDING with `last` as its
-    /// last access. Returns the class; records nothing.
+    /// The install behind [`RmaCache::install_miss`]: index insert
+    /// (evicting on the path if it conflicts), storage allocation (evicting
+    /// for space if needed), payload copy. The new entry is PENDING, last
+    /// accessed by the current get. Returns the class; records nothing.
     fn install(
         &mut self,
         key: GetKey,
         sig: LayoutSig,
         data: &[u8],
         stamp: SnapStamp,
-        last: u64,
     ) -> AccessType {
         let size = sig.size();
         debug_assert_eq!(data.len(), size);
@@ -804,7 +822,7 @@ impl RmaCache {
             state: EntryState::Pending,
             desc: NO_DESC,
             off: 0,
-            last,
+            last: self.seq,
             stamp,
         });
 
@@ -1104,13 +1122,14 @@ impl RmaCache {
     /// whatever `|I_w|` is. Victims are evicted in ascending index-slot
     /// order, as a scan of the index would find them: the storage free
     /// order (hence later placement) and the slab ids depend on it, and
-    /// `tests/prop_extents.rs` holds it to a full-scan oracle. With `log`,
-    /// every CACHED victim is appended to the drop log first.
+    /// `tests/prop_extents.rs` holds it to a full-scan oracle. With `keep`,
+    /// a CACHED victim is not evicted but appended to the kept log, in
+    /// ascending `(target, disp)`; it counts as dropped.
     fn invalidate_extents(
         &mut self,
         target: u32,
         probes: &[(u64, u64, u64)],
-        log: bool,
+        keep: bool,
         doomed: impl Fn(&Entry, u64, u64, u64) -> bool,
     ) -> usize {
         if probes.is_empty() || !self.has_entries_for(target) {
@@ -1120,12 +1139,19 @@ impl RmaCache {
         let Some(dir) = self.extents.as_ref() else {
             return 0;
         };
-        let mut victims = Vec::new();
+        let mut victims = std::mem::take(&mut self.victims);
+        let kept_from = self.kept.len();
         let mut examined = probes.len();
         for &(lo, hi, version) in probes {
             for (key, id) in dir.candidates(target, lo, hi) {
                 examined += 1;
-                if doomed(self.entry(id), lo, hi, version) {
+                let e = self.entry(id);
+                if !doomed(e, lo, hi, version) {
+                    continue;
+                }
+                if keep && e.state == EntryState::Cached {
+                    self.kept.push(Kept { key, id });
+                } else {
                     // xlint: allow(no-unwrap) invariant: between operations the directory holds exactly the indexed keys
                     let (slot, _) = self.index.position(&key).expect("extent not indexed");
                     victims.push((slot, id));
@@ -1136,19 +1162,15 @@ impl RmaCache {
         // Overlapping probes reach an entry more than once.
         victims.sort_unstable();
         victims.dedup();
+        self.kept[kept_from..].sort_unstable_by_key(|k| (k.key.disp, k.id));
+        self.kept.dedup();
         for &(slot, id) in &victims {
-            let e = self.entry(id);
-            if log && e.state == EntryState::Cached {
-                let d = Dropped {
-                    key: e.key,
-                    sig: e.sig.clone(),
-                    last: e.last,
-                };
-                self.drops.push(d);
-            }
             self.evict_resident(slot, id);
         }
-        victims.len()
+        let dropped = victims.len() + self.kept.len() - kept_from;
+        victims.clear();
+        self.victims = victims;
+        dropped
     }
 
     /// Drops every resident entry whose cached bytes overlap
@@ -1187,31 +1209,32 @@ impl RmaCache {
     /// A coherence drain's invalidation of `target`: what the drained put
     /// `ranges` make stale ([`RmaCache::invalidate_overlapping_stale`]),
     /// or — `None`, the notification ring overflowed — every entry of the
-    /// target. With `log`, each CACHED entry it drops is also appended to
-    /// the drop log, for the window to fetch again.
+    /// target. With `keep`, each CACHED entry it condemns stays resident
+    /// and goes to the kept log instead, for the window to fetch again and
+    /// refresh or, failing that, evict.
     pub(crate) fn invalidate_drained(
         &mut self,
         target: u32,
         ranges: Option<&[(u64, u64, u64)]>,
-        log: bool,
+        keep: bool,
     ) -> usize {
         match ranges {
-            Some(ranges) => self.invalidate_extents(target, ranges, log, stale_under_probe),
-            None => self.invalidate_extents(target, &[(0, u64::MAX, 0)], log, overlaps_probe),
+            Some(ranges) => self.invalidate_extents(target, ranges, keep, stale_under_probe),
+            None => self.invalidate_extents(target, &[(0, u64::MAX, 0)], keep, overlaps_probe),
         }
     }
 
-    /// Lends out the drop log ([`RmaCache::invalidate_drained`]), in drop
-    /// order. Hand it back with [`RmaCache::recycle_drops`].
-    pub(crate) fn take_drops(&mut self) -> Vec<Dropped> {
-        std::mem::take(&mut self.drops)
+    /// Lends out the kept log ([`RmaCache::invalidate_drained`]). Hand it
+    /// back with [`RmaCache::recycle_kept`].
+    pub(crate) fn take_kept(&mut self) -> Vec<Kept> {
+        std::mem::take(&mut self.kept)
     }
 
-    /// Takes back the drop log, emptied, so the next one reuses its
+    /// Takes back the kept log, emptied, so the next one reuses its
     /// allocation.
-    pub(crate) fn recycle_drops(&mut self, mut drops: Vec<Dropped>) {
-        drops.clear();
-        self.drops = drops;
+    pub(crate) fn recycle_kept(&mut self, mut kept: Vec<Kept>) {
+        kept.clear();
+        self.kept = kept;
     }
 
     /// Forgets every resident once the index and storage are empty (or
@@ -1352,6 +1375,8 @@ impl RmaCache {
                     key,
                     size: e.size,
                     version: e.stamp.version,
+                    off: e.off,
+                    last: e.last,
                 }
             })
             .collect()

@@ -23,18 +23,24 @@
 //! |------|--------------------|--------------------------|
 //! | `None` | zero | none (pre-coherence behaviour, bit-identical) |
 //! | `EagerInvalidate` | CPU-only notification drain (one issue overhead + a record-sized copy per unseen record); zero when the last get reply proves the drain empty | only entries overlapping a drained put record; the whole target when the ring overflowed |
-//! | `EagerInvalidate`, at `validate` | the drain, then one nonblocking refetch per CACHED entry it dropped (issue overhead and wire time, or a coalesced span's extra bytes; an install without a lookup), completed by one flush per target: one wire latency blocked, not one per entry | as above, but the dropped entries are back, refreshed, before `validate` returns |
+//! | `EagerInvalidate`, at `validate` | the drain, then one nonblocking refetch per stale CACHED entry (issue overhead and wire time, or a coalesced span's extra bytes) and a refresh in place that pays only its deferred copy, completed by one flush per target: one wire latency blocked, not one per entry | as above, but the stale entries are kept and rewritten in place before `validate` returns; one is evicted only if its refetch fails |
 //! | `EagerInvalidate`, at this rank's own `put` | zero when nothing of the target is cached; else one lookup, plus a copy of the entry when one qualifies | none: a CACHED contiguous entry keyed exactly at the put's displacement and no longer than it takes the put's bytes and exact stamp, so the drain of the put's own record keeps it; every other entry the put overlaps is left to the drain |
 //!
-//! What `validate` refetches: every CACHED entry its own pass drops, by a
-//! stale overlap or by the ring-overflow whole-target drop, in ascending
-//! `(target, disp)`. Not refetched: drops by `flush`/`lock` passes, by a
-//! drain that failed, or of PENDING entries, and entries of degraded
-//! targets or of targets with no open access epoch — those stay dropped.
-//! A refetch is not a get (no `seq`, `ags` or access class; it counts in
-//! `CacheStats::refetches`) and keeps the dropped entry's last access, so
-//! eviction order is as if it had never left. A failed refetch leaves its
-//! entry dropped; a dead target is degraded.
+//! What `validate` refreshes: every CACHED entry its own pass finds stale,
+//! by a stale overlap or by the ring-overflow whole-target drop, in
+//! ascending `(target, disp)`. The pass keeps such an entry resident; the
+//! refetch writes its bytes into the entry's own storage region and gives
+//! it the fetch's exact stamp, and it is PENDING until the flush's epoch
+//! hook. Its slab id, index slot and last access stay: nothing is freed,
+//! allocated or inserted, so a refresh cannot fail or evict another entry
+//! for want of room. Evicted as by any pass instead: PENDING entries,
+//! entries that `flush`/`lock` passes or a failed drain find, and entries
+//! of degraded targets or of targets with no open access epoch. A refresh
+//! is not a get (no `seq`, `ags` or access class; it counts in
+//! `CacheStats::refetches`). A refetch that exhausts its retries evicts its
+//! entry; a dead target is degraded, which drops it with the rest of the
+//! target. So no stale entry survives `validate`, and the cursor's proof
+//! below holds again when it returns.
 //!
 //! What a put writes through (`CacheStats::put_updates`): the writer's own
 //! copy of exactly what it wrote. The put overwrote every byte of the
@@ -74,7 +80,8 @@
 //! - **The cursor is a proof.** An entry still resident in target `t` is
 //!   write-free through `cursors[t]`: the pass that advanced the cursor
 //!   dropped every entry (PENDING ones included) that a drained record
-//!   overlapped and postdated. The snapshot layer validates a resident
+//!   overlapped and postdated, or, in `validate`, refreshed it from a
+//!   later fetch before returning. The snapshot layer validates a resident
 //!   hit from there instead of from its stamp.
 //! - **A get reply can prove a drain empty.** Every get reply carries the
 //!   target's version for free. A pass skips `t`'s drain (and its issue

@@ -273,9 +273,10 @@ impl CachedWindow {
     /// can skip: the calls that open an epoch are sync events themselves,
     /// and `validate` forgets the samples first.
     ///
-    /// With `log` (`validate`'s pass), the engine logs every CACHED entry
-    /// a drain drops, for [`CachedWindow::refetch_dropped`].
-    fn coherence_pass(&mut self, p: &mut Process, target: Option<usize>, log: bool) {
+    /// With `keep` (`validate`'s pass), the drain of a target with an open
+    /// access epoch keeps its stale CACHED entries resident, for
+    /// [`CachedWindow::refresh_kept`].
+    fn coherence_pass(&mut self, p: &mut Process, target: Option<usize>, keep: bool) {
         if self.coherence_mode() == CoherenceMode::None {
             return;
         }
@@ -287,7 +288,7 @@ impl CachedWindow {
         for t in targets {
             let quiet = self.coherence.take_quiet(t, sync_events);
             if !self.degraded[t] && !quiet {
-                self.drain_target(p, t, log);
+                self.drain_target(p, t, keep);
             }
         }
         self.charge_engine(p);
@@ -296,8 +297,8 @@ impl CachedWindow {
     /// The coherence pass for one target: drain its notification ring and
     /// invalidate exactly the overlapped-and-older entries; a ring
     /// overflow degrades to a full per-target invalidation. A drain that
-    /// fails drops the target's entries unlogged: they are not refetched.
-    fn drain_target(&mut self, p: &mut Process, t: usize, log: bool) {
+    /// fails drops the target's entries: none is kept or refetched.
+    fn drain_target(&mut self, p: &mut Process, t: usize, keep: bool) {
         let Some(cache) = self.cache.as_mut() else {
             return;
         };
@@ -333,7 +334,8 @@ impl CachedWindow {
                     );
                     Some(co.ranges.as_slice())
                 };
-                let dropped = cache.invalidate_drained(t as u32, ranges, log);
+                let keep = keep && self.win.epoch_open_for(t);
+                let dropped = cache.invalidate_drained(t as u32, ranges, keep);
                 self.fault_stats.stale_hits_prevented += dropped as u64;
                 co.cursors[t] = drain.version;
             }
@@ -376,62 +378,69 @@ impl CachedWindow {
     /// It forgets the get-reply samples first, so the pass drains every
     /// target even when no sync event happened since its last reply.
     ///
-    /// Under `EagerInvalidate` it then fetches again every CACHED entry
-    /// its own pass dropped, as one batch of nonblocking fetches completed
-    /// by one flush per target, so the next read phase hits instead of
-    /// paying one blocking miss per updated entry. Entries of degraded
-    /// targets and of targets with no open access epoch stay dropped.
+    /// Under `EagerInvalidate` it then refreshes every stale CACHED entry
+    /// its own pass found, in place, from one batch of nonblocking fetches
+    /// completed by one flush per target, so the next read phase hits
+    /// instead of paying one blocking miss per updated entry. Entries of
+    /// degraded targets and of targets with no open access epoch are
+    /// dropped.
     pub fn validate(&mut self, p: &mut Process) {
         match self.coherence_mode() {
             CoherenceMode::None => self.invalidate(p),
             CoherenceMode::EagerInvalidate => {
                 self.coherence.samples.fill(None);
                 self.coherence_pass(p, None, true);
-                self.refetch_dropped(p);
+                self.refresh_kept(p);
             }
         }
     }
 
-    /// Fetches again, in ascending `(target, disp)`, what the engine's drop
-    /// log holds, and reinstalls it. Each refetch is a batched fetch (issue
-    /// overhead, or a coalesced span's extra bytes; its wire time posted)
-    /// plus an install that keeps the dropped entry's `last` and pays no
-    /// lookup. One flush per refetched target completes the batch, and
-    /// the engine's epoch hook makes every reinstalled entry CACHED. A
-    /// fetch that fails (retries exhausted, or a dead target, which is
-    /// degraded) leaves its entry dropped.
-    fn refetch_dropped(&mut self, p: &mut Process) {
-        let mut drops = self.engine().take_drops();
-        drops.sort_unstable_by_key(|d| (d.key.target, d.key.disp));
+    /// Fetches again, in ascending `(target, disp)`, every entry the
+    /// engine's kept log holds, and refreshes it in place. Each refetch is
+    /// a batched fetch (issue overhead, or a coalesced span's extra bytes;
+    /// its wire time posted); the refresh pays only its deferred copy. One
+    /// flush per target completes the batch, and the engine's epoch hook
+    /// makes every refreshed entry CACHED. A fetch that exhausts its
+    /// retries evicts its entry; one that finds the target dead degrades
+    /// it, which drops every entry of the target, the kept ones with it.
+    /// So every kept entry is refreshed or gone when this returns.
+    fn refresh_kept(&mut self, p: &mut Process) {
+        let kept = self.engine().take_kept();
         let mut buf = std::mem::take(&mut self.scratch_buf);
-        for d in &drops {
-            let t = d.key.target as usize;
-            if self.degraded[t] || !self.win.epoch_open_for(t) {
+        for &k in &kept {
+            let t = k.key.target as usize;
+            if self.degraded[t] {
                 continue;
             }
+            let sig = self.engine().kept_sig(k);
             buf.clear();
-            buf.resize(d.sig.size(), 0);
-            let disp = d.key.disp as usize;
-            match self.fetch(p, &mut buf, t, disp, d.sig.blocks(), Completion::Refetch) {
+            buf.resize(sig.size(), 0);
+            let disp = k.key.disp as usize;
+            match self.fetch(p, &mut buf, t, disp, sig.blocks(), Completion::Refetch) {
                 Ok(stamp) => {
                     self.fault_stats.refetches += 1;
-                    self.engine().install_refetch(d, &buf, stamp);
-                    self.charge_engine(p);
+                    self.engine().refresh(k, &buf, stamp);
                 }
-                Err(e) => self.degrade_if_dead(p, t, &e),
+                Err(e) => {
+                    self.degrade_if_dead(p, t, &e);
+                    if !self.degraded[t] {
+                        self.engine().evict_kept(k);
+                        self.charge_engine(p);
+                    }
+                }
             }
         }
         self.scratch_buf = buf;
-        for same_target in drops.chunk_by(|a, b| a.key.target == b.key.target) {
+        for same_target in kept.chunk_by(|a, b| a.key.target == b.key.target) {
             let t = same_target[0].key.target as usize;
-            if self.degraded[t] || !self.win.epoch_open_for(t) {
+            if self.degraded[t] {
                 continue;
             }
             self.complete_with(p, Some(t), |w, p| w.flush(p, t));
             self.engine().epoch_close();
         }
         self.charge_engine(p);
-        self.engine().recycle_drops(drops);
+        self.engine().recycle_kept(kept);
     }
 
     /// The operational mode.

@@ -10,7 +10,8 @@
 //! (both resize the same scratch layout in place) and misses that end in
 //! a Cuckoo cycle (the index lends out one insertion-path buffer). A put
 //! that writes through to the putter's cached copy, the coherence flush
-//! after it and the hit after that allocate nothing either.
+//! after it and the hit after that allocate nothing either, nor does a
+//! warm `validate`: its drain, its refreshes in place and its flushes.
 //! Trace replay, fed a file, must size nothing by what the file claims:
 //! the largest request it makes is bounded by `|S_w|`.
 //!
@@ -297,6 +298,68 @@ fn put_update_and_flush_do_not_allocate() {
         put_flush_get(p, win, 0..SLOTS / 2);
         put_flush_get(p, win, SLOTS / 2..SLOTS)
     });
+}
+
+#[test]
+fn validate_refresh_does_not_allocate() {
+    const ROUNDS: usize = 8;
+    let params = CacheParams {
+        coherence: CoherenceMode::EagerInvalidate,
+        ..CacheParams::default()
+    };
+    let out = run_collect(SimConfig::default(), 2, |p| {
+        let cfg = ClampiConfig::fixed(Mode::AlwaysCache, params.clone());
+        let mut win = CachedWindow::create(p, WIN, cfg);
+        let (dtype, mut buf) = (Datatype::bytes(GET), [0u8; GET]);
+        win.lock_all(p);
+        if p.rank() == 0 {
+            for slot in 0..SLOTS {
+                win.get(p, &mut buf, 1, slot * GET, &dtype, 1);
+            }
+            win.flush_all(p);
+        }
+        p.barrier();
+        // Each round rank 1 rewrites a quarter of its records and rank 0
+        // validates: it drains the records, refreshes the stale entries in
+        // place and flushes. The first half of the rounds is warmup (it
+        // builds the extent directory and grows the scratch vectors); the
+        // second half is measured.
+        let mut measured = (0u64, 0u64);
+        for round in 0..ROUNDS {
+            if p.rank() == 1 {
+                for slot in (round % 4..SLOTS).step_by(4) {
+                    win.put(p, &[round as u8; GET], 1, slot * GET, &dtype, 1);
+                }
+                win.flush(p, 1);
+            }
+            p.barrier();
+            if p.rank() == 0 {
+                let (allocs, refetches) = (allocs_on_this_thread(), win.stats().refetches);
+                win.validate(p);
+                if round >= ROUNDS / 2 {
+                    measured.0 += allocs_on_this_thread() - allocs;
+                    measured.1 += win.stats().refetches - refetches;
+                }
+            }
+            p.barrier();
+        }
+        win.unlock_all(p);
+        p.barrier();
+        measured
+    });
+    let (allocs, refetches) = out[0].1;
+    assert_eq!(
+        refetches,
+        (ROUNDS / 2 * SLOTS / 4) as u64,
+        "measured refreshes"
+    );
+    let sanitized = std::env::var("CLAMPI_SAN").is_ok_and(|v| !v.is_empty() && v != "0");
+    if cfg!(debug_assertions) && !sanitized {
+        assert_eq!(
+            allocs, 0,
+            "validate allocated {allocs} times over {refetches} refreshes"
+        );
+    }
 }
 
 /// A 33-byte trace: the 16-byte header and one get of `size` bytes from

@@ -38,7 +38,12 @@
 //!    refetches block for one wire latency, not one each; a transient
 //!    fault is retried; a target that dies before its refetches is
 //!    degraded with nothing of it cached; outside an access epoch nothing
-//!    is refetched;
+//!    is refetched. A refresh happens in place: the entry keeps its slot,
+//!    slab id, storage region and last access; no storage is freed or
+//!    allocated and, with the storage full, no other entry is evicted; a
+//!    refetch that exhausts its retries evicts only its own entry; a
+//!    target that dies between two refreshes is dropped once; outside an
+//!    epoch the stale entries go in ascending slot order;
 //! 7. (directed) a writer's cache keeps what it wrote: a put that covers
 //!    a cached record exactly updates the writer's copy with the put's
 //!    bytes and version, so its next read hits; a later foreign write
@@ -46,6 +51,8 @@
 //!    another key, a put to a dead target and any put under
 //!    `CoherenceMode::None` update nothing.
 
+#[cfg(debug_assertions)]
+use clampi::cache::Resident;
 use clampi::{
     AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, CoherenceMode, Mode,
     RetryPolicy,
@@ -659,14 +666,77 @@ struct Revalidated {
     current: Vec<bool>,
     /// Rank 0's virtual time when it called `validate`.
     validate_at: f64,
+    /// Rank 0's stale hits prevented and `invalidations_on_failure`
+    /// counted inside `validate`.
+    stale: u64,
+    failure_drops: u64,
+    /// Rank 0's free storage bytes just before and just after `validate`.
+    free_bytes: (usize, usize),
+    /// Whether rank 0's engine passed `check_invariants` right after
+    /// `validate` (debug builds only; `true` otherwise).
+    consistent: bool,
+    /// Rank 0's resident entries just before `validate`, just after it and
+    /// after the reads.
+    #[cfg(debug_assertions)]
+    residents: [Vec<Resident>; 3],
+}
+
+/// What [`revalidate_with`] varies.
+#[derive(Clone)]
+struct Setup {
+    records: usize,
+    faults: Option<FaultConfig>,
+    in_epoch: bool,
+    /// Rank 0's cache; `coherence` is set to `EagerInvalidate`.
+    params: CacheParams,
+    max_retries: u32,
+    /// Rank 1 rewrites every `rewrite_every`-th record.
+    rewrite_every: usize,
+}
+
+impl Setup {
+    fn new(records: usize) -> Self {
+        Setup {
+            records,
+            faults: None,
+            in_epoch: true,
+            params: CacheParams::default(),
+            max_retries: 64,
+            rewrite_every: 1,
+        }
+    }
+}
+
+/// [`revalidate_with`]: rank 1 rewrites every record, retries are ample.
+fn revalidate(records: usize, faults: Option<FaultConfig>, in_epoch: bool) -> Revalidated {
+    revalidate_with(Setup {
+        faults,
+        in_epoch,
+        ..Setup::new(records)
+    })
+}
+
+/// Rank 0's resident entries (debug builds only).
+#[cfg(debug_assertions)]
+fn residents(win: &CachedWindow) -> Vec<Resident> {
+    win.cache().map(|c| c.residents()).unwrap_or_default()
 }
 
 /// Rank 0 caches `records` of rank 1 (every other record, so no two
 /// refetches are adjacent and none coalesce) inside `lock_all`; rank 1
-/// rewrites them all; rank 0 runs `validate` and then reads them again.
-/// `faults` applies to the whole run; with `in_epoch` false rank 0 caches
-/// and rereads under a lock on target 1 that is closed during `validate`.
-fn revalidate(records: usize, faults: Option<FaultConfig>, in_epoch: bool) -> Revalidated {
+/// rewrites every `rewrite_every`-th; rank 0 runs `validate` and then
+/// reads them all again. `faults` applies to the whole run; with
+/// `in_epoch` false rank 0 caches and rereads under a lock on target 1
+/// that is closed during `validate`.
+fn revalidate_with(s: Setup) -> Revalidated {
+    let Setup {
+        records,
+        faults,
+        in_epoch,
+        params,
+        max_retries,
+        rewrite_every,
+    } = s;
     let faulty = faults.is_some();
     let mut sim = SimConfig::default();
     if let Some(f) = faults {
@@ -676,10 +746,10 @@ fn revalidate(records: usize, faults: Option<FaultConfig>, in_epoch: bool) -> Re
         let rank = p.rank();
         let params = CacheParams {
             coherence: CoherenceMode::EagerInvalidate,
-            ..CacheParams::default()
+            ..params.clone()
         };
         let cfg = ClampiConfig::fixed(Mode::AlwaysCache, params).with_retry(RetryPolicy {
-            max_retries: 64,
+            max_retries,
             op_timeout_ns: f64::INFINITY,
             ..RetryPolicy::default()
         });
@@ -713,7 +783,7 @@ fn revalidate(records: usize, faults: Option<FaultConfig>, in_epoch: bool) -> Re
             if !in_epoch {
                 win.lock(p, LockKind::Exclusive, 1);
             }
-            for i in 0..records {
+            for i in (0..records).step_by(rewrite_every) {
                 win.put(p, &[pattern_byte(i, 1); SIZE], 1, disp(i), &dtype, 1);
             }
             if in_epoch {
@@ -723,10 +793,22 @@ fn revalidate(records: usize, faults: Option<FaultConfig>, in_epoch: bool) -> Re
             }
         }
         p.barrier();
+        let free_bytes = |win: &CachedWindow| win.cache().map_or(0, |c| c.free_bytes());
+        let free_before = free_bytes(&win);
+        #[cfg(debug_assertions)]
+        let residents_before = residents(&win);
         let before = (p.clock().total_blocked(), win.stats());
         let validate_at = p.now();
         win.validate(p);
         let during = win.stats().delta_since(&before.1);
+        // Caught, not asserted: a panic here would strand rank 1.
+        #[cfg(debug_assertions)]
+        let consistent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            win.cache().map(|c| c.check_invariants())
+        }))
+        .is_ok();
+        #[cfg(not(debug_assertions))]
+        let consistent = true;
         let mut obs = Revalidated {
             blocked_ns: p.clock().total_blocked() - before.0,
             drained: during.notifications_drained,
@@ -738,6 +820,12 @@ fn revalidate(records: usize, faults: Option<FaultConfig>, in_epoch: bool) -> Re
             wire_gets: 0,
             current: Vec::new(),
             validate_at,
+            stale: during.stale_hits_prevented,
+            failure_drops: during.invalidations_on_failure,
+            free_bytes: (free_before, free_bytes(&win)),
+            consistent,
+            #[cfg(debug_assertions)]
+            residents: [residents_before, residents(&win), Vec::new()],
         };
         if rank == 0 {
             if !in_epoch {
@@ -763,6 +851,10 @@ fn revalidate(records: usize, faults: Option<FaultConfig>, in_epoch: bool) -> Re
             }
             if !in_epoch {
                 win.unlock(p, 1);
+            }
+            #[cfg(debug_assertions)]
+            {
+                obs.residents[2] = residents(&win);
             }
         }
         p.barrier();
@@ -854,6 +946,153 @@ fn validate_outside_an_access_epoch_refetches_nothing() {
     assert!(!r.resident);
     assert!(r.classes.iter().all(|&c| c != Some(AccessType::Hit)));
     assert_eq!(r.current, vec![true; 4]);
+}
+
+/// What a refresh in place leaves alone: slot, slab id, key, storage
+/// offset and last access.
+#[cfg(debug_assertions)]
+fn places(residents: &[Resident]) -> Vec<(usize, u32, u64, usize, u64)> {
+    residents
+        .iter()
+        .map(|r| (r.slot, r.id, r.key.disp, r.off, r.last))
+        .collect()
+}
+
+/// `validate` refreshes a stale entry in place: the same slab id, index
+/// slot, storage region and last access, with the fetch's newer version.
+#[cfg(debug_assertions)]
+#[test]
+fn a_refreshed_entry_keeps_its_slot_id_region_and_last_access() {
+    let r = revalidate(8, None, true);
+    let [before, after, _] = &r.residents;
+    assert_eq!((before.len(), r.refetches), (8, 8));
+    assert_eq!(places(before), places(after), "a refresh moved its entry");
+    assert!(
+        before.iter().zip(after).all(|(b, a)| a.version > b.version),
+        "a refreshed entry kept its old version"
+    );
+    assert!(r.consistent);
+}
+
+/// A refresh writes into the entry's own region: `validate` frees and
+/// allocates no storage.
+#[test]
+fn validate_neither_frees_nor_allocates_storage() {
+    let r = revalidate(8, None, true);
+    assert_eq!((r.stale, r.refetches), (8, 8));
+    assert_eq!(r.free_bytes.0, r.free_bytes.1);
+}
+
+/// With the storage full, `validate` refreshes every stale entry and
+/// evicts no other one to make room (a refresh needs none).
+#[cfg(debug_assertions)]
+#[test]
+fn under_capacity_pressure_validate_evicts_no_other_entry() {
+    const RECORDS: usize = 16;
+    let r = revalidate_with(Setup {
+        params: CacheParams {
+            storage_bytes: RECORDS * SIZE,
+            ..CacheParams::default()
+        },
+        rewrite_every: 2,
+        ..Setup::new(RECORDS)
+    });
+    let [before, after, _] = &r.residents;
+    assert_eq!(r.free_bytes.0, 0, "the storage was not full");
+    assert!(r.stale > 0 && r.refetches == r.stale);
+    assert_eq!(
+        places(before),
+        places(after),
+        "validate moved or evicted an entry"
+    );
+    assert!(r.consistent);
+}
+
+/// A refetch that exhausts its retries evicts its own entry and no other;
+/// the entries whose refetches landed are refreshed in place, and the
+/// engine is consistent when `validate` returns. The fault seed is the
+/// first whose schedule fails some refetches but not all, nor the drain.
+#[cfg(debug_assertions)]
+#[test]
+fn a_refetch_that_exhausts_its_retries_evicts_exactly_its_entry() {
+    let r = (0..64)
+        .map(|seed| {
+            revalidate_with(Setup {
+                faults: Some(FaultConfig::transient(0.3, seed)),
+                max_retries: 0,
+                ..Setup::new(16)
+            })
+        })
+        .find(|r| r.drained > 0 && r.refetches > 0 && r.stale > r.refetches)
+        .expect("no seed fails some refetches but not all");
+    let [before, after, _] = &r.residents;
+    assert!(r.consistent, "the engine is inconsistent after validate");
+    let failed = (r.stale - r.refetches) as usize;
+    assert_eq!(before.len() - after.len(), failed);
+    let kept = places(before);
+    assert!(
+        places(after).iter().all(|a| kept.contains(a)),
+        "a surviving entry moved"
+    );
+}
+
+/// Target 1 dies after `validate` refreshed some of its entries and
+/// before it refreshed the rest: the target is dropped once, every entry
+/// with it (the refreshed and the kept), and nothing is evicted twice.
+#[test]
+fn a_target_that_dies_between_two_refreshes_is_dropped_once() {
+    let dies_at = |t: f64| {
+        revalidate(
+            4,
+            Some(FaultConfig::default().with_rank_failure(1, t)),
+            true,
+        )
+    };
+    // Bisect for the instant of the first refetch (dying before it
+    // refetches nothing), then die half an issue overhead after it.
+    let (mut before, mut after) = (revalidate(4, None, true).validate_at, 1e9);
+    for _ in 0..48 {
+        let mid = (before + after) / 2.0;
+        if dies_at(mid).refetches == 0 {
+            before = mid;
+        } else {
+            after = mid;
+        }
+    }
+    let r = dies_at(after + 60.0);
+    assert!(
+        r.refetches > 0 && r.refetches < 4,
+        "{} of 4 refreshed: the failure missed the batch",
+        r.refetches
+    );
+    assert!(r.degraded);
+    assert!(!r.resident, "a dead target's entry is still cached");
+    assert_eq!(
+        r.failure_drops, 4,
+        "an entry was dropped twice or not at all"
+    );
+    assert!(r.consistent);
+}
+
+/// Outside an access epoch `validate` evicts the stale entries as every
+/// other pass does, in ascending index-slot order. Slab ids are reused
+/// last-freed-first, so the rereads (in ascending displacement) take the
+/// evicted ids in descending slot order.
+#[cfg(debug_assertions)]
+#[test]
+fn outside_an_epoch_stale_entries_are_evicted_in_ascending_slot_order() {
+    let r = revalidate(8, None, false);
+    let [before, after, reread] = &r.residents;
+    assert_eq!((before.len(), after.len(), r.stale), (8, 0, 8));
+    assert!(
+        before.windows(2).any(|w| w[0].key.disp > w[1].key.disp),
+        "slot order happens to be displacement order"
+    );
+    let mut reread = reread.clone();
+    reread.sort_by_key(|e| e.key.disp);
+    let reused: Vec<u32> = reread.iter().map(|e| e.id).collect();
+    let last_evicted_first: Vec<u32> = before.iter().rev().map(|e| e.id).collect();
+    assert_eq!(reused, last_evicted_first);
 }
 
 /// The record rank 0 caches from rank 1 and then writes itself.
