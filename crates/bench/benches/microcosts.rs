@@ -17,6 +17,7 @@ use clampi::{AccessType, CacheCostModel, CachedWindow, ClampiConfig, CoherenceMo
 use clampi_bench::timer::Bench;
 use clampi_datatype::Datatype;
 use clampi_rma::{run_collect, Process, SimConfig};
+use clampi_workloads::Zipf;
 
 fn key(d: u64) -> GetKey {
     GetKey { target: 1, disp: d }
@@ -230,6 +231,76 @@ fn bench_hot_path() {
     });
 }
 
+/// A window hit at `dht_mixed`'s footprint, where the engine's metadata
+/// no longer fits the core's caches: `window_hit_24_dht` reads through two
+/// cached windows on one thread (two ranks' caches sharing a core), each
+/// with a 2^15-slot index and 14,500 resident 24-B records, in Zipf(0.99)
+/// batches of 800 gets that alternate between the windows. Records are
+/// cached in the order the stream first reads them, as `dht_mixed`'s
+/// lookups cache them, then the ones it never reads.
+/// `rma_get_flush_24_dht` issues the same stream through two uncached
+/// windows, each get followed by a flush: the cost a hit replaces. Read
+/// the `min` column.
+fn bench_hot_path_dht() {
+    const RECORDS: usize = 14_500;
+    const REC: usize = 24;
+    const BATCH: usize = 800;
+    const STREAM: usize = 64 * BATCH;
+    let b = Bench::new("hot_path");
+    // Zipf ranks scattered over the records by a bijection (7919 is prime
+    // and does not divide `RECORDS`), so hot records are not neighbours.
+    let mut zipf = Zipf::new(RECORDS, 0.99, 42);
+    let stream: Vec<usize> = (0..STREAM)
+        .map(|_| zipf.sample() * 7919 % RECORDS * REC)
+        .collect();
+    let all: Vec<usize> = (0..RECORDS).map(|k| k * REC).collect();
+    let cached = ClampiConfig::fixed(
+        Mode::AlwaysCache,
+        CacheParams {
+            index_entries: 1 << 15,
+            storage_bytes: 2 << 20,
+            coherence: CoherenceMode::EagerInvalidate,
+            ..CacheParams::default()
+        },
+    );
+    for (name, cfg) in [
+        ("window_hit_24_dht", cached),
+        ("rma_get_flush_24_dht", ClampiConfig::disabled()),
+    ] {
+        run_collect(SimConfig::bench(), 2, |p| {
+            let mut wins: Vec<_> = (0..2)
+                .map(|_| CachedWindow::create(p, RECORDS * REC, cfg.clone()))
+                .collect();
+            p.barrier();
+            if p.rank() == 0 {
+                let (dtype, mut dst) = (Datatype::bytes(REC), [0u8; REC]);
+                for win in &mut wins {
+                    win.lock_all(p);
+                    for &disp in stream.iter().chain(&all) {
+                        win.get(p, &mut dst, 1, disp, &dtype, 1);
+                    }
+                    win.flush_all(p);
+                }
+                let mut i = 0;
+                b.run(name, || {
+                    let win = &mut wins[i / BATCH % 2];
+                    let class = win.get(p, &mut dst, 1, stream[i], &dtype, 1);
+                    if class.is_none() {
+                        win.flush(p, 1);
+                    }
+                    debug_assert!(class.is_none() || class == Some(AccessType::Hit));
+                    black_box(dst[0]);
+                    i = (i + 1) % STREAM;
+                });
+                for win in &mut wins {
+                    win.unlock_all(p);
+                }
+            }
+            p.barrier();
+        });
+    }
+}
+
 /// `validate` in wall-clock time, on one warm `EagerInvalidate` window
 /// holding 512 cached records of target 1. Each iteration re-dirties 64 of
 /// them through the inner window (its cache is not told) and flushes it;
@@ -334,6 +405,7 @@ fn main() {
     bench_storage();
     bench_cache_paths();
     bench_hot_path();
+    bench_hot_path_dht();
     bench_coherence();
     bench_datatype();
     bench_trace_replay();

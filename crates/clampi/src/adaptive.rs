@@ -52,8 +52,8 @@ pub const MEMORY_INCREASE_FACTOR: f64 = 2.0;
 pub const MEMORY_DECREASE_FACTOR: f64 = 2.0;
 /// Bounds on `|I_w|` (slots).
 pub const INDEX_BOUNDS: (usize, usize) = (64, 1 << 26);
-/// Bounds on `|S_w|` (bytes).
-pub const STORAGE_BOUNDS: (usize, usize) = (64 << 10, 4 << 30);
+/// Bounds on `|S_w|` (bytes), within [`crate::cache::MAX_STORAGE_BYTES`].
+pub const STORAGE_BOUNDS: (usize, usize) = (64 << 10, 2 << 30);
 
 /// The check interval and the thresholds of the adaptive strategy.
 #[derive(Debug, Clone)]

@@ -100,17 +100,20 @@ pub enum EntryState {
     Cached,
 }
 
+/// One resident entry: one 64-byte, line-aligned element of the slab, so a
+/// hit, a put-update and a refresh each touch one line of metadata. Its
+/// key is its index slot's (and extent directory's); its size, its
+/// layout's.
 #[derive(Debug)]
+#[repr(align(64))]
 struct Entry {
-    key: GetKey,
     sig: LayoutSig,
-    size: usize,
     state: EntryState,
     desc: DescId,
-    /// Byte offset of `desc`'s region in the storage buffer, cached here
-    /// so a hit copies payload bytes without a dependent load through the
-    /// descriptor slab. Set wherever `desc` is.
-    off: usize,
+    /// Byte offset of `desc`'s region in the storage buffer, so every
+    /// payload read and write skips the descriptor slab. Set wherever
+    /// `desc` is; 32 bits, as `|S_w|` is capped at [`MAX_STORAGE_BYTES`].
+    off: u32,
     last: u64,
     /// What the entry knows about the age of its bytes, set where it is
     /// installed: the fetch's exact stamp when the window read the bytes
@@ -121,12 +124,14 @@ struct Entry {
     stamp: SnapStamp,
 }
 
+const _: () = assert!(size_of::<Option<Entry>>() <= 64 && align_of::<Option<Entry>>() == 64);
+
 impl Entry {
-    /// Whether the cached bytes `[disp, disp + size)` overlap `[lo, hi)`.
-    /// `hi == u64::MAX` means "no upper bound" (a full-target drop).
-    fn overlaps(&self, lo: u64, hi: u64) -> bool {
-        let e_lo = self.key.disp;
-        let e_hi = e_lo.saturating_add(self.size as u64);
+    /// Whether the entry's bytes `[disp, disp + size)` overlap `[lo, hi)`
+    /// (`hi == u64::MAX`: no upper bound, a full-target drop).
+    fn overlaps(&self, disp: u64, lo: u64, hi: u64) -> bool {
+        let e_lo = disp;
+        let e_hi = e_lo.saturating_add(self.sig.size() as u64);
         (e_lo < hi || hi == u64::MAX) && lo < e_hi
     }
 
@@ -158,14 +163,14 @@ impl Entry {
 
 /// Victim test of a plain ranged invalidation: the entry overlaps the
 /// probe's bytes.
-fn overlaps_probe(e: &Entry, lo: u64, hi: u64, _version: u64) -> bool {
-    e.overlaps(lo, hi)
+fn overlaps_probe(e: &Entry, disp: u64, lo: u64, hi: u64, _version: u64) -> bool {
+    e.overlaps(disp, lo, hi)
 }
 
 /// Victim test of a drained put record: the entry overlaps the written
 /// bytes and was filled before the write.
-fn stale_under_probe(e: &Entry, lo: u64, hi: u64, version: u64) -> bool {
-    e.overlaps(lo, hi) && e.stamp.version < version
+fn stale_under_probe(e: &Entry, disp: u64, lo: u64, hi: u64, version: u64) -> bool {
+    e.overlaps(disp, lo, hi) && e.stamp.version < version
 }
 
 /// A stale CACHED entry an invalidation with `keep` left resident
@@ -296,6 +301,36 @@ pub struct CacheParams {
     pub policy_lab: bool,
 }
 
+/// Largest `|I_w|`: Cuckoo hash values are 32 bits wide.
+pub const MAX_INDEX_ENTRIES: usize = u32::MAX as usize;
+/// Largest `|S_w|`: an entry keeps its region offset in 32 bits.
+pub const MAX_STORAGE_BYTES: usize = u32::MAX as usize;
+
+/// The [`CacheParams`] field past its bound ([`CacheParams::validate`]):
+/// its name, value and bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParamsError(pub &'static str, pub usize, pub usize);
+
+impl std::fmt::Display for ParamsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ParamsError(field, value, max) = self;
+        write!(f, "CacheParams::{field} = {value} exceeds {max}")
+    }
+}
+
+impl std::error::Error for ParamsError {}
+
+impl CacheParams {
+    /// The bounds [`RmaCache::new`] asserts, as an error naming the first
+    /// field past its bound.
+    pub fn validate(&self) -> Result<(), ParamsError> {
+        let index = ParamsError("index_entries", self.index_entries, MAX_INDEX_ENTRIES);
+        let storage = ParamsError("storage_bytes", self.storage_bytes, MAX_STORAGE_BYTES);
+        let past = [index, storage].into_iter().find(|e| e.1 > e.2);
+        past.map_or(Ok(()), Err)
+    }
+}
+
 impl Default for CacheParams {
     fn default() -> Self {
         CacheParams {
@@ -417,6 +452,8 @@ pub struct Resident {
     pub off: usize,
     /// Its last access (a get sequence number).
     pub last: u64,
+    /// PENDING or CACHED.
+    pub state: EntryState,
 }
 
 fn new_lab(params: &CacheParams) -> Option<PolicyLab> {
@@ -432,10 +469,18 @@ fn new_lab(params: &CacheParams) -> Option<PolicyLab> {
 
 impl RmaCache {
     /// A fresh cache with the given parameters ([`CacheParams::shards`] is
-    /// not one of them: the engine is one `C_w`).
+    /// not one of them: the engine is one `C_w`). Panics where
+    /// [`CacheParams::validate`] fails ([`RmaCache::try_new`] does not).
     pub fn new(params: CacheParams) -> Self {
         let seed = params.seed;
         Self::with_seeds(params, seed, seed ^ 0x5EED)
+    }
+
+    /// [`RmaCache::new`], or the [`CacheParams::validate`] error, before
+    /// anything is allocated.
+    pub fn try_new(params: CacheParams) -> Result<Self, ParamsError> {
+        params.validate()?;
+        Ok(Self::new(params))
     }
 
     /// A fresh engine whose Cuckoo hashers and victim sampler are seeded
@@ -506,17 +551,9 @@ impl RmaCache {
         self.seq
     }
 
-    /// The running average get size `C_w.ags`.
-    pub fn avg_get_size(&self) -> f64 {
-        self.ags
-    }
-
     /// Occupied fraction of the storage buffer (Fig. 10's y-axis).
     pub fn occupancy(&self) -> f64 {
-        match self.storage.capacity() {
-            0 => 0.0,
-            capacity => self.storage.occupied_bytes() as f64 / capacity as f64,
-        }
+        self.storage.occupancy()
     }
 
     /// Free bytes in the storage buffer.
@@ -587,9 +624,9 @@ impl RmaCache {
         self.entries[id as usize].as_mut().expect("stale entry id")
     }
 
-    fn alloc_entry(&mut self, e: Entry) -> EntryId {
-        *self.target_count(e.key.target) += 1;
-        let (key, size) = (e.key, e.size);
+    fn alloc_entry(&mut self, key: GetKey, e: Entry) -> EntryId {
+        *self.target_count(key.target) += 1;
+        let size = e.sig.size();
         let id = if let Some(id) = self.spare.pop() {
             self.entries[id as usize] = Some(e);
             id
@@ -603,13 +640,13 @@ impl RmaCache {
         id
     }
 
-    fn drop_entry(&mut self, id: EntryId) {
+    fn drop_entry(&mut self, key: GetKey, id: EntryId) {
         // xlint: allow(no-unwrap) invariant: callers drop an id at most once
         let e = self.entries[id as usize].take().expect("double entry drop");
         if let Some(dir) = self.extents.as_mut() {
-            dir.remove(e.key, id);
+            dir.remove(key, id);
         }
-        *self.target_count(e.key.target) -= 1;
+        *self.target_count(key.target) -= 1;
         match e.state {
             EntryState::Cached => self.cached_count -= 1,
             // A PENDING entry can be dropped by an invalidation (never by
@@ -632,7 +669,6 @@ impl RmaCache {
             return Lookup::Miss;
         };
         let e = self.entry(id);
-        debug_assert_eq!(e.key, key, "index returned a foreign entry");
         let (state, off) = (e.state, e.off);
         let (full, cached_len) = e.servable(sig);
         // The served bytes come straight from the entry's cached region
@@ -640,7 +676,7 @@ impl RmaCache {
         // set wherever `desc` is (`check_invariants` compares them).
         let cached = self
             .storage
-            .bytes_at(off, cached_len)
+            .bytes_at(off as usize, cached_len)
             .expect("region inside the buffer"); // xlint: allow(no-unwrap) invariant: see above
 
         if full {
@@ -753,11 +789,11 @@ impl RmaCache {
     /// charge. Not a get: `seq`, `ags` and the statistics stay put.
     pub(crate) fn refresh(&mut self, k: Kept, data: &[u8], stamp: SnapStamp) {
         let e = self.entry_mut(k.id);
-        debug_assert!(e.key == k.key && e.state == EntryState::Cached);
+        debug_assert_eq!(e.state, EntryState::Cached);
         e.stamp = stamp;
         e.state = EntryState::Pending;
-        let (desc, size) = (e.desc, e.size);
-        self.storage.write(desc, data);
+        let (off, size) = (e.off, e.sig.size());
+        self.storage.write_at(off as usize, data);
         self.cached_count -= 1;
         self.pending.push(k.id);
         self.defer(self.params.costs.memcpy_cost(size));
@@ -795,8 +831,8 @@ impl RmaCache {
         if e.state != EntryState::Cached || !covered {
             return;
         }
-        let (desc, size) = (e.desc, e.size);
-        self.storage.write(desc, &data[..size]);
+        let (off, size) = (e.off, e.sig.size());
+        self.storage.write_at(off as usize, &data[..size]);
         self.entry_mut(id).stamp = stamp;
         self.charge(self.params.costs.memcpy_cost(size));
         self.stats.put_updates += 1;
@@ -815,32 +851,29 @@ impl RmaCache {
     ) -> AccessType {
         let size = sig.size();
         debug_assert_eq!(data.len(), size);
-        let id = self.alloc_entry(Entry {
-            key,
+        let entry = Entry {
             sig,
-            size,
             state: EntryState::Pending,
             desc: NO_DESC,
             off: 0,
             last: self.seq,
             stamp,
-        });
+        };
+        let id = self.alloc_entry(key, entry);
 
         let Some(conflicted) = self.insert_with_path_eviction(key, id) else {
-            self.drop_entry(id);
+            self.drop_entry(key, id);
             return AccessType::Failed;
         };
 
         let (desc, evicted_for_space) = self.alloc_with_eviction(size, id, None);
         match desc {
             Some(d) => {
-                self.storage.write(d, data);
-                let off = self.storage.offset(d);
-                {
-                    let e = self.entry_mut(id);
-                    e.desc = d;
-                    e.off = off;
-                }
+                // `|S_w| <= MAX_STORAGE_BYTES`: offsets fit 32 bits.
+                let off = self.storage.offset(d) as u32;
+                self.storage.write_at(off as usize, data);
+                let e = self.entry_mut(id);
+                (e.desc, e.off) = (d, off);
                 self.pending.push(id);
                 self.defer(self.params.costs.memcpy_cost(size));
                 if conflicted {
@@ -854,7 +887,7 @@ impl RmaCache {
             None => {
                 // Weak caching: give up, the get itself already succeeded.
                 self.index.remove(&key);
-                self.drop_entry(id);
+                self.drop_entry(key, id);
                 AccessType::Failed
             }
         }
@@ -916,18 +949,13 @@ impl RmaCache {
                 let old = self.entry(id).desc;
                 self.storage.free(old);
                 self.charge(self.params.costs.alloc_ns);
-                self.storage.write(d, data);
-                let off = self.storage.offset(d);
-                {
-                    let e = self.entry_mut(id);
-                    e.desc = d;
-                    e.off = off;
-                    e.size = size;
-                    e.sig = sig;
-                    e.state = EntryState::Pending;
-                    // Head bytes carry the old stamp, tail bytes the new.
-                    e.stamp = e.stamp.merge(stamp);
-                }
+                let off = self.storage.offset(d) as u32;
+                self.storage.write_at(off as usize, data);
+                let e = self.entry_mut(id);
+                (e.desc, e.off, e.sig) = (d, off, sig);
+                e.state = EntryState::Pending;
+                // Head bytes carry the old stamp, tail bytes the new.
+                e.stamp = e.stamp.merge(stamp);
                 if let Some(dir) = self.extents.as_mut() {
                     dir.max_size = dir.max_size.max(size);
                 }
@@ -972,9 +1000,9 @@ impl RmaCache {
             }
         }
         let (j, victim, _) = best?;
-        self.index.evict_on_path(j);
+        let (gone, _) = self.index.evict_on_path(j);
         self.free_entry_storage(victim);
-        self.drop_entry(victim);
+        self.drop_entry(gone, victim);
         Some(true)
     }
 
@@ -995,10 +1023,11 @@ impl RmaCache {
 
     /// Removes a resident entry found at `slot` and releases its storage.
     fn evict_resident(&mut self, slot: usize, id: EntryId) {
-        let removed = self.index.remove_slot(slot);
-        debug_assert!(matches!(removed, Some((_, e)) if e == id));
+        // xlint: allow(no-unwrap) invariant: callers found `id` at `slot`
+        let (key, found) = self.index.remove_slot(slot).expect("slot emptied");
+        debug_assert_eq!(found, id);
         self.free_entry_storage(id);
-        self.drop_entry(id);
+        self.drop_entry(key, id);
     }
 
     /// Best-fit allocation with up to `max_evictions_per_miss`
@@ -1107,7 +1136,7 @@ impl RmaCache {
             .index
             .iter()
             .map(|(_, key, id)| {
-                max_size = max_size.max(self.entry(id).size);
+                max_size = max_size.max(self.entry(id).sig.size());
                 ((key.target, key.disp), id)
             })
             .collect();
@@ -1130,7 +1159,7 @@ impl RmaCache {
         target: u32,
         probes: &[(u64, u64, u64)],
         keep: bool,
-        doomed: impl Fn(&Entry, u64, u64, u64) -> bool,
+        doomed: impl Fn(&Entry, u64, u64, u64, u64) -> bool,
     ) -> usize {
         if probes.is_empty() || !self.has_entries_for(target) {
             return 0;
@@ -1146,7 +1175,7 @@ impl RmaCache {
             for (key, id) in dir.candidates(target, lo, hi) {
                 examined += 1;
                 let e = self.entry(id);
-                if !doomed(e, lo, hi, version) {
+                if !doomed(e, key.disp, lo, hi, version) {
                     continue;
                 }
                 if keep && e.state == EntryState::Cached {
@@ -1211,15 +1240,20 @@ impl RmaCache {
     /// or — `None`, the notification ring overflowed — every entry of the
     /// target. With `keep`, each CACHED entry it condemns stays resident
     /// and goes to the kept log instead, for the window to fetch again and
-    /// refresh or, failing that, evict.
+    /// refresh or, failing that, evict. The ranges are sorted by
+    /// displacement first, so consecutive seeks share the directory's
+    /// upper levels; what they find does not depend on their order.
     pub(crate) fn invalidate_drained(
         &mut self,
         target: u32,
-        ranges: Option<&[(u64, u64, u64)]>,
+        ranges: Option<&mut [(u64, u64, u64)]>,
         keep: bool,
     ) -> usize {
         match ranges {
-            Some(ranges) => self.invalidate_extents(target, ranges, keep, stale_under_probe),
+            Some(ranges) => {
+                ranges.sort_unstable_by_key(|&(lo, _, _)| lo);
+                self.invalidate_extents(target, ranges, keep, stale_under_probe)
+            }
             None => self.invalidate_extents(target, &[(0, u64::MAX, 0)], keep, overlaps_probe),
         }
     }
@@ -1301,6 +1335,7 @@ impl RmaCache {
     #[cfg(any(test, debug_assertions))]
     pub fn check_invariants(&self) {
         self.storage.check_invariants();
+        self.index.check_invariants();
         let live = self.entries.iter().flatten().count();
         assert_eq!(self.index.len(), live, "index and entry slab disagree");
         assert_eq!(
@@ -1313,21 +1348,18 @@ impl RmaCache {
         }
         let (mut cached, mut pending) = (0, 0);
         let mut per_target: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut owned = vec![false; self.entries.len()];
         for (slot, key, id) in self.index.iter() {
             let e = self.entries[id as usize]
                 .as_ref()
                 .unwrap_or_else(|| panic!("slot {slot} points at dead entry {id}"));
-            assert_eq!(e.key, key, "slot {slot} and entry {id} disagree on the key");
-            assert_eq!(self.index.position(&key), Some((slot, id)), "{key:?}");
-            assert_eq!(
-                e.size,
-                e.sig.size(),
-                "{key:?}: size out of step with layout"
-            );
+            let twice = std::mem::replace(&mut owned[id as usize], true);
+            assert!(!twice, "slot {slot}: entry {id} is another slot's too");
             assert_ne!(e.desc, NO_DESC, "{key:?}: resident without storage");
-            assert_eq!(e.off, self.storage.offset(e.desc), "{key:?}: stale offset");
+            let off = self.storage.offset(e.desc);
+            assert_eq!(e.off as usize, off, "{key:?}: stale offset");
             // Panics if the region is shorter than the entry.
-            let _ = self.storage.read(e.desc, e.size);
+            let _ = self.storage.read(e.desc, e.sig.size());
             match e.state {
                 EntryState::Cached => cached += 1,
                 EntryState::Pending => {
@@ -1338,7 +1370,7 @@ impl RmaCache {
             if let Some(dir) = &self.extents {
                 let at = dir.by_start.get(&(key.target, key.disp));
                 assert_eq!(at, Some(&id), "{key:?}: missing from the extent directory");
-                assert!(e.size <= dir.max_size, "{key:?}: larger than the size mark");
+                assert!(e.sig.size() <= dir.max_size, "{key:?}: past the mark");
             }
             *per_target.entry(key.target).or_default() += 1;
         }
@@ -1373,13 +1405,28 @@ impl RmaCache {
                     slot,
                     id,
                     key,
-                    size: e.size,
+                    size: e.sig.size(),
                     version: e.stamp.version,
-                    off: e.off,
+                    off: e.off as usize,
                     last: e.last,
+                    state: e.state,
                 }
             })
             .collect()
+    }
+
+    /// A keeping coherence drain ([`RmaCache::invalidate_drained`]): how
+    /// many entries it dropped, and its kept log as `(key, slab id)`.
+    #[doc(hidden)]
+    #[cfg(any(test, debug_assertions))]
+    pub fn drain_keeping(
+        &mut self,
+        t: u32,
+        r: &mut [(u64, u64, u64)],
+    ) -> (usize, Vec<(GetKey, u32)>) {
+        let dropped = self.invalidate_drained(t, Some(r), true);
+        let kept = self.take_kept().iter().map(|k| (k.key, k.id)).collect();
+        (dropped, kept)
     }
 
     /// Evicts whatever occupies `slot`, exactly as an invalidation evicts
@@ -1426,9 +1473,9 @@ impl RmaCache {
                 EntryState::Pending => 1,
                 EntryState::Cached => 2,
             });
-            h.word(e.size as u64);
+            h.word(e.sig.size() as u64);
             if e.desc != NO_DESC {
-                for &b in self.storage.read(e.desc, e.size) {
+                for &b in self.storage.read(e.desc, e.sig.size()) {
                     h.byte(b);
                 }
             }
@@ -1458,7 +1505,7 @@ impl RmaCache {
         match self.index.remove(key) {
             Some(id) => {
                 self.free_entry_storage(id);
-                self.drop_entry(id);
+                self.drop_entry(*key, id);
                 true
             }
             None => false,
@@ -1481,7 +1528,7 @@ impl RmaCache {
         }
         let cached = self
             .storage
-            .bytes_at(e.off, len)
+            .bytes_at(e.off as usize, len)
             .expect("region inside the buffer"); // xlint: allow(no-unwrap) invariant: `off` is set wherever `desc` is
         dst.copy_from_slice(cached);
         true
@@ -1929,7 +1976,7 @@ mod tests {
         let mut c = cache(64, 1 << 20);
         insert(&mut c, key(0, 0), &[0u8; 100]);
         insert(&mut c, key(0, 1000), &vec![0u8; 300]);
-        assert!((c.avg_get_size() - 200.0).abs() < 1e-9);
+        assert!((c.ags - 200.0).abs() < 1e-9);
         assert_eq!(c.seq(), 2);
     }
 

@@ -126,10 +126,24 @@ impl UniversalHasher {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+/// One index slot: 16 bytes, four to a cache line. Whether it is occupied
+/// is read from `fps`; an empty one is zeroed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Slot {
-    key: GetKey,
+    disp: u64,
+    target: u32,
     entry: EntryId,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+
+impl Slot {
+    fn key(&self) -> GetKey {
+        GetKey {
+            target: self.target,
+            disp: self.disp,
+        }
+    }
 }
 
 /// One step of an insertion walk: the slot it displaced a pair from, the
@@ -192,14 +206,14 @@ pub enum InsertOutcome {
 /// ```
 #[derive(Debug)]
 pub struct CuckooIndex {
-    slots: Vec<Option<Slot>>,
-    /// Per-slot key fingerprints (0 = empty), checked before the full
-    /// `GetKey` compare on every probe: a cheap one-byte reject that
-    /// skips the 12-byte key comparison on almost every non-matching
-    /// occupied slot. Invariant: `fps[i] == fingerprint(slots[i].key)`
-    /// for occupied slots, `0` otherwise. Pure filter — never consulted
-    /// by insertion placement or displacement choices, so table behavior
-    /// is bit-identical to the un-fingerprinted scheme (property-tested).
+    slots: Vec<Slot>,
+    /// Per-slot key fingerprints, `0` exactly for the empty slots: the
+    /// one record of occupancy. Every probe checks it before the full
+    /// `GetKey` compare, a one-byte reject that skips the 12-byte
+    /// comparison on almost every non-matching slot. Invariant:
+    /// `fps[i] == fingerprint(slots[i].key)` for occupied slots. As a
+    /// filter it never steers placement or displacement, so the table is
+    /// bit-identical to the un-fingerprinted scheme (property-tested).
     fps: Vec<u8>,
     hashers: [UniversalHasher; NUM_HASHES],
     /// Reduces a 32-bit hash value to a slot (`mod slots.len()`).
@@ -254,7 +268,7 @@ impl CuckooIndex {
             UniversalHasher::new(&mut rng),
         ];
         CuckooIndex {
-            slots: vec![None; capacity],
+            slots: vec![Slot::default(); capacity],
             fps: vec![0; capacity],
             hashers,
             modulus: FastMod32::new(capacity),
@@ -300,39 +314,30 @@ impl CuckooIndex {
         let fp = fingerprint(x);
         for h in &self.hashers {
             let i = h.hash(x, self.modulus);
-            if self.fps[i] != fp {
-                continue;
-            }
-            if let Some(s) = &self.slots[i] {
-                if s.key == *key {
-                    return Some((i, s.entry));
-                }
+            if self.fps[i] == fp && self.slots[i].key() == *key {
+                return Some((i, self.slots[i].entry));
             }
         }
         None
     }
 
     /// [`CuckooIndex::lookup`] without the fingerprint filter: probes the
-    /// candidate slots with full key compares only. Exists so the
-    /// property suite can check the filter is behavior-preserving.
+    /// candidate slots for occupancy and a full key compare only. Exists
+    /// so the property suite can check the filter is behavior-preserving.
     #[doc(hidden)]
     pub fn lookup_full_compare(&self, key: &GetKey) -> Option<EntryId> {
         let x = key.mix();
-        for h in &self.hashers {
-            let i = h.hash(x, self.modulus);
-            if let Some(s) = &self.slots[i] {
-                if s.key == *key {
-                    return Some(s.entry);
-                }
-            }
-        }
-        None
+        (self.hashers.iter())
+            .map(|h| h.hash(x, self.modulus))
+            .find(|&i| self.fps[i] != 0 && self.slots[i].key() == *key)
+            .map(|i| self.slots[i].entry)
     }
 
     /// The entry stored at slot `i`, if any (used by the victim-selection
     /// scan, which samples consecutive slots).
     pub fn slot(&self, i: usize) -> Option<(GetKey, EntryId)> {
-        self.slots[i].map(|s| (s.key, s.entry))
+        let s = self.slots[i];
+        (self.fps[i] != 0).then(|| (s.key(), s.entry))
     }
 
     /// Inserts `key -> entry` with the random-walk Cuckoo scheme.
@@ -347,7 +352,11 @@ impl CuckooIndex {
     pub fn insert(&mut self, key: GetKey, entry: EntryId) -> InsertOutcome {
         debug_assert!(self.lookup(&key).is_none(), "duplicate insert of {key:?}");
         let m = self.modulus;
-        let new = Slot { key, entry };
+        let new = Slot {
+            disp: key.disp,
+            target: key.target,
+            entry,
+        };
         let mut cur = new;
         self.path.clear();
         self.unplaced = None;
@@ -357,7 +366,7 @@ impl CuckooIndex {
             self.walk = 1;
         }
         for step in 0..self.max_iters {
-            let x = cur.key.mix();
+            let x = cur.key().mix();
             let fp = fingerprint(x);
             // Try all p candidate positions for an empty slot first. The
             // walk only ever displaces from occupied slots, so the table
@@ -367,9 +376,9 @@ impl CuckooIndex {
             for (c, h) in candidates.iter_mut().zip(&self.hashers) {
                 let i = h.hash(x, m);
                 *c = i;
-                if self.slots[i].is_none() {
+                if self.fps[i] == 0 {
                     self.commit(new, step);
-                    self.slots[i] = Some(cur);
+                    self.slots[i] = cur;
                     self.fps[i] = fp;
                     self.len += 1;
                     return InsertOutcome::Placed { steps: step };
@@ -384,8 +393,7 @@ impl CuckooIndex {
             let from_table = mark >> STEP_BITS != self.walk;
             let k = (mark & ((1 << STEP_BITS) - 1)) as usize;
             let displaced = if from_table {
-                // xlint: allow(no-unwrap) invariant: the walk displaces only from slots it found occupied
-                self.slots[slot].expect("slot checked occupied")
+                self.slots[slot]
             } else if k == 0 {
                 new
             } else {
@@ -412,7 +420,7 @@ impl CuckooIndex {
     fn commit(&mut self, new: Slot, n: usize) {
         let mut carried = new;
         for s in &self.path[..n] {
-            self.slots[s.slot] = Some(carried);
+            self.slots[s.slot] = carried;
             self.fps[s.slot] = s.fp;
             carried = s.displaced;
         }
@@ -427,7 +435,7 @@ impl CuckooIndex {
     pub fn last_path(&self) -> impl Iterator<Item = (usize, GetKey, EntryId)> + '_ {
         (self.path.iter().enumerate())
             .filter(|(_, s)| s.from_table)
-            .map(|(j, s)| (j, s.displaced.key, s.displaced.entry))
+            .map(|(j, s)| (j, s.displaced.key(), s.displaced.entry))
     }
 
     /// Resolves an [`InsertOutcome::Full`] search by evicting the pair its
@@ -444,9 +452,9 @@ impl CuckooIndex {
         // xlint: allow(no-unwrap) invariant: documented precondition of this method
         let new = self.unplaced.take().expect("no Full search to resolve");
         let gone = self.path[j].displaced;
-        debug_assert_ne!(gone.key, new.key, "evicting the key being inserted");
+        debug_assert_ne!(gone.key(), new.key(), "evicting the key being inserted");
         self.commit(new, j + 1);
-        (gone.key, gone.entry)
+        (gone.key(), gone.entry)
     }
 
     /// Removes `key`; returns its entry id if present.
@@ -454,49 +462,52 @@ impl CuckooIndex {
         self.unplaced = None;
         let x = key.mix();
         let fp = fingerprint(x);
-        for h in &self.hashers {
-            let i = h.hash(x, self.modulus);
-            if self.fps[i] != fp {
-                continue;
-            }
-            if let Some(s) = &self.slots[i] {
-                if s.key == *key {
-                    let id = s.entry;
-                    self.slots[i] = None;
-                    self.fps[i] = 0;
-                    self.len -= 1;
-                    return Some(id);
-                }
-            }
-        }
-        None
+        let i = (self.hashers.iter())
+            .map(|h| h.hash(x, self.modulus))
+            .find(|&i| self.fps[i] == fp && self.slots[i].key() == *key)?;
+        self.remove_slot(i).map(|(_, id)| id)
     }
 
     /// Removes whatever occupies slot `i` (victim eviction by position).
     pub fn remove_slot(&mut self, i: usize) -> Option<(GetKey, EntryId)> {
         self.unplaced = None;
-        let s = self.slots[i].take();
-        if s.is_some() {
-            self.fps[i] = 0;
-            self.len -= 1;
+        if self.fps[i] == 0 {
+            return None;
         }
-        s.map(|s| (s.key, s.entry))
+        let s = std::mem::take(&mut self.slots[i]);
+        self.fps[i] = 0;
+        self.len -= 1;
+        Some((s.key(), s.entry))
     }
 
     /// Empties the table, keeping capacity and hash functions.
     pub fn clear(&mut self) {
         self.unplaced = None;
-        self.slots.iter_mut().for_each(|s| *s = None);
-        self.fps.iter_mut().for_each(|f| *f = 0);
+        self.slots.fill(Slot::default());
+        self.fps.fill(0);
         self.len = 0;
     }
 
     /// Iterates over all occupied slots as `(slot, key, entry)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, GetKey, EntryId)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|s| (i, s.key, s.entry)))
+        (self.slots.iter().zip(&self.fps).enumerate())
+            .filter(|(_, (_, &fp))| fp != 0)
+            .map(|(i, (s, _))| (i, s.key(), s.entry))
+    }
+
+    /// Panics unless `fps[i] == 0` exactly for the empty (zeroed) slots,
+    /// `len` counts the others, and each is where [`CuckooIndex::position`]
+    /// finds its key, which implies that `fps[i]` is its fingerprint.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn check_invariants(&self) {
+        for (i, (s, &fp)) in self.slots.iter().zip(&self.fps).enumerate() {
+            let ok = match fp {
+                0 => *s == Slot::default(),
+                _ => self.position(&s.key()) == Some((i, s.entry)),
+            };
+            assert!(ok, "slot {i} out of step with its fingerprint {fp}");
+        }
+        assert_eq!(self.iter().count(), self.len, "occupied slots and len");
     }
 }
 

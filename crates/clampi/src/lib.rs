@@ -85,7 +85,7 @@ pub mod window;
 
 pub use adaptive::{AdaptiveController, AdaptiveParams, AdjustRule, Adjustment};
 pub use blockcache::{BlockCacheConfig, BlockCacheStats, BlockCachedWindow};
-pub use cache::{CacheParams, EntryState, LayoutSig, Lookup, ResizeEvent, RmaCache};
+pub use cache::{CacheParams, EntryState, LayoutSig, Lookup, ParamsError, ResizeEvent, RmaCache};
 pub use coherence::CoherenceMode;
 pub use costs::CacheCostModel;
 pub use eviction::{VictimScheme, POLICY_COUNT};

@@ -111,11 +111,6 @@ impl ShardedCache {
         &self.params
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, key: &GetKey) -> &Shard {
         &self.shards[(key.stripe() % self.shards.len() as u64) as usize]
     }

@@ -38,7 +38,6 @@ pub struct Storage {
     buf: Vec<u8>,
     descs: DescList,
     tree: FreeTree,
-    align: usize,
     capacity: usize,
     free_bytes: usize,
 }
@@ -46,22 +45,20 @@ pub struct Storage {
 impl Storage {
     /// A storage buffer of `capacity` bytes (the paper's `|S_w|`), with
     /// cache-line-aligned allocations.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_alignment(capacity, CACHE_LINE)
-    }
-
-    /// A storage buffer with a custom allocation alignment (tests).
     ///
     /// # Panics
     ///
-    /// Panics if `align == 0`.
-    pub fn with_alignment(capacity: usize, align: usize) -> Self {
-        assert!(align > 0, "alignment must be positive");
+    /// Panics if `capacity > u32::MAX`: the engine keeps region offsets in
+    /// 32 bits.
+    pub fn new(capacity: usize) -> Self {
+        assert!(
+            capacity <= u32::MAX as usize,
+            "storage capacity {capacity} exceeds the 32-bit offset range"
+        );
         let mut s = Storage {
             buf: vec![0u8; capacity],
             descs: DescList::new(),
             tree: FreeTree::new(),
-            align,
             capacity,
             free_bytes: capacity,
         };
@@ -74,7 +71,7 @@ impl Storage {
 
     fn round_up(&self, size: usize) -> usize {
         let size = size.max(1);
-        size.div_ceil(self.align) * self.align
+        size.next_multiple_of(CACHE_LINE)
     }
 
     /// Total buffer size `|S_w|`.
@@ -190,8 +187,7 @@ impl Storage {
             data.len(),
             d.len
         );
-        let off = d.offset;
-        self.buf[off..off + data.len()].copy_from_slice(data);
+        self.write_at(d.offset, data);
     }
 
     /// Reads the first `len` bytes of the region.
@@ -218,6 +214,16 @@ impl Storage {
     pub fn bytes_at(&self, off: usize, len: usize) -> Option<&[u8]> {
         let end = off.checked_add(len)?;
         self.buf.get(off..end)
+    }
+
+    /// Positional write of `data` at raw offset `off`: the engine rewrites
+    /// a resident payload through the offset it keeps on the entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range leaves the buffer.
+    pub fn write_at(&mut self, off: usize, data: &[u8]) {
+        self.buf[off..off + data.len()].copy_from_slice(data);
     }
 
     /// The free bytes adjacent to an entry's region — the paper's `d_c`,

@@ -366,7 +366,7 @@ mod tests {
         assert_eq!(sh.used_bytes, 0);
     }
 
-    /// `storage_bounds` lets `|S_w|` pass 4 GiB, so a shadow entry's size
+    /// A shadow takes any `|S_w|`, past 4 GiB too, so a shadow entry's size
     /// must not be a `u32`: `1 << 32` would read back as 0, the empty-slot
     /// mark.
     #[cfg(target_pointer_width = "64")]

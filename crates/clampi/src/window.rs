@@ -332,7 +332,7 @@ impl CachedWindow {
                             .iter()
                             .map(|r| (r.disp, r.disp.saturating_add(r.len), r.version)),
                     );
-                    Some(co.ranges.as_slice())
+                    Some(co.ranges.as_mut_slice())
                 };
                 let keep = keep && self.win.epoch_open_for(t);
                 let dropped = cache.invalidate_drained(t as u32, ranges, keep);

@@ -11,7 +11,8 @@
 //! a Cuckoo cycle (the index lends out one insertion-path buffer). A put
 //! that writes through to the putter's cached copy, the coherence flush
 //! after it and the hit after that allocate nothing either, nor does a
-//! warm `validate`: its drain, its refreshes in place and its flushes.
+//! warm `validate`: its drain, its refreshes in place and its flushes,
+//! or, with no access epoch open on the target, its evictions.
 //! Trace replay, fed a file, must size nothing by what the file claims:
 //! the largest request it makes is bounded by `|S_w|`.
 //!
@@ -27,7 +28,7 @@ use std::cell::Cell;
 use clampi::trace::{replay, Trace};
 use clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, CoherenceMode, Mode};
 use clampi_datatype::Datatype;
-use clampi_rma::{run_collect, NetModel, Process, SimConfig};
+use clampi_rma::{run_collect, LockKind, NetModel, Process, SimConfig};
 
 struct CountingAlloc;
 
@@ -358,6 +359,73 @@ fn validate_refresh_does_not_allocate() {
         assert_eq!(
             allocs, 0,
             "validate allocated {allocs} times over {refetches} refreshes"
+        );
+    }
+}
+
+/// `validate` with no access epoch open on the target evicts every stale
+/// entry instead of refreshing it. The pass collects its victims in the
+/// engine's own reused buffer, so a warm one allocates nothing.
+#[test]
+fn validate_eviction_does_not_allocate() {
+    const ROUNDS: usize = 8;
+    let params = CacheParams {
+        coherence: CoherenceMode::EagerInvalidate,
+        ..CacheParams::default()
+    };
+    let out = run_collect(SimConfig::default(), 2, |p| {
+        let cfg = ClampiConfig::fixed(Mode::AlwaysCache, params.clone());
+        let mut win = CachedWindow::create(p, WIN, cfg);
+        let (dtype, mut buf) = (Datatype::bytes(GET), [0u8; GET]);
+        p.barrier();
+        // Each round rank 0 (re)caches every record under a shared lock on
+        // rank 1 and releases it, rank 1 rewrites a quarter of them under
+        // an exclusive lock, and rank 0 validates outside any epoch: the
+        // drain evicts the quarter. The first half of the rounds is warmup
+        // (the extent directory, the victim buffer and the pass's scratch
+        // grow there); the second half is measured.
+        let mut measured = (0u64, 0u64);
+        for round in 0..ROUNDS {
+            if p.rank() == 0 {
+                win.lock(p, LockKind::Shared, 1);
+                for slot in 0..SLOTS {
+                    win.get(p, &mut buf, 1, slot * GET, &dtype, 1);
+                }
+                win.unlock(p, 1);
+            }
+            p.barrier();
+            if p.rank() == 1 {
+                win.lock(p, LockKind::Exclusive, 1);
+                for slot in (round % 4..SLOTS).step_by(4) {
+                    win.put(p, &[round as u8; GET], 1, slot * GET, &dtype, 1);
+                }
+                win.unlock(p, 1);
+            }
+            p.barrier();
+            if p.rank() == 0 {
+                let before = (allocs_on_this_thread(), win.stats());
+                win.validate(p);
+                let during = win.stats().delta_since(&before.1);
+                if round >= ROUNDS / 2 && during.refetches == 0 {
+                    measured.0 += allocs_on_this_thread() - before.0;
+                    measured.1 += during.stale_hits_prevented;
+                }
+            }
+            p.barrier();
+        }
+        measured
+    });
+    let (allocs, evicted) = out[0].1;
+    assert_eq!(
+        evicted,
+        (ROUNDS / 2 * SLOTS / 4) as u64,
+        "measured evictions"
+    );
+    let sanitized = std::env::var("CLAMPI_SAN").is_ok_and(|v| !v.is_empty() && v != "0");
+    if cfg!(debug_assertions) && !sanitized {
+        assert_eq!(
+            allocs, 0,
+            "validate allocated {allocs} times over {evicted} evictions"
         );
     }
 }

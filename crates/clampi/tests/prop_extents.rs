@@ -28,7 +28,7 @@
 
 use clampi::cache::{CacheParams, LayoutSig, Lookup, RmaCache};
 use clampi::index::GetKey;
-use clampi::{AccessType, VictimScheme};
+use clampi::{AccessType, CacheCostModel, EntryState, VictimScheme};
 use clampi_prng::prop::{check, Gen};
 
 const TARGETS: u32 = 3;
@@ -295,6 +295,98 @@ fn run_case(g: &mut Gen) {
 #[test]
 fn prop_directory_invalidation_equals_full_scan() {
     check("extent directory == full index scan", 40, run_case);
+}
+
+/// A coherence drain sorts its records by displacement before it seeks
+/// the directory. Here they arrive in descending displacements, each
+/// written once or twice (the same bytes at two versions), and go through
+/// the keeping drain the window runs inside an epoch: PENDING entries they
+/// make stale are evicted, CACHED ones kept resident and logged. The
+/// victims, the kept log and the charge must be the full scan's. The
+/// charge is priced from the scan's view of the directory's seeks: the
+/// drain builds it (one visit per index slot, the size mark the largest
+/// resident), each record costs a visit and one per entry of the target
+/// that starts within the mark below its bytes; each victim freed, one.
+#[test]
+fn prop_a_drain_in_descending_order_with_duplicates_equals_the_scan() {
+    check("unsorted keeping drain == full index scan", 60, |g| {
+        let costs = CacheCostModel {
+            evict_visit_ns: 1.0,
+            alloc_ns: 1.0,
+            ..CacheCostModel::free()
+        };
+        let mut pair = Pair::new(CacheParams {
+            costs,
+            ..gen_params(g)
+        });
+        // Gets and epoch closes only, so the drain is what builds the
+        // directory.
+        for _ in 0..g.range(20..150usize) {
+            if g.bool_with(0.15) {
+                pair.new.epoch_close();
+                pair.old.epoch_close();
+            } else {
+                let (key, size) = (gen_key(g), gen_size(g));
+                pair.get(g, key, size);
+            }
+        }
+        let t = g.range(0..TARGETS as usize);
+        let mut ranges = Vec::new();
+        for _ in 0..g.range(1..12usize) {
+            let disp = g.range(0..DISPS * GRAIN);
+            let hi = disp + g.range(1..=24u64);
+            for _ in 0..g.range(1..=2u32) {
+                pair.versions[t] += 1;
+                ranges.push((disp, hi, pair.versions[t]));
+            }
+        }
+        ranges.sort_unstable_by(|a, b| b.cmp(a));
+
+        let residents = pair.old.residents();
+        let of_t = || residents.iter().filter(|r| r.key.target == t as u32);
+        let doomed: Vec<_> = of_t()
+            .filter(|r| {
+                let (e_lo, e_hi) = (r.key.disp, r.key.disp + r.size as u64);
+                (ranges.iter()).any(|&(lo, hi, v)| e_lo < hi && lo < e_hi && r.version < v)
+            })
+            .collect();
+        let mut kept: Vec<_> = (doomed.iter())
+            .filter(|r| r.state == EntryState::Cached)
+            .map(|r| (r.key, r.id))
+            .collect();
+        kept.sort_by_key(|&(key, id)| (key.disp, id));
+        let victims: Vec<_> = (doomed.iter())
+            .filter(|r| r.state == EntryState::Pending)
+            .map(|r| r.slot)
+            .collect();
+        let reach = residents.iter().map(|r| r.size as u64 - 1).max();
+        let charge = match reach {
+            Some(reach) if of_t().next().is_some() => {
+                let examined: usize = (ranges.iter())
+                    .map(|&(lo, hi, _)| {
+                        let seek = lo.saturating_sub(reach);
+                        1 + of_t().filter(|r| (seek..hi).contains(&r.key.disp)).count()
+                    })
+                    .sum();
+                pair.new.params().index_entries + examined + victims.len()
+            }
+            _ => 0,
+        };
+
+        pair.new.take_cost();
+        let (dropped, log) = pair.new.drain_keeping(t as u32, &mut ranges.clone());
+        let cost = pair.new.take_cost();
+        for &slot in &victims {
+            assert!(
+                pair.old.evict_slot(slot),
+                "victim slot {slot} emptied early"
+            );
+        }
+        assert_eq!(dropped, kept.len() + victims.len(), "dropped, {ranges:?}");
+        assert_eq!(log, kept, "kept log, {ranges:?}");
+        assert_eq!(cost, charge as f64, "charged ns, {ranges:?}");
+        pair.agree("drain");
+    });
 }
 
 fn filled(entries: &[(u64, usize)]) -> RmaCache {
