@@ -48,6 +48,13 @@
 #                 refused. The gate's own planted-regression /
 #                 allowlisted-drift self-test over ci/fixtures/perf/ is a
 #                 unit test of the bench crate (the test stage runs it).
+#   ab-pairs      MANUAL (not in ALL_STAGES, never part of a full run):
+#                 alternating parent/change pairs of one benchmark workload
+#                 (crates/bench/src/bin/ab_pairs.rs), e.g.
+#                 AB_PAIRS_ARGS="--parent HEAD~1 --workload dht_mixed" \
+#                 ./ci.sh ab-pairs - prints each pair's end-to-end metrics,
+#                 each side's median and quartiles, and the win/verdict
+#                 rule of a performance claim
 #   benchmark-smoke  the standalone benchmark suite (benchmark/, the one
 #                 BENCHMARK.json declares): its own tests, then
 #                 `benchmark/run.sh --smoke` - every workload untraced and
@@ -68,6 +75,8 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 ALL_STAGES=(xlint fmt clippy build test san-test prop-matrix bench-smoke perf-gate benchmark-smoke)
+# Run only when named: minutes of host time, and a verdict, not a gate.
+MANUAL_STAGES=(ab-pairs)
 PROP_SEEDS=(1 42 20170527)
 # Seconds one `cargo test` invocation may take, build included. The slowest
 # (the whole workspace) takes 5-13 s warm on the reference host, plus the
@@ -249,6 +258,15 @@ stage_benchmark_smoke() {
     bash benchmark/run.sh --smoke
 }
 
+stage_ab_pairs() {
+    if [ -z "${AB_PAIRS_ARGS:-}" ]; then
+        echo "ab-pairs: set AB_PAIRS_ARGS, e.g. \"--parent HEAD~1 --workload dht_mixed\"" >&2
+        return 1
+    fi
+    # shellcheck disable=SC2086 # the arguments are meant to split
+    cargo run -q --offline --release -p clampi-bench --bin ab_pairs -- $AB_PAIRS_ARGS
+}
+
 # -------------------------------------------------------------- runner --
 declare -A RESULT DURATION
 
@@ -338,7 +356,7 @@ main() {
     else
         for s in "${requested[@]}"; do
             known=0
-            for k in "${ALL_STAGES[@]}"; do
+            for k in "${ALL_STAGES[@]}" "${MANUAL_STAGES[@]}"; do
                 [ "$s" = "$k" ] && known=1
             done
             if [ "${CI_ALLOW_FAKE_STAGES:-0}" = 1 ]; then

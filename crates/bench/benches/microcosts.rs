@@ -355,6 +355,79 @@ fn bench_coherence() {
     });
 }
 
+/// The two coherence phases of a `dht_mixed` round at its footprint: two
+/// `EagerInvalidate` windows on one thread, 2^15 slots and 14,500 resident
+/// 24-B records of target 1 each, used in turn (each iteration finds the
+/// other window's lines cold, as the table's two ranks do). Each iteration
+/// touches 70 records scattered over the table. `own_flush_70_dht`: the
+/// writer's round, 70 puts through the cached window (each covering a
+/// cached record exactly) and the flush that drains their records.
+/// `validate_70_dht`: the reader's round, 70 puts through the inner
+/// window (another origin's writes, as far as the cache can tell), their
+/// flush, and `validate`, which drains them and refreshes the 70 entries
+/// in place.
+fn bench_coherence_dht() {
+    const RECORDS: usize = 14_500;
+    const REC: usize = 24;
+    const PUTS: usize = 70;
+    let b = Bench::new("coherence");
+    let cfg = ClampiConfig::fixed(
+        Mode::AlwaysCache,
+        CacheParams {
+            index_entries: 1 << 15,
+            storage_bytes: 2 << 20,
+            coherence: CoherenceMode::EagerInvalidate,
+            ..CacheParams::default()
+        },
+    );
+    let sim = SimConfig::bench().with_notify_ring_cap(4 * PUTS);
+    for name in ["own_flush_70_dht", "validate_70_dht"] {
+        run_collect(sim.clone(), 2, |p| {
+            let mut wins: Vec<_> = (0..2)
+                .map(|_| CachedWindow::create(p, RECORDS * REC, cfg.clone()))
+                .collect();
+            p.barrier();
+            if p.rank() == 0 {
+                let (dtype, mut dst) = (Datatype::bytes(REC), [0u8; REC]);
+                for win in &mut wins {
+                    win.lock_all(p);
+                    for k in 0..RECORDS {
+                        win.get(p, &mut dst, 1, k * REC, &dtype, 1);
+                    }
+                    win.flush_all(p);
+                    // One drained foreign write builds the extent directory.
+                    win.inner_mut().put(p, &dst, 1, 0, &dtype, 1);
+                    win.validate(p);
+                }
+                let mut round = 0usize;
+                b.run(name, || {
+                    round += 1;
+                    let win = &mut wins[round % 2];
+                    let src = [round as u8; REC];
+                    for i in 0..PUTS {
+                        let disp = (round * PUTS + i) * 7919 % RECORDS * REC;
+                        match name {
+                            "own_flush_70_dht" => win.put(p, &src, 1, disp, &dtype, 1),
+                            _ => win.inner_mut().put(p, &src, 1, disp, &dtype, 1),
+                        }
+                    }
+                    match name {
+                        "own_flush_70_dht" => win.flush(p, 1),
+                        _ => {
+                            win.inner_mut().flush(p, 1);
+                            win.validate(p);
+                        }
+                    }
+                });
+                for win in &mut wins {
+                    win.unlock_all(p);
+                }
+            }
+            p.barrier();
+        });
+    }
+}
+
 fn bench_datatype() {
     let b = Bench::new("datatype");
     let strided = Datatype::vector(64, 1, 4, Datatype::double());
@@ -407,6 +480,7 @@ fn main() {
     bench_hot_path();
     bench_hot_path_dht();
     bench_coherence();
+    bench_coherence_dht();
     bench_datatype();
     bench_trace_replay();
 }

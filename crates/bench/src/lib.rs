@@ -21,6 +21,7 @@ pub mod access;
 pub mod cli;
 pub mod gate;
 pub mod micro;
+pub mod pairs;
 pub mod summary;
 pub mod timer;
 

@@ -184,6 +184,37 @@ pub(crate) struct Kept {
 
 const NO_DESC: DescId = DescId::MAX;
 
+/// A target's resident-entry count and its *grid*: `stride`, the gcd of
+/// the displacements installed, and `max`, the largest size. The grid
+/// holds when no entry is longer than the stride: then a byte range can
+/// overlap only the entries keyed at the multiples of `stride` that its
+/// seek window spans. Kept, like the extent directory, only once that is
+/// built; it only ever weakens, and resets when the engine empties.
+#[derive(Debug, Clone, Copy, Default)]
+struct TargetRec {
+    target: u32,
+    count: u32,
+    max: u32,
+    stride: u64,
+}
+
+impl TargetRec {
+    /// The grid's stride, if it holds (a zero stride, every entry at 0,
+    /// does not count).
+    fn grid(&self) -> Option<u64> {
+        (self.stride > 0 && u64::from(self.max) <= self.stride).then_some(self.stride)
+    }
+
+    fn widen(&mut self, disp: u64, size: usize) {
+        let (mut a, mut b) = (self.stride, disp);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        // `|S_w| <= MAX_STORAGE_BYTES`: sizes fit 32 bits.
+        (self.stride, self.max) = (a, self.max.max(size as u32));
+    }
+}
+
 /// The ordered extent directory: every resident entry keyed
 /// by `(target, disp)`, plus the largest entry size seen since it was
 /// built. An entry overlapping bytes `[lo, hi)` of a target starts in
@@ -211,22 +242,42 @@ impl ExtentDir {
 
     /// The entries of `target` that can overlap bytes `[lo, hi)`, in
     /// ascending displacement order. `hi == u64::MAX` is "every key from
-    /// the seek point on" and is never used in arithmetic.
-    fn candidates(
-        &self,
+    /// the seek point on" and is never used in arithmetic. `grid` is
+    /// `(stride, depth)` for a target on its grid: a seek window of at most
+    /// `depth` grid points is probed point by point in `index` instead.
+    fn candidates<'a>(
+        &'a self,
+        index: &'a CuckooIndex,
         target: u32,
         lo: u64,
         hi: u64,
-    ) -> impl Iterator<Item = (GetKey, EntryId)> + '_ {
+        grid: Option<(u64, u64)>,
+    ) -> impl Iterator<Item = (GetKey, EntryId)> + 'a {
         let start = lo.saturating_sub(self.max_size.saturating_sub(1) as u64);
+        let points = grid.filter(|_| hi != u64::MAX).and_then(|(s, depth)| {
+            let first = start.div_ceil(s).checked_mul(s)?;
+            let n = hi.saturating_sub(first).div_ceil(s);
+            (n <= depth).then_some((first, s, n))
+        });
+        let probed = points.map(move |(first, s, n)| {
+            (0..n).filter_map(move |i| {
+                let disp = first + i * s;
+                index
+                    .lookup(&GetKey { target, disp })
+                    .map(|id| (GetKey { target, disp }, id))
+            })
+        });
         // One descent to the seek point, then a walk that stops at the
         // first key of another target or at or past `hi`. An inverted or
         // empty byte range may still reach back into an entry that spans
         // it, but never past its own upper end.
-        self.by_start
-            .range((target, start)..)
-            .take_while(move |&(&(t, disp), _)| t == target && (disp < hi || hi == u64::MAX))
-            .map(|(&(target, disp), &id)| (GetKey { target, disp }, id))
+        let walked = points.is_none().then(|| {
+            self.by_start
+                .range((target, start)..)
+                .take_while(move |&(&(t, disp), _)| t == target && (disp < hi || hi == u64::MAX))
+                .map(|(&(target, disp), &id)| (GetKey { target, disp }, id))
+        });
+        Iterator::chain(probed.into_iter().flatten(), walked.into_iter().flatten())
     }
 }
 
@@ -408,12 +459,11 @@ pub struct RmaCache {
     /// Copy time the paper pays at the epoch closure; `epoch_close` moves
     /// it into `uncharged_ns`.
     deferred_ns: f64,
-    /// Resident entries per target rank, as `(target, count)` pairs sorted
-    /// by target, one per target ever cached since the engine was last
-    /// emptied: coherence passes skip targets with nothing cached in
-    /// O(log targets), and a hostile target id (a trace's) costs one pair,
-    /// not an array that long.
-    target_counts: Vec<(u32, u32)>,
+    /// One record per target ever cached since the engine was last
+    /// emptied, sorted by target: coherence passes skip targets with
+    /// nothing cached in O(log targets), and a hostile target id (a
+    /// trace's) costs one record, not an array that long.
+    targets: Vec<TargetRec>,
     /// The policy lab's shadow caches ([`CacheParams::policy_lab`]);
     /// `None` when the lab is off (the default).
     lab: Option<PolicyLab>,
@@ -507,7 +557,7 @@ impl RmaCache {
             ags: 0.0,
             uncharged_ns: 0.0,
             deferred_ns: 0.0,
-            target_counts: Vec::new(),
+            targets: Vec::new(),
             lab: new_lab(&params),
             rebuilds: 0,
             resize_log: Vec::new(),
@@ -594,24 +644,26 @@ impl RmaCache {
     /// `target`. O(log targets): lets a coherence pass skip targets with
     /// nothing cached without scanning the index.
     pub fn has_entries_for(&self, target: u32) -> bool {
-        self.target_counts
-            .binary_search_by_key(&target, |&(t, _)| t)
-            .is_ok_and(|i| self.target_counts[i].1 > 0)
+        self.target(target).is_some_and(|r| r.count > 0)
     }
 
-    /// `target`'s resident-entry count, its pair inserted at 0 if new.
-    fn target_count(&mut self, target: u32) -> &mut u32 {
-        let i = match self
-            .target_counts
-            .binary_search_by_key(&target, |&(t, _)| t)
-        {
+    fn target(&self, target: u32) -> Option<&TargetRec> {
+        let i = self.targets.binary_search_by_key(&target, |r| r.target);
+        i.ok().map(|i| &self.targets[i])
+    }
+
+    /// `target`'s record, inserted empty if new.
+    #[inline]
+    fn target_mut(&mut self, target: u32) -> &mut TargetRec {
+        let i = match self.targets.binary_search_by_key(&target, |r| r.target) {
             Ok(i) => i,
             Err(i) => {
-                self.target_counts.insert(i, (target, 0));
+                self.targets.insert(i, TargetRec::default());
+                self.targets[i].target = target;
                 i
             }
         };
-        &mut self.target_counts[i].1
+        &mut self.targets[i]
     }
 
     fn entry(&self, id: EntryId) -> &Entry {
@@ -625,7 +677,7 @@ impl RmaCache {
     }
 
     fn alloc_entry(&mut self, key: GetKey, e: Entry) -> EntryId {
-        *self.target_count(key.target) += 1;
+        self.target_mut(key.target).count += 1;
         let size = e.sig.size();
         let id = if let Some(id) = self.spare.pop() {
             self.entries[id as usize] = Some(e);
@@ -636,6 +688,7 @@ impl RmaCache {
         };
         if let Some(dir) = self.extents.as_mut() {
             dir.insert(key, size, id);
+            self.target_mut(key.target).widen(key.disp, size);
         }
         id
     }
@@ -646,7 +699,7 @@ impl RmaCache {
         if let Some(dir) = self.extents.as_mut() {
             dir.remove(key, id);
         }
-        *self.target_count(key.target) -= 1;
+        self.target_mut(key.target).count -= 1;
         match e.state {
             EntryState::Cached => self.cached_count -= 1,
             // A PENDING entry can be dropped by an invalidation (never by
@@ -818,24 +871,34 @@ impl RmaCache {
     /// stay put. Everything else (PENDING or strided entries, entries the
     /// put overlaps from another key or only partly covers) is left to the
     /// drain, which drops it.
-    pub(crate) fn update_on_put(&mut self, key: GetKey, data: &[u8], stamp: SnapStamp) {
-        if !self.has_entries_for(key.target) {
-            return;
-        }
+    ///
+    /// Returns whether the put is *settled*, left nothing stale: nothing of
+    /// the target is resident, or its grid proves only an entry keyed at
+    /// `key` can overlap the put and that one is absent or was just
+    /// updated. Entries installed later carry
+    /// stamps at or above the put's, so a drain can skip its record.
+    pub(crate) fn update_on_put(&mut self, key: GetKey, data: &[u8], stamp: SnapStamp) -> bool {
+        let Some(rec) = self.target(key.target).filter(|r| r.count > 0) else {
+            return true;
+        };
+        let alone = rec
+            .grid()
+            .is_some_and(|s| key.disp.is_multiple_of(s) && data.len() as u64 <= s);
         self.charge(self.params.costs.lookup_ns);
         let Some(id) = self.index.lookup(&key) else {
-            return;
+            return alone;
         };
         let e = self.entry(id);
         let covered = matches!(e.sig, LayoutSig::Contig(size) if size <= data.len());
         if e.state != EntryState::Cached || !covered {
-            return;
+            return false;
         }
         let (off, size) = (e.off, e.sig.size());
         self.storage.write_at(off as usize, &data[..size]);
         self.entry_mut(id).stamp = stamp;
         self.charge(self.params.costs.memcpy_cost(size));
         self.stats.put_updates += 1;
+        alone
     }
 
     /// The install behind [`RmaCache::install_miss`]: index insert
@@ -958,6 +1021,7 @@ impl RmaCache {
                 e.stamp = e.stamp.merge(stamp);
                 if let Some(dir) = self.extents.as_mut() {
                     dir.max_size = dir.max_size.max(size);
+                    self.target_mut(key.target).widen(key.disp, size);
                 }
                 self.cached_count -= 1;
                 self.pending.push(id);
@@ -1123,7 +1187,8 @@ impl RmaCache {
         self.pending = pending;
     }
 
-    /// Builds the extent directory on first use: one pass over the index.
+    /// Builds the extent directory (and the targets' grids) on first use:
+    /// one pass over the index.
     fn ensure_extents(&mut self) {
         if self.extents.is_some() {
             return;
@@ -1139,7 +1204,11 @@ impl RmaCache {
                 max_size = max_size.max(self.entry(id).sig.size());
                 ((key.target, key.disp), id)
             })
-            .collect();
+            .collect::<BTreeMap<_, _>>();
+        for (&(target, disp), &id) in &by_start {
+            let size = self.entry(id).sig.size();
+            self.target_mut(target).widen(disp, size);
+        }
         self.extents = Some(ExtentDir { by_start, max_size });
     }
 
@@ -1148,7 +1217,8 @@ impl RmaCache {
     /// through the extent directory and `doomed` condemns; returns how
     /// many were dropped. Costs one directory seek per probe plus one
     /// visit per entry examined — `O(probes · log n + examined)`,
-    /// whatever `|I_w|` is. Victims are evicted in ascending index-slot
+    /// whatever `|I_w|` is (a narrow probe of a target on its grid probes
+    /// the index instead of seeking). Victims are evicted in ascending index-slot
     /// order, as a scan of the index would find them: the storage free
     /// order (hence later placement) and the slab ids depend on it, and
     /// `tests/prop_extents.rs` holds it to a full-scan oracle. With `keep`,
@@ -1168,11 +1238,14 @@ impl RmaCache {
         let Some(dir) = self.extents.as_ref() else {
             return 0;
         };
+        // A seek's depth, `log n` for the target's `n` residents.
+        let grid = (self.target(target))
+            .and_then(|r| Some((r.grid()?, u64::from(u32::BITS - r.count.leading_zeros()))));
         let mut victims = std::mem::take(&mut self.victims);
         let kept_from = self.kept.len();
         let mut examined = probes.len();
         for &(lo, hi, version) in probes {
-            for (key, id) in dir.candidates(target, lo, hi) {
+            for (key, id) in dir.candidates(&self.index, target, lo, hi, grid) {
                 examined += 1;
                 let e = self.entry(id);
                 if !doomed(e, key.disp, lo, hi, version) {
@@ -1285,7 +1358,7 @@ impl RmaCache {
         }
         self.cached_count = 0;
         self.deferred_ns = 0.0;
-        self.target_counts.clear();
+        self.targets.clear();
         self.stats.invalidations += 1;
     }
 
@@ -1371,6 +1444,15 @@ impl RmaCache {
                 let at = dir.by_start.get(&(key.target, key.disp));
                 assert_eq!(at, Some(&id), "{key:?}: missing from the extent directory");
                 assert!(e.sig.size() <= dir.max_size, "{key:?}: past the mark");
+                let (stride, max) = self
+                    .target(key.target)
+                    .map_or((0, 0), |r| (r.stride, r.max));
+                let on_grid = key.disp.checked_rem(stride).unwrap_or(key.disp) == 0;
+                assert!(on_grid, "{key:?}: off its target's stride {stride}");
+                assert!(
+                    e.sig.size() <= max as usize,
+                    "{key:?}: past its target's max"
+                );
             }
             *per_target.entry(key.target).or_default() += 1;
         }
@@ -1380,13 +1462,13 @@ impl RmaCache {
             assert_eq!(dir.by_start.len(), live, "extent directory size");
         }
         assert!(
-            self.target_counts.windows(2).all(|w| w[0].0 < w[1].0),
-            "target_counts out of target order"
+            self.targets.windows(2).all(|w| w[0].target < w[1].target),
+            "target records out of target order"
         );
-        let counted = self.target_counts.iter().filter(|&&(_, c)| c > 0);
+        let counted = self.targets.iter().filter(|r| r.count > 0);
         assert!(
-            counted.copied().eq(per_target),
-            "target_counts disagree with the index"
+            counted.map(|r| (r.target, r.count)).eq(per_target),
+            "target counts disagree with the index"
         );
     }
 

@@ -24,7 +24,7 @@
 //! | `None` | zero | none (pre-coherence behaviour, bit-identical) |
 //! | `EagerInvalidate` | CPU-only notification drain (one issue overhead + a record-sized copy per unseen record); zero when the last get reply proves the drain empty | only entries overlapping a drained put record; the whole target when the ring overflowed |
 //! | `EagerInvalidate`, at `validate` | the drain, then one nonblocking refetch per stale CACHED entry (issue overhead and wire time, or a coalesced span's extra bytes) and a refresh in place that pays only its deferred copy, completed by one flush per target: one wire latency blocked, not one per entry | as above, but the stale entries are kept and rewritten in place before `validate` returns; one is evicted only if its refetch fails |
-//! | `EagerInvalidate`, at this rank's own `put` | zero when nothing of the target is cached; else one lookup, plus a copy of the entry when one qualifies | none: a CACHED contiguous entry keyed exactly at the put's displacement and no longer than it takes the put's bytes and exact stamp, so the drain of the put's own record keeps it; every other entry the put overlaps is left to the drain |
+//! | `EagerInvalidate`, at this rank's own `put` | zero when nothing of the target is cached; else one lookup, plus a copy of the entry when one qualifies | none: a CACHED contiguous entry keyed exactly at the put's displacement and no longer than it takes the put's bytes and exact stamp; every other entry the put overlaps is left to the drain. A put the target's grid proves *settled* (nothing else can overlap it) is logged, and the drain skips its record: no probe, no charge |
 //!
 //! What `validate` refreshes: every CACHED entry its own pass finds stale,
 //! by a stale overlap or by the ring-overflow whole-target drop, in
@@ -51,7 +51,8 @@
 //! longer than the put, puts that failed or were discarded (degraded
 //! target, retries exhausted), and every put under `CoherenceMode::None`.
 //! An update is not a get either: `seq`, `ags`, `last` and the access
-//! classes stay put.
+//! classes stay put. Never settled: puts through `inner_mut()`,
+//! non-contiguous puts and other origins' puts, whose records drain.
 //!
 //! There is one mechanism. A window that cannot afford a notification ring
 //! sets `SimConfig::with_notify_ring_cap(0)`: every drain after a write
@@ -64,8 +65,8 @@
 //! A pass never scans the index: victims are found through the engine's
 //! ordered extent directory (see
 //! [`RmaCache::invalidate_overlapping_stale`](crate::RmaCache::invalidate_overlapping_stale)),
-//! one seek per drained record, so it does not slow down with the number
-//! of cached entries.
+//! one seek per drained record, or one exact-key index probe per grid
+//! point of a narrow record on a target whose entries sit on a grid.
 //!
 //! Passes run at access-epoch *openings* (`lock`, `lock_all`, `start`),
 //! at `validate`, and after every `flush`/`flush_all`/`fence` — the points
@@ -148,6 +149,12 @@ pub(crate) struct CoherenceTracker {
     /// Records rewritten as `(lo, hi, version)` byte ranges, one extent
     /// directory probe each (reused across passes).
     pub(crate) ranges: Vec<(u64, u64, u64)>,
+    /// `settled[t]` = ring versions of this rank's puts to `t` since the
+    /// last pass over `t` that left nothing stale
+    /// (`RmaCache::update_on_put`), ascending: the drain skips their
+    /// records. At most the ring's capacity (past it the ring overflows);
+    /// every pass over `t` clears it, drained or not.
+    pub(crate) settled: Vec<Vec<u64>>,
 }
 
 impl CoherenceTracker {
@@ -155,6 +162,7 @@ impl CoherenceTracker {
         CoherenceTracker {
             cursors: vec![0; ntargets],
             samples: vec![None; ntargets],
+            settled: vec![Vec::new(); ntargets],
             ..CoherenceTracker::default()
         }
     }
@@ -162,9 +170,8 @@ impl CoherenceTracker {
     /// Consumes `t`'s reply sample and reports whether it proves a drain
     /// of `t` empty: the reply saw `t` at the cursor, and this rank's
     /// `sync_events` count has not moved since — it has neither written
-    /// (its own put must be drained: the put updated at most its own
-    /// copy of what it covered exactly, and every other entry it
-    /// overlaps must drop) nor
+    /// (its own put must be drained unless it was settled: every other
+    /// entry it overlaps must drop) nor
     /// acquired a lock, a PSCW epoch or a collective (each of which may
     /// order another rank's flushed put before this rank's next get). A
     /// put by another rank after the reply, with no such event in

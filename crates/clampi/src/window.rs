@@ -290,6 +290,7 @@ impl CachedWindow {
             if !self.degraded[t] && !quiet {
                 self.drain_target(p, t, keep);
             }
+            self.coherence.settled[t].clear();
         }
         self.charge_engine(p);
     }
@@ -326,10 +327,12 @@ impl CachedWindow {
                     None
                 } else {
                     self.fault_stats.notifications_drained += co.scratch.len() as u64;
+                    // The settled log is a subsequence of the records.
+                    let mut settled = co.settled[t].iter().peekable();
                     co.ranges.clear();
                     co.ranges.extend(
-                        co.scratch
-                            .iter()
+                        (co.scratch.iter())
+                            .filter(|r| settled.next_if_eq(&&r.version).is_none())
                             .map(|r| (r.disp, r.disp.saturating_add(r.len), r.version)),
                     );
                     Some(co.ranges.as_mut_slice())
@@ -979,7 +982,11 @@ impl CachedWindow {
                         disp: disp as u64,
                     };
                     let stamp = SnapStamp::exact(s.version, s.ts);
-                    self.engine().update_on_put(key, src, stamp);
+                    let settled = self.engine().update_on_put(key, src, stamp);
+                    let log = &mut self.coherence.settled[target];
+                    if settled && log.len() < p.config().notify_ring_cap {
+                        log.push(s.version);
+                    }
                     self.charge_engine(p);
                 }
             }

@@ -12,7 +12,8 @@
 //! that writes through to the putter's cached copy, the coherence flush
 //! after it and the hit after that allocate nothing either, nor does a
 //! warm `validate`: its drain, its refreshes in place and its flushes,
-//! or, with no access epoch open on the target, its evictions.
+//! or, with no access epoch open on the target, its evictions; nor does
+//! the log of a writer's settled puts, bounded by the ring's capacity.
 //! Trace replay, fed a file, must size nothing by what the file claims:
 //! the largest request it makes is bounded by `|S_w|`.
 //!
@@ -360,6 +361,78 @@ fn validate_refresh_does_not_allocate() {
             allocs, 0,
             "validate allocated {allocs} times over {refetches} refreshes"
         );
+    }
+}
+
+/// A writer's settled puts: rounds of put → flush → validate → hit, each
+/// put settled at the source and its record skipped by the drain, allocate
+/// nothing once warm. The settled log reuses its buffer and holds at most
+/// the ring's capacity: after an overflow has emptied the target, rounds
+/// of ever more puts (all settled, nothing being cached) between flushes
+/// allocate nothing either.
+#[test]
+fn settled_puts_flush_validate_and_hit_do_not_allocate() {
+    const CAP: usize = 16;
+    let params = CacheParams {
+        coherence: CoherenceMode::EagerInvalidate,
+        ..CacheParams::default()
+    };
+    let sim = SimConfig::default().with_notify_ring_cap(CAP);
+    let out = run_collect(sim, 2, |p| {
+        let cfg = ClampiConfig::fixed(Mode::AlwaysCache, params.clone());
+        let mut win = CachedWindow::create(p, WIN, cfg);
+        let (dtype, mut buf) = (Datatype::bytes(GET), [0u8; GET]);
+        p.barrier();
+        // (allocations, hits) of the measured steady rounds, allocations
+        // of the measured growing rounds.
+        let mut measured = (0u64, 0u64, 0u64);
+        if p.rank() == 0 {
+            win.lock_all(p);
+            get_then_flush(p, &mut win, 0..SLOTS, AccessType::Direct);
+            for round in 0..4 {
+                let before = allocs_on_this_thread();
+                let slots = (round % 4) * CAP..(round % 4 + 1) * CAP;
+                for slot in slots.clone() {
+                    win.put(p, &[round as u8; GET], 1, slot * GET, &dtype, 1);
+                }
+                win.flush(p, 1);
+                win.validate(p);
+                let mut hits = 0;
+                for slot in slots {
+                    let class = win.get(p, &mut buf, 1, slot * GET, &dtype, 1);
+                    hits += (class == Some(AccessType::Hit) && buf == [round as u8; GET]) as u64;
+                }
+                if round >= 2 {
+                    measured.0 += allocs_on_this_thread() - before;
+                    measured.1 += hits;
+                }
+            }
+            // More puts than the ring holds, through the inner window (never
+            // logged): the drain overflows and drops the target. Then twice
+            // and four times the ring's capacity of settled puts per flush.
+            for slot in 0..SLOTS {
+                win.inner_mut().put(p, &[0; GET], 1, slot * GET, &dtype, 1);
+            }
+            win.flush(p, 1);
+            let before = allocs_on_this_thread();
+            for n in [2 * CAP, 4 * CAP] {
+                for slot in 0..n {
+                    win.put(p, &[slot as u8; GET], 1, slot * GET, &dtype, 1);
+                }
+                win.flush(p, 1);
+            }
+            measured.2 = allocs_on_this_thread() - before;
+            win.unlock_all(p);
+        }
+        p.barrier();
+        measured
+    });
+    let (steady, hits, growing) = out[0].1;
+    assert_eq!(hits, 2 * CAP as u64, "measured hits on the writer's bytes");
+    let sanitized = std::env::var("CLAMPI_SAN").is_ok_and(|v| !v.is_empty() && v != "0");
+    if cfg!(debug_assertions) && !sanitized {
+        assert_eq!(steady, 0, "put, flush, validate and hit allocated");
+        assert_eq!(growing, 0, "the settled log grew past the ring's capacity");
     }
 }
 

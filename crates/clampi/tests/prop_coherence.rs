@@ -49,7 +49,13 @@
 //!    bytes and version, so its next read hits; a later foreign write
 //!    still drops it; a put that covers the record only in part, or from
 //!    another key, a put to a dead target and any put under
-//!    `CoherenceMode::None` update nothing.
+//!    `CoherenceMode::None` update nothing;
+//! 8. (directed) a writer's drain skips only what its own puts settled:
+//!    a put that also overlaps an off-grid entry, a put through
+//!    `inner_mut()`, a non-contiguous put and a put over a PENDING entry
+//!    are drained and drop what they overlap; around a foreign write to
+//!    the same record the entry's fate follows version order; a ring
+//!    overflow or a dead target leaves nothing behind.
 
 #[cfg(debug_assertions)]
 use clampi::cache::Resident;
@@ -60,7 +66,7 @@ use clampi::{
 use clampi_datatype::Datatype;
 use clampi_prng::prop::{check, Gen};
 use clampi_prng::SmallRng;
-use clampi_rma::{run_collect, FaultConfig, LockKind, SimConfig};
+use clampi_rma::{run_collect, FaultConfig, LockKind, Process, SimConfig};
 
 const SIZE: usize = 32;
 
@@ -1298,4 +1304,254 @@ fn a_put_without_coherence_updates_nothing_and_charges_nothing() {
     assert_eq!(none.class, Some(AccessType::Hit));
     assert_eq!(none.bytes, vec![pattern_byte(OWN, 0); SIZE]);
     assert_eq!(none.uncached, Some(vec![pattern_byte(OWN, 1); SIZE]));
+}
+
+/// What rank 0 does around its put of record [`SETTLED`] in [`settle`].
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Settle {
+    /// It also caches 16 B at `disp - 8`, off the target's grid, then puts
+    /// the record exactly.
+    OffGrid,
+    /// It puts the record and the next one with one put, longer than the
+    /// grid's stride: the next record's entry is not updated.
+    Wide,
+    /// It puts 16 B into the middle of the record, off the grid.
+    Unaligned,
+    /// It puts the record through `inner_mut()`.
+    Inner,
+    /// It puts two 8-byte blocks of the record with a strided type.
+    Strided,
+    /// Its entry of the record is PENDING (the get completed only by the
+    /// inner window's flush) when it puts the record exactly.
+    Pending,
+    /// Rank 1 writes the record, then rank 0 puts it exactly.
+    ForeignBefore,
+    /// Rank 0 puts the record exactly, then rank 1 writes it.
+    ForeignAfter,
+    /// At ring capacity 2, three puts overflow the ring; then the record
+    /// is read and put exactly again.
+    Overflow,
+    /// It puts the record exactly, then rank 1 dies before the flush.
+    DeadTarget,
+}
+
+const SETTLED: usize = 2;
+
+/// What rank 0 read back at the end of [`settle`]: the class and bytes of
+/// a cached read of the record (of the off-grid entry for
+/// [`Settle::OffGrid`]) and an uncached read of the same bytes.
+#[derive(Debug, Default)]
+struct SettleObs {
+    class: Option<AccessType>,
+    bytes: Vec<u8>,
+    uncached: Option<Vec<u8>>,
+    degraded: bool,
+}
+
+/// Rank 0 caches rank 1's four records; one put through the inner window
+/// over the last, drained by a flush, builds its extent directory and the
+/// target's grid (stride [`SIZE`]). Then `case` runs its puts and
+/// flushes; rank 0 reads back through the cache, then uncached.
+fn settle(case: Settle) -> SettleObs {
+    let mut sim = SimConfig::default();
+    match case {
+        Settle::Overflow => sim = sim.with_notify_ring_cap(2),
+        Settle::DeadTarget => {
+            sim = sim.with_faults(FaultConfig::default().with_rank_failure(1, KILL_NS))
+        }
+        _ => {}
+    }
+    let out = run_collect(sim, 2, move |p| {
+        let rank = p.rank();
+        let params = CacheParams {
+            coherence: CoherenceMode::EagerInvalidate,
+            ..CacheParams::default()
+        };
+        let cfg = ClampiConfig::fixed(Mode::AlwaysCache, params);
+        let mut win = CachedWindow::create(p, 4 * SIZE, cfg);
+        if rank == 1 {
+            let mut local = win.local_mut();
+            for r in 0..4 {
+                local[r * SIZE..(r + 1) * SIZE].fill(pattern_byte(r, 0));
+            }
+        }
+        p.barrier();
+        win.lock_all(p);
+        let dtype = Datatype::bytes(SIZE);
+        let mut buf = vec![0u8; SIZE];
+        let disp = SETTLED * SIZE;
+        let put = |win: &mut CachedWindow, p: &mut Process, version: u64| {
+            let src = [pattern_byte(SETTLED, version); SIZE];
+            win.put(p, &src, 1, disp, &dtype, 1);
+        };
+        let (read_disp, read_len) = match case {
+            Settle::OffGrid => (disp - 8, 16),
+            Settle::Wide => (disp + SIZE, SIZE),
+            _ => (disp, SIZE),
+        };
+        if rank == 0 {
+            for r in (0..4).filter(|&r| r != SETTLED || case != Settle::Pending) {
+                win.get(p, &mut buf, 1, r * SIZE, &dtype, 1);
+            }
+            if case == Settle::OffGrid {
+                win.get(p, &mut buf[..16], 1, disp - 8, &Datatype::bytes(16), 1);
+            }
+            win.flush(p, 1);
+            win.inner_mut().put(p, &[7; SIZE], 1, 3 * SIZE, &dtype, 1);
+            win.flush(p, 1);
+            if case == Settle::Wide {
+                win.get(p, &mut buf, 1, 3 * SIZE, &dtype, 1);
+                win.flush(p, 1);
+            }
+        }
+        p.barrier();
+        if rank == 1 && case == Settle::ForeignBefore {
+            win.put(p, &[pattern_byte(SETTLED, 1); SIZE], 1, disp, &dtype, 1);
+            win.flush(p, 1);
+        }
+        p.barrier();
+        if rank == 0 {
+            match case {
+                Settle::Inner => {
+                    let src = [pattern_byte(SETTLED, 1); SIZE];
+                    win.inner_mut().put(p, &src, 1, disp, &dtype, 1);
+                }
+                Settle::Wide => {
+                    let src = [pattern_byte(SETTLED, 1); 2 * SIZE];
+                    win.put(p, &src, 1, disp, &Datatype::bytes(2 * SIZE), 1);
+                }
+                Settle::Unaligned => {
+                    let src = [pattern_byte(SETTLED, 1); 16];
+                    win.put(p, &src, 1, disp + 8, &Datatype::bytes(16), 1);
+                }
+                Settle::Strided => {
+                    let src = [pattern_byte(SETTLED, 1); 16];
+                    let two_blocks = Datatype::vector(2, 8, 16, Datatype::bytes(1));
+                    win.put(p, &src, 1, disp, &two_blocks, 1);
+                }
+                Settle::Pending => {
+                    win.get(p, &mut buf, 1, disp, &dtype, 1);
+                    win.inner_mut().flush(p, 1);
+                    put(&mut win, p, 1);
+                }
+                Settle::ForeignBefore => put(&mut win, p, 2),
+                Settle::Overflow => {
+                    for r in 0..3 {
+                        let src = [pattern_byte(r, 1); SIZE];
+                        win.put(p, &src, 1, r * SIZE, &dtype, 1);
+                    }
+                    win.flush(p, 1);
+                    win.get(p, &mut buf, 1, disp, &dtype, 1);
+                    win.flush(p, 1);
+                    put(&mut win, p, 2);
+                }
+                _ => put(&mut win, p, 1),
+            }
+            if case == Settle::DeadTarget {
+                p.compute(KILL_NS);
+            }
+            win.flush(p, 1);
+        }
+        p.barrier();
+        if rank == 1 && case == Settle::ForeignAfter {
+            win.put(p, &[pattern_byte(SETTLED, 2); SIZE], 1, disp, &dtype, 1);
+            win.flush(p, 1);
+        }
+        p.barrier();
+        let mut obs = SettleObs::default();
+        if rank == 0 {
+            obs.degraded = win.is_degraded(1);
+            if !obs.degraded {
+                win.flush(p, 1);
+            }
+            let mut got = vec![0u8; read_len];
+            obs.class = win.get(p, &mut got, 1, read_disp, &Datatype::bytes(read_len), 1);
+            if !obs.degraded && obs.class != Some(AccessType::Hit) {
+                win.flush(p, 1);
+            }
+            if !obs.degraded {
+                let mut plain = vec![0u8; read_len];
+                win.get_uncached(p, &mut plain, 1, read_disp, &Datatype::bytes(read_len), 1);
+                win.inner_mut().flush(p, 1);
+                obs.uncached = Some(plain);
+            }
+            obs.bytes = got;
+        }
+        p.barrier();
+        win.unlock_all(p);
+        p.barrier();
+        #[cfg(debug_assertions)]
+        if let Some(cache) = win.cache() {
+            cache.check_invariants();
+        }
+        obs
+    });
+    out.into_iter().next().expect("rank 0 reports").1
+}
+
+/// The puts a writer's drain must not skip: each leaves an entry stale
+/// (the off-grid neighbour, the next record under a put longer than the
+/// stride, the record under an unaligned put, an entry the inner window's
+/// put or the strided put did not update, a PENDING entry), so the next read misses and reads what an
+/// uncached read does.
+#[test]
+fn a_put_that_is_not_settled_is_drained_and_drops_what_it_overlaps() {
+    for case in [
+        Settle::OffGrid,
+        Settle::Wide,
+        Settle::Unaligned,
+        Settle::Inner,
+        Settle::Strided,
+        Settle::Pending,
+    ] {
+        let o = settle(case);
+        assert_ne!(
+            o.class,
+            Some(AccessType::Hit),
+            "{case:?}: a stale entry hit"
+        );
+        assert_eq!(o.uncached.as_ref(), Some(&o.bytes), "{case:?}: stale bytes");
+    }
+    let o = settle(Settle::OffGrid);
+    assert_eq!(
+        o.bytes[8..],
+        [pattern_byte(SETTLED, 1); 8],
+        "the put's bytes"
+    );
+}
+
+/// Around a foreign write to the same record the entry's fate follows
+/// version order: a settled put after the foreign write keeps the
+/// writer's updated copy (the next read hits its bytes); a foreign write
+/// after it drops the copy (the next read misses and sees rank 1's).
+#[test]
+fn a_settled_entry_follows_version_order_around_a_foreign_write() {
+    let before = settle(Settle::ForeignBefore);
+    assert_eq!(before.class, Some(AccessType::Hit));
+    assert_eq!(before.bytes, vec![pattern_byte(SETTLED, 2); SIZE]);
+    assert_eq!(before.uncached.as_ref(), Some(&before.bytes));
+    let after = settle(Settle::ForeignAfter);
+    assert_ne!(
+        after.class,
+        Some(AccessType::Hit),
+        "a stale update survived"
+    );
+    assert_eq!(after.bytes, vec![pattern_byte(SETTLED, 2); SIZE]);
+    assert_eq!(after.uncached.as_ref(), Some(&after.bytes));
+}
+
+/// A ring overflow drops the whole target and the settled log with it:
+/// the next settled put is skipped correctly and its record hits. A
+/// target that dies before the drain is dropped whole: the read is
+/// `Faulted` zeros, never the put's bytes.
+#[test]
+fn an_overflow_or_a_dead_target_leaves_no_settled_entry_behind() {
+    let o = settle(Settle::Overflow);
+    assert_eq!(o.class, Some(AccessType::Hit));
+    assert_eq!(o.bytes, vec![pattern_byte(SETTLED, 2); SIZE]);
+    assert_eq!(o.uncached.as_ref(), Some(&o.bytes));
+    let dead = settle(Settle::DeadTarget);
+    assert!(dead.degraded);
+    assert_eq!(dead.class, Some(AccessType::Faulted));
+    assert_eq!(dead.bytes, vec![0; SIZE]);
 }

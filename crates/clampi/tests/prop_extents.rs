@@ -125,8 +125,8 @@ impl Pair {
     }
 
     /// One `get_c` of `size` bytes at `key`, issued to both engines the
-    /// way the window wrapper would.
-    fn get(&mut self, g: &mut Gen, key: GetKey, size: usize) {
+    /// way the window wrapper would; what it looked up and installed.
+    fn get(&mut self, g: &mut Gen, key: GetKey, size: usize) -> (Lookup, Option<AccessType>) {
         let t = key.target as usize;
         // Mostly the current version; sometimes a conservatively older
         // peek, so that entries of one target differ in staleness.
@@ -154,6 +154,19 @@ impl Pair {
             *class = Some((looked, installed, dst));
         }
         assert_eq!(classes[0], classes[1], "get of {size} B at {key:?}");
+        let (looked, installed, _) = classes[0].take().expect("both engines served the get");
+        (looked, installed)
+    }
+
+    /// [`Pair::get`], keeping `mark` at the extent directory's size mark
+    /// (built): the largest size installed or extended to since.
+    fn get_marked(&mut self, g: &mut Gen, mark: &mut u64, key: GetKey, size: usize) {
+        let (looked, class) = self.get(g, key, size);
+        let extended =
+            matches!(looked, Lookup::PartialHit { .. }) && class != Some(AccessType::Failed);
+        if looked == Lookup::Miss || extended {
+            *mark = (*mark).max(size as u64);
+        }
     }
 
     /// A remote put: bumps the target's version and leaves a record.
@@ -386,6 +399,137 @@ fn prop_a_drain_in_descending_order_with_duplicates_equals_the_scan() {
         assert_eq!(log, kept, "kept log, {ranges:?}");
         assert_eq!(cost, charge as f64, "charged ns, {ranges:?}");
         pair.agree("drain");
+    });
+}
+
+/// Grid probes find what the directory walk finds. Every entry is keyed
+/// at a multiple of a random stride `s` and is at most `s` long, so each
+/// target sits on a grid and a narrow probe takes the engine's grid path;
+/// wide probes (more grid points than a seek's depth), off-grid probes and
+/// full-target drops take the walk. Once in a while one unaligned or
+/// overlong install moves its target off the grid for good. Every probe
+/// must drop, keep and charge exactly what the directory walk over the
+/// full scan's view does: the victims in slot order (slab ids, through
+/// `agree`), the kept log, and one visit per probe and per entry of the
+/// target that starts within the size mark below its bytes, plus one per
+/// victim freed. `check_invariants` holds every resident to its target's
+/// grid after every step.
+#[test]
+fn prop_grid_probes_equal_the_directory_walk() {
+    check("grid probes == directory walk", 60, |g| {
+        let costs = CacheCostModel {
+            evict_visit_ns: 1.0,
+            alloc_ns: 1.0,
+            ..CacheCostModel::free()
+        };
+        let mut pair = Pair::new(CacheParams {
+            costs,
+            ..gen_params(g)
+        });
+        let s = GRAIN * g.range(1..=5u64);
+        let on_grid = |g: &mut Gen| GetKey {
+            target: g.range(0..TARGETS as u64) as u32,
+            disp: g.range(0..48u64) * s,
+        };
+        // The directory's size mark: the largest install since it was built.
+        let mut mark = 0;
+        let first = on_grid(g);
+        pair.get_marked(g, &mut mark, first, s as usize);
+        // Builds the directory (and the grid records) with one resident.
+        assert_eq!(pair.new.invalidate_range(first.target, 1 << 40, 1 << 41), 0);
+        let mut left = false;
+        for _ in 0..g.range(100..300usize) {
+            match g.range(0..100u32) {
+                0..=54 => {
+                    let (key, size) = (on_grid(g), g.range(1..=s as usize));
+                    pair.get_marked(g, &mut mark, key, size);
+                }
+                55..=64 => {
+                    pair.new.epoch_close();
+                    pair.old.epoch_close();
+                }
+                65 if !left => {
+                    // Off the grid: a key between two points, or too long.
+                    left = true;
+                    let (mut key, mut size) = (on_grid(g), 8);
+                    match g.bool() {
+                        true => key.disp += g.range(1..s),
+                        false => size = g.range(s as usize + 1..=3 * s as usize),
+                    }
+                    pair.get_marked(g, &mut mark, key, size);
+                }
+                _ => {
+                    let t = g.range(0..TARGETS as u64) as u32;
+                    let full = g.bool_with(0.1);
+                    let mut ranges: Vec<(u64, u64, u64)> = (0..g.range(1..8usize))
+                        .map(|_| {
+                            let lo = match g.bool_with(0.7) {
+                                true => g.range(0..48u64) * s,
+                                false => g.range(0..48 * s),
+                            };
+                            let len = match g.range(0..4u32) {
+                                0 => g.range(s + 1..=20 * s),
+                                _ => g.range(1..=s),
+                            };
+                            let v = pair.versions[t as usize] + u64::from(g.bool());
+                            (lo, lo + len, v)
+                        })
+                        .collect();
+                    if full {
+                        ranges = vec![(0, u64::MAX, 0)];
+                    }
+                    let of_t: Vec<_> = (pair.old.residents().into_iter())
+                        .filter(|r| r.key.target == t)
+                        .collect();
+                    let doomed: Vec<_> = (of_t.iter())
+                        .filter(|r| {
+                            let (e_lo, e_hi) = (r.key.disp, r.key.disp + r.size as u64);
+                            let hit = |&(lo, hi, v): &(u64, u64, u64)| {
+                                e_lo < hi && lo < e_hi && (full || r.version < v)
+                            };
+                            ranges.iter().any(hit)
+                        })
+                        .collect();
+                    let keep = !full;
+                    let mut kept: Vec<_> = (doomed.iter())
+                        .filter(|r| keep && r.state == EntryState::Cached)
+                        .map(|r| (r.key, r.id))
+                        .collect();
+                    kept.sort_by_key(|&(key, id)| (key.disp, id));
+                    let victims: Vec<_> = (doomed.iter())
+                        .filter(|r| !keep || r.state == EntryState::Pending)
+                        .map(|r| r.slot)
+                        .collect();
+                    let examined: usize = match of_t.is_empty() {
+                        true => 0,
+                        false => (ranges.iter())
+                            .map(|&(lo, hi, _)| {
+                                let seek = lo.saturating_sub(mark.saturating_sub(1));
+                                let reached = |d: u64| d >= seek && (d < hi || hi == u64::MAX);
+                                1 + of_t.iter().filter(|r| reached(r.key.disp)).count()
+                            })
+                            .sum(),
+                    };
+                    pair.new.take_cost();
+                    let (dropped, log) = match full {
+                        true => (pair.new.invalidate_range(t, 0, u64::MAX), Vec::new()),
+                        false => pair.new.drain_keeping(t, &mut ranges.clone()),
+                    };
+                    let cost = pair.new.take_cost();
+                    for &slot in &victims {
+                        assert!(
+                            pair.old.evict_slot(slot),
+                            "victim slot {slot} emptied early"
+                        );
+                    }
+                    assert_eq!(dropped, kept.len() + victims.len(), "dropped, {ranges:?}");
+                    assert_eq!(log, kept, "kept log, {ranges:?}");
+                    let charge = examined + victims.len();
+                    assert_eq!(cost, charge as f64, "charged ns, {ranges:?} (mark {mark})");
+                }
+            }
+            pair.agree("grid step");
+        }
     });
 }
 
