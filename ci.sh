@@ -21,6 +21,10 @@
 #                 not installed)
 #   build         cargo build --release --offline (workspace)
 #   test          cargo test -q --offline (workspace)
+#   release-test  the engine, simulator and datatype suites again in a
+#                 release build (cargo test --release -p clampi -p
+#                 clampi-rma -p clampi-datatype): wrapping arithmetic and
+#                 compiled-out debug_asserts exist only there
 #   san-test      the whole test suite again under CLAMPI_SAN=1 (the RMA
 #                 semantics sanitizer armed; run_collect asserts zero
 #                 diagnostics after every simulation — this includes the
@@ -63,10 +67,10 @@
 #                 the workspace, so drift against what it uses fails here
 #                 instead of at the benchmark driver.
 #
-# Every `cargo test` of the test, san-test and prop-matrix stages runs
-# under `timeout` (TEST_TIMEOUT_S below): a rank that panics inside a
-# simulation strands its peers at a barrier, and a hung suite must come
-# back FAIL instead of sitting there forever.
+# Every `cargo test` of the test, release-test, san-test and prop-matrix
+# stages runs under `timeout` (TEST_TIMEOUT_S below): a rank that panics
+# inside a simulation strands its peers at a barrier, and a hung suite
+# must come back FAIL instead of sitting there forever.
 #
 # This repo builds on machines with no network and no cargo registry
 # cache, so any external crate in a dependency section is a build break
@@ -74,7 +78,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(xlint fmt clippy build test san-test prop-matrix bench-smoke perf-gate benchmark-smoke)
+ALL_STAGES=(xlint fmt clippy build test release-test san-test prop-matrix bench-smoke perf-gate benchmark-smoke)
 # Run only when named: minutes of host time, and a verdict, not a gate.
 MANUAL_STAGES=(ab-pairs)
 PROP_SEEDS=(1 42 20170527)
@@ -136,6 +140,11 @@ stage_build() {
 
 stage_test() {
     limited "$TEST_TIMEOUT_S" cargo test -q --offline --workspace
+}
+
+stage_release_test() {
+    limited "$TEST_TIMEOUT_S" cargo test --release -q --offline \
+        -p clampi -p clampi-rma -p clampi-datatype
 }
 
 stage_san_test() {

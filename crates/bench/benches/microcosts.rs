@@ -16,6 +16,7 @@ use clampi::storage::{FreeTree, Storage};
 use clampi::{AccessType, CacheCostModel, CachedWindow, ClampiConfig, CoherenceMode, Mode};
 use clampi_bench::timer::Bench;
 use clampi_datatype::Datatype;
+use clampi_prng::SmallRng;
 use clampi_rma::{run_collect, Process, SimConfig};
 use clampi_workloads::Zipf;
 
@@ -301,6 +302,75 @@ fn bench_hot_path_dht() {
     }
 }
 
+/// A window hit at `hit_small`'s footprint: 16,384 keys of 256 B, each in
+/// a 512-B slot at a seeded random position, one cached window with a
+/// 2^16-slot index and storage for all of them, and a Zipf(0.99) stream in
+/// which the keys with `k % 4 == 3` are read through a strided vector of
+/// the same 256 B (a 448-B span). `window_hit_256_hs` replays the stream
+/// warm, every get a hit; `rma_get_flush_256_hs` replays it through an
+/// uncached window, each get followed by a flush: the cost a hit
+/// replaces. Read the `min` column.
+fn bench_hot_path_hs() {
+    const KEYS: usize = 16_384;
+    const SLOT: usize = 512;
+    const LEN: usize = 256;
+    const STREAM: usize = 1 << 16;
+    let b = Bench::new("hot_path");
+    let mut rng = SmallRng::seed_from_u64(21);
+    let mut slot_of: Vec<usize> = (0..KEYS).collect();
+    for i in (1..KEYS).rev() {
+        slot_of.swap(i, rng.gen_below(i as u64 + 1) as usize);
+    }
+    let mut zipf = Zipf::new(KEYS, 0.99, 21);
+    let stream: Vec<(usize, bool)> = (0..STREAM)
+        .map(|_| {
+            let k = zipf.sample();
+            (slot_of[k] * SLOT, k % 4 == 3)
+        })
+        .collect();
+    let cached = ClampiConfig::fixed(
+        Mode::AlwaysCache,
+        CacheParams {
+            index_entries: 1 << 16,
+            storage_bytes: 64 << 20,
+            ..CacheParams::default()
+        },
+    );
+    for (name, cfg) in [
+        ("window_hit_256_hs", cached),
+        ("rma_get_flush_256_hs", ClampiConfig::disabled()),
+    ] {
+        run_collect(SimConfig::bench(), 2, |p| {
+            let mut win = CachedWindow::create(p, KEYS * SLOT, cfg.clone());
+            p.barrier();
+            if p.rank() == 0 {
+                let contig = Datatype::bytes(LEN);
+                let strided = Datatype::vector(4, 1, 2, Datatype::bytes(64));
+                let dtype = |strided_key| if strided_key { &strided } else { &contig };
+                let mut dst = [0u8; LEN];
+                win.lock_all(p);
+                for &(disp, s) in &stream {
+                    win.get(p, &mut dst, 1, disp, dtype(s), 1);
+                }
+                win.flush_all(p);
+                let mut i = 0;
+                b.run(name, || {
+                    let (disp, s) = stream[i];
+                    let class = win.get(p, &mut dst, 1, disp, dtype(s), 1);
+                    if class.is_none() {
+                        win.flush(p, 1);
+                    }
+                    debug_assert!(class.is_none() || class == Some(AccessType::Hit));
+                    black_box(dst[0]);
+                    i = (i + 1) % STREAM;
+                });
+                win.unlock_all(p);
+            }
+            p.barrier();
+        });
+    }
+}
+
 /// `validate` in wall-clock time, on one warm `EagerInvalidate` window
 /// holding 512 cached records of target 1. Each iteration re-dirties 64 of
 /// them through the inner window (its cache is not told) and flushes it;
@@ -479,6 +549,7 @@ fn main() {
     bench_cache_paths();
     bench_hot_path();
     bench_hot_path_dht();
+    bench_hot_path_hs();
     bench_coherence();
     bench_coherence_dht();
     bench_datatype();

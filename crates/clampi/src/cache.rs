@@ -103,17 +103,13 @@ pub enum EntryState {
 /// One resident entry: one 64-byte, line-aligned element of the slab, so a
 /// hit, a put-update and a refresh each touch one line of metadata. Its
 /// key is its index slot's (and extent directory's); its size, its
-/// layout's.
+/// layout's; its payload offset is copied into [`RmaCache::offs`].
 #[derive(Debug)]
 #[repr(align(64))]
 struct Entry {
     sig: LayoutSig,
     state: EntryState,
     desc: DescId,
-    /// Byte offset of `desc`'s region in the storage buffer, so every
-    /// payload read and write skips the descriptor slab. Set wherever
-    /// `desc` is; 32 bits, as `|S_w|` is capped at [`MAX_STORAGE_BYTES`].
-    off: u32,
     last: u64,
     /// What the entry knows about the age of its bytes, set where it is
     /// installed: the fetch's exact stamp when the window read the bytes
@@ -432,6 +428,13 @@ pub struct RmaCache {
     index: CuckooIndex,
     storage: Storage,
     entries: Vec<Option<Entry>>,
+    /// Byte offset of each entry's storage region, by slab id: a copy of
+    /// `storage.offset(desc)` (the source; `check_invariants` pins the
+    /// two together), set wherever the entry's `desc` is and read by
+    /// every payload copy, so a hit finds its bytes from the slot alone
+    /// and loads its entry line alongside them. 32 bits, as `|S_w|` is
+    /// capped at [`MAX_STORAGE_BYTES`].
+    offs: Vec<u32>,
     spare: Vec<EntryId>,
     cached_count: usize,
     pending: Vec<EntryId>,
@@ -545,6 +548,7 @@ impl RmaCache {
             ),
             storage: Storage::new(params.storage_bytes),
             entries: Vec::new(),
+            offs: Vec::new(),
             spare: Vec::new(),
             cached_count: 0,
             pending: Vec::new(),
@@ -676,6 +680,11 @@ impl RmaCache {
         self.entries[id as usize].as_mut().expect("stale entry id")
     }
 
+    /// Byte offset of entry `id`'s storage region.
+    fn off(&self, id: EntryId) -> usize {
+        self.offs[id as usize] as usize
+    }
+
     fn alloc_entry(&mut self, key: GetKey, e: Entry) -> EntryId {
         self.target_mut(key.target).count += 1;
         let size = e.sig.size();
@@ -684,6 +693,7 @@ impl RmaCache {
             id
         } else {
             self.entries.push(Some(e));
+            self.offs.push(0);
             (self.entries.len() - 1) as EntryId
         };
         if let Some(dir) = self.extents.as_mut() {
@@ -721,16 +731,16 @@ impl RmaCache {
         let Some(id) = self.index.lookup(&key) else {
             return Lookup::Miss;
         };
+        // The payload's address comes from the slot's id, not from the
+        // entry line, so the two loads overlap.
+        let off = self.off(id);
         let e = self.entry(id);
-        let (state, off) = (e.state, e.off);
+        let state = e.state;
         let (full, cached_len) = e.servable(sig);
-        // The served bytes come straight from the entry's cached region
-        // offset: no dependent load through the descriptor slab. `off` is
-        // set wherever `desc` is (`check_invariants` compares them).
         let cached = self
             .storage
-            .bytes_at(off as usize, cached_len)
-            .expect("region inside the buffer"); // xlint: allow(no-unwrap) invariant: see above
+            .bytes_at(off, cached_len)
+            .expect("region inside the buffer"); // xlint: allow(no-unwrap) invariant: `offs` is set wherever `desc` is
 
         if full {
             dst.copy_from_slice(cached);
@@ -845,8 +855,8 @@ impl RmaCache {
         debug_assert_eq!(e.state, EntryState::Cached);
         e.stamp = stamp;
         e.state = EntryState::Pending;
-        let (off, size) = (e.off, e.sig.size());
-        self.storage.write_at(off as usize, data);
+        let size = e.sig.size();
+        self.storage.write_at(self.off(k.id), data);
         self.cached_count -= 1;
         self.pending.push(k.id);
         self.defer(self.params.costs.memcpy_cost(size));
@@ -893,8 +903,8 @@ impl RmaCache {
         if e.state != EntryState::Cached || !covered {
             return false;
         }
-        let (off, size) = (e.off, e.sig.size());
-        self.storage.write_at(off as usize, &data[..size]);
+        let size = e.sig.size();
+        self.storage.write_at(self.off(id), &data[..size]);
         self.entry_mut(id).stamp = stamp;
         self.charge(self.params.costs.memcpy_cost(size));
         self.stats.put_updates += 1;
@@ -918,7 +928,6 @@ impl RmaCache {
             sig,
             state: EntryState::Pending,
             desc: NO_DESC,
-            off: 0,
             last: self.seq,
             stamp,
         };
@@ -932,11 +941,7 @@ impl RmaCache {
         let (desc, evicted_for_space) = self.alloc_with_eviction(size, id, None);
         match desc {
             Some(d) => {
-                // `|S_w| <= MAX_STORAGE_BYTES`: offsets fit 32 bits.
-                let off = self.storage.offset(d) as u32;
-                self.storage.write_at(off as usize, data);
-                let e = self.entry_mut(id);
-                (e.desc, e.off) = (d, off);
+                self.set_region(id, d, data);
                 self.pending.push(id);
                 self.defer(self.params.costs.memcpy_cost(size));
                 if conflicted {
@@ -1012,11 +1017,9 @@ impl RmaCache {
                 let old = self.entry(id).desc;
                 self.storage.free(old);
                 self.charge(self.params.costs.alloc_ns);
-                let off = self.storage.offset(d) as u32;
-                self.storage.write_at(off as usize, data);
+                self.set_region(id, d, data);
                 let e = self.entry_mut(id);
-                (e.desc, e.off, e.sig) = (d, off, sig);
-                e.state = EntryState::Pending;
+                (e.sig, e.state) = (sig, EntryState::Pending);
                 // Head bytes carry the old stamp, tail bytes the new.
                 e.stamp = e.stamp.merge(stamp);
                 if let Some(dir) = self.extents.as_mut() {
@@ -1068,6 +1071,15 @@ impl RmaCache {
         self.free_entry_storage(victim);
         self.drop_entry(gone, victim);
         Some(true)
+    }
+
+    /// Gives entry `id` the storage region `d` and copies `data` into it.
+    fn set_region(&mut self, id: EntryId, d: DescId, data: &[u8]) {
+        // `|S_w| <= MAX_STORAGE_BYTES`: offsets fit 32 bits.
+        let off = self.storage.offset(d);
+        self.storage.write_at(off, data);
+        self.offs[id as usize] = off as u32;
+        self.entry_mut(id).desc = d;
     }
 
     fn free_entry_storage(&mut self, id: EntryId) {
@@ -1349,6 +1361,7 @@ impl RmaCache {
     /// the deferred copies that would have filled them.
     fn forget_residents(&mut self) {
         self.entries.clear();
+        self.offs.clear();
         self.spare.clear();
         self.pending.clear();
         // The directory stays built: an empty one is in step with an
@@ -1411,6 +1424,7 @@ impl RmaCache {
         self.index.check_invariants();
         let live = self.entries.iter().flatten().count();
         assert_eq!(self.index.len(), live, "index and entry slab disagree");
+        assert_eq!(self.offs.len(), self.entries.len(), "offset array length");
         assert_eq!(
             live + self.spare.len(),
             self.entries.len(),
@@ -1430,7 +1444,7 @@ impl RmaCache {
             assert!(!twice, "slot {slot}: entry {id} is another slot's too");
             assert_ne!(e.desc, NO_DESC, "{key:?}: resident without storage");
             let off = self.storage.offset(e.desc);
-            assert_eq!(e.off as usize, off, "{key:?}: stale offset");
+            assert_eq!(self.off(id), off, "{key:?}: stale offset");
             // Panics if the region is shorter than the entry.
             let _ = self.storage.read(e.desc, e.sig.size());
             match e.state {
@@ -1489,7 +1503,7 @@ impl RmaCache {
                     key,
                     size: e.sig.size(),
                     version: e.stamp.version,
-                    off: e.off as usize,
+                    off: self.off(id),
                     last: e.last,
                     state: e.state,
                 }
@@ -1610,8 +1624,8 @@ impl RmaCache {
         }
         let cached = self
             .storage
-            .bytes_at(e.off as usize, len)
-            .expect("region inside the buffer"); // xlint: allow(no-unwrap) invariant: `off` is set wherever `desc` is
+            .bytes_at(self.off(id), len)
+            .expect("region inside the buffer"); // xlint: allow(no-unwrap) invariant: `offs` is set wherever `desc` is
         dst.copy_from_slice(cached);
         true
     }

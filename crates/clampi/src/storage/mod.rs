@@ -210,14 +210,14 @@ impl Storage {
 
     /// Positional read: the `len` bytes starting at raw offset `off`, or
     /// `None` when the range leaves the buffer. The hit path reads cached
-    /// payloads this way, from the offset stored on the entry.
+    /// payloads this way, from the offset the engine keeps per entry.
     pub fn bytes_at(&self, off: usize, len: usize) -> Option<&[u8]> {
         let end = off.checked_add(len)?;
         self.buf.get(off..end)
     }
 
     /// Positional write of `data` at raw offset `off`: the engine rewrites
-    /// a resident payload through the offset it keeps on the entry.
+    /// a resident payload through the offset it keeps per entry.
     ///
     /// # Panics
     ///

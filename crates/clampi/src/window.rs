@@ -190,12 +190,12 @@ pub struct CachedWindow {
     coherence: CoherenceTracker,
 }
 
-/// The last non-contiguous `(dtype, count)` a typed get flattened on this
-/// window, with its signature. One entry, replaced on every mismatch: a
-/// get repeating the previous non-contiguous type costs one `Datatype`
-/// comparison instead of a flatten, and its signature shares the
-/// `Arc<FlatLayout>` of the entries it created, so the engine's layout
-/// comparison is a pointer check. Contiguous gets never consult it.
+/// The last `(dtype, count)` of a non-basic type a typed get flattened on
+/// this window, with its signature. One entry, replaced on every mismatch:
+/// a get repeating the previous type costs one `Datatype` comparison
+/// instead of a flatten, and its signature shares the `Arc<FlatLayout>` of
+/// the entries it created, so the engine's layout comparison is a pointer
+/// check. Basic-type gets never consult it.
 #[derive(Debug)]
 struct LayoutMemo {
     dtype: Datatype,
@@ -647,10 +647,17 @@ impl CachedWindow {
     }
 
     /// The typed front of the pipeline: turns `(dtype, count)` into the
-    /// signature [`CachedWindow::get_core`] runs on. A contiguous type is
-    /// "`dst.len()` contiguous bytes" and is never flattened; any other is
-    /// flattened once and memoised ([`LayoutMemo`]). A `dst` of the wrong
-    /// length takes the flattened path, which rejects it.
+    /// signature [`CachedWindow::get_core`] runs on. A basic type is
+    /// `size × count` contiguous bytes; a type equal to the memo's takes
+    /// its signature ([`LayoutMemo`]); only a new type is flattened, once,
+    /// and memoised (a dense one as `Contig`). The signature's size is
+    /// checked against `dst.len()` in `get_core`, which rejects a `dst` of
+    /// the wrong length.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "datatype extent overflows usize" if `size × count`
+    /// does not fit.
     #[allow(clippy::too_many_arguments)]
     fn get_dtype(
         &mut self,
@@ -662,10 +669,29 @@ impl CachedWindow {
         count: usize,
         completion: Completion,
     ) -> GetOutcome {
-        if dtype.is_contiguous() && dst.len() == dtype.size() * count {
-            let sig = LayoutSig::Contig(dst.len());
-            return self.get_core(p, dst, target, disp, &sig, completion);
+        if !matches!(dtype, Datatype::Contiguous { .. }) {
+            return self.get_memo(p, dst, target, disp, dtype, count, completion);
         }
+        let sig = LayoutSig::Contig(dtype.size_n(count));
+        self.get_core(p, dst, target, disp, &sig, completion)
+    }
+
+    /// [`CachedWindow::get_dtype`] for a non-basic type, through the
+    /// [`LayoutMemo`]. Out of line and cold so the basic-type front inlines
+    /// into `get`: inlined here, it cost the contiguous hit about 20 %.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn get_memo(
+        &mut self,
+        p: &mut Process,
+        dst: &mut [u8],
+        target: usize,
+        disp: usize,
+        dtype: &Datatype,
+        count: usize,
+        completion: Completion,
+    ) -> GetOutcome {
         // Taken out for the call (it leaves `self` fully usable inside
         // `get_core`) and put back after it.
         let memo = match self.memo.take() {

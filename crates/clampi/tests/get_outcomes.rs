@@ -7,7 +7,7 @@
 //! out where it is checked.
 //!
 //! A second table drives the typed wrappers' flatten memo: scripts of
-//! non-contiguous `(dtype, count)` gets that hit, miss and thrash the memo,
+//! non-basic `(dtype, count)` gets that hit, miss and thrash the memo,
 //! each compared step by step — class, bytes, every counter — against the
 //! same script issued through `get_flat`/`get_nb_flat` with a layout
 //! flattened afresh for every call, which never touches the memo.
@@ -329,12 +329,13 @@ fn every_outcome_through_every_entry_point() {
     }
 }
 
-/// One step of a memo script: a typed get, and the class it must have.
+/// One step of a memo script: a typed get, and the class it must have
+/// (`None`: its `dst` is one byte short and the get must panic).
 struct Step {
     disp: usize,
     dtype: Datatype,
     count: usize,
-    class: AccessType,
+    class: Option<AccessType>,
 }
 
 /// The memo table: every way a typed get can meet the one-entry memo. Each
@@ -347,11 +348,13 @@ fn memo_script() -> Vec<Step> {
     let a = || Datatype::vector(2, 16, 32, Datatype::bytes(1));
     let b = || Datatype::vector(4, 8, 16, Datatype::bytes(1));
     let dense = || Datatype::vector(1, 1, 1, Datatype::resized(48, Datatype::bytes(32)));
+    // Contiguous, but not a basic type: measured once, then memoised.
+    let packed = || Datatype::vector(4, 8, 8, Datatype::bytes(1));
     let step = |disp, dtype, count, class| Step {
         disp,
         dtype,
         count,
-        class,
+        class: Some(class),
     };
     vec![
         // Two types alternating at one displacement: the resident layout
@@ -380,6 +383,23 @@ fn memo_script() -> Vec<Step> {
         step(3072, dense(), 1, Hit),
         step(3072, Datatype::bytes(32), 1, Hit),
         step(3072, Datatype::bytes(64), 1, Direct),
+        // A contiguous vector is `Contig(32)` from its first get on, and
+        // its entry serves a plain contiguous get.
+        step(3200, packed(), 1, Direct),
+        step(3200, packed(), 1, Hit),
+        step(3200, Datatype::bytes(32), 1, Hit),
+        // A basic-type get between two memo hits leaves the memo be.
+        step(3328, a(), 1, Direct),
+        step(3328, a(), 1, Hit),
+        step(3456, Datatype::bytes(32), 1, Direct),
+        step(3328, a(), 1, Hit),
+        // Right after that memo hit, the memoised type with a short `dst`
+        // is still rejected; the next get of it is a hit as before.
+        Step {
+            class: None,
+            ..step(3328, a(), 1, Hit)
+        },
+        step(3328, a(), 1, Hit),
     ]
 }
 
@@ -387,6 +407,8 @@ fn memo_script() -> Vec<Step> {
 #[derive(Debug, PartialEq)]
 struct StepObs {
     class: Option<AccessType>,
+    /// The get panicked (and `class` is `None`).
+    panicked: bool,
     bytes: Vec<u8>,
     stats: Vec<(&'static str, u64)>,
     /// `RmaCache::check_invariants` held (checked in debug builds).
@@ -402,8 +424,9 @@ fn drive_script(via: Via, oracle: bool) -> Vec<StepObs> {
         let mut obs = Vec::new();
         for s in &script {
             let (disp, dtype, count) = (s.disp, &s.dtype, s.count);
-            let mut bytes = vec![0xAAu8; dtype.size() * count];
-            let class = match (via, oracle) {
+            let short = s.class.is_none() as usize;
+            let mut bytes = vec![0xAAu8; dtype.size() * count - short];
+            let get = std::panic::AssertUnwindSafe(|| match (via, oracle) {
                 (Via::Get, false) => win.get(p, &mut bytes, 1, disp, dtype, count),
                 (Via::GetNb, false) => win.get_nb(p, &mut bytes, 1, disp, dtype, count),
                 (Via::Get, true) => win.get_flat(p, &mut bytes, 1, disp, &dtype.flatten_n(count)),
@@ -411,6 +434,10 @@ fn drive_script(via: Via, oracle: bool) -> Vec<StepObs> {
                     win.get_nb_flat(p, &mut bytes, 1, disp, &dtype.flatten_n(count))
                 }
                 (Via::MultiGet, _) => unreachable!("multi_get takes no datatype"),
+            });
+            let (class, panicked) = match std::panic::catch_unwind(get) {
+                Ok(class) => (class, false),
+                Err(_) => (None, true),
             };
             win.flush_all(p);
             #[cfg(debug_assertions)]
@@ -423,6 +450,7 @@ fn drive_script(via: Via, oracle: bool) -> Vec<StepObs> {
             let sound = true;
             obs.push(StepObs {
                 class,
+                panicked,
                 bytes,
                 stats: win.stats().fields().collect(),
                 sound,
@@ -442,14 +470,49 @@ fn typed_gets_match_the_memo_free_oracle() {
         assert_eq!(typed.len(), script.len());
         for (i, (step, (got, want))) in script.iter().zip(typed.iter().zip(&oracle)).enumerate() {
             let at = format!("step {i} ({:?} x{}) via {via:?}", step.dtype, step.count);
-            assert_eq!(got.class, Some(step.class), "{at}: class");
+            assert_eq!(got.class, step.class, "{at}: class");
+            assert_eq!(got.panicked, step.class.is_none(), "{at}: panicked");
             let layout = step.dtype.flatten_n(step.count);
             let mut want_bytes = vec![0u8; layout.total_size()];
             pack(&window[step.disp..], &layout, &mut want_bytes);
+            if got.panicked {
+                // Rejected before a byte moved.
+                want_bytes = vec![0xAA; want_bytes.len() - 1];
+            }
             assert_eq!(got.bytes, want_bytes, "{at}: bytes");
             assert!(got.sound && want.sound, "{at}: engine invariants");
             // Class, bytes and every counter, as without the memo.
             assert_eq!(got, want, "{at}: differs from the memo-free oracle");
         }
     }
+}
+
+/// A typed get whose `size × count` does not fit a `usize` is rejected in
+/// every build, never served wrapped: 2 × (2^63 + 32) bytes would wrap to
+/// the 64 bytes of `dst` (and cache a 64-byte entry). One rank, so the
+/// panic strands no peer.
+fn overflowing_typed_get(via: Via) {
+    let cfg = ClampiConfig::fixed(Mode::AlwaysCache, CacheParams::default());
+    run_collect(SimConfig::default(), 1, |p| {
+        let mut win = CachedWindow::create(p, 64, cfg.clone());
+        win.lock_all(p);
+        let (dtype, mut dst) = (Datatype::bytes((1 << 63) + 32), [0u8; 64]);
+        match via {
+            Via::Get => win.get(p, &mut dst, 0, 0, &dtype, 2),
+            Via::GetNb => win.get_nb(p, &mut dst, 0, 0, &dtype, 2),
+            Via::MultiGet => unreachable!("multi_get takes no datatype"),
+        }
+    });
+}
+
+#[test]
+#[should_panic(expected = "datatype extent overflows usize")]
+fn get_rejects_an_overflowing_count() {
+    overflowing_typed_get(Via::Get);
+}
+
+#[test]
+#[should_panic(expected = "datatype extent overflows usize")]
+fn get_nb_rejects_an_overflowing_count() {
+    overflowing_typed_get(Via::GetNb);
 }

@@ -188,6 +188,15 @@ impl Datatype {
         }
     }
 
+    /// The payload size of `count` repetitions, `size() * count`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "datatype extent overflows usize" if it does not fit.
+    pub fn size_n(&self, count: usize) -> usize {
+        mul(self.size(), count)
+    }
+
     /// The extent in bytes: the span from the lowest to one past the highest
     /// byte touched, used to tile repetitions.
     pub fn extent(&self) -> usize {
@@ -376,6 +385,12 @@ mod tests {
     fn wrapping_stride_is_rejected_not_flattened() {
         let dt = Datatype::vector(2, 1, usize::MAX / 8 + 2, Datatype::bytes(8));
         let _ = dt.is_contiguous();
+    }
+
+    #[test]
+    #[should_panic(expected = "datatype extent overflows usize")]
+    fn size_n_rejects_a_wrapping_count() {
+        let _ = Datatype::bytes((1 << 63) + 32).size_n(2);
     }
 }
 

@@ -620,7 +620,7 @@ impl Window {
         count: usize,
     ) {
         if dtype.is_contiguous() {
-            let len = dtype.size() * count;
+            let len = dtype.size_n(count);
             return self
                 .with_contig_layout(len, |w, layout| w.get_flat(p, dst, target, disp, layout));
         }
@@ -641,7 +641,7 @@ impl Window {
         count: usize,
     ) -> Result<(), RmaError> {
         if dtype.is_contiguous() {
-            let len = dtype.size() * count;
+            let len = dtype.size_n(count);
             return self.with_contig_layout(len, |w, layout| {
                 w.try_get_flat(p, dst, target, disp, layout)
             });
@@ -734,7 +734,7 @@ impl Window {
         count: usize,
     ) -> Result<RmaRequest, RmaError> {
         if dtype.is_contiguous() {
-            let len = dtype.size() * count;
+            let len = dtype.size_n(count);
             return self.with_contig_layout(len, |w, layout| {
                 w.try_iget_flat(p, dst, target, disp, layout)
             });
@@ -961,7 +961,7 @@ impl Window {
         count: usize,
     ) -> Result<(), RmaError> {
         if dtype.is_contiguous() {
-            let len = dtype.size() * count;
+            let len = dtype.size_n(count);
             return self.with_contig_layout(len, |w, layout| {
                 w.try_put_flat(p, src, target, disp, layout)
             });

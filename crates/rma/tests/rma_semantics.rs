@@ -721,3 +721,55 @@ fn epoch_open_for_follows_every_epoch_kind() {
     assert_eq!(out[0].1, expect);
     assert_eq!(out[1].1, vec![all], "rank 1 after its first fence");
 }
+
+/// A typed transfer whose `size × count` does not fit a `usize` is
+/// rejected in every build, never served wrapped: 2 × (2^63 + 32) bytes
+/// would wrap to the 64 bytes of the buffer.
+mod typed_overflow {
+    use clampi_datatype::Datatype;
+    use clampi_rma::{run, Process, SimConfig, Window};
+
+    fn huge() -> Datatype {
+        Datatype::bytes((1 << 63) + 32)
+    }
+
+    /// Runs `op` on one rank, over a 64-byte window of its own, in an
+    /// open epoch.
+    fn on_own_window(op: impl Fn(&mut Process, &mut Window, &mut [u8]) + Sync) {
+        run(SimConfig::default(), 1, |p| {
+            let mut win = p.win_allocate(64);
+            win.lock_all(p);
+            op(p, &mut win, &mut [0u8; 64]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "datatype extent overflows usize")]
+    fn get_rejects_an_overflowing_count() {
+        on_own_window(|p, win, buf| win.get(p, buf, 0, 0, &huge(), 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "datatype extent overflows usize")]
+    fn try_get_rejects_an_overflowing_count() {
+        on_own_window(|p, win, buf| {
+            let _ = win.try_get(p, buf, 0, 0, &huge(), 2);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "datatype extent overflows usize")]
+    fn try_iget_rejects_an_overflowing_count() {
+        on_own_window(|p, win, buf| {
+            let _ = win.try_iget(p, buf, 0, 0, &huge(), 2);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "datatype extent overflows usize")]
+    fn try_put_rejects_an_overflowing_count() {
+        on_own_window(|p, win, buf| {
+            let _ = win.try_put(p, buf, 0, 0, &huge(), 2);
+        });
+    }
+}
