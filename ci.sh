@@ -53,12 +53,15 @@
 #                 allowlisted-drift self-test over ci/fixtures/perf/ is a
 #                 unit test of the bench crate (the test stage runs it).
 #   ab-pairs      MANUAL (not in ALL_STAGES, never part of a full run):
-#                 alternating parent/change pairs of one benchmark workload
+#                 alternating parent/change pairs of benchmark workloads
 #                 (crates/bench/src/bin/ab_pairs.rs), e.g.
 #                 AB_PAIRS_ARGS="--parent HEAD~1 --workload dht_mixed" \
-#                 ./ci.sh ab-pairs - prints each pair's end-to-end metrics,
-#                 each side's median and quartiles, and the win/verdict
-#                 rule of a performance claim
+#                 ./ci.sh ab-pairs - --workload takes a comma-separated
+#                 list or `all`; per workload it prints each pair's
+#                 end-to-end metrics, each side's median and quartiles,
+#                 the win/verdict rule of a performance claim, and in how
+#                 many pairs virt_ns_per_op and virt_speedup_x were
+#                 bit-equal (naming any pair where they were not)
 #   benchmark-smoke  the standalone benchmark suite (benchmark/, the one
 #                 BENCHMARK.json declares): its own tests, then
 #                 `benchmark/run.sh --smoke` - every workload untraced and

@@ -18,7 +18,8 @@ use clampi_bench::timer::Bench;
 use clampi_datatype::Datatype;
 use clampi_prng::SmallRng;
 use clampi_rma::{run_collect, Process, SimConfig};
-use clampi_workloads::Zipf;
+use clampi_workloads::micro::MicroParams;
+use clampi_workloads::{MicroWorkload, Zipf};
 
 fn key(d: u64) -> GetKey {
     GetKey { target: 1, disp: d }
@@ -371,6 +372,76 @@ fn bench_hot_path_hs() {
     }
 }
 
+/// The miss path at `miss_churn`'s parameters: the paper's Sec. IV-A
+/// micro-benchmark stream (`MicroWorkload`, 4,096 distinct gets of 64 B to
+/// 16 KiB, 2^17 of them issued), a 1,120-slot index, 1,792 KiB of storage
+/// and weak caching, where two gets in three miss and a miss walks the
+/// Cuckoo table, scans for a victim and allocates. `engine_mc` replays the
+/// stream through the engine alone: `process_lookup`, and on a miss
+/// `finish_miss` and `epoch_close`. `window_mc` replays it through a cached
+/// window, each get followed by a flush unless it hit; `rma_get_flush_mc`
+/// through an uncached one, get + flush each: the cost the cache replaces.
+/// Each iteration is one get; read the `min` column.
+fn bench_miss_path_mc() {
+    let wl = MicroWorkload::generate(
+        MicroParams {
+            distinct: 4096,
+            sequence_len: 1 << 17,
+            max_exp: 8,
+        },
+        42,
+    );
+    let stream: Vec<(usize, usize)> = wl.issued().map(|g| (g.disp << 6, g.size << 6)).collect();
+    let window = wl.window_size << 6;
+    let params = CacheParams {
+        index_entries: 1120,
+        storage_bytes: 1792 << 10,
+        ..CacheParams::default()
+    };
+    let b = Bench::new("miss_path");
+    let mut cache = RmaCache::new(params.clone());
+    let src: Vec<u8> = (0..window).map(|i| i as u8).collect();
+    let mut dst = vec![0u8; 16 << 10];
+    let mut i = 0;
+    b.run("engine_mc", || {
+        let (disp, len) = stream[i];
+        let (key, sig) = (key(disp as u64), LayoutSig::Contig(len));
+        // Every key has one size: a lookup hits or misses, never partly.
+        if cache.process_lookup(key, &sig, &mut dst[..len]) == Lookup::Miss {
+            cache.finish_miss(key, sig, &src[disp..disp + len], 0);
+            cache.epoch_close();
+        }
+        black_box(dst[0]);
+        i = (i + 1) % stream.len();
+    });
+    for (name, cfg) in [
+        ("window_mc", ClampiConfig::fixed(Mode::AlwaysCache, params)),
+        ("rma_get_flush_mc", ClampiConfig::disabled()),
+    ] {
+        run_collect(SimConfig::bench(), 2, |p| {
+            let mut win = CachedWindow::create(p, window, cfg.clone());
+            p.barrier();
+            if p.rank() == 0 {
+                win.lock_all(p);
+                let mut dst = vec![0u8; 16 << 10];
+                let mut i = 0;
+                b.run(name, || {
+                    let (disp, len) = stream[i];
+                    let dtype = Datatype::bytes(len);
+                    let class = win.get(p, &mut dst[..len], 1, disp, &dtype, 1);
+                    if class != Some(AccessType::Hit) {
+                        win.flush(p, 1);
+                    }
+                    black_box(dst[0]);
+                    i = (i + 1) % stream.len();
+                });
+                win.unlock_all(p);
+            }
+            p.barrier();
+        });
+    }
+}
+
 /// `validate` in wall-clock time, on one warm `EagerInvalidate` window
 /// holding 512 cached records of target 1. Each iteration re-dirties 64 of
 /// them through the inner window (its cache is not told) and flushes it;
@@ -550,6 +621,7 @@ fn main() {
     bench_hot_path();
     bench_hot_path_dht();
     bench_hot_path_hs();
+    bench_miss_path_mc();
     bench_coherence();
     bench_coherence_dht();
     bench_datatype();

@@ -1,36 +1,43 @@
-//! Alternating parent/change pairs of one benchmark workload — the
+//! Alternating parent/change pairs of benchmark workloads — the
 //! comparison a performance claim in this repository rests on.
 //!
 //! ```text
-//! ab_pairs --parent <rev> --workload <name> [--pairs 10] [--seed 801]
-//!          [--seconds 14] [--work-dir <dir>] [--parent-dir <dir>]
+//! ab_pairs --parent <rev> --workload <name>[,<name>...]|all [--pairs 10]
+//!          [--seed 801] [--seconds 14] [--work-dir <dir>] [--parent-dir <dir>]
 //! ```
 //!
 //! Checks `<rev>` out with `git worktree add --detach` under `--work-dir`
 //! (default `target/ab_pairs`), or uses an existing checkout given as
 //! `--parent-dir`, and builds each side's `benchmark/` into its own
-//! `CARGO_TARGET_DIR` under the work directory. Then it runs `--pairs`
-//! pairs of `benchmark/run.sh --workload <name> --seed <s> --seconds <n>
-//! --trace 0`, one per seed from `--seed` on, both sides on the same
-//! seed, alternating which side runs first. It prints every pair's
+//! `CARGO_TARGET_DIR` under the work directory. Then, for each workload
+//! of the comma-separated list (`all`: every workload of
+//! [`clampi_bench::pairs::WORKLOADS`]), it runs `--pairs` pairs of
+//! `benchmark/run.sh --workload <name> --seed <s> --seconds <n> --trace
+//! 0`, one per seed from `--seed` on, both sides on the same seed,
+//! alternating which side runs first. Per workload it prints every pair's
 //! end-to-end metrics and `failed` count, then per metric each side's
 //! median and quartiles, the change's wins, losses and ties, and the
 //! verdict of [`clampi_bench::pairs::verdict`]: `gain`, `loss` or
-//! `unresolved`. It writes nothing under `benchmark/` except what
-//! `run.sh` itself writes to the git-ignored `benchmark/out/`; the
-//! worktree stays for the next invocation (`git worktree remove` it).
+//! `unresolved`; and in how many pairs the virtual-time metrics read
+//! bit-equal, naming each pair where they did not (a host-only change
+//! must show all of them equal). It writes nothing under `benchmark/`
+//! except what `run.sh` itself writes to the git-ignored
+//! `benchmark/out/`; the worktree stays for the next invocation (`git
+//! worktree remove` it).
 //!
 //! Exit status: 0 when every run succeeded, 1 otherwise.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
-use clampi_bench::pairs::{failed, metric, quartiles, verdict, END_TO_END};
+use clampi_bench::pairs::{
+    failed, metric, quartiles, verdict, virtual_equal, END_TO_END, VIRTUAL, WORKLOADS,
+};
 
 struct Opts {
     parent: Option<String>,
     parent_dir: Option<PathBuf>,
-    workload: String,
+    workloads: Vec<String>,
     pairs: u64,
     seed: u64,
     seconds: String,
@@ -40,8 +47,9 @@ struct Opts {
 fn usage(msg: &str) -> ! {
     eprintln!("ab_pairs: {msg}");
     eprintln!(
-        "usage: ab_pairs --parent <rev> | --parent-dir <dir>  --workload <name> \
-         [--pairs 10] [--seed 801] [--seconds 14] [--work-dir <dir>]"
+        "usage: ab_pairs --parent <rev> | --parent-dir <dir>  \
+         --workload <name>[,<name>...]|all [--pairs 10] [--seed 801] [--seconds 14] \
+         [--work-dir <dir>]"
     );
     std::process::exit(2)
 }
@@ -50,7 +58,7 @@ fn parse() -> Opts {
     let mut o = Opts {
         parent: None,
         parent_dir: None,
-        workload: String::new(),
+        workloads: Vec::new(),
         pairs: 10,
         seed: 801,
         seconds: "14".into(),
@@ -65,7 +73,12 @@ fn parse() -> Opts {
         match flag.as_str() {
             "--parent" => o.parent = Some(value),
             "--parent-dir" => o.parent_dir = Some(value.into()),
-            "--workload" => o.workload = value,
+            "--workload" if value == "all" => o.workloads = WORKLOADS.map(String::from).to_vec(),
+            "--workload" => {
+                o.workloads = (value.split(',').filter(|w| !w.is_empty()))
+                    .map(String::from)
+                    .collect()
+            }
             "--pairs" => o.pairs = number(&value),
             "--seed" => o.seed = number(&value),
             "--seconds" => o.seconds = value,
@@ -73,7 +86,7 @@ fn parse() -> Opts {
             _ => usage(&format!("unknown flag {flag}")),
         }
     }
-    if o.workload.is_empty() || o.parent.is_none() == o.parent_dir.is_none() {
+    if o.workloads.is_empty() || o.parent.is_none() == o.parent_dir.is_none() {
         usage("give --workload and exactly one of --parent, --parent-dir");
     }
     o
@@ -119,11 +132,12 @@ impl Side {
         stdout_of(&mut cmd).map(drop)
     }
 
-    /// One untraced run; its result object (the last line of stdout).
-    fn run(&self, o: &Opts, seed: u64) -> Result<String, String> {
+    /// One untraced run of `workload`; its result object (the last line
+    /// of stdout).
+    fn run(&self, o: &Opts, workload: &str, seed: u64) -> Result<String, String> {
         let mut cmd = self.command("bash");
         cmd.arg("benchmark/run.sh")
-            .args(["--workload", &o.workload, "--seed", &seed.to_string()])
+            .args(["--workload", workload, "--seed", &seed.to_string()])
             .args(["--seconds", &o.seconds, "--trace", "0"]);
         let out = stdout_of(&mut cmd)?;
         let last = out.lines().last().unwrap_or_default();
@@ -169,29 +183,20 @@ fn sides(o: &Opts) -> Result<[Side; 2], String> {
     ])
 }
 
-fn main() -> ExitCode {
-    let o = parse();
-    let sides = match sides(&o) {
-        Ok(s) => s,
-        Err(e) => usage(&e),
-    };
-    for side in &sides {
-        eprintln!("ab_pairs: building {} ({})", side.name, side.root.display());
-        if let Err(e) = side.build() {
-            eprintln!("ab_pairs: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+/// Runs the pairs of one workload and prints them, the verdict table and
+/// the virtual-time check. Returns whether every run succeeded.
+fn compare(o: &Opts, sides: &[Side; 2], workload: &str) -> bool {
     // values[metric][side] = one value per pair.
     let mut values = vec![[Vec::new(), Vec::new()]; END_TO_END.len()];
     let mut ok = true;
-    println!("# ab_pairs {} --seconds {}", o.workload, o.seconds);
+    let mut unequal = Vec::new();
+    println!("# ab_pairs {workload} --seconds {}", o.seconds);
     for i in 0..o.pairs {
         let seed = o.seed + i;
         let order = if i % 2 == 0 { [0, 1] } else { [1, 0] };
         let mut results = [String::new(), String::new()];
         for s in order {
-            match sides[s].run(&o, seed) {
+            match sides[s].run(o, workload, seed) {
                 Ok(r) => results[s] = r,
                 Err(e) => {
                     eprintln!("ab_pairs: pair {i}, {}: {e}", sides[s].name);
@@ -215,6 +220,9 @@ fn main() -> ExitCode {
             }
         }
         println!("{line}");
+        if !virtual_equal(&results[0], &results[1]) {
+            unequal.push(format!("pair {i} (seed {seed})"));
+        }
     }
     println!("# metric side q1 median q3 | wins losses ties gap spread verdict");
     for (m, &(name, higher)) in END_TO_END.iter().enumerate() {
@@ -233,6 +241,36 @@ fn main() -> ExitCode {
             "{name} verdict | {} {} {} {:+.4} {:.4} {word}",
             v.wins, v.losses, v.ties, v.gap, v.spread
         );
+    }
+    let equal = o.pairs as usize - unequal.len();
+    let mut line = format!(
+        "# {workload} {} bit-equal in {equal}/{} pairs",
+        VIRTUAL.join(" and "),
+        o.pairs
+    );
+    if !unequal.is_empty() {
+        line += &format!("; not in {}", unequal.join(", "));
+    }
+    println!("{line}");
+    ok
+}
+
+fn main() -> ExitCode {
+    let o = parse();
+    let sides = match sides(&o) {
+        Ok(s) => s,
+        Err(e) => usage(&e),
+    };
+    for side in &sides {
+        eprintln!("ab_pairs: building {} ({})", side.name, side.root.display());
+        if let Err(e) = side.build() {
+            eprintln!("ab_pairs: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    let mut ok = true;
+    for workload in &o.workloads {
+        ok &= compare(&o, &sides, workload);
     }
     if ok {
         ExitCode::SUCCESS

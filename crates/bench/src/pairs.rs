@@ -1,5 +1,5 @@
-//! The statistics behind `ab_pairs`: alternating parent/change runs of one
-//! benchmark workload, compared metric by metric.
+//! The statistics behind `ab_pairs`: alternating parent/change runs of
+//! benchmark workloads, compared metric by metric.
 //!
 //! The rule is the one a performance claim in this repository is held to:
 //! at least ten pairs, alternating which side runs first; each side's
@@ -19,6 +19,30 @@ pub const END_TO_END: [(&str, bool); 5] = [
     ("virt_speedup_x", true),
     ("rss_peak_mb", false),
 ];
+
+/// The benchmark's workloads in `BENCHMARK.json` order: what `ab_pairs
+/// --workload all` runs.
+pub const WORKLOADS: [&str; 6] = [
+    "hit_small",
+    "miss_churn",
+    "bh_force",
+    "lcc_adaptive",
+    "dht_mixed",
+    "shared_front",
+];
+
+/// The end-to-end metrics that come from virtual time: a host-only change
+/// must leave them bit-equal, seed for seed.
+pub const VIRTUAL: [&str; 2] = ["virt_ns_per_op", "virt_speedup_x"];
+
+/// Whether two result objects of one seed read bit-equal in every
+/// [`VIRTUAL`] metric (a metric missing from either side is not equal).
+pub fn virtual_equal(parent: &str, change: &str) -> bool {
+    VIRTUAL.iter().all(|name| {
+        matches!((metric(parent, name), metric(change, name)),
+            (Some(p), Some(c)) if p.to_bits() == c.to_bits())
+    })
+}
 
 /// The number right after `"key":` in `json`, searched from `from` on:
 /// the token up to the next `,`, `}` or whitespace. Reads the one-line
@@ -128,6 +152,16 @@ mod tests {
         assert_eq!(metric(&compact, "virt_ns_per_op"), Some(160.31));
         assert_eq!(failed(&compact), Some(2));
         assert_eq!(metric("not json", "setup_s"), None);
+    }
+
+    #[test]
+    fn virtual_time_must_match_to_the_bit() {
+        assert!(virtual_equal(RESULT, RESULT));
+        let moved = RESULT.replace("160.31", "160.31000000000003");
+        assert!(!virtual_equal(RESULT, &moved));
+        // Host metrics may move freely.
+        assert!(virtual_equal(RESULT, &RESULT.replace("0.9895", "1.2")));
+        assert!(!virtual_equal(RESULT, "not json"));
     }
 
     #[test]

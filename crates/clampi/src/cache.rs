@@ -308,13 +308,16 @@ pub struct CacheParams {
     pub victim_scheme: VictimScheme,
     /// Victim sample size `M` (16 in the paper's experiments).
     pub sample_size: usize,
-    /// Cuckoo insertion iteration threshold.
+    /// Cuckoo insertion iteration threshold, capped at `32 · bits(|I_w|)`
+    /// ([`CuckooIndex::new`]). `0` caches nothing: every insert comes back
+    /// `Full` with an empty path, and its miss is `Failed`.
     pub max_insert_iters: usize,
     /// Maximum storage evictions attempted per miss. The paper's *weak
     /// caching* uses 1 — a constant — so that a `get_c` can never be
     /// slowed down proportionally to the number of cached entries
     /// (Sec. III-D2). Larger values trade bounded overhead for a higher
     /// insert success rate; the `abl_weak_caching` bench ablates this.
+    /// `0` acts as 1.
     pub max_evictions_per_miss: usize,
     /// CPU cost model for management activities.
     pub costs: CacheCostModel,
@@ -1090,11 +1093,20 @@ impl RmaCache {
         }
     }
 
+    /// The live scheme's score of `id`, evaluating only the factor(s) it
+    /// reads: `Temporal` skips the neighbour lookups, `Positional` the division.
     fn entry_score(&self, id: EntryId) -> f64 {
         let e = self.entry(id);
-        let r_t = temporal_score(e.last, self.seq);
-        let r_p = positional_score(self.ags, self.storage.adjacent_free(e.desc));
-        score(self.params.victim_scheme, r_p, r_t)
+        let scheme = self.params.victim_scheme;
+        let r_t = match scheme {
+            VictimScheme::Positional => 1.0,
+            _ => temporal_score(e.last, self.seq),
+        };
+        let r_p = match scheme {
+            VictimScheme::Temporal => 1.0,
+            _ => positional_score(self.ags, self.storage.adjacent_free(e.desc)),
+        };
+        score(scheme, r_p, r_t)
     }
 
     /// Removes a resident entry found at `slot` and releases its storage.
@@ -1137,14 +1149,12 @@ impl RmaCache {
     /// candidate appears), evict the lowest-score CACHED entry.
     fn run_capacity_eviction(&mut self, exclude: Option<EntryId>) -> bool {
         let cap = self.index.capacity();
-        let start = self.rng.gen_range(0..cap);
+        let mut pos = self.rng.gen_range(0..cap);
         let m = self.params.sample_size.max(1);
         let mut visited = 0usize;
         let mut nonempty = 0u64;
         let mut best: Option<(usize, EntryId, f64)> = None;
         while visited < cap {
-            let pos = (start + visited) % cap;
-            visited += 1;
             if let Some((_k, eid)) = self.index.slot(pos) {
                 nonempty += 1;
                 let evictable = Some(eid) != exclude && self.entry(eid).state == EntryState::Cached;
@@ -1155,6 +1165,8 @@ impl RmaCache {
                     }
                 }
             }
+            visited += 1;
+            pos = if pos + 1 == cap { 0 } else { pos + 1 };
             if visited >= m && best.is_some() {
                 break;
             }

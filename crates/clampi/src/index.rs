@@ -146,17 +146,26 @@ impl Slot {
     }
 }
 
-/// One step of an insertion walk: the slot it displaced a pair from, the
-/// fingerprint of the pair it puts there, and the displaced pair — which
-/// came either out of the table (`from_table`: the walk had not been
-/// through that slot, so this is the pair's first displacement) or out of
-/// the walk's own record.
+/// A pair with what placing it writes beside its slot record: its
+/// fingerprint and its `p` candidate positions.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
+    rec: Slot,
+    fp: u8,
+    cands: [u32; NUM_HASHES],
+}
+
+/// [`Step::orig`] of the key being inserted, which has no slot yet.
+const NEW: u32 = u32::MAX;
+
+/// One step of an insertion walk: the slot it displaced a pair from, and
+/// that pair's slot in the table the search leaves untouched (`orig`, or
+/// [`NEW`]). `from_table`: the walk had not been through `slot` before.
 #[derive(Debug, Clone, Copy)]
 struct Step {
-    slot: usize,
-    fp: u8,
+    slot: u32,
+    orig: u32,
     from_table: bool,
-    displaced: Slot,
 }
 
 /// 8-bit slot fingerprint from the mixed key (top byte); `0` is reserved
@@ -215,6 +224,10 @@ pub struct CuckooIndex {
     /// filter it never steers placement or displacement, so the table is
     /// bit-identical to the un-fingerprinted scheme (property-tested).
     fps: Vec<u8>,
+    /// Per occupied slot, its key's `p` candidate positions: a walk reads
+    /// them instead of hashing a displaced key. Written with every pair
+    /// placed (`swap`); never read by a probe.
+    cands: Vec<[u32; NUM_HASHES]>,
     hashers: [UniversalHasher; NUM_HASHES],
     /// Reduces a 32-bit hash value to a slot (`mod slots.len()`).
     modulus: FastMod32,
@@ -237,7 +250,7 @@ pub struct CuckooIndex {
     /// The pair of the most recent insert whose search came back
     /// [`InsertOutcome::Full`], until [`CuckooIndex::evict_on_path`]
     /// places it or another mutation makes `path` stale.
-    unplaced: Option<Slot>,
+    unplaced: Option<Pair>,
 }
 
 impl CuckooIndex {
@@ -270,6 +283,7 @@ impl CuckooIndex {
         CuckooIndex {
             slots: vec![Slot::default(); capacity],
             fps: vec![0; capacity],
+            cands: vec![[0; NUM_HASHES]; capacity],
             hashers,
             modulus: FastMod32::new(capacity),
             len: 0,
@@ -351,13 +365,12 @@ impl CuckooIndex {
     /// The caller must ensure `key` is not already present (lookup first).
     pub fn insert(&mut self, key: GetKey, entry: EntryId) -> InsertOutcome {
         debug_assert!(self.lookup(&key).is_none(), "duplicate insert of {key:?}");
-        let m = self.modulus;
-        let new = Slot {
+        let new = self.pair(Slot {
             disp: key.disp,
             target: key.target,
             entry,
-        };
-        let mut cur = new;
+        });
+        let mut cands = new.cands;
         self.path.clear();
         self.unplaced = None;
         self.walk += 1;
@@ -366,47 +379,41 @@ impl CuckooIndex {
             self.walk = 1;
         }
         for step in 0..self.max_iters {
-            let x = cur.key().mix();
-            let fp = fingerprint(x);
             // Try all p candidate positions for an empty slot first. The
             // walk only ever displaces from occupied slots, so the table
-            // itself says which slots are free. The positions are kept: the
-            // displacement below draws one of them.
-            let mut candidates = [0; NUM_HASHES];
-            for (c, h) in candidates.iter_mut().zip(&self.hashers) {
-                let i = h.hash(x, m);
-                *c = i;
-                if self.fps[i] == 0 {
-                    self.commit(new, step);
-                    self.slots[i] = cur;
-                    self.fps[i] = fp;
-                    self.len += 1;
-                    return InsertOutcome::Placed { steps: step };
-                }
+            // itself says which slots are free.
+            if let Some(&i) = cands.iter().find(|&&i| self.fps[i as usize] == 0) {
+                let cur = self.commit(new, step);
+                self.swap(i as usize, cur);
+                self.len += 1;
+                return InsertOutcome::Placed { steps: step };
             }
             // All occupied: displace a random candidate, on paper. A slot
             // this walk has been through holds the pair its last step
             // there carried: `new` at step 0, else what the step before
-            // displaced.
-            let slot = candidates[self.rng.gen_range(0..NUM_HASHES)];
+            // displaced. Its candidates are read, not hashed: the new key's,
+            // or `cands` at the pair's own slot, which the search leaves as is.
+            let slot = cands[self.rng.gen_range(0..NUM_HASHES)] as usize;
             let mark = self.walked[slot];
             let from_table = mark >> STEP_BITS != self.walk;
             let k = (mark & ((1 << STEP_BITS) - 1)) as usize;
-            let displaced = if from_table {
-                self.slots[slot]
+            let orig = if from_table {
+                slot as u32
             } else if k == 0 {
-                new
+                NEW
             } else {
-                self.path[k - 1].displaced
+                self.path[k - 1].orig
             };
             self.walked[slot] = self.walk << STEP_BITS | step as u32;
             self.path.push(Step {
-                slot,
-                fp,
+                slot: slot as u32,
+                orig,
                 from_table,
-                displaced,
             });
-            cur = displaced;
+            cands = match orig {
+                NEW => new.cands,
+                o => self.cands[o as usize],
+            };
         }
         self.unplaced = Some(new);
         InsertOutcome::Full {
@@ -414,28 +421,47 @@ impl CuckooIndex {
         }
     }
 
-    /// Writes the first `n` recorded steps in walk order, starting with
-    /// `new`: each step puts the pair it carries into its slot and carries
-    /// on with the pair it displaced.
-    fn commit(&mut self, new: Slot, n: usize) {
-        let mut carried = new;
-        for s in &self.path[..n] {
-            self.slots[s.slot] = carried;
-            self.fps[s.slot] = s.fp;
-            carried = s.displaced;
+    /// `rec` with its fingerprint and candidate positions, hashed.
+    fn pair(&self, rec: Slot) -> Pair {
+        let x = rec.key().mix();
+        Pair {
+            rec,
+            fp: fingerprint(x),
+            cands: self.hashers.map(|h| h.hash(x, self.modulus) as u32),
         }
     }
 
-    /// The resident pairs the most recent [`CuckooIndex::insert`] displaced
-    /// (or, after [`InsertOutcome::Full`], would displace), in walk order,
-    /// each once with the step that first displaced it: `(step, key,
-    /// entry)`. Empty when the walk found a free slot straight away. The
-    /// new key is never among them, and the step of a pair is what
-    /// [`CuckooIndex::evict_on_path`] takes to evict it.
+    /// Puts `p` into slot `i` and returns what was there.
+    fn swap(&mut self, i: usize, p: Pair) -> Pair {
+        let rec = std::mem::replace(&mut self.slots[i], p.rec);
+        let fp = std::mem::replace(&mut self.fps[i], p.fp);
+        let cands = std::mem::replace(&mut self.cands[i], p.cands);
+        Pair { rec, fp, cands }
+    }
+
+    /// Writes the first `n` recorded steps in walk order, starting with
+    /// `new`: each step swaps the pair it carries into its slot and carries
+    /// on with the one it takes out, as an in-place walk would. Returns the
+    /// pair left over.
+    fn commit(&mut self, new: Pair, n: usize) -> Pair {
+        let mut carried = new;
+        for j in 0..n {
+            carried = self.swap(self.path[j].slot as usize, carried);
+        }
+        carried
+    }
+
+    /// The resident pairs an [`InsertOutcome::Full`] search would displace,
+    /// in walk order, each once with the step that first displaced it:
+    /// `(step, key, entry)`. Empty unless the last mutation of the index was
+    /// an insert that came back `Full`. The new key is never among them,
+    /// and the step of a pair is what [`CuckooIndex::evict_on_path`] takes
+    /// to evict it.
     pub fn last_path(&self) -> impl Iterator<Item = (usize, GetKey, EntryId)> + '_ {
         (self.path.iter().enumerate())
-            .filter(|(_, s)| s.from_table)
-            .map(|(j, s)| (j, s.displaced.key(), s.displaced.entry))
+            .filter(|(_, s)| s.from_table && self.unplaced.is_some())
+            .map(|(j, s)| (j, self.slots[s.slot as usize]))
+            .map(|(j, r)| (j, r.key(), r.entry))
     }
 
     /// Resolves an [`InsertOutcome::Full`] search by evicting the pair its
@@ -451,20 +477,15 @@ impl CuckooIndex {
     pub fn evict_on_path(&mut self, j: usize) -> (GetKey, EntryId) {
         // xlint: allow(no-unwrap) invariant: documented precondition of this method
         let new = self.unplaced.take().expect("no Full search to resolve");
-        let gone = self.path[j].displaced;
-        debug_assert_ne!(gone.key(), new.key(), "evicting the key being inserted");
-        self.commit(new, j + 1);
+        let gone = self.commit(new, j + 1).rec;
+        debug_assert_ne!(gone.key(), new.rec.key(), "evicting the key being inserted");
         (gone.key(), gone.entry)
     }
 
     /// Removes `key`; returns its entry id if present.
     pub fn remove(&mut self, key: &GetKey) -> Option<EntryId> {
         self.unplaced = None;
-        let x = key.mix();
-        let fp = fingerprint(x);
-        let i = (self.hashers.iter())
-            .map(|h| h.hash(x, self.modulus))
-            .find(|&i| self.fps[i] == fp && self.slots[i].key() == *key)?;
+        let (i, _) = self.position(key)?;
         self.remove_slot(i).map(|(_, id)| id)
     }
 
@@ -497,15 +518,19 @@ impl CuckooIndex {
 
     /// Panics unless `fps[i] == 0` exactly for the empty (zeroed) slots,
     /// `len` counts the others, and each is where [`CuckooIndex::position`]
-    /// finds its key, which implies that `fps[i]` is its fingerprint.
+    /// finds its key, which implies that `fps[i]` is its fingerprint, and
+    /// keeps its key's candidate positions in `cands[i]`.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn check_invariants(&self) {
         for (i, (s, &fp)) in self.slots.iter().zip(&self.fps).enumerate() {
             let ok = match fp {
                 0 => *s == Slot::default(),
-                _ => self.position(&s.key()) == Some((i, s.entry)),
+                _ => {
+                    self.position(&s.key()) == Some((i, s.entry))
+                        && self.cands[i] == self.pair(*s).cands
+                }
             };
-            assert!(ok, "slot {i} out of step with its fingerprint {fp}");
+            assert!(ok, "slot {i}: fingerprint {fp} or candidates out of step");
         }
         assert_eq!(self.iter().count(), self.len, "occupied slots and len");
     }

@@ -20,9 +20,11 @@
 //! 4. a search that comes back `Full` leaves `iter()` unchanged;
 //! 5. `evict_on_path(j)` then removes exactly the pair step `j` displaced
 //!    and places the new key;
-//! 6. while every insert is placed, the table is slot for slot the one an
-//!    in-place walk (the same hash functions and draws, written as it
-//!    goes) leaves — kept below as `InPlaceWalk`.
+//! 6. the table is slot for slot the one an in-place walk (the same hash
+//!    functions and draws, written as it goes) leaves — kept below as
+//!    `InPlaceWalk`: after a placed insert, after a `Full` search left
+//!    unresolved (the walk's table before it), and after `evict_on_path(j)`
+//!    (the walk's table after steps `0..=j`, minus pair `j`).
 //!
 //! A second subject is the division-free slot reduction: `FastMod32` must
 //! equal the hardware remainder on its whole domain (32-bit hash values,
@@ -222,12 +224,15 @@ fn prop_full_search_moves_nothing_and_evict_on_path_swaps_one_pair() {
 /// The in-place insertion walk: the same hash functions and RNG draws as
 /// `CuckooIndex::insert`, but every displacement is written as the walk
 /// goes. A walk that places its key must leave the same table either way.
+/// One that gives up restores the table it started from and keeps its
+/// key and the slots it displaced from, for `evict_on_path`.
 struct InPlaceWalk {
     slots: Vec<Option<(GetKey, EntryId)>>,
     hashers: [(u64, u64); 4],
     modulus: FastMod32,
     max_iters: usize,
     rng: SmallRng,
+    gave_up: Option<((GetKey, EntryId), Vec<usize>)>,
 }
 
 impl InPlaceWalk {
@@ -241,6 +246,7 @@ impl InPlaceWalk {
             modulus: FastMod32::new(cap),
             max_iters: max_iters.min(walk_cap),
             rng,
+            gave_up: None,
         }
     }
 
@@ -260,7 +266,10 @@ impl InPlaceWalk {
 
     /// The steps the walk took to place `key`, or `None` if it gave up.
     fn insert(&mut self, key: GetKey, entry: EntryId) -> Option<usize> {
+        let before = self.slots.clone();
+        let mut walked = Vec::new();
         let mut cur = (key, entry);
+        self.gave_up = None;
         for step in 0..self.max_iters {
             let free = (0..4)
                 .map(|h| self.slot(h, &cur.0))
@@ -271,14 +280,30 @@ impl InPlaceWalk {
             }
             let h = self.rng.gen_range(0..4usize);
             let i = self.slot(h, &cur.0);
+            walked.push(i);
             cur = self.slots[i]
                 .replace(cur)
                 .expect("displaced from an occupied slot");
         }
+        self.slots = before;
+        self.gave_up = Some(((key, entry), walked));
         None
     }
 
+    /// Replays steps `0..=j` of the walk that gave up and returns the pair
+    /// the last of them displaced, which stays out of the table.
+    fn evict_on_path(&mut self, j: usize) -> (GetKey, EntryId) {
+        let (mut cur, walked) = self.gave_up.take().expect("a walk gave up");
+        for &i in &walked[..=j] {
+            cur = self.slots[i]
+                .replace(cur)
+                .expect("displaced from an occupied slot");
+        }
+        cur
+    }
+
     fn remove(&mut self, key: &GetKey) -> Option<EntryId> {
+        self.gave_up = None;
         let s = self
             .slots
             .iter_mut()
@@ -295,7 +320,7 @@ impl InPlaceWalk {
 
 #[test]
 fn prop_placed_walks_leave_the_in_place_table() {
-    check("placed walks leave the in-place table", 64, |g| {
+    check("walks leave the in-place table", 64, |g| {
         let cap = g.range(4..96usize);
         let iters = g.range(1..48usize);
         let seed = g.u64();
@@ -312,12 +337,23 @@ fn prop_placed_walks_leave_the_in_place_table() {
             }
             let placed = match ix.insert(key, id) {
                 InsertOutcome::Placed { steps } => Some(steps),
-                // From here on the in-place walk has shuffled its table.
                 InsertOutcome::Full { .. } => None,
             };
             assert_eq!(placed, reference.insert(key, id), "steps of insert {id}");
-            if placed.is_none() {
-                break;
+            // Some searches are left unresolved, as a Failed get leaves them.
+            if placed.is_none() && g.bool_with(0.75) {
+                let path: Vec<_> = ix.last_path().collect();
+                let (j, k, e) = path[g.range(0..path.len())];
+                assert_eq!(
+                    ix.evict_on_path(j),
+                    (k, e),
+                    "evict_on_path({j}), insert {id}"
+                );
+                assert_eq!(
+                    reference.evict_on_path(j),
+                    (k, e),
+                    "step {j} of the in-place walk"
+                );
             }
             assert_eq!(
                 ix.iter().collect::<Vec<_>>(),

@@ -92,6 +92,7 @@ impl Xoshiro256StarStar {
     }
 
     /// The next 64 uniformly distributed bits.
+    #[inline]
     pub fn gen_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -137,6 +138,7 @@ impl Xoshiro256StarStar {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn gen_below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "empty range");
         let mut x = self.gen_u64();
@@ -166,6 +168,7 @@ macro_rules! impl_uniform_int {
     ($($t:ty),*) => {$(
         impl UniformRange for std::ops::Range<$t> {
             type Output = $t;
+            #[inline]
             fn sample(self, rng: &mut Xoshiro256StarStar) -> $t {
                 assert!(self.start < self.end, "empty range");
                 let span = (self.end as u64) - (self.start as u64);
@@ -174,6 +177,7 @@ macro_rules! impl_uniform_int {
         }
         impl UniformRange for std::ops::RangeInclusive<$t> {
             type Output = $t;
+            #[inline]
             fn sample(self, rng: &mut Xoshiro256StarStar) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "empty range");
@@ -214,6 +218,39 @@ mod tests {
         assert_eq!(sm.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(sm.next_u64(), 0x6E78_9E6A_A1B9_65F4);
         assert_eq!(sm.next_u64(), 0x06C4_5D18_8009_454F);
+    }
+
+    #[test]
+    fn golden_stream_for_seed_42() {
+        // The first outputs of one seed, frozen: an inlining or refactor of
+        // the hot draws must not move the stream (the Cuckoo walks and every
+        // figure's workload draw from it).
+        let mut r = SmallRng::seed_from_u64(42);
+        let words: Vec<u64> = (0..16).map(|_| r.gen_u64()).collect();
+        assert_eq!(
+            words,
+            [
+                0x1578_0B2E_0C2E_C716,
+                0x6104_D986_6D11_3A7E,
+                0xAE17_5332_39E4_99A1,
+                0xECB8_AD47_03B3_60A1,
+                0xFDE6_DC7F_E2EC_5E64,
+                0xC50D_A531_0179_5238,
+                0xB821_5485_5A65_DDB2,
+                0xD99A_2743_EBE6_0087,
+                0xC2E9_6E72_6E97_647E,
+                0x9556_615F_775F_BC3D,
+                0xAEB5_3B34_0C10_3971,
+                0x4A69_DB98_73AF_8965,
+                0xCD0F_EDA9_3006_C6B6,
+                0x5248_0865_A4B4_2742,
+                0xB60D_EC3B_F2D8_87CD,
+                0xE0B5_5A68_B966_77FA,
+            ]
+        );
+        let mut r = SmallRng::seed_from_u64(42);
+        let draws: Vec<usize> = (0..16).map(|_| r.gen_range(0..4usize)).collect();
+        assert_eq!(draws, [0, 1, 2, 3, 3, 3, 2, 3, 3, 2, 2, 1, 3, 1, 2, 3]);
     }
 
     #[test]
