@@ -69,6 +69,15 @@
 #                 The suite links the library's public API from outside
 #                 the workspace, so drift against what it uses fails here
 #                 instead of at the benchmark driver.
+#   golden        every figure and ablation binary (fig*, abl_*) at
+#                 CLAMPI_BENCH_SMOKE=1 under the default seed and --seed 1,
+#                 plus the six benchmark workloads' virt_ns_per_op and
+#                 virt_speedup_x from `benchmark/run.sh --smoke`, with the
+#                 wall-clock fields masked by name (ci/golden.sh), diffed
+#                 against the committed results/golden/. Writes no tracked
+#                 file. A change that moves a figure or virtual time on
+#                 purpose regenerates the files with
+#                 `bash ci/golden.sh results/golden` and says so.
 #
 # Every `cargo test` of the test, release-test, san-test and prop-matrix
 # stages runs under `timeout` (TEST_TIMEOUT_S below): a rank that panics
@@ -81,7 +90,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(xlint fmt clippy build test release-test san-test prop-matrix bench-smoke perf-gate benchmark-smoke)
+ALL_STAGES=(xlint fmt clippy build test release-test san-test prop-matrix bench-smoke perf-gate benchmark-smoke golden)
 # Run only when named: minutes of host time, and a verdict, not a gate.
 MANUAL_STAGES=(ab-pairs)
 PROP_SEEDS=(1 42 20170527)
@@ -268,6 +277,19 @@ stage_benchmark_smoke() {
     # and traces go to benchmark/out/. All three are gitignored.
     cargo test -q --offline --manifest-path benchmark/Cargo.toml
     bash benchmark/run.sh --smoke
+}
+
+stage_golden() {
+    local fresh
+    fresh=$(mktemp -d)
+    trap 'rm -rf "$fresh"' RETURN
+    bash ci/golden.sh "$fresh"
+    if ! diff -ru results/golden "$fresh"; then
+        echo "FAIL: output differs from results/golden/ (diff above: - golden, + this tree)." >&2
+        echo "      If the change is intended, regenerate with: bash ci/golden.sh results/golden" >&2
+        return 1
+    fi
+    echo "golden: $(find "$fresh" -type f | wc -l) files equal to results/golden/"
 }
 
 stage_ab_pairs() {

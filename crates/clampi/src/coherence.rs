@@ -79,7 +79,7 @@
 //! Two facts let the layer do work only for what changed:
 //!
 //! - **The cursor is a proof.** An entry still resident in target `t` is
-//!   write-free through `cursors[t]`: the pass that advanced the cursor
+//!   write-free through `t`'s cursor: the pass that advanced the cursor
 //!   dropped every entry (PENDING ones included) that a drained record
 //!   overlapped and postdated, or, in `validate`, refreshed it from a
 //!   later fetch before returning. The snapshot layer validates a resident
@@ -98,9 +98,10 @@
 //!   replies before its pass. Every pass consumes the reply.
 //!
 //! The pass itself is `CachedWindow::coherence_pass`; this module holds
-//! the mode and the per-window drain state.
-
-use clampi_rma::PutRecord;
+//! the mode. The drain state lives in the window's one record per target
+//! (`TargetState` in `window.rs`): the drain cursor, the last reply's
+//! sample and the settled-put log, next to the target's fault status and
+//! in-flight transfers, so one index reaches all of a target's state.
 
 /// How a cached window keeps its entries coherent with remote `put`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -117,70 +118,4 @@ pub enum CoherenceMode {
     /// after a write, at ring capacity 0 — falls back to a full
     /// per-target invalidation.
     EagerInvalidate,
-}
-
-/// What the last get reply from a target said about it: the target's
-/// version, sampled with the bytes (free, see `Window::last_get_stamp`),
-/// and `Process::sync_events` at that moment.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReplySample {
-    /// The target's write version when the reply's bytes were read.
-    pub(crate) version: u64,
-    /// `Process::sync_events` at the reply.
-    pub(crate) sync_events: u64,
-}
-
-/// Per-window coherence state: one drain cursor per target (the ring
-/// version up to which notifications have been consumed), the last get
-/// reply's sample per target, and reusable scratch buffers for drained
-/// records.
-#[derive(Debug, Default)]
-pub(crate) struct CoherenceTracker {
-    /// `cursors[t]` = ring version of `t` up to which this rank has
-    /// drained. Every entry of `t` still resident is write-free through
-    /// it: the pass that advanced it dropped every entry a drained record
-    /// overlapped and postdated.
-    pub(crate) cursors: Vec<u64>,
-    /// `samples[t]` = the last get reply from `t` since the last pass
-    /// over `t` (each pass consumes it).
-    pub(crate) samples: Vec<Option<ReplySample>>,
-    /// Drained records land here (reused across passes).
-    pub(crate) scratch: Vec<PutRecord>,
-    /// Records rewritten as `(lo, hi, version)` byte ranges, one extent
-    /// directory probe each (reused across passes).
-    pub(crate) ranges: Vec<(u64, u64, u64)>,
-    /// `settled[t]` = ring versions of this rank's puts to `t` since the
-    /// last pass over `t` that left nothing stale
-    /// (`RmaCache::update_on_put`), ascending: the drain skips their
-    /// records. At most the ring's capacity (past it the ring overflows);
-    /// every pass over `t` clears it, drained or not.
-    pub(crate) settled: Vec<Vec<u64>>,
-}
-
-impl CoherenceTracker {
-    pub(crate) fn new(ntargets: usize) -> Self {
-        CoherenceTracker {
-            cursors: vec![0; ntargets],
-            samples: vec![None; ntargets],
-            settled: vec![Vec::new(); ntargets],
-            ..CoherenceTracker::default()
-        }
-    }
-
-    /// Consumes `t`'s reply sample and reports whether it proves a drain
-    /// of `t` empty: the reply saw `t` at the cursor, and this rank's
-    /// `sync_events` count has not moved since — it has neither written
-    /// (its own put must be drained unless it was settled: every other
-    /// entry it overlaps must drop) nor
-    /// acquired a lock, a PSCW epoch or a collective (each of which may
-    /// order another rank's flushed put before this rank's next get). A
-    /// put by another rank after the reply, with no such event in
-    /// between, is one MPI lets this rank not see yet; the next pass that
-    /// drains picks it up from the unmoved cursor.
-    pub(crate) fn take_quiet(&mut self, t: usize, sync_events: u64) -> bool {
-        let cursor = self.cursors[t];
-        self.samples[t]
-            .take()
-            .is_some_and(|s| s.version == cursor && s.sync_events == sync_events)
-    }
 }

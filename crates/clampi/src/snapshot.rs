@@ -62,8 +62,6 @@
 //! module holds the types, the reusable scratch context and the pure
 //! interval logic (unit-tested in isolation below).
 
-use clampi_rma::PutRecord;
-
 /// Commit-state stamp of one cached payload: the bytes were read while
 /// `target`'s window region was at write `version`, whose commit timestamp
 /// was `ts`. It is the one thing an entry knows about the age of its
@@ -224,12 +222,8 @@ impl std::error::Error for SnapshotError {}
 pub struct SnapshotCtx {
     /// Per-request interval state (parallel to the batch).
     pub(crate) bounds: Vec<ReqBound>,
-    /// Drain scratch for put-notification records.
-    pub(crate) records: Vec<PutRecord>,
-    /// Involved targets, deduplicated.
+    /// Involved targets, ascending and deduplicated.
     pub(crate) targets: Vec<u32>,
-    /// Whether the current gather issued a fetch towards `targets[k]`.
-    pub(crate) staged: Vec<bool>,
     /// Indices of requests to refetch in the current round.
     pub(crate) refetch: Vec<usize>,
 }

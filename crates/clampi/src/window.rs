@@ -20,11 +20,11 @@
 //! the adaptive controller.
 
 use clampi_datatype::{Datatype, FlatLayout};
-use clampi_rma::{LockKind, Process, RmaError, StagedGet, Window};
+use clampi_rma::{LockKind, NotifyDrain, Process, PutRecord, RmaError, StagedGet, Window};
 
 use crate::adaptive::{AdaptiveController, AdaptiveParams, AdjustRule};
 use crate::cache::{CacheParams, LayoutSig, Lookup, RmaCache};
-use crate::coherence::{CoherenceMode, CoherenceTracker, ReplySample};
+use crate::coherence::CoherenceMode;
 use crate::index::GetKey;
 use crate::recovery::{with_retry, RetryPolicy};
 use crate::snapshot::{
@@ -165,9 +165,8 @@ pub struct CachedWindow {
     controller: Option<AdaptiveController>,
     mode: Mode,
     retry: RetryPolicy,
-    /// Targets marked as persistently failed: their cached entries are
-    /// dropped and their gets served degraded (see `crate::recovery`).
-    degraded: Vec<bool>,
+    /// Everything the window keeps per target, indexed by rank.
+    targets: Vec<TargetState>,
     /// Fault counters (retries, timeouts, degraded gets) kept outside the
     /// cache engine so they exist even in [`Mode::Disabled`]; merged into
     /// [`CachedWindow::stats`].
@@ -175,19 +174,83 @@ pub struct CachedWindow {
     /// The outstanding-miss table's wire view: one span per in-flight
     /// coalesced transfer, drained at every epoch closure.
     nb_spans: Vec<NbSpan>,
-    /// Wire ns posted by the nonblocking path per target since the last
-    /// completion event towards it (input to the overlap accounting).
-    nb_posted_wire: Vec<f64>,
-    /// Cached contiguous layout for internal tail/record fetches, so the
-    /// hot path does not rebuild a one-block `FlatLayout` per call.
-    scratch_layout: FlatLayout,
     /// The typed wrappers' one-entry flatten memo (see [`LayoutMemo`]).
     memo: Option<LayoutMemo>,
     /// Reusable packed-payload buffer for [`CachedWindow::get_typed`].
     scratch_buf: Vec<u8>,
-    /// Per-target coherence state (drain cursors, scratch) for
-    /// [`CoherenceMode::EagerInvalidate`] passes.
-    coherence: CoherenceTracker,
+    /// Drained notification records land here (reused across drains, by
+    /// the coherence passes and the snapshot validation alike).
+    drained: Vec<PutRecord>,
+    /// A pass's records rewritten as `(lo, hi, version)` byte ranges, one
+    /// extent directory probe each (reused across passes).
+    ranges: Vec<(u64, u64, u64)>,
+}
+
+/// One target's state in a [`CachedWindow`]: its fault status, its
+/// in-flight transfers and its coherence state.
+#[derive(Debug, Clone, Default)]
+struct TargetState {
+    /// Marked persistently failed: its cached entries are dropped and its
+    /// gets served degraded (see `crate::recovery`).
+    degraded: bool,
+    /// A batched or refetch fetch was staged towards it since the last
+    /// completion event towards it: the next flush decision must wait for
+    /// it (`CachedWindow::complete_staged`), whatever wire time it posted.
+    staged: bool,
+    /// Wire ns posted by the nonblocking path since the last completion
+    /// event towards it (input to the overlap accounting).
+    posted_wire: f64,
+    /// The ring version up to which this rank has drained it. Every entry
+    /// of the target still resident is write-free through it: the pass
+    /// that advanced it dropped every entry a drained record overlapped
+    /// and postdated.
+    cursor: u64,
+    /// The last get reply from it since the last pass over it (each pass
+    /// consumes it).
+    sample: Option<ReplySample>,
+    /// Ring versions of this rank's puts to it since the last pass over it
+    /// that left nothing stale (`RmaCache::update_on_put`), ascending: the
+    /// drain skips their records. At most the ring's capacity (past it the
+    /// ring overflows); every pass over the target clears it, drained or
+    /// not.
+    settled: Vec<u64>,
+}
+
+/// What the last get reply from a target said about it: the target's
+/// version, sampled with the bytes (free, see `Window::last_get_stamp`),
+/// and `Process::sync_events` at that moment.
+#[derive(Debug, Clone, Copy)]
+struct ReplySample {
+    /// The target's write version when the reply's bytes were read.
+    version: u64,
+    /// `Process::sync_events` at the reply.
+    sync_events: u64,
+}
+
+impl TargetState {
+    /// Consumes the reply sample and reports whether it proves a drain of
+    /// the target empty: the reply saw the target at the cursor, and this
+    /// rank's `sync_events` count has not moved since — it has neither
+    /// written (its own put must be drained unless it was settled: every
+    /// other entry it overlaps must drop) nor acquired a lock, a PSCW
+    /// epoch or a collective (each of which may order another rank's
+    /// flushed put before this rank's next get). A put by another rank
+    /// after the reply, with no such event in between, is one MPI lets
+    /// this rank not see yet; the next pass that drains picks it up from
+    /// the unmoved cursor.
+    fn take_quiet(&mut self, sync_events: u64) -> bool {
+        let cursor = self.cursor;
+        self.sample
+            .take()
+            .is_some_and(|s| s.version == cursor && s.sync_events == sync_events)
+    }
+
+    /// A completion event towards the target: nothing of it is in flight
+    /// any more. Returns the wire ns it had posted.
+    fn complete(&mut self) -> f64 {
+        self.staged = false;
+        std::mem::take(&mut self.posted_wire)
+    }
 }
 
 /// The last `(dtype, count)` of a non-basic type a typed get flattened on
@@ -233,23 +296,20 @@ impl CachedWindow {
             (Some(_), Some(ap)) => Some(AdaptiveController::new(ap)),
             _ => None,
         };
-        let degraded = vec![false; win.ntargets()];
-        let nb_posted_wire = vec![0.0; win.ntargets()];
-        let coherence = CoherenceTracker::new(win.ntargets());
+        let targets = vec![TargetState::default(); win.ntargets()];
         CachedWindow {
             win,
             cache,
             controller,
             mode: cfg.mode,
             retry: cfg.retry,
-            degraded,
+            targets,
             fault_stats: CacheStats::default(),
             nb_spans: Vec::new(),
-            nb_posted_wire,
-            scratch_layout: FlatLayout::contiguous(0),
             memo: None,
             scratch_buf: Vec::new(),
-            coherence,
+            drained: Vec::new(),
+            ranges: Vec::new(),
         }
     }
 
@@ -269,9 +329,9 @@ impl CachedWindow {
     ///
     /// Every pass consumes each target's last get-reply sample and skips
     /// the drain of a target whose sample proves it empty
-    /// (`CoherenceTracker::take_quiet`). Only `flush`/`flush_all` passes
-    /// can skip: the calls that open an epoch are sync events themselves,
-    /// and `validate` forgets the samples first.
+    /// (`TargetState::take_quiet`). Only `flush`/`flush_all` passes can
+    /// skip: the calls that open an epoch are sync events themselves, and
+    /// `validate` forgets the samples first.
     ///
     /// With `keep` (`validate`'s pass), the drain of a target with an open
     /// access epoch keeps its stale CACHED entries resident, for
@@ -286,11 +346,11 @@ impl CachedWindow {
         };
         let sync_events = p.sync_events();
         for t in targets {
-            let quiet = self.coherence.take_quiet(t, sync_events);
-            if !self.degraded[t] && !quiet {
+            let quiet = self.targets[t].take_quiet(sync_events);
+            if !self.targets[t].degraded && !quiet {
                 self.drain_target(p, t, keep);
             }
-            self.coherence.settled[t].clear();
+            self.targets[t].settled.clear();
         }
         self.charge_engine(p);
     }
@@ -300,47 +360,39 @@ impl CachedWindow {
     /// overflow degrades to a full per-target invalidation. A drain that
     /// fails drops the target's entries: none is kept or refetched.
     fn drain_target(&mut self, p: &mut Process, t: usize, keep: bool) {
-        let Some(cache) = self.cache.as_mut() else {
-            return;
-        };
-        let co = &mut self.coherence;
-        if !cache.has_entries_for(t as u32) {
+        if !(self.cache.as_ref()).is_some_and(|c| c.has_entries_for(t as u32)) {
             // Nothing cached: skip the drain but refresh the cursor from
             // the zero-cost version peek, so old records cannot trigger a
             // spurious overflow later. Safe because any entry filled from
             // now on is stamped with a version ≥ this peek, and the stale
             // check (`entry.stamp.version < record.version`) can
             // therefore never need the skipped records.
-            co.cursors[t] = self.win.version(t);
+            self.targets[t].cursor = self.win.version(t);
             return;
         }
-        co.scratch.clear();
-        let cursor = co.cursors[t];
-        let drained = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
-            self.win
-                .try_drain_notifications(p, t, cursor, &mut co.scratch)
-        });
-        match drained {
+        match self.drain(p, t, self.targets[t].cursor) {
             Ok(drain) => {
                 let ranges = if drain.overflowed {
                     self.fault_stats.notification_overflows += 1;
                     None
                 } else {
-                    self.fault_stats.notifications_drained += co.scratch.len() as u64;
+                    self.fault_stats.notifications_drained += self.drained.len() as u64;
                     // The settled log is a subsequence of the records.
-                    let mut settled = co.settled[t].iter().peekable();
-                    co.ranges.clear();
-                    co.ranges.extend(
-                        (co.scratch.iter())
+                    let mut settled = self.targets[t].settled.iter().peekable();
+                    self.ranges.clear();
+                    self.ranges.extend(
+                        (self.drained.iter())
                             .filter(|r| settled.next_if_eq(&&r.version).is_none())
                             .map(|r| (r.disp, r.disp.saturating_add(r.len), r.version)),
                     );
-                    Some(co.ranges.as_mut_slice())
+                    Some(self.ranges.as_mut_slice())
                 };
                 let keep = keep && self.win.epoch_open_for(t);
-                let dropped = cache.invalidate_drained(t as u32, ranges, keep);
-                self.fault_stats.stale_hits_prevented += dropped as u64;
-                co.cursors[t] = drain.version;
+                if let Some(cache) = self.cache.as_mut() {
+                    let dropped = cache.invalidate_drained(t as u32, ranges, keep);
+                    self.fault_stats.stale_hits_prevented += dropped as u64;
+                }
+                self.targets[t].cursor = drain.version;
             }
             Err(e) => {
                 // The pass could not reach `t`: its cached entries can no
@@ -348,10 +400,21 @@ impl CachedWindow {
                 // pending notifications degrade to a full per-target
                 // invalidation — never a silent drop), whether or not the
                 // failure is persistent.
-                self.degraded[t] |= matches!(e, RmaError::TargetFailed { .. });
+                self.targets[t].degraded |= matches!(e, RmaError::TargetFailed { .. });
                 self.drop_target(t);
             }
         }
+    }
+
+    /// Drains `t`'s notification ring past version `from` into
+    /// `self.drained` under the retry policy. Shared by the coherence pass
+    /// and the snapshot validation.
+    fn drain(&mut self, p: &mut Process, t: usize, from: u64) -> Result<NotifyDrain, RmaError> {
+        with_retry(p, &self.retry, &mut self.fault_stats, |p| {
+            self.drained.clear();
+            self.win
+                .try_drain_notifications(p, t, from, &mut self.drained)
+        })
     }
 
     /// The caching engine on the caching-enabled path.
@@ -391,7 +454,7 @@ impl CachedWindow {
         match self.coherence_mode() {
             CoherenceMode::None => self.invalidate(p),
             CoherenceMode::EagerInvalidate => {
-                self.coherence.samples.fill(None);
+                self.targets.iter_mut().for_each(|s| s.sample = None);
                 self.coherence_pass(p, None, true);
                 self.refresh_kept(p);
             }
@@ -412,9 +475,12 @@ impl CachedWindow {
         let mut buf = std::mem::take(&mut self.scratch_buf);
         for &k in &kept {
             let t = k.key.target as usize;
-            if self.degraded[t] {
+            if self.targets[t].degraded {
                 continue;
             }
+            // In flight once attempted: the target is flushed (and its
+            // epoch hook run) even if every refetch to it fails.
+            self.targets[t].staged = true;
             let sig = self.engine().kept_sig(k);
             buf.clear();
             buf.resize(sig.size(), 0);
@@ -426,7 +492,7 @@ impl CachedWindow {
                 }
                 Err(e) => {
                     self.degrade_if_dead(p, t, &e);
-                    if !self.degraded[t] {
+                    if !self.targets[t].degraded {
                         self.engine().evict_kept(k);
                         self.charge_engine(p);
                     }
@@ -434,12 +500,9 @@ impl CachedWindow {
             }
         }
         self.scratch_buf = buf;
-        for same_target in kept.chunk_by(|a, b| a.key.target == b.key.target) {
-            let t = same_target[0].key.target as usize;
-            if self.degraded[t] {
-                continue;
-            }
-            self.complete_with(p, Some(t), |w, p| w.flush(p, t));
+        let targets = kept.chunk_by(|a, b| a.key.target == b.key.target);
+        let flushed = self.complete_staged(p, targets.map(|c| c[0].key.target as usize));
+        for _ in 0..flushed {
             self.engine().epoch_close();
         }
         self.charge_engine(p);
@@ -476,7 +539,7 @@ impl CachedWindow {
     /// Whether `target` has been marked persistently failed (all its gets
     /// are now served degraded, without network traffic).
     pub fn is_degraded(&self, target: usize) -> bool {
-        self.degraded[target]
+        self.targets[target].degraded
     }
 
     /// Drops every cached entry keyed to an unreachable `target`, counted
@@ -493,10 +556,10 @@ impl CachedWindow {
     /// routes later accesses through the degraded path. Transient errors
     /// degrade nothing.
     fn degrade_if_dead(&mut self, p: &mut Process, target: usize, err: &RmaError) {
-        if !matches!(err, RmaError::TargetFailed { .. }) || self.degraded[target] {
+        if !matches!(err, RmaError::TargetFailed { .. }) || self.targets[target].degraded {
             return;
         }
-        self.degraded[target] = true;
+        self.targets[target].degraded = true;
         self.drop_target(target);
         self.charge_engine(p);
     }
@@ -730,7 +793,7 @@ impl CachedWindow {
         if completion == Completion::Batched {
             self.fault_stats.batched_gets += 1;
         }
-        if self.degraded[target] {
+        if self.targets[target].degraded {
             // Target already marked dead: serve locally, touch nothing.
             dst.fill(0);
             self.fault_stats.degraded_gets += 1;
@@ -787,20 +850,6 @@ impl CachedWindow {
         outcome.unwrap_or_else(|e| self.fail_get(p, dst, target, e))
     }
 
-    /// Runs `f` with a borrowed contiguous scratch layout of `len` bytes,
-    /// resized in place so the per-window allocation serves every length
-    /// (the replace dance keeps `self` fully usable inside `f`; the empty
-    /// layout left in its place is allocation-free).
-    fn with_contig<R>(&mut self, len: usize, f: impl FnOnce(&mut Self, &FlatLayout) -> R) -> R {
-        if self.scratch_layout.total_size() != len {
-            self.scratch_layout.set_contiguous(len);
-        }
-        let layout = std::mem::replace(&mut self.scratch_layout, FlatLayout::contiguous(0));
-        let r = f(self, &layout);
-        self.scratch_layout = layout;
-        r
-    }
-
     /// The fetch stage: reads `layout` at `disp` of `target` into `dst`
     /// (`None` = `dst.len()` contiguous bytes) under the retry policy and
     /// returns the bytes' exact stamp. Shared by the get pipeline and the
@@ -814,11 +863,6 @@ impl CachedWindow {
         layout: Option<&FlatLayout>,
         completion: Completion,
     ) -> Result<SnapStamp, RmaError> {
-        let Some(layout) = layout else {
-            return self.with_contig(dst.len(), |w, contig| {
-                w.fetch(p, dst, target, disp, Some(contig), completion)
-            });
-        };
         match completion {
             Completion::Blocking => with_retry(p, &self.retry, &mut self.fault_stats, |p| {
                 self.win.try_get_flat(p, dst, target, disp, layout)
@@ -827,8 +871,10 @@ impl CachedWindow {
                 let staged = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
                     self.win.try_get_staged(p, dst, target, disp, layout)
                 })?;
-                let (lo, hi) = (disp as u64, (disp + layout.total_size()) as u64);
-                let merge_from = layout.is_dense().then(|| match completion {
+                self.targets[target].staged = true;
+                let (lo, hi) = (disp as u64, (disp + dst.len()) as u64);
+                let dense = layout.is_none_or(FlatLayout::is_dense);
+                let merge_from = dense.then(|| match completion {
                     Completion::Refetch => self.nb_spans.len().saturating_sub(1),
                     _ => 0,
                 });
@@ -845,7 +891,7 @@ impl CachedWindow {
         // exactly, at zero virtual-time cost. The coherence layer keeps
         // the version for the next pass.
         let s = self.win.last_get_stamp();
-        self.coherence.samples[target] = Some(ReplySample {
+        self.targets[target].sample = Some(ReplySample {
             version: s.version,
             sync_events: p.sync_events(),
         });
@@ -891,7 +937,7 @@ impl CachedWindow {
                 let inc = (wire(mhi - mlo) - wire(s.hi - s.lo)).max(0.0) * staged.spike;
                 if inc > 0.0 {
                     p.clock_mut().post_network(target, inc);
-                    self.nb_posted_wire[target] += inc;
+                    self.targets[target].posted_wire += inc;
                 }
                 s.lo = mlo;
                 s.hi = mhi;
@@ -903,7 +949,7 @@ impl CachedWindow {
         let wire = staged.cost.wire_ns * staged.spike;
         if wire > 0.0 {
             p.clock_mut().post_network(target, wire);
-            self.nb_posted_wire[target] += wire;
+            self.targets[target].posted_wire += wire;
         }
         false
     }
@@ -992,7 +1038,7 @@ impl CachedWindow {
         dtype: &Datatype,
         count: usize,
     ) {
-        if self.degraded[target] {
+        if self.targets[target].degraded {
             return;
         }
         let sent = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
@@ -1009,7 +1055,7 @@ impl CachedWindow {
                     };
                     let stamp = SnapStamp::exact(s.version, s.ts);
                     let settled = self.engine().update_on_put(key, src, stamp);
-                    let log = &mut self.coherence.settled[target];
+                    let log = &mut self.targets[target].settled;
                     if settled && log.len() < p.config().notify_ring_cap {
                         log.push(s.version);
                     }
@@ -1085,7 +1131,7 @@ impl CachedWindow {
                 Err(SnapAbort::Fault(t)) => {
                     aborts += 1;
                     fault = Some(t);
-                    if self.degraded[t] {
+                    if self.targets[t].degraded {
                         break; // persistent failure: retrying cannot help
                     }
                 }
@@ -1126,8 +1172,6 @@ impl CachedWindow {
         ctx.bounds.clear();
         ctx.bounds.resize(reqs.len(), ReqBound::default());
         ctx.refetch.clear();
-        ctx.staged.clear();
-        ctx.staged.resize(ctx.targets.len(), false);
         let mut off = 0usize;
         for (i, r) in reqs.iter().enumerate() {
             let slice = &mut dst[off..off + r.len];
@@ -1136,12 +1180,9 @@ impl CachedWindow {
                 continue; // neutral: lo 0, hi ∞
             }
             let target = r.target as usize;
-            if self.degraded[target] {
+            if self.targets[target].degraded {
                 return Err(SnapAbort::Fault(target));
             }
-            // A resident hit issues nothing; every other read stages a
-            // fetch that the gather's completion must wait for.
-            let mut staged = true;
             // The bytes' stamp, and the version through which they are
             // already known to be write-free.
             let (stamp, seen) = if direct || self.cache.is_none() {
@@ -1167,42 +1208,27 @@ impl CachedWindow {
                     // starts there, not at the stamp. (Without a
                     // coherence mode no pass runs and the cursor stays 0.)
                     GetOutcome::Resident => {
-                        staged = false;
                         let key = GetKey {
                             target: r.target,
                             disp: r.disp as u64,
                         };
                         let stamp = self.engine().snap_stamp(&key).unwrap_or_default();
-                        (stamp, stamp.version.max(self.coherence.cursors[target]))
+                        (stamp, stamp.version.max(self.targets[target].cursor))
                     }
                     GetOutcome::Fetched(_, stamp) => (stamp, stamp.version),
                 }
             };
-            if staged {
-                if let Ok(k) = ctx.targets.binary_search(&r.target) {
-                    ctx.staged[k] = true;
-                }
-            }
             if stamp.exact {
                 ctx.bounds[i] = ReqBound::new(stamp, seen);
             } else {
                 ctx.refetch.push(i);
             }
         }
-        // Complete the gathered fetches. Deliberately *not*
-        // `CachedWindow::flush`: no epoch hook (transparent mode would
-        // invalidate the entries being validated) and no coherence pass.
-        // Only targets with something in flight are flushed: a fetch this
-        // gather staged, or an earlier transfer not yet completed (so a
-        // hit on a PENDING entry still waits for the fetch that fills it).
-        // A target the batch only hit has nothing to complete.
-        for k in 0..ctx.targets.len() {
-            let t = ctx.targets[k] as usize;
-            if ctx.staged[k] || self.nb_posted_wire[t] > 0.0 || self.win.outstanding_requests(t) > 0
-            {
-                self.complete_with(p, Some(t), |w, p| w.flush(p, t));
-            }
-        }
+        // Complete the gathered fetches, and any earlier transfer to the
+        // batch's targets not yet completed (so a hit on a PENDING entry
+        // still waits for the fetch that fills it). A target the batch
+        // only hit has nothing to complete.
+        self.complete_staged(p, ctx.targets.iter().map(|&t| t as usize));
 
         // --- Validate: bound every interval from the notification rings,
         // pick a timestamp, refetch what excludes it; bounded rounds.
@@ -1210,23 +1236,23 @@ impl CachedWindow {
         loop {
             if !ctx.refetch.is_empty() {
                 let todo = std::mem::take(&mut ctx.refetch);
-                for &i in &todo {
-                    let r = reqs[i];
-                    // Requests are laid out back to back, in order.
-                    let start: usize = reqs[..i].iter().map(|r| r.len).sum();
-                    let (slice, t) = (&mut dst[start..start + r.len], r.target as usize);
+                // Requests are laid out back to back, in order, and `todo`
+                // ascends: one walk finds every offset.
+                let mut todo_at = todo.iter().peekable();
+                let mut end = 0usize;
+                for (i, r) in reqs.iter().enumerate() {
+                    end += r.len;
+                    if todo_at.next_if_eq(&&i).is_none() {
+                        continue;
+                    }
+                    let (slice, t) = (&mut dst[end - r.len..end], r.target as usize);
                     let stamp = self
                         .fetch(p, slice, t, r.disp, None, Completion::Batched)
                         .map_err(|e| self.snap_fault(p, t, e))?;
                     ctx.bounds[i] = ReqBound::new(stamp, stamp.version);
                     *refetched += 1;
                 }
-                for k in 0..ctx.targets.len() {
-                    let t = ctx.targets[k];
-                    if todo.iter().any(|&i| reqs[i].target == t) {
-                        self.complete_with(p, Some(t as usize), |w, p| w.flush(p, t as usize));
-                    }
-                }
+                self.complete_staged(p, ctx.targets.iter().map(|&t| t as usize));
                 ctx.refetch = todo;
                 ctx.refetch.clear();
             }
@@ -1247,18 +1273,13 @@ impl CachedWindow {
                 if cursor == u64::MAX {
                     continue;
                 }
-                let drained = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
-                    ctx.records.clear();
-                    self.win
-                        .try_drain_notifications(p, t, cursor, &mut ctx.records)
-                })
-                .map_err(|e| self.snap_fault(p, t, e))?;
+                let drained = (self.drain(p, t, cursor)).map_err(|e| self.snap_fault(p, t, e))?;
                 if drained.overflowed {
                     return Err(SnapAbort::Overflow);
                 }
                 cap = cap.min(drained.now_ts);
                 now_max = now_max.max(drained.now_ts);
-                for rec in &ctx.records {
+                for rec in &self.drained {
                     let (rlo, rhi) = (rec.disp as usize, (rec.disp + rec.len) as usize);
                     for (i, r) in reqs.iter().enumerate() {
                         if r.target as usize != t || r.len == 0 || rec.version <= ctx.bounds[i].seen
@@ -1364,6 +1385,26 @@ impl CachedWindow {
         }
     }
 
+    /// Completes the staged transfers of `targets` (ascending, distinct):
+    /// flushes exactly the ones with something in flight — a fetch staged
+    /// since their last completion event, or a posted request not yet
+    /// completed — and never a degraded one. Deliberately *not*
+    /// [`CachedWindow::flush`]: no epoch hook (transparent mode would
+    /// invalidate the entries a snapshot is validating) and no coherence
+    /// pass. Returns how many targets it flushed. The one flush decision
+    /// of the snapshot gather, its refetch rounds and `refresh_kept`.
+    fn complete_staged(&mut self, p: &mut Process, targets: impl Iterator<Item = usize>) -> usize {
+        let mut flushed = 0;
+        for t in targets {
+            let s = &self.targets[t];
+            if !s.degraded && (s.staged || self.win.outstanding_requests(t) > 0) {
+                self.complete_with(p, Some(t), |w, p| w.flush(p, t));
+                flushed += 1;
+            }
+        }
+        flushed
+    }
+
     /// Runs one completion event of the inner window towards `target`
     /// (`None` = all targets) with the nonblocking-miss wire accounting
     /// around it: drains the affected spans and their posted wire ns,
@@ -1372,8 +1413,9 @@ impl CachedWindow {
     /// The blocked delta also covers waits for blocking-path transfers
     /// completed by the same event, so the credit is a (slightly
     /// conservative) approximation. No epoch hook, no coherence pass —
-    /// the snapshot layer completes its own fetches through this alone,
-    /// because both would mutate the cache mid-snapshot.
+    /// the snapshot layer completes its own fetches through this alone
+    /// (by `CachedWindow::complete_staged`), because both would mutate
+    /// the cache mid-snapshot.
     fn complete_with(
         &mut self,
         p: &mut Process,
@@ -1383,11 +1425,11 @@ impl CachedWindow {
         let posted: f64 = match target {
             Some(t) => {
                 self.nb_spans.retain(|s| s.target != t);
-                std::mem::take(&mut self.nb_posted_wire[t])
+                self.targets[t].complete()
             }
             None => {
                 self.nb_spans.clear();
-                self.nb_posted_wire.iter_mut().map(std::mem::take).sum()
+                self.targets.iter_mut().map(TargetState::complete).sum()
             }
         };
         let blocked0 = p.clock().total_blocked();

@@ -670,8 +670,12 @@ struct Revalidated {
     classes: Vec<Option<AccessType>>,
     wire_gets: u64,
     current: Vec<bool>,
-    /// Rank 0's virtual time when it called `validate`.
+    /// Rank 0's virtual time when it called `validate`, and when it
+    /// returned.
     validate_at: f64,
+    validated_at: f64,
+    /// The flushes rank 0 issued inside `validate`.
+    flushes: u64,
     /// Rank 0's stale hits prevented and `invalidations_on_failure`
     /// counted inside `validate`.
     stale: u64,
@@ -698,6 +702,9 @@ struct Setup {
     max_retries: u32,
     /// Rank 1 rewrites every `rewrite_every`-th record.
     rewrite_every: usize,
+    /// Rank 0 leaves a `get_nb` of its own region outstanding across
+    /// `validate` (with `in_epoch` only).
+    nb_to_self: bool,
 }
 
 impl Setup {
@@ -709,6 +716,7 @@ impl Setup {
             params: CacheParams::default(),
             max_retries: 64,
             rewrite_every: 1,
+            nb_to_self: false,
         }
     }
 }
@@ -742,6 +750,7 @@ fn revalidate_with(s: Setup) -> Revalidated {
         params,
         max_retries,
         rewrite_every,
+        nb_to_self,
     } = s;
     let faulty = faults.is_some();
     let mut sim = SimConfig::default();
@@ -803,8 +812,12 @@ fn revalidate_with(s: Setup) -> Revalidated {
         let free_before = free_bytes(&win);
         #[cfg(debug_assertions)]
         let residents_before = residents(&win);
+        let mut own = vec![0u8; SIZE];
+        if rank == 0 && nb_to_self {
+            win.get_nb(p, &mut own, 0, 0, &dtype, 1);
+        }
         let before = (p.clock().total_blocked(), win.stats());
-        let validate_at = p.now();
+        let (validate_at, flushes) = (p.now(), p.counters().flushes);
         win.validate(p);
         let during = win.stats().delta_since(&before.1);
         // Caught, not asserted: a panic here would strand rank 1.
@@ -826,6 +839,8 @@ fn revalidate_with(s: Setup) -> Revalidated {
             wire_gets: 0,
             current: Vec::new(),
             validate_at,
+            validated_at: p.now(),
+            flushes: p.counters().flushes - flushes,
             stale: during.stale_hits_prevented,
             failure_drops: during.invalidations_on_failure,
             free_bytes: (free_before, free_bytes(&win)),
@@ -920,6 +935,55 @@ fn a_transient_fault_on_a_refetch_is_retried() {
     assert_eq!(r.refetches, 8);
     assert_eq!(r.classes, vec![Some(AccessType::Hit); 8]);
     assert_eq!(r.current, vec![true; 8]);
+}
+
+/// A refetch round whose every fetch fails transiently still completes
+/// its target: one flush, whose epoch hook `validate` charges as it would
+/// had a refetch landed. The fault seed is the first whose schedule fails
+/// all refetches but not the drain; the clock is pinned to the value of
+/// the rule that flushes a refreshed target whatever its refetches did.
+#[test]
+fn a_refetch_round_that_fails_entirely_still_flushes_its_target_once() {
+    let r = (0..256)
+        .map(|seed| {
+            revalidate_with(Setup {
+                faults: Some(FaultConfig::transient(0.5, seed)),
+                max_retries: 0,
+                ..Setup::new(4)
+            })
+        })
+        .find(|r| r.drained > 0 && r.stale > 0 && r.refetches == 0 && !r.degraded)
+        .expect("no seed fails every refetch but not the drain");
+    assert_eq!(
+        r.flushes, 1,
+        "the failed round's target was not flushed once"
+    );
+    let clock = (r.validate_at, r.validated_at);
+    assert_eq!(
+        clock,
+        (23641.199999999993, 100054.0),
+        "validate's charges moved"
+    );
+}
+
+/// A `get_nb` of rank 0's own region left outstanding across `validate`
+/// neither merges with the refetches nor is completed by them: `validate`
+/// flushes target 1 only, and refreshes every rewritten record.
+#[test]
+fn validate_leaves_an_outstanding_get_nb_to_another_target_in_flight() {
+    let r = revalidate_with(Setup {
+        nb_to_self: true,
+        ..Setup::new(4)
+    });
+    assert_eq!((r.refetches, r.flushes), (4, 1));
+    assert_eq!(r.classes, vec![Some(AccessType::Hit); 4]);
+    assert_eq!(r.current, vec![true; 4]);
+    let clock = (r.validate_at, r.validated_at);
+    assert_eq!(
+        clock,
+        (23162.199999999997, 99930.2),
+        "validate's charges moved"
+    );
 }
 
 /// Target 1 dies after `validate`'s drain and before its first refetch:

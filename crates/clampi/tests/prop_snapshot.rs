@@ -32,7 +32,9 @@
 //!    still closes its interval;
 //! 6. (directed) a batch flushes only targets with something in flight:
 //!    an all-hit batch completes nothing, while a batch whose target has
-//!    a `get_nb` of the caller's own outstanding still flushes it.
+//!    a `get_nb` of the caller's own outstanding still flushes it, and a
+//!    batch with a miss flushes once — towards a remote rank and towards
+//!    the caller's own region, where a transfer posts no wire time.
 //!
 //! Rank closures never assert: they collect observations, and the test
 //! body checks them after `run_collect` joins. An in-run panic would
@@ -700,12 +702,23 @@ fn disabled_mode_multi_get_matches_sequential_gets() {
 /// the same records read uncached.
 type HitBatchObs = (Result<u64, String>, Vec<u8>, Vec<u8>);
 
-/// Rank 0 caches slots 0 and 1 of rank 1 (misses, then an epoch close);
-/// with `in_flight` it then issues a `get_nb` of slot 2 and leaves it
-/// outstanding. It batches slots 0 and 2 (`in_flight`: a hit on the
-/// PENDING entry of its own get) or 0 and 1 (every request a hit on a
-/// CACHED entry), counting the flushes the batch issued.
-fn hit_batch(in_flight: bool) -> HitBatchObs {
+/// What the batch of [`hit_batch`] reads besides the CACHED slot 0.
+#[derive(Clone, Copy, PartialEq)]
+enum Second {
+    /// Slot 1, also CACHED: every request is a hit.
+    Hit,
+    /// Slot 2, after a `get_nb` of it left outstanding: a hit on the
+    /// PENDING entry of the caller's own transfer.
+    InFlight,
+    /// Slot 3, never read: a miss.
+    Miss,
+}
+
+/// Every rank fills its 4 slots; rank 0 caches slots 0 and 1 of `target`
+/// (misses, then an epoch close), then batches slot 0 with `second`,
+/// counting the flushes the batch issued. `target` 0 is rank 0 itself,
+/// whose transfers post no wire time.
+fn hit_batch(target: usize, second: Second) -> HitBatchObs {
     let out = run_collect(SimConfig::default(), 2, move |p| {
         let rank = p.rank();
         let cfg = ClampiConfig::fixed(
@@ -716,7 +729,7 @@ fn hit_batch(in_flight: bool) -> HitBatchObs {
             },
         );
         let mut win = CachedWindow::create(p, 4 * SLOT, cfg);
-        if rank == 1 {
+        {
             let mut local = win.local_mut();
             for k in 0..4 {
                 local[k * SLOT..(k + 1) * SLOT].copy_from_slice(&encode((k + 1) as u64, k));
@@ -729,18 +742,18 @@ fn hit_batch(in_flight: bool) -> HitBatchObs {
             let dtype = Datatype::bytes(SLOT);
             let mut buf = vec![0u8; SLOT];
             for k in 0..2 {
-                win.get(p, &mut buf, 1, k * SLOT, &dtype, 1);
+                win.get(p, &mut buf, target, k * SLOT, &dtype, 1);
             }
-            win.flush(p, 1);
+            win.flush(p, target);
             let mut pending = vec![0u8; SLOT];
-            if in_flight {
-                win.get_nb(p, &mut pending, 1, 2 * SLOT, &dtype, 1);
+            if second == Second::InFlight {
+                win.get_nb(p, &mut pending, target, 2 * SLOT, &dtype, 1);
             }
-            let slots = [0, if in_flight { 2 } else { 1 }];
+            let slots = [0, 1 + second as usize];
             let reqs: Vec<SnapReq> = slots
                 .iter()
                 .map(|&k| SnapReq {
-                    target: 1,
+                    target: target as u32,
                     disp: k * SLOT,
                     len: SLOT,
                 })
@@ -751,11 +764,11 @@ fn hit_batch(in_flight: bool) -> HitBatchObs {
             obs.0 = r
                 .map(|_| p.counters().flushes - flushes)
                 .map_err(|e| e.to_string());
-            win.flush(p, 1);
+            win.flush(p, target);
             obs.1 = dst;
             for k in slots {
-                win.get_uncached(p, &mut buf, 1, k * SLOT, &dtype, 1);
-                win.inner_mut().flush(p, 1);
+                win.get_uncached(p, &mut buf, target, k * SLOT, &dtype, 1);
+                win.inner_mut().flush(p, target);
                 obs.2.extend_from_slice(&buf);
             }
         }
@@ -768,19 +781,39 @@ fn hit_batch(in_flight: bool) -> HitBatchObs {
 }
 
 /// A batch served entirely by CACHED entries issues no RMA operation, so
-/// it has nothing to complete: it flushes no target.
+/// it has nothing to complete: it flushes no target, remote or its own.
 #[test]
 fn an_all_hit_batch_flushes_nothing() {
-    let (flushes, bytes, uncached) = hit_batch(false);
-    assert_eq!(flushes, Ok(0), "an all-hit batch paid a flush");
-    assert_eq!(bytes, uncached);
+    for target in [1, 0] {
+        let (flushes, bytes, uncached) = hit_batch(target, Second::Hit);
+        assert_eq!(flushes, Ok(0), "an all-hit batch of {target} paid a flush");
+        assert_eq!(bytes, uncached);
+    }
 }
 
 /// A batch that hits the PENDING entry of the caller's own outstanding
 /// `get_nb` still waits for that transfer: it flushes the target once.
+/// Rank 0's own region is no exception, although a transfer to it posts
+/// no wire time.
 #[test]
 fn a_batch_over_a_get_nb_in_flight_still_flushes_its_target() {
-    let (flushes, bytes, uncached) = hit_batch(true);
-    assert_eq!(flushes, Ok(1), "the in-flight transfer was not completed");
-    assert_eq!(bytes, uncached);
+    for target in [1, 0] {
+        let (flushes, bytes, uncached) = hit_batch(target, Second::InFlight);
+        assert_eq!(flushes, Ok(1), "the transfer to {target} was not completed");
+        assert_eq!(bytes, uncached);
+    }
+}
+
+/// A batch with one miss completes the fetch it staged: one flush.
+#[test]
+fn a_batch_with_one_miss_flushes_its_target_once() {
+    for target in [1, 0] {
+        let (flushes, bytes, uncached) = hit_batch(target, Second::Miss);
+        assert_eq!(
+            flushes,
+            Ok(1),
+            "the miss to {target} was not completed once"
+        );
+        assert_eq!(bytes, uncached);
+    }
 }

@@ -619,13 +619,10 @@ impl Window {
         dtype: &Datatype,
         count: usize,
     ) {
-        if dtype.is_contiguous() {
-            let len = dtype.size_n(count);
-            return self
-                .with_contig_layout(len, |w, layout| w.get_flat(p, dst, target, disp, layout));
-        }
-        let layout = dtype.flatten_n(count);
-        self.get_flat(p, dst, target, disp, &layout);
+        self.try_get(p, dst, target, disp, dtype, count)
+            .unwrap_or_else(|e| {
+                panic!("unrecovered RMA fault on get: {e} (use try_get or the CLaMPI recovery layer under fault injection)")
+            });
     }
 
     /// Fallible [`Window::get`]: surfaces injected faults as typed
@@ -640,14 +637,8 @@ impl Window {
         dtype: &Datatype,
         count: usize,
     ) -> Result<(), RmaError> {
-        if dtype.is_contiguous() {
-            let len = dtype.size_n(count);
-            return self.with_contig_layout(len, |w, layout| {
-                w.try_get_flat(p, dst, target, disp, layout)
-            });
-        }
-        let layout = dtype.flatten_n(count);
-        self.try_get_flat(p, dst, target, disp, &layout)
+        self.try_iget(p, dst, target, disp, dtype, count)
+            .map(|_| ())
     }
 
     /// [`Window::get`] with a pre-flattened layout (relative to `disp`).
@@ -664,14 +655,15 @@ impl Window {
         disp: usize,
         layout: &FlatLayout,
     ) {
-        self.try_get_flat(p, dst, target, disp, layout)
+        self.try_get_flat(p, dst, target, disp, Some(layout))
             .unwrap_or_else(|e| {
                 panic!("unrecovered RMA fault on get: {e} (use try_get or the CLaMPI recovery layer under fault injection)")
             });
     }
 
     /// Fallible [`Window::get_flat`]: surfaces injected faults as typed
-    /// [`RmaError`]s.
+    /// [`RmaError`]s. `None` reads `dst.len()` contiguous bytes, with no
+    /// layout built by the caller.
     ///
     /// On `Err` no bytes have moved, nothing is outstanding on the
     /// network, and no epoch access has been recorded; only the failure's
@@ -688,7 +680,7 @@ impl Window {
         dst: &mut [u8],
         target: usize,
         disp: usize,
-        layout: &FlatLayout,
+        layout: Option<&FlatLayout>,
     ) -> Result<(), RmaError> {
         self.try_iget_flat(p, dst, target, disp, layout).map(|_| ())
     }
@@ -736,11 +728,11 @@ impl Window {
         if dtype.is_contiguous() {
             let len = dtype.size_n(count);
             return self.with_contig_layout(len, |w, layout| {
-                w.try_iget_flat(p, dst, target, disp, layout)
+                w.try_iget_flat(p, dst, target, disp, Some(layout))
             });
         }
         let layout = dtype.flatten_n(count);
-        self.try_iget_flat(p, dst, target, disp, &layout)
+        self.try_iget_flat(p, dst, target, disp, Some(&layout))
     }
 
     /// Runs `f` with a borrowed contiguous scratch layout of `len` bytes,
@@ -760,8 +752,9 @@ impl Window {
         r
     }
 
-    /// [`Window::try_iget`] with a pre-flattened layout. This is the core
-    /// get primitive: every other get entry point delegates here.
+    /// [`Window::try_iget`] with a pre-flattened layout (`None`:
+    /// `dst.len()` contiguous bytes). This is the core get primitive:
+    /// every other get entry point delegates here.
     ///
     /// On `Ok` the request id has been appended to the per-target
     /// outstanding queue (see [`Window::outstanding_requests`]); on `Err`
@@ -772,7 +765,7 @@ impl Window {
         dst: &mut [u8],
         target: usize,
         disp: usize,
-        layout: &FlatLayout,
+        layout: Option<&FlatLayout>,
     ) -> Result<RmaRequest, RmaError> {
         let staged = self.try_get_staged(p, dst, target, disp, layout)?;
         p.clock_mut().charge_cpu(staged.cost.cpu_ns);
@@ -794,14 +787,21 @@ impl Window {
     ///
     /// This exists for batching layers (CLaMPI's coalescing miss table)
     /// that merge several staged gets into fewer, wider wire transfers.
+    /// `None` reads `dst.len()` contiguous bytes through the window's
+    /// reusable one-block layout.
     pub fn try_get_staged(
         &mut self,
         p: &mut Process,
         dst: &mut [u8],
         target: usize,
         disp: usize,
-        layout: &FlatLayout,
+        layout: Option<&FlatLayout>,
     ) -> Result<StagedGet, RmaError> {
+        let Some(layout) = layout else {
+            return self.with_contig_layout(dst.len(), |w, layout| {
+                w.try_get_staged(p, dst, target, disp, Some(layout))
+            });
+        };
         let span = layout.span();
         assert!(
             disp + span <= self.shared.sizes[target],
