@@ -4,10 +4,14 @@
 //! (scaled down by default here); `|S_w| = 2 MB`, `|I_w| = 30K` as the
 //! fixed parameters and the adaptive strategy's starting point. Both
 //! CLaMPI strategies outperform native (~3×) and foMPI (~5×).
+//!
+//! Under `CLAMPI_BENCH_SMOKE` only the two smallest rank counts run, with
+//! 300 bodies per PE by default.
 
 use clampi::{BlockCacheConfig, CacheParams, ClampiConfig, Mode};
 use clampi_apps::{force_phase, Backend, BhConfig, BhResult};
 use clampi_bench::cli::{meta, row, Args};
+use clampi_bench::smoke_mode;
 use clampi_rma::{run_collect, SimConfig};
 use clampi_workloads::plummer;
 
@@ -29,13 +33,17 @@ fn tpb(results: &[BhResult]) -> f64 {
 fn main() {
     let args = Args::parse();
     let paper = args.paper_scale();
-    let per_pe: usize = args.get("bodies-per-pe", 1500);
+    let smoke = smoke_mode();
+    let per_pe: usize = args.get("bodies-per-pe", if smoke { 300 } else { 1500 });
     let seed = args.seed();
-    let ranks: Vec<usize> = if paper {
+    let mut ranks: Vec<usize> = if paper {
         vec![16, 32, 64, 128]
     } else {
         vec![4, 8, 16, 32]
     };
+    if smoke {
+        ranks.truncate(2);
+    }
 
     let params = CacheParams {
         index_entries: 30_000,
