@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 use clampi::cache::{CacheParams, LayoutSig, Lookup, RmaCache};
 use clampi::index::{CuckooIndex, GetKey, InsertOutcome};
-use clampi::storage::{FreeTree, Storage};
+use clampi::storage::{FreeIndex, Storage};
 use clampi::{AccessType, CacheCostModel, CachedWindow, ClampiConfig, CoherenceMode, Mode};
 use clampi_bench::timer::Bench;
 use clampi_datatype::Datatype;
@@ -81,27 +81,29 @@ fn conflict_insert(ix: &mut CuckooIndex, d: u64) -> bool {
     false
 }
 
-fn bench_avl() {
-    let b = Bench::new("avl_free_tree");
+fn bench_free_index() {
+    let b = Bench::new("free_index");
     for &n in &[256usize, 4096, 65536] {
+        // Line-multiple lengths spread over the small classes and the table.
+        let len = |i: usize| ((i * 7919) % (n * 8) / 64 + 1) * 64;
         b.run(&format!("insert_remove/{n}"), || {
-            let mut t = FreeTree::new();
+            let mut t = FreeIndex::new();
             for i in 0..n {
-                t.insert((i * 7919) % (n * 8) + 1, i * 64, i as u32);
+                t.insert(len(i), i * 64, i as u32);
             }
             for i in 0..n {
-                t.remove((i * 7919) % (n * 8) + 1, i * 64);
+                t.remove(len(i), i * 64, i as u32);
             }
             black_box(t.len());
         });
-        let mut t = FreeTree::new();
+        let mut t = FreeIndex::new();
         for i in 0..n {
-            t.insert((i * 7919) % (n * 8) + 1, i * 64, i as u32);
+            t.insert(len(i), i * 64, i as u32);
         }
         let mut want = 1;
         b.run(&format!("best_fit/{n}"), || {
             want = (want * 31 + 7) % (n * 8) + 1;
-            black_box(t.best_fit(want));
+            black_box(t.best_fit(want.next_multiple_of(64)));
         });
     }
 }
@@ -119,6 +121,20 @@ fn bench_storage() {
         if live.len() > 100 {
             s.free(live.swap_remove(sz % live.len()));
         }
+    });
+    black_box(live.len());
+    // dht_mixed's shape: 2 MiB of 64-B entries with thousands of scattered
+    // 64-B holes; each iteration frees a random entry and allocates 64 B,
+    // which best fit takes from the lowest-offset hole.
+    let mut s = Storage::new(2 << 20);
+    let mut live: Vec<_> = (0..(2 << 20) / 64).map_while(|i| s.alloc(64, i)).collect();
+    let mut rng = SmallRng::seed_from_u64(7);
+    for _ in 0..4096 {
+        s.free(live.swap_remove(rng.gen_range(0..live.len())));
+    }
+    b.run("equal_holes_churn", || {
+        s.free(live.swap_remove(rng.gen_range(0..live.len())));
+        live.push(s.alloc(64, 0).expect("a 64-B hole"));
     });
     black_box(live.len());
 }
@@ -615,7 +631,7 @@ fn bench_trace_replay() {
 fn main() {
     // `cargo bench` forwards unknown flags (e.g. `--bench`) — ignore them.
     bench_cuckoo();
-    bench_avl();
+    bench_free_index();
     bench_storage();
     bench_cache_paths();
     bench_hot_path();

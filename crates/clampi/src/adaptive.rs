@@ -169,10 +169,12 @@ impl AdaptiveController {
         storage_bytes: usize,
         free_fraction: f64,
     ) -> Option<Adjustment> {
-        let delta = stats.delta_since(&self.snapshot);
-        if delta.total_gets < self.params.interval {
+        // One counter decides whether the interval is over; the whole
+        // table is copied and subtracted only when it is.
+        if stats.total_gets - self.snapshot.total_gets < self.params.interval {
             return None;
         }
+        let delta = stats.delta_since(&self.snapshot);
         self.snapshot = *stats;
         // The interval right after an adjustment is polluted by the
         // invalidation (refill misses, artificially high free space);

@@ -101,15 +101,21 @@ pub enum EntryState {
 }
 
 /// One resident entry: one 64-byte, line-aligned element of the slab, so a
-/// hit, a put-update and a refresh each touch one line of metadata. Its
-/// key is its index slot's (and extent directory's); its size, its
-/// layout's; its payload offset is copied into [`RmaCache::offs`].
+/// hit, a put-update and a refresh each touch one line of metadata, and a
+/// victim's score (`last`, `adj`) is read off that line too. Its key is its
+/// index slot's (and extent directory's); its size, its layout's; its
+/// payload offset is copied into [`RmaCache::offs`].
 #[derive(Debug)]
 #[repr(align(64))]
 struct Entry {
     sig: LayoutSig,
     state: EntryState,
     desc: DescId,
+    /// The paper's `d_c`: free bytes adjacent to the entry's region, kept
+    /// equal to `storage.adjacent_free(desc)` by applying
+    /// [`Storage::adj_deltas`] after every allocation and free
+    /// (`check_invariants` pins the two together).
+    adj: u32,
     last: u64,
     /// What the entry knows about the age of its bytes, set where it is
     /// installed: the fetch's exact stamp when the window read the bytes
@@ -931,6 +937,7 @@ impl RmaCache {
             sig,
             state: EntryState::Pending,
             desc: NO_DESC,
+            adj: 0,
             last: self.seq,
             stamp,
         };
@@ -1018,7 +1025,7 @@ impl RmaCache {
         let class = match desc {
             Some(d) => {
                 let old = self.entry(id).desc;
-                self.storage.free(old);
+                self.free_region(old);
                 self.charge(self.params.costs.alloc_ns);
                 self.set_region(id, d, data);
                 let e = self.entry_mut(id);
@@ -1082,19 +1089,46 @@ impl RmaCache {
         let off = self.storage.offset(d);
         self.storage.write_at(off, data);
         self.offs[id as usize] = off as u32;
-        self.entry_mut(id).desc = d;
+        let adj = self.storage.adjacent_free(d) as u32;
+        let e = self.entry_mut(id);
+        (e.desc, e.adj) = (d, adj);
+    }
+
+    /// Applies the last allocation's or free's `d_c` changes to the
+    /// entries they name.
+    fn apply_adj_deltas(&mut self) {
+        for i in 0..self.storage.adj_deltas().len() {
+            let (id, delta) = self.storage.adj_deltas()[i];
+            let e = self.entry_mut(id);
+            e.adj = e.adj.wrapping_add(delta);
+        }
+    }
+
+    /// Best-fit allocation for entry `id`; its neighbours' `d_c` follow
+    /// (its own is set with the region, by `set_region`).
+    fn alloc_region(&mut self, size: usize, id: EntryId) -> Option<DescId> {
+        let d = self.storage.alloc(size, id)?;
+        self.apply_adj_deltas();
+        Some(d)
+    }
+
+    /// Frees a storage region; its neighbours' `d_c` follow.
+    fn free_region(&mut self, desc: DescId) {
+        self.storage.free(desc);
+        self.apply_adj_deltas();
     }
 
     fn free_entry_storage(&mut self, id: EntryId) {
         let desc = self.entry(id).desc;
         if desc != NO_DESC {
-            self.storage.free(desc);
+            self.free_region(desc);
             self.charge(self.params.costs.alloc_ns);
         }
     }
 
     /// The live scheme's score of `id`, evaluating only the factor(s) it
-    /// reads: `Temporal` skips the neighbour lookups, `Positional` the division.
+    /// reads (`Temporal` skips `d_c`, `Positional` the division), all off
+    /// the entry line.
     fn entry_score(&self, id: EntryId) -> f64 {
         let e = self.entry(id);
         let scheme = self.params.victim_scheme;
@@ -1104,7 +1138,7 @@ impl RmaCache {
         };
         let r_p = match scheme {
             VictimScheme::Temporal => 1.0,
-            _ => positional_score(self.ags, self.storage.adjacent_free(e.desc)),
+            _ => positional_score(self.ags, e.adj as usize),
         };
         score(scheme, r_p, r_t)
     }
@@ -1128,7 +1162,7 @@ impl RmaCache {
         exclude: Option<EntryId>,
     ) -> (Option<DescId>, bool) {
         self.charge(self.params.costs.alloc_ns);
-        if let Some(d) = self.storage.alloc(size, id) {
+        if let Some(d) = self.alloc_region(size, id) {
             return (Some(d), false);
         }
         let budget = self.params.max_evictions_per_miss.max(1);
@@ -1137,7 +1171,7 @@ impl RmaCache {
                 return (None, true);
             }
             self.charge(self.params.costs.alloc_ns);
-            if let Some(d) = self.storage.alloc(size, id) {
+            if let Some(d) = self.alloc_region(size, id) {
                 return (Some(d), true);
             }
         }
@@ -1457,6 +1491,8 @@ impl RmaCache {
             assert_ne!(e.desc, NO_DESC, "{key:?}: resident without storage");
             let off = self.storage.offset(e.desc);
             assert_eq!(self.off(id), off, "{key:?}: stale offset");
+            let adj = self.storage.adjacent_free(e.desc);
+            assert_eq!(e.adj as usize, adj, "{key:?}: stale d_c");
             // Panics if the region is shorter than the entry.
             let _ = self.storage.read(e.desc, e.sig.size());
             match e.state {

@@ -28,7 +28,8 @@ pub struct CacheCostModel {
     /// plus, the first time a shard invalidates by range, once per index
     /// slot for the pass that builds its directory.
     pub evict_visit_ns: f64,
-    /// One best-fit allocation or free in the storage AVL tree.
+    /// One best-fit allocation or free in the storage's free-region index
+    /// (the paper's AVL tree; the model keeps its constant).
     pub alloc_ns: f64,
     /// Fixed bookkeeping per epoch-close hook invocation.
     pub epoch_hook_ns: f64,

@@ -12,7 +12,7 @@
 //! - **Gets only** (Sec. II): MPI's epoch model forbids conflicting
 //!   put/get in one epoch, so write caching cannot avoid network traffic;
 //! - **Variable-size cache entries** (Sec. III-C2) stored contiguously in
-//!   one buffer `S_w`, allocated best-fit from an AVL tree of free regions,
+//!   one buffer `S_w`, allocated best-fit from an index of free regions,
 //!   avoiding the internal fragmentation of block-based designs;
 //! - **Cuckoo-hash index** `I_w` (Sec. III-C1) with `p = 4` universal hash
 //!   functions and constant-time lookups; insertion failures are treated as

@@ -11,9 +11,10 @@
 //! - the free memory adjacent to an entry (`d_c`, the input of the
 //!   positional score) is read off the two neighbours in `O(1)`.
 //!
-//! The paper stores `d_c` and updates it on each allocation/eviction; since
-//! the neighbours are one pointer away, this implementation simply *reads*
-//! it from them, which is the same cost with less state to keep coherent.
+//! The paper stores `d_c` and updates it on each allocation/eviction; so
+//! does the engine, on the entry line, from the changes
+//! [`Storage::adj_deltas`](super::Storage::adj_deltas) reports, so that
+//! scoring a victim loads no descriptor.
 
 use crate::index::EntryId;
 
@@ -73,6 +74,11 @@ impl DescList {
     /// First descriptor in address order.
     pub fn head(&self) -> Option<DescId> {
         self.head
+    }
+
+    /// Descriptor ids the slab holds room for without reallocating.
+    pub fn id_capacity(&self) -> usize {
+        self.descs.capacity()
     }
 
     /// Immutable access to a descriptor.

@@ -2,16 +2,23 @@
 //! buffer (Sec. III-C2).
 //!
 //! Entries are stored contiguously to exploit hardware prefetching during
-//! hit copies; allocations are served **best-fit** from an AVL tree of free
-//! regions keyed by size, and rounded up to the CPU cache-line size to keep
-//! entries aligned. Freeing coalesces with free neighbours in `O(1)` using
-//! the address-ordered descriptor list.
+//! hit copies; allocations are served **best-fit** from an index of free
+//! regions by size ([`FreeIndex`]: exact size classes, lowest offset among
+//! equal sizes), and rounded up to the CPU cache-line size to keep entries
+//! aligned. Freeing coalesces with free neighbours in `O(1)` using the
+//! address-ordered descriptor list.
+//!
+//! Each allocation and free also reports how it changed `d_c`, the free
+//! bytes adjacent to an entry, for the (at most two) entries bordering the
+//! free region it changed ([`Storage::adj_deltas`]): the engine keeps
+//! `d_c` on its entry line, as the paper stores and updates it on each
+//! allocation/eviction, so victim scoring reads no descriptor.
 
-mod avl;
 mod descriptors;
+mod fit;
 
-pub use avl::FreeTree;
 pub use descriptors::{DescId, DescKind, DescList, Descriptor};
+pub use fit::FreeIndex;
 
 use crate::index::EntryId;
 
@@ -37,9 +44,13 @@ pub const CACHE_LINE: usize = 64;
 pub struct Storage {
     buf: Vec<u8>,
     descs: DescList,
-    tree: FreeTree,
+    free: FreeIndex,
     capacity: usize,
     free_bytes: usize,
+    /// `(entry, delta)` of the last `alloc` or `free`: see
+    /// [`Storage::adj_deltas`].
+    adj: [(EntryId, u32); 2],
+    n_adj: usize,
 }
 
 impl Storage {
@@ -58,14 +69,13 @@ impl Storage {
         let mut s = Storage {
             buf: vec![0u8; capacity],
             descs: DescList::new(),
-            tree: FreeTree::new(),
+            free: FreeIndex::new(),
             capacity,
             free_bytes: capacity,
+            adj: [(0, 0); 2],
+            n_adj: 0,
         };
-        if capacity > 0 {
-            let id = s.descs.push_back(0, capacity, DescKind::Free);
-            s.tree.insert(capacity, 0, id);
-        }
+        s.clear();
         s
     }
 
@@ -100,7 +110,31 @@ impl Storage {
 
     /// The largest single free region currently available.
     pub fn largest_free_region(&self) -> usize {
-        self.tree.iter().last().map(|&(l, _, _)| l).unwrap_or(0)
+        self.free.largest()
+    }
+
+    /// How the last [`Storage::alloc`] or [`Storage::free`] changed `d_c`
+    /// ([`Storage::adjacent_free`]) of the entries, other than the one it
+    /// allocated, that border the free region it changed: `(entry, delta)`
+    /// pairs, the delta in wrapping `u32` arithmetic (add it with
+    /// `wrapping_add`). At most two; empty after a failed allocation.
+    pub fn adj_deltas(&self) -> &[(EntryId, u32)] {
+        &self.adj[..self.n_adj]
+    }
+
+    /// The entry owning region `id`, if it is an entry region.
+    fn owner(&self, id: Option<DescId>) -> Option<EntryId> {
+        match self.descs.get(id?).kind {
+            DescKind::Entry(e) => Some(e),
+            DescKind::Free => None,
+        }
+    }
+
+    fn note_adj(&mut self, entry: Option<EntryId>, delta: u32) {
+        if let Some(e) = entry {
+            self.adj[self.n_adj] = (e, delta);
+            self.n_adj += 1;
+        }
     }
 
     /// Best-fit allocation of `size` bytes (rounded up to the alignment)
@@ -108,24 +142,33 @@ impl Storage {
     /// single free region fits (external fragmentation or true exhaustion).
     pub fn alloc(&mut self, size: usize, entry: EntryId) -> Option<DescId> {
         let want = self.round_up(size);
-        let (flen, foff, fdesc) = self.tree.best_fit(want)?;
-        self.tree.remove(flen, foff);
+        self.n_adj = 0;
+        let fdesc = self.free.best_fit(want)?;
+        let f = *self.descs.get(fdesc);
+        let (flen, foff) = (f.len, f.offset);
         self.free_bytes -= want;
+        // Free regions border only entries (coalescing): the one before
+        // loses the whole region, the one after what was carved.
+        self.note_adj(self.owner(f.prev), 0u32.wrapping_sub(flen as u32));
         if flen == want {
+            self.note_adj(self.owner(f.next), 0u32.wrapping_sub(flen as u32));
             // The free region is fully consumed: repurpose its descriptor.
+            self.free.remove(flen, foff, fdesc);
             self.descs.get_mut(fdesc).kind = DescKind::Entry(entry);
             Some(fdesc)
         } else {
+            self.note_adj(self.owner(f.next), 0u32.wrapping_sub(want as u32));
             // Carve the entry from the front; the shrunk free region keeps
             // its descriptor (constant-time list update, Sec. III-C3).
             let f = self.descs.get_mut(fdesc);
             f.offset = foff + want;
             f.len = flen - want;
-            self.tree.insert(flen - want, foff + want, fdesc);
-            Some(
-                self.descs
-                    .insert_before(fdesc, foff, want, DescKind::Entry(entry)),
-            )
+            self.free.carve(flen, foff, fdesc, want);
+            let id = self
+                .descs
+                .insert_before(fdesc, foff, want, DescKind::Entry(entry));
+            self.free.reserve_ids(self.descs.id_capacity());
+            Some(id)
         }
     }
 
@@ -140,38 +183,38 @@ impl Storage {
             matches!(d.kind, DescKind::Entry(_)),
             "double free of descriptor {id}"
         );
+        self.n_adj = 0;
         self.free_bytes += d.len;
         let mut offset = d.offset;
         let mut len = d.len;
-        if let Some(p) = d.prev {
+        // The entries bordering the merged region: each gains the freed
+        // bytes plus the free neighbour on the far side.
+        let (mut before, mut after) = (self.owner(d.prev), self.owner(d.next));
+        let (mut prev_free, mut next_free) = (0, 0);
+        if let Some(p) = d.prev.filter(|_| before.is_none()) {
             let pd = *self.descs.get(p);
-            if pd.kind == DescKind::Free {
-                self.tree
-                    .remove(pd.len, pd.offset)
-                    // xlint: allow(no-unwrap) invariant: every Free desc has a tree node
-                    .expect("free neighbour missing from tree");
-                offset = pd.offset;
-                len += pd.len;
-                self.descs.remove(p);
-            }
+            self.free.remove(pd.len, pd.offset, p);
+            before = self.owner(pd.prev);
+            prev_free = pd.len;
+            offset = pd.offset;
+            len += pd.len;
+            self.descs.remove(p);
         }
-        // Re-read links: removing `prev` may have rewired this node.
-        if let Some(n) = self.descs.get(id).next {
+        if let Some(n) = d.next.filter(|_| after.is_none()) {
             let nd = *self.descs.get(n);
-            if nd.kind == DescKind::Free {
-                self.tree
-                    .remove(nd.len, nd.offset)
-                    // xlint: allow(no-unwrap) invariant: every Free desc has a tree node
-                    .expect("free neighbour missing from tree");
-                len += nd.len;
-                self.descs.remove(n);
-            }
+            self.free.remove(nd.len, nd.offset, n);
+            after = self.owner(nd.next);
+            next_free = nd.len;
+            len += nd.len;
+            self.descs.remove(n);
         }
+        self.note_adj(before, (d.len + next_free) as u32);
+        self.note_adj(after, (d.len + prev_free) as u32);
         let dm = self.descs.get_mut(id);
         dm.offset = offset;
         dm.len = len;
         dm.kind = DescKind::Free;
-        self.tree.insert(len, offset, id);
+        self.free.insert(len, offset, id);
     }
 
     /// Writes `data` into the region (at its start).
@@ -249,11 +292,12 @@ impl Storage {
     /// Resets to a single all-free region (cache invalidation).
     pub fn clear(&mut self) {
         self.descs.clear();
-        self.tree.clear();
+        self.free.clear();
         self.free_bytes = self.capacity;
+        self.n_adj = 0;
         if self.capacity > 0 {
             let id = self.descs.push_back(0, self.capacity, DescKind::Free);
-            self.tree.insert(self.capacity, 0, id);
+            self.free.insert(self.capacity, 0, id);
         }
     }
 
@@ -261,8 +305,8 @@ impl Storage {
     ///
     /// Checks that descriptors tile `[0, capacity)` contiguously, that no
     /// two free regions are adjacent (coalescing happened), that
-    /// `free_bytes` matches, and that the AVL tree indexes exactly the free
-    /// descriptors.
+    /// `free_bytes` matches, and that the free-region index holds exactly
+    /// the free descriptors.
     pub fn check_invariants(&self) {
         let mut cursor = 0;
         let mut free_sum = 0;
@@ -283,10 +327,7 @@ impl Storage {
         }
         assert_eq!(cursor, self.capacity, "descriptors do not tile the buffer");
         assert_eq!(free_sum, self.free_bytes, "free byte count out of sync");
-        let mut tree_regions = self.tree.iter();
-        free_regions.sort();
-        tree_regions.sort();
-        assert_eq!(free_regions, tree_regions, "AVL tree out of sync with list");
+        self.free.check_invariants(&free_regions);
     }
 }
 
@@ -368,6 +409,54 @@ mod tests {
         assert_eq!(s.adjacent_free(b), 64, "freed predecessor not seen");
         // _c has the tail free region (512-192=320) after it.
         assert_eq!(s.adjacent_free(_c), 320);
+    }
+
+    /// `d_c` of every entry region, by owner, as `adjacent_free` reads it.
+    fn adj_by_entry(s: &Storage) -> Vec<(EntryId, usize)> {
+        let mut v: Vec<_> = s
+            .descs
+            .iter_ids()
+            .filter_map(|id| match s.descs.get(id).kind {
+                DescKind::Entry(e) => Some((e, s.adjacent_free(id))),
+                DescKind::Free => None,
+            })
+            .collect();
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn adj_deltas_keep_every_neighbours_d_c() {
+        // Entries' `d_c` kept only from the reported deltas (and each new
+        // region's own `adjacent_free`) stays equal to the neighbour read.
+        let mut rng = clampi_prng::SmallRng::seed_from_u64(11);
+        let mut s = Storage::new(16 * 1024 + 40);
+        let mut kept: Vec<usize> = Vec::new();
+        let mut live: Vec<(EntryId, DescId)> = Vec::new();
+        for i in 0..4000u32 {
+            if live.is_empty() || rng.gen_bool(0.5) {
+                let Some(d) = s.alloc(rng.gen_range(1..1500usize), i) else {
+                    assert!(s.adj_deltas().is_empty(), "a failed alloc reports nothing");
+                    continue;
+                };
+                kept.resize(i as usize + 1, 0);
+                for &(e, delta) in s.adj_deltas() {
+                    kept[e as usize] = (kept[e as usize] as u32).wrapping_add(delta) as usize;
+                }
+                kept[i as usize] = s.adjacent_free(d);
+                live.push((i, d));
+            } else {
+                let (_, d) = live.swap_remove(rng.gen_range(0..live.len()));
+                s.free(d);
+                for &(e, delta) in s.adj_deltas() {
+                    kept[e as usize] = (kept[e as usize] as u32).wrapping_add(delta) as usize;
+                }
+            }
+            let want = adj_by_entry(&s);
+            let have: Vec<_> = want.iter().map(|&(e, _)| (e, kept[e as usize])).collect();
+            assert_eq!(have, want, "step {i}");
+        }
+        s.check_invariants();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! **Why tag-only shadows are sound.** A hit is determined entirely by
 //! *which keys are resident*, and residency is determined by the miss
 //! and eviction sequence — neither needs the payload. What the shadow
-//! cannot reproduce is the storage *layout* (the AVL best-fit arena),
+//! cannot reproduce is the storage *layout* (the best-fit arena),
 //! so the positional score `R_P` is approximated with a per-tag hash:
 //! in the live arena an entry's adjacent free space is a property of
 //! *where* best-fit happened to place it, essentially uncorrelated

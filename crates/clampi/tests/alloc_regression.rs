@@ -14,6 +14,8 @@
 //! warm `validate`: its drain, its refreshes in place and its flushes,
 //! or, with no access epoch open on the target, its evictions; nor does
 //! the log of a writer's settled puts, bounded by the ring's capacity.
+//! The engine's storage churns thousands of equal-length holes (64-B
+//! entries, scattered frees: `dht_mixed`'s shape) without allocating.
 //! Trace replay, fed a file, must size nothing by what the file claims:
 //! the largest request it makes is bounded by `|S_w|`.
 //!
@@ -28,6 +30,8 @@ use std::cell::Cell;
 
 use clampi::trace::{replay, Trace};
 use clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, CoherenceMode, Mode};
+#[cfg(debug_assertions)]
+use clampi::{GetKey, LayoutSig, Lookup, RmaCache};
 use clampi_datatype::Datatype;
 use clampi_rma::{run_collect, LockKind, NetModel, Process, SimConfig};
 
@@ -221,6 +225,63 @@ fn conflicting_miss_does_not_allocate() {
         let (allocs, conflicting) = get_then_flush(p, win, 0..SLOTS, AccessType::Conflicting);
         (allocs, (conflicting > 0) as u64)
     });
+}
+
+/// `dht_mixed`'s storage shape at the engine: 1 MiB of 64-B entries with
+/// thousands of scattered 64-B holes. Each step evicts the entry at a
+/// random slot (a scattered free) and installs a new key, which best fit
+/// places in the lowest-offset hole. (`evict_slot` exists in debug builds
+/// only, where the assertion runs.)
+#[cfg(debug_assertions)]
+#[test]
+fn equal_length_hole_churn_does_not_allocate() {
+    let slots = 1 << 15;
+    let mut c = RmaCache::new(CacheParams {
+        index_entries: slots,
+        storage_bytes: 1 << 20,
+        ..CacheParams::default()
+    });
+    let (sig, data, mut dst) = (LayoutSig::Contig(64), [7u8; 64], [0u8; 64]);
+    let mut rng = clampi_prng::SmallRng::seed_from_u64(3);
+    let mut next = 0u64;
+    // Evicts `evictions` random residents, then installs one new key.
+    let mut step = |c: &mut RmaCache, evictions: usize| {
+        for _ in 0..evictions {
+            while !c.evict_slot(rng.gen_range(0..slots)) {}
+        }
+        let key = GetKey {
+            target: 1,
+            disp: next * 64,
+        };
+        next += 1;
+        assert_eq!(c.process_lookup(key, &sig, &mut dst), Lookup::Miss);
+        let class = c.finish_miss(key, sig.clone(), &data, 0);
+        c.epoch_close();
+        class
+    };
+    for _ in 0..(1 << 20) / 64 {
+        step(&mut c, 0);
+    }
+    step(&mut c, 4097);
+    for _ in 0..4000 {
+        step(&mut c, 1);
+    }
+    let before = allocs_on_this_thread();
+    let mut installed = 0;
+    for _ in 0..4000 {
+        installed += (step(&mut c, 1) != AccessType::Failed) as u32;
+    }
+    let allocs = allocs_on_this_thread() - before;
+    c.check_invariants();
+    assert_eq!(installed, 4000, "every churn step installs its key");
+    assert!(c.free_bytes() >= 4096 * 64, "the holes stay");
+    let sanitized = std::env::var("CLAMPI_SAN").is_ok_and(|v| !v.is_empty() && v != "0");
+    if !sanitized {
+        assert_eq!(
+            allocs, 0,
+            "equal-length hole churn allocated {allocs} times"
+        );
+    }
 }
 
 #[test]
