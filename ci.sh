@@ -33,25 +33,9 @@
 #                 `# SAN diags` summaries must be 0
 #   prop-matrix   the twelve property suites under 3 fixed CLAMPI_PROP_SEED
 #                 values (single-case replay determinism)
-#   bench-smoke   microcosts + fig_fault_recovery + the perf-summary
-#                 sextet (fig08_overlap, fig_coherence, fig_contention,
-#                 fig_dht, fig_policy, fig_tx) under
-#                 CLAMPI_BENCH_SMOKE=1, writing results/BENCH_smoke.json
-#                 and the tracked perf summary BENCH_perf.json; every
-#                 harvested "san_diags" value must be 0
-#   perf-gate     ENFORCING: `run_all --gate` (crates/bench/src/gate.rs)
-#                 compares BENCH_perf.json with the committed
-#                 ci/perf_baseline.json. Virtual-clock keys are
-#                 deterministic, so they must be EQUAL to the baseline -
-#                 any difference FAILS the build (refresh the baseline if
-#                 the change is intended). Wall-clock keys (fig_contention,
-#                 the wall_* keys) warn only, on >2x drift. Keys present on
-#                 only one side are flagged in both directions - an enforced
-#                 key missing from the current summary FAILS - and a stale
-#                 BENCH_perf.json (older than the bench binaries) is
-#                 refused. The gate's own planted-regression /
-#                 allowlisted-drift self-test over ci/fixtures/perf/ is a
-#                 unit test of the bench crate (the test stage runs it).
+#   bench-smoke   the microcosts wall-clock rungs at CLAMPI_BENCH_SMOKE=1,
+#                 printed to the log: every rung still builds and runs.
+#                 Deterministic figure output is golden's to check.
 #   ab-pairs      MANUAL (not in ALL_STAGES, never part of a full run):
 #                 alternating parent/change pairs of benchmark workloads
 #                 (crates/bench/src/bin/ab_pairs.rs), e.g.
@@ -79,6 +63,10 @@
 #                 purpose regenerates the files with
 #                 `bash ci/golden.sh results/golden` and says so.
 #
+# No stage may write a file git tracks: inside a git work tree the runner
+# records `git status --porcelain` and a hash of `git diff` before the
+# first stage and fails the run if either differs after the last one.
+#
 # Every `cargo test` of the test, release-test, san-test and prop-matrix
 # stages runs under `timeout` (TEST_TIMEOUT_S below): a rank that panics
 # inside a simulation strands its peers at a barrier, and a hung suite
@@ -90,7 +78,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(xlint fmt clippy build test release-test san-test prop-matrix bench-smoke perf-gate benchmark-smoke golden)
+ALL_STAGES=(xlint fmt clippy build test release-test san-test prop-matrix bench-smoke benchmark-smoke golden)
 # Run only when named: minutes of host time, and a verdict, not a gate.
 MANUAL_STAGES=(ab-pairs)
 PROP_SEEDS=(1 42 20170527)
@@ -223,53 +211,7 @@ stage_prop_matrix() {
 }
 
 stage_bench_smoke() {
-    mkdir -p results
-    echo "-- microcosts (smoke)"
-    CLAMPI_BENCH_SMOKE=1 cargo bench -q --offline -p clampi-bench --bench microcosts \
-        | tee results/BENCH_smoke_microcosts.txt
-    echo "-- fig_fault_recovery (smoke)"
-    CLAMPI_BENCH_SMOKE=1 cargo run -q --offline --release -p clampi-bench \
-        --bin fig_fault_recovery -- --json results/BENCH_smoke.json
-    test -s results/BENCH_smoke.json
-    echo "wrote results/BENCH_smoke.json"
-    echo "-- fig08_overlap + fig_coherence + fig_contention + fig_dht + fig_policy + fig_tx via run_all (smoke, perf summary)"
-    # run_all locates its sibling binaries next to its own executable, so
-    # the whole bench package must be built first.
-    cargo build -q --offline --release -p clampi-bench
-    CLAMPI_BENCH_SMOKE=1 ./target/release/run_all \
-        --only fig08_overlap,fig_coherence,fig_contention,fig_dht,fig_policy,fig_tx \
-        --json BENCH_perf.json
-    test -s BENCH_perf.json
-    echo "wrote BENCH_perf.json"
-    # Every harvested sanitizer summary must be clean (run_all records 0
-    # for binaries that print no summary, so this is a strict check on
-    # the ones that do).
-    if grep -o '"san_diags":[0-9]*' BENCH_perf.json | grep -qv '"san_diags":0$'; then
-        echo "FAIL: nonzero san_diags in BENCH_perf.json:" >&2
-        grep -o '"name":"[^"]*"\|"san_diags":[0-9]*' BENCH_perf.json >&2
-        return 1
-    fi
-    echo "san_diags all zero in BENCH_perf.json"
-}
-
-stage_perf_gate() {
-    # Enforcing: the virtual-clock perf keys are deterministic, so any
-    # difference from the baseline means the cost model, the cache policy
-    # or the accounting genuinely changed - if that is intended, refresh
-    # the baseline with
-    #   ./ci.sh bench-smoke && cp BENCH_perf.json ci/perf_baseline.json
-    local baseline=ci/perf_baseline.json current=BENCH_perf.json
-    # A summary older than the bench runner measured a *previous* build;
-    # judging this build by it could hide a real regression (or invent a
-    # phantom one). Refuse it rather than guess.
-    if [ ! -s "$current" ] || [ target/release/run_all -nt "$current" ]; then
-        echo "FAIL: $current is missing or older than target/release/run_all," >&2
-        echo "      so it measures a previous build. Re-generate it with:" >&2
-        echo "          ./ci.sh bench-smoke" >&2
-        return 1
-    fi
-    cargo run -q --offline --release -p clampi-bench --bin run_all -- \
-        --gate "$baseline" "$current"
+    CLAMPI_BENCH_SMOKE=1 cargo bench -q --offline -p clampi-bench --bench microcosts
 }
 
 stage_benchmark_smoke() {
@@ -347,6 +289,14 @@ runner_self_test() {
     echo "runner self-test ok (fail-fast stops, --keep-going finishes, a hang times out)"
 }
 
+# tree_state: `git status --porcelain` and a hash of `git diff`, or
+# nothing outside a git work tree.
+tree_state() {
+    git rev-parse --is-inside-work-tree >/dev/null 2>&1 || return 0
+    git status --porcelain
+    git diff --binary | sha256sum
+}
+
 run_stage() {
     local s=$1 fn rc=0 start
     fn=stage_${s//-/_}
@@ -404,6 +354,8 @@ main() {
         done
     fi
 
+    local tree_before
+    tree_before=$(tree_state)
     for s in "${stages[@]}"; do
         run_stage "$s"
         ran+=("$s")
@@ -427,6 +379,11 @@ main() {
     printf '%-16s %-6s %ss\n' total "" "$total"
     if [ ${#ran[@]} -lt ${#stages[@]} ]; then
         echo "(${#ran[@]}/${#stages[@]} stages ran - fail-fast)"
+    fi
+    if [ "$(tree_state)" != "$tree_before" ]; then
+        echo "FAIL: the run changed the work tree; git status now reads:" >&2
+        git status --porcelain >&2
+        failed=1
     fi
     if [ "$failed" -ne 0 ]; then
         echo "CI FAILED"

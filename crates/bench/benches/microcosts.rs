@@ -179,7 +179,6 @@ fn bench_cache_paths() {
         let mut d = 0u64;
         b.run_with_throughput(&format!("capacity_miss/{size}"), size as u64, || {
             d += 1;
-            let mut dst = vec![0u8; size];
             let r = cache.process_lookup(key(d * size as u64), &sig, &mut dst);
             debug_assert_eq!(r, Lookup::Miss);
             let class = cache.finish_miss(key(d * size as u64), sig.clone(), &data, 0);

@@ -18,8 +18,8 @@
 //! not just plotted. Runs in Transparent mode so every gather is cold
 //! (pure miss traffic, the regime Fig. 8 studies).
 //!
-//! Emits `# PERF <key> <value>` lines harvested by `run_all --json` into
-//! the tracked perf baseline. Honours `CLAMPI_BENCH_SMOKE=1`.
+//! Emits `# PERF <key> <value>` lines, pinned by CI's `golden` stage.
+//! Honours `CLAMPI_BENCH_SMOKE=1`.
 
 use clampi::{CacheParams, CachedWindow, ClampiConfig, Mode};
 use clampi_bench::cli::{meta, row, Args};
@@ -163,8 +163,7 @@ fn main() {
         ]);
     }
 
-    // Stable scalar signals for the tracked perf baseline (harvested by
-    // `run_all --json`, diffed by CI's perf-gate stage).
+    // Stable scalar signals, pinned by CI's golden stage.
     meta(&format!("PERF blocking_total_ns {:.1}", totals[0]));
     meta(&format!("PERF nonblocking_total_ns {:.1}", totals[1]));
     meta(&format!("PERF coalescing_total_ns {:.1}", totals[2]));

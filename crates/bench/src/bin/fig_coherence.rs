@@ -31,8 +31,8 @@
 //! time (ties count), like `fig_policy`'s: a label that reads `none` wins
 //! nowhere and owes the next reader a reason to exist.
 //!
-//! Emits `# PERF <key> <value>` lines harvested by `run_all --json`
-//! into the tracked perf baseline; `eager_refetches` counts the entries
+//! Emits `# PERF <key> <value>` lines, pinned by CI's `golden` stage;
+//! `eager_refetches` counts the entries
 //! the `eager-inval` rows' `validate` passes dropped and fetched again.
 //! Honours `CLAMPI_BENCH_SMOKE=1`.
 

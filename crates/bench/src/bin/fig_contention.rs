@@ -16,15 +16,14 @@
 //!   failed == total_gets`.
 //!
 //! Unlike the virtual-clock figure benches, the numbers here are **wall
-//! clock** (real threads, real cachelines) and therefore noisy; the perf
-//! gate keeps `fig_contention.*` keys on its warn-only allowlist. A
+//! clock** (real threads, real cachelines) and therefore noisy; CI's
+//! `golden` stage masks them. A
 //! `scaling_x` figure is reported only when the host has at least as many
 //! CPUs as the largest thread count — a number the host could not have
 //! produced is not printed; the ≥3x scaling assertion additionally needs
 //! ≥8 worker threads and a non-smoke run.
 //!
-//! Emits `# PERF <key> <value>` lines harvested by `run_all --json`.
-//! Honours `CLAMPI_BENCH_SMOKE=1`.
+//! Emits `# PERF <key> <value>` lines. Honours `CLAMPI_BENCH_SMOKE=1`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};

@@ -20,10 +20,8 @@
 //! a stale value — and surgical invalidation must preserve at least the
 //! reuse of full invalidation at every grid point.
 //!
-//! Emits `# PERF <key> <value>` lines harvested by `run_all --json`;
-//! virtual-clock keys are enforced by CI's perf gate, wall-clock keys
-//! (`fig_dht.wall_*`) are allowlisted as warn-only. Honours
-//! `CLAMPI_BENCH_SMOKE=1`.
+//! Emits `# PERF <key> <value>` lines; CI's `golden` stage pins the
+//! virtual-clock ones and masks `wall_ms`. Honours `CLAMPI_BENCH_SMOKE=1`.
 
 use clampi::{CacheParams, ClampiConfig, CoherenceMode, Mode};
 use clampi_apps::{Dht, DhtConfig, DhtLookup};

@@ -48,8 +48,8 @@
 //!
 //! `--policies full,temporal,...` restricts the static sweep (names parsed
 //! by `VictimScheme::from_str`; assertions need the full set and are
-//! skipped otherwise). Emits `# PERF` keys (`fig_policy.wall_*` is
-//! warn-only in CI); honours `CLAMPI_BENCH_SMOKE=1`.
+//! skipped otherwise). Emits `# PERF` keys (CI's `golden` stage masks
+//! `wall_ms`); honours `CLAMPI_BENCH_SMOKE=1`.
 
 use clampi::{
     AdaptiveController, AdaptiveParams, AdjustRule, CacheCostModel, CacheParams, CacheStats,
@@ -368,21 +368,12 @@ fn replay(stream: &Stream, geo: &Geometry, policy: VictimScheme, adaptive: bool)
         }
         if (i + 1) % geo.epoch == 0 {
             cache.epoch_close();
-            if let Some(ctrl) = ctrl.as_mut() {
-                let p = cache.params();
-                let free = cache.free_bytes() as f64 / p.storage_bytes as f64;
-                if let Some(adj) = ctrl.maybe_adjust(
-                    cache.stats(),
-                    p.victim_scheme,
-                    p.index_entries,
-                    p.storage_bytes,
-                    free,
-                ) {
-                    match adj.rule {
-                        AdjustRule::SwitchPolicy(next) => cache.set_victim_scheme(next),
-                        rule => unreachable!("resize rules are neutralized: {rule:?}"),
-                    };
-                }
+            if let Some(adj) = ctrl.as_mut().and_then(|ctrl| cache.adapt(ctrl)) {
+                assert!(
+                    matches!(adj.rule, AdjustRule::SwitchPolicy(_)),
+                    "resize rules are neutralized: {:?}",
+                    adj.rule
+                );
             }
         }
         virt += cache.take_cost();

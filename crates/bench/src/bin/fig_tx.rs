@@ -19,8 +19,8 @@
 //!   ring-horizon staleness bound; how fresh the cut is (`lag` = writes
 //!   done minus cut observed) is the coherence mode's business and is
 //!   reported per rate. The `# PERF snap_*` keys are virtual-time numbers
-//!   and therefore bit-stable — the perf gate pins them, which also
-//!   pins that the snapshot layer's costs don't drift. A tiny-ring run
+//!   and therefore bit-stable — CI's `golden` stage pins them, which
+//!   also pins that the snapshot layer's costs don't drift. A tiny-ring run
 //!   (`notify_ring_cap = 2`) forces the overflow abort-and-retry path
 //!   and asserts it fires (`snapshot_aborts >= 1`) and stays correct. A
 //!   hot-entry run (`hot`: writes only to records no batch reads, a
@@ -35,12 +35,11 @@
 //!   decode to a serial cut, overloaded batches abort with
 //!   `RetriesExhausted` rather than returning a mix. Real-thread
 //!   interleavings are nondeterministic, so Phase B reports only
-//!   warn-only `wall_*` keys and is skipped under `CLAMPI_BENCH_SMOKE`
+//!   `wall_*` keys and is skipped under `CLAMPI_BENCH_SMOKE`
 //!   and `CLAMPI_SAN` (its naive racing reads are deliberate MPI-3
 //!   conflicts the sanitizer would rightly flag).
 //!
-//! Emits `# PERF <key> <value>` lines harvested by `run_all --json`.
-//! Honours `CLAMPI_BENCH_SMOKE=1`.
+//! Emits `# PERF <key> <value>` lines. Honours `CLAMPI_BENCH_SMOKE=1`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -417,7 +416,7 @@ fn main() {
             refetches += o.stats.snapshot_refetches;
             staleness += o.stats.snapshot_staleness_ns;
         }
-        // Virtual-time keys: bit-stable, pinned by the perf gate.
+        // Virtual-time keys: bit-stable, pinned by CI's golden stage.
         meta(&format!("PERF snap_total_ns_{label} {total_ns:.1}"));
         meta(&format!("PERF snap_refetches_{label} {refetches}"));
         meta(&format!("PERF snap_staleness_ns_{label} {staleness}"));
@@ -528,7 +527,7 @@ fn main() {
             o.snap_success > 0,
             "no snapshot batch succeeded against the live writer"
         );
-        // Wall-clock keys are nondeterministic: warn-only in the gate.
+        // Wall-clock keys are nondeterministic (and never print at smoke).
         meta(&format!("PERF wall_naive_torn {}", o.naive_torn));
         meta(&format!("PERF wall_naive_batches {}", o.naive_batches));
         meta(&format!("PERF wall_snap_success {}", o.snap_success));

@@ -78,11 +78,10 @@ pub fn meta(line: &str) {
     println!("# {line}");
 }
 
-/// Prints the RMASAN summary line (`# SAN diags <n>`) that `run_all
-/// --json` harvests into each entry's `san_diags` key. The count is the
+/// Prints the RMASAN summary line (`# SAN diags <n>`). The count is the
 /// process-wide total of sanitizer diagnostics; a clean run — and any
-/// run without `CLAMPI_SAN=1` — prints 0. CI's bench-smoke stage asserts
-/// the harvested values stay 0.
+/// run without `CLAMPI_SAN=1` — prints 0. CI's san-test stage asserts it
+/// for `fig_fault_recovery` and `fig_tx` under `CLAMPI_SAN=1`.
 pub fn san_summary() {
     meta(&format!("SAN diags {}", clampi_rma::check::total_diags()));
 }

@@ -19,7 +19,6 @@
 
 pub mod access;
 pub mod cli;
-pub mod gate;
 pub mod micro;
 pub mod pairs;
 pub mod summary;

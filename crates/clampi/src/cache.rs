@@ -32,6 +32,7 @@ use std::sync::Arc;
 use clampi_datatype::FlatLayout;
 use clampi_prng::SmallRng;
 
+use crate::adaptive::{AdaptiveController, AdjustRule, Adjustment};
 use crate::costs::CacheCostModel;
 use crate::eviction::{positional_score, score, temporal_score, VictimScheme};
 use crate::index::{CuckooIndex, EntryId, GetKey, InsertOutcome};
@@ -1456,6 +1457,36 @@ impl RmaCache {
         // The shadow caches model the live geometry; a resize rebuilds
         // them empty at the new sizes, mirroring the live invalidation.
         self.lab = new_lab(&self.params);
+    }
+
+    /// Runs one check of `ctrl` on this cache's statistics and geometry
+    /// and applies what it decides: a policy switch keeps residents (only
+    /// the scoring rule flips), a resize invalidates. Returns the
+    /// adjustment applied, if any.
+    pub fn adapt(&mut self, ctrl: &mut AdaptiveController) -> Option<Adjustment> {
+        let p = &self.params;
+        let free_fraction = if p.storage_bytes == 0 {
+            0.0
+        } else {
+            self.free_bytes() as f64 / p.storage_bytes as f64
+        };
+        let adj = ctrl.maybe_adjust(
+            &self.stats,
+            p.victim_scheme,
+            p.index_entries,
+            p.storage_bytes,
+            free_fraction,
+        )?;
+        match adj.rule {
+            AdjustRule::SwitchPolicy(policy) => {
+                self.set_victim_scheme(policy);
+            }
+            AdjustRule::GrowIndex
+            | AdjustRule::ShrinkIndex
+            | AdjustRule::GrowStorage
+            | AdjustRule::ShrinkStorage => self.resize(adj.index_entries, adj.storage_bytes),
+        }
+        Some(adj)
     }
 
     /// Panics unless the engine's structures describe one and the same

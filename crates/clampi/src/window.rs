@@ -22,7 +22,7 @@
 use clampi_datatype::{Datatype, FlatLayout};
 use clampi_rma::{LockKind, NotifyDrain, Process, PutRecord, RmaError, StagedGet, Window};
 
-use crate::adaptive::{AdaptiveController, AdaptiveParams, AdjustRule};
+use crate::adaptive::{AdaptiveController, AdaptiveParams};
 use crate::cache::{CacheParams, LayoutSig, Lookup, RmaCache};
 use crate::coherence::CoherenceMode;
 use crate::index::GetKey;
@@ -1346,32 +1346,7 @@ impl CachedWindow {
             cache.invalidate();
         }
         if let Some(ctrl) = self.controller.as_mut() {
-            let params = cache.params();
-            let free_fraction = if params.storage_bytes == 0 {
-                0.0
-            } else {
-                cache.free_bytes() as f64 / params.storage_bytes as f64
-            };
-            if let Some(adj) = ctrl.maybe_adjust(
-                cache.stats(),
-                params.victim_scheme,
-                params.index_entries,
-                params.storage_bytes,
-                free_fraction,
-            ) {
-                match adj.rule {
-                    // A switch keeps residents; only the scoring rule flips.
-                    AdjustRule::SwitchPolicy(policy) => {
-                        cache.set_victim_scheme(policy);
-                    }
-                    AdjustRule::GrowIndex
-                    | AdjustRule::ShrinkIndex
-                    | AdjustRule::GrowStorage
-                    | AdjustRule::ShrinkStorage => {
-                        cache.resize(adj.index_entries, adj.storage_bytes)
-                    }
-                }
-            }
+            cache.adapt(ctrl);
         }
         self.charge_engine(p);
     }

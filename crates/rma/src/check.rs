@@ -267,8 +267,8 @@ impl fmt::Display for SanDiag {
 
 /// Total diagnostics reported process-wide since startup, across every
 /// simulation run and checker mode. Benchmarks print this as a
-/// `# SAN diags <n>` line so `run_all --json` can expose a `san_diags`
-/// key (0 in clean runs).
+/// `# SAN diags <n>` line (0 in clean runs), which CI's san-test stage
+/// checks.
 static TOTAL_DIAGS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of RMASAN diagnostics reported so far.
