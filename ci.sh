@@ -155,28 +155,21 @@ stage_san_test() {
     # checker is observation-only (prop_checker_is_observation_only pins
     # bit-identical results), so this is purely a semantic re-check.
     CLAMPI_SAN=1 limited "$TEST_TIMEOUT_S" cargo test -q --offline --workspace
-    echo "-- fig_fault_recovery (smoke) under CLAMPI_SAN=1"
-    local out
-    out=$(CLAMPI_SAN=1 CLAMPI_BENCH_SMOKE=1 cargo run -q --offline --release \
-        -p clampi-bench --bin fig_fault_recovery)
-    if ! grep -q "^# SAN diags 0$" <<<"$out"; then
-        echo "FAIL: fig_fault_recovery reported sanitizer diagnostics:" >&2
-        grep "^# SAN diags" <<<"$out" >&2 || echo "(no SAN summary line)" >&2
-        return 1
-    fi
-    echo "fig_fault_recovery clean under the sanitizer (# SAN diags 0)"
-    echo "-- fig_tx (smoke) under CLAMPI_SAN=1"
     # fig_tx skips its wall-clock phase under CLAMPI_SAN (its naive
     # baseline races reads against puts by design); the deterministic
     # snapshot phase must come back clean.
-    out=$(CLAMPI_SAN=1 CLAMPI_BENCH_SMOKE=1 cargo run -q --offline --release \
-        -p clampi-bench --bin fig_tx)
-    if ! grep -q "^# SAN diags 0$" <<<"$out"; then
-        echo "FAIL: fig_tx reported sanitizer diagnostics:" >&2
-        grep "^# SAN diags" <<<"$out" >&2 || echo "(no SAN summary line)" >&2
-        return 1
-    fi
-    echo "fig_tx clean under the sanitizer (# SAN diags 0)"
+    local bin out
+    for bin in fig_fault_recovery fig_tx; do
+        echo "-- $bin (smoke) under CLAMPI_SAN=1"
+        out=$(CLAMPI_SAN=1 CLAMPI_BENCH_SMOKE=1 cargo run -q --offline --release \
+            -p clampi-bench --bin "$bin")
+        if ! grep -q "^# SAN diags 0$" <<<"$out"; then
+            echo "FAIL: $bin reported sanitizer diagnostics:" >&2
+            grep "^# SAN diags" <<<"$out" >&2 || echo "(no SAN summary line)" >&2
+            return 1
+        fi
+        echo "$bin clean under the sanitizer (# SAN diags 0)"
+    done
 }
 
 stage_prop_matrix() {

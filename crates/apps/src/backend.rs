@@ -8,7 +8,7 @@
 
 use clampi::{
     AccessType, BlockCacheConfig, BlockCacheStats, BlockCachedWindow, CacheStats, CachedWindow,
-    ClampiConfig, SnapReq, SnapshotCtx, SnapshotError, SnapshotInfo,
+    ClampiConfig, SnapReq, SnapshotError, SnapshotInfo,
 };
 use clampi_datatype::Datatype;
 use clampi_rma::{Process, Window};
@@ -188,7 +188,6 @@ impl AnyWindow {
     pub fn multi_get(
         &mut self,
         p: &mut Process,
-        ctx: &mut SnapshotCtx,
         reqs: &[SnapReq],
         dst: &mut [u8],
     ) -> Result<Option<SnapshotInfo>, SnapshotError> {
@@ -210,7 +209,7 @@ impl AnyWindow {
                 w.flush_all(p);
                 Ok(None)
             }
-            AnyWindow::Clampi(w) => w.multi_get(p, ctx, reqs, dst).map(Some),
+            AnyWindow::Clampi(w) => w.multi_get(p, reqs, dst).map(Some),
             AnyWindow::Native(w) => {
                 let mut off = 0;
                 for r in reqs {

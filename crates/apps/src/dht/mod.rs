@@ -58,9 +58,7 @@
 
 mod loc;
 
-use clampi::{
-    AccessType, CacheStats, CachedWindow, ClampiConfig, CoherenceMode, SnapReq, SnapshotCtx,
-};
+use clampi::{AccessType, CacheStats, CachedWindow, ClampiConfig, CoherenceMode, SnapReq};
 use clampi_datatype::Datatype;
 use clampi_prng::SplitMix64;
 use clampi_rma::Process;
@@ -193,8 +191,6 @@ pub struct Dht {
     loc: Option<LocCache>,
     dtype: Datatype,
     buf: [u8; BUCKET_BYTES],
-    /// Reused snapshot context for [`Dht::multi_get`] batches.
-    snap_ctx: SnapshotCtx,
     /// Reused working set of [`Dht::multi_get`] batches.
     batch: BatchScratch,
     stats: DhtStats,
@@ -274,7 +270,6 @@ impl Dht {
             loc: (cfg.loc_cache_entries > 0).then(|| LocCache::new(cfg.loc_cache_entries)),
             dtype: Datatype::bytes(BUCKET_BYTES),
             buf: [0u8; BUCKET_BYTES],
-            snap_ctx: SnapshotCtx::new(),
             batch: BatchScratch::default(),
             stats: DhtStats::default(),
         }
@@ -434,7 +429,7 @@ impl Dht {
         self.stats.bucket_gets += reqs.len() as u64;
         dst.clear();
         dst.resize(reqs.len() * BUCKET_BYTES, 0);
-        match self.win.multi_get(p, &mut self.snap_ctx, reqs, dst) {
+        match self.win.multi_get(p, reqs, dst) {
             Ok(_) => {
                 for (bi, &i) in req_of.iter().enumerate() {
                     let k = keys[i];

@@ -600,33 +600,6 @@ fn bench_datatype() {
     });
 }
 
-fn bench_trace_replay() {
-    use clampi::trace::{replay, Trace};
-    use clampi_rma::NetModel;
-    let b = Bench::new("trace_replay");
-    let mut t = Trace::new();
-    for round in 0..10u64 {
-        for d in 0..1000u64 {
-            t.get(1, d * 512, 256);
-            t.epoch_close();
-        }
-        let _ = round;
-    }
-    b.run("replay_10k_gets", || {
-        let r = replay(
-            &t,
-            CacheParams {
-                index_entries: 2048,
-                storage_bytes: 1 << 20,
-                costs: CacheCostModel::free(),
-                ..CacheParams::default()
-            },
-            &NetModel::default(),
-        );
-        black_box(r.stats.hits);
-    });
-}
-
 fn main() {
     // `cargo bench` forwards unknown flags (e.g. `--bench`) — ignore them.
     bench_cuckoo();
@@ -640,5 +613,4 @@ fn main() {
     bench_coherence();
     bench_coherence_dht();
     bench_datatype();
-    bench_trace_replay();
 }

@@ -44,7 +44,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use clampi::{CacheParams, CachedWindow, ClampiConfig, CoherenceMode, Mode, SnapReq, SnapshotCtx};
+use clampi::{CacheParams, CachedWindow, ClampiConfig, CoherenceMode, Mode, SnapReq};
 use clampi_bench::cli::{meta, row, Args};
 use clampi_bench::smoke_mode;
 use clampi_datatype::Datatype;
@@ -143,7 +143,6 @@ fn run_lockstep(w: Workload, coherence: CoherenceMode) -> Outcome {
         p.barrier();
         win.lock_all(p);
         let start = p.now();
-        let mut ctx = SnapshotCtx::new();
         let reqs: Vec<SnapReq> = (0..w.records)
             .map(|k| SnapReq {
                 target: 1,
@@ -163,7 +162,7 @@ fn run_lockstep(w: Workload, coherence: CoherenceMode) -> Outcome {
                 }
                 let pre = win.notify_horizon(1).dropped_through_ts;
                 // xlint: allow(no-unwrap) lockstep phase A is fault-free
-                let info = win.multi_get(p, &mut ctx, &reqs, &mut dst).unwrap();
+                let info = win.multi_get(p, &reqs, &mut dst).unwrap();
                 let decoded: Vec<u64> = (0..w.records)
                     .map(|k| {
                         decode(k, &dst[k * SLOT..(k + 1) * SLOT])
@@ -302,7 +301,6 @@ fn run_wall(records: usize) -> WallOutcome {
                 o.naive_torn += torn as u64;
             }
             // Snapshot batches over the same live stream.
-            let mut ctx = SnapshotCtx::new();
             let reqs: Vec<SnapReq> = (0..records)
                 .map(|k| SnapReq {
                     target: 1,
@@ -313,7 +311,7 @@ fn run_wall(records: usize) -> WallOutcome {
             let mut tries = 0u64;
             while o.snap_success < 50 && tries < 2000 {
                 tries += 1;
-                match win.multi_get(p, &mut ctx, &reqs, &mut dst) {
+                match win.multi_get(p, &reqs, &mut dst) {
                     Err(_) => o.snap_aborted += 1,
                     Ok(_) => {
                         o.snap_success += 1;

@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Every `src/bin/{fig*,abl_*,trace_tune}.rs`, in run order (the test
+/// Every `src/bin/{fig*,abl_*}.rs`, in run order (the test
 /// below keeps the two in step).
 const BINARIES: &[&str] = &[
     "fig01_latency",
@@ -35,7 +35,6 @@ const BINARIES: &[&str] = &[
     "abl_weak_caching",
     "abl_sample_size",
     "abl_zipf",
-    "trace_tune",
 ];
 
 fn main() {
@@ -106,15 +105,14 @@ mod tests {
     use super::BINARIES;
 
     #[test]
-    fn binaries_lists_every_figure_ablation_and_trace_tune_source() {
+    fn binaries_lists_every_figure_and_ablation_source() {
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
         let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
             .expect("read src/bin")
             .filter_map(|e| {
                 let name = e.expect("dir entry").file_name().into_string().ok()?;
                 let stem = name.strip_suffix(".rs")?.to_string();
-                (stem.starts_with("fig") || stem.starts_with("abl_") || stem == "trace_tune")
-                    .then_some(stem)
+                (stem.starts_with("fig") || stem.starts_with("abl_")).then_some(stem)
             })
             .collect();
         on_disk.sort();

@@ -474,8 +474,9 @@ pub struct RmaCache {
     deferred_ns: f64,
     /// One record per target ever cached since the engine was last
     /// emptied, sorted by target: coherence passes skip targets with
-    /// nothing cached in O(log targets), and a hostile target id (a
-    /// trace's) costs one record, not an array that long.
+    /// nothing cached in O(log targets), and a huge target id (any
+    /// `finish_miss` caller may pass one) costs one record, not an array
+    /// that long.
     targets: Vec<TargetRec>,
     /// The policy lab's shadow caches ([`CacheParams::policy_lab`]);
     /// `None` when the lab is off (the default).
@@ -796,19 +797,6 @@ impl RmaCache {
         seq
     }
 
-    /// Books a get of `size` bytes larger than `|S_w|`, which no install
-    /// can ever cache, without its bytes: a processed get (`seq`, `ags`,
-    /// the lookup charge) classified `Failed`, all `size` bytes from the
-    /// network. Unlike [`RmaCache::process_lookup`] +
-    /// [`RmaCache::finish_miss`] it serves no cached head, inserts nothing
-    /// and evicts nothing for space.
-    pub(crate) fn record_uncacheable(&mut self, key: GetKey, size: usize) {
-        debug_assert!(size > self.params.storage_bytes);
-        self.count_get(key, size);
-        self.stats.bytes_from_network += size as u64;
-        self.stats.record(AccessType::Failed);
-    }
-
     /// Read-only probe of the stamp of the resident entry for `key`
     /// (`None` when nothing is resident). Free in virtual time, like the
     /// index peek it is.
@@ -823,7 +811,8 @@ impl RmaCache {
     /// payload bytes (pass 0 when versions are not tracked); the entry is
     /// stamped inexact at it, which the coherence layer uses to decide
     /// staleness later and the snapshot layer refetches. So stamp-blind
-    /// callers (traces, the concurrent front's insert) stay correct.
+    /// callers (`fig_policy`'s replay, the concurrent front's insert) stay
+    /// correct.
     pub fn finish_miss(
         &mut self,
         key: GetKey,

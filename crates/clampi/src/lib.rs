@@ -79,7 +79,6 @@ pub mod shard;
 pub mod snapshot;
 pub mod stats;
 pub mod storage;
-pub mod trace;
 pub mod vcache;
 pub mod window;
 
@@ -92,8 +91,7 @@ pub use eviction::{VictimScheme, POLICY_COUNT};
 pub use index::{CuckooIndex, EntryId, GetKey};
 pub use recovery::RetryPolicy;
 pub use shard::ShardedCache;
-pub use snapshot::{SnapReq, SnapStamp, SnapshotCtx, SnapshotError, SnapshotInfo};
+pub use snapshot::{SnapReq, SnapStamp, SnapshotError, SnapshotInfo};
 pub use stats::{AccessType, CacheStats};
-pub use trace::{replay, ReplayResult, Trace, TraceEvent};
 pub use vcache::{PolicyLab, ShadowCache};
 pub use window::{CachedWindow, ClampiConfig, Mode};

@@ -59,7 +59,7 @@
 //! "consistent" snapshot.
 //!
 //! The algorithm itself lives in [`crate::CachedWindow::multi_get`]; this
-//! module holds the types, the reusable scratch context and the pure
+//! module holds the types, the window's validation scratch and the pure
 //! interval logic (unit-tested in isolation below).
 
 /// Commit-state stamp of one cached payload: the bytes were read while
@@ -211,28 +211,17 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Reusable scratch state for snapshot reads: every temporary the
-/// validation loop needs, so a steady-state `multi_get` allocates nothing.
-///
-/// Creating (or holding) a context has no effect on the window — the
-/// snapshot subsystem is pay-as-you-go, and runs that never call
-/// [`crate::CachedWindow::multi_get`] are bit-identical to builds without
-/// it.
+/// Scratch state for snapshot reads, owned by the window: every
+/// temporary the validation loop needs, so a steady-state `multi_get`
+/// allocates nothing.
 #[derive(Debug, Default)]
-pub struct SnapshotCtx {
+pub(crate) struct SnapScratch {
     /// Per-request interval state (parallel to the batch).
     pub(crate) bounds: Vec<ReqBound>,
     /// Involved targets, ascending and deduplicated.
     pub(crate) targets: Vec<u32>,
     /// Indices of requests to refetch in the current round.
     pub(crate) refetch: Vec<usize>,
-}
-
-impl SnapshotCtx {
-    /// An empty context.
-    pub fn new() -> Self {
-        SnapshotCtx::default()
-    }
 }
 
 /// Refetch rounds per validation attempt before the attempt is aborted

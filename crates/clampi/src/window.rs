@@ -28,7 +28,7 @@ use crate::coherence::CoherenceMode;
 use crate::index::GetKey;
 use crate::recovery::{with_retry, RetryPolicy};
 use crate::snapshot::{
-    choose_timestamp, ReqBound, SnapReq, SnapStamp, SnapshotCtx, SnapshotError, SnapshotInfo,
+    choose_timestamp, ReqBound, SnapReq, SnapScratch, SnapStamp, SnapshotError, SnapshotInfo,
     MAX_ATTEMPTS, MAX_ROUNDS,
 };
 use crate::stats::{AccessType, CacheStats};
@@ -178,6 +178,9 @@ pub struct CachedWindow {
     memo: Option<LayoutMemo>,
     /// Reusable packed-payload buffer for [`CachedWindow::get_typed`].
     scratch_buf: Vec<u8>,
+    /// [`CachedWindow::multi_get`]'s validation scratch, taken and put
+    /// back around each batch.
+    snap_scratch: SnapScratch,
     /// Drained notification records land here (reused across drains, by
     /// the coherence passes and the snapshot validation alike).
     drained: Vec<PutRecord>,
@@ -308,6 +311,7 @@ impl CachedWindow {
             nb_spans: Vec::new(),
             memo: None,
             scratch_buf: Vec::new(),
+            snap_scratch: SnapScratch::default(),
             drained: Vec::new(),
             ranges: Vec::new(),
         }
@@ -1095,7 +1099,6 @@ impl CachedWindow {
     pub fn multi_get(
         &mut self,
         p: &mut Process,
-        ctx: &mut SnapshotCtx,
         reqs: &[SnapReq],
         dst: &mut [u8],
     ) -> Result<SnapshotInfo, SnapshotError> {
@@ -1110,6 +1113,7 @@ impl CachedWindow {
         if reqs.is_empty() {
             return Ok(SnapshotInfo::default());
         }
+        let mut ctx = std::mem::take(&mut self.snap_scratch);
         ctx.targets.clear();
         ctx.targets
             .extend(reqs.iter().filter(|r| r.len > 0).map(|r| r.target));
@@ -1121,7 +1125,7 @@ impl CachedWindow {
         let mut fault: Option<usize> = None;
         let mut outcome: Result<SnapshotInfo, SnapshotError> = Err(SnapshotError::RetriesExhausted);
         for attempt in 0..MAX_ATTEMPTS {
-            match self.snapshot_attempt(p, ctx, reqs, dst, attempt > 0, &mut refetched) {
+            match self.snapshot_attempt(p, &mut ctx, reqs, dst, attempt > 0, &mut refetched) {
                 Ok(mut info) => {
                     info.aborts = aborts;
                     info.refetched = refetched;
@@ -1141,6 +1145,7 @@ impl CachedWindow {
                 }
             }
         }
+        self.snap_scratch = ctx;
         if outcome.is_err() {
             if let Some(t) = fault {
                 outcome = Err(SnapshotError::TargetFaulted { target: t as u32 });
@@ -1159,7 +1164,7 @@ impl CachedWindow {
     fn snapshot_attempt(
         &mut self,
         p: &mut Process,
-        ctx: &mut SnapshotCtx,
+        ctx: &mut SnapScratch,
         reqs: &[SnapReq],
         dst: &mut [u8],
         direct: bool,

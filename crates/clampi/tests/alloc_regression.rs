@@ -16,8 +16,8 @@
 //! the log of a writer's settled puts, bounded by the ring's capacity.
 //! The engine's storage churns thousands of equal-length holes (64-B
 //! entries, scattered frees: `dht_mixed`'s shape) without allocating.
-//! Trace replay, fed a file, must size nothing by what the file claims:
-//! the largest request it makes is bounded by `|S_w|`.
+//! A huge target id costs the engine one record: the largest request it
+//! makes is bounded by `|S_w|`.
 //!
 //! The counter is thread-local, so the other rank's thread (and the test
 //! harness) cannot perturb the measurement. The assertions are compiled
@@ -28,12 +28,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use clampi::trace::{replay, Trace};
-use clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, CoherenceMode, Mode};
-#[cfg(debug_assertions)]
-use clampi::{GetKey, LayoutSig, Lookup, RmaCache};
+use clampi::{
+    AccessType, CacheParams, CachedWindow, ClampiConfig, CoherenceMode, GetKey, LayoutSig, Lookup,
+    Mode, RmaCache,
+};
 use clampi_datatype::Datatype;
-use clampi_rma::{run_collect, LockKind, NetModel, Process, SimConfig};
+use clampi_rma::{run_collect, LockKind, Process, SimConfig};
 
 struct CountingAlloc;
 
@@ -564,39 +564,31 @@ fn validate_eviction_does_not_allocate() {
     }
 }
 
-/// A 33-byte trace: the 16-byte header and one get of `size` bytes from
-/// `target`.
-fn one_get_trace(target: u32, size: u32) -> Trace {
-    let mut bytes = b"CLAMPIT2".to_vec();
-    bytes.extend_from_slice(&1u64.to_le_bytes());
-    bytes.push(1); // a get: target, disp, size
-    bytes.extend_from_slice(&target.to_le_bytes());
-    bytes.extend_from_slice(&0u64.to_le_bytes());
-    bytes.extend_from_slice(&size.to_le_bytes());
-    assert_eq!(bytes.len(), 33);
-    Trace::from_bytes(&bytes).expect("a well-formed trace")
-}
-
-/// Replay sizes nothing by what a trace file claims. A get of `u32::MAX`
-/// bytes used to make it zero-fill 4 GiB for the payload and as much
-/// again for the destination; a get larger than `|S_w|` can never be
-/// cached, so replay books it as an uncached `Failed` miss without a
-/// buffer its size. A get from target `u32::MAX - 1` used to grow the
-/// engine's per-target counts to 4 billion entries (16 GiB).
+/// A huge target id costs the engine one record, not an array that
+/// long. Any caller of `process_lookup`/`finish_miss` (`fig_policy`'s
+/// replay, the concurrent front) may pass one; a get from target
+/// `u32::MAX - 1` used to grow the engine's per-target counts to 4
+/// billion entries (16 GiB).
 #[test]
-fn replaying_hostile_gets_allocates_nothing_larger_than_the_storage() {
+fn a_huge_target_id_costs_one_record() {
     let params = CacheParams::default();
     let storage = params.storage_bytes;
-    for (target, size, failed) in [(1, u32::MAX, 1), (u32::MAX - 1, 64, 0)] {
-        let trace = one_get_trace(target, size);
-        LARGEST.with(|c| c.set(0));
-        let r = replay(&trace, params.clone(), &NetModel::default());
-        let largest = LARGEST.with(|c| c.get());
-        assert!(
-            largest <= storage,
-            "a get of {size} B from {target}: replay requested {largest} B at once, |S_w| is {storage}"
-        );
-        assert_eq!((r.stats.total_gets, r.stats.failed), (1, failed));
-        assert_eq!(r.stats.bytes_from_network, u64::from(size));
-    }
+    let key = GetKey {
+        target: u32::MAX - 1,
+        disp: 0,
+    };
+    let (sig, data, mut dst) = (LayoutSig::Contig(64), [7u8; 64], [0u8; 64]);
+    LARGEST.with(|c| c.set(0));
+    let mut c = RmaCache::new(params);
+    assert_eq!(c.process_lookup(key, &sig, &mut dst), Lookup::Miss);
+    c.finish_miss(key, sig, &data, 0);
+    let largest = LARGEST.with(|c| c.get());
+    assert!(
+        largest <= storage,
+        "a get from target {}: the engine requested {largest} B at once, |S_w| is {storage}",
+        key.target
+    );
+    let s = c.stats();
+    assert_eq!((s.total_gets, s.failed), (1, 0));
+    assert_eq!(s.bytes_from_network, 64);
 }

@@ -21,7 +21,7 @@
 
 use clampi::{
     AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, GetKey, LayoutSig, Mode,
-    RetryPolicy, RmaCache, SnapReq, SnapStamp, SnapshotCtx, SnapshotError,
+    RetryPolicy, RmaCache, SnapReq, SnapStamp, SnapshotError,
 };
 use clampi_datatype::{pack, Datatype};
 use clampi_rma::{run_collect, FaultConfig, Process, SimConfig};
@@ -206,7 +206,7 @@ fn drive(case: &Case, via: Via) -> Obs {
                     disp,
                     len,
                 };
-                let r = win.multi_get(p, &mut SnapshotCtx::new(), &[req], &mut bytes);
+                let r = win.multi_get(p, &[req], &mut bytes);
                 snapshot = Some(r.map(|info| info.refetched));
             }
         }

@@ -20,17 +20,14 @@
 //! 2. **staleness is bounded by the ring horizon**: the chosen timestamp
 //!    is never below the `dropped_through_ts` watermark observed before
 //!    the batch (and never above the commit clock after it);
-//! 3. **an unused `SnapshotCtx` is free**: runs that create but never
-//!    use one are bit-identical (bytes, virtual time, stats) to runs
-//!    without it;
-//! 4. (directed, satellite) a notification-ring overflow arriving during
+//! 3. (directed, satellite) a notification-ring overflow arriving during
 //!    validation degrades to abort-and-retry — never a torn batch — and
 //!    the same holds under a transient-fault plan;
-//! 5. (directed) a resident entry validates from the coherence cursor:
+//! 4. (directed) a resident entry validates from the coherence cursor:
 //!    one the passes kept is served on the cached attempt even after the
 //!    ring moved past its stamp, and a put the passes have not drained
 //!    still closes its interval;
-//! 6. (directed) a batch flushes only targets with something in flight:
+//! 5. (directed) a batch flushes only targets with something in flight:
 //!    an all-hit batch completes nothing, while a batch whose target has
 //!    a `get_nb` of the caller's own outstanding still flushes it, and a
 //!    batch with a miss flushes once — towards a remote rank and towards
@@ -43,7 +40,7 @@
 
 use clampi::{
     AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, CoherenceMode, Mode,
-    RetryPolicy, SnapReq, SnapshotCtx, SnapshotInfo,
+    RetryPolicy, SnapReq, SnapshotInfo,
 };
 use clampi_datatype::Datatype;
 use clampi_prng::prop::{check, Gen};
@@ -230,7 +227,6 @@ fn run_schedule(
         p.barrier();
         win.lock_all(p);
 
-        let mut ctx = SnapshotCtx::new();
         // Every rank draws the same pick stream so the schedule stays
         // deterministic without cross-rank chatter.
         let mut picks = SmallRng::seed_from_u64(s.seed ^ 0x51AB);
@@ -261,7 +257,7 @@ fn run_schedule(
                     .map(|t| win.notify_horizon(t).dropped_through_ts)
                     .max()
                     .unwrap_or(0);
-                match win.multi_get(p, &mut ctx, &reqs, &mut dst) {
+                match win.multi_get(p, &reqs, &mut dst) {
                     Ok(info) => obs.push(BatchObs {
                         reads: reads.clone(),
                         bytes: dst,
@@ -348,67 +344,6 @@ fn prop_snapshot_is_per_writer_prefix_consistent_across_targets() {
     });
 }
 
-/// Property 3: creating a `SnapshotCtx` without ever committing a batch
-/// changes nothing — bytes, stats, and virtual time are bit-identical.
-#[test]
-fn prop_unused_snapshot_ctx_is_free() {
-    check("unused SnapshotCtx is bit-identical to none", 8, |g| {
-        let faulty = g.bool();
-        let s = gen_schedule(g, faulty);
-        let run = |with_ctx: bool| {
-            let mut sim = SimConfig::default().with_notify_ring_cap(s.ring_cap);
-            if let Some(f) = &s.faults {
-                sim = sim.with_faults(f.clone());
-            }
-            let s = s.clone();
-            let out = run_collect(sim, 2, move |p| {
-                let rank = p.rank();
-                let cfg = ClampiConfig::fixed(Mode::AlwaysCache, CacheParams::default())
-                    .with_retry(generous_retry());
-                let mut win = CachedWindow::create(p, s.slots * SLOT, cfg);
-                p.barrier();
-                win.lock_all(p);
-                let ctx = with_ctx.then(SnapshotCtx::new);
-                let mut picks = SmallRng::seed_from_u64(s.seed);
-                let dtype = Datatype::bytes(SLOT);
-                let mut bytes = Vec::new();
-                for _ in 0..s.rounds {
-                    if rank == 0 {
-                        for _ in 0..s.reads_per_round {
-                            let k = picks.gen_range(0..s.slots);
-                            let mut buf = vec![0u8; SLOT];
-                            win.get(p, &mut buf, 1, k * SLOT, &dtype, 1);
-                            bytes.push(buf);
-                        }
-                        win.flush(p, 1);
-                    }
-                    p.barrier();
-                    if rank == 1 {
-                        win.put(p, &encode(1, 0), 1, 0, &dtype, 1);
-                        win.flush(p, 1);
-                    }
-                    p.barrier();
-                }
-                win.unlock_all(p);
-                p.barrier();
-                drop(ctx);
-                (bytes, win.stats(), p.now())
-            });
-            out[0].1.clone()
-        };
-        let (b0, st0, t0) = run(false);
-        let (b1, st1, t1) = run(true);
-        assert_eq!(b0, b1, "bytes diverged");
-        assert_eq!(st0, st1, "stats diverged");
-        assert_eq!(t0, t1, "virtual time diverged");
-        assert_eq!(
-            (st0.snapshot_gets, st0.snapshot_aborts),
-            (0, 0),
-            "no snapshot counter may move without a multi_get"
-        );
-    });
-}
-
 /// Directed satellite: ring overflow arriving *during* snapshot
 /// validation (stale cached stamps, flooded ring) degrades to
 /// abort-and-retry — the batch is retried cache-bypassed and comes back
@@ -437,7 +372,6 @@ fn overflow_during_validation_aborts_and_retries_never_tears() {
             let mut win = CachedWindow::create(p, SLOTS * SLOT, cfg);
             p.barrier();
             win.lock_all(p);
-            let mut ctx = SnapshotCtx::new();
             let reqs: Vec<SnapReq> = (0..SLOTS)
                 .map(|k| SnapReq {
                     target: 1,
@@ -451,7 +385,7 @@ fn overflow_during_validation_aborts_and_retries_never_tears() {
             let mut round1: Result<Vec<u8>, String> = Err("not rank 0".into());
             if rank == 0 {
                 round1 = win
-                    .multi_get(p, &mut ctx, &reqs, &mut dst)
+                    .multi_get(p, &reqs, &mut dst)
                     .map(|_| dst.clone())
                     .map_err(|e| e.to_string());
             }
@@ -472,7 +406,7 @@ fn overflow_during_validation_aborts_and_retries_never_tears() {
             let mut round2: Result<(Vec<u8>, SnapshotInfo), String> = Err("not rank 0".into());
             if rank == 0 {
                 round2 = win
-                    .multi_get(p, &mut ctx, &reqs, &mut dst)
+                    .multi_get(p, &reqs, &mut dst)
                     .map(|info| (dst.clone(), info))
                     .map_err(|e| e.to_string());
             }
@@ -534,7 +468,6 @@ fn hot_entry_run(writes: &'static [(usize, bool)], reqs: &'static [usize]) -> Ho
         }
         p.barrier();
         win.lock_all(p);
-        let mut ctx = SnapshotCtx::new();
         let batch = |reqs: &[usize]| -> Vec<SnapReq> {
             reqs.iter()
                 .map(|&k| SnapReq {
@@ -546,7 +479,7 @@ fn hot_entry_run(writes: &'static [(usize, bool)], reqs: &'static [usize]) -> Ho
         };
         let mut dst = vec![0u8; SLOT];
         if rank == 0 {
-            let _ = win.multi_get(p, &mut ctx, &batch(&[0]), &mut dst);
+            let _ = win.multi_get(p, &batch(&[0]), &mut dst);
         }
         p.barrier();
         let dtype = Datatype::bytes(SLOT);
@@ -566,7 +499,7 @@ fn hot_entry_run(writes: &'static [(usize, bool)], reqs: &'static [usize]) -> Ho
             let reqs = batch(reqs);
             let mut dst = vec![0u8; reqs.len() * SLOT];
             outcome = win
-                .multi_get(p, &mut ctx, &reqs, &mut dst)
+                .multi_get(p, &reqs, &mut dst)
                 .map(|info| (info, dst))
                 .map_err(|e| e.to_string());
         }
@@ -657,7 +590,6 @@ fn disabled_mode_multi_get_matches_sequential_gets() {
         win.lock_all(p);
         let mut result: Option<DisabledObs> = None;
         if rank == 0 {
-            let mut ctx = SnapshotCtx::new();
             let reqs: Vec<SnapReq> = (0..4)
                 .map(|k| SnapReq {
                     target: 1,
@@ -666,9 +598,7 @@ fn disabled_mode_multi_get_matches_sequential_gets() {
                 })
                 .collect();
             let mut dst = vec![0u8; 4 * SLOT];
-            let r = win
-                .multi_get(p, &mut ctx, &reqs, &mut dst)
-                .map_err(|e| e.to_string());
+            let r = win.multi_get(p, &reqs, &mut dst).map_err(|e| e.to_string());
             let dtype = Datatype::bytes(SLOT);
             let mut seq = vec![0u8; 4 * SLOT];
             for k in 0..4 {
@@ -760,7 +690,7 @@ fn hit_batch(target: usize, second: Second) -> HitBatchObs {
                 .collect();
             let mut dst = vec![0u8; 2 * SLOT];
             let flushes = p.counters().flushes;
-            let r = win.multi_get(p, &mut SnapshotCtx::new(), &reqs, &mut dst);
+            let r = win.multi_get(p, &reqs, &mut dst);
             obs.0 = r
                 .map(|_| p.counters().flushes - flushes)
                 .map_err(|e| e.to_string());

@@ -119,21 +119,7 @@ impl NetModel {
         size: usize,
         nblocks: usize,
     ) -> TransferCost {
-        let d = self.topology.distance(initiator, target);
-        if d == Distance::SelfRank {
-            return TransferCost {
-                cpu_ns: self.issue_overhead_ns + self.memcpy_cost(size),
-                wire_ns: 0.0,
-            };
-        }
-        let c = self.class(d);
-        let extra_blocks = nblocks.saturating_sub(1) as f64;
-        TransferCost {
-            cpu_ns: self.issue_overhead_ns,
-            wire_ns: self.latency_ns[c]
-                + size as f64 * self.per_byte_ns[c]
-                + extra_blocks * self.per_block_ns,
-        }
+        self.transfer_cost_at(self.topology.distance(initiator, target), size, nblocks)
     }
 
     /// Cost of a transfer by explicit distance class (used by Fig. 1, which

@@ -273,39 +273,3 @@ fn blockcache_reads_equal_plain_reads() {
         assert_eq!(out[0].1, None, "block-cached read diverged");
     });
 }
-
-/// Trace replay is deterministic and its classification partitions the
-/// gets for arbitrary traces.
-#[test]
-fn trace_replay_partitions_and_is_deterministic() {
-    check("trace replay deterministic", 24, |g| {
-        use clampi_repro::clampi::trace::{replay, Trace};
-        use clampi_repro::clampi_rma::NetModel;
-        let events = g.vec(1..150usize, |g| {
-            (
-                g.range(0..10u32) as u8,
-                g.range(0..64u64),
-                g.range(1..600u32),
-            )
-        });
-        let params = arb_params(g);
-        let mut t = Trace::new();
-        for (kind, d, size) in events {
-            match kind {
-                0 => t.epoch_close(),
-                1 => t.invalidate(),
-                _ => t.get(0, d * 64, size),
-            }
-        }
-        let a = replay(&t, params.clone(), &NetModel::default());
-        let b = replay(&t, params, &NetModel::default());
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.completion_ns, b.completion_ns);
-        let s = a.stats;
-        assert_eq!(
-            s.total_gets,
-            s.hits + s.direct + s.conflicting + s.capacity + s.failed
-        );
-        assert_eq!(s.total_gets as usize, t.num_gets());
-    });
-}
