@@ -19,6 +19,9 @@
 #                 is not installed)
 #   clippy        cargo clippy -D warnings  (skipped loudly if clippy is
 #                 not installed)
+#   doc           RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps:
+#                 a deleted or private item a doc comment still links to
+#                 fails here
 #   build         cargo build --release --offline (workspace)
 #   test          cargo test -q --offline (workspace)
 #   release-test  the engine, simulator and datatype suites again in a
@@ -78,7 +81,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(xlint fmt clippy build test release-test san-test prop-matrix bench-smoke benchmark-smoke golden)
+ALL_STAGES=(xlint fmt clippy doc build test release-test san-test prop-matrix bench-smoke benchmark-smoke golden)
 # Run only when named: minutes of host time, and a verdict, not a gate.
 MANUAL_STAGES=(ab-pairs)
 PROP_SEEDS=(1 42 20170527)
@@ -132,6 +135,10 @@ stage_clippy() {
         return 77
     fi
     cargo clippy --offline --workspace --all-targets -- -D warnings
+}
+
+stage_doc() {
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 }
 
 stage_build() {

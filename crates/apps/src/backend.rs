@@ -161,7 +161,7 @@ impl AnyWindow {
         let dtype = Datatype::bytes(dst.len());
         match self {
             AnyWindow::Plain(w) => {
-                w.iget(p, dst, target, disp, &dtype, 1);
+                w.get(p, dst, target, disp, &dtype, 1);
                 None
             }
             AnyWindow::Clampi(w) => w.get_nb(p, dst, target, disp, &dtype, 1),
@@ -196,7 +196,7 @@ impl AnyWindow {
                 let mut off = 0;
                 for r in reqs {
                     let dtype = Datatype::bytes(r.len);
-                    w.iget(
+                    w.get(
                         p,
                         &mut dst[off..off + r.len],
                         r.target as usize,

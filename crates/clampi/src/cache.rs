@@ -969,7 +969,7 @@ impl RmaCache {
     ///
     /// `version` is a write version no newer than the tail bytes, as in
     /// [`RmaCache::finish_miss`]. The extended entry's stamp is the
-    /// [`SnapStamp::merge`] of its existing one and the tail's: the head
+    /// `SnapStamp::merge` of its existing one and the tail's: the head
     /// bytes may predate the tail bytes, so the conservative choice is
     /// the older of the two.
     pub fn finish_partial(

@@ -6,11 +6,11 @@
 //! RMA-layer primitives (see `clampi_rma::window`):
 //!
 //! - **Version counters**: every window region carries a monotonic write
-//!   version, bumped on each `put`/accumulate touching it. A get samples
-//!   the version under the same region read lock it copies its bytes
-//!   under, so a cache entry stamped with version `v`
-//!   ([`crate::SnapStamp`], set where the entry is installed) contains
-//!   every write up to `v` and no byte written after it.
+//!   version, bumped on each `put` touching it. A get samples the
+//!   version under the same region read lock it copies its bytes under,
+//!   so a cache entry stamped with version `v` ([`crate::SnapStamp`],
+//!   set where the entry is installed) contains every write up to `v`
+//!   and no byte written after it.
 //! - **Put-notification channels**: each region keeps a bounded ring of
 //!   `(origin, disp, len, version)` records, one per put. A reader drains
 //!   the records it has not yet seen; a ring overflow is detected (not

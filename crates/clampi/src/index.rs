@@ -55,7 +55,7 @@ impl GetKey {
     }
 
     /// A well-mixed value for striping keys across cache shards. One more
-    /// finalizer round on top of [`GetKey::mix`] so the stripe bits do not
+    /// finalizer round on top of `GetKey::mix` so the stripe bits do not
     /// correlate with the inputs the per-shard universal hashers see.
     pub fn stripe(&self) -> u64 {
         let mut x = self.mix();

@@ -33,7 +33,7 @@
 //! So a hot entry stamped many rounds ago validates from the last pass,
 //! not from a ring position long since evicted.
 //!
-//! [`choose_timestamp`] intersects the intervals of a whole batch: with
+//! `choose_timestamp` intersects the intervals of a whole batch: with
 //! `L = max stamp.ts` and `H = min hi`, any `T` in `[L, H)` is consistent
 //! for every request. The implementation picks the newest such `T` it can
 //! *certify*: `min(cap, H − 1)`, where `cap` is the commit clock sampled

@@ -1367,7 +1367,7 @@ impl CachedWindow {
 
     /// Completes the staged transfers of `targets` (ascending, distinct):
     /// flushes exactly the ones with something in flight — a fetch staged
-    /// since their last completion event, or a posted request not yet
+    /// since their last completion event, or a posted get not yet
     /// completed — and never a degraded one. Deliberately *not*
     /// [`CachedWindow::flush`]: no epoch hook (transparent mode would
     /// invalidate the entries a snapshot is validating) and no coherence
@@ -1377,7 +1377,7 @@ impl CachedWindow {
         let mut flushed = 0;
         for t in targets {
             let s = &self.targets[t];
-            if !s.degraded && (s.staged || self.win.outstanding_requests(t) > 0) {
+            if !s.degraded && (s.staged || self.win.outstanding_gets(t) > 0) {
                 self.complete_with(p, Some(t), |w, p| w.flush(p, t));
                 flushed += 1;
             }
@@ -1494,9 +1494,9 @@ impl CachedWindow {
         self.on_epoch_close(p);
     }
 
-    /// MPI_Win_wait + cache epoch hook.
+    /// MPI_Win_wait + cache epoch hook; own transfers stay in flight.
     pub fn wait(&mut self, p: &mut Process, accessors: &[usize]) {
-        self.complete_with(p, None, |w, p| w.wait(p, accessors));
+        self.win.wait(p, accessors);
         self.on_epoch_close(p);
     }
 }

@@ -301,7 +301,7 @@ mod typed_origin_cached {
 mod pscw_cached {
     use clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, Mode};
     use clampi_datatype::Datatype;
-    use clampi_rma::{run, SimConfig};
+    use clampi_rma::{run, run_collect, SimConfig};
 
     #[test]
     fn caching_works_across_pscw_epochs() {
@@ -336,6 +336,49 @@ mod pscw_cached {
                 p.barrier();
             });
         }
+    }
+
+    /// `wait` closes this rank's *exposure* epoch only: its own access
+    /// epoch's transfers stay in flight, so a later adjacent miss still
+    /// coalesces into them and no overlap credit is booked at the `wait`.
+    /// Rank 0 asserts nothing inside the run, so a failure cannot strand
+    /// rank 1 at its `wait`.
+    #[test]
+    fn wait_leaves_own_outstanding_misses_in_flight() {
+        let out = run_collect(SimConfig::checked(), 2, |p| {
+            let cfg = ClampiConfig::fixed(Mode::AlwaysCache, CacheParams::default());
+            let mut win = CachedWindow::create(p, 256, cfg);
+            let mut seen = None;
+            if p.rank() == 0 {
+                let bytes = Datatype::bytes(64);
+                let (mut a, mut b) = ([0u8; 64], [0u8; 64]);
+                win.post(p, &[1]);
+                win.start(p, &[1]);
+                let first = win.get_nb(p, &mut a, 1, 0, &bytes, 1);
+                let before = win.stats().overlapped_wire_ns;
+                win.wait(p, &[1]);
+                let after = win.stats().overlapped_wire_ns;
+                let second = win.get_nb(p, &mut b, 1, 64, &bytes, 1);
+                let coalesced = win.stats().coalesced_misses;
+                win.complete(p);
+                seen = Some((first, second, before, after, coalesced));
+            } else {
+                win.post(p, &[0]);
+                win.start(p, &[0]);
+                win.complete(p);
+                win.wait(p, &[0]);
+            }
+            p.barrier();
+            seen
+        });
+        let (first, second, before, after, coalesced) = out[0].1.unwrap();
+        assert_ne!(first, Some(AccessType::Hit));
+        assert_ne!(second, Some(AccessType::Hit));
+        assert_eq!(
+            after, before,
+            "wait booked a completion of rank 0's own misses"
+        );
+        assert_eq!(coalesced, 1, "the second miss must coalesce into the first");
     }
 }
 

@@ -15,11 +15,10 @@
 //!   ranges of one target region by different origins, with no
 //!   happens-before edge between them ([`SanKind::Race`]). Happens-before
 //!   is tracked with per-rank vector clocks, joined at collectives,
-//!   window creation, passive-target lock hand-offs, PSCW post→start /
-//!   complete→wait signals, and atomic operations (a CAS-built spin lock
-//!   synchronizes exactly like a window lock).
+//!   window creation, passive-target lock hand-offs and PSCW post→start /
+//!   complete→wait signals.
 //! - **Reads before completion**: reading the destination buffer of a
-//!   `get`/`iget`/staged get before the completing flush/unlock/fence
+//!   `get` or staged get before the completing flush/unlock/fence
 //!   ([`SanKind::ReadBeforeFlush`]) — checked at explicit
 //!   [`Window::san_read`](crate::Window::san_read) call sites, since the
 //!   simulator cannot trap plain loads.
@@ -47,22 +46,17 @@ use crate::sync;
 /// Classification of one RMA data access, as seen by the sanitizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
-    /// A `get` (any flavour: blocking, request-based, staged).
+    /// A `get` (any flavour: plain, typed, staged).
     Read,
     /// A `put`.
     Write,
-    /// An atomic (`accumulate`, `fetch_and_op`, `compare_and_swap`).
-    Atomic,
 }
 
 impl AccessKind {
-    /// MPI-3 conflict matrix: concurrent read/read and atomic/atomic
-    /// accesses to one location are well-defined; everything else is not.
+    /// MPI-3 conflict matrix: concurrent reads of one location are
+    /// well-defined; anything involving a write is not.
     pub(crate) fn conflicts_with(self, other: AccessKind) -> bool {
-        !matches!(
-            (self, other),
-            (AccessKind::Read, AccessKind::Read) | (AccessKind::Atomic, AccessKind::Atomic)
-        )
+        !matches!((self, other), (AccessKind::Read, AccessKind::Read))
     }
 }
 
@@ -71,7 +65,6 @@ impl fmt::Display for AccessKind {
         f.write_str(match self {
             AccessKind::Read => "get",
             AccessKind::Write => "put",
-            AccessKind::Atomic => "atomic",
         })
     }
 }
@@ -116,13 +109,11 @@ pub enum SanKind {
         /// End (exclusive) of that range.
         end: usize,
     },
-    /// A data operation (get/put/accumulate) with no epoch open towards
-    /// its target. Atomics are exempt: the simulator models them as
-    /// standalone synchronous ops usable for lock-free synchronization.
+    /// A data operation (get/put) with no epoch open towards its target.
     OpOutsideEpoch {
         /// The operation's target rank.
         target: usize,
-        /// Which operation it was (`"get"`, `"put"`, `"accumulate"`).
+        /// Which operation it was (`"get"` or `"put"`).
         op: &'static str,
     },
     /// `lock`/`lock_all` while this window already holds a lock.
@@ -440,7 +431,7 @@ pub(crate) fn env_enabled() -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Shared (cross-rank) window state: the access log and atomic-sync clocks
+// Shared (cross-rank) window state: the access log
 // ---------------------------------------------------------------------
 
 /// One logged access to a target region, for cross-rank race detection.
@@ -459,19 +450,16 @@ struct LogRec {
 const REGION_LOG_CAP: usize = 256;
 
 /// Cross-rank sanitizer state attached to a window's shared half: a
-/// bounded access log per target region (race detection) and a
-/// synchronization clock per target region (HB through atomics).
+/// bounded access log per target region (race detection).
 #[derive(Debug)]
 pub(crate) struct WinSanShared {
     regions: Vec<Mutex<VecDeque<LogRec>>>,
-    atomic_vc: Vec<Mutex<Vec<u64>>>,
 }
 
 impl WinSanShared {
     pub(crate) fn new(ntargets: usize) -> Self {
         WinSanShared {
             regions: (0..ntargets).map(|_| Mutex::new(VecDeque::new())).collect(),
-            atomic_vc: (0..ntargets).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
 
@@ -515,25 +503,6 @@ impl WinSanShared {
             vc: san.vc.clone().into_boxed_slice(),
         });
     }
-
-    /// Synchronization through atomics on `target`'s region: the caller
-    /// publishes its clock into the region's atomic-sync clock, and — if
-    /// the operation returns a value (`acquire`, true for fetch_and_op /
-    /// compare_and_swap, false for accumulate) — also joins the clock of
-    /// every previous atomic on the region. This gives CAS-built locks
-    /// and ticket counters real happens-before edges.
-    pub(crate) fn atomic_sync(&self, san: &mut SanCtx, target: usize, acquire: bool) {
-        let mut avc = sync::lock(&self.atomic_vc[target]);
-        if avc.len() < san.vc.len() {
-            avc.resize(san.vc.len(), 0);
-        }
-        if acquire {
-            san.join(&avc);
-        }
-        vc_join(&mut avc, &san.vc);
-        drop(avc);
-        san.tick();
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -544,9 +513,6 @@ impl WinSanShared {
 /// address) and which target range it reads.
 #[derive(Debug)]
 struct PendingRead {
-    /// Request id for request-based completion (`None` for staged gets
-    /// completed only by target-level events).
-    id: Option<u64>,
     target: usize,
     buf_start: usize,
     buf_end: usize,
@@ -579,26 +545,12 @@ impl WinSanLocal {
     /// Registers the destination buffer of a get that is now outstanding.
     pub(crate) fn register_read(&mut self, target: usize, buf: &[u8], start: usize, end: usize) {
         self.pending_reads.push(PendingRead {
-            id: None,
             target,
             buf_start: buf.as_ptr() as usize,
             buf_end: buf.as_ptr() as usize + buf.len(),
             start,
             end,
         });
-    }
-
-    /// Tags the most recently registered read with its request id (used
-    /// by the request-based get entry points right after registration).
-    pub(crate) fn tag_last_read(&mut self, id: u64) {
-        if let Some(r) = self.pending_reads.last_mut() {
-            r.id = Some(id);
-        }
-    }
-
-    /// Completes one request-based read.
-    pub(crate) fn complete_read_id(&mut self, id: u64) {
-        self.pending_reads.retain(|r| r.id != Some(id));
     }
 
     /// Completes every read towards `target` (flush/unlock).
@@ -707,12 +659,9 @@ mod tests {
     fn conflict_matrix_matches_mpi3() {
         use AccessKind::*;
         assert!(!Read.conflicts_with(Read));
-        assert!(!Atomic.conflicts_with(Atomic));
         assert!(Write.conflicts_with(Write));
         assert!(Write.conflicts_with(Read));
         assert!(Read.conflicts_with(Write));
-        assert!(Atomic.conflicts_with(Read));
-        assert!(Write.conflicts_with(Atomic));
     }
 
     #[test]
@@ -746,19 +695,6 @@ mod tests {
         b.tick();
         shared.log_access(&b, 0, 0, 8, AccessKind::Read);
         assert_eq!(ha.count() + hb.count(), 0);
-    }
-
-    #[test]
-    fn atomic_sync_builds_hb_through_cas_chains() {
-        let shared = WinSanShared::new(1);
-        let (mut a, ha) = collect_ctx(0, 2);
-        let (mut b, hb) = collect_ctx(1, 2);
-        // a writes, then releases a CAS-built lock; b acquires it, reads.
-        shared.log_access(&a, 0, 8, 16, AccessKind::Write);
-        shared.atomic_sync(&mut a, 0, true); // a's releasing CAS
-        shared.atomic_sync(&mut b, 0, true); // b's acquiring CAS
-        shared.log_access(&b, 0, 8, 16, AccessKind::Read);
-        assert_eq!(ha.count() + hb.count(), 0, "CAS hand-off orders the pair");
     }
 
     #[test]

@@ -23,8 +23,6 @@ struct Outstanding {
     target: usize,
     /// Virtual completion time in nanoseconds.
     completes_at: f64,
-    /// Unique id, for request-based completion (MPI_Rget/MPI_Rput).
-    id: u64,
 }
 
 /// A per-rank virtual clock.
@@ -35,7 +33,6 @@ struct Outstanding {
 pub struct Clock {
     now: f64,
     outstanding: Vec<Outstanding>,
-    next_id: u64,
     total_cpu: f64,
     total_wire: f64,
     total_blocked: f64,
@@ -60,45 +57,15 @@ impl Clock {
     }
 
     /// Posts a network transfer towards `target` that occupies the wire for
-    /// `wire_ns`; returns a unique transfer id usable with
-    /// [`Clock::wait_one`]. The clock does not advance.
-    pub fn post_network(&mut self, target: usize, wire_ns: f64) -> u64 {
+    /// `wire_ns`. The clock does not advance.
+    pub fn post_network(&mut self, target: usize, wire_ns: f64) {
         debug_assert!(wire_ns >= 0.0, "negative wire charge: {wire_ns}");
         let completes_at = self.now + wire_ns;
-        let id = self.next_id;
-        self.next_id += 1;
         self.outstanding.push(Outstanding {
             target,
             completes_at,
-            id,
         });
         self.total_wire += wire_ns;
-        id
-    }
-
-    /// The id assigned to the most recently posted transfer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing was ever posted.
-    pub fn last_posted_id(&self) -> u64 {
-        assert!(self.next_id > 0, "no transfer posted yet");
-        self.next_id - 1
-    }
-
-    /// Waits for one specific transfer (request-based completion): jumps
-    /// the clock to its completion time if still outstanding.
-    pub fn wait_one(&mut self, id: u64) {
-        let mut t = self.now;
-        self.outstanding.retain(|o| {
-            if o.id == id {
-                t = t.max(o.completes_at);
-                false
-            } else {
-                true
-            }
-        });
-        self.block_until(t);
     }
 
     /// Waits for all outstanding transfers towards `target` (MPI_Win_flush):
@@ -140,11 +107,6 @@ impl Clock {
         }
     }
 
-    /// Number of posted-but-not-waited transfers.
-    pub fn outstanding_count(&self) -> usize {
-        self.outstanding.len()
-    }
-
     /// Total CPU nanoseconds charged so far.
     pub fn total_cpu(&self) -> f64 {
         self.total_cpu
@@ -179,10 +141,8 @@ mod tests {
         let mut c = Clock::new();
         c.post_network(1, 1000.0);
         assert_eq!(c.now(), 0.0);
-        assert_eq!(c.outstanding_count(), 1);
         c.wait_all();
         assert_eq!(c.now(), 1000.0);
-        assert_eq!(c.outstanding_count(), 0);
     }
 
     #[test]
@@ -209,7 +169,6 @@ mod tests {
         c.post_network(2, 2000.0);
         c.wait_target(1);
         assert_eq!(c.now(), 1000.0);
-        assert_eq!(c.outstanding_count(), 1);
         c.wait_target(2);
         assert_eq!(c.now(), 2000.0);
     }

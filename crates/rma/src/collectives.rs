@@ -79,11 +79,6 @@ impl ReduceBarrier {
     pub fn wait(&self) {
         self.wait_max(f64::NEG_INFINITY);
     }
-
-    /// Number of participants.
-    pub fn participants(&self) -> usize {
-        self.n
-    }
 }
 
 type SlotBoard = HashMap<u64, Vec<Option<Box<dyn Any + Send>>>>;

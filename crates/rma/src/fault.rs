@@ -155,11 +155,6 @@ impl FaultConfig {
         self.spike_factor = factor;
         self
     }
-
-    /// Whether this configuration can ever produce a fault.
-    pub fn is_active(&self) -> bool {
-        self.transient_rate > 0.0 || self.spike_rate > 0.0 || !self.rank_failures.is_empty()
-    }
 }
 
 /// The fate of one fault-checked operation.
@@ -217,11 +212,6 @@ impl FaultPlan {
         &self.cfg
     }
 
-    /// Number of operations fault-checked so far.
-    pub fn ops_seen(&self) -> u64 {
-        self.op_seq
-    }
-
     /// Decides the fate of the next operation towards `target`, issued at
     /// the initiator's virtual time `now_ns`. Advances the operation
     /// counter.
@@ -276,7 +266,6 @@ mod tests {
         for i in 0..1000 {
             assert_eq!(p.decide(1, i as f64), FaultDecision::None);
         }
-        assert_eq!(p.ops_seen(), 1000);
     }
 
     #[test]
@@ -347,13 +336,5 @@ mod tests {
         assert!(!d.is_retryable());
         assert!(t.to_string().contains("transient"));
         assert!(d.to_string().contains("failed"));
-    }
-
-    #[test]
-    fn is_active_reflects_config() {
-        assert!(!FaultConfig::default().is_active());
-        assert!(FaultConfig::transient(0.01, 0).is_active());
-        assert!(FaultConfig::default().with_spikes(0.1, 2.0).is_active());
-        assert!(FaultConfig::default().with_rank_failure(1, 0.0).is_active());
     }
 }

@@ -80,10 +80,7 @@ pub use fault::{FaultConfig, FaultDecision, FaultPlan, RankFailure, RmaError};
 pub use netmodel::{NetModel, TransferCost};
 pub use process::{run, run_collect, OpCounters, Process, RankReport, SimConfig};
 pub use topology::{Distance, Topology};
-pub use window::{
-    AccumulateOp, GetStamp, LockKind, NotifyDrain, NotifyHorizon, PutRecord, RmaRequest, StagedGet,
-    Window,
-};
+pub use window::{GetStamp, LockKind, NotifyDrain, NotifyHorizon, PutRecord, StagedGet, Window};
 
 /// Write guard over a rank's own window region (see [`Window::local_mut`]),
 /// dereferencing straight to the byte slice.

@@ -183,7 +183,7 @@ impl Process {
 
     /// How many events this rank has gone through after which its next
     /// get may have to see a write it was not bound to see before: its
-    /// own puts, accumulates and atomics (through any window), lock
+    /// own puts (through any window), lock
     /// acquisitions (`lock`, `lock_all`), PSCW `start` and `wait`, and
     /// collectives (`barrier` and everything built on it, `fence`
     /// included) — every point where RMASAN joins a clock, plus every
@@ -193,11 +193,6 @@ impl Process {
     /// looked" compares two readings of this count.
     pub fn sync_events(&self) -> u64 {
         self.sync_events
-    }
-
-    /// This rank's fault schedule, if fault injection is enabled.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
     }
 
     /// Draws the fate of the next data-movement operation towards
@@ -442,7 +437,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::{AccumulateOp, LockKind};
+    use crate::window::LockKind;
     use clampi_datatype::Datatype;
 
     #[test]
@@ -502,15 +497,6 @@ mod tests {
             step(p, &mut |p| win.get(p, &mut buf, 0, slot, &dt, 1));
             step(p, &mut |p| win.flush(p, 0));
             step(p, &mut |p| win.put(p, &[1; 8], 0, slot, &dt, 1));
-            step(p, &mut |p| {
-                win.accumulate(p, &[0; 8], 0, 16 + slot, &dt, 1, AccumulateOp::Sum)
-            });
-            step(p, &mut |p| {
-                win.fetch_and_op(p, 0, 32 + slot, 1, u64::wrapping_add);
-            });
-            step(p, &mut |p| {
-                win.compare_and_swap(p, 0, 48 + slot, 0, 1);
-            });
             step(p, &mut |p| win.unlock(p, 0));
             step(p, &mut |p| win.lock_all(p));
             step(p, &mut |p| win.unlock_all(p));
@@ -525,7 +511,7 @@ mod tests {
             deltas
         });
         let (post_wait, start_complete) = ([0, 1], [1, 0]);
-        let common = [1, 0, 0, 1, 1, 1, 1, 0, 1, 0];
+        let common = [1, 0, 0, 1, 0, 1, 0];
         assert_eq!(out[0].1, [&common[..], &post_wait[..]].concat());
         assert_eq!(out[1].1, [&common[..], &start_complete[..]].concat());
     }

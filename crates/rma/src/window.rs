@@ -31,19 +31,6 @@ use crate::sync;
 pub use crate::lockmgr::LockKind;
 use crate::lockmgr::LockManager;
 
-/// Reduction operator for [`Window::accumulate`] (MPI_Accumulate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccumulateOp {
-    /// Overwrite (MPI_REPLACE) — equivalent to a put, byte-wise.
-    Replace,
-    /// Elementwise f64 addition (MPI_SUM).
-    Sum,
-    /// Elementwise f64 minimum (MPI_MIN).
-    Min,
-    /// Elementwise f64 maximum (MPI_MAX).
-    Max,
-}
-
 /// One remote write recorded on a target's put-notification ring: the
 /// byte range `[disp, disp + len)` of the target's region that `origin`
 /// overwrote, and the region's version counter *after* the write.
@@ -97,7 +84,7 @@ pub struct NotifyDrain {
 /// put notifications. One per target region, shared by all ranks.
 #[derive(Debug)]
 struct NotifyRing {
-    /// Monotonic count of writes (put/accumulate/atomics) to the region.
+    /// Monotonic count of puts to the region.
     version: u64,
     records: VecDeque<PutRecord>,
     cap: usize,
@@ -135,8 +122,8 @@ pub(crate) struct WinShared {
     /// reading under the drained target's ring lock makes the sample a
     /// true cap — a put the drain did not see takes its stamp later.
     commit_ts: Mutex<u64>,
-    /// Cross-rank RMASAN state (access log + atomic-sync clocks); `None`
-    /// when the sanitizer is off.
+    /// Cross-rank RMASAN state (the access log); `None` when the
+    /// sanitizer is off.
     san: Option<WinSanShared>,
 }
 
@@ -290,13 +277,6 @@ impl Range2 {
     }
 }
 
-/// A handle to one request-based RMA operation (MPI_Request for
-/// MPI_Rget/MPI_Rput).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RmaRequest {
-    id: u64,
-}
-
 /// The cost breakdown of a staged (not yet charged) get, returned by
 /// [`Window::try_get_staged`].
 ///
@@ -362,9 +342,9 @@ pub struct Window {
     accesses: Vec<AccessRec>,
     /// The access epochs this handle has open ([`Window::epoch_open_for`]).
     open: OpenEpochs,
-    /// Outstanding nonblocking-get request ids, queued per target; drained
-    /// (cleared) when the corresponding completion event runs.
-    nb_queue: Vec<Vec<u64>>,
+    /// Gets posted per target and not yet completed; zeroed when the
+    /// corresponding completion event runs.
+    outstanding_gets: Vec<usize>,
     /// Reusable one-block layout for contiguous typed gets, so the hot
     /// path does not flatten (heap-allocate) per call.
     scratch_layout: FlatLayout,
@@ -452,15 +432,6 @@ impl OpenEpochs {
     }
 }
 
-/// Copies an 8-byte slice into an array for `from_le_bytes`. Callers pass
-/// slices produced by `chunks_exact(8)` or 8-wide indexing, so the length
-/// always matches; `copy_from_slice` still asserts it.
-fn le8(b: &[u8]) -> [u8; 8] {
-    let mut a = [0u8; 8];
-    a.copy_from_slice(b);
-    a
-}
-
 impl Window {
     pub(crate) fn new(shared: Arc<WinShared>, my_rank: usize, san_enabled: bool) -> Self {
         let ntargets = shared.sizes.len();
@@ -470,7 +441,7 @@ impl Window {
             epoch: 0,
             accesses: Vec::new(),
             open: OpenEpochs::for_targets(ntargets),
-            nb_queue: vec![Vec::new(); ntargets],
+            outstanding_gets: vec![0; ntargets],
             scratch_layout: FlatLayout::contiguous(0),
             last_get_stamp: GetStamp::default(),
             last_put_stamp: GetStamp::default(),
@@ -525,7 +496,7 @@ impl Window {
     /// RMASAN: records one access of this epoch and reports any earlier
     /// one it conflicts with. MPI-3 RMA forbids a put overlapping any
     /// access, and a get overlapping a put, within one epoch (Sec. II of
-    /// the paper); same-operation accumulate overlaps are well-defined.
+    /// the paper).
     fn record_access(&mut self, p: &Process, target: usize, range: Range2, kind: AccessKind) {
         let Some(ctx) = p.san.as_ref().filter(|_| self.san.is_some()) else {
             return;
@@ -564,9 +535,10 @@ impl Window {
     /// RMASAN hook for local reads of buffers previously handed to a get:
     /// reports [`SanKind::ReadBeforeFlush`] if `buf` overlaps the
     /// destination of a get that has not yet completed (no flush/unlock/
-    /// fence/wait since it was issued). A no-op when the sanitizer is
-    /// off — the simulator cannot trap plain loads, so checked code paths
-    /// call this explicitly before consuming get results early.
+    /// complete/fence towards its target since it was issued). A no-op
+    /// when the sanitizer is off — the simulator cannot trap plain loads,
+    /// so checked code paths call this explicitly before consuming get
+    /// results early.
     pub fn san_read(&self, p: &Process, buf: &[u8]) {
         if let (Some(local), Some(ctx)) = (self.san.as_deref(), p.san.as_ref()) {
             local.check_read(ctx, buf.as_ptr() as usize, buf.len());
@@ -637,8 +609,14 @@ impl Window {
         dtype: &Datatype,
         count: usize,
     ) -> Result<(), RmaError> {
-        self.try_iget(p, dst, target, disp, dtype, count)
-            .map(|_| ())
+        if dtype.is_contiguous() {
+            let len = dtype.size_n(count);
+            return self.with_contig_layout(len, |w, layout| {
+                w.try_get_flat(p, dst, target, disp, Some(layout))
+            });
+        }
+        let layout = dtype.flatten_n(count);
+        self.try_get_flat(p, dst, target, disp, Some(&layout))
     }
 
     /// [`Window::get`] with a pre-flattened layout (relative to `disp`).
@@ -663,10 +641,13 @@ impl Window {
 
     /// Fallible [`Window::get_flat`]: surfaces injected faults as typed
     /// [`RmaError`]s. `None` reads `dst.len()` contiguous bytes, with no
-    /// layout built by the caller.
+    /// layout built by the caller. `get`, `try_get`, `get_flat` and
+    /// `get_typed` all delegate here.
     ///
-    /// On `Err` no bytes have moved, nothing is outstanding on the
-    /// network, and no epoch access has been recorded; only the failure's
+    /// On `Ok` the get is counted outstanding towards `target` (see
+    /// [`Window::outstanding_gets`]) until the next completion event. On
+    /// `Err` no bytes have moved, nothing is outstanding on the network,
+    /// and no epoch access has been recorded; only the failure's
     /// detection cost (NACK round trip or timeout) has been charged to
     /// the virtual clock. Transient errors may be retried.
     ///
@@ -682,57 +663,12 @@ impl Window {
         disp: usize,
         layout: Option<&FlatLayout>,
     ) -> Result<(), RmaError> {
-        self.try_iget_flat(p, dst, target, disp, layout).map(|_| ())
-    }
-
-    /// Nonblocking get (MPI_Rget semantics): like [`Window::get`] but
-    /// returns a typed request handle immediately. The data is in `dst`
-    /// right away (the simulator copies eagerly); in virtual time the
-    /// transfer stays outstanding on this window's per-target request
-    /// queue until [`Window::wait_request`] on the handle or the next
-    /// completion event (`flush`/`unlock`/`fence`/`complete`) drains it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-bounds access or on an injected fault (use
-    /// [`Window::try_iget`] under fault injection).
-    pub fn iget(
-        &mut self,
-        p: &mut Process,
-        dst: &mut [u8],
-        target: usize,
-        disp: usize,
-        dtype: &Datatype,
-        count: usize,
-    ) -> RmaRequest {
-        self.try_iget(p, dst, target, disp, dtype, count)
-            .unwrap_or_else(|e| {
-                panic!("unrecovered RMA fault on iget: {e} (use try_iget or the CLaMPI recovery layer under fault injection)")
-            })
-    }
-
-    /// Fallible [`Window::iget`]: surfaces injected faults as typed
-    /// [`RmaError`]s. Fault plans apply per posted request — each
-    /// `try_iget` draws its own fault decision, so a batch of nonblocking
-    /// gets composes with the CLaMPI recovery layer exactly like a
-    /// sequence of blocking ones.
-    pub fn try_iget(
-        &mut self,
-        p: &mut Process,
-        dst: &mut [u8],
-        target: usize,
-        disp: usize,
-        dtype: &Datatype,
-        count: usize,
-    ) -> Result<RmaRequest, RmaError> {
-        if dtype.is_contiguous() {
-            let len = dtype.size_n(count);
-            return self.with_contig_layout(len, |w, layout| {
-                w.try_iget_flat(p, dst, target, disp, Some(layout))
-            });
-        }
-        let layout = dtype.flatten_n(count);
-        self.try_iget_flat(p, dst, target, disp, Some(&layout))
+        let staged = self.try_get_staged(p, dst, target, disp, layout)?;
+        p.clock_mut().charge_cpu(staged.cost.cpu_ns);
+        p.clock_mut()
+            .post_network(target, staged.cost.wire_ns * staged.spike);
+        self.outstanding_gets[target] += 1;
+        Ok(())
     }
 
     /// Runs `f` with a borrowed contiguous scratch layout of `len` bytes,
@@ -750,33 +686,6 @@ impl Window {
         let r = f(self, &layout);
         self.scratch_layout = layout;
         r
-    }
-
-    /// [`Window::try_iget`] with a pre-flattened layout (`None`:
-    /// `dst.len()` contiguous bytes). This is the core get primitive:
-    /// every other get entry point delegates here.
-    ///
-    /// On `Ok` the request id has been appended to the per-target
-    /// outstanding queue (see [`Window::outstanding_requests`]); on `Err`
-    /// no bytes have moved and nothing is outstanding.
-    pub fn try_iget_flat(
-        &mut self,
-        p: &mut Process,
-        dst: &mut [u8],
-        target: usize,
-        disp: usize,
-        layout: Option<&FlatLayout>,
-    ) -> Result<RmaRequest, RmaError> {
-        let staged = self.try_get_staged(p, dst, target, disp, layout)?;
-        p.clock_mut().charge_cpu(staged.cost.cpu_ns);
-        p.clock_mut()
-            .post_network(target, staged.cost.wire_ns * staged.spike);
-        let id = p.clock_mut().last_posted_id();
-        self.nb_queue[target].push(id);
-        if let Some(local) = self.san.as_deref_mut() {
-            local.tag_last_read(id);
-        }
-        Ok(RmaRequest { id })
     }
 
     /// Stages a get without charging it: performs the fault gate, the
@@ -847,10 +756,10 @@ impl Window {
         Ok(StagedGet { cost, spike })
     }
 
-    /// Number of nonblocking get requests posted towards `target` and not
-    /// yet completed by a `wait_request` or a completion event.
-    pub fn outstanding_requests(&self, target: usize) -> usize {
-        self.nb_queue[target].len()
+    /// Number of gets posted towards `target` and not yet completed by a
+    /// completion event.
+    pub fn outstanding_gets(&self, target: usize) -> usize {
+        self.outstanding_gets[target]
     }
 
     /// [`Window::get`] with a *typed origin*: the fetched payload is
@@ -886,38 +795,6 @@ impl Window {
         // The origin-side scatter is initiator CPU work.
         let scatter = p.netmodel().memcpy_cost(origin.total_size());
         p.clock_mut().charge_cpu(scatter);
-    }
-
-    /// Request-based put (MPI_Rput): like [`Window::put`] but returns a
-    /// handle completed individually with [`Window::wait_request`].
-    pub fn rput(
-        &mut self,
-        p: &mut Process,
-        src: &[u8],
-        target: usize,
-        disp: usize,
-        dtype: &Datatype,
-        count: usize,
-    ) -> RmaRequest {
-        self.put(p, src, target, disp, dtype, count);
-        RmaRequest {
-            id: p.clock_mut().last_posted_id(),
-        }
-    }
-
-    /// Completes one request-based operation (MPI_Wait on the request).
-    /// Does **not** close the epoch.
-    pub fn wait_request(&mut self, p: &mut Process, req: RmaRequest) {
-        p.clock_mut().wait_one(req.id);
-        for q in &mut self.nb_queue {
-            if let Some(i) = q.iter().position(|&id| id == req.id) {
-                q.swap_remove(i);
-                break;
-            }
-        }
-        if let Some(local) = self.san.as_deref_mut() {
-            local.complete_read_id(req.id);
-        }
     }
 
     /// Writes `count` elements of `dtype` from the packed buffer `src` into
@@ -1022,215 +899,8 @@ impl Window {
         Ok(())
     }
 
-    /// Elementwise atomic update of `target`'s region (MPI_Accumulate) with
-    /// `count` elements of `dtype` from the packed buffer `src`.
-    ///
-    /// Non-`Replace` operators interpret the data as little-endian `f64`
-    /// elements (MPI_DOUBLE), the common scientific case. The update is
-    /// atomic with respect to concurrent transfers (it holds the target
-    /// region's write lock), like hardware-accelerated MPI accumulates.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-bounds access, or if a numeric operator is used
-    /// with a payload that is not a multiple of 8 bytes.
-    #[allow(clippy::too_many_arguments)] // mirrors MPI_Accumulate's signature
-    pub fn accumulate(
-        &mut self,
-        p: &mut Process,
-        src: &[u8],
-        target: usize,
-        disp: usize,
-        dtype: &Datatype,
-        count: usize,
-        op: AccumulateOp,
-    ) {
-        let layout = dtype.flatten_n(count);
-        let span = layout.span();
-        assert!(
-            disp + span <= self.shared.sizes[target],
-            "accumulate out of bounds: disp {disp} + span {span} > window size {} at target {target}",
-            self.shared.sizes[target]
-        );
-        assert_eq!(
-            src.len(),
-            layout.total_size(),
-            "packed source length mismatch"
-        );
-        if op != AccumulateOp::Replace {
-            assert_eq!(
-                layout.total_size() % 8,
-                0,
-                "numeric accumulate needs f64-aligned payloads"
-            );
-            for b in layout.blocks() {
-                assert_eq!(b.len % 8, 0, "numeric accumulate needs f64-aligned blocks");
-            }
-        }
-        self.san_epoch_gate(p, target, "accumulate");
-        self.record_access(
-            p,
-            target,
-            Range2 {
-                start: disp,
-                end: disp + span,
-            },
-            AccessKind::Atomic,
-        );
-        // An accumulate is a one-way atomic: it publishes this rank's
-        // clock for later value-returning atomics to join, but learns
-        // nothing itself (no result flows back into control flow).
-        if let (Some(shared), Some(ctx)) = (self.shared.san.as_ref(), p.san.as_mut()) {
-            shared.atomic_sync(ctx, target, false);
-        }
-        self.san_log_access(p, target, disp, disp + span, AccessKind::Atomic);
-        {
-            let mut region = sync::write(&self.shared.regions[target]);
-            let mut cursor = 0;
-            for b in layout.blocks() {
-                let dst = &mut region[disp + b.offset..disp + b.offset + b.len];
-                let s = &src[cursor..cursor + b.len];
-                match op {
-                    AccumulateOp::Replace => dst.copy_from_slice(s),
-                    _ => {
-                        for (dc, sc) in dst.chunks_exact_mut(8).zip(s.chunks_exact(8)) {
-                            let cur = f64::from_le_bytes(le8(dc));
-                            let add = f64::from_le_bytes(le8(sc));
-                            let new = match op {
-                                AccumulateOp::Sum => cur + add,
-                                AccumulateOp::Min => cur.min(add),
-                                AccumulateOp::Max => cur.max(add),
-                                AccumulateOp::Replace => unreachable!(),
-                            };
-                            dc.copy_from_slice(&new.to_le_bytes());
-                        }
-                    }
-                }
-                cursor += b.len;
-            }
-            self.shared.note_put(
-                target,
-                self.my_rank,
-                disp as u64,
-                span as u64,
-                p.now() as u64,
-            );
-        }
-        let cost = p.netmodel().transfer_cost(
-            self.my_rank,
-            target,
-            layout.total_size(),
-            layout.blocks().len(),
-        );
-        p.clock_mut().charge_cpu(cost.cpu_ns);
-        p.clock_mut().post_network(target, cost.wire_ns);
-        p.counters.puts += 1;
-        p.sync_events += 1;
-        p.counters.bytes_put += layout.total_size() as u64;
-    }
-
-    /// Atomic fetch-and-op on a u64 at `disp` in `target`'s region
-    /// (MPI_Fetch_and_op with MPI_UINT64_T): returns the previous value
-    /// and applies `op(previous, operand)`. Atomicity comes from holding
-    /// the region's write lock for the read-modify-write.
-    ///
-    /// Unlike get/put this operation is *synchronous* in virtual time (it
-    /// charges the full round trip immediately): its result steers control
-    /// flow, so it cannot be left outstanding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `disp + 8` exceeds the target region.
-    pub fn fetch_and_op(
-        &mut self,
-        p: &mut Process,
-        target: usize,
-        disp: usize,
-        operand: u64,
-        op: fn(u64, u64) -> u64,
-    ) -> u64 {
-        assert!(
-            disp + 8 <= self.shared.sizes[target],
-            "fetch_and_op out of bounds at target {target}"
-        );
-        // Value-returning atomic: a two-way synchronization point. Joining
-        // the clocks of every prior atomic on this region gives CAS-built
-        // locks and ticket counters real happens-before edges. Atomics are
-        // deliberately exempt from the epoch gate — the simulator models
-        // them as standalone synchronous ops usable outside lock epochs.
-        // The clock exchange runs inside the region write lock, as one
-        // step with the memory operation: a rank that observes another's
-        // store (a released lock word) has then also joined its clock.
-        let prev = {
-            let mut region = sync::write(&self.shared.regions[target]);
-            if let (Some(shared), Some(ctx)) = (self.shared.san.as_ref(), p.san.as_mut()) {
-                shared.atomic_sync(ctx, target, true);
-            }
-            self.san_log_access(p, target, disp, disp + 8, AccessKind::Atomic);
-            let cur = u64::from_le_bytes(le8(&region[disp..disp + 8]));
-            let new = op(cur, operand);
-            region[disp..disp + 8].copy_from_slice(&new.to_le_bytes());
-            self.shared
-                .note_put(target, self.my_rank, disp as u64, 8, p.now() as u64);
-            cur
-        };
-        let cost = p.netmodel().transfer_cost(self.my_rank, target, 8, 1);
-        p.clock_mut().charge_cpu(cost.cpu_ns);
-        // Synchronous round trip: the wire time is paid now.
-        p.clock_mut().charge_cpu(cost.wire_ns);
-        p.counters.puts += 1;
-        p.sync_events += 1;
-        p.counters.bytes_put += 8;
-        prev
-    }
-
-    /// Atomic compare-and-swap on a u64 (MPI_Compare_and_swap): if the
-    /// current value equals `expected`, stores `desired`; returns the
-    /// previous value either way. Synchronous like
-    /// [`Window::fetch_and_op`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `disp + 8` exceeds the target region.
-    pub fn compare_and_swap(
-        &mut self,
-        p: &mut Process,
-        target: usize,
-        disp: usize,
-        expected: u64,
-        desired: u64,
-    ) -> u64 {
-        assert!(
-            disp + 8 <= self.shared.sizes[target],
-            "compare_and_swap out of bounds at target {target}"
-        );
-        // Two-way synchronization point, exactly like fetch_and_op (clock
-        // exchange and memory operation as one step under the region lock).
-        let prev = {
-            let mut region = sync::write(&self.shared.regions[target]);
-            if let (Some(shared), Some(ctx)) = (self.shared.san.as_ref(), p.san.as_mut()) {
-                shared.atomic_sync(ctx, target, true);
-            }
-            self.san_log_access(p, target, disp, disp + 8, AccessKind::Atomic);
-            let cur = u64::from_le_bytes(le8(&region[disp..disp + 8]));
-            if cur == expected {
-                region[disp..disp + 8].copy_from_slice(&desired.to_le_bytes());
-                self.shared
-                    .note_put(target, self.my_rank, disp as u64, 8, p.now() as u64);
-            }
-            cur
-        };
-        let cost = p.netmodel().transfer_cost(self.my_rank, target, 8, 1);
-        p.clock_mut().charge_cpu(cost.cpu_ns);
-        p.clock_mut().charge_cpu(cost.wire_ns);
-        p.counters.puts += 1;
-        p.sync_events += 1;
-        p.counters.bytes_put += 8;
-        prev
-    }
-
     /// The current version counter of `target`'s region: the number of
-    /// writes (`put`/`accumulate`/atomics) applied to it so far. Local
+    /// puts applied to it so far. Local
     /// stores through [`Window::local_mut`] do *not* bump it — coherence
     /// covers RMA writers, not out-of-band initialization.
     ///
@@ -1357,16 +1027,6 @@ impl Window {
         self.accesses.clear();
     }
 
-    fn drain_requests(&mut self, target: usize) {
-        self.nb_queue[target].clear();
-    }
-
-    fn drain_all_requests(&mut self) {
-        for q in &mut self.nb_queue {
-            q.clear();
-        }
-    }
-
     /// Completes all outstanding operations towards `target`
     /// (MPI_Win_flush). Counts as an epoch closure for the caching layer.
     pub fn flush(&mut self, p: &mut Process, target: usize) {
@@ -1382,7 +1042,7 @@ impl Window {
         p.clock_mut().charge_cpu(sync);
         p.clock_mut().wait_target(target);
         p.counters.flushes += 1;
-        self.drain_requests(target);
+        self.outstanding_gets[target] = 0;
         self.close_epoch();
     }
 
@@ -1399,7 +1059,7 @@ impl Window {
         p.clock_mut().charge_cpu(sync);
         p.clock_mut().wait_all();
         p.counters.flushes += 1;
-        self.drain_all_requests();
+        self.outstanding_gets.fill(0);
         self.close_epoch();
     }
 
@@ -1424,7 +1084,7 @@ impl Window {
             local.complete_reads_for(target);
         }
         self.shared.locks.unlock_hb(target, p.san.as_mut());
-        self.drain_requests(target);
+        self.outstanding_gets[target] = 0;
         self.close_epoch();
     }
 
@@ -1448,7 +1108,7 @@ impl Window {
             local.complete_all_reads();
         }
         self.shared.locks.unlock_all_hb(p.san.as_mut());
-        self.drain_all_requests();
+        self.outstanding_gets.fill(0);
         self.close_epoch();
     }
 
@@ -1522,7 +1182,7 @@ impl Window {
             );
         }
         self.open.pscw.clear();
-        self.drain_all_requests();
+        self.outstanding_gets.fill(0);
         self.close_epoch();
     }
 
@@ -1558,7 +1218,7 @@ impl Window {
             local.complete_all_reads();
         }
         p.barrier();
-        self.drain_all_requests();
+        self.outstanding_gets.fill(0);
         self.close_epoch();
     }
 }

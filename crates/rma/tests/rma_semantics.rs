@@ -232,137 +232,6 @@ fn exclusive_lock_serializes_initiators() {
     });
 }
 
-mod accumulate {
-    use clampi_datatype::Datatype;
-    use clampi_rma::{run, AccumulateOp, LockKind, SimConfig};
-
-    #[test]
-    fn concurrent_sum_accumulates_are_exact() {
-        // Every rank adds its (rank+1) value into rank 0's counter 10
-        // times; the total must be exact despite concurrency.
-        let n = 6;
-        let rounds = 10;
-        let reports = run(SimConfig::default(), n, |p| {
-            let mut win = p.win_allocate(8);
-            p.barrier();
-            win.lock_all(p);
-            let contrib = (p.rank() + 1) as f64;
-            for _ in 0..rounds {
-                win.accumulate(
-                    p,
-                    &contrib.to_le_bytes(),
-                    0,
-                    0,
-                    &Datatype::double(),
-                    1,
-                    AccumulateOp::Sum,
-                );
-            }
-            win.flush_all(p);
-            win.unlock_all(p);
-            p.barrier();
-            if p.rank() == 0 {
-                let m = win.local_ref();
-                let v = f64::from_le_bytes(m[..8].try_into().unwrap());
-                let want = (rounds * n * (n + 1) / 2) as f64;
-                assert_eq!(v, want, "lost accumulate updates");
-            }
-            p.barrier();
-        });
-        assert!(reports[1].counters.puts >= rounds as u64);
-    }
-
-    #[test]
-    fn min_max_and_replace() {
-        run(SimConfig::default(), 2, |p| {
-            let mut win = p.win_allocate(24);
-            if p.rank() == 1 {
-                let mut m = win.local_mut();
-                m[..8].copy_from_slice(&5.0f64.to_le_bytes());
-                m[8..16].copy_from_slice(&5.0f64.to_le_bytes());
-                m[16..24].copy_from_slice(&5.0f64.to_le_bytes());
-            }
-            p.barrier();
-            if p.rank() == 0 {
-                win.lock(p, LockKind::Exclusive, 1);
-                win.accumulate(
-                    p,
-                    &9.0f64.to_le_bytes(),
-                    1,
-                    0,
-                    &Datatype::double(),
-                    1,
-                    AccumulateOp::Max,
-                );
-                win.accumulate(
-                    p,
-                    &9.0f64.to_le_bytes(),
-                    1,
-                    8,
-                    &Datatype::double(),
-                    1,
-                    AccumulateOp::Min,
-                );
-                win.accumulate(
-                    p,
-                    &9.0f64.to_le_bytes(),
-                    1,
-                    16,
-                    &Datatype::double(),
-                    1,
-                    AccumulateOp::Replace,
-                );
-                win.unlock(p, 1);
-            }
-            p.barrier();
-            if p.rank() == 1 {
-                let m = win.local_ref();
-                let at = |o: usize| f64::from_le_bytes(m[o..o + 8].try_into().unwrap());
-                assert_eq!(at(0), 9.0, "max");
-                assert_eq!(at(8), 5.0, "min");
-                assert_eq!(at(16), 9.0, "replace");
-            }
-            p.barrier();
-        });
-    }
-
-    #[test]
-    fn strided_accumulate_touches_only_blocks() {
-        run(SimConfig::default(), 2, |p| {
-            let mut win = p.win_allocate(64);
-            p.barrier();
-            if p.rank() == 0 {
-                // Two f64 blocks with an 8-byte gap between them.
-                let dt = Datatype::vector(2, 1, 2, Datatype::double());
-                let src = [1.5f64.to_le_bytes(), 2.5f64.to_le_bytes()].concat();
-                win.lock(p, LockKind::Shared, 1);
-                win.accumulate(p, &src, 1, 0, &dt, 1, AccumulateOp::Sum);
-                win.unlock(p, 1);
-            }
-            p.barrier();
-            if p.rank() == 1 {
-                let m = win.local_ref();
-                let at = |o: usize| f64::from_le_bytes(m[o..o + 8].try_into().unwrap());
-                assert_eq!(at(0), 1.5);
-                assert_eq!(at(8), 0.0, "gap untouched");
-                assert_eq!(at(16), 2.5);
-            }
-            p.barrier();
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "f64-aligned")]
-    fn numeric_accumulate_rejects_unaligned_payload() {
-        run(SimConfig::default(), 1, |p| {
-            let mut win = p.win_allocate(16);
-            win.lock_all(p);
-            let src = [0u8; 4];
-            win.accumulate(p, &src, 0, 0, &Datatype::bytes(4), 1, AccumulateOp::Sum);
-        });
-    }
-}
-
 mod allreduce {
     use clampi_rma::{run_collect, SimConfig};
 
@@ -377,97 +246,6 @@ mod allreduce {
             assert_eq!(*s, 15.0);
             assert_eq!(*m, 8.0);
         }
-    }
-}
-
-mod atomics {
-    use clampi_rma::{run, run_collect, LockKind, SimConfig};
-
-    #[test]
-    fn fetch_and_add_is_exact_under_contention() {
-        let n = 8;
-        let rounds = 25u64;
-        let out = run_collect(SimConfig::default(), n, |p| {
-            let mut win = p.win_allocate(8);
-            p.barrier();
-            let mut seen = Vec::new();
-            for _ in 0..rounds {
-                let prev = win.fetch_and_op(p, 0, 0, 1, |a, b| a.wrapping_add(b));
-                seen.push(prev);
-            }
-            p.barrier();
-            let total = if p.rank() == 0 {
-                let m = win.local_ref();
-                u64::from_le_bytes(m[..8].try_into().unwrap())
-            } else {
-                0
-            };
-            p.barrier();
-            (seen, total)
-        });
-        assert_eq!(out[0].1 .1, n as u64 * rounds, "lost atomic increments");
-        // Every fetched previous value is unique: a total order exists.
-        let mut all: Vec<u64> = out.iter().flat_map(|(_, (s, _))| s.clone()).collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), (n as u64 * rounds) as usize, "duplicate tickets");
-    }
-
-    #[test]
-    fn cas_implements_a_spin_lock() {
-        // A CAS-based lock guarding a non-atomic counter: the final count
-        // proves mutual exclusion.
-        let n = 4;
-        let rounds = 10u64;
-        run(SimConfig::default(), n, |p| {
-            let mut win = p.win_allocate(16); // [lock | counter]
-            p.barrier();
-            for _ in 0..rounds {
-                while win.compare_and_swap(p, 0, 0, 0, 1 + p.rank() as u64) != 0 {}
-                // Critical section: read-modify-write the plain counter.
-                // The CAS provides mutual exclusion (and RMASAN's
-                // happens-before edges), but MPI still requires a
-                // passive-target epoch around the get/put themselves.
-                win.lock(p, LockKind::Shared, 0);
-                let mut b = [0u8; 8];
-                win.get(p, &mut b, 0, 8, &clampi_datatype::Datatype::bytes(8), 1);
-                win.flush(p, 0);
-                let v = u64::from_le_bytes(b) + 1;
-                win.put(
-                    p,
-                    &v.to_le_bytes(),
-                    0,
-                    8,
-                    &clampi_datatype::Datatype::bytes(8),
-                    1,
-                );
-                win.unlock(p, 0);
-                let released = win.compare_and_swap(p, 0, 0, 1 + p.rank() as u64, 0);
-                assert_eq!(released, 1 + p.rank() as u64, "lost the lock mid-section");
-            }
-            p.barrier();
-            if p.rank() == 0 {
-                let m = win.local_ref();
-                let v = u64::from_le_bytes(m[8..16].try_into().unwrap());
-                assert_eq!(v, n as u64 * rounds);
-            }
-            p.barrier();
-        });
-    }
-
-    #[test]
-    fn fetch_and_op_supports_max() {
-        run(SimConfig::default(), 5, |p| {
-            let mut win = p.win_allocate(8);
-            p.barrier();
-            win.fetch_and_op(p, 0, 0, (p.rank() as u64 + 1) * 7, u64::max);
-            p.barrier();
-            if p.rank() == 0 {
-                let m = win.local_ref();
-                assert_eq!(u64::from_le_bytes(m[..8].try_into().unwrap()), 35);
-            }
-            p.barrier();
-        });
     }
 }
 
@@ -602,85 +380,6 @@ mod pscw {
     }
 }
 
-mod requests {
-    use clampi_datatype::Datatype;
-    use clampi_rma::{run, SimConfig};
-
-    #[test]
-    fn rget_completes_individually_without_closing_the_epoch() {
-        run(SimConfig::checked(), 2, |p| {
-            let mut win = p.win_allocate(1 << 16);
-            if p.rank() == 1 {
-                win.local_mut().fill(5);
-            }
-            p.barrier();
-            if p.rank() == 0 {
-                win.lock_all(p);
-                let mut small = [0u8; 8];
-                let mut big = vec![0u8; 32 << 10];
-                let r_small = win.iget(p, &mut small, 1, 0, &Datatype::bytes(8), 1);
-                let r_big = win.iget(p, &mut big, 1, 64, &Datatype::bytes(32 << 10), 1);
-                // Completing only the small one must not wait for the big.
-                let t0 = p.now();
-                win.wait_request(p, r_small);
-                let t_small = p.now() - t0;
-                assert_eq!(small, [5u8; 8]);
-                assert_eq!(win.epoch(), 0, "wait_request must not close the epoch");
-                win.wait_request(p, r_big);
-                let t_both = p.now() - t0;
-                assert!(
-                    t_both > t_small,
-                    "big transfer completed no later than the small one"
-                );
-                assert_eq!(p.clock().outstanding_count(), 0);
-                win.unlock_all(p);
-            }
-            p.barrier();
-        });
-    }
-
-    #[test]
-    fn waiting_twice_on_a_request_is_harmless() {
-        run(SimConfig::default(), 2, |p| {
-            let mut win = p.win_allocate(64);
-            p.barrier();
-            if p.rank() == 0 {
-                win.lock_all(p);
-                let mut b = [0u8; 8];
-                let r = win.iget(p, &mut b, 1, 0, &Datatype::bytes(8), 1);
-                win.wait_request(p, r);
-                let t = p.now();
-                win.wait_request(p, r); // already retired: no-op
-                assert_eq!(p.now(), t);
-                win.unlock_all(p);
-            }
-            p.barrier();
-        });
-    }
-}
-
-#[test]
-fn rput_completes_individually() {
-    use clampi_rma::SimConfig;
-    run(SimConfig::default(), 2, |p| {
-        let mut win = p.win_allocate(64);
-        p.barrier();
-        if p.rank() == 0 {
-            win.lock_all(p);
-            let data = [3u8; 16];
-            let r = win.rput(p, &data, 1, 8, &Datatype::bytes(16), 1);
-            win.wait_request(p, r);
-            assert_eq!(p.clock().outstanding_count(), 0);
-            win.unlock_all(p);
-        }
-        p.barrier();
-        if p.rank() == 1 {
-            assert_eq!(&win.local_ref()[8..24], &[3u8; 16]);
-        }
-        p.barrier();
-    });
-}
-
 /// `Window::epoch_open_for` tracks the open access epochs whether or not
 /// RMASAN is armed: a lock covers its target only, `lock_all` every
 /// target, a PSCW access epoch its group, and fence mode everything from
@@ -754,14 +453,6 @@ mod typed_overflow {
     fn try_get_rejects_an_overflowing_count() {
         on_own_window(|p, win, buf| {
             let _ = win.try_get(p, buf, 0, 0, &huge(), 2);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "datatype extent overflows usize")]
-    fn try_iget_rejects_an_overflowing_count() {
-        on_own_window(|p, win, buf| {
-            let _ = win.try_iget(p, buf, 0, 0, &huge(), 2);
         });
     }
 

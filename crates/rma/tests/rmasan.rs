@@ -56,11 +56,11 @@ fn flush_separated_accesses_are_clean() {
 }
 
 #[test]
-fn read_of_iget_buffer_before_flush_is_flagged() {
+fn read_of_get_buffer_before_flush_is_flagged() {
     let diags = diags_of(|p, win| {
         win.lock_all(p);
         let mut buf = [0u8; 16];
-        let _req = win.iget(p, &mut buf, 0, 32, &Datatype::bytes(16), 1);
+        win.get(p, &mut buf, 0, 32, &Datatype::bytes(16), 1);
         win.san_read(p, &buf[4..8]); // premature: the get has not completed
         win.flush_all(p);
         win.san_read(p, &buf); // fine: flushed
@@ -76,26 +76,33 @@ fn read_of_iget_buffer_before_flush_is_flagged() {
     );
 }
 
+/// A flush completes the reads towards its own target only: the get to
+/// the other target stays outstanding.
 #[test]
-fn wait_request_completes_exactly_its_own_read() {
-    let diags = diags_of(|p, win| {
-        win.lock_all(p);
-        let mut a = [0u8; 8];
-        let mut b = [0u8; 8];
-        let req_a = win.iget(p, &mut a, 0, 0, &Datatype::bytes(8), 1);
-        let _req_b = win.iget(p, &mut b, 0, 16, &Datatype::bytes(8), 1);
-        win.wait_request(p, req_a);
-        win.san_read(p, &a); // completed by its own wait
-        win.san_read(p, &b); // still outstanding -> flagged
-        win.flush_all(p);
-        win.unlock_all(p);
+fn flush_completes_exactly_its_own_targets_reads() {
+    let (cfg, handle) = CheckerConfig::collect();
+    run_collect(SimConfig::default().with_checker(cfg), 2, |p| {
+        let mut win = p.win_allocate(64);
+        p.barrier();
+        if p.rank() == 0 {
+            win.lock_all(p);
+            let mut a = [0u8; 8];
+            let mut b = [0u8; 8];
+            win.get(p, &mut a, 0, 0, &Datatype::bytes(8), 1);
+            win.get(p, &mut b, 1, 16, &Datatype::bytes(8), 1);
+            win.flush(p, 1);
+            win.san_read(p, &a); // target 0 not flushed -> flagged
+            win.san_read(p, &b); // completed by flush(1)
+            win.unlock_all(p);
+        }
+        p.barrier();
     });
     assert_eq!(
-        diags.iter().map(|d| &d.kind).collect::<Vec<_>>(),
+        handle.take().iter().map(|d| &d.kind).collect::<Vec<_>>(),
         vec![&SanKind::ReadBeforeFlush {
             target: 0,
-            start: 16,
-            end: 24,
+            start: 0,
+            end: 8,
         }]
     );
 }
@@ -134,15 +141,6 @@ fn ops_and_flushes_outside_any_epoch_are_flagged() {
             &SanKind::FlushOutsideEpoch { target: Some(0) },
         ]
     );
-}
-
-#[test]
-fn atomics_are_exempt_from_the_epoch_gate() {
-    let diags = diags_of(|p, win| {
-        win.fetch_and_op(p, 0, 0, 3, u64::wrapping_add);
-        win.compare_and_swap(p, 0, 0, 3, 0);
-    });
-    assert_eq!(diags, vec![], "atomics are standalone synchronous ops");
 }
 
 #[test]

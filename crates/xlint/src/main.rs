@@ -18,7 +18,7 @@
 //! `// SAFETY:`).
 //!
 //! Usage:
-//!   xlint [--root DIR] [--rule a,b] [--list] [--self-test [RULE]]
+//!   `xlint [--root DIR] [--rule a,b] [--list] [--self-test [RULE]]`
 //!
 //! `--self-test` proves the rules still bite by running them against the
 //! known-offending fixtures under `ci/fixtures/` and checking that each
