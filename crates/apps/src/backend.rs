@@ -1,17 +1,19 @@
-//! Backend selection: which (if any) caching layer fronts the RMA window.
+//! Backend selection: which caching layer fronts the RMA window.
 //!
 //! The paper's application experiments compare four configurations:
-//! plain foMPI, CLaMPI *fixed*, CLaMPI *adaptive*, and (for Barnes-Hut)
-//! the ad-hoc *native* block cache of the reference UPC implementation.
-//! [`Backend`] names the configuration and [`AnyWindow`] erases the
-//! wrapper type so the applications are written once.
+//! foMPI, CLaMPI *fixed*, CLaMPI *adaptive*, and (for Barnes-Hut) the
+//! ad-hoc *native* block cache of the reference UPC implementation.
+//! foMPI is CLaMPI disabled ([`ClampiConfig::disabled`]), so the baseline
+//! and the cached series run through one window type. [`Backend`] names
+//! the configuration and [`AnyWindow`] erases the wrapper type so the
+//! applications are written once.
 
 use clampi::{
     AccessType, BlockCacheConfig, BlockCacheStats, BlockCachedWindow, CacheStats, CachedWindow,
-    ClampiConfig, SnapReq, SnapshotError, SnapshotInfo,
+    ClampiConfig,
 };
 use clampi_datatype::Datatype;
-use clampi_rma::{Process, Window};
+use clampi_rma::Process;
 
 /// Which layer fronts the window.
 // Constructed once per run to select a configuration; the size skew
@@ -20,7 +22,8 @@ use clampi_rma::{Process, Window};
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum Backend {
-    /// Plain RMA (the paper's "foMPI" series).
+    /// The paper's "foMPI" series: a window with caching disabled
+    /// ([`ClampiConfig::disabled`]).
     Fompi,
     /// CLaMPI with the given configuration (fixed or adaptive).
     Clampi(ClampiConfig),
@@ -48,9 +51,7 @@ impl Backend {
 /// A window fronted by the selected backend.
 #[derive(Debug)]
 pub enum AnyWindow {
-    /// Plain RMA window.
-    Plain(Window),
-    /// CLaMPI-cached window.
+    /// CLaMPI window: cached, or with caching disabled for foMPI.
     Clampi(Box<CachedWindow>),
     /// Block-cached window.
     Native(Box<BlockCachedWindow>),
@@ -60,11 +61,11 @@ impl AnyWindow {
     /// Collectively creates the window (every rank must call with the same
     /// backend kind).
     pub fn create(p: &mut Process, size: usize, backend: &Backend) -> Self {
+        let clampi =
+            |p: &mut Process, cfg| AnyWindow::Clampi(Box::new(CachedWindow::create(p, size, cfg)));
         match backend {
-            Backend::Fompi => AnyWindow::Plain(p.win_allocate(size)),
-            Backend::Clampi(cfg) => {
-                AnyWindow::Clampi(Box::new(CachedWindow::create(p, size, cfg.clone())))
-            }
+            Backend::Fompi => clampi(p, ClampiConfig::disabled()),
+            Backend::Clampi(cfg) => clampi(p, cfg.clone()),
             Backend::Native(cfg) => {
                 AnyWindow::Native(Box::new(BlockCachedWindow::create(p, size, cfg.clone())))
             }
@@ -74,7 +75,6 @@ impl AnyWindow {
     /// This rank's exposed region, mutable.
     pub fn local_mut(&self) -> clampi_rma::MappedWriteGuard<'_> {
         match self {
-            AnyWindow::Plain(w) => w.local_mut(),
             AnyWindow::Clampi(w) => w.local_mut(),
             AnyWindow::Native(w) => w.local_mut(),
         }
@@ -83,7 +83,6 @@ impl AnyWindow {
     /// MPI_Win_lock_all.
     pub fn lock_all(&mut self, p: &mut Process) {
         match self {
-            AnyWindow::Plain(w) => w.lock_all(p),
             AnyWindow::Clampi(w) => w.lock_all(p),
             AnyWindow::Native(w) => w.lock_all(p),
         }
@@ -92,7 +91,6 @@ impl AnyWindow {
     /// MPI_Win_unlock_all.
     pub fn unlock_all(&mut self, p: &mut Process) {
         match self {
-            AnyWindow::Plain(w) => w.unlock_all(p),
             AnyWindow::Clampi(w) => w.unlock_all(p),
             AnyWindow::Native(w) => w.unlock_all(p),
         }
@@ -102,9 +100,9 @@ impl AnyWindow {
     /// `target`'s region at `disp`: the returned data is safe to consume
     /// immediately.
     ///
-    /// - plain window: get + flush (two network waits cannot be avoided);
     /// - CLaMPI: cached get; the flush is skipped on a hit — the source of
-    ///   the paper's latency win;
+    ///   the paper's latency win. With caching disabled (foMPI) no get
+    ///   hits, so every one pays get + flush;
     /// - block cache: fetches whole blocks synchronously on miss.
     ///
     /// Returns the CLaMPI access classification when applicable.
@@ -119,11 +117,6 @@ impl AnyWindow {
         // fast path (per-window scratch layout — no per-call allocation).
         let dtype = Datatype::bytes(dst.len());
         match self {
-            AnyWindow::Plain(w) => {
-                w.get(p, dst, target, disp, &dtype, 1);
-                w.flush(p, target);
-                None
-            }
             AnyWindow::Clampi(w) => {
                 let class = w.get(p, dst, target, disp, &dtype, 1);
                 if class != Some(AccessType::Hit) {
@@ -143,10 +136,11 @@ impl AnyWindow {
     /// non-`Hit` outcomes it must not be consumed before the next
     /// [`AnyWindow::flush_batch`] (or any other completion event).
     ///
-    /// - plain window: nonblocking get, completes at the next flush;
     /// - CLaMPI: [`CachedWindow::get_nb`] — misses enter the
     ///   outstanding-miss table (overlapping their wire time, coalescing
-    ///   adjacent ranges) and hits cost no network at all;
+    ///   adjacent ranges) and hits cost no network at all. With caching
+    ///   disabled (foMPI) it is the inner window's get, completed at the
+    ///   next flush;
     /// - block cache: no nonblocking path — falls back to the synchronous
     ///   block fetch, which is already safe to consume.
     ///
@@ -160,71 +154,10 @@ impl AnyWindow {
     ) -> Option<AccessType> {
         let dtype = Datatype::bytes(dst.len());
         match self {
-            AnyWindow::Plain(w) => {
-                w.get(p, dst, target, disp, &dtype, 1);
-                None
-            }
             AnyWindow::Clampi(w) => w.get_nb(p, dst, target, disp, &dtype, 1),
             AnyWindow::Native(w) => {
                 w.get(p, dst, target, disp, &dtype, 1);
                 None
-            }
-        }
-    }
-
-    /// A batched read of `reqs` into `dst` (slices packed in request
-    /// order), synchronous: `dst` is safe to consume on return.
-    ///
-    /// - CLaMPI: [`CachedWindow::multi_get`] — the whole batch is
-    ///   **snapshot-consistent** (one timestamp contained in every
-    ///   record's validity interval; stale cached entries are refetched,
-    ///   ring overflow degrades to abort-and-retry). Returns
-    ///   `Ok(Some(info))` on success and `Err` if a target faulted or
-    ///   retries ran out — unlike [`AnyWindow::get_sync`], a snapshot
-    ///   batch never zero-fills;
-    /// - plain window / block cache: sequential reads with **no
-    ///   cross-request consistency guarantee** (each record is still
-    ///   individually atomic per the RMA model). Returns `Ok(None)`.
-    pub fn multi_get(
-        &mut self,
-        p: &mut Process,
-        reqs: &[SnapReq],
-        dst: &mut [u8],
-    ) -> Result<Option<SnapshotInfo>, SnapshotError> {
-        match self {
-            AnyWindow::Plain(w) => {
-                let mut off = 0;
-                for r in reqs {
-                    let dtype = Datatype::bytes(r.len);
-                    w.get(
-                        p,
-                        &mut dst[off..off + r.len],
-                        r.target as usize,
-                        r.disp,
-                        &dtype,
-                        1,
-                    );
-                    off += r.len;
-                }
-                w.flush_all(p);
-                Ok(None)
-            }
-            AnyWindow::Clampi(w) => w.multi_get(p, reqs, dst).map(Some),
-            AnyWindow::Native(w) => {
-                let mut off = 0;
-                for r in reqs {
-                    let dtype = Datatype::bytes(r.len);
-                    w.get(
-                        p,
-                        &mut dst[off..off + r.len],
-                        r.target as usize,
-                        r.disp,
-                        &dtype,
-                        1,
-                    );
-                    off += r.len;
-                }
-                Ok(None)
             }
         }
     }
@@ -234,7 +167,6 @@ impl AnyWindow {
     /// cache, whose gets are always synchronous.
     pub fn flush_batch(&mut self, p: &mut Process) {
         match self {
-            AnyWindow::Plain(w) => w.flush_all(p),
             AnyWindow::Clampi(w) => w.flush_all(p),
             AnyWindow::Native(_) => {}
         }
@@ -247,7 +179,6 @@ impl AnyWindow {
     pub fn put(&mut self, p: &mut Process, src: &[u8], target: usize, disp: usize) {
         let dtype = Datatype::bytes(src.len());
         match self {
-            AnyWindow::Plain(w) => w.put(p, src, target, disp, &dtype, 1),
             AnyWindow::Clampi(w) => w.put(p, src, target, disp, &dtype, 1),
             AnyWindow::Native(w) => w.inner_mut().put(p, src, target, disp, &dtype, 1),
         }
@@ -256,26 +187,25 @@ impl AnyWindow {
     /// Makes remotely-written data safe to read again: runs a CLaMPI
     /// coherence pass ([`CachedWindow::validate`] — surgical under a
     /// coherence mode, a full invalidation without one); falls back to a
-    /// full invalidation for the block cache; no-op for the plain window
+    /// full invalidation for the block cache; no-op with caching disabled
     /// (uncached reads are always coherent).
     pub fn validate(&mut self, p: &mut Process) {
         match self {
-            AnyWindow::Plain(_) => {}
             AnyWindow::Clampi(w) => w.validate(p),
             AnyWindow::Native(w) => w.invalidate(),
         }
     }
 
-    /// Explicit cache invalidation (no-op for the plain window).
+    /// Explicit cache invalidation (no-op with caching disabled).
     pub fn invalidate(&mut self, p: &mut Process) {
         match self {
-            AnyWindow::Plain(_) => {}
             AnyWindow::Clampi(w) => w.invalidate(p),
             AnyWindow::Native(w) => w.invalidate(),
         }
     }
 
-    /// CLaMPI statistics, if this is a CLaMPI window.
+    /// CLaMPI statistics, if this is a CLaMPI window ([`CachedWindow::stats`]:
+    /// no cache counters for foMPI, whose window has caching disabled).
     pub fn clampi_stats(&self) -> Option<CacheStats> {
         match self {
             AnyWindow::Clampi(w) => Some(w.stats()),

@@ -25,7 +25,9 @@ use clampi_rma::{run_collect, LockKind, SimConfig};
 /// The access type to force.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Forced {
-    /// Plain RMA get + flush (no cache at all).
+    /// foMPI: get + flush on a window with caching disabled
+    /// ([`ClampiConfig::disabled`]), through the same loop as every other
+    /// kind.
     Fompi,
     /// Cache hit.
     Hit,
@@ -82,7 +84,7 @@ fn round_up64(x: usize) -> usize {
 
 fn cache_cfg(kind: Forced, size: usize) -> ClampiConfig {
     let params = match kind {
-        Forced::Fompi => unreachable!("plain backend has no cache config"),
+        Forced::Fompi => return ClampiConfig::disabled(),
         Forced::Hit | Forced::Direct => CacheParams {
             index_entries: 4096,
             storage_bytes: 64 << 20,
@@ -115,7 +117,8 @@ fn cache_cfg(kind: Forced, size: usize) -> ClampiConfig {
 /// the overlap study also the issue-to-flush decomposition.
 #[derive(Debug, Clone, Copy)]
 pub struct Measured {
-    /// Observed classification (`None` for the plain backend).
+    /// Observed classification (`None` for [`Forced::Fompi`]: a window
+    /// with caching disabled classifies no get).
     pub class: Option<AccessType>,
     /// Nanoseconds until the destination buffer was consumable.
     pub latency_ns: f64,
@@ -140,32 +143,6 @@ pub fn measure(
         let my = if p.rank() == 1 { span } else { 4 };
         let dtype = Datatype::bytes(size);
 
-        if matches!(kind, Forced::Fompi) {
-            let mut win = p.win_allocate(my.max(4));
-            p.barrier();
-            let mut samples = Vec::new();
-            if p.rank() == 0 {
-                win.lock(p, LockKind::Shared, 1);
-                let mut buf = vec![0u8; size];
-                for r in 0..reps {
-                    let disp = (PREFILL + r) * size;
-                    let t0 = p.now();
-                    win.get(p, &mut buf, 1, disp, &dtype, 1);
-                    if compute_ns > 0.0 {
-                        p.compute(compute_ns);
-                    }
-                    win.flush(p, 1);
-                    samples.push(Measured {
-                        class: None,
-                        latency_ns: p.now() - t0,
-                    });
-                }
-                win.unlock(p, 1);
-            }
-            p.barrier();
-            return samples;
-        }
-
         let mut win = CachedWindow::create(p, my.max(4), cache_cfg(kind, size));
         p.barrier();
         let mut samples = Vec::new();
@@ -187,8 +164,7 @@ pub fn measure(
                         win.flush(p, 1);
                     }
                 }
-                Forced::Direct | Forced::Failing => {}
-                Forced::Fompi => unreachable!(),
+                Forced::Fompi | Forced::Direct | Forced::Failing => {}
             }
 
             for r in 0..reps {

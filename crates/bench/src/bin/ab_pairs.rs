@@ -15,10 +15,12 @@
 //! `benchmark/run.sh --workload <name> --seed <s> --seconds <n> --trace
 //! 0`, one per seed from `--seed` on, both sides on the same seed,
 //! alternating which side runs first. Per workload it prints every pair's
-//! end-to-end metrics and `failed` count, then per metric each side's
-//! median and quartiles, the change's wins, losses and ties, and the
-//! verdict of [`clampi_bench::pairs::verdict`]: `gain`, `loss` or
-//! `unresolved`; and in how many pairs the virtual-time metrics read
+//! end-to-end metrics, both halves of host time (the cached repetition's
+//! and the uncached baseline's ns per op, [`clampi_bench::pairs::HALVES`])
+//! and `failed` count, then per value each side's median and quartiles,
+//! the change's wins, losses and ties, and the verdict of
+//! [`clampi_bench::pairs::verdict`]: `gain`, `loss` or `unresolved`; and
+//! in how many pairs the virtual-time metrics read
 //! bit-equal, naming each pair where they did not (a host-only change
 //! must show all of them equal). It writes nothing under `benchmark/`
 //! except what `run.sh` itself writes to the git-ignored
@@ -31,7 +33,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
 use clampi_bench::pairs::{
-    failed, metric, quartiles, verdict, virtual_equal, END_TO_END, VIRTUAL, WORKLOADS,
+    failed, quartiles, readings, verdict, virtual_equal, VIRTUAL, WORKLOADS,
 };
 
 struct Opts {
@@ -132,16 +134,14 @@ impl Side {
         stdout_of(&mut cmd).map(drop)
     }
 
-    /// One untraced run of `workload`; its result object (the last line
-    /// of stdout).
+    /// One untraced run of `workload`; its stdout (the listing, then the
+    /// result object on the last line).
     fn run(&self, o: &Opts, workload: &str, seed: u64) -> Result<String, String> {
         let mut cmd = self.command("bash");
         cmd.arg("benchmark/run.sh")
             .args(["--workload", workload, "--seed", &seed.to_string()])
             .args(["--seconds", &o.seconds, "--trace", "0"]);
-        let out = stdout_of(&mut cmd)?;
-        let last = out.lines().last().unwrap_or_default();
-        Ok(last.to_string())
+        stdout_of(&mut cmd)
     }
 }
 
@@ -186,8 +186,9 @@ fn sides(o: &Opts) -> Result<[Side; 2], String> {
 /// Runs the pairs of one workload and prints them, the verdict table and
 /// the virtual-time check. Returns whether every run succeeded.
 fn compare(o: &Opts, sides: &[Side; 2], workload: &str) -> bool {
-    // values[metric][side] = one value per pair.
-    let mut values = vec![[Vec::new(), Vec::new()]; END_TO_END.len()];
+    // What is compared, in order, and values[row][side] = one per pair.
+    let rows = readings("");
+    let mut values = vec![[Vec::new(), Vec::new()]; rows.len()];
     let mut ok = true;
     let mut unequal = Vec::new();
     println!("# ab_pairs {workload} --seconds {}", o.seconds);
@@ -205,27 +206,27 @@ fn compare(o: &Opts, sides: &[Side; 2], workload: &str) -> bool {
             }
         }
         let mut line = format!("pair {i:>2} seed {seed} first {}", sides[order[0]].name);
+        let result = |s: usize| results[s].lines().last().unwrap_or_default();
         for (s, side) in sides.iter().enumerate() {
-            let fails = failed(&results[s]);
+            let fails = failed(result(s));
             ok &= fails == Some(0);
             line += &format!(
                 " | {} failed {}",
                 side.name,
                 fails.map_or("?".into(), |f| f.to_string())
             );
-            for (m, (name, _)) in END_TO_END.iter().enumerate() {
-                let v = metric(&results[s], name);
+            for (m, (name, _, v)) in readings(&results[s]).into_iter().enumerate() {
                 line += &format!(" {name} {}", v.map_or("?".into(), |v| format!("{v:.4}")));
                 values[m][s].push(v.unwrap_or(f64::NAN));
             }
         }
         println!("{line}");
-        if !virtual_equal(&results[0], &results[1]) {
+        if !virtual_equal(result(0), result(1)) {
             unequal.push(format!("pair {i} (seed {seed})"));
         }
     }
     println!("# metric side q1 median q3 | wins losses ties gap spread verdict");
-    for (m, &(name, higher)) in END_TO_END.iter().enumerate() {
+    for (m, &(name, higher, _)) in rows.iter().enumerate() {
         let [parent, change] = &values[m];
         for (s, side) in sides.iter().enumerate() {
             let (q1, med, q3) = quartiles(&values[m][s]);

@@ -5,7 +5,13 @@
 //! foMPI get, with a reference line at 25 % of the foMPI latency; the
 //! headline result is the hit being up to 9.3× (4 KiB) and 3.7× (16 KiB)
 //! faster than foMPI. Latency is issue-to-consumable (hits skip the
-//! flush).
+//! flush). The foMPI column is the same loop on a window with caching
+//! disabled.
+//!
+//! Asserts that shape at 4 KiB, so a run that keeps printing but loses it
+//! fails: the hit speedup lies in 3-15x (the paper's 9.3x), and every miss
+//! kind stays below 1.5x the foMPI latency (the band and the bound of the
+//! `access` module's tests).
 
 use clampi_bench::access::{measure, Forced};
 use clampi_bench::cli::{meta, row, Args};
@@ -53,5 +59,19 @@ fn main() {
             format!("{:.3}", fompi * 0.25),
             format!("{:.2}", fompi / hit.max(1e-9)),
         ]);
+        if s == 4096 {
+            let speedup = fompi / hit;
+            assert!(
+                (3.0..15.0).contains(&speedup),
+                "4 KiB hit speedup {speedup:.2} outside 3-15x"
+            );
+            for kind in ["direct", "conflicting", "capacity", "failing"] {
+                assert!(
+                    med[kind] < 1.5 * fompi,
+                    "4 KiB {kind} {:.3} us not below 1.5x foMPI {fompi:.3} us",
+                    med[kind]
+                );
+            }
+        }
     }
 }

@@ -26,7 +26,8 @@ pub struct MicroRunConfig {
 pub struct MicroRunResult {
     /// Virtual nanoseconds from the first get to after the last completes.
     pub completion_ns: f64,
-    /// Cache statistics (zeroed for the plain backend).
+    /// Cache statistics (no cache counters for foMPI, whose window has
+    /// caching disabled).
     pub stats: CacheStats,
     /// Final `(|I_w|, |S_w|)` for CLaMPI backends.
     pub final_params: Option<(usize, usize)>,
@@ -131,7 +132,10 @@ mod tests {
             sample_every: 0,
         });
         assert!(r.completion_ns > 0.0);
-        assert_eq!(r.stats.total_gets, 0, "plain backend has no cache stats");
+        assert_eq!(
+            r.stats.total_gets, 0,
+            "a window with caching disabled classifies no get"
+        );
     }
 
     #[test]

@@ -20,6 +20,15 @@ pub const END_TO_END: [(&str, bool); 5] = [
     ("rss_peak_mb", false),
 ];
 
+/// The two halves of host time behind `cpu_speedup_x`, each with the note
+/// of the benchmark's listing that reports it: the cached repetition and
+/// its uncached baseline. Read as ns per op, so lower is better; a change
+/// to the shared uncached path moves the ratio without touching the cache.
+pub const HALVES: [(&str, &str); 2] = [
+    ("cached_ns_per_op", "repetition"),
+    ("uncached_ns_per_op", "baseline"),
+];
+
 /// The benchmark's workloads in `BENCHMARK.json` order: what `ab_pairs
 /// --workload all` runs.
 pub const WORKLOADS: [&str; 6] = [
@@ -66,6 +75,29 @@ pub fn metric(json: &str, name: &str) -> Option<f64> {
 /// The top-level `failed` count of a benchmark result object.
 pub fn failed(json: &str) -> Option<u64> {
     number_after(json, "failed", 0).map(|v| v as u64)
+}
+
+/// The half of host time that `listing` (the stdout of `benchmark/run.sh`)
+/// reports in its `# <note>: ...` line, in ns per op: 1e9 over the line's
+/// closing "N ops per CPU second by the fastest".
+pub fn half_ns_per_op(listing: &str, note: &str) -> Option<f64> {
+    let head = format!("# {note}: ");
+    let line = listing.lines().find_map(|l| l.split_once(&head))?.1;
+    let rate = line.strip_suffix(" ops per CPU second by the fastest")?;
+    let rate: f64 = rate.rsplit(' ').next()?.parse().ok()?;
+    Some(1e9 / rate)
+}
+
+/// Everything `ab_pairs` compares of one run, in print order: the
+/// [`END_TO_END`] metrics of the result object (the last line of
+/// `stdout`), then the [`HALVES`] from the listing above it. Each comes
+/// with whether a higher value is better; a value the run did not print
+/// is `None`.
+pub fn readings(stdout: &str) -> Vec<(&'static str, bool, Option<f64>)> {
+    let result = stdout.lines().last().unwrap_or_default();
+    let ends = (END_TO_END.iter()).map(|&(name, higher)| (name, higher, metric(result, name)));
+    let halves = (HALVES.iter()).map(|&(name, note)| (name, false, half_ns_per_op(stdout, note)));
+    ends.chain(halves).collect()
 }
 
 /// A sample's lower quartile, median and upper quartile (the medians of
@@ -162,6 +194,47 @@ mod tests {
         // Host metrics may move freely.
         assert!(virtual_equal(RESULT, &RESULT.replace("0.9895", "1.2")));
         assert!(!virtual_equal(RESULT, "not json"));
+    }
+
+    /// The tail of a `bh_force` listing (`--seed 801 --seconds 2`): its
+    /// notes, then the result object.
+    const LISTING: &str = "\
+bh_force      attempted 140000 failed 0 failed_share 0 rep_spread 0.1001
+bh_force      # 5 sessions, 15 pairs of a timed repetition of 4000 ops and its baseline
+bh_force      # repetition: CPU min 0.3257 s, median 0.3525 s, max 0.4491 s; wall min 0.3257 s, median 0.3525 s, max 0.4492 s; 12281 ops per CPU second by the fastest
+bh_force      # baseline: CPU min 0.3934 s, median 0.4236 s, max 0.5530 s; 10167 ops per CPU second by the fastest
+bh_force      # baseline CPU / repetition CPU: 1.2079 by the fastest of each; pair by pair min 1.0137, median 1.1821, max 1.2743
+bh_force      # repetition CPU ms, in order: 449.1 428.9 434.9 342.8 345.9 441.5 420.8 447.8 341.3 340.9 337.4 325.7 352.5 354.4 341.2
+bh_force      # baseline CPU ms, in order: 517.2 486.4 493.8 417.1 413.1 553.0 494.4 453.9 408.6 403.0 393.4 415.0 439.8 423.6 401.7
+bh_force      # pinned to CPU 0
+{\"correct\": true, \"attempted\": 140000, \"failed\": 0, \"metrics\": {\"setup_s\": {\"value\": 0.32860919800000055, \"unit\": \"s\"}, \"cpu_speedup_x\": {\"value\": 1.2078584768593936, \"unit\": \"x\"}, \"virt_ns_per_op\": {\"value\": 32443.330099481944, \"unit\": \"ns/op\"}, \"virt_speedup_x\": {\"value\": 1.2794823611729083, \"unit\": \"x\"}, \"rss_peak_mb\": {\"value\": 7.01953125, \"unit\": \"MiB\"}}}";
+
+    #[test]
+    fn reads_both_halves_of_host_time_from_the_listing() {
+        let cached = half_ns_per_op(LISTING, "repetition").unwrap();
+        let uncached = half_ns_per_op(LISTING, "baseline").unwrap();
+        assert_eq!(cached.to_bits(), (1e9 / 12281.0f64).to_bits());
+        assert_eq!(uncached.to_bits(), (1e9 / 10167.0f64).to_bits());
+        // Their ratio is the run's cpu_speedup_x, up to the rates' rounding.
+        assert!((uncached / cached - 1.2079).abs() < 1e-3);
+        // The ratio's own note names both halves, but is neither.
+        let ratio = "w # baseline CPU / repetition CPU: 2 ops per CPU second by the fastest";
+        assert_eq!(half_ns_per_op(ratio, "baseline"), None);
+        assert_eq!(half_ns_per_op(ratio, "repetition"), None);
+        assert_eq!(half_ns_per_op("not a listing", "baseline"), None);
+        assert_eq!(readings(LISTING).len(), END_TO_END.len() + HALVES.len());
+        assert_eq!(
+            readings(LISTING)[END_TO_END.len()..],
+            [
+                ("cached_ns_per_op", false, Some(cached)),
+                ("uncached_ns_per_op", false, Some(uncached)),
+            ]
+        );
+        assert_eq!(
+            readings(LISTING)[2],
+            ("virt_ns_per_op", false, Some(32443.330099481944))
+        );
+        assert!(readings("").iter().all(|r| r.2.is_none()));
     }
 
     #[test]
