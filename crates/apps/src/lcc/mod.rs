@@ -10,6 +10,14 @@
 //! The same vertex `u` appears in many adjacency lists, so its list is
 //! fetched over and over: that is the data reuse CLaMPI exploits. The
 //! graph is never modified, so the window runs in *always-cache* mode.
+//!
+//! The triangle kernel's virtual cost is `compare_ns` per unit of work,
+//! and the work of a neighbour pair is the comparison count
+//! [`intersect_sorted`] reports for it. The host does not run that
+//! merge: [`AdjBitmap`] marks `adj(v)` once per vertex and derives each
+//! pair's count and the same work from the marks, so the virtual clock,
+//! `lcc_sum` and every figure are the reference's, however the host
+//! computes them.
 
 #![allow(clippy::needless_range_loop)] // vertex-id loops index parallel arrays
 
@@ -25,7 +33,8 @@ pub struct LccConfig {
     /// Which layer fronts the adjacency window.
     pub backend: Backend,
     /// CPU nanoseconds charged per element touched by the sorted-list
-    /// intersection kernel.
+    /// intersection kernel: per unit of the work [`intersect_sorted`]
+    /// counts, whichever kernel the host runs.
     pub compare_ns: f64,
     /// Record the size of every remote get (pre-cache) for Fig. 3.
     pub trace_sizes: bool,
@@ -87,7 +96,8 @@ pub fn vertex_range(rank: usize, n: usize, nranks: usize) -> (usize, usize) {
 /// Intersection size of two sorted u32 slices (the triangle kernel).
 /// Returns `(count, work)` where `work` is the number of element
 /// comparisons the kernel performed — the quantity charged to the virtual
-/// clock.
+/// clock. This is the reference that defines `work`; [`lcc_phase`]
+/// computes the same pair with [`AdjBitmap::intersect`].
 ///
 /// Scale-free graphs make the two lists wildly asymmetric (a low-degree
 /// vertex against a hub), so a plain linear merge would touch the whole
@@ -124,6 +134,87 @@ pub fn intersect_sorted(a: &[u32], b: &[u32]) -> (usize, usize) {
             }
         }
         (count, i + j)
+    }
+}
+
+/// The marked adjacency list of one vertex, as a bitmap over all `n`
+/// vertex ids: [`AdjBitmap::intersect`] returns what [`intersect_sorted`]
+/// returns for the marked list and another one, by probing the bitmap
+/// instead of merging. One per rank: marking a list clears the one before,
+/// each a pass over its list.
+#[derive(Debug)]
+pub struct AdjBitmap {
+    words: Vec<u64>,
+    marked: Vec<u32>,
+}
+
+impl AdjBitmap {
+    /// An empty bitmap over vertex ids `0..n`.
+    pub fn new(n: usize) -> Self {
+        AdjBitmap {
+            words: vec![0; n.div_ceil(64)],
+            marked: Vec::new(),
+        }
+    }
+
+    /// Marks `list` (strictly increasing ids below `n`), replacing the
+    /// list marked before.
+    pub fn mark(&mut self, list: &[u32]) {
+        for &x in &self.marked {
+            self.words[x as usize / 64] = 0;
+        }
+        self.marked.clear();
+        self.marked.extend_from_slice(list);
+        for &x in list {
+            self.words[x as usize / 64] |= 1 << (x % 64);
+        }
+    }
+
+    fn contains(&self, x: u32) -> bool {
+        self.words[x as usize / 64] >> (x % 64) & 1 == 1
+    }
+
+    /// `intersect_sorted(marked, other)` for a strictly increasing `other`
+    /// of ids below `n`.
+    ///
+    /// The count probes `other`'s ids in the bitmap, except where the
+    /// reference gallops over `other` (the marked list is at least 8×
+    /// shorter): there it binary-searches the marked ids in `other`, as the
+    /// reference does. The work takes the reference's definition. A gallop
+    /// costs `|small| · bits(|large|)`. A merge of the shorter list `S`
+    /// with the longer `L` stops when one list runs out, so on strictly
+    /// increasing lists it has taken `|S| + #{y ∈ L : y ≤ max S}` steps
+    /// when `max S ≤ max L`, else `#{x ∈ S : x ≤ max L} + |L|`.
+    pub fn intersect(&self, other: &[u32]) -> (usize, usize) {
+        let marked = &self.marked[..];
+        if marked.is_empty() || other.is_empty() {
+            return (0, 0);
+        }
+        let marked_is_small = marked.len() <= other.len();
+        let (small, large) = if marked_is_small {
+            (marked, other)
+        } else {
+            (other, marked)
+        };
+        let gallop = large.len() / 8 >= small.len();
+        let count = if gallop && marked_is_small {
+            marked
+                .iter()
+                .filter(|x| other.binary_search(x).is_ok())
+                .count()
+        } else {
+            other.iter().filter(|&&x| self.contains(x)).count()
+        };
+        let (max_s, max_l) = (small[small.len() - 1], large[large.len() - 1]);
+        let work = if gallop {
+            let log = usize::BITS as usize - large.len().leading_zeros() as usize;
+            small.len() * log
+        } else if max_s <= max_l {
+            small.len() + large.partition_point(|&y| y <= max_s)
+        } else {
+            small.partition_point(|&x| x <= max_l) + large.len()
+        };
+        (count, work)
     }
 }
 
@@ -168,6 +259,7 @@ pub fn lcc_phase(p: &mut Process, graph: &Csr, cfg: &LccConfig) -> LccResult {
     let mut trace_sizes = Vec::new();
     let mut fetch_buf: Vec<u8> = Vec::new();
     let mut adj_buf: Vec<u32> = Vec::new();
+    let mut adj_v_bits = AdjBitmap::new(n);
     let t0 = p.now();
 
     for v in lo..hi {
@@ -176,6 +268,7 @@ pub fn lcc_phase(p: &mut Process, graph: &Csr, cfg: &LccConfig) -> LccResult {
         if deg < 2 {
             continue;
         }
+        adj_v_bits.mark(adj_v);
         let mut closed = 0usize;
         for &u in adj_v {
             let u = u as usize;
@@ -201,7 +294,7 @@ pub fn lcc_phase(p: &mut Process, graph: &Csr, cfg: &LccConfig) -> LccResult {
                 }));
                 &adj_buf
             };
-            let (count, touched) = intersect_sorted(adj_v, adj_u);
+            let (count, touched) = adj_v_bits.intersect(adj_u);
             p.compute(cfg.compare_ns * touched as f64);
             closed += count;
         }

@@ -14,12 +14,14 @@ use clampi::cache::{CacheParams, LayoutSig, Lookup, RmaCache};
 use clampi::index::{CuckooIndex, GetKey, InsertOutcome};
 use clampi::storage::{FreeIndex, Storage};
 use clampi::{AccessType, CacheCostModel, CachedWindow, ClampiConfig, CoherenceMode, Mode};
+use clampi_apps::barnes_hut::NODE_BYTES;
+use clampi_apps::lcc::{intersect_sorted, AdjBitmap};
 use clampi_bench::timer::Bench;
 use clampi_datatype::Datatype;
 use clampi_prng::SmallRng;
 use clampi_rma::{run_collect, Process, SimConfig};
 use clampi_workloads::micro::MicroParams;
-use clampi_workloads::{MicroWorkload, Zipf};
+use clampi_workloads::{Csr, MicroWorkload, RmatParams, Zipf};
 
 fn key(d: u64) -> GetKey {
     GetKey { target: 1, disp: d }
@@ -584,6 +586,93 @@ fn bench_coherence_dht() {
     }
 }
 
+/// `bh_force`'s baseline traffic on the two windows it could run on:
+/// 4,096 `NODE_BYTES` records on target 1, read in batches of 8 scattered
+/// records with one `flush_all` per batch. `get_nb8_flush_all_disabled`
+/// issues each batch through `CachedWindow::get_nb` on a
+/// `ClampiConfig::disabled()` window, as the foMPI series does;
+/// `get8_flush_all_raw` through `get` on the raw `rma::Window`. Each
+/// iteration is one batch; the difference is the disabled front's own
+/// cost per batch. Read the `min` column.
+fn bench_fompi_batch() {
+    const RECORDS: usize = 4096;
+    const BATCH: usize = 8;
+    let b = Bench::new("fompi");
+    let dtype = Datatype::bytes(NODE_BYTES);
+    // Consecutive records of a batch sit 1,021 records apart (1,021 is
+    // prime, so the walk visits every record).
+    let disp = |i: usize| i * 1021 % RECORDS * NODE_BYTES;
+    run_collect(SimConfig::bench(), 2, |p| {
+        let mut win = CachedWindow::create(p, RECORDS * NODE_BYTES, ClampiConfig::disabled());
+        let mut raw = p.win_allocate(RECORDS * NODE_BYTES);
+        p.barrier();
+        if p.rank() == 0 {
+            let mut bufs = [[0u8; NODE_BYTES]; BATCH];
+            win.lock_all(p);
+            let mut i = 0;
+            b.run("get_nb8_flush_all_disabled", || {
+                for buf in &mut bufs {
+                    let class = win.get_nb(p, buf, 1, disp(i), &dtype, 1);
+                    debug_assert!(class.is_none());
+                    i += 1;
+                }
+                win.flush_all(p);
+                black_box(bufs[0][0]);
+            });
+            win.unlock_all(p);
+            raw.lock_all(p);
+            b.run("get8_flush_all_raw", || {
+                for buf in &mut bufs {
+                    raw.get(p, buf, 1, disp(i), &dtype, 1);
+                    i += 1;
+                }
+                raw.flush_all(p);
+                black_box(bufs[0][0]);
+            });
+            raw.unlock_all(p);
+        }
+        p.barrier();
+    });
+}
+
+/// The LCC triangle kernel alone, in wall-clock time: one iteration is one
+/// pass over every neighbour pair `lcc_phase` intersects on R-MAT scale 13
+/// × 16 (`lcc_adaptive`'s graph, seed 42): each vertex of degree ≥ 2
+/// against each of its neighbours. `kernel_reference` runs the merge/gallop
+/// reference `intersect_sorted`, `kernel_marked` the bitmap kernel
+/// `lcc_phase` runs (`AdjBitmap`, marked once per vertex); both return the
+/// same counts and work.
+fn bench_lcc() {
+    let mut b = Bench::new("lcc");
+    b.samples = b.samples.min(16);
+    let g = Csr::rmat(RmatParams::graph500(13, 16), 42);
+    let vertices: Vec<usize> = (0..g.num_vertices())
+        .filter(|&v| g.degree(v) >= 2)
+        .collect();
+    b.run("kernel_reference", || {
+        let mut sum = (0, 0);
+        for &v in &vertices {
+            for &u in g.adj(v) {
+                let (count, work) = intersect_sorted(g.adj(v), g.adj(u as usize));
+                sum = (sum.0 + count, sum.1 + work);
+            }
+        }
+        black_box(sum);
+    });
+    let mut bits = AdjBitmap::new(g.num_vertices());
+    b.run("kernel_marked", || {
+        let mut sum = (0, 0);
+        for &v in &vertices {
+            bits.mark(g.adj(v));
+            for &u in g.adj(v) {
+                let (count, work) = bits.intersect(g.adj(u as usize));
+                sum = (sum.0 + count, sum.1 + work);
+            }
+        }
+        black_box(sum);
+    });
+}
+
 fn bench_datatype() {
     let b = Bench::new("datatype");
     let strided = Datatype::vector(64, 1, 4, Datatype::double());
@@ -612,5 +701,7 @@ fn main() {
     bench_miss_path_mc();
     bench_coherence();
     bench_coherence_dht();
+    bench_fompi_batch();
+    bench_lcc();
     bench_datatype();
 }

@@ -4,7 +4,8 @@
 //! strategy started from different `(|I_w|, |S_w|)` points: it keeps the
 //! hit fraction above ~60 % from every start; the differing completion
 //! times are explained by the number of adjustments (each of which
-//! invalidates the cache).
+//! invalidates the cache). The hit floor is asserted: above 0.60 from
+//! every start.
 
 use clampi::{AccessType, CacheParams, ClampiConfig, Mode};
 use clampi_apps::{lcc_phase, Backend, LccConfig};
@@ -84,5 +85,10 @@ fn main() {
             adjustments.to_string(),
             format!("{t:.2}"),
         ]);
+        assert!(
+            frac(0) > 0.60,
+            "hit ratio {:.4} from start |Iw|={iw} not above 0.60",
+            frac(0)
+        );
     }
 }

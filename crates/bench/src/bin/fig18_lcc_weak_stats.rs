@@ -5,6 +5,11 @@
 //! `|S_w|` does not); in the adaptive strategy the *direct* share grows
 //! instead (reuse drops as the graph spreads over more ranks) while the
 //! other non-hit types stay below a few percent.
+//!
+//! Asserted on every run: the fixed strategy's capacity+failed share
+//! never falls as P grows; the adaptive strategy's
+//! conflicting+capacity+failed share stays below 8 % at every P, and its
+//! direct share is higher at the largest P than at the smallest.
 
 use clampi::{AccessType, CacheParams, ClampiConfig, Mode};
 use clampi_apps::{lcc_phase, Backend, LccConfig};
@@ -42,6 +47,9 @@ fn main() {
         "failed",
     ]);
 
+    // Per P: fixed capacity+failed, adaptive conflicting+capacity+failed,
+    // adaptive direct.
+    let mut shapes: Vec<(f64, f64, f64)> = Vec::new();
     for &p in &ranks {
         let nv = p << verts_per_pe_log2;
         let scale = (nv as f64).log2().ceil() as u32;
@@ -55,6 +63,7 @@ fn main() {
             },
             seed,
         );
+        let mut shape = (0.0, 0.0, 0.0);
         for (label, cfg) in [
             (
                 "fixed",
@@ -93,6 +102,36 @@ fn main() {
                 format!("{:.4}", frac(3)),
                 format!("{:.4}", frac(4)),
             ]);
+            if label == "fixed" {
+                shape.0 = frac(3) + frac(4);
+            } else {
+                shape.1 = frac(2) + frac(3) + frac(4);
+                shape.2 = frac(1);
+            }
         }
+        shapes.push(shape);
     }
+
+    for (w, pair) in shapes.windows(2).zip(ranks.windows(2)) {
+        assert!(
+            w[1].0 >= w[0].0,
+            "fixed capacity+failed falls from {:.4} at P={} to {:.4} at P={}",
+            w[0].0,
+            pair[0],
+            w[1].0,
+            pair[1]
+        );
+    }
+    for (s, p) in shapes.iter().zip(&ranks) {
+        assert!(
+            s.1 < 0.08,
+            "adaptive conflicting+capacity+failed {:.4} at P={p} not below 0.08",
+            s.1
+        );
+    }
+    let (first, last) = (shapes[0].2, shapes[shapes.len() - 1].2);
+    assert!(
+        last > first,
+        "adaptive direct share {last:.4} at the largest P not above {first:.4} at the smallest"
+    );
 }
