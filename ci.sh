@@ -34,8 +34,8 @@
 #                 DHT property suite's fault-plan cases), plus
 #                 fig_fault_recovery and fig_tx smoke runs whose
 #                 `# SAN diags` summaries must be 0
-#   prop-matrix   the twelve property suites under 3 fixed CLAMPI_PROP_SEED
-#                 values (single-case replay determinism)
+#   prop-matrix   every property suite (each tests/prop_*.rs) under 3 fixed
+#                 CLAMPI_PROP_SEED values (single-case replay determinism)
 #   bench-smoke   the microcosts wall-clock rungs at CLAMPI_BENCH_SMOKE=1,
 #                 printed to the log: every rung still builds and runs.
 #                 Deterministic figure output is golden's to check.
@@ -71,8 +71,9 @@
 # first stage and fails the run if either differs after the last one.
 #
 # Every `cargo test` of the test, release-test, san-test and prop-matrix
-# stages runs under `timeout` (TEST_TIMEOUT_S below): a rank that panics
-# inside a simulation strands its peers at a barrier, and a hung suite
+# stages runs under `timeout` (TEST_TIMEOUT_S below). A rank that panics
+# fails its run, but a true deadlock still hangs it: a barrier-count
+# mismatch, a lock cycle, a `start` with no matching `post`. A hung suite
 # must come back FAIL instead of sitting there forever.
 #
 # This repo builds on machines with no network and no cargo registry
@@ -180,28 +181,20 @@ stage_san_test() {
 }
 
 stage_prop_matrix() {
-    # The property suites, each replayed as a single case under 3 fixed
-    # seeds (CLAMPI_PROP_SEED makes the harness run exactly that case).
-    # Catches seed-dependent flakiness and keeps the replay knob itself
-    # exercised.
-    local seed suite
-    local suites=(
-        "clampi-datatype:prop_datatype"
-        "clampi-workloads:prop_workloads"
-        "clampi-repro:prop_cache_equivalence"
-        "clampi:prop_fault"
-        "clampi:prop_index"
-        "clampi:prop_nb_equivalence"
-        "clampi:prop_coherence"
-        "clampi:prop_extents"
-        "clampi:prop_contention"
-        "clampi:prop_policy"
-        "clampi:prop_snapshot"
-        "clampi-apps:prop_dht"
-    )
+    # Every property suite (each `prop_*.rs` under a `tests/` directory),
+    # replayed as a single case under 3 fixed seeds (CLAMPI_PROP_SEED
+    # makes the harness run exactly that case). Catches seed-dependent
+    # flakiness and keeps the replay knob itself exercised.
+    local seed suite file dir pkg name
+    local suites=()
+    for file in tests/prop_*.rs crates/*/tests/prop_*.rs; do
+        dir=$(dirname "$(dirname "$file")")
+        pkg=$(sed -n 's/^name = "\(.*\)"$/\1/p' "$dir/Cargo.toml" | head -n 1)
+        suites+=("$pkg:$(basename "$file" .rs)")
+    done
     for seed in "${PROP_SEEDS[@]}"; do
         for suite in "${suites[@]}"; do
-            local pkg=${suite%%:*} name=${suite##*:}
+            pkg=${suite%%:*} name=${suite##*:}
             echo "-- CLAMPI_PROP_SEED=$seed $pkg/$name"
             CLAMPI_PROP_SEED=$seed limited "$TEST_TIMEOUT_S" \
                 cargo test -q --offline -p "$pkg" --test "$name" > /dev/null

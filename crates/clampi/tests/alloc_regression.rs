@@ -79,8 +79,7 @@ const SLOTS: usize = WIN / GET;
 /// cache parameters, inside one `lock_all` epoch, and checks what it
 /// returns: `(heap allocations in its measured phase, measured gets that
 /// had the expected class)`. The allocation assertion runs only under
-/// `debug_assertions` (see the module docs); nothing is asserted inside
-/// the simulation, where a panic would strand the peer rank at a barrier.
+/// `debug_assertions` (see the module docs).
 fn assert_alloc_free(
     what: &str,
     params: CacheParams,

@@ -15,9 +15,6 @@
 //! A directed test pins where an entry's stamp comes from: the fetch that
 //! filled it (exact), the merge of head and tail on an extension, or the
 //! caller's version on the public stamp-blind install (inexact).
-//!
-//! Observations are collected inside the simulation and asserted after
-//! the join: a panicking rank would strand its peer at a barrier.
 
 use clampi::{
     AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, GetKey, LayoutSig, Mode,
@@ -411,8 +408,6 @@ struct StepObs {
     panicked: bool,
     bytes: Vec<u8>,
     stats: Vec<(&'static str, u64)>,
-    /// `RmaCache::check_invariants` held (checked in debug builds).
-    sound: bool,
 }
 
 /// Runs the memo script through `via` — the typed wrapper, or with
@@ -435,25 +430,20 @@ fn drive_script(via: Via, oracle: bool) -> Vec<StepObs> {
                 }
                 (Via::MultiGet, _) => unreachable!("multi_get takes no datatype"),
             });
+            // Caught, not propagated: a short `dst` is the rejection this
+            // step expects, and the script goes on after it.
             let (class, panicked) = match std::panic::catch_unwind(get) {
                 Ok(class) => (class, false),
                 Err(_) => (None, true),
             };
             win.flush_all(p);
             #[cfg(debug_assertions)]
-            let sound = {
-                let cache = win.cache().expect("caching is enabled");
-                let check = std::panic::AssertUnwindSafe(|| cache.check_invariants());
-                std::panic::catch_unwind(check).is_ok()
-            };
-            #[cfg(not(debug_assertions))]
-            let sound = true;
+            win.cache().expect("caching is enabled").check_invariants();
             obs.push(StepObs {
                 class,
                 panicked,
                 bytes,
                 stats: win.stats().fields().collect(),
-                sound,
             });
         }
         obs
@@ -480,7 +470,6 @@ fn typed_gets_match_the_memo_free_oracle() {
                 want_bytes = vec![0xAA; want_bytes.len() - 1];
             }
             assert_eq!(got.bytes, want_bytes, "{at}: bytes");
-            assert!(got.sound && want.sound, "{at}: engine invariants");
             // Class, bytes and every counter, as without the memo.
             assert_eq!(got, want, "{at}: differs from the memo-free oracle");
         }
@@ -489,8 +478,7 @@ fn typed_gets_match_the_memo_free_oracle() {
 
 /// A typed get whose `size × count` does not fit a `usize` is rejected in
 /// every build, never served wrapped: 2 × (2^63 + 32) bytes would wrap to
-/// the 64 bytes of `dst` (and cache a 64-byte entry). One rank, so the
-/// panic strands no peer.
+/// the 64 bytes of `dst` (and cache a 64-byte entry).
 fn overflowing_typed_get(via: Via) {
     let cfg = ClampiConfig::fixed(Mode::AlwaysCache, CacheParams::default());
     run_collect(SimConfig::default(), 1, |p| {

@@ -32,11 +32,6 @@
 //!    a `get_nb` of the caller's own outstanding still flushes it, and a
 //!    batch with a miss flushes once — towards a remote rank and towards
 //!    the caller's own region, where a transfer posts no wire time.
-//!
-//! Rank closures never assert: they collect observations, and the test
-//! body checks them after `run_collect` joins. An in-run panic would
-//! strand the peer rank at a barrier and hang the suite instead of
-//! failing it.
 
 use clampi::{
     AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, CoherenceMode, Mode,

@@ -341,8 +341,6 @@ mod pscw_cached {
     /// `wait` closes this rank's *exposure* epoch only: its own access
     /// epoch's transfers stay in flight, so a later adjacent miss still
     /// coalesces into them and no overlap credit is booked at the `wait`.
-    /// Rank 0 asserts nothing inside the run, so a failure cannot strand
-    /// rank 1 at its `wait`.
     #[test]
     fn wait_leaves_own_outstanding_misses_in_flight() {
         let out = run_collect(SimConfig::checked(), 2, |p| {

@@ -382,21 +382,13 @@ pub(crate) struct SanCtx {
     pub(crate) rank: usize,
     /// This rank's vector clock (one component per rank).
     pub(crate) vc: Vec<u64>,
-    /// Sequence counter for the checker's own collective exchanges (a
-    /// separate namespace from the application's collective sequence).
-    pub(crate) seq: u64,
 }
 
 impl SanCtx {
     pub(crate) fn new(cfg: CheckerConfig, rank: usize, nranks: usize) -> Self {
         let mut vc = vec![0u64; nranks];
         vc[rank] = 1;
-        SanCtx {
-            cfg,
-            rank,
-            vc,
-            seq: 0,
-        }
+        SanCtx { cfg, rank, vc }
     }
 
     /// Advances this rank's own clock component (a new local event).

@@ -1,269 +1,214 @@
-//! Barrier and data-exchange primitives shared by all ranks of a simulation.
+//! The one rendezvous every collective goes through.
 //!
-//! Two building blocks:
+//! [`Rendezvous`] is a generation-counted meeting point for the `n` ranks
+//! of a run. Each rank arrives with its virtual clock, its RMASAN vector
+//! clock (empty when the sanitizer is off) and an optional value. The
+//! last rank to arrive publishes the generation: the max of the clocks
+//! (every rank leaves a collective at the same virtual time, like real
+//! processes leave a real barrier at the same wall time), the join of the
+//! vector clocks, and every deposited value. The others wake and read
+//! what they need from it, so a barrier, an allgather and a broadcast are
+//! each one rendezvous, RMASAN's happens-before edge included.
 //!
-//! - [`ReduceBarrier`]: a generation-counted barrier that additionally
-//!   max-reduces a `f64` — used to synchronize the ranks' *virtual clocks*
-//!   at every collective (all ranks leave a barrier at the same virtual
-//!   time, like real processes leave a real barrier at the same wall time).
-//! - [`Exchange`]: a slot board for allgather/broadcast of arbitrary
-//!   `Send + Clone` values, keyed by a per-rank collective sequence number.
-//!   SPMD discipline applies: every rank must call every collective in the
-//!   same order.
+//! One round suffices. A rank cannot arrive at generation g + 2 before
+//! every rank has arrived at g + 1, and so has left g. Two buffers,
+//! indexed by the generation's parity, therefore let g + 1 fill while g
+//! is still being read, and the rank that publishes g + 1 clears g's.
+//! SPMD discipline applies: every rank calls every collective in the same
+//! order.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
 
-use crate::sync;
+use crate::check::vc_join;
+use crate::sync::{self, Liveness};
 
-/// A reusable barrier over `n` participants that max-reduces an `f64`.
+/// A value deposited at a collective (`None` for a rank with nothing to
+/// give, as at a barrier or a non-root broadcast).
+pub(crate) type Deposit = Option<Box<dyn Any + Send>>;
+
+/// A reusable rendezvous over `n` ranks.
 #[derive(Debug)]
-pub struct ReduceBarrier {
+pub(crate) struct Rendezvous {
     n: usize,
-    state: Mutex<BarrierState>,
+    state: Mutex<State>,
     cv: Condvar,
 }
 
 #[derive(Debug)]
-struct BarrierState {
-    count: usize,
+struct State {
     generation: u64,
-    pending_max: f64,
-    result: f64,
+    arrived: usize,
+    /// Generation g fills and publishes `rounds[g % 2]`.
+    rounds: [Round; 2],
 }
 
-impl ReduceBarrier {
-    /// A barrier for `n` participants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "barrier needs at least one participant");
-        ReduceBarrier {
+#[derive(Debug)]
+struct Round {
+    max: f64,
+    vc: Vec<u64>,
+    deposits: Vec<Deposit>,
+}
+
+impl Round {
+    fn new(n: usize) -> Self {
+        Round {
+            max: f64::NEG_INFINITY,
+            vc: vec![0; n],
+            deposits: (0..n).map(|_| None).collect(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.max = f64::NEG_INFINITY;
+        self.vc.fill(0);
+        self.deposits.fill_with(|| None);
+    }
+}
+
+impl Rendezvous {
+    /// A rendezvous for `n` ranks.
+    pub(crate) fn new(n: usize) -> Self {
+        assert!(n > 0, "a rendezvous needs at least one participant");
+        Rendezvous {
             n,
-            state: Mutex::new(BarrierState {
-                count: 0,
+            state: Mutex::new(State {
                 generation: 0,
-                pending_max: f64::NEG_INFINITY,
-                result: 0.0,
+                arrived: 0,
+                rounds: [Round::new(n), Round::new(n)],
             }),
             cv: Condvar::new(),
         }
     }
 
-    /// Enters the barrier contributing `value`; returns the maximum over
-    /// all participants' contributions once everyone has arrived.
-    pub fn wait_max(&self, value: f64) -> f64 {
-        let mut st = sync::lock(&self.state);
-        st.pending_max = st.pending_max.max(value);
-        st.count += 1;
-        if st.count == self.n {
-            st.result = st.pending_max;
-            st.pending_max = f64::NEG_INFINITY;
-            st.count = 0;
-            st.generation = st.generation.wrapping_add(1);
-            self.cv.notify_all();
-            st.result
-        } else {
-            let gen = st.generation;
-            while st.generation == gen {
-                st = sync::wait(&self.cv, st);
-            }
-            st.result
-        }
-    }
-
-    /// Plain barrier (contributes negative infinity, ignores the result).
-    pub fn wait(&self) {
-        self.wait_max(f64::NEG_INFINITY);
-    }
-}
-
-type SlotBoard = HashMap<u64, Vec<Option<Box<dyn Any + Send>>>>;
-
-/// All-to-all slot board for allgather/broadcast of typed values.
-#[derive(Debug)]
-pub struct Exchange {
-    n: usize,
-    slots: Mutex<SlotBoard>,
-    barrier: ReduceBarrier,
-}
-
-impl Exchange {
-    /// An exchange among `n` ranks with its own internal barrier.
-    pub fn new(n: usize) -> Self {
-        Exchange {
-            n,
-            slots: Mutex::new(HashMap::new()),
-            barrier: ReduceBarrier::new(n),
-        }
-    }
-
-    /// Allgather: every rank deposits `value` under collective id `seq` and
-    /// receives all `n` values ordered by rank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two ranks disagree on the deposited type for the same
-    /// `seq`, or a rank deposits twice (both are SPMD ordering bugs).
-    pub fn allgather<T: Any + Send + Clone>(&self, seq: u64, rank: usize, value: T) -> Vec<T> {
-        {
-            let mut slots = sync::lock(&self.slots);
-            let entry = slots
-                .entry(seq)
-                .or_insert_with(|| (0..self.n).map(|_| None).collect());
-            assert!(
-                entry[rank].is_none(),
-                "rank {rank} deposited twice for collective {seq}"
-            );
-            entry[rank] = Some(Box::new(value));
-        }
-        self.barrier.wait(); // all deposited
-        let gathered: Vec<T> = {
-            let slots = sync::lock(&self.slots);
-            let entry = &slots[&seq];
-            entry
-                .iter()
-                .enumerate()
-                .map(|(r, v)| {
-                    v.as_ref()
-                        .unwrap_or_else(|| panic!("rank {r} missing from collective {seq}"))
-                        .downcast_ref::<T>()
-                        .unwrap_or_else(|| panic!("type mismatch in collective {seq} at rank {r}"))
-                        .clone()
-                })
-                .collect()
-        };
-        self.barrier.wait(); // all copied out
-        if rank == 0 {
-            sync::lock(&self.slots).remove(&seq);
-        }
-        gathered
-    }
-
-    /// Broadcast from `root`: the root deposits `Some(value)`, everyone
-    /// receives the root's value.
-    pub fn bcast<T: Any + Send + Clone>(
+    /// `rank` arrives at virtual time `now` with vector clock `vc` and
+    /// `deposit`, and blocks until every rank has arrived. Then `vc`
+    /// joins every arrival's clock, and the result is the max of the
+    /// arrival times with what `read` takes from the deposits, ordered
+    /// by rank.
+    pub(crate) fn enter<R>(
         &self,
-        seq: u64,
+        live: &Liveness,
         rank: usize,
-        root: usize,
-        value: Option<T>,
-    ) -> T {
-        assert_eq!(
-            rank == root,
-            value.is_some(),
-            "exactly the root must supply the broadcast value"
-        );
-        {
-            let mut slots = sync::lock(&self.slots);
-            let entry = slots
-                .entry(seq)
-                .or_insert_with(|| (0..self.n).map(|_| None).collect());
-            if let Some(v) = value {
-                entry[root] = Some(Box::new(v));
-            }
+        now: f64,
+        vc: &mut [u64],
+        deposit: Deposit,
+        read: impl FnOnce(&[Deposit]) -> R,
+    ) -> (f64, R) {
+        let mut st = sync::lock(&self.state);
+        let gen = st.generation;
+        let this = (gen % 2) as usize;
+        let round = &mut st.rounds[this];
+        round.max = round.max.max(now);
+        vc_join(&mut round.vc, vc);
+        round.deposits[rank] = deposit;
+        st.arrived += 1;
+        if st.arrived == self.n {
+            st.arrived = 0;
+            st.generation += 1;
+            // Every rank has left gen - 1: its buffer is gen + 1's.
+            st.rounds[1 - this].clear();
+            self.cv.notify_all();
+        } else {
+            st = sync::wait_until(live, &self.cv, st, |st| st.generation != gen);
         }
-        self.barrier.wait();
-        let out: T = {
-            let slots = sync::lock(&self.slots);
-            slots[&seq][root]
-                .as_ref()
-                // xlint: allow(no-unwrap) invariant: the barrier above guarantees the root deposited
-                .expect("root value missing")
-                .downcast_ref::<T>()
-                // xlint: allow(no-unwrap) invariant: all ranks call bcast with the same T
-                .expect("type mismatch in broadcast")
-                .clone()
-        };
-        self.barrier.wait();
-        if rank == 0 {
-            sync::lock(&self.slots).remove(&seq);
-        }
-        out
+        let round = &st.rounds[this];
+        vc_join(vc, &round.vc);
+        (round.max, read(&round.deposits))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
-    fn spawn_ranks<F>(n: usize, f: F)
-    where
-        F: Fn(usize) + Send + Sync + 'static,
-    {
-        let f = Arc::new(f);
-        let handles: Vec<_> = (0..n)
-            .map(|r| {
-                let f = Arc::clone(&f);
-                std::thread::spawn(move || f(r))
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+    /// Runs `f(rank)` on `n` threads sharing one rendezvous.
+    fn on_ranks(n: usize, f: impl Fn(&Rendezvous, &Liveness, usize) + Sync) {
+        let (rv, live) = (Rendezvous::new(n), Liveness::default());
+        std::thread::scope(|s| {
+            for r in 0..n {
+                let (rv, live, f) = (&rv, &live, &f);
+                s.spawn(move || f(rv, live, r));
+            }
+        });
+    }
+
+    /// `rank` enters with `value` (if any) and reads back every deposit
+    /// as a `T`, `None` where a rank gave nothing.
+    fn gather<T: Any + Send + Clone>(
+        rv: &Rendezvous,
+        live: &Liveness,
+        rank: usize,
+        value: Option<T>,
+    ) -> Vec<Option<T>> {
+        let deposit = value.map(|v| Box::new(v) as Box<dyn Any + Send>);
+        rv.enter(live, rank, 0.0, &mut [], deposit, |d| {
+            d.iter()
+                .map(|v| v.as_ref()?.downcast_ref::<T>().cloned())
+                .collect()
+        })
+        .1
     }
 
     #[test]
     fn barrier_max_reduces() {
-        let b = Arc::new(ReduceBarrier::new(4));
-        let b2 = Arc::clone(&b);
-        spawn_ranks(4, move |r| {
-            let m = b2.wait_max(r as f64 * 10.0);
-            assert_eq!(m, 30.0);
+        on_ranks(4, |rv, live, r| {
+            let (max, ()) = rv.enter(live, r, r as f64 * 10.0, &mut [], None, |_| ());
+            assert_eq!(max, 30.0);
         });
     }
 
     #[test]
     fn barrier_is_reusable_across_generations() {
-        let b = Arc::new(ReduceBarrier::new(3));
-        let b2 = Arc::clone(&b);
-        spawn_ranks(3, move |r| {
+        on_ranks(3, |rv, live, r| {
             for round in 0..50u64 {
-                let m = b2.wait_max(round as f64 + r as f64);
-                assert_eq!(m, round as f64 + 2.0, "round {round}");
+                let now = (round + r as u64) as f64;
+                let (max, ()) = rv.enter(live, r, now, &mut [], None, |_| ());
+                assert_eq!(max, (round + 2) as f64, "round {round}");
             }
         });
     }
 
     #[test]
     fn allgather_orders_by_rank() {
-        let e = Arc::new(Exchange::new(4));
-        let e2 = Arc::clone(&e);
-        spawn_ranks(4, move |r| {
-            let v = e2.allgather(0, r, format!("rank{r}"));
-            assert_eq!(v, vec!["rank0", "rank1", "rank2", "rank3"]);
+        on_ranks(4, |rv, live, r| {
+            let got = gather(rv, live, r, Some(format!("rank{r}")));
+            let want: Vec<_> = (0..4).map(|q| Some(format!("rank{q}"))).collect();
+            assert_eq!(got, want);
         });
     }
 
     #[test]
     fn consecutive_collectives_do_not_interfere() {
-        let e = Arc::new(Exchange::new(2));
-        let e2 = Arc::clone(&e);
-        spawn_ranks(2, move |r| {
+        on_ranks(2, |rv, live, r| {
             for seq in 0..20u64 {
-                let v = e2.allgather(seq, r, seq * 2 + r as u64);
-                assert_eq!(v, vec![seq * 2, seq * 2 + 1]);
+                let got = gather(rv, live, r, Some(seq * 2 + r as u64));
+                assert_eq!(got, [Some(seq * 2), Some(seq * 2 + 1)], "seq {seq}");
             }
         });
     }
 
     #[test]
     fn bcast_delivers_root_value() {
-        let e = Arc::new(Exchange::new(3));
-        let e2 = Arc::clone(&e);
-        spawn_ranks(3, move |r| {
-            let got = e2.bcast(7, r, 1, (r == 1).then(|| vec![1u8, 2, 3]));
-            assert_eq!(got, vec![1, 2, 3]);
+        on_ranks(3, |rv, live, r| {
+            let got = gather(rv, live, r, (r == 1).then(|| vec![1u8, 2, 3]));
+            assert_eq!(got, [None, Some(vec![1, 2, 3]), None]);
         });
     }
 
     #[test]
     #[should_panic(expected = "at least one participant")]
     fn zero_participant_barrier_rejected() {
-        let _ = ReduceBarrier::new(0);
+        let _ = Rendezvous::new(0);
+    }
+
+    #[test]
+    fn every_rank_leaves_with_the_join_of_all_vector_clocks() {
+        on_ranks(3, |rv, live, r| {
+            let mut vc = vec![0u64; 3];
+            vc[r] = r as u64 + 5;
+            rv.enter(live, r, 0.0, &mut vc, None, |_| ());
+            assert_eq!(vc, [5, 6, 7]);
+        });
     }
 }

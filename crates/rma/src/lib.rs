@@ -65,9 +65,9 @@
 
 pub mod check;
 pub mod clock;
-pub mod collectives;
+mod collectives;
 pub mod fault;
-pub mod lockmgr;
+mod lockmgr;
 pub mod netmodel;
 pub mod process;
 mod sync;

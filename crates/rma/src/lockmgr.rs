@@ -13,9 +13,9 @@
 use std::sync::{Condvar, Mutex};
 
 use crate::check::{vc_join, SanCtx};
-use crate::sync;
+use crate::sync::{self, Liveness};
 
-/// Lock mode for [`LockManager::lock`], mirroring `MPI_LOCK_SHARED` /
+/// Lock mode for [`crate::Window::lock`], mirroring `MPI_LOCK_SHARED` /
 /// `MPI_LOCK_EXCLUSIVE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockKind {
@@ -42,13 +42,13 @@ struct TargetLockState {
 
 /// Per-target passive locks for one window.
 #[derive(Debug)]
-pub struct LockManager {
+pub(crate) struct LockManager {
     targets: Vec<(Mutex<TargetLockState>, Condvar)>,
 }
 
 impl LockManager {
     /// A manager for a window spanning `nranks` target regions.
-    pub fn new(nranks: usize) -> Self {
+    pub(crate) fn new(nranks: usize) -> Self {
         LockManager {
             targets: (0..nranks)
                 .map(|_| (Mutex::new(TargetLockState::default()), Condvar::new()))
@@ -56,35 +56,30 @@ impl LockManager {
         }
     }
 
-    /// Acquires the lock on `target`, blocking until compatible.
+    /// Acquires the lock on `target`, blocking until compatible. With a
+    /// checker context, the acquirer joins the release clock(s) of the
+    /// holders it is ordered after (shared joins the last exclusive
+    /// release; exclusive joins every prior release).
     ///
     /// # Panics
     ///
-    /// Panics if `target` is out of range.
-    pub fn lock(&self, kind: LockKind, target: usize) {
-        self.lock_hb(kind, target, None);
-    }
-
-    /// [`Self::lock`] plus the RMASAN happens-before edge: when a checker
-    /// context is supplied, the acquirer joins the release clock(s) of
-    /// the holders it is ordered after (shared joins the last exclusive
-    /// release; exclusive joins every prior release).
-    pub(crate) fn lock_hb(&self, kind: LockKind, target: usize, san: Option<&mut SanCtx>) {
+    /// Panics if `target` is out of range, or if a peer rank dies while
+    /// this one waits (see [`sync::wait_until`]).
+    pub(crate) fn lock(
+        &self,
+        live: &Liveness,
+        kind: LockKind,
+        target: usize,
+        san: Option<&mut SanCtx>,
+    ) {
         let (m, cv) = &self.targets[target];
-        let mut st = sync::lock(m);
+        let mut st = sync::wait_until(live, cv, sync::lock(m), |st| match kind {
+            LockKind::Shared => !st.exclusive_held,
+            LockKind::Exclusive => !st.exclusive_held && st.shared_holders == 0,
+        });
         match kind {
-            LockKind::Shared => {
-                while st.exclusive_held {
-                    st = sync::wait(cv, st);
-                }
-                st.shared_holders += 1;
-            }
-            LockKind::Exclusive => {
-                while st.exclusive_held || st.shared_holders > 0 {
-                    st = sync::wait(cv, st);
-                }
-                st.exclusive_held = true;
-            }
+            LockKind::Shared => st.shared_holders += 1,
+            LockKind::Exclusive => st.exclusive_held = true,
         }
         if let Some(san) = san {
             match kind {
@@ -95,20 +90,15 @@ impl LockManager {
         }
     }
 
-    /// Releases a previously acquired lock on `target`.
+    /// Releases a previously acquired lock on `target`. With a checker
+    /// context, the releaser publishes its clock for later acquirers to
+    /// join (see [`Self::lock`]).
     ///
     /// # Panics
     ///
     /// Panics if no lock is held on `target` (an unlock without a matching
     /// lock is an MPI usage error).
-    pub fn unlock(&self, target: usize) {
-        self.unlock_hb(target, None);
-    }
-
-    /// [`Self::unlock`] plus the RMASAN happens-before edge: when a
-    /// checker context is supplied, the releaser publishes its clock for
-    /// later acquirers to join (see [`Self::lock_hb`]).
-    pub(crate) fn unlock_hb(&self, target: usize, san: Option<&mut SanCtx>) {
+    pub(crate) fn unlock(&self, target: usize, san: Option<&mut SanCtx>) {
         let (m, cv) = &self.targets[target];
         let mut st = sync::lock(m);
         let was_exclusive = if st.exclusive_held {
@@ -137,32 +127,17 @@ impl LockManager {
     }
 
     /// Acquires a shared lock on every target (MPI_Win_lock_all).
-    pub fn lock_all(&self) {
-        self.lock_all_hb(None);
-    }
-
-    /// [`Self::lock_all`] with the per-target RMASAN edges.
-    pub(crate) fn lock_all_hb(&self, mut san: Option<&mut SanCtx>) {
+    pub(crate) fn lock_all(&self, live: &Liveness, mut san: Option<&mut SanCtx>) {
         for t in 0..self.targets.len() {
-            self.lock_hb(LockKind::Shared, t, san.as_deref_mut());
+            self.lock(live, LockKind::Shared, t, san.as_deref_mut());
         }
     }
 
     /// Releases the shared lock on every target (MPI_Win_unlock_all).
-    pub fn unlock_all(&self) {
-        self.unlock_all_hb(None);
-    }
-
-    /// [`Self::unlock_all`] with the per-target RMASAN edges.
-    pub(crate) fn unlock_all_hb(&self, mut san: Option<&mut SanCtx>) {
+    pub(crate) fn unlock_all(&self, mut san: Option<&mut SanCtx>) {
         for t in 0..self.targets.len() {
-            self.unlock_hb(t, san.as_deref_mut());
+            self.unlock(t, san.as_deref_mut());
         }
-    }
-
-    /// Number of target regions managed.
-    pub fn ntargets(&self) -> usize {
-        self.targets.len()
     }
 }
 
@@ -170,91 +145,75 @@ impl LockManager {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn shared_locks_coexist() {
-        let lm = LockManager::new(2);
-        lm.lock(LockKind::Shared, 0);
-        lm.lock(LockKind::Shared, 0);
-        lm.unlock(0);
-        lm.unlock(0);
+        let (lm, live) = (LockManager::new(2), Liveness::default());
+        lm.lock(&live, LockKind::Shared, 0, None);
+        lm.lock(&live, LockKind::Shared, 0, None);
+        lm.unlock(0, None);
+        lm.unlock(0, None);
     }
 
     #[test]
     fn lock_all_then_unlock_all() {
         let lm = LockManager::new(4);
-        lm.lock_all();
-        lm.unlock_all();
-        assert_eq!(lm.ntargets(), 4);
+        lm.lock_all(&Liveness::default(), None);
+        lm.unlock_all(None);
+        assert_eq!(lm.targets.len(), 4);
     }
 
     #[test]
     #[should_panic(expected = "without a matching lock")]
     fn unbalanced_unlock_panics() {
-        let lm = LockManager::new(1);
-        lm.unlock(0);
+        LockManager::new(1).unlock(0, None);
     }
 
-    #[test]
-    fn exclusive_excludes_shared() {
-        let lm = Arc::new(LockManager::new(1));
-        let entered = Arc::new(AtomicUsize::new(0));
-        lm.lock(LockKind::Exclusive, 0);
-
-        let lm2 = Arc::clone(&lm);
-        let entered2 = Arc::clone(&entered);
-        let h = std::thread::spawn(move || {
-            lm2.lock(LockKind::Shared, 0);
-            // Release: pairs with the Acquire loads in the parent; a
-            // progress flag needs no stronger order (audited: the only
-            // property is flag-set happens-before flag-observed).
-            entered2.store(1, Ordering::Release);
-            lm2.unlock(0);
+    /// Rank 0 holds `held` on target 0 while a second thread requests
+    /// `wanted`: the request must wait until rank 0 unlocks.
+    fn second_lock_waits(held: LockKind, wanted: LockKind) {
+        let (lm, live) = (LockManager::new(1), Liveness::default());
+        let entered = AtomicUsize::new(0);
+        lm.lock(&live, held, 0, None);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                lm.lock(&live, wanted, 0, None);
+                // Release: pairs with the Acquire loads below; a progress
+                // flag needs no stronger order (audited: the only property
+                // is flag-set happens-before flag-observed).
+                entered.store(1, Ordering::Release);
+                lm.unlock(0, None);
+            });
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            // Acquire: pairs with the Release store above.
+            assert_eq!(
+                entered.load(Ordering::Acquire),
+                0,
+                "{wanted:?} after {held:?}"
+            );
+            lm.unlock(0, None);
         });
-
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        // Acquire: pairs with the Release store above.
-        assert_eq!(
-            entered.load(Ordering::Acquire),
-            0,
-            "shared lock must wait for exclusive holder"
-        );
-        lm.unlock(0);
-        h.join().unwrap();
         // Acquire: pairs with the Release store above.
         assert_eq!(entered.load(Ordering::Acquire), 1);
     }
 
     #[test]
+    fn exclusive_excludes_shared() {
+        second_lock_waits(LockKind::Exclusive, LockKind::Shared);
+    }
+
+    #[test]
     fn exclusive_waits_for_shared() {
-        let lm = Arc::new(LockManager::new(1));
-        lm.lock(LockKind::Shared, 0);
-        let lm2 = Arc::clone(&lm);
-        let done = Arc::new(AtomicUsize::new(0));
-        let done2 = Arc::clone(&done);
-        let h = std::thread::spawn(move || {
-            lm2.lock(LockKind::Exclusive, 0);
-            // Release: test-only progress flag, as above.
-            done2.store(1, Ordering::Release);
-            lm2.unlock(0);
-        });
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        // Acquire: pairs with the Release store above.
-        assert_eq!(done.load(Ordering::Acquire), 0);
-        lm.unlock(0);
-        h.join().unwrap();
-        // Acquire: pairs with the Release store above.
-        assert_eq!(done.load(Ordering::Acquire), 1);
+        second_lock_waits(LockKind::Shared, LockKind::Exclusive);
     }
 
     #[test]
     fn locks_on_different_targets_are_independent() {
-        let lm = LockManager::new(2);
-        lm.lock(LockKind::Exclusive, 0);
+        let (lm, live) = (LockManager::new(2), Liveness::default());
+        lm.lock(&live, LockKind::Exclusive, 0, None);
         // Locking target 1 must not block even though 0 is held exclusively.
-        lm.lock(LockKind::Exclusive, 1);
-        lm.unlock(0);
-        lm.unlock(1);
+        lm.lock(&live, LockKind::Exclusive, 1, None);
+        lm.unlock(0, None);
+        lm.unlock(1, None);
     }
 }

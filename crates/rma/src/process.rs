@@ -5,20 +5,16 @@
 //! access to collectives and window creation. Ranks execute the same
 //! closure (SPMD), diverging on `p.rank()` exactly like an MPI program.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use crate::check::{self, CheckerConfig, SanCtx};
 use crate::clock::Clock;
-use crate::collectives::{Exchange, ReduceBarrier};
+use crate::collectives::{Deposit, Rendezvous};
 use crate::fault::{FaultConfig, FaultDecision, FaultPlan};
 use crate::netmodel::NetModel;
+use crate::sync::Liveness;
 use crate::window::{WinShared, Window};
-
-/// Namespace bit for the RMASAN vector-clock exchanges: the checker's
-/// collectives share the application [`Exchange`] but must never collide
-/// with application sequence numbers, so they live in the top half of the
-/// sequence space.
-const SAN_SEQ_BIT: u64 = 1 << 63;
 
 /// Simulation-wide configuration.
 #[derive(Debug, Clone)]
@@ -112,9 +108,10 @@ pub struct OpCounters {
     pub flushes: u64,
 }
 
-struct CommShared {
-    barrier: ReduceBarrier,
-    exchange: Exchange,
+pub(crate) struct CommShared {
+    rendezvous: Rendezvous,
+    /// Which rank died first, for every blocking call to check.
+    pub(crate) liveness: Liveness,
     config: SimConfig,
 }
 
@@ -123,8 +120,7 @@ pub struct Process {
     rank: usize,
     nranks: usize,
     clock: Clock,
-    shared: Arc<CommShared>,
-    coll_seq: u64,
+    pub(crate) shared: Arc<CommShared>,
     /// See [`Process::sync_events`].
     pub(crate) sync_events: u64,
     fault_plan: Option<FaultPlan>,
@@ -218,60 +214,60 @@ impl Process {
             .map_or(0.0, |f| f.timeout_detect_ns)
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.coll_seq;
-        self.coll_seq += 1;
-        s
-    }
-
-    /// RMASAN edge for a completed collective: every rank's vector clock
-    /// is joined into every other's (a collective is a full
-    /// happens-before barrier). Uses the shared [`Exchange`] under the
-    /// [`SAN_SEQ_BIT`] namespace; a no-op when the checker is off, so it
-    /// never perturbs clean runs (no virtual time is charged either way).
-    fn san_collective_join(&mut self) {
-        let Some(san) = self.san.as_mut() else {
-            return;
-        };
-        let seq = SAN_SEQ_BIT | san.seq;
-        san.seq += 1;
-        let clocks = self
-            .shared
-            .exchange
-            .allgather(seq, self.rank, san.vc.clone());
-        for vc in &clocks {
-            san.join(vc);
+    /// One collective: a single pass through the run's [`Rendezvous`],
+    /// which also carries RMASAN's happens-before edge (every rank's
+    /// vector clock joins every other's; a no-op when the checker is
+    /// off). Every rank leaves at the latest arrival's virtual time plus
+    /// the modeled barrier cost, with what `read` takes from the ranks'
+    /// deposits.
+    fn collective<R>(&mut self, deposit: Deposit, read: impl FnOnce(&[Deposit]) -> R) -> R {
+        let vc = self.san.as_mut().map(|san| &mut san.vc[..]);
+        let (joint, out) = self.shared.rendezvous.enter(
+            &self.shared.liveness,
+            self.rank,
+            self.clock.now(),
+            vc.unwrap_or_default(),
+            deposit,
+            read,
+        );
+        let cost = self.netmodel().barrier_cost(self.nranks);
+        self.clock.advance_to(joint + cost);
+        if let Some(san) = self.san.as_mut() {
+            san.tick();
         }
-        san.tick();
+        self.sync_events += 1;
+        out
     }
 
     /// Collective barrier: synchronizes both the threads and the virtual
     /// clocks (every rank leaves at the same virtual time, plus the modeled
     /// barrier cost).
     pub fn barrier(&mut self) {
-        let joint = self.shared.barrier.wait_max(self.clock.now());
-        let cost = self.netmodel().barrier_cost(self.nranks);
-        self.clock.advance_to(joint + cost);
-        self.san_collective_join();
-        self.sync_events += 1;
+        self.collective(None, |_| ());
     }
 
     /// Allgather of one value per rank, ordered by rank. Synchronizes
     /// virtual clocks like a barrier.
-    pub fn allgather<T: std::any::Any + Send + Clone>(&mut self, value: T) -> Vec<T> {
-        let seq = self.next_seq();
-        let out = self.shared.exchange.allgather(seq, self.rank, value);
-        self.barrier();
-        out
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ranks disagree on `T` (an SPMD ordering bug).
+    pub fn allgather<T: Any + Send + Clone>(&mut self, value: T) -> Vec<T> {
+        self.collective(Some(Box::new(value)), |all| {
+            all.iter().map(|v| downcast::<T>(v).clone()).collect()
+        })
     }
 
     /// Broadcast from `root`. Exactly the root passes `Some(value)`.
     /// Synchronizes virtual clocks like a barrier.
-    pub fn bcast<T: std::any::Any + Send + Clone>(&mut self, root: usize, value: Option<T>) -> T {
-        let seq = self.next_seq();
-        let out = self.shared.exchange.bcast(seq, self.rank, root, value);
-        self.barrier();
-        out
+    pub fn bcast<T: Any + Send + Clone>(&mut self, root: usize, value: Option<T>) -> T {
+        assert_eq!(
+            self.rank == root,
+            value.is_some(),
+            "exactly the root must supply the broadcast value"
+        );
+        let deposit = value.map(|v| Box::new(v) as Box<dyn Any + Send>);
+        self.collective(deposit, |all| downcast::<T>(&all[root]).clone())
     }
 
     /// Allreduce: the sum of every rank's `f64` contribution.
@@ -314,6 +310,15 @@ impl Process {
     }
 }
 
+/// A rank's deposit at a collective, as the `T` every rank agreed on.
+fn downcast<T: Any>(deposit: &Deposit) -> &T {
+    deposit
+        .as_ref()
+        .and_then(|v| v.downcast_ref())
+        // xlint: allow(no-unwrap) invariant: SPMD ranks deposit the same T at the same collective
+        .expect("collective deposits disagree on the value type")
+}
+
 /// End-of-run summary for one rank.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankReport {
@@ -350,7 +355,9 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `nranks == 0` or if any rank panics (the panic is propagated).
+/// Panics if `nranks == 0`. If a rank panics, the ranks blocked on it
+/// panic too ("peer rank r panicked"), every rank is joined, and the
+/// first rank's own panic is re-raised.
 pub fn run_collect<T, F>(mut config: SimConfig, nranks: usize, f: F) -> Vec<(RankReport, T)>
 where
     F: Fn(&mut Process) -> T + Sync,
@@ -368,10 +375,11 @@ where
         None
     };
     let shared = Arc::new(CommShared {
-        barrier: ReduceBarrier::new(nranks),
-        exchange: Exchange::new(nranks),
+        rendezvous: Rendezvous::new(nranks),
+        liveness: Liveness::default(),
         config,
     });
+    let live = &shared.liveness;
     let out = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..nranks)
             .map(|rank| {
@@ -382,6 +390,7 @@ where
                     // Apps recurse over octrees; give ranks deep stacks.
                     .stack_size(16 << 20)
                     .spawn_scoped(scope, move || {
+                        let _watch = live.watch(rank);
                         let fault_plan = shared
                             .config
                             .faults
@@ -397,7 +406,6 @@ where
                             nranks,
                             clock: Clock::new(),
                             shared,
-                            coll_seq: 0,
                             sync_events: 0,
                             fault_plan,
                             counters: OpCounters::default(),
@@ -410,12 +418,17 @@ where
                     .expect("failed to spawn rank thread")
             })
             .collect();
-        handles
+        let mut joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        // The first rank to panic is the cause; any other rank that
+        // panicked did so learning of it.
+        if let Some(first) = live.dead().filter(|&r| joined[r].is_err()) {
+            if let Err(payload) = joined.swap_remove(first) {
+                std::panic::resume_unwind(payload);
+            }
+        }
+        joined
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(e) => std::panic::resume_unwind(e),
-            })
+            .map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     });
     if let Some(handle) = env_handle {

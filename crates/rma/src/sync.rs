@@ -1,19 +1,27 @@
-//! Poison-tolerant wrappers over `std::sync` primitives.
+//! The simulator's synchronisation primitives: poison-tolerant lock
+//! wrappers, and the one place a rank blocks.
 //!
-//! The simulator previously used `parking_lot`, which has no lock
-//! poisoning: a rank (thread) panicking while holding a lock left the lock
-//! usable for every other rank. `std::sync` locks instead poison on a
-//! panicking holder, and a naive `.unwrap()` would cascade that one
-//! panic through every other rank's `get`/`put` — silently changing the
-//! simulator's failure semantics. These helpers recover the inner guard
-//! with `unwrap_or_else(|e| e.into_inner())`, restoring parking_lot's
-//! behaviour: the panicking rank fails its own test/run, the others keep
-//! simulating (window bytes are plain data; there is no invariant a
-//! half-completed memcpy can break that the epoch discipline doesn't
-//! already forbid).
+//! **Poison.** `std::sync` locks poison on a panicking holder, and a
+//! naive `.unwrap()` would cascade that one panic through every other
+//! rank's `get`/`put`. [`lock`], [`read`] and [`write`] recover the inner
+//! guard with `unwrap_or_else(|e| e.into_inner())` instead (window bytes
+//! are plain data; there is no invariant a half-completed memcpy can break
+//! that the epoch discipline doesn't already forbid).
+//!
+//! **Blocking.** Every blocking call of the simulator — the collectives'
+//! rendezvous, a passive-target lock, PSCW `start` and `wait` — waits
+//! through [`wait_until`], on its own mutex and condvar. The wait
+//! re-checks the run's [`Liveness`] record: once any rank has panicked, a
+//! waiter whose condition does not hold drops its guard (so it poisons
+//! nothing) and panics with "peer rank r panicked", and `run_collect`
+//! re-raises the dead rank's own panic. A dead rank notifies nobody, so a
+//! waiter also wakes every [`TICK`] to look; every live state change
+//! notifies, so a healthy run never needs the tick, and a tick that fires
+//! while a peer is merely slow re-checks and waits again.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Duration;
 
 /// How many times any wrapper below recovered a guard from a poisoned
 /// lock. Observable through `check::poison_recoveries()`: a nonzero value
@@ -57,12 +65,66 @@ pub(crate) fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     })
 }
 
-/// Waits on `cv`, recovering the guard from poisoning.
-pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard).unwrap_or_else(|e| {
-        POISON_RECOVERIES.fetch_add(1, Ordering::Relaxed);
-        e.into_inner()
-    })
+/// How often a blocked rank looks at the [`Liveness`] record when
+/// nobody notifies it.
+const TICK: Duration = Duration::from_millis(10);
+
+/// The per-run record of the first rank to panic.
+#[derive(Debug, Default)]
+pub(crate) struct Liveness(OnceLock<usize>);
+
+impl Liveness {
+    /// The first rank to panic in this run, if any.
+    pub(crate) fn dead(&self) -> Option<usize> {
+        self.0.get().copied()
+    }
+
+    /// A guard for `rank`'s thread: dropped by a panic's unwind, it
+    /// records `rank` as dead unless an earlier rank already is.
+    pub(crate) fn watch(&self, rank: usize) -> Watch<'_> {
+        Watch { live: self, rank }
+    }
+}
+
+/// See [`Liveness::watch`].
+pub(crate) struct Watch<'a> {
+    live: &'a Liveness,
+    rank: usize,
+}
+
+impl Drop for Watch<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Only the first rank to die is recorded.
+            let _ = self.live.0.set(self.rank);
+        }
+    }
+}
+
+/// Blocks on `cv` until `ready` holds for the guarded state, and returns
+/// the guard with it holding. Panics with "peer rank r panicked" instead,
+/// after dropping the guard, once `live` records a dead rank and `ready`
+/// still does not hold.
+pub(crate) fn wait_until<'a, T>(
+    live: &Liveness,
+    cv: &Condvar,
+    mut guard: MutexGuard<'a, T>,
+    ready: impl Fn(&T) -> bool,
+) -> MutexGuard<'a, T> {
+    while !ready(&guard) {
+        if let Some(rank) = live.dead() {
+            drop(guard);
+            panic!("peer rank {rank} panicked");
+        }
+        guard = match cv.wait_timeout(guard, TICK) {
+            Ok((g, _)) => g,
+            Err(e) => {
+                POISON_RECOVERIES.fetch_add(1, Ordering::Relaxed);
+                e.into_inner().0
+            }
+        };
+    }
+    guard
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! "closes epoch"). [`Window::epoch`] implements exactly that counter; it is
 //! what the caching layer samples as `x.eph`.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use clampi_datatype::{Datatype, FlatLayout};
@@ -26,7 +26,7 @@ use clampi_datatype::{Datatype, FlatLayout};
 use crate::check::{AccessKind, SanCtx, SanKind, WinSanLocal, WinSanShared};
 use crate::fault::{FaultDecision, RmaError};
 use crate::process::Process;
-use crate::sync;
+use crate::sync::{self, Liveness};
 
 pub use crate::lockmgr::LockKind;
 use crate::lockmgr::LockManager;
@@ -214,7 +214,7 @@ struct PscwSlot {
     vc: Vec<u64>,
 }
 
-type PscwMap = Mutex<std::collections::HashMap<(usize, usize), PscwSlot>>;
+type PscwMap = Mutex<HashMap<(usize, usize), PscwSlot>>;
 
 /// Signal counters for post-start-complete-wait synchronization: how many
 /// unmatched `post`s rank A has issued towards accessor B, and how many
@@ -243,17 +243,12 @@ impl PscwState {
 
     /// Blocks until a signal is pending, consumes it, and returns the
     /// published clock (empty without RMASAN) for the consumer to join.
-    fn consume(map: &PscwMap, cv: &Condvar, key: (usize, usize)) -> Vec<u64> {
-        let mut m = sync::lock(map);
-        loop {
-            if let Some(slot) = m.get_mut(&key) {
-                if slot.count > 0 {
-                    slot.count -= 1;
-                    return slot.vc.clone();
-                }
-            }
-            m = sync::wait(cv, m);
-        }
+    fn consume(live: &Liveness, map: &PscwMap, cv: &Condvar, key: (usize, usize)) -> Vec<u64> {
+        let ready = |m: &HashMap<_, PscwSlot>| m.get(&key).is_some_and(|slot| slot.count > 0);
+        let mut m = sync::wait_until(live, cv, sync::lock(map), ready);
+        let slot = m.entry(key).or_default();
+        slot.count -= 1;
+        slot.vc.clone()
     }
 }
 
@@ -1069,7 +1064,9 @@ impl Window {
         let sync = p.netmodel().sync_cost();
         p.clock_mut().charge_cpu(sync);
         self.open.lock(self.san_ctx(p), kind, target);
-        self.shared.locks.lock_hb(kind, target, p.san.as_mut());
+        self.shared
+            .locks
+            .lock(&p.shared.liveness, kind, target, p.san.as_mut());
         p.sync_events += 1;
     }
 
@@ -1083,7 +1080,7 @@ impl Window {
         if let Some(local) = self.san.as_deref_mut() {
             local.complete_reads_for(target);
         }
-        self.shared.locks.unlock_hb(target, p.san.as_mut());
+        self.shared.locks.unlock(target, p.san.as_mut());
         self.outstanding_gets[target] = 0;
         self.close_epoch();
     }
@@ -1094,7 +1091,9 @@ impl Window {
         let sync = p.netmodel().sync_cost();
         p.clock_mut().charge_cpu(sync);
         self.open.lock_all(self.san_ctx(p));
-        self.shared.locks.lock_all_hb(p.san.as_mut());
+        self.shared
+            .locks
+            .lock_all(&p.shared.liveness, p.san.as_mut());
         p.sync_events += 1;
     }
 
@@ -1107,7 +1106,7 @@ impl Window {
         if let Some(local) = self.san.as_deref_mut() {
             local.complete_all_reads();
         }
-        self.shared.locks.unlock_all_hb(p.san.as_mut());
+        self.shared.locks.unlock_all(p.san.as_mut());
         self.outstanding_gets.fill(0);
         self.close_epoch();
     }
@@ -1139,6 +1138,7 @@ impl Window {
         p.clock_mut().charge_cpu(sync);
         for &t in targets {
             let vc = PscwState::consume(
+                &p.shared.liveness,
                 &self.shared.pscw.posts,
                 &self.shared.pscw.cv,
                 (t, self.my_rank),
@@ -1194,6 +1194,7 @@ impl Window {
         p.clock_mut().charge_cpu(sync);
         for &a in accessors {
             let vc = PscwState::consume(
+                &p.shared.liveness,
                 &self.shared.pscw.completes,
                 &self.shared.pscw.cv,
                 (a, self.my_rank),

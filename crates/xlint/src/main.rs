@@ -38,8 +38,7 @@ const SIM_CRATES: &[&str] = &["rma", "clampi", "datatype", "workloads", "apps", 
 /// Crates whose `src/` must not panic via `.unwrap()`/`.expect(`. The
 /// apps crate is in scope because its data structures (DHT buckets,
 /// octree records) decode wire bytes — exactly where a stray `.unwrap()`
-/// turns a short read into a rank-killing panic that deadlocks every
-/// other rank at the next barrier.
+/// turns a short read into a rank-killing panic that fails the whole run.
 const UNWRAP_CRATES: &[&str] = &["rma", "clampi", "apps"];
 
 /// How far above an `unsafe` token a `// SAFETY:` comment may sit.
