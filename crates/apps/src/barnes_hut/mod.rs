@@ -13,10 +13,17 @@
 //! children ids steer the descent), every miss costs a get *plus* a flush
 //! — which is exactly why cache hits (lookup + memcpy, no network wait)
 //! speed the phase up so dramatically.
+//!
+//! The force kernel's virtual cost is one `interaction_ns` charge per
+//! visited node, whether the node is opened or its force summed, and
+//! whatever arithmetic the host does for it: the host evaluates the
+//! softened-gravity term as [`softened_inv_r3`] (one square root), and
+//! the virtual clock, the visits, the fetches and every figure are the
+//! same however that term is computed.
 
 pub mod octree;
 
-pub use octree::{direct_force, OctNode, Octree, NODE_BYTES, NO_CHILD};
+pub use octree::{direct_force, softened_inv_r3, OctNode, Octree, NODE_BYTES, NO_CHILD};
 
 use clampi::{AccessType, CacheStats};
 use clampi_rma::Process;
@@ -31,7 +38,9 @@ pub struct BhConfig {
     pub theta: f64,
     /// Gravitational softening.
     pub eps: f64,
-    /// CPU nanoseconds charged per visited tree node (the force kernel).
+    /// CPU nanoseconds charged per visited tree node (the force kernel):
+    /// one charge per visit, opened or summed, whatever arithmetic the
+    /// host does for it.
     pub interaction_ns: f64,
     /// Which layer fronts the tree window.
     pub backend: Backend,
@@ -91,16 +100,17 @@ impl BhResult {
     }
 }
 
-/// The owner rank of tree node `i` (round-robin distribution, as the
+/// The owner rank of tree node `i` and its byte displacement inside the
+/// owner's window, from one division: nodes are dealt round-robin, as the
 /// chunked global-pointer allocation of Global Trees degenerates to for
-/// small chunks).
-pub fn node_owner(i: usize, nranks: usize) -> usize {
-    i % nranks
+/// small chunks.
+pub fn node_home(i: usize, nranks: usize) -> (usize, usize) {
+    (i % nranks, (i / nranks) * NODE_BYTES)
 }
 
 /// The byte displacement of node `i` inside its owner's window.
 pub fn node_disp(i: usize, nranks: usize) -> usize {
-    (i / nranks) * NODE_BYTES
+    node_home(i, nranks).1
 }
 
 /// Number of nodes owned by `rank`.
@@ -126,8 +136,8 @@ pub fn force_phase(p: &mut Process, bodies: &[Body], cfg: &BhConfig) -> BhResult
     {
         let mut mem = win.local_mut();
         for (i, node) in tree.nodes.iter().enumerate() {
-            if node_owner(i, nranks) == rank {
-                let disp = node_disp(i, nranks);
+            let (owner, disp) = node_home(i, nranks);
+            if owner == rank {
                 mem[disp..disp + NODE_BYTES].copy_from_slice(&node.encode());
             }
         }
@@ -144,8 +154,10 @@ pub fn force_phase(p: &mut Process, bodies: &[Body], cfg: &BhConfig) -> BhResult
     let mut visited = 0u64;
     let mut remote_fetches = 0u64;
     let mut trace = Vec::new();
-    // Per-frontier fetch slots, reused across levels and bodies.
+    // Per-frontier fetch slots and whether each slot's node was fetched
+    // (remote) or is read locally, reused across levels and bodies.
     let mut fetch_bufs: Vec<[u8; NODE_BYTES]> = Vec::new();
+    let mut fetched: Vec<bool> = Vec::new();
     let mut frontier: Vec<usize> = Vec::new();
     let mut next_frontier: Vec<usize> = Vec::new();
     let t0 = p.now();
@@ -162,18 +174,20 @@ pub fn force_phase(p: &mut Process, bodies: &[Body], cfg: &BhConfig) -> BhResult
         while !frontier.is_empty() {
             if fetch_bufs.len() < frontier.len() {
                 fetch_bufs.resize(frontier.len(), [0u8; NODE_BYTES]);
+                fetched.resize(frontier.len(), false);
             }
             let mut any_pending = false;
             for (i, &id) in frontier.iter().enumerate() {
-                let owner = node_owner(id, nranks);
-                if owner == rank {
+                let (owner, disp) = node_home(id, nranks);
+                fetched[i] = owner != rank;
+                if !fetched[i] {
                     continue;
                 }
                 remote_fetches += 1;
                 if cfg.trace_gets {
                     trace.push((owner, id));
                 }
-                let class = win.get_nb(p, &mut fetch_bufs[i], owner, node_disp(id, nranks));
+                let class = win.get_nb(p, &mut fetch_bufs[i], owner, disp);
                 if class != Some(AccessType::Hit) {
                     any_pending = true;
                 }
@@ -185,12 +199,12 @@ pub fn force_phase(p: &mut Process, bodies: &[Body], cfg: &BhConfig) -> BhResult
             for (i, &id) in frontier.iter().enumerate() {
                 visited += 1;
                 p.compute(cfg.interaction_ns);
-                let node = if node_owner(id, nranks) == rank {
+                let node = if fetched[i] {
+                    OctNode::decode(&fetch_bufs[i])
+                } else {
                     // Locally owned nodes are read through the local
                     // pointer, as in the UPC code (no RMA, no cache).
                     tree.nodes[id]
-                } else {
-                    OctNode::decode(&fetch_bufs[i])
                 };
                 if node.mass == 0.0 {
                     continue;
@@ -210,8 +224,7 @@ pub fn force_phase(p: &mut Process, bodies: &[Body], cfg: &BhConfig) -> BhResult
                     if d2 < 1e-24 {
                         continue;
                     }
-                    let inv = 1.0 / (d2 + cfg.eps * cfg.eps).powf(1.5);
-                    let f = body.mass * node.mass * inv;
+                    let f = body.mass * node.mass * softened_inv_r3(d2, cfg.eps);
                     force[0] += f * dx;
                     force[1] += f * dy;
                     force[2] += f * dz;
@@ -365,42 +378,55 @@ mod tests {
         let total = 1000;
         let mut per_rank = vec![0usize; nranks];
         for i in 0..total {
-            let o = node_owner(i, nranks);
-            assert_eq!(node_disp(i, nranks), (i / nranks) * NODE_BYTES);
+            let (o, disp) = node_home(i, nranks);
+            assert_eq!(o, i % nranks);
+            assert_eq!(disp, (i / nranks) * NODE_BYTES);
+            assert_eq!(node_disp(i, nranks), disp);
             per_rank[o] += 1;
         }
         for (r, &owned) in per_rank.iter().enumerate() {
             assert_eq!(owned, nodes_owned(total, r, nranks), "rank {r}");
         }
     }
-}
-
-#[cfg(test)]
-mod debug_tests {
-    use super::*;
-    use crate::backend::Backend;
-    use clampi::{CacheParams, ClampiConfig, Mode};
-    use clampi_rma::{run_collect, SimConfig};
-    use clampi_workloads::plummer;
 
     #[test]
-    #[ignore = "diagnostic: prints the adaptive resize history"]
-    fn print_adaptive_resize_history() {
-        let bodies = plummer(5000, 42);
-        let cfg = BhConfig::with_backend(Backend::Clampi(ClampiConfig::adaptive(
+    fn adaptive_backend_resizes_without_changing_forces() {
+        // A deliberately small start: the controller must grow the cache
+        // during the phase, and every resize's invalidation must leave
+        // the physics bit-equal to the uncached run.
+        let bodies = plummer(600, 42);
+        let start = CacheParams {
+            index_entries: 64,
+            storage_bytes: 4 << 10,
+            ..CacheParams::default()
+        };
+        let adaptive = BhConfig::with_backend(Backend::Clampi(ClampiConfig::adaptive(
             Mode::UserDefined,
-            CacheParams {
-                index_entries: 20_000,
-                storage_bytes: 1 << 20,
-                ..CacheParams::default()
-            },
+            start.clone(),
         )));
-        let out = run_collect(SimConfig::bench(), 8, |p| {
-            let r = force_phase(p, &bodies, &cfg);
-            (r.resize_log.clone(), r.force_time_ns)
+        let fompi = BhConfig::with_backend(Backend::Fompi);
+        let a = run_collect(SimConfig::default(), 2, |p| {
+            force_phase(p, &bodies, &adaptive)
         });
-        for (rep, (log, t)) in &out {
-            eprintln!("rank {}: t={:.1}ms resizes={:?}", rep.rank, t / 1e6, log);
+        let b = run_collect(SimConfig::default(), 2, |p| force_phase(p, &bodies, &fompi));
+        for (rep, r) in &a {
+            assert!(!r.resize_log.is_empty(), "rank {} never resized", rep.rank);
+            let last = r.resize_log.last().unwrap();
+            assert_eq!(
+                r.clampi_params,
+                Some((last.index_entries, last.storage_bytes)),
+                "rank {}: final parameters are not the last resize's",
+                rep.rank
+            );
+            assert!(
+                last.index_entries * last.storage_bytes > start.index_entries * start.storage_bytes,
+                "rank {}: {:?} did not grow from the start",
+                rep.rank,
+                r.resize_log
+            );
         }
+        let ra: Vec<BhResult> = a.into_iter().map(|(_, r)| r).collect();
+        let rb: Vec<BhResult> = b.into_iter().map(|(_, r)| r).collect();
+        assert_eq!(total_checksum(&ra).to_bits(), total_checksum(&rb).to_bits());
     }
 }

@@ -273,6 +273,27 @@ impl Octree {
     /// and softening `eps`. Returns (force vector, nodes visited).
     pub fn force_on(&self, body: &Body, theta: f64, eps: f64) -> ([f64; 3], usize) {
         let mut force = [0.0; 3];
+        let visited = self.walk(body, theta, |n, d, d2| {
+            let f = body.mass * n.mass * softened_inv_r3(d2, eps);
+            for k in 0..3 {
+                force[k] += f * d[k];
+            }
+        });
+        (force, visited)
+    }
+
+    /// Depth-first Barnes-Hut traversal for `body` with opening angle
+    /// `theta`: calls `accept(node, d, d2)` for every node the opening test
+    /// accepts, with `d` the node's centre of mass minus the body position
+    /// and `d2 = |d|²` (the body itself, `d2 < 1e-24`, is skipped).
+    /// Returns the nodes visited. The set of accepted nodes is the one
+    /// `force_phase`'s level-synchronous descent accepts, in another order.
+    pub fn walk(
+        &self,
+        body: &Body,
+        theta: f64,
+        mut accept: impl FnMut(&OctNode, [f64; 3], f64),
+    ) -> usize {
         let mut visited = 0usize;
         let mut stack = vec![0usize];
         while let Some(cur) = stack.pop() {
@@ -293,19 +314,24 @@ impl Octree {
                         stack.push(c as usize);
                     }
                 }
-            } else {
-                if d2 < 1e-24 {
-                    continue; // the body itself
-                }
-                let inv = 1.0 / (d2 + eps * eps).powf(1.5);
-                let f = body.mass * n.mass * inv;
-                force[0] += f * dx;
-                force[1] += f * dy;
-                force[2] += f * dz;
+            } else if d2 >= 1e-24 {
+                accept(n, [dx, dy, dz], d2);
             }
         }
-        (force, visited)
+        visited
     }
+}
+
+/// The softened-gravity kernel `1 / (d2 + eps²)^{3/2}`, computed as
+/// `1 / (r2 · √r2)` with `r2 = d2 + eps²`: the one form every force sum
+/// here uses (`force_phase`, [`Octree::force_on`], [`direct_force`]), so
+/// the distributed phase and both references agree by construction.
+/// `√` is correctly rounded, so this stays within a few ulps of
+/// `r2.powf(1.5)` at a fraction of its cost.
+#[inline]
+pub fn softened_inv_r3(d2: f64, eps: f64) -> f64 {
+    let r2 = d2 + eps * eps;
+    1.0 / (r2 * r2.sqrt())
 }
 
 /// Direct O(N^2) force sum (correctness reference for tests).
@@ -320,8 +346,7 @@ pub fn direct_force(bodies: &[Body], i: usize, eps: f64) -> [f64; 3] {
         let dy = o.pos[1] - b.pos[1];
         let dz = o.pos[2] - b.pos[2];
         let d2 = dx * dx + dy * dy + dz * dz;
-        let inv = 1.0 / (d2 + eps * eps).powf(1.5);
-        let f = b.mass * o.mass * inv;
+        let f = b.mass * o.mass * softened_inv_r3(d2, eps);
         force[0] += f * dx;
         force[1] += f * dy;
         force[2] += f * dz;

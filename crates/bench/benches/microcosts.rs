@@ -14,14 +14,15 @@ use clampi::cache::{CacheParams, LayoutSig, Lookup, RmaCache};
 use clampi::index::{CuckooIndex, GetKey, InsertOutcome};
 use clampi::storage::{FreeIndex, Storage};
 use clampi::{AccessType, CacheCostModel, CachedWindow, ClampiConfig, CoherenceMode, Mode};
-use clampi_apps::barnes_hut::NODE_BYTES;
+use clampi_apps::barnes_hut::{softened_inv_r3, BhConfig, Octree, NODE_BYTES};
 use clampi_apps::lcc::{intersect_sorted, AdjBitmap};
+use clampi_apps::Backend;
 use clampi_bench::timer::Bench;
 use clampi_datatype::Datatype;
 use clampi_prng::SmallRng;
 use clampi_rma::{run_collect, Process, SimConfig};
 use clampi_workloads::micro::MicroParams;
-use clampi_workloads::{Csr, MicroWorkload, RmatParams, Zipf};
+use clampi_workloads::{plummer, Csr, MicroWorkload, RmatParams, Zipf};
 
 fn key(d: u64) -> GetKey {
     GetKey { target: 1, disp: d }
@@ -673,6 +674,42 @@ fn bench_lcc() {
     });
 }
 
+/// The Barnes-Hut force kernel alone, in wall-clock time: one iteration is
+/// one pass over every `(body, node)` pair `force_phase` accepts on
+/// `plummer(4000, 42)` (`bh_force`'s bodies) at θ = 0.5 and the default
+/// softening, each pair's mass product times the kernel summed.
+/// `kernel_powf` runs the form the phase used to, `1 / r2.powf(1.5)`;
+/// `kernel` the one it runs, [`softened_inv_r3`].
+fn bench_bh() {
+    let mut b = Bench::new("bh");
+    b.samples = b.samples.min(16);
+    let cfg = BhConfig::with_backend(Backend::Fompi);
+    let bodies = plummer(4000, 42);
+    let tree = Octree::build(&bodies);
+    // `(d2, body mass × node mass)` of every accepted pair.
+    let mut pairs: Vec<(f64, f64)> = Vec::new();
+    for body in &bodies {
+        tree.walk(body, cfg.theta, |n, _, d2| {
+            pairs.push((d2, body.mass * n.mass))
+        });
+    }
+    let eps = cfg.eps;
+    b.run("kernel_powf", || {
+        let sum: f64 = pairs
+            .iter()
+            .map(|&(d2, m)| m / (d2 + eps * eps).powf(1.5))
+            .sum();
+        black_box(sum);
+    });
+    b.run("kernel", || {
+        let sum: f64 = pairs
+            .iter()
+            .map(|&(d2, m)| m * softened_inv_r3(d2, eps))
+            .sum();
+        black_box(sum);
+    });
+}
+
 fn bench_datatype() {
     let b = Bench::new("datatype");
     let strided = Datatype::vector(64, 1, 4, Datatype::double());
@@ -703,5 +740,6 @@ fn main() {
     bench_coherence_dht();
     bench_fompi_batch();
     bench_lcc();
+    bench_bh();
     bench_datatype();
 }
