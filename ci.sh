@@ -73,7 +73,7 @@
 # Every `cargo test` of the test, release-test, san-test and prop-matrix
 # stages runs under `timeout` (TEST_TIMEOUT_S below). A rank that panics
 # fails its run, but a true deadlock still hangs it: a barrier-count
-# mismatch, a lock cycle, a `start` with no matching `post`. A hung suite
+# mismatch or a lock cycle. A hung suite
 # must come back FAIL instead of sitting there forever.
 #
 # This repo builds on machines with no network and no cargo registry

@@ -68,8 +68,8 @@
 //! one seek per drained record, or one exact-key index probe per grid
 //! point of a narrow record on a target whose entries sit on a grid.
 //!
-//! Passes run at access-epoch *openings* (`lock`, `lock_all`, `start`),
-//! at `validate`, and after every `flush`/`flush_all`/`fence` — the points
+//! Passes run at access-epoch *openings* (`lock`, `lock_all`), at
+//! `validate`, and after every `flush`/`flush_all` — the points
 //! where MPI's epoch rules make remotely-written data newly visible.
 //! Targets already marked degraded (persistently failed) are skipped; a
 //! target that *fails during a pass* is degraded on the spot, which drops
@@ -89,13 +89,13 @@
 //!   overhead) when the last reply from `t` read the cursor's version and
 //!   [`Process::sync_events`](clampi_rma::Process::sync_events) has not
 //!   moved since: this rank has neither written (through any window) nor
-//!   acquired anything — no lock, PSCW `start`/`wait` or collective, on
-//!   any window. A write the pass then does not see is one no
-//!   synchronization has ordered before this rank's next get; the cursor
-//!   does not move, so the next pass that drains sees it. In practice
-//!   only `flush`/`flush_all` passes skip: `lock`, `lock_all`, `start` and
-//!   `fence` are sync events themselves, and `validate` forgets the
-//!   replies before its pass. Every pass consumes the reply.
+//!   acquired anything — no lock or collective, on any window. A write
+//!   the pass then does not see is one no synchronization has ordered
+//!   before this rank's next get; the cursor does not move, so the next
+//!   pass that drains sees it. In practice only `flush`/`flush_all`
+//!   passes skip: `lock` and `lock_all` are sync events themselves, and
+//!   `validate` forgets the replies before its pass. Every pass consumes
+//!   the reply.
 //!
 //! The pass itself is `CachedWindow::coherence_pass`; this module holds
 //! the mode. The drain state lives in the window's one record per target

@@ -15,8 +15,8 @@
 //!   (the "foMPI" baseline in every benchmark).
 //!
 //! Puts and synchronization calls delegate to the inner window; every
-//! epoch-closing call (`flush`, `flush_all`, `unlock`, `unlock_all`,
-//! `fence`) additionally runs the cache's epoch hook and, when enabled,
+//! epoch-closing call (`flush`, `flush_all`, `unlock`, `unlock_all`)
+//! additionally runs the cache's epoch hook and, when enabled,
 //! the adaptive controller.
 
 use clampi_datatype::{Datatype, FlatLayout};
@@ -176,7 +176,7 @@ pub struct CachedWindow {
     nb_spans: Vec<NbSpan>,
     /// The typed wrappers' one-entry flatten memo (see [`LayoutMemo`]).
     memo: Option<LayoutMemo>,
-    /// Reusable packed-payload buffer for [`CachedWindow::get_typed`].
+    /// Reusable payload buffer for `CachedWindow::refresh_kept`'s refetches.
     scratch_buf: Vec<u8>,
     /// [`CachedWindow::multi_get`]'s validation scratch, taken and put
     /// back around each batch.
@@ -235,9 +235,9 @@ impl TargetState {
     /// the target empty: the reply saw the target at the cursor, and this
     /// rank's `sync_events` count has not moved since — it has neither
     /// written (its own put must be drained unless it was settled: every
-    /// other entry it overlaps must drop) nor acquired a lock, a PSCW
-    /// epoch or a collective (each of which may order another rank's
-    /// flushed put before this rank's next get). A put by another rank
+    /// other entry it overlaps must drop) nor acquired a lock or a
+    /// collective (each of which may order another rank's flushed put
+    /// before this rank's next get). A put by another rank
     /// after the reply, with no such event in between, is one MPI lets
     /// this rank not see yet; the next pass that drains picks it up from
     /// the unmoved cursor.
@@ -250,7 +250,7 @@ impl TargetState {
 
     /// A completion event towards the target: nothing of it is in flight
     /// any more. Returns the wire ns it had posted.
-    fn complete(&mut self) -> f64 {
+    fn finish(&mut self) -> f64 {
         self.staged = false;
         std::mem::take(&mut self.posted_wire)
     }
@@ -672,7 +672,7 @@ impl CachedWindow {
     /// - a **hit** costs what it always did (no wire involved);
     /// - a **miss** stages its fetch eagerly and posts its wire time as an
     ///   outstanding transfer that only completes at the next epoch
-    ///   closure (`flush`/`unlock`/`fence`), so consecutive misses'
+    ///   closure (`flush`/`unlock`), so consecutive misses'
     ///   network times overlap with each other and with CPU work;
     /// - a miss whose byte range is **adjacent to or overlaps** an
     ///   already-outstanding miss transfer to the same target *coalesces*
@@ -956,47 +956,6 @@ impl CachedWindow {
             self.targets[target].posted_wire += wire;
         }
         false
-    }
-
-    /// [`CachedWindow::get`] with a *typed origin*: the payload — served
-    /// from cache or fetched — is scattered into `dst` according to
-    /// `origin_dtype` (MPI_Get with distinct origin/target datatypes).
-    /// Caching still keys on the target-side `(target, disp)` and layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the origin and target payload sizes differ.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_typed(
-        &mut self,
-        p: &mut Process,
-        dst: &mut [u8],
-        origin_dtype: &Datatype,
-        origin_count: usize,
-        target: usize,
-        disp: usize,
-        target_dtype: &Datatype,
-        target_count: usize,
-    ) -> Option<AccessType> {
-        let origin = origin_dtype.flatten_n(origin_count);
-        let tlayout = target_dtype.flatten_n(target_count);
-        assert_eq!(
-            origin.total_size(),
-            tlayout.total_size(),
-            "origin and target payload sizes differ"
-        );
-        self.scratch_buf.clear();
-        self.scratch_buf.resize(tlayout.total_size(), 0);
-        let mut packed = std::mem::take(&mut self.scratch_buf);
-        let class = self.get_flat(p, &mut packed, target, disp, &tlayout);
-        clampi_datatype::unpack(&packed, &origin, dst);
-        self.scratch_buf = packed;
-        // The origin-side scatter is initiator CPU work.
-        if let Some(cache) = self.cache.as_ref() {
-            let cost = cache.params().costs.memcpy_cost(origin.total_size());
-            p.clock_mut().charge_cpu(cost);
-        }
-        class
     }
 
     /// An *uncached* get: always goes to the network, leaving the cache
@@ -1405,11 +1364,11 @@ impl CachedWindow {
         let posted: f64 = match target {
             Some(t) => {
                 self.nb_spans.retain(|s| s.target != t);
-                self.targets[t].complete()
+                self.targets[t].finish()
             }
             None => {
                 self.nb_spans.clear();
-                self.targets.iter_mut().map(TargetState::complete).sum()
+                self.targets.iter_mut().map(TargetState::finish).sum()
             }
         };
         let blocked0 = p.clock().total_blocked();
@@ -1461,42 +1420,6 @@ impl CachedWindow {
     /// MPI_Win_unlock_all + cache epoch hook.
     pub fn unlock_all(&mut self, p: &mut Process) {
         self.complete_with(p, None, |w, p| w.unlock_all(p));
-        self.on_epoch_close(p);
-    }
-
-    /// MPI_Win_fence + cache epoch hook + coherence pass (a fence both
-    /// closes the old epoch and opens a new one, so the pass runs after
-    /// the hook).
-    pub fn fence(&mut self, p: &mut Process) {
-        self.complete_with(p, None, |w, p| w.fence(p));
-        self.on_epoch_close(p);
-        self.coherence_pass(p, None, false);
-    }
-
-    /// MPI_Win_post (PSCW exposure).
-    pub fn post(&mut self, p: &mut Process, accessors: &[usize]) {
-        self.win.post(p, accessors);
-    }
-
-    /// MPI_Win_start (PSCW access epoch, plus a coherence pass over the
-    /// named targets).
-    pub fn start(&mut self, p: &mut Process, targets: &[usize]) {
-        self.win.start(p, targets);
-        for &t in targets {
-            self.coherence_pass(p, Some(t), false);
-        }
-    }
-
-    /// MPI_Win_complete + cache epoch hook (the PSCW epoch closure the
-    /// paper's epoch model keys on).
-    pub fn complete(&mut self, p: &mut Process) {
-        self.complete_with(p, None, |w, p| w.complete(p));
-        self.on_epoch_close(p);
-    }
-
-    /// MPI_Win_wait + cache epoch hook; own transfers stay in flight.
-    pub fn wait(&mut self, p: &mut Process, accessors: &[usize]) {
-        self.win.wait(p, accessors);
         self.on_epoch_close(p);
     }
 }

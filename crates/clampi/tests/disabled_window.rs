@@ -4,10 +4,9 @@
 //!
 //! One schedule runs on a raw `clampi_rma::Window` and on
 //! `CachedWindow::create(.., ClampiConfig::disabled())`, two ranks each
-//! reading from and writing to the other, through all four epoch kinds
-//! (lock/unlock, lock_all with flush and flush_all, fence, and PSCW
-//! post/start/complete/wait), with contiguous and strided datatypes and a
-//! mix of `get`, `get_nb` + flush and `put`. After every step both runs
+//! reading from and writing to the other, through both epoch kinds
+//! (lock/unlock, and lock_all with flush and flush_all), with contiguous
+//! and strided datatypes and a mix of `get`, `get_nb` + flush and `put`. After every step both runs
 //! must read the same bytes at a bit-equal `p.now()`.
 //!
 //! Within an epoch, gets and puts touch disjoint bytes, and a rank copies
@@ -59,11 +58,6 @@ forward! {
     unlock(target: usize);
     lock_all();
     unlock_all();
-    fence();
-    post(group: &[usize]);
-    start(group: &[usize]);
-    complete();
-    wait(group: &[usize]);
 }
 
 impl Side {
@@ -171,31 +165,6 @@ fn run(disabled: bool) -> Vec<Vec<Step>> {
         note(&mut log, p, "unlock_all", &[]);
         settled_region(&mut log, p, &w, "lock_all epoch: own region");
 
-        // Active target, collective: fence / get / get_nb / put / fence.
-        w.fence(p);
-        note(&mut log, p, "fence", &[]);
-        w.get(p, &mut c, peer, 3072, &contig, 1);
-        w.get_nb(p, &mut s, peer, 1536, &strided);
-        w.put(p, &src, peer, 2560, &contig, 1);
-        w.fence(p);
-        note(&mut log, p, "fence: get contig", &c);
-        note(&mut log, p, "fence: get_nb strided", &s);
-        // The peer's next write into this region waits for the `post`.
-        note(&mut log, p, "fence epoch: own region", &w.local());
-
-        // Active target, general: post / start / get / put / complete /
-        // wait.
-        w.post(p, &[peer]);
-        w.start(p, &[peer]);
-        note(&mut log, p, "post + start", &[]);
-        w.get(p, &mut c, peer, 2560, &contig, 1);
-        w.get_nb(p, &mut s, peer, 64, &strided);
-        w.put(p, &src[..32], peer, 3584, &strided, 1);
-        w.complete(p);
-        note(&mut log, p, "complete: get contig", &c);
-        note(&mut log, p, "complete: get_nb strided", &s);
-        w.wait(p, &[peer]);
-        note(&mut log, p, "wait: own region", &w.local());
         log
     });
     let mut by_rank: Vec<_> = out.into_iter().map(|(rep, log)| (rep.rank, log)).collect();

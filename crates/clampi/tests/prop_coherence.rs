@@ -31,8 +31,8 @@
 //!    zeros, never a stale cached value;
 //! 5. (directed) a flush skips only the drain its get reply proves empty:
 //!    a read-phase miss + flush charges no drain, but any sync event since
-//!    the reply — a collective, a lock or PSCW acquisition on another
-//!    window, or the reader's own put — makes the flush drain again;
+//!    the reply — a collective, a lock acquisition on another window, or
+//!    the reader's own put — makes the flush drain again;
 //! 6. (directed) `validate` fetches again what its own pass dropped: the
 //!    next read is a hit with no wire get and the writer's bytes; the
 //!    refetches block for one wire latency, not one each; a transient
@@ -473,12 +473,6 @@ enum Between {
     /// Rank 1 releases an exclusive lock on a second window, held since
     /// before the miss; rank 0 then acquires it.
     Lock,
-    /// Rank 1 writes inside a PSCW access epoch on a second window that
-    /// rank 0 exposed after its miss; rank 0 `wait`s for its `complete`.
-    Wait,
-    /// Rank 1 posts a second window after writing; rank 0 `start`s an
-    /// access epoch on it.
-    Start,
 }
 
 /// Rank 0's observations: the flush's virtual-time delta, the
@@ -496,7 +490,6 @@ fn miss_then_flush(coherence: CoherenceMode, between: Between) -> FlushObs {
         let mut win =
             CachedWindow::create(p, 4 * SIZE, ClampiConfig::fixed(Mode::AlwaysCache, params));
         let mut locks = p.win_allocate(8);
-        let mut pscw = p.win_allocate(8);
         if rank == 1 {
             let mut local = win.local_mut();
             for r in 0..4 {
@@ -534,13 +527,6 @@ fn miss_then_flush(coherence: CoherenceMode, between: Between) -> FlushObs {
             Between::OwnPut => Some(0),
             _ => Some(1),
         };
-        if between == Between::Wait {
-            if rank == 0 {
-                pscw.post(p, &[1]);
-            } else {
-                pscw.start(p, &[0]);
-            }
-        }
         if writer == Some(rank) {
             win.put(p, &new, 1, PROBE * SIZE, &dtype, 1);
             if rank == 1 {
@@ -552,16 +538,6 @@ fn miss_then_flush(coherence: CoherenceMode, between: Between) -> FlushObs {
             (Between::Lock, 0) => {
                 locks.lock(p, LockKind::Exclusive, 1);
                 locks.unlock(p, 1);
-            }
-            (Between::Wait, 0) => pscw.wait(p, &[1]),
-            (Between::Wait, _) => pscw.complete(p),
-            (Between::Start, 0) => {
-                pscw.start(p, &[1]);
-                pscw.complete(p);
-            }
-            (Between::Start, _) => {
-                pscw.post(p, &[0]);
-                pscw.wait(p, &[0]);
             }
             _ => {}
         }
@@ -636,18 +612,6 @@ fn a_flush_after_the_readers_own_put_drains_it_and_the_next_get_hits_the_put() {
 #[test]
 fn a_flush_after_a_lock_on_another_window_drains_the_write_it_ordered() {
     assert_the_flush_drains(Between::Lock);
-}
-
-/// PSCW `wait` on another window orders the accessor's flushed put.
-#[test]
-fn a_flush_after_a_pscw_wait_on_another_window_drains_the_write_it_ordered() {
-    assert_the_flush_drains(Between::Wait);
-}
-
-/// PSCW `start` on another window orders the exposer's flushed put.
-#[test]
-fn a_flush_after_a_pscw_start_on_another_window_drains_the_write_it_ordered() {
-    assert_the_flush_drains(Between::Start);
 }
 
 /// What rank 0 saw around one `validate` ([`revalidate`]).

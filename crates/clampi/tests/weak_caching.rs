@@ -258,125 +258,69 @@ mod temporal_full_scan {
     }
 }
 
-mod typed_origin_cached {
+/// A completion event towards one target completes that target only.
+mod targeted_completion {
     use clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, Mode};
     use clampi_datatype::Datatype;
-    use clampi_rma::{run, SimConfig};
+    use clampi_rma::{run, LockKind, SimConfig};
 
-    #[test]
-    fn get_typed_hits_like_a_plain_get() {
-        run(SimConfig::default(), 2, |p| {
-            let mut win = CachedWindow::create(
-                p,
-                64,
-                ClampiConfig::fixed(Mode::AlwaysCache, CacheParams::default()),
-            );
-            if p.rank() == 1 {
-                let mut m = win.local_mut();
-                for (i, b) in m.iter_mut().enumerate() {
-                    *b = 100 + i as u8;
-                }
-            }
-            p.barrier();
-            if p.rank() == 0 {
-                win.lock_all(p);
-                let origin = Datatype::vector(2, 4, 8, Datatype::bytes(1));
-                let mut dst = vec![0u8; 12];
-                let c1 = win.get_typed(p, &mut dst, &origin, 1, 1, 0, &Datatype::bytes(8), 1);
-                assert_ne!(c1, Some(AccessType::Hit));
-                win.flush(p, 1);
-                let mut dst2 = vec![0u8; 12];
-                let c2 = win.get_typed(p, &mut dst2, &origin, 1, 1, 0, &Datatype::bytes(8), 1);
-                assert_eq!(c2, Some(AccessType::Hit), "same target key must hit");
-                assert_eq!(dst, dst2);
-                assert_eq!(&dst[..4], &[100, 101, 102, 103]);
-                assert_eq!(&dst[8..12], &[104, 105, 106, 107]);
-                win.unlock_all(p);
-            }
-            p.barrier();
-        });
-    }
-}
-
-mod pscw_cached {
-    use clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, Mode};
-    use clampi_datatype::Datatype;
-    use clampi_rma::{run, run_collect, SimConfig};
-
-    #[test]
-    fn caching_works_across_pscw_epochs() {
-        // Two PSCW access epochs over a read-only window: the second
-        // epoch's gets hit. Transparent mode instead invalidates at
-        // `complete` and misses again — both semantics in one test.
-        for (mode, expect_hit) in [(Mode::AlwaysCache, true), (Mode::Transparent, false)] {
-            run(SimConfig::checked(), 2, |p| {
-                let mut win =
-                    CachedWindow::create(p, 64, ClampiConfig::fixed(mode, CacheParams::default()));
-                if p.rank() == 0 {
-                    win.local_mut()[..4].copy_from_slice(&[5, 6, 7, 8]);
-                    for _ in 0..2 {
-                        win.post(p, &[1]);
-                        win.wait(p, &[1]);
-                    }
-                } else {
-                    let mut last_class = None;
-                    for _ in 0..2 {
-                        win.start(p, &[0]);
-                        let mut b = [0u8; 4];
-                        last_class = win.get(p, &mut b, 0, 0, &Datatype::bytes(4), 1);
-                        win.complete(p);
-                        assert_eq!(b, [5, 6, 7, 8]);
-                    }
-                    assert_eq!(
-                        last_class == Some(AccessType::Hit),
-                        expect_hit,
-                        "mode {mode:?}"
-                    );
-                }
-                p.barrier();
-            });
-        }
+    /// How rank 0 completes target 2 while a miss to target 1 is in
+    /// flight.
+    #[derive(Clone, Copy)]
+    enum Other {
+        /// `flush(2)` inside `lock_all`.
+        Flush,
+        /// `unlock(2)` under a lock on 2 (and one on 1).
+        Unlock,
     }
 
-    /// `wait` closes this rank's *exposure* epoch only: its own access
-    /// epoch's transfers stay in flight, so a later adjacent miss still
-    /// coalesces into them and no overlap credit is booked at the `wait`.
-    #[test]
-    fn wait_leaves_own_outstanding_misses_in_flight() {
-        let out = run_collect(SimConfig::checked(), 2, |p| {
+    /// Rank 0 issues a `get_nb` miss to target 1, completes target 2, then
+    /// a `get_nb` miss adjacent to the first: the completion must book no
+    /// overlap credit and the second miss must coalesce into the first.
+    fn assert_target_1_stays_in_flight(other: Other) {
+        run(SimConfig::checked(), 3, move |p| {
             let cfg = ClampiConfig::fixed(Mode::AlwaysCache, CacheParams::default());
             let mut win = CachedWindow::create(p, 256, cfg);
-            let mut seen = None;
             if p.rank() == 0 {
                 let bytes = Datatype::bytes(64);
                 let (mut a, mut b) = ([0u8; 64], [0u8; 64]);
-                win.post(p, &[1]);
-                win.start(p, &[1]);
+                match other {
+                    Other::Flush => win.lock_all(p),
+                    Other::Unlock => {
+                        win.lock(p, LockKind::Shared, 1);
+                        win.lock(p, LockKind::Shared, 2);
+                    }
+                }
                 let first = win.get_nb(p, &mut a, 1, 0, &bytes, 1);
+                assert_ne!(first, Some(AccessType::Hit));
                 let before = win.stats().overlapped_wire_ns;
-                win.wait(p, &[1]);
+                match other {
+                    Other::Flush => win.flush(p, 2),
+                    Other::Unlock => win.unlock(p, 2),
+                }
                 let after = win.stats().overlapped_wire_ns;
+                assert_eq!(after, before, "completing target 2 booked target 1's miss");
                 let second = win.get_nb(p, &mut b, 1, 64, &bytes, 1);
+                assert_ne!(second, Some(AccessType::Hit));
                 let coalesced = win.stats().coalesced_misses;
-                win.complete(p);
-                seen = Some((first, second, before, after, coalesced));
-            } else {
-                win.post(p, &[0]);
-                win.start(p, &[0]);
-                win.complete(p);
-                win.wait(p, &[0]);
+                assert_eq!(coalesced, 1, "the second miss must coalesce into the first");
+                match other {
+                    Other::Flush => win.unlock_all(p),
+                    Other::Unlock => win.unlock(p, 1),
+                }
             }
             p.barrier();
-            seen
         });
-        let (first, second, before, after, coalesced) = out[0].1.unwrap();
-        assert_ne!(first, Some(AccessType::Hit));
-        assert_ne!(second, Some(AccessType::Hit));
-        assert_eq!(
-            after, before,
-            "wait booked a completion of rank 0's own misses"
-        );
-        assert_eq!(coalesced, 1, "the second miss must coalesce into the first");
+    }
+
+    #[test]
+    fn flush_of_another_target_leaves_a_miss_in_flight() {
+        assert_target_1_stays_in_flight(Other::Flush);
+    }
+
+    #[test]
+    fn unlock_of_another_target_leaves_a_miss_in_flight() {
+        assert_target_1_stays_in_flight(Other::Unlock);
     }
 }
 

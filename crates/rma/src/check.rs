@@ -15,16 +15,15 @@
 //!   ranges of one target region by different origins, with no
 //!   happens-before edge between them ([`SanKind::Race`]). Happens-before
 //!   is tracked with per-rank vector clocks, joined at collectives,
-//!   window creation, passive-target lock hand-offs and PSCW post→start /
-//!   complete→wait signals.
+//!   window creation and passive-target lock hand-offs.
 //! - **Reads before completion**: reading the destination buffer of a
-//!   `get` or staged get before the completing flush/unlock/fence
+//!   `get` or staged get before the completing flush/unlock
 //!   ([`SanKind::ReadBeforeFlush`]) — checked at explicit
 //!   [`Window::san_read`](crate::Window::san_read) call sites, since the
 //!   simulator cannot trap plain loads.
-//! - **Epoch discipline**: data ops outside any lock..unlock / PSCW /
-//!   fence epoch, double locks, unlocks without a matching lock, and
-//!   flushes outside an epoch ([`SanKind::OpOutsideEpoch`],
+//! - **Epoch discipline**: data ops outside any lock..unlock or
+//!   lock_all..unlock_all epoch, double locks, unlocks without a
+//!   matching lock, and flushes outside an epoch ([`SanKind::OpOutsideEpoch`],
 //!   [`SanKind::DoubleLock`], [`SanKind::UnlockWithoutLock`],
 //!   [`SanKind::FlushOutsideEpoch`]).
 //! - **Coherence-protocol ordering**: a target's version counter moving
@@ -100,7 +99,7 @@ pub enum SanKind {
     },
     /// The destination buffer of a get was read (via
     /// [`Window::san_read`](crate::Window::san_read)) before the
-    /// completing flush/unlock/fence.
+    /// completing flush/unlock.
     ReadBeforeFlush {
         /// The target rank of the incomplete get.
         target: usize,
@@ -550,7 +549,7 @@ impl WinSanLocal {
         self.pending_reads.retain(|r| r.target != target);
     }
 
-    /// Completes every read (flush_all/unlock_all/fence/complete).
+    /// Completes every read (flush_all/unlock_all).
     pub(crate) fn complete_all_reads(&mut self) {
         self.pending_reads.clear();
     }

@@ -8,8 +8,8 @@
 //!   shared byte buffers protected by `std::sync` reader/writer locks
 //!   (poison-tolerant: a panicking rank does not cascade into the others).
 //! - **MPI-3 passive-target semantics**: windows ([`Window`]) support
-//!   `lock`/`unlock`, `lock_all`/`unlock_all`, `flush`/`flush_all`, `fence`,
-//!   and `get`/`put` with arbitrary [`clampi_datatype::Datatype`] layouts.
+//!   `lock`/`unlock`, `lock_all`/`unlock_all`, `flush`/`flush_all`, and
+//!   `get`/`put` with arbitrary [`clampi_datatype::Datatype`] layouts.
 //!   Epochs are counted per the paper's `w.eph` (concluded synchronization
 //!   events since window creation).
 //! - **Write notification**: each region keeps a write-version counter and

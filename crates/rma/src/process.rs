@@ -180,11 +180,10 @@ impl Process {
     /// How many events this rank has gone through after which its next
     /// get may have to see a write it was not bound to see before: its
     /// own puts (through any window), lock
-    /// acquisitions (`lock`, `lock_all`), PSCW `start` and `wait`, and
-    /// collectives (`barrier` and everything built on it, `fence`
-    /// included) — every point where RMASAN joins a clock, plus every
-    /// write. Releases (`unlock`, `post`, `complete`) and flushes order
-    /// nothing before this rank's later reads and are not counted. A
+    /// acquisitions (`lock`, `lock_all`) and collectives (`barrier` and
+    /// everything built on it) — every point where RMASAN joins a clock,
+    /// plus every write. Releases (`unlock`, `unlock_all`) and flushes
+    /// order nothing before this rank's later reads and are not counted. A
     /// layer that reasons "nothing can have become visible since I last
     /// looked" compares two readings of this count.
     pub fn sync_events(&self) -> u64 {
@@ -268,18 +267,6 @@ impl Process {
         );
         let deposit = value.map(|v| Box::new(v) as Box<dyn Any + Send>);
         self.collective(deposit, |all| downcast::<T>(&all[root]).clone())
-    }
-
-    /// Allreduce: the sum of every rank's `f64` contribution.
-    pub fn allreduce_sum(&mut self, value: f64) -> f64 {
-        self.allgather(value).into_iter().sum()
-    }
-
-    /// Allreduce: the maximum of every rank's `f64` contribution.
-    pub fn allreduce_max(&mut self, value: f64) -> f64 {
-        self.allgather(value)
-            .into_iter()
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Collectively creates a window exposing `size` bytes on this rank
@@ -483,11 +470,10 @@ mod tests {
             p.barrier();
             p.allgather(p.rank());
             p.bcast(0, (p.rank() == 0).then_some(7u8));
-            p.allreduce_sum(1.0);
             p.compute(10.0);
             p.sync_events() - before
         });
-        assert!(out.iter().all(|(_, n)| *n == 4), "{out:?}");
+        assert!(out.iter().all(|(_, n)| *n == 3), "{out:?}");
     }
 
     /// Writes and acquisitions count once each; releases, gets and
@@ -513,20 +499,11 @@ mod tests {
             step(p, &mut |p| win.unlock(p, 0));
             step(p, &mut |p| win.lock_all(p));
             step(p, &mut |p| win.unlock_all(p));
-            // PSCW: rank 0 exposes to rank 1, which accesses it.
-            if me == 0 {
-                step(p, &mut |p| win.post(p, &[1]));
-                step(p, &mut |p| win.wait(p, &[1]));
-            } else {
-                step(p, &mut |p| win.start(p, &[0]));
-                step(p, &mut |p| win.complete(p));
-            }
             deltas
         });
-        let (post_wait, start_complete) = ([0, 1], [1, 0]);
-        let common = [1, 0, 0, 1, 0, 1, 0];
-        assert_eq!(out[0].1, [&common[..], &post_wait[..]].concat());
-        assert_eq!(out[1].1, [&common[..], &start_complete[..]].concat());
+        for (_, deltas) in &out {
+            assert_eq!(deltas, &[1, 0, 0, 1, 0, 1, 0]);
+        }
     }
 
     #[test]
@@ -706,17 +683,6 @@ mod tests {
             win.flush_all(p);
             win.unlock_all(p);
             p.barrier();
-        });
-    }
-
-    #[test]
-    fn fence_closes_epoch_collectively() {
-        run(SimConfig::default(), 2, |p| {
-            let mut win = p.win_allocate(32);
-            win.fence(p);
-            assert_eq!(win.epoch(), 1);
-            win.fence(p);
-            assert_eq!(win.epoch(), 2);
         });
     }
 

@@ -13,20 +13,20 @@
 //!
 //! **Epoch counting.** The paper associates a counter `w.eph` with each
 //! window, counting *concluded epochs* since creation, and treats every
-//! completion event — `flush`, `flush_all`, `unlock`, `unlock_all`, `fence`
-//! — as an epoch closure (Listing 1 annotates `MPI_Win_flush` with
+//! completion event — `flush`, `flush_all`, `unlock`, `unlock_all` — as
+//! an epoch closure (Listing 1 annotates `MPI_Win_flush` with
 //! "closes epoch"). [`Window::epoch`] implements exactly that counter; it is
 //! what the caching layer samples as `x.eph`.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, RwLock};
 
 use clampi_datatype::{Datatype, FlatLayout};
 
 use crate::check::{AccessKind, SanCtx, SanKind, WinSanLocal, WinSanShared};
 use crate::fault::{FaultDecision, RmaError};
 use crate::process::Process;
-use crate::sync::{self, Liveness};
+use crate::sync;
 
 pub use crate::lockmgr::LockKind;
 use crate::lockmgr::LockManager;
@@ -107,7 +107,6 @@ pub(crate) struct WinShared {
     pub(crate) regions: Vec<RwLock<Box<[u8]>>>,
     pub(crate) locks: LockManager,
     pub(crate) sizes: Vec<usize>,
-    pub(crate) pscw: PscwState,
     notify: Vec<Mutex<NotifyRing>>,
     /// Window-global commit clock: the timestamp of the most recent write
     /// to *any* target region. Each write advances it to
@@ -150,7 +149,6 @@ impl WinShared {
                 })
                 .collect(),
             sizes,
-            pscw: PscwState::default(),
             commit_ts: Mutex::new(0),
             san: san_enabled.then(|| WinSanShared::new(ntargets)),
         }
@@ -201,54 +199,6 @@ impl WinShared {
             ts,
         });
         stamp
-    }
-}
-
-/// One PSCW signal slot: how many unmatched signals are pending for a
-/// `(signaller, consumer)` pair, plus — RMASAN only — the join of the
-/// signallers' vector clocks, consumed as a happens-before edge by the
-/// matching `start`/`wait`.
-#[derive(Debug, Default)]
-struct PscwSlot {
-    count: u32,
-    vc: Vec<u64>,
-}
-
-type PscwMap = Mutex<HashMap<(usize, usize), PscwSlot>>;
-
-/// Signal counters for post-start-complete-wait synchronization: how many
-/// unmatched `post`s rank A has issued towards accessor B, and how many
-/// unmatched `complete`s accessor B has issued towards target A.
-#[derive(Debug, Default)]
-pub(crate) struct PscwState {
-    posts: PscwMap,
-    completes: PscwMap,
-    cv: Condvar,
-}
-
-impl PscwState {
-    fn signal(map: &PscwMap, cv: &Condvar, key: (usize, usize), san_vc: Option<&[u64]>) {
-        let mut m = sync::lock(map);
-        let slot = m.entry(key).or_default();
-        slot.count += 1;
-        if let Some(vc) = san_vc {
-            if slot.vc.len() < vc.len() {
-                slot.vc.resize(vc.len(), 0);
-            }
-            crate::check::vc_join(&mut slot.vc, vc);
-        }
-        drop(m);
-        cv.notify_all();
-    }
-
-    /// Blocks until a signal is pending, consumes it, and returns the
-    /// published clock (empty without RMASAN) for the consumer to join.
-    fn consume(live: &Liveness, map: &PscwMap, cv: &Condvar, key: (usize, usize)) -> Vec<u64> {
-        let ready = |m: &HashMap<_, PscwSlot>| m.get(&key).is_some_and(|slot| slot.count > 0);
-        let mut m = sync::wait_until(live, cv, sync::lock(map), ready);
-        let slot = m.entry(key).or_default();
-        slot.count -= 1;
-        slot.vc.clone()
     }
 }
 
@@ -363,11 +313,6 @@ pub struct Window {
 struct OpenEpochs {
     locks: Vec<Option<LockKind>>,
     locked_all: bool,
-    /// Set by the first `fence`: the window is in active-target fence
-    /// mode, where data ops between fences are legal.
-    fenced: bool,
-    /// The group of the open PSCW access epoch (empty when none is).
-    pscw: Vec<usize>,
 }
 
 impl OpenEpochs {
@@ -375,23 +320,15 @@ impl OpenEpochs {
         OpenEpochs {
             locks: vec![None; ntargets],
             locked_all: false,
-            fenced: false,
-            pscw: Vec::new(),
         }
     }
 
     fn covers(&self, target: usize) -> bool {
-        self.locked_all
-            || self.fenced
-            || self.locks[target].is_some()
-            || self.pscw.contains(&target)
+        self.locked_all || self.locks[target].is_some()
     }
 
     fn any(&self) -> bool {
-        self.locked_all
-            || self.fenced
-            || !self.pscw.is_empty()
-            || self.locks.iter().any(Option::is_some)
+        self.locked_all || self.locks.iter().any(Option::is_some)
     }
 
     fn lock(&mut self, san: Option<&SanCtx>, kind: LockKind, target: usize) {
@@ -450,8 +387,7 @@ impl Window {
     }
 
     /// Whether an access epoch that covers data ops towards `target` is
-    /// open on this handle: a lock on it, `lock_all`, fence mode, or a
-    /// PSCW access epoch whose group names it.
+    /// open on this handle: a lock on it or `lock_all`.
     pub fn epoch_open_for(&self, target: usize) -> bool {
         self.open.covers(target)
     }
@@ -529,8 +465,8 @@ impl Window {
 
     /// RMASAN hook for local reads of buffers previously handed to a get:
     /// reports [`SanKind::ReadBeforeFlush`] if `buf` overlaps the
-    /// destination of a get that has not yet completed (no flush/unlock/
-    /// complete/fence towards its target since it was issued). A no-op
+    /// destination of a get that has not yet completed (no flush/unlock
+    /// towards its target since it was issued). A no-op
     /// when the sanitizer is off — the simulator cannot trap plain loads,
     /// so checked code paths call this explicitly before consuming get
     /// results early.
@@ -636,8 +572,8 @@ impl Window {
 
     /// Fallible [`Window::get_flat`]: surfaces injected faults as typed
     /// [`RmaError`]s. `None` reads `dst.len()` contiguous bytes, with no
-    /// layout built by the caller. `get`, `try_get`, `get_flat` and
-    /// `get_typed` all delegate here.
+    /// layout built by the caller. `get`, `try_get` and `get_flat` all
+    /// delegate here.
     ///
     /// On `Ok` the get is counted outstanding towards `target` (see
     /// [`Window::outstanding_gets`]) until the next completion event. On
@@ -755,41 +691,6 @@ impl Window {
     /// completion event.
     pub fn outstanding_gets(&self, target: usize) -> usize {
         self.outstanding_gets[target]
-    }
-
-    /// [`Window::get`] with a *typed origin*: the fetched payload is
-    /// scattered into `dst` according to `origin_dtype` instead of being
-    /// delivered packed (MPI_Get with distinct origin/target datatypes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the origin and target payload sizes differ or the access
-    /// exceeds the target region.
-    #[allow(clippy::too_many_arguments)] // mirrors MPI_Get's signature
-    pub fn get_typed(
-        &mut self,
-        p: &mut Process,
-        dst: &mut [u8],
-        origin_dtype: &Datatype,
-        origin_count: usize,
-        target: usize,
-        disp: usize,
-        target_dtype: &Datatype,
-        target_count: usize,
-    ) {
-        let origin = origin_dtype.flatten_n(origin_count);
-        let tlayout = target_dtype.flatten_n(target_count);
-        assert_eq!(
-            origin.total_size(),
-            tlayout.total_size(),
-            "origin and target payload sizes differ"
-        );
-        let mut packed = vec![0u8; tlayout.total_size()];
-        self.get_flat(p, &mut packed, target, disp, &tlayout);
-        clampi_datatype::unpack(&packed, &origin, dst);
-        // The origin-side scatter is initiator CPU work.
-        let scatter = p.netmodel().memcpy_cost(origin.total_size());
-        p.clock_mut().charge_cpu(scatter);
     }
 
     /// Writes `count` elements of `dtype` from the packed buffer `src` into
@@ -1107,118 +1008,6 @@ impl Window {
             local.complete_all_reads();
         }
         self.shared.locks.unlock_all(p.san.as_mut());
-        self.outstanding_gets.fill(0);
-        self.close_epoch();
-    }
-
-    /// Exposes this rank's region to the `accessors` group
-    /// (MPI_Win_post): each accessor's matching [`Window::start`] may then
-    /// proceed. Non-blocking.
-    pub fn post(&mut self, p: &mut Process, accessors: &[usize]) {
-        let sync = p.netmodel().sync_cost();
-        p.clock_mut().charge_cpu(sync);
-        let san_vc = p.san.as_mut().map(|san| {
-            san.tick();
-            san.vc.clone()
-        });
-        for &a in accessors {
-            PscwState::signal(
-                &self.shared.pscw.posts,
-                &self.shared.pscw.cv,
-                (self.my_rank, a),
-                san_vc.as_deref(),
-            );
-        }
-    }
-
-    /// Starts an access epoch towards the `targets` group
-    /// (MPI_Win_start): blocks until every target has posted to this rank.
-    pub fn start(&mut self, p: &mut Process, targets: &[usize]) {
-        let sync = p.netmodel().sync_cost();
-        p.clock_mut().charge_cpu(sync);
-        for &t in targets {
-            let vc = PscwState::consume(
-                &p.shared.liveness,
-                &self.shared.pscw.posts,
-                &self.shared.pscw.cv,
-                (t, self.my_rank),
-            );
-            if let Some(san) = p.san.as_mut() {
-                san.join(&vc);
-                san.tick();
-            }
-        }
-        // All posts have (virtually) arrived: model one remote latency for
-        // the slowest post notification.
-        if !targets.is_empty() {
-            let l = p.netmodel().latency_ns[4];
-            let now = p.clock().now();
-            p.clock_mut().advance_to(now.max(l));
-        }
-        p.sync_events += 1;
-        self.open.pscw = targets.to_vec();
-    }
-
-    /// Completes the access epoch opened by [`Window::start`]
-    /// (MPI_Win_complete): finishes all outstanding operations and signals
-    /// each target. Closes the epoch for the caching layer.
-    pub fn complete(&mut self, p: &mut Process) {
-        let sync = p.netmodel().sync_cost();
-        p.clock_mut().charge_cpu(sync);
-        p.clock_mut().wait_all();
-        if let Some(local) = self.san.as_deref_mut() {
-            local.complete_all_reads();
-        }
-        let san_vc = p.san.as_mut().map(|san| {
-            san.tick();
-            san.vc.clone()
-        });
-        for &t in &self.open.pscw {
-            PscwState::signal(
-                &self.shared.pscw.completes,
-                &self.shared.pscw.cv,
-                (self.my_rank, t),
-                san_vc.as_deref(),
-            );
-        }
-        self.open.pscw.clear();
-        self.outstanding_gets.fill(0);
-        self.close_epoch();
-    }
-
-    /// Waits until every accessor in the matching [`Window::post`] group
-    /// has called [`Window::complete`] (MPI_Win_wait). Closes the exposure
-    /// epoch.
-    pub fn wait(&mut self, p: &mut Process, accessors: &[usize]) {
-        let sync = p.netmodel().sync_cost();
-        p.clock_mut().charge_cpu(sync);
-        for &a in accessors {
-            let vc = PscwState::consume(
-                &p.shared.liveness,
-                &self.shared.pscw.completes,
-                &self.shared.pscw.cv,
-                (a, self.my_rank),
-            );
-            if let Some(san) = p.san.as_mut() {
-                san.join(&vc);
-                san.tick();
-            }
-        }
-        p.sync_events += 1;
-        self.close_epoch();
-    }
-
-    /// Active-target fence (MPI_Win_fence): a collective that completes all
-    /// operations and closes the epoch on every rank.
-    pub fn fence(&mut self, p: &mut Process) {
-        let sync = p.netmodel().sync_cost();
-        p.clock_mut().charge_cpu(sync);
-        p.clock_mut().wait_all();
-        self.open.fenced = true;
-        if let Some(local) = self.san.as_deref_mut() {
-            local.complete_all_reads();
-        }
-        p.barrier();
         self.outstanding_gets.fill(0);
         self.close_epoch();
     }

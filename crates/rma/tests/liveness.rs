@@ -1,12 +1,11 @@
 //! A rank that panics fails the run instead of hanging it.
 //!
 //! Each test kills rank 1 with its own message while rank 0 blocks on it
-//! at one blocking site: a barrier, an allgather, a broadcast, a
-//! passive-target lock rank 1 holds, and a PSCW `start` whose `post`
-//! never comes. Rank 0 must learn of the death and `run` must re-raise
-//! rank 1's own panic, not rank 0's "peer rank 1 panicked". The run goes
-//! on a helper thread behind a timeout, so a regression fails the test
-//! instead of hanging the suite.
+//! at one blocking site: a barrier, an allgather, a broadcast, and a
+//! passive-target lock rank 1 holds. Rank 0 must learn of the death and
+//! `run` must re-raise rank 1's own panic, not rank 0's "peer rank 1
+//! panicked". The run goes on a helper thread behind a timeout, so a
+//! regression fails the test instead of hanging the suite.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -84,16 +83,4 @@ fn a_rank_dying_with_an_exclusive_lock_fails_the_run() {
         win.lock(p, LockKind::Exclusive, 0);
     });
     assert_eq!(msg, "rank 1 dies holding the lock");
-}
-
-#[test]
-fn a_rank_dying_before_its_post_fails_the_run() {
-    let msg = reraised(|p| {
-        let mut win = p.win_allocate(64);
-        if p.rank() == 1 {
-            panic!("rank 1 dies before its post");
-        }
-        win.start(p, &[1]);
-    });
-    assert_eq!(msg, "rank 1 dies before its post");
 }

@@ -245,7 +245,9 @@ fn prop_checker_is_observation_only() {
         let rounds = g.range(1..4usize);
         let ops = g.range(1..6usize);
         let seed = g.u64();
-        let use_fence = g.bool();
+        // The fence-shaped arm: every epoch opens behind a barrier and
+        // closes with flush_all before its unlock_all.
+        let collective_epochs = g.bool();
 
         let workload = move |p: &mut clampi_rma::Process| {
             let mut rng = clampi_prng::SmallRng::seed_from_u64(seed ^ p.rank() as u64);
@@ -260,11 +262,10 @@ fn prop_checker_is_observation_only() {
             let n = p.nranks();
             let mut acc = 0u64;
             for _ in 0..rounds {
-                if use_fence {
-                    win.fence(p);
-                } else {
-                    win.lock_all(p);
+                if collective_epochs {
+                    p.barrier();
                 }
+                win.lock_all(p);
                 for _ in 0..ops {
                     // Disjoint per-origin 8-byte slots: rank r writes
                     // only [r*8, r*8+8), everyone reads its own slot.
@@ -281,11 +282,10 @@ fn prop_checker_is_observation_only() {
                         acc = acc.wrapping_add(u64::from_le_bytes(buf));
                     }
                 }
-                if use_fence {
-                    win.fence(p);
-                } else {
-                    win.unlock_all(p);
+                if collective_epochs {
+                    win.flush_all(p);
                 }
+                win.unlock_all(p);
                 p.barrier();
             }
             let local: Vec<u8> = win.local_ref().to_vec();
