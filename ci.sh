@@ -73,8 +73,8 @@
 # Every `cargo test` of the test, release-test, san-test and prop-matrix
 # stages runs under `timeout` (TEST_TIMEOUT_S below). A rank that panics
 # fails its run, but a true deadlock still hangs it: a barrier-count
-# mismatch or a lock cycle. A hung suite
-# must come back FAIL instead of sitting there forever.
+# mismatch (no lock blocks). A hung suite must come back FAIL instead of
+# sitting there forever.
 #
 # This repo builds on machines with no network and no cargo registry
 # cache, so any external crate in a dependency section is a build break

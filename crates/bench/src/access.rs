@@ -20,7 +20,7 @@
 
 use clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, Mode};
 use clampi_datatype::Datatype;
-use clampi_rma::{run_collect, LockKind, SimConfig};
+use clampi_rma::{run_collect, SimConfig};
 
 /// The access type to force.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +147,7 @@ pub fn measure(
         p.barrier();
         let mut samples = Vec::new();
         if p.rank() == 0 {
-            win.lock(p, LockKind::Shared, 1);
+            win.lock_all(p);
             let mut buf = vec![0u8; size];
 
             // Prefill per scenario.
@@ -182,7 +182,7 @@ pub fn measure(
                     samples.push(Measured { class, latency_ns });
                 }
             }
-            win.unlock(p, 1);
+            win.unlock_all(p);
         }
         p.barrier();
         samples

@@ -34,7 +34,7 @@
 //! hook. Its slab id, index slot and last access stay: nothing is freed,
 //! allocated or inserted, so a refresh cannot fail or evict another entry
 //! for want of room. Evicted as by any pass instead: PENDING entries,
-//! entries that `flush`/`lock` passes or a failed drain find, and entries
+//! entries that `flush`/`lock_all` passes or a failed drain find, and entries
 //! of degraded targets or of targets with no open access epoch. A refresh
 //! is not a get (no `seq`, `ags` or access class; it counts in
 //! `CacheStats::refetches`). A refetch that exhausts its retries evicts its
@@ -68,7 +68,7 @@
 //! one seek per drained record, or one exact-key index probe per grid
 //! point of a narrow record on a target whose entries sit on a grid.
 //!
-//! Passes run at access-epoch *openings* (`lock`, `lock_all`), at
+//! Passes run at access-epoch *openings* (`lock_all`), at
 //! `validate`, and after every `flush`/`flush_all` — the points
 //! where MPI's epoch rules make remotely-written data newly visible.
 //! Targets already marked degraded (persistently failed) are skipped; a
@@ -89,11 +89,11 @@
 //!   overhead) when the last reply from `t` read the cursor's version and
 //!   [`Process::sync_events`](clampi_rma::Process::sync_events) has not
 //!   moved since: this rank has neither written (through any window) nor
-//!   acquired anything — no lock or collective, on any window. A write
+//!   acquired anything — no `lock_all` or collective, on any window. A write
 //!   the pass then does not see is one no synchronization has ordered
 //!   before this rank's next get; the cursor does not move, so the next
 //!   pass that drains sees it. In practice only `flush`/`flush_all`
-//!   passes skip: `lock` and `lock_all` are sync events themselves, and
+//!   passes skip: `lock_all` is a sync event itself, and
 //!   `validate` forgets the replies before its pass. Every pass consumes
 //!   the reply.
 //!

@@ -15,12 +15,12 @@
 //!   (the "foMPI" baseline in every benchmark).
 //!
 //! Puts and synchronization calls delegate to the inner window; every
-//! epoch-closing call (`flush`, `flush_all`, `unlock`, `unlock_all`)
-//! additionally runs the cache's epoch hook and, when enabled,
-//! the adaptive controller.
+//! epoch-closing call (`flush`, `flush_all`, `unlock_all`) additionally
+//! runs the cache's epoch hook and, when enabled, the adaptive
+//! controller.
 
 use clampi_datatype::{Datatype, FlatLayout};
-use clampi_rma::{LockKind, NotifyDrain, Process, PutRecord, RmaError, StagedGet, Window};
+use clampi_rma::{NotifyDrain, Process, PutRecord, RmaError, StagedGet, Window};
 
 use crate::adaptive::{AdaptiveController, AdaptiveParams};
 use crate::cache::{CacheParams, LayoutSig, Lookup, RmaCache};
@@ -391,7 +391,7 @@ impl CachedWindow {
                     );
                     Some(self.ranges.as_mut_slice())
                 };
-                let keep = keep && self.win.epoch_open_for(t);
+                let keep = keep && self.win.epoch_open();
                 if let Some(cache) = self.cache.as_mut() {
                     let dropped = cache.invalidate_drained(t as u32, ranges, keep);
                     self.fault_stats.stale_hits_prevented += dropped as u64;
@@ -672,7 +672,7 @@ impl CachedWindow {
     /// - a **hit** costs what it always did (no wire involved);
     /// - a **miss** stages its fetch eagerly and posts its wire time as an
     ///   outstanding transfer that only completes at the next epoch
-    ///   closure (`flush`/`unlock`), so consecutive misses'
+    ///   closure (`flush`/`unlock_all`), so consecutive misses'
     ///   network times overlap with each other and with CPU work;
     /// - a miss whose byte range is **adjacent to or overlaps** an
     ///   already-outstanding miss transfer to the same target *coalesces*
@@ -1396,19 +1396,6 @@ impl CachedWindow {
         self.complete_with(p, None, |w, p| w.flush_all(p));
         self.on_epoch_close(p);
         self.coherence_pass(p, None, false);
-    }
-
-    /// MPI_Win_lock (plus a coherence pass over `target`: the new access
-    /// epoch makes remote writes visible).
-    pub fn lock(&mut self, p: &mut Process, kind: LockKind, target: usize) {
-        self.win.lock(p, kind, target);
-        self.coherence_pass(p, Some(target), false);
-    }
-
-    /// MPI_Win_unlock + cache epoch hook.
-    pub fn unlock(&mut self, p: &mut Process, target: usize) {
-        self.complete_with(p, Some(target), |w, p| w.unlock(p, target));
-        self.on_epoch_close(p);
     }
 
     /// MPI_Win_lock_all (plus a coherence pass over every target).

@@ -33,7 +33,7 @@ use clampi::{
     Mode, RmaCache,
 };
 use clampi_datatype::Datatype;
-use clampi_rma::{run_collect, LockKind, Process, SimConfig};
+use clampi_rma::{run_collect, Process, SimConfig};
 
 struct CountingAlloc;
 
@@ -511,28 +511,28 @@ fn validate_eviction_does_not_allocate() {
         let mut win = CachedWindow::create(p, WIN, cfg);
         let (dtype, mut buf) = (Datatype::bytes(GET), [0u8; GET]);
         p.barrier();
-        // Each round rank 0 (re)caches every record under a shared lock on
-        // rank 1 and releases it, rank 1 rewrites a quarter of them under
-        // an exclusive lock, and rank 0 validates outside any epoch: the
+        // Each round rank 0 (re)caches every record of rank 1 inside a
+        // `lock_all` epoch and closes it, rank 1 rewrites a quarter of them
+        // inside its own, and rank 0 validates outside any epoch: the
         // drain evicts the quarter. The first half of the rounds is warmup
         // (the extent directory, the victim buffer and the pass's scratch
         // grow there); the second half is measured.
         let mut measured = (0u64, 0u64);
         for round in 0..ROUNDS {
             if p.rank() == 0 {
-                win.lock(p, LockKind::Shared, 1);
+                win.lock_all(p);
                 for slot in 0..SLOTS {
                     win.get(p, &mut buf, 1, slot * GET, &dtype, 1);
                 }
-                win.unlock(p, 1);
+                win.unlock_all(p);
             }
             p.barrier();
             if p.rank() == 1 {
-                win.lock(p, LockKind::Exclusive, 1);
+                win.lock_all(p);
                 for slot in (round % 4..SLOTS).step_by(4) {
                     win.put(p, &[round as u8; GET], 1, slot * GET, &dtype, 1);
                 }
-                win.unlock(p, 1);
+                win.unlock_all(p);
             }
             p.barrier();
             if p.rank() == 0 {

@@ -4,10 +4,11 @@
 //!
 //! One schedule runs on a raw `clampi_rma::Window` and on
 //! `CachedWindow::create(.., ClampiConfig::disabled())`, two ranks each
-//! reading from and writing to the other, through both epoch kinds
-//! (lock/unlock, and lock_all with flush and flush_all), with contiguous
-//! and strided datatypes and a mix of `get`, `get_nb` + flush and `put`. After every step both runs
-//! must read the same bytes at a bit-equal `p.now()`.
+//! reading from and writing to the other, through two `lock_all` epochs
+//! (one completed by `flush` towards the peer, one by `flush_all`), with
+//! contiguous and strided datatypes and a mix of `get`, `get_nb` + flush
+//! and `put`. After every step both runs must read the same bytes at a
+//! bit-equal `p.now()`.
 //!
 //! Within an epoch, gets and puts touch disjoint bytes, and a rank copies
 //! its own region only after the synchronisation that completes the
@@ -16,7 +17,7 @@
 
 use clampi::{CachedWindow, ClampiConfig};
 use clampi_datatype::Datatype;
-use clampi_rma::{run_collect, LockKind, Process, SimConfig, Window};
+use clampi_rma::{run_collect, Process, SimConfig, Window};
 
 const WIN: usize = 4096;
 
@@ -54,8 +55,6 @@ forward! {
     put(src: &[u8], target: usize, disp: usize, dtype: &Datatype, count: usize);
     flush(target: usize);
     flush_all();
-    lock(kind: LockKind, target: usize);
-    unlock(target: usize);
     lock_all();
     unlock_all();
 }
@@ -132,38 +131,38 @@ fn run(disabled: bool) -> Vec<Vec<Step>> {
         let (mut c, mut s) = (vec![0u8; 64], vec![0u8; 32]);
         let mut log = Vec::new();
 
-        // Passive target, one peer: lock / get + flush / get_nb + flush /
-        // put / unlock.
-        w.lock(p, LockKind::Shared, peer);
-        note(&mut log, p, "lock", &[]);
+        // First epoch, one peer flushed: lock_all / get + flush / get_nb +
+        // flush / put / unlock_all.
+        w.lock_all(p);
+        note(&mut log, p, "first lock_all", &[]);
         w.get(p, &mut c, peer, 0, &contig, 1);
         w.flush(p, peer);
-        note(&mut log, p, "lock: get + flush", &c);
+        note(&mut log, p, "first epoch: get + flush", &c);
         w.get_nb(p, &mut s, peer, 128, &strided);
         w.get_nb(p, &mut c, peer, 256, &contig);
         w.flush(p, peer);
-        note(&mut log, p, "lock: get_nb strided + flush", &s);
-        note(&mut log, p, "lock: get_nb contig + flush", &c);
+        note(&mut log, p, "first epoch: get_nb strided + flush", &s);
+        note(&mut log, p, "first epoch: get_nb contig + flush", &c);
         w.put(p, &src, peer, 2048, &contig, 1);
-        w.unlock(p, peer);
-        note(&mut log, p, "unlock", &[]);
-        settled_region(&mut log, p, &w, "lock epoch: own region");
+        w.unlock_all(p);
+        note(&mut log, p, "first unlock_all", &[]);
+        settled_region(&mut log, p, &w, "first epoch: own region");
 
-        // Passive target, all peers: lock_all / flush / flush_all.
+        // Second epoch: lock_all / flush / flush_all.
         w.lock_all(p);
-        note(&mut log, p, "lock_all", &[]);
+        note(&mut log, p, "second lock_all", &[]);
         w.get(p, &mut s, peer, 2048, &strided, 1);
         w.flush(p, peer);
-        note(&mut log, p, "lock_all: get strided + flush", &s);
+        note(&mut log, p, "second epoch: get strided + flush", &s);
         w.get_nb(p, &mut c, peer, 512, &contig);
         w.get_nb(p, &mut s, peer, 1024, &strided);
         w.put(p, &src[..32], peer, 3072, &strided, 1);
         w.flush_all(p);
-        note(&mut log, p, "lock_all: get_nb contig + flush_all", &c);
-        note(&mut log, p, "lock_all: get_nb strided + flush_all", &s);
+        note(&mut log, p, "second epoch: get_nb contig + flush_all", &c);
+        note(&mut log, p, "second epoch: get_nb strided + flush_all", &s);
         w.unlock_all(p);
-        note(&mut log, p, "unlock_all", &[]);
-        settled_region(&mut log, p, &w, "lock_all epoch: own region");
+        note(&mut log, p, "second unlock_all", &[]);
+        settled_region(&mut log, p, &w, "second epoch: own region");
 
         log
     });

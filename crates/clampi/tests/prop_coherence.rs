@@ -66,7 +66,7 @@ use clampi::{
 use clampi_datatype::Datatype;
 use clampi_prng::prop::{check, Gen};
 use clampi_prng::SmallRng;
-use clampi_rma::{run_collect, FaultConfig, LockKind, Process, SimConfig};
+use clampi_rma::{run_collect, FaultConfig, Process, SimConfig};
 
 const SIZE: usize = 32;
 
@@ -458,10 +458,9 @@ const PROBE: usize = 2;
 
 /// What runs between rank 0's miss on record 0 of rank 1 and rank 0's
 /// flush of target 1. Every case in which rank 1 writes puts and flushes
-/// [`PROBE`], after the miss's reply (rank 0 hands it a lock on a second
-/// window, a release that does not count as a sync event for rank 0),
-/// then makes one kind of sync event order that write before rank 0's
-/// flush.
+/// [`PROBE`], after the miss's reply (host-level sequencing, not a
+/// simulator call, so no sync event for rank 0), then makes one kind of
+/// sync event order that write before rank 0's flush.
 #[derive(Clone, Copy, PartialEq)]
 enum Between {
     /// Nothing: a read phase.
@@ -470,8 +469,7 @@ enum Between {
     OwnPut,
     /// A barrier.
     Barrier,
-    /// Rank 1 releases an exclusive lock on a second window, held since
-    /// before the miss; rank 0 then acquires it.
+    /// Rank 0 takes and releases `lock_all` on a second window.
     Lock,
 }
 
@@ -481,6 +479,7 @@ enum Between {
 type FlushObs = (f64, u64, Option<AccessType>, bool);
 
 fn miss_then_flush(coherence: CoherenceMode, between: Between) -> FlushObs {
+    let host = &std::sync::Barrier::new(2);
     let out = run_collect(SimConfig::default(), 2, move |p| {
         let rank = p.rank();
         let params = CacheParams {
@@ -496,9 +495,6 @@ fn miss_then_flush(coherence: CoherenceMode, between: Between) -> FlushObs {
                 local[r * SIZE..(r + 1) * SIZE].fill(pattern_byte(r, 0));
             }
         }
-        // Rank 0 holds lock 0 until its miss has been answered; rank 1
-        // holds lock 1 until it has written (the `Lock` case).
-        locks.lock(p, LockKind::Exclusive, rank);
         p.barrier();
         win.lock_all(p);
         let dtype = Datatype::bytes(SIZE);
@@ -511,16 +507,19 @@ fn miss_then_flush(coherence: CoherenceMode, between: Between) -> FlushObs {
         win.validate(p);
         let mut buf = vec![0u8; SIZE];
         if rank == 0 {
-            // Cache the probe record (a miss, flushed), then a miss on
-            // record 0 whose reply sees the target at the cursor.
+            // Cache the probe record (a miss, flushed).
             win.get(p, &mut buf, 1, PROBE * SIZE, &dtype, 1);
             win.flush(p, 1);
-            win.get(p, &mut buf, 1, 0, &dtype, 1);
-            locks.unlock(p, 0);
-        } else {
-            locks.lock(p, LockKind::Exclusive, 0);
-            locks.unlock(p, 0);
         }
+        // Orders that read before any write of the probe.
+        p.barrier();
+        if rank == 0 {
+            // A miss on record 0 whose reply sees the target at the cursor.
+            win.get(p, &mut buf, 1, 0, &dtype, 1);
+        }
+        // Host-level sequencing, not a simulator call: the write comes
+        // after the miss's reply, and rank 0's next step after the write.
+        host.wait();
         let new = [pattern_byte(PROBE, 1); SIZE];
         let writer = match between {
             Between::Nothing => None,
@@ -533,16 +532,14 @@ fn miss_then_flush(coherence: CoherenceMode, between: Between) -> FlushObs {
                 win.flush(p, 1);
             }
         }
+        host.wait();
         match (between, rank) {
             (Between::Barrier, _) => p.barrier(),
             (Between::Lock, 0) => {
-                locks.lock(p, LockKind::Exclusive, 1);
-                locks.unlock(p, 1);
+                locks.lock_all(p);
+                locks.unlock_all(p);
             }
             _ => {}
-        }
-        if rank == 1 {
-            locks.unlock(p, 1);
         }
         let mut obs = (0.0, 0, None, false);
         if rank == 0 {
@@ -550,6 +547,11 @@ fn miss_then_flush(coherence: CoherenceMode, between: Between) -> FlushObs {
             win.flush(p, 1);
             obs.0 = p.now() - t0;
             obs.1 = win.stats().notifications_drained;
+        }
+        // Orders rank 1's write before the re-read below; a get runs no
+        // coherence pass, so the class is what the flush left.
+        p.barrier();
+        if rank == 0 {
             obs.2 = win.get(p, &mut buf, 1, PROBE * SIZE, &dtype, 1);
             if obs.2 != Some(AccessType::Hit) {
                 win.flush(p, 1);
@@ -607,8 +609,8 @@ fn a_flush_after_the_readers_own_put_drains_it_and_the_next_get_hits_the_put() {
     assert!(current, "the hit must serve the put's bytes");
 }
 
-/// Lock acquisition on *another* window orders the writer's flushed put
-/// (on this one) before the reader's flush.
+/// `lock_all` on *another* window is a sync event of the reader: its
+/// flush must drain the writer's flushed put (on this one).
 #[test]
 fn a_flush_after_a_lock_on_another_window_drains_the_write_it_ordered() {
     assert_the_flush_drains(Between::Lock);
@@ -700,8 +702,8 @@ fn residents(win: &CachedWindow) -> Vec<Resident> {
 /// refetches are adjacent and none coalesce) inside `lock_all`; rank 1
 /// rewrites every `rewrite_every`-th; rank 0 runs `validate` and then
 /// reads them all again. `faults` applies to the whole run; with
-/// `in_epoch` false rank 0 caches and rereads under a lock on target 1
-/// that is closed during `validate`.
+/// `in_epoch` false rank 0 caches and rereads in `lock_all` epochs of its
+/// own that are closed during `validate`.
 fn revalidate_with(s: Setup) -> Revalidated {
     let Setup {
         records,
@@ -739,10 +741,8 @@ fn revalidate_with(s: Setup) -> Revalidated {
         p.barrier();
         let dtype = Datatype::bytes(SIZE);
         let mut buf = vec![0u8; SIZE];
-        if in_epoch {
+        if in_epoch || rank == 0 {
             win.lock_all(p);
-        } else if rank == 0 {
-            win.lock(p, LockKind::Shared, 1);
         }
         if rank == 0 {
             for i in 0..records {
@@ -750,13 +750,13 @@ fn revalidate_with(s: Setup) -> Revalidated {
                 win.flush(p, 1);
             }
             if !in_epoch {
-                win.unlock(p, 1);
+                win.unlock_all(p);
             }
         }
         p.barrier();
         if rank == 1 {
             if !in_epoch {
-                win.lock(p, LockKind::Exclusive, 1);
+                win.lock_all(p);
             }
             for i in (0..records).step_by(rewrite_every) {
                 win.put(p, &[pattern_byte(i, 1); SIZE], 1, disp(i), &dtype, 1);
@@ -764,7 +764,7 @@ fn revalidate_with(s: Setup) -> Revalidated {
             if in_epoch {
                 win.flush(p, 1);
             } else {
-                win.unlock(p, 1);
+                win.unlock_all(p);
             }
         }
         p.barrier();
@@ -806,7 +806,7 @@ fn revalidate_with(s: Setup) -> Revalidated {
         };
         if rank == 0 {
             if !in_epoch {
-                win.lock(p, LockKind::Shared, 1);
+                win.lock_all(p);
             }
             for i in 0..records {
                 let gets = p.counters().gets;
@@ -827,7 +827,7 @@ fn revalidate_with(s: Setup) -> Revalidated {
                 obs.current.push(fresh && buf == plain);
             }
             if !in_epoch {
-                win.unlock(p, 1);
+                win.unlock_all(p);
             }
             #[cfg(debug_assertions)]
             {

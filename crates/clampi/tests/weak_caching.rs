@@ -262,65 +262,34 @@ mod temporal_full_scan {
 mod targeted_completion {
     use clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, Mode};
     use clampi_datatype::Datatype;
-    use clampi_rma::{run, LockKind, SimConfig};
+    use clampi_rma::{run, SimConfig};
 
-    /// How rank 0 completes target 2 while a miss to target 1 is in
-    /// flight.
-    #[derive(Clone, Copy)]
-    enum Other {
-        /// `flush(2)` inside `lock_all`.
-        Flush,
-        /// `unlock(2)` under a lock on 2 (and one on 1).
-        Unlock,
-    }
-
-    /// Rank 0 issues a `get_nb` miss to target 1, completes target 2, then
-    /// a `get_nb` miss adjacent to the first: the completion must book no
+    /// Rank 0 issues a `get_nb` miss to target 1, flushes target 2, then
+    /// a `get_nb` miss adjacent to the first: the flush must book no
     /// overlap credit and the second miss must coalesce into the first.
-    fn assert_target_1_stays_in_flight(other: Other) {
-        run(SimConfig::checked(), 3, move |p| {
+    #[test]
+    fn flush_of_another_target_leaves_a_miss_in_flight() {
+        run(SimConfig::checked(), 3, |p| {
             let cfg = ClampiConfig::fixed(Mode::AlwaysCache, CacheParams::default());
             let mut win = CachedWindow::create(p, 256, cfg);
             if p.rank() == 0 {
                 let bytes = Datatype::bytes(64);
                 let (mut a, mut b) = ([0u8; 64], [0u8; 64]);
-                match other {
-                    Other::Flush => win.lock_all(p),
-                    Other::Unlock => {
-                        win.lock(p, LockKind::Shared, 1);
-                        win.lock(p, LockKind::Shared, 2);
-                    }
-                }
+                win.lock_all(p);
                 let first = win.get_nb(p, &mut a, 1, 0, &bytes, 1);
                 assert_ne!(first, Some(AccessType::Hit));
                 let before = win.stats().overlapped_wire_ns;
-                match other {
-                    Other::Flush => win.flush(p, 2),
-                    Other::Unlock => win.unlock(p, 2),
-                }
+                win.flush(p, 2);
                 let after = win.stats().overlapped_wire_ns;
                 assert_eq!(after, before, "completing target 2 booked target 1's miss");
                 let second = win.get_nb(p, &mut b, 1, 64, &bytes, 1);
                 assert_ne!(second, Some(AccessType::Hit));
                 let coalesced = win.stats().coalesced_misses;
                 assert_eq!(coalesced, 1, "the second miss must coalesce into the first");
-                match other {
-                    Other::Flush => win.unlock_all(p),
-                    Other::Unlock => win.unlock(p, 1),
-                }
+                win.unlock_all(p);
             }
             p.barrier();
         });
-    }
-
-    #[test]
-    fn flush_of_another_target_leaves_a_miss_in_flight() {
-        assert_target_1_stays_in_flight(Other::Flush);
-    }
-
-    #[test]
-    fn unlock_of_another_target_leaves_a_miss_in_flight() {
-        assert_target_1_stays_in_flight(Other::Unlock);
     }
 }
 

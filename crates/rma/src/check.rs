@@ -14,16 +14,16 @@
 //! - **Cross-rank races**: conflicting accesses to overlapping byte
 //!   ranges of one target region by different origins, with no
 //!   happens-before edge between them ([`SanKind::Race`]). Happens-before
-//!   is tracked with per-rank vector clocks, joined at collectives,
-//!   window creation and passive-target lock hand-offs.
+//!   is tracked with per-rank vector clocks, joined at collectives and
+//!   window creation (`lock_all` is shared and orders nothing).
 //! - **Reads before completion**: reading the destination buffer of a
-//!   `get` or staged get before the completing flush/unlock
+//!   `get` or staged get before the completing flush/unlock_all
 //!   ([`SanKind::ReadBeforeFlush`]) — checked at explicit
 //!   [`Window::san_read`](crate::Window::san_read) call sites, since the
 //!   simulator cannot trap plain loads.
-//! - **Epoch discipline**: data ops outside any lock..unlock or
-//!   lock_all..unlock_all epoch, double locks, unlocks without a
-//!   matching lock, and flushes outside an epoch ([`SanKind::OpOutsideEpoch`],
+//! - **Epoch discipline**: data ops outside a lock_all..unlock_all
+//!   epoch, a second `lock_all`, an `unlock_all` without a matching
+//!   `lock_all`, and flushes outside an epoch ([`SanKind::OpOutsideEpoch`],
 //!   [`SanKind::DoubleLock`], [`SanKind::UnlockWithoutLock`],
 //!   [`SanKind::FlushOutsideEpoch`]).
 //! - **Coherence-protocol ordering**: a target's version counter moving
@@ -99,7 +99,7 @@ pub enum SanKind {
     },
     /// The destination buffer of a get was read (via
     /// [`Window::san_read`](crate::Window::san_read)) before the
-    /// completing flush/unlock.
+    /// completing flush/unlock_all.
     ReadBeforeFlush {
         /// The target rank of the incomplete get.
         target: usize,
@@ -115,16 +115,10 @@ pub enum SanKind {
         /// Which operation it was (`"get"` or `"put"`).
         op: &'static str,
     },
-    /// `lock`/`lock_all` while this window already holds a lock.
-    DoubleLock {
-        /// The re-locked target, or `None` for `lock_all`.
-        target: Option<usize>,
-    },
-    /// `unlock`/`unlock_all` with no matching lock held by this window.
-    UnlockWithoutLock {
-        /// The unlocked target, or `None` for `unlock_all`.
-        target: Option<usize>,
-    },
+    /// `lock_all` while this window already holds it.
+    DoubleLock,
+    /// `unlock_all` with no matching `lock_all` held by this window.
+    UnlockWithoutLock,
     /// `flush`/`flush_all` with no epoch open.
     FlushOutsideEpoch {
         /// The flushed target, or `None` for `flush_all`.
@@ -212,14 +206,8 @@ impl fmt::Display for SanDiag {
             SanKind::OpOutsideEpoch { target, op } => {
                 write!(f, "{op} towards target {target} outside any epoch")
             }
-            SanKind::DoubleLock { target } => match target {
-                Some(t) => write!(f, "lock({t}) while already holding a lock"),
-                None => write!(f, "lock_all while already holding a lock"),
-            },
-            SanKind::UnlockWithoutLock { target } => match target {
-                Some(t) => write!(f, "unlock({t}) without a matching lock"),
-                None => write!(f, "unlock_all without a matching lock_all"),
-            },
+            SanKind::DoubleLock => f.write_str("lock_all while already holding a lock"),
+            SanKind::UnlockWithoutLock => f.write_str("unlock_all without a matching lock_all"),
             SanKind::FlushOutsideEpoch { target } => match target {
                 Some(t) => write!(f, "flush({t}) outside any epoch"),
                 None => write!(f, "flush_all outside any epoch"),
@@ -395,11 +383,6 @@ impl SanCtx {
         self.vc[self.rank] += 1;
     }
 
-    /// Joins another clock into this rank's (an incoming HB edge).
-    pub(crate) fn join(&mut self, other: &[u64]) {
-        vc_join(&mut self.vc, other);
-    }
-
     /// Reports one diagnostic per the configured mode.
     pub(crate) fn report(&self, kind: SanKind) {
         TOTAL_DIAGS.fetch_add(1, Ordering::Relaxed);
@@ -544,7 +527,7 @@ impl WinSanLocal {
         });
     }
 
-    /// Completes every read towards `target` (flush/unlock).
+    /// Completes every read towards `target` (flush).
     pub(crate) fn complete_reads_for(&mut self, target: usize) {
         self.pending_reads.retain(|r| r.target != target);
     }
@@ -682,7 +665,7 @@ mod tests {
         let (mut b, hb) = collect_ctx(1, 2);
         shared.log_access(&a, 0, 0, 8, AccessKind::Write);
         // b learns of a's events (e.g. via a barrier) before reading.
-        b.join(&a.vc);
+        vc_join(&mut b.vc, &a.vc);
         b.tick();
         shared.log_access(&b, 0, 0, 8, AccessKind::Read);
         assert_eq!(ha.count() + hb.count(), 0);

@@ -7,7 +7,7 @@
 //!   they run.
 //! - **Wire time** — the network part of a transfer (`L + size·G`). Posting
 //!   a transfer records a *completion time* but does not advance the clock;
-//!   the rank is free to compute. Waiting (flush/unlock) jumps the clock to
+//!   the rank is free to compute. Waiting (flush/unlock_all) jumps the clock to
 //!   the latest outstanding completion, if that is in the future.
 //!
 //! This is the distinction the paper's overlap study (Fig. 8) measures: a

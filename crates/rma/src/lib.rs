@@ -8,8 +8,8 @@
 //!   shared byte buffers protected by `std::sync` reader/writer locks
 //!   (poison-tolerant: a panicking rank does not cascade into the others).
 //! - **MPI-3 passive-target semantics**: windows ([`Window`]) support
-//!   `lock`/`unlock`, `lock_all`/`unlock_all`, `flush`/`flush_all`, and
-//!   `get`/`put` with arbitrary [`clampi_datatype::Datatype`] layouts.
+//!   `lock_all`/`unlock_all`, `flush`/`flush_all`, and `get`/`put` with
+//!   arbitrary [`clampi_datatype::Datatype`] layouts.
 //!   Epochs are counted per the paper's `w.eph` (concluded synchronization
 //!   events since window creation).
 //! - **Write notification**: each region keeps a write-version counter and
@@ -21,7 +21,7 @@
 //! - **Virtual time**: every rank owns a [`clock::Clock`]. CPU work
 //!   (issue overheads, memcpys, cache management) advances the clock
 //!   immediately; network transfers post *completions* that are only waited
-//!   on at flush/unlock. This reproduces the comm/comp overlap behaviour the
+//!   on at flush/unlock_all. This reproduces the comm/comp overlap behaviour the
 //!   paper studies in Fig. 8.
 //! - **Cost model**: [`netmodel::NetModel`] charges `o + L(distance) +
 //!   size · G(distance)` per transfer, with Dragonfly-like distance classes
@@ -67,7 +67,6 @@ pub mod check;
 pub mod clock;
 mod collectives;
 pub mod fault;
-mod lockmgr;
 pub mod netmodel;
 pub mod process;
 mod sync;
@@ -80,7 +79,7 @@ pub use fault::{FaultConfig, FaultDecision, FaultPlan, RankFailure, RmaError};
 pub use netmodel::{NetModel, TransferCost};
 pub use process::{run, run_collect, OpCounters, Process, RankReport, SimConfig};
 pub use topology::{Distance, Topology};
-pub use window::{GetStamp, LockKind, NotifyDrain, NotifyHorizon, PutRecord, StagedGet, Window};
+pub use window::{GetStamp, NotifyDrain, NotifyHorizon, PutRecord, StagedGet, Window};
 
 /// Write guard over a rank's own window region (see [`Window::local_mut`]),
 /// dereferencing straight to the byte slice.

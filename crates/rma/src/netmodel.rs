@@ -43,7 +43,7 @@ impl TransferCost {
 pub struct NetModel {
     /// CPU overhead to issue one RMA operation (`o` in LogGP).
     pub issue_overhead_ns: f64,
-    /// CPU overhead of a synchronization call (flush/unlock/lock base cost).
+    /// CPU overhead of a synchronization call (flush/lock_all/unlock_all base cost).
     pub sync_overhead_ns: f64,
     /// Wire latency `L` per distance class, indexed by [`Distance`] order
     /// (self, node, chassis, group, remote group).
@@ -150,7 +150,7 @@ impl NetModel {
         }
     }
 
-    /// CPU cost model for a synchronizing call (flush, unlock, lock).
+    /// CPU cost model for a synchronizing call (flush, lock_all, unlock_all).
     pub fn sync_cost(&self) -> f64 {
         self.sync_overhead_ns
     }

@@ -8,16 +8,16 @@
 //! are plain data; there is no invariant a half-completed memcpy can break
 //! that the epoch discipline doesn't already forbid).
 //!
-//! **Blocking.** Every blocking call of the simulator — the collectives'
-//! rendezvous and a passive-target lock — waits through [`wait_until`],
-//! on its own mutex and condvar. The wait re-checks the run's
-//! [`Liveness`] record: once any rank has panicked, a waiter whose
-//! condition does not hold drops its guard (so it poisons nothing) and
-//! panics with "peer rank r panicked", and `run_collect` re-raises the
-//! dead rank's own panic. A dead rank notifies nobody, so a waiter also
-//! wakes every [`TICK`] to look; every live state change notifies, so a
-//! healthy run never needs the tick, and a tick that fires while a peer
-//! is merely slow re-checks and waits again.
+//! **Blocking.** The one blocking call of the simulator — the
+//! collectives' rendezvous — waits through [`wait_until`], on its own
+//! mutex and condvar (`lock_all` is shared and never blocks). The wait
+//! re-checks the run's [`Liveness`] record: once any rank has panicked, a
+//! waiter whose condition does not hold drops its guard (so it poisons
+//! nothing) and panics with "peer rank r panicked", and `run_collect`
+//! re-raises the dead rank's own panic. A dead rank notifies nobody, so a
+//! waiter also wakes every [`TICK`] to look; every live state change
+//! notifies, so a healthy run never needs the tick, and a tick that fires
+//! while a peer is merely slow re-checks and waits again.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};

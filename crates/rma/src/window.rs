@@ -11,12 +11,18 @@
 //! contention negligible; RMASAN (`crate::check`), when armed, enforces
 //! that discipline for the initiator's own operations.
 //!
+//! **One lock mode.** The only access epoch is `lock_all`..`unlock_all`
+//! (MPI_Win_lock_all, shared mode), the one every workload takes. Shared
+//! locks never wait on each other and carry no happens-before edge, so
+//! it charges its sync cost and opens the epoch on this handle without
+//! touching any state shared with other ranks.
+//!
 //! **Epoch counting.** The paper associates a counter `w.eph` with each
 //! window, counting *concluded epochs* since creation, and treats every
-//! completion event — `flush`, `flush_all`, `unlock`, `unlock_all` — as
-//! an epoch closure (Listing 1 annotates `MPI_Win_flush` with
-//! "closes epoch"). [`Window::epoch`] implements exactly that counter; it is
-//! what the caching layer samples as `x.eph`.
+//! completion event — `flush`, `flush_all`, `unlock_all` — as an epoch
+//! closure (Listing 1 annotates `MPI_Win_flush` with "closes epoch").
+//! [`Window::epoch`] implements exactly that counter; it is what the
+//! caching layer samples as `x.eph`.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, RwLock};
@@ -27,9 +33,6 @@ use crate::check::{AccessKind, SanCtx, SanKind, WinSanLocal, WinSanShared};
 use crate::fault::{FaultDecision, RmaError};
 use crate::process::Process;
 use crate::sync;
-
-pub use crate::lockmgr::LockKind;
-use crate::lockmgr::LockManager;
 
 /// One remote write recorded on a target's put-notification ring: the
 /// byte range `[disp, disp + len)` of the target's region that `origin`
@@ -105,7 +108,6 @@ struct NotifyRing {
 #[derive(Debug)]
 pub(crate) struct WinShared {
     pub(crate) regions: Vec<RwLock<Box<[u8]>>>,
-    pub(crate) locks: LockManager,
     pub(crate) sizes: Vec<usize>,
     notify: Vec<Mutex<NotifyRing>>,
     /// Window-global commit clock: the timestamp of the most recent write
@@ -134,7 +136,6 @@ impl WinShared {
                 .iter()
                 .map(|&s| RwLock::new(vec![0u8; s].into_boxed_slice()))
                 .collect(),
-            locks: LockManager::new(ntargets),
             notify: sizes
                 .iter()
                 .map(|_| {
@@ -285,8 +286,11 @@ pub struct Window {
     my_rank: usize,
     epoch: u64,
     accesses: Vec<AccessRec>,
-    /// The access epochs this handle has open ([`Window::epoch_open_for`]).
-    open: OpenEpochs,
+    /// Whether this handle holds `lock_all` ([`Window::epoch_open`]).
+    /// Tracked whether or not RMASAN is armed: callers ask before they
+    /// issue operations of their own, and the sanitizer checks the epoch
+    /// discipline against it.
+    locked_all: bool,
     /// Gets posted per target and not yet completed; zeroed when the
     /// corresponding completion event runs.
     outstanding_gets: Vec<usize>,
@@ -305,65 +309,6 @@ pub struct Window {
     san: Option<Box<WinSanLocal>>,
 }
 
-/// The access epochs one window handle has open. Tracked whether or not
-/// RMASAN is armed: callers ask [`Window::epoch_open_for`] before they
-/// issue operations of their own, and the sanitizer checks the lock
-/// discipline against it (`san` is `Some` only when it is armed).
-#[derive(Debug)]
-struct OpenEpochs {
-    locks: Vec<Option<LockKind>>,
-    locked_all: bool,
-}
-
-impl OpenEpochs {
-    fn for_targets(ntargets: usize) -> Self {
-        OpenEpochs {
-            locks: vec![None; ntargets],
-            locked_all: false,
-        }
-    }
-
-    fn covers(&self, target: usize) -> bool {
-        self.locked_all || self.locks[target].is_some()
-    }
-
-    fn any(&self) -> bool {
-        self.locked_all || self.locks.iter().any(Option::is_some)
-    }
-
-    fn lock(&mut self, san: Option<&SanCtx>, kind: LockKind, target: usize) {
-        if let Some(s) = san.filter(|_| self.locked_all || self.locks[target].is_some()) {
-            s.report(SanKind::DoubleLock {
-                target: Some(target),
-            });
-        }
-        self.locks[target] = Some(kind);
-    }
-
-    fn unlock(&mut self, san: Option<&SanCtx>, target: usize) {
-        if let Some(s) = san.filter(|_| self.locked_all || self.locks[target].is_none()) {
-            s.report(SanKind::UnlockWithoutLock {
-                target: Some(target),
-            });
-        }
-        self.locks[target] = None;
-    }
-
-    fn lock_all(&mut self, san: Option<&SanCtx>) {
-        if let Some(s) = san.filter(|_| self.locked_all || self.locks.iter().any(Option::is_some)) {
-            s.report(SanKind::DoubleLock { target: None });
-        }
-        self.locked_all = true;
-    }
-
-    fn unlock_all(&mut self, san: Option<&SanCtx>) {
-        if let Some(s) = san.filter(|_| !self.locked_all) {
-            s.report(SanKind::UnlockWithoutLock { target: None });
-        }
-        self.locked_all = false;
-    }
-}
-
 impl Window {
     pub(crate) fn new(shared: Arc<WinShared>, my_rank: usize, san_enabled: bool) -> Self {
         let ntargets = shared.sizes.len();
@@ -372,7 +317,7 @@ impl Window {
             my_rank,
             epoch: 0,
             accesses: Vec::new(),
-            open: OpenEpochs::for_targets(ntargets),
+            locked_all: false,
             outstanding_gets: vec![0; ntargets],
             scratch_layout: FlatLayout::contiguous(0),
             last_get_stamp: GetStamp::default(),
@@ -386,10 +331,9 @@ impl Window {
         self.epoch
     }
 
-    /// Whether an access epoch that covers data ops towards `target` is
-    /// open on this handle: a lock on it or `lock_all`.
-    pub fn epoch_open_for(&self, target: usize) -> bool {
-        self.open.covers(target)
+    /// Whether this handle has an access epoch open (`lock_all` held).
+    pub fn epoch_open(&self) -> bool {
+        self.locked_all
     }
 
     /// This handle's RMASAN context: `Some` only when the sanitizer is
@@ -450,7 +394,7 @@ impl Window {
 
     /// RMASAN: checks that a data op towards `target` has an open epoch.
     fn san_epoch_gate(&self, p: &Process, target: usize, op: &'static str) {
-        if let Some(ctx) = self.san_ctx(p).filter(|_| !self.open.covers(target)) {
+        if let Some(ctx) = self.san_ctx(p).filter(|_| !self.locked_all) {
             ctx.report(SanKind::OpOutsideEpoch { target, op });
         }
     }
@@ -465,7 +409,7 @@ impl Window {
 
     /// RMASAN hook for local reads of buffers previously handed to a get:
     /// reports [`SanKind::ReadBeforeFlush`] if `buf` overlaps the
-    /// destination of a get that has not yet completed (no flush/unlock
+    /// destination of a get that has not yet completed (no flush/unlock_all
     /// towards its target since it was issued). A no-op
     /// when the sanitizer is off — the simulator cannot trap plain loads,
     /// so checked code paths call this explicitly before consuming get
@@ -505,7 +449,7 @@ impl Window {
     ///
     /// The data is available in `dst` immediately (the simulator performs
     /// the copy eagerly) but the operation only *completes* — in virtual
-    /// time — at the next flush/unlock, like a real nonblocking RMA get.
+    /// time — at the next flush/unlock_all, like a real nonblocking RMA get.
     ///
     /// # Panics
     ///
@@ -926,7 +870,7 @@ impl Window {
     /// Completes all outstanding operations towards `target`
     /// (MPI_Win_flush). Counts as an epoch closure for the caching layer.
     pub fn flush(&mut self, p: &mut Process, target: usize) {
-        if let Some(ctx) = self.san_ctx(p).filter(|_| !self.open.covers(target)) {
+        if let Some(ctx) = self.san_ctx(p).filter(|_| !self.locked_all) {
             ctx.report(SanKind::FlushOutsideEpoch {
                 target: Some(target),
             });
@@ -945,7 +889,7 @@ impl Window {
     /// Completes all outstanding operations towards every target
     /// (MPI_Win_flush_all). Counts as an epoch closure.
     pub fn flush_all(&mut self, p: &mut Process) {
-        if let Some(ctx) = self.san_ctx(p).filter(|_| !self.open.any()) {
+        if let Some(ctx) = self.san_ctx(p).filter(|_| !self.locked_all) {
             ctx.report(SanKind::FlushOutsideEpoch { target: None });
         }
         if let Some(local) = self.san.as_deref_mut() {
@@ -959,55 +903,32 @@ impl Window {
         self.close_epoch();
     }
 
-    /// Starts a passive-target access epoch towards `target`
-    /// (MPI_Win_lock).
-    pub fn lock(&mut self, p: &mut Process, kind: LockKind, target: usize) {
-        let sync = p.netmodel().sync_cost();
-        p.clock_mut().charge_cpu(sync);
-        self.open.lock(self.san_ctx(p), kind, target);
-        self.shared
-            .locks
-            .lock(&p.shared.liveness, kind, target, p.san.as_mut());
-        p.sync_events += 1;
-    }
-
-    /// Ends the passive-target epoch towards `target` (MPI_Win_unlock):
-    /// completes outstanding operations and releases the lock.
-    pub fn unlock(&mut self, p: &mut Process, target: usize) {
-        let sync = p.netmodel().sync_cost();
-        p.clock_mut().charge_cpu(sync);
-        p.clock_mut().wait_target(target);
-        self.open.unlock(self.san_ctx(p), target);
-        if let Some(local) = self.san.as_deref_mut() {
-            local.complete_reads_for(target);
-        }
-        self.shared.locks.unlock(target, p.san.as_mut());
-        self.outstanding_gets[target] = 0;
-        self.close_epoch();
-    }
-
     /// Starts a passive-target epoch towards all targets
-    /// (MPI_Win_lock_all, shared mode).
+    /// (MPI_Win_lock_all, shared mode). An acquisition: it counts as a
+    /// sync event ([`Process::sync_events`]).
     pub fn lock_all(&mut self, p: &mut Process) {
         let sync = p.netmodel().sync_cost();
         p.clock_mut().charge_cpu(sync);
-        self.open.lock_all(self.san_ctx(p));
-        self.shared
-            .locks
-            .lock_all(&p.shared.liveness, p.san.as_mut());
+        if let Some(s) = self.san_ctx(p).filter(|_| self.locked_all) {
+            s.report(SanKind::DoubleLock);
+        }
+        self.locked_all = true;
         p.sync_events += 1;
     }
 
-    /// Ends the epoch towards all targets (MPI_Win_unlock_all).
+    /// Ends the epoch towards all targets (MPI_Win_unlock_all): completes
+    /// every outstanding operation.
     pub fn unlock_all(&mut self, p: &mut Process) {
         let sync = p.netmodel().sync_cost();
         p.clock_mut().charge_cpu(sync);
         p.clock_mut().wait_all();
-        self.open.unlock_all(self.san_ctx(p));
+        if let Some(s) = self.san_ctx(p).filter(|_| !self.locked_all) {
+            s.report(SanKind::UnlockWithoutLock);
+        }
+        self.locked_all = false;
         if let Some(local) = self.san.as_deref_mut() {
             local.complete_all_reads();
         }
-        self.shared.locks.unlock_all(p.san.as_mut());
         self.outstanding_gets.fill(0);
         self.close_epoch();
     }

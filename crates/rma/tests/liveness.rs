@@ -1,18 +1,19 @@
 //! A rank that panics fails the run instead of hanging it.
 //!
 //! Each test kills rank 1 with its own message while rank 0 blocks on it
-//! at one blocking site: a barrier, an allgather, a broadcast, and a
-//! passive-target lock rank 1 holds. Rank 0 must learn of the death and
-//! `run` must re-raise rank 1's own panic, not rank 0's "peer rank 1
-//! panicked". The run goes on a helper thread behind a timeout, so a
-//! regression fails the test instead of hanging the suite.
+//! at one blocking site: a barrier, an allgather and a broadcast (the
+//! collectives' one rendezvous; `lock_all` never blocks). Rank 0 must
+//! learn of the death and `run` must re-raise rank 1's own panic, not
+//! rank 0's "peer rank 1 panicked". The run goes on a helper thread
+//! behind a timeout, so a regression fails the test instead of hanging
+//! the suite.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::Duration;
 
-use clampi_rma::{run, LockKind, Process, SimConfig};
+use clampi_rma::{run, Process, SimConfig};
 
 /// Runs `body` on two ranks and returns the message of the panic `run`
 /// re-raises.
@@ -67,20 +68,4 @@ fn a_root_dying_before_its_bcast_fails_the_run() {
         p.bcast::<u64>(1, None);
     });
     assert_eq!(msg, "rank 1 dies before its bcast");
-}
-
-#[test]
-fn a_rank_dying_with_an_exclusive_lock_fails_the_run() {
-    let msg = reraised(|p| {
-        let mut win = p.win_allocate(64);
-        if p.rank() == 1 {
-            win.lock(p, LockKind::Exclusive, 0);
-        }
-        p.barrier();
-        if p.rank() == 1 {
-            panic!("rank 1 dies holding the lock");
-        }
-        win.lock(p, LockKind::Exclusive, 0);
-    });
-    assert_eq!(msg, "rank 1 dies holding the lock");
 }

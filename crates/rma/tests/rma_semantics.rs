@@ -1,7 +1,7 @@
 //! Integration tests of MPI-3 RMA semantics in the simulator.
 
 use clampi_datatype::Datatype;
-use clampi_rma::{run, run_collect, LockKind, NetModel, SimConfig, Topology};
+use clampi_rma::{run, run_collect, NetModel, SimConfig, Topology};
 
 #[test]
 fn heterogeneous_window_sizes() {
@@ -35,16 +35,16 @@ fn put_then_get_across_epochs_roundtrips() {
         let mut win = p.win_allocate(128);
         p.barrier();
         if p.rank() == 0 {
-            win.lock(p, LockKind::Exclusive, 1);
+            win.lock_all(p);
             let data: Vec<u8> = (0..64).collect();
             win.put(p, &data, 1, 32, &Datatype::bytes(64), 1);
-            win.unlock(p, 1);
-            win.lock(p, LockKind::Shared, 1);
+            win.unlock_all(p);
+            win.lock_all(p);
             let mut back = vec![0u8; 64];
             win.get(p, &mut back, 1, 32, &Datatype::bytes(64), 1);
             win.flush(p, 1);
             assert_eq!(back, data);
-            win.unlock(p, 1);
+            win.unlock_all(p);
         }
         p.barrier();
     });
@@ -57,7 +57,7 @@ fn strided_put_roundtrips_through_strided_get() {
         p.barrier();
         if p.rank() == 0 {
             let dt = Datatype::vector(4, 2, 8, Datatype::bytes(4)); // 4 blocks of 8B, stride 32B
-            win.lock(p, LockKind::Shared, 1);
+            win.lock_all(p);
             let data: Vec<u8> = (100..132).collect(); // 32 payload bytes
             win.put(p, &data, 1, 0, &dt, 1);
             win.flush(p, 1);
@@ -65,7 +65,7 @@ fn strided_put_roundtrips_through_strided_get() {
             win.get(p, &mut back, 1, 0, &dt, 1);
             win.flush(p, 1);
             assert_eq!(back, data);
-            win.unlock(p, 1);
+            win.unlock_all(p);
         }
         p.barrier();
         if p.rank() == 1 {
@@ -203,66 +203,29 @@ fn many_ranks_all_to_all_correctness() {
     }
 }
 
+/// `Window::epoch_open` tracks the open access epoch whether or not
+/// RMASAN is armed: `lock_all` opens it, a flush inside it leaves it
+/// open, and `unlock_all` closes it.
 #[test]
-fn exclusive_lock_serializes_initiators() {
-    // Two initiators increment a remote counter under exclusive locks;
-    // the result must be exact (no lost updates).
-    let rounds = 20;
-    run(SimConfig::default(), 3, |p| {
-        let mut win = p.win_allocate(8);
-        p.barrier();
-        if p.rank() != 2 {
-            for _ in 0..rounds {
-                win.lock(p, LockKind::Exclusive, 2);
-                let mut b = [0u8; 8];
-                win.get(p, &mut b, 2, 0, &Datatype::bytes(8), 1);
-                win.flush(p, 2);
-                let v = u64::from_le_bytes(b) + 1;
-                win.put(p, &v.to_le_bytes(), 2, 0, &Datatype::bytes(8), 1);
-                win.unlock(p, 2);
-            }
-        }
-        p.barrier();
-        if p.rank() == 2 {
-            let m = win.local_ref();
-            let v = u64::from_le_bytes(m[..8].try_into().unwrap());
-            assert_eq!(v, 2 * rounds, "lost updates under exclusive locks");
-        }
-        p.barrier();
-    });
-}
-
-/// `Window::epoch_open_for` tracks the open access epochs whether or not
-/// RMASAN is armed: a lock covers its target only, `lock_all` every
-/// target, and a flush inside either leaves the epoch open.
-#[test]
-fn epoch_open_for_follows_every_epoch_kind() {
+fn epoch_open_follows_lock_all_through_flushes() {
     let out = run_collect(SimConfig::default(), 2, |p| {
         let mut win = p.win_allocate(64);
         let mut seen = Vec::new();
-        let open = |win: &clampi_rma::Window| [win.epoch_open_for(0), win.epoch_open_for(1)];
         p.barrier();
-        seen.push(open(&win));
-        win.lock(p, LockKind::Shared, 1);
-        seen.push(open(&win));
-        win.flush(p, 1);
-        seen.push(open(&win));
-        win.unlock(p, 1);
-        seen.push(open(&win));
+        seen.push(win.epoch_open());
         win.lock_all(p);
-        seen.push(open(&win));
+        seen.push(win.epoch_open());
+        win.flush(p, 1);
+        seen.push(win.epoch_open());
         win.flush(p, 0);
         win.flush_all(p);
-        seen.push(open(&win));
+        seen.push(win.epoch_open());
         win.unlock_all(p);
-        seen.push(open(&win));
+        seen.push(win.epoch_open());
         seen
     });
-    let none = [false, false];
-    let (target1, all) = ([false, true], [true, true]);
-    let expect = vec![none, target1, target1, none, all, all, none];
     for (_, seen) in &out {
-        assert_eq!(seen, &expect);
+        assert_eq!(seen, &[false, true, true, true, false]);
     }
 }
 

@@ -6,7 +6,7 @@
 
 use clampi_datatype::Datatype;
 use clampi_prng::prop::check;
-use clampi_rma::{run_collect, AccessKind, CheckerConfig, LockKind, SanKind, SimConfig, Window};
+use clampi_rma::{run_collect, AccessKind, CheckerConfig, SanKind, SimConfig, Window};
 
 /// Runs a 1-rank program under a collecting checker and returns its
 /// diagnostics.
@@ -110,17 +110,14 @@ fn flush_completes_exactly_its_own_targets_reads() {
 #[test]
 fn double_lock_and_double_unlock_are_flagged() {
     let diags = diags_of(|p, win| {
-        win.lock(p, LockKind::Shared, 0);
-        win.lock(p, LockKind::Shared, 0); // double lock
-        win.unlock(p, 0);
-        win.unlock(p, 0); // unlock without a (tracked) lock
+        win.lock_all(p);
+        win.lock_all(p); // double lock
+        win.unlock_all(p);
+        win.unlock_all(p); // unlock without a (tracked) lock
     });
     assert_eq!(
         diags.iter().map(|d| &d.kind).collect::<Vec<_>>(),
-        vec![
-            &SanKind::DoubleLock { target: Some(0) },
-            &SanKind::UnlockWithoutLock { target: Some(0) },
-        ]
+        vec![&SanKind::DoubleLock, &SanKind::UnlockWithoutLock]
     );
 }
 
@@ -149,8 +146,10 @@ fn unsynchronized_cross_rank_put_get_is_one_race() {
     run_collect(SimConfig::default().with_checker(cfg), 2, |p| {
         let mut win = p.win_allocate(64);
         // Both ranks access target 1's [0,8) under their own shared
-        // locks with no ordering between them: a textbook race.
-        win.lock(p, LockKind::Shared, 1);
+        // locks with no ordering between them: a textbook race. Only the
+        // tick after the window's creating collective tells the two
+        // accesses apart from what each rank learned there.
+        win.lock_all(p);
         if p.rank() == 0 {
             let data = [9u8; 8];
             win.put(p, &data, 1, 0, &Datatype::bytes(8), 1);
@@ -158,7 +157,7 @@ fn unsynchronized_cross_rank_put_get_is_one_race() {
             let mut buf = [0u8; 8];
             win.get(p, &mut buf, 1, 0, &Datatype::bytes(8), 1);
         }
-        win.unlock(p, 1);
+        win.unlock_all(p);
         p.barrier();
     });
     let diags = handle.take();
@@ -169,27 +168,6 @@ fn unsynchronized_cross_rank_put_get_is_one_race() {
         matches!(diags[0].kind, SanKind::Race { target: 1, .. }),
         "{diags:?}"
     );
-}
-
-#[test]
-fn exclusive_lock_handoff_orders_the_same_accesses() {
-    let (cfg, handle) = CheckerConfig::collect();
-    run_collect(SimConfig::default().with_checker(cfg), 2, |p| {
-        let mut win = p.win_allocate(64);
-        // Same access pattern as the race test, but under exclusive
-        // locks: the release->acquire edge orders the pair.
-        win.lock(p, LockKind::Exclusive, 1);
-        if p.rank() == 0 {
-            let data = [9u8; 8];
-            win.put(p, &data, 1, 0, &Datatype::bytes(8), 1);
-        } else {
-            let mut buf = [0u8; 8];
-            win.get(p, &mut buf, 1, 0, &Datatype::bytes(8), 1);
-        }
-        win.unlock(p, 1);
-        p.barrier();
-    });
-    assert_eq!(handle.take(), vec![], "exclusive locks serialize");
 }
 
 #[test]

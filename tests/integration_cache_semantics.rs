@@ -3,7 +3,7 @@
 
 use clampi_repro::clampi::{AccessType, CacheParams, CachedWindow, ClampiConfig, Mode};
 use clampi_repro::clampi_datatype::Datatype;
-use clampi_repro::clampi_rma::{run, run_collect, LockKind, SimConfig};
+use clampi_repro::clampi_rma::{run, run_collect, SimConfig};
 
 fn cfg(mode: Mode) -> ClampiConfig {
     ClampiConfig::fixed(
@@ -28,7 +28,7 @@ fn transparent_mode_never_serves_stale_data() {
             }
             p.barrier();
             if p.rank() == 0 {
-                win.lock(p, LockKind::Shared, 1);
+                win.lock_all(p);
                 let mut buf = [0u8; 4];
                 let class = win.get(p, &mut buf, 1, 0, &Datatype::bytes(4), 1);
                 win.flush(p, 1);
@@ -38,7 +38,7 @@ fn transparent_mode_never_serves_stale_data() {
                     Some(AccessType::Hit),
                     "transparent mode must not hit across epochs"
                 );
-                win.unlock(p, 1);
+                win.unlock_all(p);
             }
             p.barrier();
         }
@@ -82,14 +82,14 @@ fn user_defined_invalidate_ends_the_read_only_phase() {
         }
         p.barrier();
         if p.rank() == 0 {
-            win.lock(p, LockKind::Shared, 1);
+            win.lock_all(p);
             let mut buf = [0u8; 4];
             win.get(p, &mut buf, 1, 0, &Datatype::bytes(4), 1);
             win.flush(p, 1);
             let class = win.get(p, &mut buf, 1, 0, &Datatype::bytes(4), 1);
             assert_eq!(class, Some(AccessType::Hit));
             win.invalidate(p);
-            win.unlock(p, 1);
+            win.unlock_all(p);
         }
         p.barrier();
         // Phase 2: the writer changes the data; the reader must re-fetch.
@@ -98,13 +98,13 @@ fn user_defined_invalidate_ends_the_read_only_phase() {
         }
         p.barrier();
         if p.rank() == 0 {
-            win.lock(p, LockKind::Shared, 1);
+            win.lock_all(p);
             let mut buf = [0u8; 4];
             let class = win.get(p, &mut buf, 1, 0, &Datatype::bytes(4), 1);
             win.flush(p, 1);
             assert_ne!(class, Some(AccessType::Hit));
             assert_eq!(buf, [2; 4]);
-            win.unlock(p, 1);
+            win.unlock_all(p);
         }
         p.barrier();
     });
