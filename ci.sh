@@ -31,9 +31,10 @@
 #   san-test      the whole test suite again under CLAMPI_SAN=1 (the RMA
 #                 semantics sanitizer armed; run_collect asserts zero
 #                 diagnostics after every simulation — this includes the
-#                 DHT property suite's fault-plan cases), plus
-#                 fig_fault_recovery and fig_tx smoke runs whose
-#                 `# SAN diags` summaries must be 0
+#                 DHT property suite's fault-plan cases), plus a smoke
+#                 run of every figure binary that prints a `# SAN diags`
+#                 summary (each crates/bench/src/bin/*.rs calling
+#                 san_summary()); each summary must be 0
 #   prop-matrix   every property suite (each tests/prop_*.rs) under 3 fixed
 #                 CLAMPI_PROP_SEED values (single-case replay determinism)
 #   bench-smoke   the microcosts wall-clock rungs at CLAMPI_BENCH_SMOKE=1,
@@ -163,11 +164,13 @@ stage_san_test() {
     # checker is observation-only (prop_checker_is_observation_only pins
     # bit-identical results), so this is purely a semantic re-check.
     CLAMPI_SAN=1 limited "$TEST_TIMEOUT_S" cargo test -q --offline --workspace
-    # fig_tx skips its wall-clock phase under CLAMPI_SAN (its naive
-    # baseline races reads against puts by design); the deterministic
-    # snapshot phase must come back clean.
-    local bin out
-    for bin in fig_fault_recovery fig_tx; do
+    # Every figure binary that prints the summary, found the way
+    # prop-matrix finds its suites. fig_tx skips its wall-clock phase
+    # under CLAMPI_SAN (its naive baseline races reads against puts by
+    # design); the deterministic snapshot phase must come back clean.
+    local file bin out
+    for file in $(grep -l 'san_summary()' crates/bench/src/bin/*.rs); do
+        bin=$(basename "$file" .rs)
         echo "-- $bin (smoke) under CLAMPI_SAN=1"
         out=$(CLAMPI_SAN=1 CLAMPI_BENCH_SMOKE=1 cargo run -q --offline --release \
             -p clampi-bench --bin "$bin")

@@ -9,10 +9,14 @@
 //! read-only, so CLaMPI runs in the *user-defined* mode: all gets are
 //! cached and the cache is explicitly invalidated when the phase ends.
 //!
-//! Because the traversal needs each fetched record immediately (the
-//! children ids steer the descent), every miss costs a get *plus* a flush
-//! — which is exactly why cache hits (lookup + memcpy, no network wait)
-//! speed the phase up so dramatically.
+//! The traversal needs each fetched record before it can descend (the
+//! children ids steer it), so [`force_phase`] descends level by level:
+//! it fetches every remote record of one frontier level as one batch of
+//! `get_nb`s, completed by one `flush_batch` (skipped when no get of the
+//! level missed). The misses of one level thus overlap their wire time,
+//! on the cached and the uncached (foMPI) series alike. The paper's port
+//! of the UPC code walks depth first instead, one blocking fetch per
+//! remote node; ROADMAP item 3 measures that walk against this one.
 //!
 //! The force kernel's virtual cost is one `interaction_ns` charge per
 //! visited node, whether the node is opened or its force summed, and

@@ -80,8 +80,8 @@ pub fn meta(line: &str) {
 
 /// Prints the RMASAN summary line (`# SAN diags <n>`). The count is the
 /// process-wide total of sanitizer diagnostics; a clean run — and any
-/// run without `CLAMPI_SAN=1` — prints 0. CI's san-test stage asserts it
-/// for `fig_fault_recovery` and `fig_tx` under `CLAMPI_SAN=1`.
+/// run without `CLAMPI_SAN=1` — prints 0. CI's san-test stage runs every
+/// figure binary that calls this under `CLAMPI_SAN=1` and asserts 0.
 pub fn san_summary() {
     meta(&format!("SAN diags {}", clampi_rma::check::total_diags()));
 }

@@ -160,7 +160,8 @@ impl ReqBound {
 
 impl Default for ReqBound {
     /// The neutral interval `[0, ∞)` — what a zero-length request, which
-    /// reads nothing, contributes to the intersection.
+    /// reads nothing, contributes to the intersection. Its stamp is
+    /// inexact: a non-empty request with this bound is still to read.
     fn default() -> Self {
         ReqBound::new(SnapStamp::default(), 0)
     }
@@ -220,8 +221,6 @@ pub(crate) struct SnapScratch {
     pub(crate) bounds: Vec<ReqBound>,
     /// Involved targets, ascending and deduplicated.
     pub(crate) targets: Vec<u32>,
-    /// Indices of requests to refetch in the current round.
-    pub(crate) refetch: Vec<usize>,
 }
 
 /// Refetch rounds per validation attempt before the attempt is aborted

@@ -189,17 +189,15 @@ pub struct CachedWindow {
     ranges: Vec<(u64, u64, u64)>,
 }
 
-/// One target's state in a [`CachedWindow`]: its fault status, its
-/// in-flight transfers and its coherence state.
+/// One target's state in a [`CachedWindow`]: its fault status, the wire
+/// time its in-flight transfers posted and its coherence state. Whether
+/// anything is in flight towards it is the inner window's record
+/// ([`Window::outstanding_gets`]), not this one's.
 #[derive(Debug, Clone, Default)]
 struct TargetState {
     /// Marked persistently failed: its cached entries are dropped and its
     /// gets served degraded (see `crate::recovery`).
     degraded: bool,
-    /// A batched or refetch fetch was staged towards it since the last
-    /// completion event towards it: the next flush decision must wait for
-    /// it (`CachedWindow::complete_staged`), whatever wire time it posted.
-    staged: bool,
     /// Wire ns posted by the nonblocking path since the last completion
     /// event towards it (input to the overlap accounting).
     posted_wire: f64,
@@ -246,13 +244,6 @@ impl TargetState {
         self.sample
             .take()
             .is_some_and(|s| s.version == cursor && s.sync_events == sync_events)
-    }
-
-    /// A completion event towards the target: nothing of it is in flight
-    /// any more. Returns the wire ns it had posted.
-    fn finish(&mut self) -> f64 {
-        self.staged = false;
-        std::mem::take(&mut self.posted_wire)
     }
 }
 
@@ -482,9 +473,6 @@ impl CachedWindow {
             if self.targets[t].degraded {
                 continue;
             }
-            // In flight once attempted: the target is flushed (and its
-            // epoch hook run) even if every refetch to it fails.
-            self.targets[t].staged = true;
             let sig = self.engine().kept_sig(k);
             buf.clear();
             buf.resize(sig.size(), 0);
@@ -504,10 +492,14 @@ impl CachedWindow {
             }
         }
         self.scratch_buf = buf;
-        let targets = kept.chunk_by(|a, b| a.key.target == b.key.target);
-        let flushed = self.complete_staged(p, targets.map(|c| c[0].key.target as usize));
-        for _ in 0..flushed {
-            self.engine().epoch_close();
+        // Every kept target not degraded is flushed, and its epoch hook
+        // run, even if every refetch to it failed.
+        for c in kept.chunk_by(|a, b| a.key.target == b.key.target) {
+            let t = c[0].key.target as usize;
+            if !self.targets[t].degraded {
+                self.complete_with(p, Some(t), |w, p| w.flush(p, t));
+                self.engine().epoch_close();
+            }
         }
         self.charge_engine(p);
         self.engine().recycle_kept(kept);
@@ -875,7 +867,6 @@ impl CachedWindow {
                 let staged = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
                     self.win.try_get_staged(p, dst, target, disp, layout)
                 })?;
-                self.targets[target].staged = true;
                 let (lo, hi) = (disp as u64, (disp + dst.len()) as u64);
                 let dense = layout.is_none_or(FlatLayout::is_dense);
                 let merge_from = dense.then(|| match completion {
@@ -1118,8 +1109,15 @@ impl CachedWindow {
         outcome
     }
 
-    /// One gather + validate pass over the whole batch. `direct` (retry
-    /// attempts) bypasses the cache so stale residents cannot re-abort.
+    /// One attempt over the whole batch: read passes, each completed by
+    /// one flush per target with a get in flight, alternating with
+    /// validation rounds. A pass reads every non-empty request whose
+    /// bound has no exact stamp: at the start that is all of them, read
+    /// through the cache unless `direct` (retry attempts bypass it so
+    /// stale residents cannot re-abort). Every later pass refetches them
+    /// direct: inexact stamps before the first drain, then the requests
+    /// whose interval excludes the candidate timestamp, whose bounds
+    /// validation resets.
     fn snapshot_attempt(
         &mut self,
         p: &mut Process,
@@ -1129,98 +1127,88 @@ impl CachedWindow {
         direct: bool,
         refetched: &mut u64,
     ) -> Result<SnapshotInfo, SnapAbort> {
-        // --- Gather: one (possibly cached) read per request, with the
-        // stamp of the bytes that actually landed in `dst`. Stamps are
-        // read immediately after each get — a later get in the batch may
-        // evict the entry a hit was served from.
         ctx.bounds.clear();
         ctx.bounds.resize(reqs.len(), ReqBound::default());
-        ctx.refetch.clear();
-        let mut off = 0usize;
-        for (i, r) in reqs.iter().enumerate() {
-            let slice = &mut dst[off..off + r.len];
-            off += r.len;
-            if r.len == 0 {
-                continue; // neutral: lo 0, hi ∞
-            }
-            let target = r.target as usize;
-            if self.targets[target].degraded {
-                return Err(SnapAbort::Fault(target));
-            }
-            // The bytes' stamp, and the version through which they are
-            // already known to be write-free.
-            let (stamp, seen) = if direct || self.cache.is_none() {
-                // Direct (cache-bypassing) read through the batched fetch
-                // stage; its stamp is exact.
-                let stamp = self
-                    .fetch(p, slice, target, r.disp, None, Completion::Batched)
-                    .map_err(|e| self.snap_fault(p, target, e))?;
-                (stamp, stamp.version)
-            } else {
-                let sig = LayoutSig::Contig(r.len);
-                match self.get_core(p, slice, target, r.disp, &sig, Completion::Batched) {
-                    // Zero-filled by the fault path — never snapshot
-                    // material.
-                    GetOutcome::Faulted => return Err(SnapAbort::Fault(target)),
-                    // `slice` mixes a cached head with a fresh tail — no
-                    // single stamp describes it. Refetch.
-                    GetOutcome::Partial(_) => (SnapStamp::default(), 0),
-                    // Served from a resident entry: use its stamp (inexact
-                    // ones — from stamp-blind insert paths — refetch).
-                    // The entry survived every coherence pass up to the
-                    // cursor, so it is write-free through it: validation
-                    // starts there, not at the stamp. (Without a
-                    // coherence mode no pass runs and the cursor stays 0.)
-                    GetOutcome::Resident => {
-                        let key = GetKey {
-                            target: r.target,
-                            disp: r.disp as u64,
-                        };
-                        let stamp = self.engine().snap_stamp(&key).unwrap_or_default();
-                        (stamp, stamp.version.max(self.targets[target].cursor))
-                    }
-                    GetOutcome::Fetched(_, stamp) => (stamp, stamp.version),
-                }
-            };
-            if stamp.exact {
-                ctx.bounds[i] = ReqBound::new(stamp, seen);
-            } else {
-                ctx.refetch.push(i);
-            }
-        }
-        // Complete the gathered fetches, and any earlier transfer to the
-        // batch's targets not yet completed (so a hit on a PENDING entry
-        // still waits for the fetch that fills it). A target the batch
-        // only hit has nothing to complete.
-        self.complete_staged(p, ctx.targets.iter().map(|&t| t as usize));
-
-        // --- Validate: bound every interval from the notification rings,
-        // pick a timestamp, refetch what excludes it; bounded rounds.
+        let cached = !direct && self.cache.is_some();
+        let mut first = true;
         let mut rounds = 0usize;
         loop {
-            if !ctx.refetch.is_empty() {
-                let todo = std::mem::take(&mut ctx.refetch);
-                // Requests are laid out back to back, in order, and `todo`
-                // ascends: one walk finds every offset.
-                let mut todo_at = todo.iter().peekable();
-                let mut end = 0usize;
-                for (i, r) in reqs.iter().enumerate() {
-                    end += r.len;
-                    if todo_at.next_if_eq(&&i).is_none() {
-                        continue;
+            // --- Read: one read per request still to read, with the stamp
+            // of the bytes that actually landed in `dst`, taken right
+            // after the read (a later get in the batch may evict the entry
+            // a hit was served from). Requests are laid out back to back,
+            // in order: one walk finds every offset.
+            let mut inexact = false;
+            let mut end = 0usize;
+            for (i, r) in reqs.iter().enumerate() {
+                end += r.len;
+                if r.len == 0 || ctx.bounds[i].stamp.exact {
+                    continue;
+                }
+                let (slice, t) = (&mut dst[end - r.len..end], r.target as usize);
+                if self.targets[t].degraded {
+                    return Err(SnapAbort::Fault(t));
+                }
+                // The bytes' stamp, and the version through which they are
+                // already known to be write-free.
+                let (stamp, seen) = if first && cached {
+                    let sig = LayoutSig::Contig(r.len);
+                    match self.get_core(p, slice, t, r.disp, &sig, Completion::Batched) {
+                        // Zero-filled by the fault path — never snapshot
+                        // material.
+                        GetOutcome::Faulted => return Err(SnapAbort::Fault(t)),
+                        // `slice` mixes a cached head with a fresh tail —
+                        // no single stamp describes it. Re-read.
+                        GetOutcome::Partial(_) => (SnapStamp::default(), 0),
+                        // Served from a resident entry: use its stamp
+                        // (inexact ones — from stamp-blind insert paths —
+                        // are re-read). The entry survived every coherence
+                        // pass up to the cursor, so it is write-free
+                        // through it: validation starts there, not at the
+                        // stamp. (Without a coherence mode no pass runs and
+                        // the cursor stays 0.)
+                        GetOutcome::Resident => {
+                            let key = GetKey {
+                                target: r.target,
+                                disp: r.disp as u64,
+                            };
+                            let stamp = self.engine().snap_stamp(&key).unwrap_or_default();
+                            (stamp, stamp.version.max(self.targets[t].cursor))
+                        }
+                        GetOutcome::Fetched(_, stamp) => (stamp, stamp.version),
                     }
-                    let (slice, t) = (&mut dst[end - r.len..end], r.target as usize);
+                } else {
+                    // Direct (cache-bypassing) read through the batched
+                    // fetch stage; its stamp is exact.
                     let stamp = self
                         .fetch(p, slice, t, r.disp, None, Completion::Batched)
                         .map_err(|e| self.snap_fault(p, t, e))?;
-                    ctx.bounds[i] = ReqBound::new(stamp, stamp.version);
-                    *refetched += 1;
+                    *refetched += u64::from(!first);
+                    (stamp, stamp.version)
+                };
+                inexact |= !stamp.exact;
+                ctx.bounds[i] = ReqBound::new(stamp, seen);
+            }
+            // Complete the pass's fetches, and any earlier transfer to the
+            // batch's targets not yet completed (so a hit on a PENDING
+            // entry still waits for the fetch that fills it). A target the
+            // batch only hit has nothing to complete. Deliberately not
+            // `flush`: no epoch hook (transparent mode would invalidate the
+            // entries being validated) and no coherence pass.
+            for &t in &ctx.targets {
+                let t = t as usize;
+                if !self.targets[t].degraded && self.win.outstanding_gets(t) > 0 {
+                    self.complete_with(p, Some(t), |w, p| w.flush(p, t));
                 }
-                self.complete_staged(p, ctx.targets.iter().map(|&t| t as usize));
-                ctx.refetch = todo;
-                ctx.refetch.clear();
+            }
+            first = false;
+            if inexact {
+                continue; // re-read before the first drain
             }
 
+            // --- Validate: bound every interval from the notification
+            // rings, pick a timestamp, refetch what excludes it; bounded
+            // rounds.
             let mut cap = u64::MAX;
             let mut now_max = 0u64;
             for k in 0..ctx.targets.len() {
@@ -1278,15 +1266,14 @@ impl CachedWindow {
                     if rounds >= MAX_ROUNDS {
                         return Err(SnapAbort::Rounds);
                     }
+                    let mut stale = 0;
                     for (i, r) in reqs.iter().enumerate() {
                         if r.len > 0 && ctx.bounds[i].hi <= lo {
-                            ctx.refetch.push(i);
+                            ctx.bounds[i] = ReqBound::default();
+                            stale += 1;
                         }
                     }
-                    debug_assert!(
-                        !ctx.refetch.is_empty(),
-                        "empty intersection must name a stale request"
-                    );
+                    debug_assert!(stale > 0, "empty intersection must name a stale request");
                 }
             }
         }
@@ -1324,26 +1311,6 @@ impl CachedWindow {
         }
     }
 
-    /// Completes the staged transfers of `targets` (ascending, distinct):
-    /// flushes exactly the ones with something in flight — a fetch staged
-    /// since their last completion event, or a posted get not yet
-    /// completed — and never a degraded one. Deliberately *not*
-    /// [`CachedWindow::flush`]: no epoch hook (transparent mode would
-    /// invalidate the entries a snapshot is validating) and no coherence
-    /// pass. Returns how many targets it flushed. The one flush decision
-    /// of the snapshot gather, its refetch rounds and `refresh_kept`.
-    fn complete_staged(&mut self, p: &mut Process, targets: impl Iterator<Item = usize>) -> usize {
-        let mut flushed = 0;
-        for t in targets {
-            let s = &self.targets[t];
-            if !s.degraded && (s.staged || self.win.outstanding_gets(t) > 0) {
-                self.complete_with(p, Some(t), |w, p| w.flush(p, t));
-                flushed += 1;
-            }
-        }
-        flushed
-    }
-
     /// Runs one completion event of the inner window towards `target`
     /// (`None` = all targets) with the nonblocking-miss wire accounting
     /// around it: drains the affected spans and their posted wire ns,
@@ -1352,9 +1319,8 @@ impl CachedWindow {
     /// The blocked delta also covers waits for blocking-path transfers
     /// completed by the same event, so the credit is a (slightly
     /// conservative) approximation. No epoch hook, no coherence pass —
-    /// the snapshot layer completes its own fetches through this alone
-    /// (by `CachedWindow::complete_staged`), because both would mutate
-    /// the cache mid-snapshot.
+    /// the snapshot layer completes its own fetches through this alone,
+    /// because both would mutate the cache mid-snapshot.
     fn complete_with(
         &mut self,
         p: &mut Process,
@@ -1364,11 +1330,13 @@ impl CachedWindow {
         let posted: f64 = match target {
             Some(t) => {
                 self.nb_spans.retain(|s| s.target != t);
-                self.targets[t].finish()
+                std::mem::take(&mut self.targets[t].posted_wire)
             }
             None => {
                 self.nb_spans.clear();
-                self.targets.iter_mut().map(TargetState::finish).sum()
+                (self.targets.iter_mut())
+                    .map(|s| std::mem::take(&mut s.posted_wire))
+                    .sum()
             }
         };
         let blocked0 = p.clock().total_blocked();

@@ -13,7 +13,8 @@
 //! after it and the hit after that allocate nothing either, nor does a
 //! warm `validate`: its drain, its refreshes in place and its flushes,
 //! or, with no access epoch open on the target, its evictions; nor does
-//! the log of a writer's settled puts, bounded by the ring's capacity.
+//! the log of a writer's settled puts, bounded by the ring's capacity;
+//! nor does a warm snapshot `multi_get`, refetches included.
 //! The engine's storage churns thousands of equal-length holes (64-B
 //! entries, scattered frees: `dht_mixed`'s shape) without allocating.
 //! A huge target id costs the engine one record: the largest request it
@@ -30,7 +31,7 @@ use std::cell::Cell;
 
 use clampi::{
     AccessType, CacheParams, CachedWindow, ClampiConfig, CoherenceMode, GetKey, LayoutSig, Lookup,
-    Mode, RmaCache,
+    Mode, RmaCache, SnapReq,
 };
 use clampi_datatype::Datatype;
 use clampi_rma::{run_collect, Process, SimConfig};
@@ -559,6 +560,93 @@ fn validate_eviction_does_not_allocate() {
         assert_eq!(
             allocs, 0,
             "validate allocated {allocs} times over {evicted} evictions"
+        );
+    }
+}
+
+/// A warm `multi_get` allocates nothing: its read passes, flushes, drains
+/// and refetches reuse the window's snapshot scratch. Each round rank 1
+/// rewrites the even records of an 8-record batch, rank 0 flushes (its
+/// coherence pass drops them), rank 1 rewrites the odd ones, and rank 0
+/// reads the batch as one snapshot: the even records miss, and the odd
+/// ones, where still resident, hit stale entries that validation refetches.
+/// The first half of the rounds is warmup; the second half is measured.
+#[test]
+fn warm_multi_get_does_not_allocate() {
+    const ROUNDS: usize = 16;
+    const BATCH: usize = 8;
+    let params = CacheParams {
+        coherence: CoherenceMode::EagerInvalidate,
+        ..CacheParams::default()
+    };
+    let out = run_collect(SimConfig::default(), 2, |p| {
+        let cfg = ClampiConfig::fixed(Mode::AlwaysCache, params.clone());
+        let mut win = CachedWindow::create(p, WIN, cfg);
+        let dtype = Datatype::bytes(GET);
+        let reqs: Vec<SnapReq> = (0..BATCH)
+            .map(|slot| SnapReq {
+                target: 1,
+                disp: slot * GET,
+                len: GET,
+            })
+            .collect();
+        let (mut dst, mut newest) = (vec![0u8; BATCH * GET], vec![0u8; BATCH * GET]);
+        win.lock_all(p);
+        if p.rank() == 0 {
+            get_then_flush(p, &mut win, 0..BATCH, AccessType::Direct);
+        }
+        p.barrier();
+        // (allocations, batches that read the newest bytes, refetches)
+        let mut measured = (0u64, 0u64, 0u64);
+        for round in 0..ROUNDS {
+            let fill = |slot: usize| (2 * round + slot % 2) as u8;
+            for parity in [0, 1] {
+                if p.rank() == 1 {
+                    for slot in (parity..BATCH).step_by(2) {
+                        win.put(p, &[fill(slot); GET], 1, slot * GET, &dtype, 1);
+                    }
+                    win.flush(p, 1);
+                }
+                p.barrier();
+                if p.rank() == 0 && parity == 0 {
+                    let before = allocs_on_this_thread();
+                    win.flush(p, 1);
+                    if round >= ROUNDS / 2 {
+                        measured.0 += allocs_on_this_thread() - before;
+                    }
+                }
+                p.barrier();
+            }
+            if p.rank() == 0 {
+                for (slot, b) in newest.chunks_mut(GET).enumerate() {
+                    b.fill(fill(slot));
+                }
+                let (before, refetches) = (allocs_on_this_thread(), win.stats().snapshot_refetches);
+                let ok = win.multi_get(p, &reqs, &mut dst).is_ok() && dst == newest;
+                if round >= ROUNDS / 2 {
+                    measured.0 += allocs_on_this_thread() - before;
+                    measured.1 += ok as u64;
+                    measured.2 += win.stats().snapshot_refetches - refetches;
+                }
+            }
+            p.barrier();
+        }
+        win.unlock_all(p);
+        p.barrier();
+        measured
+    });
+    let (allocs, batches, refetches) = out[0].1;
+    assert_eq!(
+        batches,
+        (ROUNDS / 2) as u64,
+        "measured batches that read the newest bytes"
+    );
+    assert!(refetches > 0, "no measured batch refetched a stale hit");
+    let sanitized = std::env::var("CLAMPI_SAN").is_ok_and(|v| !v.is_empty() && v != "0");
+    if cfg!(debug_assertions) && !sanitized {
+        assert_eq!(
+            allocs, 0,
+            "multi_get allocated {allocs} times over {batches} batches"
         );
     }
 }

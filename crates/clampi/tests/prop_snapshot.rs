@@ -628,7 +628,7 @@ fn disabled_mode_multi_get_matches_sequential_gets() {
 type HitBatchObs = (Result<u64, String>, Vec<u8>, Vec<u8>);
 
 /// What the batch of [`hit_batch`] reads besides the CACHED slot 0.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Second {
     /// Slot 1, also CACHED: every request is a hit.
     Hit,
@@ -637,6 +637,9 @@ enum Second {
     InFlight,
     /// Slot 3, never read: a miss.
     Miss,
+    /// Slot 2, after a blocking `get` of it left unflushed: a hit on the
+    /// entry of the caller's own transfer, posted by the blocking path.
+    Blocking,
 }
 
 /// Every rank fills its 4 slots; rank 0 caches slots 0 and 1 of `target`
@@ -671,10 +674,20 @@ fn hit_batch(target: usize, second: Second) -> HitBatchObs {
             }
             win.flush(p, target);
             let mut pending = vec![0u8; SLOT];
-            if second == Second::InFlight {
-                win.get_nb(p, &mut pending, target, 2 * SLOT, &dtype, 1);
+            match second {
+                Second::InFlight => {
+                    win.get_nb(p, &mut pending, target, 2 * SLOT, &dtype, 1);
+                }
+                Second::Blocking => {
+                    win.get(p, &mut pending, target, 2 * SLOT, &dtype, 1);
+                }
+                Second::Hit | Second::Miss => {}
             }
-            let slots = [0, 1 + second as usize];
+            let slots = match second {
+                Second::Hit => [0, 1],
+                Second::InFlight | Second::Blocking => [0, 2],
+                Second::Miss => [0, 3],
+            };
             let reqs: Vec<SnapReq> = slots
                 .iter()
                 .map(|&k| SnapReq {
@@ -725,6 +738,23 @@ fn a_batch_over_a_get_nb_in_flight_still_flushes_its_target() {
     for target in [1, 0] {
         let (flushes, bytes, uncached) = hit_batch(target, Second::InFlight);
         assert_eq!(flushes, Ok(1), "the transfer to {target} was not completed");
+        assert_eq!(bytes, uncached);
+    }
+}
+
+/// A batch that hits the entry of the caller's own blocking `get`, left
+/// unflushed, still waits for that transfer: it flushes the target once.
+/// The blocking path stages nothing of its own; the inner window's count
+/// of outstanding gets is what names the target in flight.
+#[test]
+fn a_batch_over_a_blocking_get_in_flight_still_flushes_its_target() {
+    for target in [1, 0] {
+        let (flushes, bytes, uncached) = hit_batch(target, Second::Blocking);
+        assert_eq!(
+            flushes,
+            Ok(1),
+            "the blocking get to {target} was not completed"
+        );
         assert_eq!(bytes, uncached);
     }
 }

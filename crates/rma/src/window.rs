@@ -519,12 +519,13 @@ impl Window {
     /// layout built by the caller. `get`, `try_get` and `get_flat` all
     /// delegate here.
     ///
-    /// On `Ok` the get is counted outstanding towards `target` (see
-    /// [`Window::outstanding_gets`]) until the next completion event. On
-    /// `Err` no bytes have moved, nothing is outstanding on the network,
-    /// and no epoch access has been recorded; only the failure's
-    /// detection cost (NACK round trip or timeout) has been charged to
-    /// the virtual clock. Transient errors may be retried.
+    /// On `Ok` the get is counted outstanding towards `target` by
+    /// [`Window::try_get_staged`] (see [`Window::outstanding_gets`]) until
+    /// the next completion event. On `Err` no bytes have moved, nothing
+    /// is outstanding on the network, and no epoch access has been
+    /// recorded; only the failure's detection cost (NACK round trip or
+    /// timeout) has been charged to the virtual clock. Transient errors
+    /// may be retried.
     ///
     /// # Panics
     ///
@@ -542,7 +543,6 @@ impl Window {
         p.clock_mut().charge_cpu(staged.cost.cpu_ns);
         p.clock_mut()
             .post_network(target, staged.cost.wire_ns * staged.spike);
-        self.outstanding_gets[target] += 1;
         Ok(())
     }
 
@@ -573,6 +573,10 @@ impl Window {
     /// that merge several staged gets into fewer, wider wire transfers.
     /// `None` reads `dst.len()` contiguous bytes through the window's
     /// reusable one-block layout.
+    ///
+    /// On `Ok` the get is counted outstanding towards `target` (see
+    /// [`Window::outstanding_gets`]) until the next completion event,
+    /// whatever wire time the caller posts for it.
     pub fn try_get_staged(
         &mut self,
         p: &mut Process,
@@ -628,11 +632,12 @@ impl Window {
         );
         p.counters.gets += 1;
         p.counters.bytes_get += layout.total_size() as u64;
+        self.outstanding_gets[target] += 1;
         Ok(StagedGet { cost, spike })
     }
 
-    /// Number of gets posted towards `target` and not yet completed by a
-    /// completion event.
+    /// Number of gets towards `target`, blocking or staged, not yet
+    /// completed by a completion event.
     pub fn outstanding_gets(&self, target: usize) -> usize {
         self.outstanding_gets[target]
     }
